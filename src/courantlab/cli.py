@@ -101,11 +101,25 @@ def _load_json(path: str) -> dict:
         raise _ArgumentError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
+# what a malformed JSON description raises while it is loaded: "1/0"
+# raises ZeroDivisionError, a wrong shape DimensionMismatchError, a list
+# where an object belongs AttributeError
+_BAD_INPUT = (AttributeError, KeyError, IndexError, ValueError, TypeError,
+              ZeroDivisionError)
+
+
+def _load_subspace(path: str, ambient_dim: int) -> ExactSubspace:
+    try:
+        return ExactSubspace.from_json(_load_json(path), ambient_dim=ambient_dim)
+    except _BAD_INPUT as exc:
+        raise _ArgumentError(f"bad subspace description {path}: {exc}") from exc
+
+
 def cmd_validate(args) -> int:
     data = _load_json(args.algebra)
     try:
         alg = QuadraticLieAlgebra.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except _BAD_INPUT as exc:
         raise _ArgumentError(f"bad algebra description: {exc}") from exc
     report_records = []
     rep = quadlie.validate_algebra(alg)
@@ -118,8 +132,8 @@ def cmd_validate(args) -> int:
     if (args.g1 is None) != (args.g2 is None):
         raise _ArgumentError("--g1 and --g2 must be given together")
     if args.g1:
-        g1 = ExactSubspace.from_json(_load_json(args.g1), ambient_dim=alg.dim)
-        g2 = ExactSubspace.from_json(_load_json(args.g2), ambient_dim=alg.dim)
+        g1 = _load_subspace(args.g1, alg.dim)
+        g2 = _load_subspace(args.g2, alg.dim)
         trep = quadlie.validate_manin_triple(ManinTriple(alg, g1, g2))
         for r in trep.records:
             report_records.append(
@@ -138,6 +152,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     _positive(args.tol, "--tol")
     if args.samples is not None and args.samples <= 0:
         raise _ArgumentError("--samples must be positive")
+    least = suites.MIN_SAMPLES.get(args.suite, 1)
+    if args.samples is not None and args.samples < least:
+        raise _ArgumentError(f"verify {args.suite} needs --samples >= {least}")
     try:
         records = suites.run_suite(
             args.suite, ctx=args.ctx, samples=args.samples,
@@ -207,9 +224,9 @@ def cmd_bivector(args) -> tuple[dict, int]:
         raise _ArgumentError(f"unknown context {args.ctx!r}")
     pt, e, f = _desk_point_and_splitting(args.ctx, args.point, args.splitting)
     if args.e_file:
-        e = ExactSubspace.from_json(_load_json(args.e_file), ambient_dim=pt.algebra.dim)
+        e = _load_subspace(args.e_file, pt.algebra.dim)
     if args.f_file:
-        f = ExactSubspace.from_json(_load_json(args.f_file), ambient_dim=pt.algebra.dim)
+        f = _load_subspace(args.f_file, pt.algebra.dim)
     piv = anchored.bivector_at(pt, e, f)
     cois, _ = anchored.check_coisotropic_stabilizer(pt)
     report = {

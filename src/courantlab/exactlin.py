@@ -6,14 +6,20 @@ pivots, so two equal subspaces have identical stored data and subspace
 equality is plain structural equality.  The zero subspace keeps an
 explicit ambient dimension and an empty basis.
 
+Values are ``Fraction`` at the API and integers inside: products put
+each operand over the lcm of its denominators, and elimination works on
+primitive integer rows, so a result entry is normalised once.
+
 All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache as _lru_cache
+from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -41,7 +47,7 @@ def frac(x) -> Fraction:
 
 
 def vector(entries: Iterable) -> Vector:
-    return tuple(frac(e) for e in entries)
+    return tuple(map(frac, entries))
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -74,25 +80,82 @@ def scale_vec(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
+_ZERO = Fraction(0)
+
+
+# A Fraction's own numerator and denominator fields, read at C speed; an
+# int, or anything that lacks them, takes the checked path.
+_FRACTION_PARTS = attrgetter("_numerator", "_denominator")
+
+
+def _parts(x) -> tuple[int, int]:
+    if not isinstance(x, (Fraction, int)):
+        raise TypeError(f"exact arithmetic needs int or Fraction, got {x!r}")
+    return x.as_integer_ratio()
+
+
+def _over_lcm(v: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of v over the lcm of its denominators."""
+    try:
+        pairs = list(map(_FRACTION_PARTS, v))
+    except AttributeError:
+        pairs = list(map(_parts, v))
+    den = lcm(*[d for _, d in pairs])
+    if den == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _products(rows: Sequence[Sequence], cols: Sequence[Sequence], k: int) -> Matrix:
+    """The table dot(r, c) over rows r and columns c, all of length k.
+
+    Each operand is put over a common denominator once, so an entry is a
+    sum of integer products and a single Fraction normalisation.
+    """
+    if any(len(x) != k for x in rows) or any(len(x) != k for x in cols):
+        raise DimensionMismatchError("operand lengths disagree")
+    cs = [_over_lcm(c) for c in cols]
+    out = []
+    for r in rows:
+        rn, rd = _over_lcm(r)
+        entries = []
+        for cn, cd in cs:
+            total = sum(map(mul, rn, cn))
+            entries.append(Fraction(total, rd * cd) if total else _ZERO)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+    return _products((u,), (v,), len(u))[0][0]
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in A)
+    return tuple(row[0] for row in _products(A, (v,), len(v)))
+
+
+def _columns(A: Matrix) -> list[tuple]:
+    if any(len(row) != len(A[0]) for row in A):
+        raise DimensionMismatchError("ragged matrix rows")
+    return list(zip(*A))
+
+
+# An empty matrix () also stands for an n x 0 one (the transpose of a 0 x n
+# matrix), so a product with an empty right factor has no columns.
 
 
 def vec_mat(v: Vector, A: Matrix) -> Vector:
     if not A:
         return ()
-    return tuple(
-        sum((v[i] * A[i][j] for i in range(len(A))), Fraction(0))
-        for j in range(len(A[0]))
-    )
+    if len(v) != len(A):
+        raise DimensionMismatchError("vector/matrix shape mismatch")
+    return _products((v,), _columns(A), len(A))[0]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(vec_mat(row, B) for row in A)
+    if not B:
+        return tuple(() for _ in A)
+    return _products(A, _columns(B), len(B))
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -108,39 +171,67 @@ def concat_vec(*parts: Vector) -> Vector:
     return out
 
 
-def rref(rows: Sequence[Sequence]) -> Matrix:
-    """Reduced row echelon form with unit pivots; zero rows dropped."""
-    work = [list(vector(r)) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
+def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> tuple[list[int], Fraction]:
+    """Fraction-free row reduction of integer rows, in place.
+
+    A row is cleared at a pivot column by cross-multiplying it with the
+    pivot row, then divided by its content (the gcd of its entries).
+    With ``reduced`` the rows above each pivot are cleared too.  Returns
+    the pivot columns, in row order, and the factor f with
+    det(result) = f * det(input) for a square input.
+    """
+    pivots: list[int] = []
+    num = den = 1
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            num = -num
         lead = work[r]
-        if lead[c] != 1:
-            inv = Fraction(1) / lead[c]
-            for j in range(c, ncols):
-                if lead[j]:
-                    lead[j] *= inv
-        for i in range(len(work)):
+        p = lead[c]
+        for i in range(0 if reduced else r + 1, len(work)):
             row = work[i]
-            if i != r and row[c] != 0:
-                f = row[c]
-                for j in range(c, ncols):
-                    if lead[j]:
-                        row[j] -= f * lead[j]
+            b = row[c]
+            if not b or i == r:
+                continue
+            g = gcd(p, b)
+            a, b = p // g, b // g
+            row = [a * x - b * y for x, y in zip(row, lead)]
+            content = gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+                den *= content
+            work[i] = row
+            num *= a
+        pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r])
+    return pivots, Fraction(num, den)
+
+
+def rref(rows: Sequence[Sequence]) -> Matrix:
+    """Reduced row echelon form with unit pivots; zero rows dropped."""
+    vecs = [vector(r) for r in rows]
+    if not vecs:
+        return ()
+    ncols = len(vecs[0])
+    if any(len(v) != ncols for v in vecs):
+        raise DimensionMismatchError("ragged matrix rows")
+    work = []
+    for v in vecs:
+        nums, _ = _over_lcm(v)
+        content = gcd(*nums)
+        if content:
+            work.append([x // content for x in nums] if content > 1 else nums)
+    pivots, _ = _eliminate(work, ncols, reduced=True)
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+        for row, c in zip(work, pivots)
+    )
 
 
 def rank(A: Sequence[Sequence]) -> int:
@@ -202,7 +293,7 @@ def inverse(A: Matrix) -> Matrix:
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    aug = rref([tuple(row) + tuple(identity(n)[i]) for i, row in enumerate(A)])
+    aug = rref([tuple(row) + e for row, e in zip(A, identity(n))])
     if len(aug) < n or pivot_columns(aug)[:n] != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
     return tuple(row[n:] for row in aug)
@@ -210,26 +301,21 @@ def inverse(A: Matrix) -> Matrix:
 
 def det(A: Matrix) -> Fraction:
     n = len(A)
-    work = [list(vector(r)) for r in A]
-    out = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            out = -out
-        out *= work[c][c]
-        inv = Fraction(1) / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return out
+    if any(len(row) != n for row in A):
+        raise DimensionMismatchError("det needs a square matrix")
+    work = []
+    scale = 1
+    for r in A:
+        nums, d = _over_lcm(vector(r))
+        work.append(nums)
+        scale *= d
+    pivots, factor = _eliminate(work, n, reduced=False)
+    if len(pivots) < n:
+        return _ZERO
+    diag = 1
+    for i in range(n):
+        diag *= work[i][i]
+    return diag / (factor * scale)
 
 
 @dataclass(frozen=True)
@@ -411,19 +497,32 @@ class BilinearForm:
     """A symmetric bilinear form given by its Gram matrix."""
 
     matrix: Matrix
+    # the Gram matrix as integer rows over one common denominator
+    _ints: tuple[tuple[list[int], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m != transpose(m):
             raise ValueError("bilinear form must be symmetric")
+        nums, den = _over_lcm([x for row in m for x in row])
+        n = len(m)
+        rows = tuple(nums[i * n:(i + 1) * n] for i in range(n))
+        object.__setattr__(self, "_ints", (rows, den))
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
     def pairing(self, u: Iterable, v: Iterable) -> Fraction:
-        return dot(vector(u), mat_vec(self.matrix, vector(v)))
+        u, v = vector(u), vector(v)
+        if len(u) != self.dim or len(v) != self.dim:
+            raise DimensionMismatchError("vectors not in the form's space")
+        rows, den = self._ints
+        un, ud = _over_lcm(u)
+        vn, vd = _over_lcm(v)
+        total = sum(map(mul, un, [sum(map(mul, row, vn)) for row in rows]))
+        return Fraction(total, ud * vd * den) if total else _ZERO
 
     def is_nondegenerate(self) -> bool:
         return _nondegenerate(self.matrix)
@@ -432,9 +531,14 @@ class BilinearForm:
         return mat_vec(self.matrix, vector(v))
 
     def signature(self) -> tuple[int, int, int]:
-        """(positives, negatives, zeros) via exact congruence diagonalization."""
+        """(positives, negatives, zeros) via exact congruence diagonalization.
+
+        Works on the integer Gram matrix: scaling by a positive number is a
+        congruence, so each step replaces the trailing block by |d| times
+        its Schur complement and then divides it by its content.
+        """
         n = self.dim
-        A = [list(row) for row in self.matrix]
+        A = [list(row) for row in self._ints[0]]
         pos = neg = zer = 0
         for k in range(n):
             if A[k][k] == 0:
@@ -458,13 +562,16 @@ class BilinearForm:
                 pos += 1
             else:
                 neg += 1
+            sign = 1 if d > 0 else -1
+            pivot_row = A[k]
             for r in range(k + 1, n):
-                f = A[r][k] / d
-                if f != 0:
-                    for c in range(n):
-                        A[r][c] -= f * A[k][c]
-                    for c in range(n):
-                        A[c][r] -= f * A[c][k]
+                row, b = A[r], A[r][k]
+                for c in range(k + 1, n):
+                    row[c] = sign * (d * row[c] - b * pivot_row[c])
+            content = gcd(*[x for row in A[k + 1:] for x in row[k + 1:]])
+            if content > 1:
+                for row in A[k + 1:]:
+                    row[k + 1:] = [x // content for x in row[k + 1:]]
         return pos, neg, zer
 
     def orth_complement(self, s: ExactSubspace) -> ExactSubspace:
@@ -473,18 +580,14 @@ class BilinearForm:
             raise DimensionMismatchError("subspace not in the form's space")
         if not s.basis:
             return ExactSubspace.full(self.dim)
-        constraints = tuple(mat_vec(self.matrix, row) for row in s.basis)
-        return nullspace(constraints, self.dim)
+        # the form is symmetric, so row i of basis * G is G applied to row i
+        return nullspace(mat_mul(s.basis, self.matrix), self.dim)
 
     def is_isotropic(self, s: ExactSubspace) -> bool:
         if s.ambient_dim != self.dim:
             raise DimensionMismatchError("subspace not in the form's space")
-        paired = [mat_vec(self.matrix, row) for row in s.basis]
-        return all(
-            dot(s.basis[i], paired[j]) == 0
-            for i in range(s.dim)
-            for j in range(i, s.dim)
-        )
+        gram = _products(mat_mul(s.basis, self.matrix), s.basis, self.dim)
+        return not any(x for row in gram for x in row)
 
     def is_coisotropic(self, s: ExactSubspace) -> bool:
         return s.contains_subspace(self.orth_complement(s))

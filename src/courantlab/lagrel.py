@@ -379,13 +379,11 @@ def splitting_bivector(space: SplitSpace, e: ExactSubspace, f: ExactSubspace) ->
     """Pi = (1/2) sum e_i ^ f^i for dual bases of a Lagrangian splitting."""
     _check_splitting(space, e, f)
     duals = dual_basis(space.form, e, f)
-    n = space.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for ei, fi in zip(e.basis, duals):
-        for u in range(n):
-            for v in range(n):
-                rows[u][v] += (ei[u] * fi[v] - fi[u] * ei[v]) / 2
-    return Bivector(n, tuple(tuple(r) for r in rows))
+    # sum e_i^T f^i - f^i^T e_i as one product of stacked bases
+    lhs = transpose(e.basis + duals)
+    rhs = duals + tuple(scale_vec(-1, ei) for ei in e.basis)
+    p = mat_mul(lhs, rhs)
+    return Bivector(space.dim, tuple(tuple(x / 2 for x in row) for row in p))
 
 
 def _check_splitting(space: SplitSpace, e: ExactSubspace, f: ExactSubspace) -> None:

@@ -9,8 +9,9 @@ half is completed automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -19,6 +20,8 @@ from .exactlin import (
     ExactSubspace,
     Matrix,
     Vector,
+    _ZERO,
+    _over_lcm,
     add_vec,
     frac,
     identity,
@@ -38,13 +41,31 @@ class QuadraticLieAlgebra:
     """Lie algebra with an invariant symmetric bilinear form.
 
     ``bracket`` maps (i, j) with i < j to the coordinate vector of
-    [b_i, b_j]; missing pairs bracket to zero.
+    [b_i, b_j]; missing pairs bracket to zero.  The dense antisymmetric
+    table of all [b_i, b_j], and its columns as integers over a common
+    denominator, are built once at construction.
     """
 
     dim: int
     bracket: tuple[tuple[int, int, Vector], ...]
     form: BilinearForm
     basis_names: tuple[str, ...]
+    _table: tuple[tuple[Vector, ...], ...] = field(init=False, repr=False, compare=False)
+    _columns: tuple[tuple[list[int], int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.dim
+        if self.form.dim != n:
+            raise DimensionMismatchError("the form must be dim x dim")
+        zero = zero_vector(n)
+        table = [[zero] * n for _ in range(n)]
+        for i, j, v in self.bracket:
+            table[i][j] = v
+            table[j][i] = tuple(-x for x in v)
+        # column k holds the k-th coordinate of [b_i, b_j] for each stored pair
+        columns = tuple(_over_lcm([v[k] for _, _, v in self.bracket]) for k in range(n))
+        object.__setattr__(self, "_table", tuple(map(tuple, table)))
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def from_triples(
@@ -72,31 +93,22 @@ class QuadraticLieAlgebra:
             raise ValueError("basis_names length must equal dim")
         return cls(dim, packed, BilinearForm(matrix(form_rows)), names)
 
-    def _table(self) -> dict[tuple[int, int], Vector]:
-        return {(i, j): v for (i, j, v) in self.bracket}
-
     def bracket_basis(self, i: int, j: int) -> Vector:
-        if i == j:
-            return zero_vector(self.dim)
-        tab = self._table()
-        if i < j:
-            return tab.get((i, j), zero_vector(self.dim))
-        v = tab.get((j, i), zero_vector(self.dim))
-        return scale_vec(-1, v)
+        return self._table[i][j]
 
     def bracket_vec(self, x: Iterable, y: Iterable) -> Vector:
+        """[x, y] = sum over stored pairs i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatchError("vectors not in the algebra")
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                out = add_vec(out, scale_vec(xi * yj, self.bracket_basis(i, j)))
-        return out
+        xn, xd = _over_lcm(x)
+        yn, yd = _over_lcm(y)
+        wedge = [xn[i] * yn[j] - xn[j] * yn[i] for i, j, _ in self.bracket]
+        out = []
+        for cn, cd in self._columns:
+            total = sum(map(mul, wedge, cn))
+            out.append(Fraction(total, xd * yd * cd) if total else _ZERO)
+        return tuple(out)
 
     def pairing(self, x: Iterable, y: Iterable) -> Fraction:
         return self.form.pairing(x, y)

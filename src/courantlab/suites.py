@@ -34,6 +34,9 @@ DEFAULT_TOL = 1e-6
 
 SUITE_NAMES = ("schouten", "rank", "leaves", "mult", "dressing", "relations", "all")
 
+# dressing (also run by all) relates the lifts at sample points 1 and 2
+MIN_SAMPLES = {"dressing": 3, "all": 3}
+
 
 def _thread_count() -> int:
     try:

@@ -118,3 +118,39 @@ def test_thread_env_var(monkeypatch, capsys):
     assert main(["verify", "rank", "--samples", "8", "--seed", "5"]) == 0
     monkeypatch.setenv("COURANTLAB_THREADS", "not-a-number")
     assert main(["verify", "rank", "--samples", "4", "--seed", "5"]) == 0
+
+
+def _assert_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dressing_too_few_samples_is_usage_error(capsys):
+    _assert_usage_error(["verify", "dressing", "--samples", "2"], capsys)
+    _assert_usage_error(["verify", "all", "--samples", "1"], capsys)
+
+
+def _zero_denominator(data):
+    data["form"][0][0] = "1/0"
+
+
+def _form_too_small(data):
+    data["form"] = [row[:2] for row in data["form"][:2]]
+
+
+@pytest.mark.parametrize("corrupt", [_zero_denominator, _form_too_small])
+def test_validate_malformed_algebra_is_usage_error(corrupt, tmp_path, capsys):
+    data = sl2_algebra().to_json()
+    corrupt(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    _assert_usage_error(["validate", str(path)], capsys)
+
+
+def test_validate_wrong_ambient_subspace_is_usage_error(double_json, tmp_path, capsys):
+    g1 = tmp_path / "g1.json"
+    g2 = tmp_path / "g2.json"
+    g1.write_text(json.dumps({"basis": [["1", "0", "0"]]}))  # Q^3, not Q^6
+    g2.write_text(json.dumps(triangular_complement().to_json()))
+    _assert_usage_error(["validate", double_json, "--g1", str(g1), "--g2", str(g2)], capsys)

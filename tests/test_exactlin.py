@@ -9,11 +9,14 @@ from courantlab.exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    SingularMatrixError,
     det,
+    dot,
     frac,
     identity,
     inverse,
     mat_mul,
+    mat_vec,
     matrix,
     nullspace,
     quotient_coords,
@@ -22,6 +25,7 @@ from courantlab.exactlin import (
     solve,
     span,
     transpose,
+    vec_mat,
     vector,
     vector_from_json,
     vector_to_json,
@@ -171,3 +175,208 @@ def test_orthogonal_laws_nondegenerate(pair, _seed):
     assert b.orth_complement(big1.sum(big2)) == b.orth_complement(big1).intersect(
         b.orth_complement(big2)
     )
+
+
+# --- the integer kernel against a naive Fraction reference -------------------
+
+def _ref_dot(u, v):
+    assert len(u) == len(v)
+    total = F(0)
+    for a, b in zip(u, v):
+        total += F(a) * F(b)
+    return total
+
+
+def _ref_mat_mul(a, b):
+    return tuple(
+        tuple(_ref_dot(row, [b[k][j] for k in range(len(b))]) for j in range(len(b[0])))
+        for row in a
+    )
+
+
+def _ref_rref(rows):
+    work = [[F(x) for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return tuple(tuple(row) for row in work[:r])
+
+
+def _ref_det(a):
+    if not a:
+        return F(1)
+    total = F(0)
+    for j, x in enumerate(a[0]):
+        if x != 0:
+            minor = [row[:j] + row[j + 1:] for row in a[1:]]
+            total += (-1) ** j * F(x) * _ref_det(minor)
+    return total
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.integers(min_value=-5, max_value=5).map(F),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(
+        F,
+        st.integers(min_value=-(10**15), max_value=10**15),
+        st.integers(min_value=1, max_value=10**12),
+    ),
+)
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    nrows = draw(st.integers(0, 5)) if rows is None else rows
+    ncols = draw(st.integers(0, 5)) if cols is None else cols
+    out = [
+        tuple(draw(_entries) for _ in range(ncols)) for _ in range(nrows)
+    ]
+    if out and draw(st.booleans()):  # a duplicate, a multiple or a zero row
+        src = draw(st.sampled_from(out))
+        factor = draw(st.sampled_from([F(1), F(-3, 7), F(0)]))
+        out[draw(st.integers(0, len(out) - 1))] = tuple(factor * x for x in src)
+    return tuple(out)
+
+
+@st.composite
+def _squares(draw):
+    n = draw(st.integers(0, 4))
+    return draw(_matrices(rows=n, cols=n))
+
+
+@given(_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_nullspace_match_reference(a):
+    ncols = len(a[0]) if a else 3
+    assert rref(a) == _ref_rref(a)
+    ker = nullspace(a, ncols)
+    assert ker.dim == ncols - len(_ref_rref(a))
+    for v in ker.basis:
+        assert all(_ref_dot(row, v) == 0 for row in a)
+
+
+@given(_matrices(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_products_match_reference(a, data):
+    k = len(a[0]) if a else 0
+    b = data.draw(_matrices(rows=k))
+    v = data.draw(_matrices(rows=1, cols=len(a)))[0] if a else ()
+    if a and k and b and b[0]:
+        assert mat_mul(a, b) == _ref_mat_mul(a, b)
+        assert vec_mat(v, a) == _ref_mat_mul((v,), a)[0]
+    for row in a:
+        assert dot(row, row) == _ref_dot(row, row)
+        assert all(type(x) is F for x in mat_mul((row,), transpose((row,)))[0])
+
+
+@given(_squares(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_det_inverse_solve_match_reference(a, data):
+    n = len(a)
+    d = _ref_det(a)
+    assert det(a) == d and type(det(a)) is F
+    if d != 0:
+        inv = inverse(a)
+        assert inv == tuple(row[n:] for row in _ref_rref(
+            [row + identity(n)[i] for i, row in enumerate(a)]))
+        assert mat_mul(a, inv) == identity(n)
+    else:
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+    b = data.draw(_matrices(rows=1, cols=n))[0] if n else ()
+    x = solve(a, b)
+    consistent = len(_ref_rref(a)) == len(_ref_rref([r + (c,) for r, c in zip(a, b)]))
+    if n and not consistent:
+        assert x is None
+    else:
+        assert x is not None
+        assert tuple(_ref_dot(row, x) for row in a) == b
+
+
+def test_kernel_shape_mismatches_raise():
+    a23 = matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionMismatchError):
+        dot(vector((1, 2)), vector((1,)))
+    with pytest.raises(DimensionMismatchError):
+        mat_mul(a23, a23)
+    with pytest.raises(DimensionMismatchError):
+        vec_mat(vector((1, 2, 3)), a23)
+    with pytest.raises(DimensionMismatchError):
+        mat_vec(a23, vector((1, 2)))
+    with pytest.raises(DimensionMismatchError):
+        det(a23)
+    with pytest.raises(DimensionMismatchError):
+        inverse(a23)
+    with pytest.raises(DimensionMismatchError):
+        solve(a23, vector((1,)))
+    with pytest.raises(ValueError):
+        rref([(1, 2), (3,)])
+
+
+def test_float_operands_raise_type_error():
+    a = matrix([[1, 2], [3, 4]])
+    bad = ((F(1), 0.5), (F(3), F(4)))
+    with pytest.raises(TypeError):
+        dot((F(1), 0.5), (F(1), F(1)))
+    with pytest.raises(TypeError):
+        dot((F(1), F(0)), (0.0, F(1)))
+    with pytest.raises(TypeError):
+        vec_mat((0.5, F(1)), a)
+    with pytest.raises(TypeError):
+        mat_mul(a, bad)
+    for fn in (rref, det, inverse):
+        with pytest.raises(TypeError):
+            fn(bad)
+    with pytest.raises(TypeError):
+        nullspace(bad, 2)
+    with pytest.raises(TypeError):
+        solve(bad, (F(1), F(1)))
+
+
+def _ref_signature(m):
+    """Fraction congruence diagonalisation: one symmetric pivot at a time."""
+    a = [[F(x) for x in row] for row in m]
+    counts = [0, 0, 0]
+    while a:
+        if a[0][0] == 0:
+            j = next((j for j in range(len(a)) if a[j][j] != 0), None)
+            if j is None:
+                j = next((j for j in range(len(a)) if a[0][j] != 0), None)
+                if j is None:  # e_0 is in the radical
+                    counts[2] += 1
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+            else:
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
+        d = a[0][0]
+        counts[0 if d > 0 else 1] += 1
+        a = [[a[r][c] - a[r][0] * a[0][c] / d for c in range(1, len(a))]
+             for r in range(1, len(a))]
+    return tuple(counts)
+
+
+@given(_squares(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_signature_matches_reference(a, data):
+    n = len(a)
+    sym = tuple(tuple(a[i][j] + a[j][i] for j in range(n)) for i in range(n))
+    if n and data.draw(st.booleans()):  # force a degenerate or hyperbolic block
+        sym = tuple(tuple(F(0) if i == j else x for j, x in enumerate(row))
+                    for i, row in enumerate(sym))
+    assert BilinearForm(sym).signature() == _ref_signature(sym)
