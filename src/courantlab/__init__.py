@@ -17,6 +17,7 @@ from .lagrel import (
     Bivector,
     LinearRelation,
     SplitSpace,
+    Splitting,
     backward_image,
     pair_groupoid_relation,
     related_lagrangian,

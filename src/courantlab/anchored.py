@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .exactlin import (
@@ -37,10 +38,9 @@ from .lagrel import (
     Bivector,
     LinearRelation,
     SplitSpace,
+    Splitting,
     backward_image,
-    from_algebra,
     product_subspace,
-    splitting_bivector,
 )
 from .quadlie import QuadraticLieAlgebra
 
@@ -59,7 +59,11 @@ def _is_exact_matrix(rows) -> bool:
 
 @dataclass(frozen=True)
 class AnchoredPoint:
-    """Action matrix of a quadratic Lie algebra at one chart point."""
+    """Action matrix of a quadratic Lie algebra at one chart point.
+
+    The exact data of the point (its stabilizer, the coisotropy verdict
+    and the metric-dual anchor) is computed on first use and kept.
+    """
 
     algebra: QuadraticLieAlgebra
     anchor: tuple
@@ -85,24 +89,45 @@ class AnchoredPoint:
     def apply(self, x: Iterable) -> Vector:
         return mat_vec(self.exact_anchor(), vector(x))
 
+    @cached_property
+    def stabilizer(self) -> ExactSubspace:
+        """ker(a_m) as a subspace of the algebra."""
+        return nullspace(self.exact_anchor(), self.algebra.dim)
+
+    @cached_property
+    def coisotropy(self) -> tuple[bool, Vector | None]:
+        """(True, None) iff ker(a)-perp is inside ker(a); otherwise
+        (False, w) with w in ker(a)-perp outside ker(a)."""
+        ker = self.stabilizer
+        perp = self.algebra.form.orth_complement(ker)
+        for row in perp.basis:
+            if not ker.contains(row):
+                return False, row
+        return True, None
+
+    @cached_property
+    def dual(self) -> Matrix:
+        """a* = B^-1 a^T, the metric-dual map from chart covectors."""
+        return mat_mul(self.algebra.form.inverse_matrix, transpose(self.exact_anchor()))
+
+    @cached_property
+    def dual_range(self) -> ExactSubspace:
+        """ran(a*) as a subspace of the algebra."""
+        return ExactSubspace.span(transpose(self.dual), ambient_dim=self.algebra.dim)
+
 
 def stabilizer(pt: AnchoredPoint) -> ExactSubspace:
     """ker(a_m) as a subspace of the algebra."""
-    return nullspace(pt.exact_anchor(), pt.algebra.dim)
+    return pt.stabilizer
 
 
 def check_coisotropic_stabilizer(pt: AnchoredPoint) -> tuple[bool, Vector | None]:
     """True iff ker(a)-perp is inside ker(a); otherwise a witness vector."""
-    ker = stabilizer(pt)
-    perp = pt.algebra.form.orth_complement(ker)
-    for row in perp.basis:
-        if not ker.contains(row):
-            return False, row
-    return True, None
+    return pt.coisotropy
 
 
 def require_coisotropic(pt: AnchoredPoint) -> None:
-    ok, witness = check_coisotropic_stabilizer(pt)
+    ok, witness = pt.coisotropy
     if not ok:
         raise CourantStructureError(
             f"stabilizer is not coisotropic; witness {witness}"
@@ -111,8 +136,7 @@ def require_coisotropic(pt: AnchoredPoint) -> None:
 
 def anchor_dual(pt: AnchoredPoint) -> Matrix:
     """a* = B^-1 a^T, the metric-dual map from chart covectors."""
-    b_inv = inverse(pt.algebra.form.matrix)
-    return mat_mul(b_inv, transpose(pt.exact_anchor()))
+    return pt.dual
 
 
 def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
@@ -122,13 +146,13 @@ def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
     )
 
 
-def bivector_at(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace):
+def bivector_at(pt: AnchoredPoint, s: Splitting):
     """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a Lagrangian splitting.
 
     For exact anchors returns a Bivector; a floating anchor yields a
     plain tuple-of-tuples of floats.
     """
-    pi = splitting_bivector(from_algebra(pt.algebra), e, f)
+    pi = s.bivector
     if pt.is_exact:
         a = pt.exact_anchor()
         p = mat_mul(mat_mul(a, pi.matrix), transpose(a))
@@ -149,21 +173,17 @@ def bivector_at(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace):
 
 def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:
     """L_m = ran(a*) + (ker(a) cap F); Lagrangian at valid points."""
-    astar = anchor_dual(pt)
-    ran_astar = ExactSubspace.span(
-        [row for row in transpose(astar)], ambient_dim=pt.algebra.dim
-    )
-    return ran_astar.sum(stabilizer(pt).intersect(f))
+    return pt.dual_range.sum(pt.stabilizer.intersect(f))
 
 
-def rank_formula(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace) -> int:
+def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank."""
     require_coisotropic(pt)
-    lm = drinfeld_lagrangian(pt, f)
+    lm = drinfeld_lagrangian(pt, s.f)
     if not pt.algebra.form.is_lagrangian(lm):
         raise CourantStructureError("L_m failed to be Lagrangian")
-    value = anchor_image(pt, f).dim - lm.intersect(e).dim
-    actual = bivector_at(pt, e, f).rank()
+    value = anchor_image(pt, s.f).dim - lm.intersect(s.e).dim
+    actual = bivector_at(pt, s).rank()
     if value != actual:
         raise CourantStructureError(
             f"rank formula {value} disagrees with matrix rank {actual}"
@@ -171,22 +191,18 @@ def rank_formula(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace) -> int:
     return value
 
 
-def leaf_condition(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace) -> bool:
+def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
     """ker(a) = ran(a*) + (ker cap E) + (ker cap F)?
 
     When it holds, the sharp range of the bivector is certified to equal
     a(E) cap a(F); the inclusion is strict otherwise.
     """
     require_coisotropic(pt)
-    ker = stabilizer(pt)
-    astar = anchor_dual(pt)
-    ran_astar = ExactSubspace.span(
-        [row for row in transpose(astar)], ambient_dim=pt.algebra.dim
-    )
-    rhs = ran_astar.sum(ker.intersect(e)).sum(ker.intersect(f))
+    ker = pt.stabilizer
+    rhs = pt.dual_range.sum(ker.intersect(s.e)).sum(ker.intersect(s.f))
     holds = rhs == ker
-    sharp = bivector_at(pt, e, f).sharp_range()
-    cap = anchor_image(pt, e).intersect(anchor_image(pt, f))
+    sharp = bivector_at(pt, s).sharp_range()
+    cap = anchor_image(pt, s.e).intersect(anchor_image(pt, s.f))
     if holds and sharp != cap:
         raise CourantStructureError("leaf condition holds but ranges differ")
     if not holds and not (cap.contains_subspace(sharp) and sharp != cap):
@@ -210,7 +226,7 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
     require_coisotropic(pt)
     n, m = pt.algebra.dim, pt.chart_dim
     a = pt.exact_anchor()
-    astar = anchor_dual(pt)
+    astar = pt.dual
     source = tangent_prolongation_space(m)
     target = SplitSpace(
         2 * n, pt.algebra.form.direct_sum(pt.algebra.form.negate())
@@ -226,13 +242,13 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
     return LinearRelation.from_rows(source, target, rows)
 
 
-def diagonal_backward(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace) -> Bivector:
+def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     """Recover the splitting bivector as a backward image of E x F.
 
     Independent code path from bivector_at: the two must agree exactly.
     """
     rel = diagonal_relation(pt)
-    image, _alpha = backward_image(product_subspace(e, f), rel)
+    image, _alpha = backward_image(product_subspace(s.e, s.f), rel)
     m = pt.chart_dim
     v_block = tuple(row[:m] for row in image.basis)
     mu_block = tuple(row[m:] for row in image.basis)
@@ -240,7 +256,7 @@ def diagonal_backward(pt: AnchoredPoint, e: ExactSubspace, f: ExactSubspace) -> 
     p_t = mat_mul(inverse(mu_block), v_block)
     p = transpose(p_t)
     biv = Bivector(m, p)
-    direct = bivector_at(pt, e, f)
+    direct = bivector_at(pt, s)
     if biv.matrix != direct.matrix:
         raise CourantStructureError("diagonal backward image disagrees with formula")
     return biv
@@ -280,7 +296,7 @@ def courant_bracket_jets(pt: AnchoredPoint, x: SectionJet, y: SectionJet) -> Vec
     pairing_dx_y = tuple(
         alg.pairing(x.jac_column(u), y.value) for u in range(pt.chart_dim)
     )
-    out = add_vec(out, mat_vec(anchor_dual(pt), pairing_dx_y))
+    out = add_vec(out, mat_vec(pt.dual, pairing_dx_y))
     return out
 
 
@@ -307,7 +323,7 @@ def courant_bracket_jet_closed(
             alg.pairing(x.jac_column(w), y.jac_column(u))
             for w in range(pt.chart_dim)
         )
-        col = add_vec(col, mat_vec(anchor_dual(pt), pairing))
+        col = add_vec(col, mat_vec(pt.dual, pairing))
         cols.append(col)
     jac = transpose(matrix(cols))
     return SectionJet(value, jac)

@@ -10,6 +10,7 @@ fixed seed and configuration reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,6 +22,7 @@ from .contexts import (
     triangular_complement,
 )
 from .exactlin import ExactSubspace
+from .lagrel import NotLagrangianError, Splitting
 from .quadlie import ManinTriple, QuadraticLieAlgebra, diagonal_subspace
 
 USAGE_ERROR = 1
@@ -36,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every
+    later `main` call in the process."""
     p = _Parser(prog="courantlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -162,6 +167,11 @@ def cmd_verify(args) -> tuple[dict, int]:
         )
     except KeyError as exc:
         raise _ArgumentError(str(exc)) from exc
+    except (ArithmeticError, ValueError) as exc:
+        # a numeric breakdown (a step too large for a chart's log series,
+        # a singular float solve) is a failed check, not a crash
+        records = [{"name": f"{args.suite} suite stopped", "status": "fail",
+                    "detail": f"{type(exc).__name__}: {exc}"}]
     passed = all(r["status"] == "pass" for r in records)
     report = {
         "command": "verify",
@@ -188,6 +198,12 @@ _SPLITTINGS = {
 
 
 def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
+    try:
+        idx = int(point)
+        if idx < 0:
+            raise ValueError("sample indices start at 0")
+    except ValueError as exc:
+        raise _ArgumentError(f"bad --point {point!r}: {exc}") from exc
     if ctx_name == "abelian-2":
         # the formula-level desk case: identity anchor on a 2-dim chart
         alg = abelian_algebra_split2()
@@ -196,12 +212,9 @@ def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
         f = ExactSubspace.span([(0, 1)])
         return pt, e, f
     ctx = get_group_context(ctx_name)
-    try:
-        idx = int(point)
-        g = ctx.sample_points[idx]
-    except (ValueError, IndexError) as exc:
-        raise _ArgumentError(f"bad --point {point!r}: {exc}") from exc
-    pt = liegrp.double_action_anchor(ctx, g)
+    if idx >= len(ctx.sample_points):
+        raise _ArgumentError(f"bad --point {point!r}: {ctx_name} has {len(ctx.sample_points)} sample points")
+    pt = liegrp.double_action_anchor(ctx, ctx.sample_points[idx])
     name = splitting or _SPLITTINGS[ctx_name][0]
     alg = ctx.algebra
     if ctx_name in ("sl2-double", "sl2c-real"):
@@ -227,7 +240,11 @@ def cmd_bivector(args) -> tuple[dict, int]:
         e = _load_subspace(args.e_file, pt.algebra.dim)
     if args.f_file:
         f = _load_subspace(args.f_file, pt.algebra.dim)
-    piv = anchored.bivector_at(pt, e, f)
+    try:
+        s = Splitting.of_algebra(pt.algebra, e, f)
+    except NotLagrangianError as exc:
+        raise _ArgumentError(f"E and F do not split the algebra: {exc}") from exc
+    piv = anchored.bivector_at(pt, s)
     cois, _ = anchored.check_coisotropic_stabilizer(pt)
     report = {
         "command": "bivector",
@@ -239,9 +256,9 @@ def cmd_bivector(args) -> tuple[dict, int]:
     }
     if cois:
         lm = anchored.drinfeld_lagrangian(pt, f)
-        report["formula_rank"] = anchored.rank_formula(pt, e, f)
+        report["formula_rank"] = anchored.rank_formula(pt, s)
         report["drinfeld_lagrangian"] = [[str(x) for x in row] for row in lm.basis]
-        report["leaf_condition"] = anchored.leaf_condition(pt, e, f)
+        report["leaf_condition"] = anchored.leaf_condition(pt, s)
     else:
         report["formula_rank"] = None
         report["drinfeld_lagrangian"] = None
@@ -253,9 +270,8 @@ def cmd_bivector(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _ArgumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .exactlin import Matrix
-from .lagrel import dual_basis
-from .quadlie import CourantTensor3, QuadraticLieAlgebra, courant_form
+from .lagrel import Splitting
+from .quadlie import CourantTensor3, QuadraticLieAlgebra, courant_tensor_on_basis
 
 ANTISYM_TOL = 1e-12
 
@@ -169,7 +169,7 @@ class ChartAtPoint:
     anchor0: Matrix
 
 
-def splitting_tensor_tables(alg: QuadraticLieAlgebra, e, f):
+def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
     """Value tables and wedge frames for both halves of a splitting.
 
     Returns ((values_E, wedge_E), (values_F, wedge_F)) where values_E is
@@ -177,25 +177,26 @@ def splitting_tensor_tables(alg: QuadraticLieAlgebra, e, f):
     and values_F is the tensor of F on that dual frame attached to E's
     basis.
     """
-    duals = dual_basis(alg.form, e, f)
-
-    def table(basis):
-        vals = []
-        r = len(basis)
-        for i in range(r):
-            for j in range(i + 1, r):
-                for k in range(j + 1, r):
-                    v = courant_form(alg, basis[i], basis[j], basis[k])
-                    if v != 0:
-                        vals.append(((i, j, k), v))
-        return tuple(vals)
-
-    return (table(e.basis), duals), (table(duals), e.basis)
+    duals = s.duals
+    return (
+        (courant_tensor_on_basis(alg, s.e, s.e.basis).values, duals),
+        (courant_tensor_on_basis(alg, s.f, duals).values, s.e.basis),
+    )
 
 
-def main_identity_rhs(alg: QuadraticLieAlgebra, e, f, anchor0) -> Trivector:
+def _kept_tables(alg: QuadraticLieAlgebra, s: Splitting):
+    """The splitting's tensor tables for ``alg``, built on first use and
+    kept on the splitting."""
+    kept = s.tensor_tables
+    if kept is None or kept[0] is not alg:
+        kept = (alg, splitting_tensor_tables(alg, s))
+        object.__setattr__(s, "tensor_tables", kept)
+    return kept[1]
+
+
+def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> Trivector:
     """a(Y^E) + a(Y^F) for a Lagrangian splitting, pushed to the chart."""
-    (vals_e, wedge_e), (vals_f, wedge_f) = splitting_tensor_tables(alg, e, f)
+    (vals_e, wedge_e), (vals_f, wedge_f) = _kept_tables(alg, s)
     a = np.asarray([[float(x) for x in row] for row in anchor0])
     t1 = push_trivector(a, vals_e, wedge_e)
     t2 = push_trivector(a, vals_f, wedge_f)
@@ -204,8 +205,7 @@ def main_identity_rhs(alg: QuadraticLieAlgebra, e, f, anchor0) -> Trivector:
 
 def verify_main_identity(
     charts: Iterable[ChartAtPoint],
-    e,
-    f,
+    s: Splitting,
     alg: QuadraticLieAlgebra,
     tol: float = 1e-6,
     h: float | None = None,
@@ -219,7 +219,7 @@ def verify_main_identity(
             fld = ChartBivectorField(fld.chart_dim, fld.sampler, step=h)
         used_h = fld.step
         lhs = 0.5 * schouten_fd(fld, np.zeros(fld.chart_dim)).values
-        rhs = main_identity_rhs(alg, e, f, chart.anchor0).values
+        rhs = main_identity_rhs(alg, s, chart.anchor0).values
         residual = float(np.max(np.abs(lhs - rhs)))
         checks.append(PointCheck(chart.label, residual, residual <= tol))
     return IdentityReport(tuple(checks), used_h if used_h is not None else 1e-4, tol)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from functools import lru_cache as _lru_cache
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -33,6 +34,11 @@ class DimensionMismatchError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Raised when an exact inverse does not exist."""
+
+
+class NotLagrangianError(ValueError):
+    """Raised when an operation needs a Lagrangian subspace (or a
+    Lagrangian splitting) and is given something else."""
 
 
 def frac(x) -> Fraction:
@@ -530,13 +536,21 @@ class BilinearForm:
     def apply(self, v: Iterable) -> Vector:
         return mat_vec(self.matrix, vector(v))
 
-    def signature(self) -> tuple[int, int, int]:
-        """(positives, negatives, zeros) via exact congruence diagonalization.
+    @cached_property
+    def inverse_matrix(self) -> Matrix:
+        """B^-1, computed on first use; raises SingularMatrixError."""
+        return inverse(self.matrix)
 
-        Works on the integer Gram matrix: scaling by a positive number is a
-        congruence, so each step replaces the trailing block by |d| times
-        its Schur complement and then divides it by its content.
-        """
+    def signature(self) -> tuple[int, int, int]:
+        """(positives, negatives, zeros) via exact congruence diagonalization,
+        computed once per form (every split space built on it asks)."""
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple[int, int, int]:
+        # Works on the integer Gram matrix: scaling by a positive number is
+        # a congruence, so each step replaces the trailing block by |d|
+        # times its Schur complement and then divides it by its content.
         n = self.dim
         A = [list(row) for row in self._ints[0]]
         pos = neg = zer = 0

@@ -10,8 +10,9 @@ here.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .exactlin import (
@@ -19,6 +20,7 @@ from .exactlin import (
     DimensionMismatchError,
     ExactSubspace,
     Matrix,
+    NotLagrangianError,
     QuotientMap,
     Vector,
     add_vec,
@@ -40,10 +42,6 @@ from .exactlin import (
     zero_vector,
 )
 from .quadlie import QuadraticLieAlgebra, build_double
-
-
-class NotLagrangianError(ValueError):
-    pass
 
 
 class TransversalityError(ValueError):
@@ -99,6 +97,8 @@ def hyperbolic_space(k: int) -> SplitSpace:
 
 
 def from_algebra(alg: QuadraticLieAlgebra) -> SplitSpace:
+    """The algebra's form as a split space; its signature is computed
+    once per form, so repeated calls cost no elimination."""
     return SplitSpace(alg.dim, alg.form)
 
 
@@ -391,6 +391,37 @@ def _check_splitting(space: SplitSpace, e: ExactSubspace, f: ExactSubspace) -> N
         raise NotLagrangianError("splitting requires two Lagrangian subspaces")
     if e.intersect(f).dim != 0:
         raise NotLagrangianError("splitting subspaces are not transverse")
+
+
+@dataclass(frozen=True)
+class Splitting:
+    """A Lagrangian splitting W = E (+) F with its point-independent data.
+
+    Construction checks that E and F are transverse Lagrangians and builds
+    Pi = (1/2) sum e_i ^ f^i with one splitting_bivector call (raising
+    NotLagrangianError otherwise); the dual basis f^i of F is built on
+    first use.  Pointwise bivectors a(Pi) reuse this one Pi.
+    """
+
+    space: SplitSpace
+    e: ExactSubspace
+    f: ExactSubspace
+    bivector: Bivector = field(init=False, repr=False, compare=False)
+    # the (algebra, tables) pair of diffnum.splitting_tensor_tables, kept
+    # here once they are built for that algebra
+    tensor_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bivector", splitting_bivector(self.space, self.e, self.f))
+
+    @classmethod
+    def of_algebra(cls, alg: QuadraticLieAlgebra, e: ExactSubspace, f: ExactSubspace) -> "Splitting":
+        return cls(from_algebra(alg), e, f)
+
+    @cached_property
+    def duals(self) -> Matrix:
+        """Basis f^i of F with <e_i, f^j> = delta over E's stored basis."""
+        return dual_basis(self.space.form, self.e, self.f)
 
 
 @dataclass(frozen=True)

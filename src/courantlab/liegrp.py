@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -28,8 +29,11 @@ from .exactlin import (
     mat_vec,
     matrix,
     nullspace,
+    pivot_columns,
+    rref,
     solve,
     transpose,
+    vec_mat,
     vector,
     zero_vector,
 )
@@ -37,9 +41,8 @@ from .lagrel import (
     Bivector,
     LinearRelation,
     SplitSpace,
-    from_algebra,
+    Splitting,
     product_subspace,
-    splitting_bivector,
 )
 from .quadlie import QuadraticLieAlgebra, build_double
 
@@ -89,7 +92,11 @@ def block_diag(*mats: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class GroupContext:
-    """A matrix group with a chosen algebra basis and rational samples."""
+    """A matrix group with a chosen algebra basis and rational samples.
+
+    The exact coordinatizer of the basis and the double algebra are built
+    on first use and kept.
+    """
 
     name: str
     ambient_size: int
@@ -102,11 +109,35 @@ class GroupContext:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def coordinatize(self, elt: Matrix) -> Vector:
-        """Exact coordinates of an ambient algebra element over the basis."""
+    @cached_property
+    def double_algebra(self) -> QuadraticLieAlgebra:
+        """The double g (+) g-bar that acts on the group from both sides."""
+        return build_double(self.algebra)
+
+    @cached_property
+    def _coordinatizer(self) -> tuple[Matrix, tuple[int, ...], Matrix]:
+        """(flattened basis rows, pivot entries, inverse of the basis at
+        those entries): the pivots of the basis rows' RREF pick k entries
+        where the k x k block of the basis is invertible."""
         rows = tuple(flatten(b) for b in self.algebra_basis)
-        coef = solve(transpose(rows), flatten(elt))
-        if coef is None:
+        pivots = pivot_columns(rref(rows))
+        if len(pivots) != len(rows):
+            raise ValueError("the algebra basis is linearly dependent")
+        block = tuple(tuple(row[p] for p in pivots) for row in rows)
+        return rows, pivots, inverse(block)
+
+    def coordinatize(self, elt: Matrix) -> Vector:
+        """Exact coordinates of an ambient algebra element over the basis.
+
+        Reads the element at the pivot entries, solves with the kept
+        inverse block, and checks that the coordinates rebuild it.
+        """
+        rows, pivots, block_inv = self._coordinatizer
+        flat = flatten(elt)
+        if len(flat) != len(rows[0]):
+            raise ValueError("element is not in the algebra span")
+        coef = vec_mat(tuple(flat[p] for p in pivots), block_inv)
+        if vec_mat(coef, rows) != flat:
             raise ValueError("element is not in the algebra span")
         return coef
 
@@ -295,10 +326,6 @@ class FloatChart:
 # ---------------------------------------------------------------------------
 # the double action on a group: a(u, v) = v^L - u^R
 
-def double_algebra(ctx: GroupContext) -> QuadraticLieAlgebra:
-    return build_double(ctx.algebra)
-
-
 def double_action_anchor(ctx: GroupContext, g: Matrix) -> AnchoredPoint:
     """Anchor of the two-sided action at g, in the left-trivialized chart.
 
@@ -313,16 +340,14 @@ def double_action_anchor(ctx: GroupContext, g: Matrix) -> AnchoredPoint:
             tuple(-adg_inv[r][c] for c in range(k))
             + tuple(Fraction(1 if c == r else 0) for c in range(k))
         )
-    return AnchoredPoint(double_algebra(ctx), tuple(rows), k)
+    return AnchoredPoint(ctx.double_algebra, tuple(rows), k)
 
 
 def double_bivector_field(
-    ctx: GroupContext, g0: Matrix, e: ExactSubspace, f: ExactSubspace, h: float = 1e-4
+    ctx: GroupContext, g0: Matrix, s: Splitting, h: float = 1e-4
 ) -> ChartBivectorField:
-    """pi(t) for the splitting (E, F) of the double, in the chart at g0."""
-    dbl = double_algebra(ctx)
-    pi = splitting_bivector(from_algebra(dbl), e, f)
-    pi_np = np_matrix(pi.matrix)
+    """pi(t) for a splitting (E, F) of the double, in the chart at g0."""
+    pi_np = np_matrix(s.bivector.matrix)
     fc = FloatChart.build(ctx, g0)
     k = ctx.dim
 
@@ -341,8 +366,7 @@ def double_bivector_field(
 def double_chart_at(
     ctx: GroupContext,
     g0: Matrix,
-    e: ExactSubspace,
-    f: ExactSubspace,
+    s: Splitting,
     h: float = 1e-4,
     label: str | None = None,
 ) -> ChartAtPoint:
@@ -354,7 +378,7 @@ def double_chart_at(
             label = f"{ctx.name}@?"
     return ChartAtPoint(
         label=label,
-        field=double_bivector_field(ctx, g0, e, f, h=h),
+        field=double_bivector_field(ctx, g0, s, h=h),
         anchor0=pt.exact_anchor(),
     )
 
@@ -370,6 +394,9 @@ class TripleContext:
     ``g1_ctx`` realizes G1 with its own smaller ambient size, embedded in
     D by ``embed`` (a group homomorphism); ``inclusion`` expresses the
     differential of the embedding over the two algebra bases.
+
+    The splittings the triple induces and its projector pair are built on
+    first use and kept.
     """
 
     name: str
@@ -384,24 +411,53 @@ class TripleContext:
     def d_algebra(self) -> QuadraticLieAlgebra:
         return self.d_ctx.algebra
 
+    @cached_property
+    def splitting(self) -> Splitting:
+        """(g1, g2) as a splitting of d; its bivector is the r-matrix."""
+        return Splitting.of_algebra(self.d_algebra, self.g1, self.g2)
 
-def projector_pair(t: TripleContext) -> tuple[Matrix, Matrix]:
-    """Projections of d onto g1 along g2 and onto g2 along g1."""
-    n = t.d_algebra.dim
-    cols = list(t.g1.basis) + list(t.g2.basis)
-    m = transpose(matrix(cols))
-    minv = inverse(m)
-    k1 = t.g1.dim
-    sel1 = tuple(
-        tuple(Fraction(1 if (i == j and i < k1) else 0) for j in range(n))
-        for i in range(n)
-    )
-    p1 = mat_mul(mat_mul(m, sel1), minv)
-    p2 = tuple(
-        tuple((Fraction(1 if i == j else 0) - p1[i][j]) for j in range(n))
-        for i in range(n)
-    )
-    return p1, p2
+    @cached_property
+    def splitting_bar(self) -> Splitting:
+        """(g1, g2) as a splitting of d-bar, the dressing actions' algebra."""
+        n = self.d_algebra.dim
+        return Splitting(SplitSpace(n, self.d_algebra.form.negate()), self.g1, self.g2)
+
+    @cached_property
+    def plus(self) -> Splitting:
+        """(g1 x g2, g2 x g1) in d (+) d-bar; its bivector gives pi+."""
+        return Splitting.of_algebra(
+            self.d_ctx.double_algebra,
+            product_subspace(self.g1, self.g2),
+            product_subspace(self.g2, self.g1),
+        )
+
+    @cached_property
+    def minus(self) -> Splitting:
+        """(g1 x g1, g2 x g2) in d (+) d-bar; its bivector gives pi-."""
+        return Splitting.of_algebra(
+            self.d_ctx.double_algebra,
+            product_subspace(self.g1, self.g1),
+            product_subspace(self.g2, self.g2),
+        )
+
+    @cached_property
+    def projectors(self) -> tuple[Matrix, Matrix]:
+        """Projections of d onto g1 along g2 and onto g2 along g1."""
+        n = self.d_algebra.dim
+        cols = list(self.g1.basis) + list(self.g2.basis)
+        m = transpose(matrix(cols))
+        minv = inverse(m)
+        k1 = self.g1.dim
+        sel1 = tuple(
+            tuple(Fraction(1 if (i == j and i < k1) else 0) for j in range(n))
+            for i in range(n)
+        )
+        p1 = mat_mul(mat_mul(m, sel1), minv)
+        p2 = tuple(
+            tuple((Fraction(1 if i == j else 0) - p1[i][j]) for j in range(n))
+            for i in range(n)
+        )
+        return p1, p2
 
 
 def phi_adjoint(t: TripleContext, g: Matrix) -> Matrix:
@@ -424,7 +480,7 @@ def dressing_anchor(t: TripleContext, g: Matrix) -> tuple[AnchoredPoint, Anchore
     field; carries the opposite inner product.  Left version:
     zeta -> -p1(Ad_{Phi(g^-1)} zeta) as a left-invariant field.
     """
-    p1, _ = projector_pair(t)
+    p1, _ = t.projectors
     adg = phi_adjoint(t, g)
     adg_inv_g1 = adjoint_matrix(t.g1_ctx, amb_inv(g))
     n = t.d_algebra.dim
@@ -446,7 +502,7 @@ def dressing_anchor(t: TripleContext, g: Matrix) -> tuple[AnchoredPoint, Anchore
 
 def dressing_field_sampler(t: TripleContext, g0: Matrix, h: float = 1e-4):
     """rho(index, t) for the right dressing action in the chart at g0."""
-    p1, _ = projector_pair(t)
+    p1, _ = t.projectors
     p1_np = np_matrix(p1)
     inc_np = np_matrix(t.inclusion)
     inc_pinv = np.linalg.pinv(inc_np)
@@ -494,13 +550,11 @@ def _adjoint_np(fc: FloatChart, g: np.ndarray) -> np.ndarray:
 def g1_poisson_bivector(t: TripleContext, g: Matrix) -> Bivector:
     """Bivector of the splitting (g1, g2) on G1 at g, exact."""
     right, _ = dressing_anchor(t, g)
-    return bivector_at(right, t.g1, t.g2)
+    return bivector_at(right, t.splitting_bar)
 
 
 def g1_bivector_field(t: TripleContext, g0: Matrix, h: float = 1e-4) -> ChartBivectorField:
-    dbar = SplitSpace(t.d_algebra.dim, t.d_algebra.form.negate())
-    pi = splitting_bivector(dbar, t.g1, t.g2)
-    pi_np = np_matrix(pi.matrix)
+    pi_np = np_matrix(t.splitting_bar.bivector.matrix)
     rho = dressing_field_sampler(t, g0, h=h)
     k = t.g1.dim
     n = t.d_algebra.dim
@@ -517,27 +571,18 @@ def g1_bivector_field(t: TripleContext, g0: Matrix, h: float = 1e-4) -> ChartBiv
 
 def product_splittings(t: TripleContext):
     """e+/f+ and e-/f- inside d (+) d-bar."""
-    e_plus = product_subspace(t.g1, t.g2)
-    f_plus = product_subspace(t.g2, t.g1)
-    e_minus = product_subspace(t.g1, t.g1)
-    f_minus = product_subspace(t.g2, t.g2)
-    return e_plus, f_plus, e_minus, f_minus
-
-
-def r_matrix(t: TripleContext) -> Bivector:
-    return splitting_bivector(from_algebra(t.d_algebra), t.g1, t.g2)
+    return t.plus.e, t.plus.f, t.minus.e, t.minus.f
 
 
 def pi_plus_minus(t: TripleContext, d: Matrix) -> tuple[Bivector, Bivector]:
     """pi+ and pi- at d from the splitting formula, exact."""
-    e_plus, f_plus, e_minus, f_minus = product_splittings(t)
     pt = double_action_anchor(t.d_ctx, d)
-    return bivector_at(pt, e_plus, f_plus), bivector_at(pt, e_minus, f_minus)
+    return bivector_at(pt, t.plus), bivector_at(pt, t.minus)
 
 
 def pi_plus_minus_invariant(t: TripleContext, d: Matrix) -> tuple[Matrix, Matrix]:
     """r^R +/- r^L at d in the left-trivialized chart, exact."""
-    r = r_matrix(t).matrix
+    r = t.splitting.bivector.matrix
     c = adjoint_matrix(t.d_ctx, amb_inv(d))
     r_right = mat_mul(mat_mul(c, r), transpose(c))
     plus = tuple(
@@ -610,7 +655,7 @@ def dmult_fd(ctx: GroupContext, ga: Matrix, gb: Matrix, h: float = 1e-4) -> np.n
 def q_mult_fiber(t: TripleContext, gp: Matrix, gpp: Matrix) -> LinearRelation:
     """Multiplication morphism fiber over (g' g'', g', g'') for G1."""
     n = t.d_algebra.dim
-    p1, p2 = projector_pair(t)
+    p1, p2 = t.projectors
     c = phi_adjoint(t, gpp)
     c_inv = phi_adjoint(t, amb_inv(gpp))
     constraint = tuple(
@@ -645,7 +690,7 @@ def q_mult_kernel_expected(t: TripleContext, gpp: Matrix) -> ExactSubspace:
 def p_phi_fiber(t: TripleContext, g: Matrix) -> LinearRelation:
     """Fiber of the lift of the embedding G1 -> D over (Phi(g), g)."""
     n = t.d_algebra.dim
-    _, p2 = projector_pair(t)
+    _, p2 = t.projectors
     adg = phi_adjoint(t, g)
     adg_inv = phi_adjoint(t, amb_inv(g))
     rows = []
@@ -710,7 +755,7 @@ def action_morphism_check(ctx: GroupContext, g: Matrix, m: Matrix) -> bool:
 
 def phi_r_value(t: TripleContext, d: Matrix, zeta: Vector) -> Vector:
     """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d."""
-    _, p2 = projector_pair(t)
+    _, p2 = t.projectors
     ad = adjoint_matrix(t.d_ctx, d)
     return concat_vec(mat_vec(p2, mat_vec(ad, zeta)), zeta)
 
@@ -719,7 +764,7 @@ def phi_r_jet(t: TripleContext, d0: Matrix, zeta: Vector, h: float = 1e-4):
     """(value, FD jacobian) of the section phi^R(zeta) in the chart at d0."""
     n = t.d_algebra.dim
     fc = FloatChart.build(t.d_ctx, d0)
-    p2_np = np_matrix(projector_pair(t)[1])
+    p2_np = np_matrix(t.projectors[1])
     z = np.array([float(x) for x in zeta])
 
     def section(tvec: np.ndarray) -> np.ndarray:
@@ -742,7 +787,7 @@ def phi_r_homomorphism_residual(
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
     from .diffnum import courant_bracket_jets_np
 
-    dbl = double_algebra(t.d_ctx)
+    dbl = t.d_ctx.double_algebra
     pt = double_action_anchor(t.d_ctx, d0)
     anchor = np.array([[float(x) for x in row] for row in pt.exact_anchor()])
     xv, xj = phi_r_jet(t, d0, zeta, h=h)

@@ -19,6 +19,7 @@ from .exactlin import (
     DimensionMismatchError,
     ExactSubspace,
     Matrix,
+    NotLagrangianError,
     Vector,
     _ZERO,
     _over_lcm,
@@ -30,10 +31,6 @@ from .exactlin import (
     vector,
     zero_vector,
 )
-
-
-class NotLagrangianError(ValueError):
-    """Raised when an operation needs a Lagrangian subspace."""
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ fixed seeds reproduce byte-identical output.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -25,9 +26,9 @@ from .contexts import (
     triangular_complement,
 )
 from .exactlin import ExactSubspace, add_vec, mat_vec, scale_vec
-from .lagrel import dual_basis, product_subspace, related_splitting
+from .lagrel import Splitting, dual_basis, product_subspace, related_splitting
 from .liegrp import np_matrix
-from .quadlie import build_double, diagonal_subspace
+from .quadlie import diagonal_subspace
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-6
@@ -62,6 +63,22 @@ def _rec(name: str, ok: bool, residual: float | None = None, detail: str = "") -
     return out
 
 
+def _ladder_rec(name: str, coarse: float, fine: float) -> dict:
+    """Halving the step of an O(h^2) check must divide its residual by 3.5..4.5.
+
+    Two zero rungs leave no truncation error to measure; a zero finer rung
+    under a nonzero coarser one, or a non-finite rung, fails without a ratio.
+    """
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return _rec(name, False, detail=f"non-finite rung: h {coarse!r}, h/2 {fine!r}")
+    if fine == 0:
+        if coarse == 0:
+            return _rec(name, True, detail="both rungs are 0: no truncation error to measure")
+        return _rec(name, False, detail=f"finer rung is 0 under a coarser rung of {coarse!r}")
+    ratio = coarse / fine
+    return _rec(name, 3.5 <= ratio <= 4.5, ratio)
+
+
 def _flat_poisson_field() -> diffnum.ChartBivectorField:
     """A closed-form Poisson field on R^3 (pushforward of a constant
     bivector under a polynomial chart change); quartic entries give an
@@ -87,7 +104,7 @@ def _sheared_quasi_splitting():
     """
     ctx = sl2c_realified_context()
     alg = ctx.algebra
-    d = build_double(alg)
+    d = ctx.double_algebra
     gd = diagonal_subspace(alg, 1)
     gad = diagonal_subspace(alg, -1)
     duals = dual_basis(d.form, gd, gad)
@@ -115,7 +132,7 @@ def _sheared_quasi_splitting():
         rows_f.append(w)
     e = ExactSubspace.span(rows_e, ambient_dim=12)
     f_sub = ExactSubspace.span(rows_f, ambient_dim=12)
-    return ctx, d, e, f_sub
+    return ctx, d, Splitting.of_algebra(d, e, f_sub)
 
 
 def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
@@ -129,43 +146,36 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
     records.append(_rec("flat-chart poisson residual", tri.max_abs() <= tol, tri.max_abs()))
     r1 = diffnum.schouten_fd(diffnum.ChartBivectorField(3, flat.sampler, step=1e-3), point).max_abs()
     r2 = diffnum.schouten_fd(diffnum.ChartBivectorField(3, flat.sampler, step=5e-4), point).max_abs()
-    ratio = r1 / r2 if r2 else float("inf")
-    records.append(_rec("flat-chart h-ladder ratio", 3.5 <= ratio <= 4.5, ratio))
+    records.append(_ladder_rec("flat-chart h-ladder ratio", r1, r2))
 
     if ctx_name in ("sl2-double", "all-builtin"):
         ctx = sl2_context()
-        alg = build_double(ctx.algebra)
+        alg = ctx.double_algebra
         gd = diagonal_subspace(ctx.algebra, 1)
-        gad = diagonal_subspace(ctx.algebra, -1)
-        tri_c = triangular_complement()
+        manin = Splitting.of_algebra(alg, gd, triangular_complement())
+        quasi = Splitting.of_algebra(alg, gd, diagonal_subspace(ctx.algebra, -1))
         points = ctx.sample_points[:max(2, samples)]
-        charts = [liegrp.double_chart_at(ctx, g, gd, tri_c, h=h) for g in points]
-        rep = diffnum.verify_main_identity(charts, gd, tri_c, alg, tol=tol, h=h)
+        charts = [liegrp.double_chart_at(ctx, g, manin, h=h) for g in points]
+        rep = diffnum.verify_main_identity(charts, manin, alg, tol=tol, h=h)
         for chk in rep.checks:
             records.append(_rec(f"main identity (manin) {chk.label}", chk.passed, chk.residual))
-        charts_q = [liegrp.double_chart_at(ctx, g, gd, gad, h=h) for g in points]
-        rep_q = diffnum.verify_main_identity(charts_q, gd, gad, alg, tol=tol, h=h)
+        charts_q = [liegrp.double_chart_at(ctx, g, quasi, h=h) for g in points]
+        rep_q = diffnum.verify_main_identity(charts_q, quasi, alg, tol=tol, h=h)
         for chk in rep_q.checks:
             records.append(_rec(f"main identity (quasi) {chk.label}", chk.passed, chk.residual))
-        rh1 = diffnum.verify_main_identity(charts, gd, tri_c, alg, tol=1.0, h=1e-3).max_residual
-        rh2 = diffnum.verify_main_identity(charts, gd, tri_c, alg, tol=1.0, h=5e-4).max_residual
-        ratio = rh1 / rh2 if rh2 else float("inf")
-        records.append(_rec("main identity h-ladder ratio", 3.5 <= ratio <= 4.5, ratio))
+        rh1 = diffnum.verify_main_identity(charts, manin, alg, tol=1.0, h=1e-3).max_residual
+        rh2 = diffnum.verify_main_identity(charts, manin, alg, tol=1.0, h=5e-4).max_residual
+        records.append(_ladder_rec("main identity h-ladder ratio", rh1, rh2))
     elif ctx_name == "sl2c-real":
-        ctx, d, e, f = _sheared_quasi_splitting()
+        ctx, d, sheared = _sheared_quasi_splitting()
         points = ctx.sample_points[:max(2, samples)]
-        charts = [liegrp.double_chart_at(ctx, g, e, f, h=h) for g in points]
-        scale_tols = []
-        for chart in charts:
-            rhs = diffnum.main_identity_rhs(d, e, f, chart.anchor0)
-            scale_tols.append(tol * (1.0 + rhs.max_abs()))
-        rep = diffnum.verify_main_identity(charts, e, f, d, tol=1.0, h=h)
-        nonzero = False
-        for chk, st, chart in zip(rep.checks, scale_tols, charts):
-            records.append(_rec(f"main identity (sheared) {chk.label}", chk.residual <= st, chk.residual))
-            if diffnum.main_identity_rhs(d, e, f, chart.anchor0).max_abs() > 0.01:
-                nonzero = True
-        records.append(_rec("sheared case has nonzero defect", nonzero))
+        charts = [liegrp.double_chart_at(ctx, g, sheared, h=h) for g in points]
+        defects = [diffnum.main_identity_rhs(d, sheared, chart.anchor0).max_abs() for chart in charts]
+        rep = diffnum.verify_main_identity(charts, sheared, d, tol=1.0, h=h)
+        for chk, defect in zip(rep.checks, defects):
+            records.append(_rec(f"main identity (sheared) {chk.label}",
+                                chk.residual <= tol * (1.0 + defect), chk.residual))
+        records.append(_rec("sheared case has nonzero defect", any(x > 0.01 for x in defects)))
     else:
         raise KeyError(f"schouten suite has no context {ctx_name!r}")
     return records
@@ -178,7 +188,7 @@ def _random_anchored_instance(seed_key: str):
     anchor, j = randgen.random_coisotropic_anchor(rng, k)
     pt = anchored.AnchoredPoint(alg, anchor if j else (), j)
     _, e, f = randgen.random_lagrangian_splitting(rng, k)
-    return pt, e, f, j
+    return pt, Splitting.of_algebra(alg, e, f), j
 
 
 def suite_rank(samples: int = 100, seed: int = 0, **_ignored) -> list[dict]:
@@ -187,14 +197,14 @@ def suite_rank(samples: int = 100, seed: int = 0, **_ignored) -> list[dict]:
     diag_fails = []
 
     def one(i):
-        pt, e, f, j = _random_anchored_instance(f"rank:{seed}:{i}")
+        pt, s, j = _random_anchored_instance(f"rank:{seed}:{i}")
         try:
-            anchored.rank_formula(pt, e, f)
+            anchored.rank_formula(pt, s)
         except anchored.CourantStructureError as exc:
             return ("rank", i, str(exc))
         if j > 0:
             try:
-                anchored.diagonal_backward(pt, e, f)
+                anchored.diagonal_backward(pt, s)
             except anchored.CourantStructureError as exc:
                 return ("diag", i, str(exc))
         return None
@@ -220,9 +230,9 @@ def suite_leaves(samples: int = 40, seed: int = 0, **_ignored) -> list[dict]:
     true_count = 0
     fails = []
     for i in range(samples):
-        pt, e, f, j = _random_anchored_instance(f"leaf:{seed}:{i}")
+        pt, s, _ = _random_anchored_instance(f"leaf:{seed}:{i}")
         try:
-            if anchored.leaf_condition(pt, e, f):
+            if anchored.leaf_condition(pt, s):
                 true_count += 1
         except anchored.CourantStructureError as exc:
             fails.append(f"#{i}: {exc}")
@@ -237,16 +247,15 @@ def suite_leaves(samples: int = 40, seed: int = 0, **_ignored) -> list[dict]:
     pt6 = anchored.AnchoredPoint(ab6, (r1, r2), 2)
     e6 = ExactSubspace.span([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
     f6 = ExactSubspace.span([(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
-    strict = not anchored.leaf_condition(pt6, e6, f6)
+    strict = not anchored.leaf_condition(pt6, Splitting.of_algebra(ab6, e6, f6))
     records.append(_rec("synthetic dim-6 case violates the leaf condition", strict))
     # Lagrangian stabilizers make the condition automatic
     ctx = sl2_context()
+    quasi = Splitting.of_algebra(
+        ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), diagonal_subspace(ctx.algebra, -1)
+    )
     auto = all(
-        anchored.leaf_condition(
-            liegrp.double_action_anchor(ctx, g),
-            diagonal_subspace(ctx.algebra, 1),
-            diagonal_subspace(ctx.algebra, -1),
-        )
+        anchored.leaf_condition(liegrp.double_action_anchor(ctx, g), quasi)
         for g in ctx.sample_points[:4]
     )
     records.append(_rec("exact-type points satisfy the leaf condition", auto))

@@ -55,14 +55,14 @@ def _instances(count):
         anchor, j = randgen.random_coisotropic_anchor(rng, k)
         pt = anchored.AnchoredPoint(alg, anchor if j else (), j)
         _, e, f = randgen.random_lagrangian_splitting(rng, k)
-        yield pt, e, f, j
+        yield pt, lagrel.Splitting.of_algebra(alg, e, f), j
 
 
 def test_criterion_02_rank_formula_oracle():
     mismatches = 0
-    for pt, e, f, _j in _instances(100):
+    for pt, s, _j in _instances(100):
         try:
-            anchored.rank_formula(pt, e, f)
+            anchored.rank_formula(pt, s)
         except anchored.CourantStructureError:
             mismatches += 1
     _report(2, "rank formula equals brute-force matrix rank on 100 instances",
@@ -71,11 +71,11 @@ def test_criterion_02_rank_formula_oracle():
 
 def test_criterion_03_diagonal_backward_consistency():
     mismatches = 0
-    for pt, e, f, j in _instances(100):
+    for pt, s, j in _instances(100):
         if j == 0:
             continue  # no covectors: both sides are the empty matrix
         try:
-            anchored.diagonal_backward(pt, e, f)
+            anchored.diagonal_backward(pt, s)
         except anchored.CourantStructureError:
             mismatches += 1
     _report(3, "diagonal backward image equals the splitting bivector exactly",
@@ -85,16 +85,17 @@ def test_criterion_03_diagonal_backward_consistency():
 @pytest.fixture(scope="module")
 def manin_charts():
     ctx = sl2_context()
-    gd = diagonal_subspace(ctx.algebra, 1)
-    tri = triangular_complement()
+    manin = lagrel.Splitting.of_algebra(
+        build_double(ctx.algebra), diagonal_subspace(ctx.algebra, 1), triangular_complement()
+    )
     points = ctx.sample_points[:10]
-    return ctx, gd, tri, [liegrp.double_chart_at(ctx, g, gd, tri, h=H) for g in points]
+    return ctx, manin, [liegrp.double_chart_at(ctx, g, manin, h=H) for g in points]
 
 
 def test_criterion_04_main_identity_poisson(manin_charts):
-    ctx, gd, tri, charts = manin_charts
+    ctx, manin, charts = manin_charts
     d = build_double(ctx.algebra)
-    rep = diffnum.verify_main_identity(charts, gd, tri, d, tol=TOL, h=H)
+    rep = diffnum.verify_main_identity(charts, manin, d, tol=TOL, h=H)
     _report(4, "main identity, triangular triple over the group",
             rep.passed, f"max residual {rep.max_residual:.2e}")
 
@@ -104,20 +105,21 @@ def test_criterion_05_main_identity_quasi():
     d = build_double(ctx.algebra)
     gd = diagonal_subspace(ctx.algebra, 1)
     gad = diagonal_subspace(ctx.algebra, -1)
-    charts = [liegrp.double_chart_at(ctx, g, gd, gad, h=H) for g in ctx.sample_points[:10]]
-    rep = diffnum.verify_main_identity(charts, gd, gad, d, tol=TOL, h=H)
+    quasi = lagrel.Splitting.of_algebra(d, gd, gad)
+    charts = [liegrp.double_chart_at(ctx, g, quasi, h=H) for g in ctx.sample_points[:10]]
+    rep = diffnum.verify_main_identity(charts, quasi, d, tol=TOL, h=H)
     pt_e = liegrp.double_action_anchor(ctx, ctx.sample_points[0])
-    pi_e = anchored.bivector_at(pt_e, gd, gad)
+    pi_e = anchored.bivector_at(pt_e, quasi)
     zero_at_e = all(x == 0 for row in pi_e.matrix for x in row)
     _report(5, "main identity, quasi splitting; bivector exactly zero at the unit",
             rep.passed and zero_at_e, f"max residual {rep.max_residual:.2e}")
 
 
 def test_criterion_06_second_order_convergence(manin_charts):
-    ctx, gd, tri, charts = manin_charts
+    ctx, manin, charts = manin_charts
     d = build_double(ctx.algebra)
-    r1 = diffnum.verify_main_identity(charts, gd, tri, d, tol=1.0, h=1e-3).max_residual
-    r2 = diffnum.verify_main_identity(charts, gd, tri, d, tol=1.0, h=5e-4).max_residual
+    r1 = diffnum.verify_main_identity(charts, manin, d, tol=1.0, h=1e-3).max_residual
+    r2 = diffnum.verify_main_identity(charts, manin, d, tol=1.0, h=5e-4).max_residual
     ratio = r1 / r2 if r2 else float("inf")
     _report(6, "halving h reduces the criterion-4 residual by ~4",
             3.5 <= ratio <= 4.5, f"ratio {ratio:.3f}")

@@ -30,13 +30,16 @@ from courantlab.exactlin import (
     BilinearForm,
     ExactSubspace,
     add_vec,
+    inverse,
     mat_mul,
     mat_vec,
     matrix,
+    nullspace,
     transpose,
     vector,
     zero_vector,
 )
+from courantlab.lagrel import Splitting
 from courantlab.liegrp import double_action_anchor
 from courantlab.contexts import sl2_context
 from courantlab.quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
@@ -53,6 +56,7 @@ A4 = matrix([[0, -1, 1, 0], [1, 0, 0, 1]])
 PT4 = AnchoredPoint(AB4, A4, 2)
 E4 = ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0)])
 F4 = ExactSubspace.span([(0, 0, 1, 0), (0, 0, 0, 1)])
+S4 = Splitting.of_algebra(AB4, E4, F4)
 
 
 def test_coisotropic_examples():
@@ -93,23 +97,24 @@ def test_anchor_dual_and_p3():
 
 
 def test_bivector_formula_and_diagonal_backward():
-    piv = bivector_at(PT4, E4, F4)
+    piv = bivector_at(PT4, S4)
     assert piv.matrix == matrix([[0, -1], [1, 0]])
-    assert bivector_at(PT4, F4, E4).matrix == matrix([[0, 1], [-1, 0]])
-    assert diagonal_backward(PT4, E4, F4).matrix == piv.matrix
-    assert rank_formula(PT4, E4, F4) == 2
+    assert bivector_at(PT4, Splitting.of_algebra(AB4, F4, E4)).matrix == matrix([[0, 1], [-1, 0]])
+    assert diagonal_backward(PT4, S4).matrix == piv.matrix
+    assert rank_formula(PT4, S4) == 2
     lm = drinfeld_lagrangian(PT4, F4)
     assert AB4.form.is_lagrangian(lm)
-    assert leaf_condition(PT4, E4, F4)
+    assert leaf_condition(PT4, S4)
 
 
 def test_identity_anchor_formula_level():
     # the formula itself applies to any splitting, Courant-valid or not
     pt = AnchoredPoint(AB2, ((1, 0), (0, 1)), 2)
-    piv = bivector_at(pt, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
+    lines = Splitting.of_algebra(AB2, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
+    piv = bivector_at(pt, lines)
     assert piv.matrix == matrix([[0, "1/2"], ["-1/2", 0]])
     with pytest.raises(CourantStructureError):
-        rank_formula(pt, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
+        rank_formula(pt, lines)
 
 
 def test_sl2_double_identity_point():
@@ -118,11 +123,12 @@ def test_sl2_double_identity_point():
     gd = diagonal_subspace(ctx.algebra, 1)
     gad = diagonal_subspace(ctx.algebra, -1)
     assert stabilizer(pt) == gd
-    piv = bivector_at(pt, gd, gad)
+    quasi = Splitting.of_algebra(pt.algebra, gd, gad)
+    piv = bivector_at(pt, quasi)
     assert all(x == 0 for row in piv.matrix for x in row)
     assert anchor_image(pt, gad).dim == 3
     assert drinfeld_lagrangian(pt, gad) == gd
-    assert rank_formula(pt, gd, gad) == 0
+    assert rank_formula(pt, quasi) == 0
 
 
 def test_leaf_condition_strict_case():
@@ -137,8 +143,9 @@ def test_leaf_condition_strict_case():
         [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
     )
     assert check_coisotropic_stabilizer(pt6)[0]
-    assert not leaf_condition(pt6, e6, f6)
-    assert rank_formula(pt6, e6, f6) == 0
+    s6 = Splitting.of_algebra(ab6, e6, f6)
+    assert not leaf_condition(pt6, s6)
+    assert rank_formula(pt6, s6) == 0
 
 
 def test_random_points_p3_and_rank(subtests=None):
@@ -155,9 +162,10 @@ def test_random_points_p3_and_rank(subtests=None):
                 x == 0 for row in mat_mul(matrix(pt.anchor), astar) for x in row
             )
         _, e, f = random_lagrangian_splitting(rng, k)
-        rank_formula(pt, e, f)
+        s = Splitting.of_algebra(alg, e, f)
+        rank_formula(pt, s)
         if j:
-            diagonal_backward(pt, e, f)
+            diagonal_backward(pt, s)
 
 
 def test_float_anchor_guards():
@@ -165,7 +173,9 @@ def test_float_anchor_guards():
     assert not pt.is_exact
     with pytest.raises(ExactnessError):
         stabilizer(pt)
-    out = bivector_at(pt, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
+    out = bivector_at(
+        pt, Splitting.of_algebra(AB2, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
+    )
     assert out[0][1] == pytest.approx(0.125)
 
 
@@ -291,3 +301,38 @@ def test_pullback_point_rank_and_restriction():
     pt0 = AnchoredPoint(AB4, ((0,) * 4, (0,) * 4), 2)
     with pytest.raises(ValueError):
         pullback_point(pt0, dphi)
+
+
+# --- point data kept on the AnchoredPoint --------------------------------
+
+def _direct_coisotropy(pt):
+    ker = nullspace(matrix(pt.anchor), pt.algebra.dim)
+    perp = pt.algebra.form.orth_complement(ker)
+    bad = [row for row in perp.basis if not ker.contains(row)]
+    return (not bad), (bad[0] if bad else None)
+
+
+def _points():
+    rng = random.Random(29)
+    for _ in range(15):
+        k = rng.randint(1, 3)
+        anchor, j = random_coisotropic_anchor(rng, k)
+        yield AnchoredPoint(random_abelian_split_algebra(k), anchor if j else (), j)
+    ctx = sl2_context()
+    for g in ctx.sample_points[:4]:
+        yield double_action_anchor(ctx, g)
+    yield PT4
+    yield AnchoredPoint(AB2, ((1, 0),), 1)
+    yield AnchoredPoint(AB2, ((1, 0), (0, 1)), 2)  # not coisotropic
+
+
+def test_kept_point_data_equals_direct_formulas():
+    for pt in _points():
+        a = matrix(pt.anchor)
+        assert stabilizer(pt) == nullspace(a, pt.algebra.dim)
+        assert check_coisotropic_stabilizer(pt) == _direct_coisotropy(pt)
+        assert anchor_dual(pt) == mat_mul(inverse(pt.algebra.form.matrix), transpose(a))
+        assert pt.dual_range == ExactSubspace.span(transpose(anchor_dual(pt)), ambient_dim=pt.algebra.dim)
+        # computed once: later reads return the same objects
+        assert stabilizer(pt) is stabilizer(pt)
+        assert anchor_dual(pt) is anchor_dual(pt)

@@ -154,3 +154,84 @@ def test_validate_wrong_ambient_subspace_is_usage_error(double_json, tmp_path, c
     g1.write_text(json.dumps({"basis": [["1", "0", "0"]]}))  # Q^3, not Q^6
     g2.write_text(json.dumps(triangular_complement().to_json()))
     _assert_usage_error(["validate", double_json, "--g1", str(g1), "--g2", str(g2)], capsys)
+
+
+def test_two_main_calls_in_one_process_give_identical_reports(capsys):
+    args = ["bivector", "--ctx", "sl2-double", "--point", "2", "--json"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    # options given to one call do not leak into the next
+    assert main(["verify", "relations", "--samples", "4", "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+    assert main(["verify", "relations", "--samples", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("ctx", ["sl2-double", "abelian-2"])
+@pytest.mark.parametrize("point", ["-1", "abc"])
+def test_bad_point_is_usage_error(ctx, point, capsys):
+    _assert_usage_error(["bivector", "--ctx", ctx, "--point", point], capsys)
+
+
+def test_non_splitting_files_are_usage_error(tmp_path, capsys):
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps(diagonal_subspace(sl2_algebra(), 1).to_json()))
+    _assert_usage_error(["bivector", "--ctx", "sl2-double", "--point", "1",
+                         "--e-file", str(e), "--f-file", str(e)], capsys)
+
+
+def test_numeric_breakdown_in_a_suite_is_a_failed_record(capsys):
+    # at h = 0.5 the chart products leave the range of the log series
+    assert main(["verify", "mult", "--h", "0.5", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    (rec,) = report["records"]
+    assert rec["status"] == "fail" and "ValueError" in rec["detail"]
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("samples", ["2", "3"])
+def test_schouten_ladder_with_zero_rungs_passes(samples, capsys):
+    assert main(["verify", "schouten", "--samples", samples, "--json"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    (ladder,) = [r for r in report["records"] if r["name"] == "main identity h-ladder ratio"]
+    assert ladder["status"] == "pass" and "residual" not in ladder
+    assert "no truncation error" in ladder["detail"]
+
+
+def test_ladder_record_never_writes_a_non_finite_residual():
+    from courantlab.suites import _ladder_rec
+
+    assert _ladder_rec("r", 8.0, 2.0) == {"name": "r", "status": "pass", "residual": 4.0}
+    assert _ladder_rec("r", 0.0, 0.0)["status"] == "pass"
+    for coarse, fine in ((1e-8, 0.0), (float("inf"), 1e-8), (float("nan"), 1e-8)):
+        rec = _ladder_rec("r", coarse, fine)
+        assert rec["status"] == "fail" and "residual" not in rec and rec["detail"]
+
+
+def test_bivector_query_computes_pi_once(monkeypatch, capsys):
+    from courantlab import lagrel
+
+    calls = []
+    original = lagrel.splitting_bivector
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lagrel, "splitting_bivector", counting)
+    for argv in (["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
+                 ["bivector", "--ctx", "sl2c-real", "--point", "1"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1
+    capsys.readouterr()

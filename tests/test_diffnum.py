@@ -17,6 +17,7 @@ from courantlab.diffnum import (
     wedge3,
 )
 from courantlab.exactlin import matrix
+from courantlab.lagrel import Splitting
 from courantlab.quadlie import build_double, cartan_trivector, diagonal_subspace
 from courantlab.randgen import random_abelian_split_algebra
 
@@ -191,7 +192,6 @@ def test_main_identity_rhs_vanishes_for_subalgebra_pairs():
     ctx = sl2_context()
     d = build_double(ctx.algebra)
     pt = double_action_anchor(ctx, ctx.sample_points[3])
-    rhs = main_identity_rhs(
-        d, diagonal_subspace(ctx.algebra, 1), triangular_complement(), pt.exact_anchor()
-    )
+    manin = Splitting.of_algebra(d, diagonal_subspace(ctx.algebra, 1), triangular_complement())
+    rhs = main_identity_rhs(d, manin, pt.exact_anchor())
     assert rhs.max_abs() == 0.0

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from courantlab import lagrel, quadlie
 from courantlab.contexts import sl2_algebra
 from courantlab.exactlin import (
     BilinearForm,
@@ -24,6 +25,7 @@ from courantlab.lagrel import (
     NotLagrangianError,
     ReductionError,
     SplitSpace,
+    Splitting,
     TransversalityError,
     backward_image,
     backward_image_subspace,
@@ -286,3 +288,37 @@ def test_relation_json():
     data = r.to_json()
     assert data["source_dim"] == 2 and data["target_dim"] == 2
     assert len(data["graph_basis"]) == 2
+
+
+# --- the Splitting value object -------------------------------------------
+
+def test_splitting_keeps_checked_bivector_and_duals():
+    sp = hyperbolic_space(2)
+    rng = random.Random(41)
+    for _ in range(10):
+        a = random_split_transform(rng, 2)
+        e = ExactSubspace.span([mat_vec(a, v) for v in identity(4)[:2]])
+        f = ExactSubspace.span([mat_vec(a, v) for v in identity(4)[2:]])
+        s = Splitting(sp, e, f)
+        assert s.bivector == splitting_bivector(sp, e, f)
+        assert s.duals == dual_basis(sp.form, e, f)
+        assert s.duals is s.duals
+        for i, ei in enumerate(e.basis):
+            for j, fj in enumerate(s.duals):
+                assert sp.form.pairing(ei, fj) == (1 if i == j else 0)
+
+
+def test_splitting_rejects_non_splittings():
+    with pytest.raises(NotLagrangianError):
+        Splitting(SP2, E2, E2)
+    with pytest.raises(NotLagrangianError):
+        Splitting(SP2, ExactSubspace.full(2), F2)
+
+
+def test_one_not_lagrangian_error_class():
+    # quadlie's tensor check raises the class lagrel callers catch
+    d = build_double(sl2_algebra())
+    not_lagrangian = ExactSubspace.span([identity(6)[0]])
+    with pytest.raises(lagrel.NotLagrangianError):
+        quadlie.courant_tensor(d, not_lagrangian)
+    assert quadlie.NotLagrangianError is lagrel.NotLagrangianError

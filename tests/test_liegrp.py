@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import courantlab.liegrp as liegrp
 
 from courantlab.anchored import check_coisotropic_stabilizer, stabilizer
 from courantlab.contexts import (
+    GROUP_CONTEXT_NAMES,
     abelian2_triple,
     get_group_context,
     sl2_context,
@@ -34,6 +37,7 @@ from courantlab.exactlin import (
     transpose,
 )
 from courantlab.lagrel import (
+    Splitting,
     backward_image,
     backward_image_subspace,
     product_subspace,
@@ -64,7 +68,6 @@ from courantlab.liegrp import (
     product_splittings,
     q_mult_fiber,
     q_mult_kernel_expected,
-    r_matrix,
     s_phi_fiber,
     t_psi_fiber,
     validate_context,
@@ -139,7 +142,7 @@ def test_pi_plus_minus_exact_identities():
         assert pim.matrix == minus
     pip_e, pim_e = pi_plus_minus(TRIPLE, PAIR.sample_points[0])
     assert all(x == 0 for row in pim_e.matrix for x in row)
-    two_r = tuple(tuple(2 * x for x in row) for row in r_matrix(TRIPLE).matrix)
+    two_r = tuple(tuple(2 * x for x in row) for row in TRIPLE.splitting.bivector.matrix)
     assert pip_e.matrix == two_r
 
 
@@ -302,11 +305,12 @@ def test_main_identity_sl2_cases():
     d = build_double(CTX.algebra)
     gd = diagonal_subspace(CTX.algebra, 1)
     gad = diagonal_subspace(CTX.algebra, -1)
-    tri = triangular_complement()
-    charts = [double_chart_at(CTX, g, gd, tri) for g in CTX.sample_points[:6]]
-    assert verify_main_identity(charts, gd, tri, d, tol=1e-6).passed
-    charts_q = [double_chart_at(CTX, g, gd, gad) for g in CTX.sample_points[:6]]
-    assert verify_main_identity(charts_q, gd, gad, d, tol=1e-6).passed
+    manin = Splitting.of_algebra(d, gd, triangular_complement())
+    quasi = Splitting.of_algebra(d, gd, gad)
+    charts = [double_chart_at(CTX, g, manin) for g in CTX.sample_points[:6]]
+    assert verify_main_identity(charts, manin, d, tol=1e-6).passed
+    charts_q = [double_chart_at(CTX, g, quasi) for g in CTX.sample_points[:6]]
+    assert verify_main_identity(charts_q, quasi, d, tol=1e-6).passed
 
 
 def test_sl2c_context_and_nonzero_defect():
@@ -317,11 +321,11 @@ def test_sl2c_context_and_nonzero_defect():
     assert validate_manin_triple(ManinTriple(d, gd, lc)).passed
     from courantlab.suites import _sheared_quasi_splitting
 
-    _, d2, e, f = _sheared_quasi_splitting()
+    _, d2, sheared = _sheared_quasi_splitting()
     pt = double_action_anchor(ctx, ctx.sample_points[7])
-    rhs = main_identity_rhs(d2, e, f, pt.exact_anchor())
+    rhs = main_identity_rhs(d2, sheared, pt.exact_anchor())
     assert rhs.max_abs() > 0.1
-    chart = double_chart_at(ctx, ctx.sample_points[7], e, f)
+    chart = double_chart_at(ctx, ctx.sample_points[7], sheared)
     lhs = 0.5 * schouten_fd(chart.field, np.zeros(6)).values
     correct = float(np.max(np.abs(lhs - rhs.values)))
     flipped = float(np.max(np.abs(lhs + rhs.values)))
@@ -412,3 +416,78 @@ def test_dmult_linear_in_left_trivialization():
     adj = adjoint_matrix(PAIR, amb_inv(PAIR.sample_points[3]))
     expect = np.hstack([np_matrix(adj), np.eye(6)])
     assert np.max(np.abs(dm - expect)) < 1e-9
+
+
+# --- the kept coordinatizer -------------------------------------------
+
+
+def _naive_coords(ctx, elt):
+    """Reference: Gauss-Jordan on the n^2 x k system sum_a c_a X_a = elt,
+    one Fraction at a time; None when the system is inconsistent."""
+    k = ctx.dim
+    rows = [
+        [F(b[i][j]) for b in ctx.algebra_basis] + [F(elt[i][j])]
+        for i in range(ctx.ambient_size)
+        for j in range(ctx.ambient_size)
+    ]
+    r = 0
+    pivots = []
+    for c in range(k):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                m = rows[i][c]
+                rows[i] = [x - m * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[k] != 0 for row in rows[r:]):
+        return None
+    coords = [F(0)] * k
+    for row, c in zip(rows, pivots):
+        coords[c] = row[k]
+    return tuple(coords)
+
+
+def _unit(size, i, j):
+    return tuple(tuple(F(1 if (r, c) == (i, j) else 0) for c in range(size)) for r in range(size))
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(GROUP_CONTEXT_NAMES), data=st.data())
+def test_coordinatize_matches_naive_solve(name, data):
+    ctx = get_group_context(name)
+    coords = tuple(data.draw(st.lists(_RATIONALS, min_size=ctx.dim, max_size=ctx.dim)))
+    elt = ctx.from_coords(coords)
+    assert ctx.coordinatize(elt) == _naive_coords(ctx, elt) == coords
+    # a matrix unit outside the span moves the element off the algebra
+    size = ctx.ambient_size
+    outside = [
+        (i, j) for i in range(size) for j in range(size)
+        if _naive_coords(ctx, _unit(size, i, j)) is None
+    ]
+    i, j = data.draw(st.sampled_from(outside))
+    q = data.draw(_RATIONALS.filter(lambda x: x != 0))
+    off = tuple(
+        tuple(x + (q if (r, c) == (i, j) else 0) for c, x in enumerate(row))
+        for r, row in enumerate(elt)
+    )
+    assert _naive_coords(ctx, off) is None
+    with pytest.raises(ValueError):
+        ctx.coordinatize(off)
+
+
+def test_context_keeps_its_double_and_triple_splittings():
+    assert CTX.double_algebra is CTX.double_algebra
+    assert CTX.double_algebra == build_double(CTX.algebra)
+    assert TRIPLE.plus is TRIPLE.plus
+    eplus, fplus, eminus, fminus = product_splittings(TRIPLE)
+    assert (TRIPLE.plus.e, TRIPLE.plus.f) == (eplus, fplus)
+    assert (TRIPLE.minus.e, TRIPLE.minus.f) == (eminus, fminus)
