@@ -2,7 +2,7 @@
 relations, and the bivectors induced by Lagrangian splittings of
 anchored algebroids over matrix groups."""
 
-from .exactlin import BilinearForm, ExactSubspace, frac, span
+from .exactlin import BilinearForm, ExactSubspace, frac
 from .quadlie import (
     CourantTensor3,
     ManinTriple,

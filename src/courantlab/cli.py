@@ -160,13 +160,15 @@ def cmd_verify(args) -> tuple[dict, int]:
     least = suites.MIN_SAMPLES.get(args.suite, 1)
     if args.samples is not None and args.samples < least:
         raise _ArgumentError(f"verify {args.suite} needs --samples >= {least}")
+    if args.ctx is not None and args.suite not in suites.CONTEXT_SUITES:
+        raise _ArgumentError(f"verify {args.suite} takes no --ctx")
     try:
         records = suites.run_suite(
             args.suite, ctx=args.ctx, samples=args.samples,
             seed=args.seed, h=args.h, tol=args.tol,
         )
     except KeyError as exc:
-        raise _ArgumentError(str(exc)) from exc
+        raise _ArgumentError(exc.args[0]) from exc
     except (ArithmeticError, ValueError) as exc:
         # a numeric breakdown (a step too large for a chart's log series,
         # a singular float solve) is a failed check, not a crash
@@ -204,8 +206,13 @@ def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
             raise ValueError("sample indices start at 0")
     except ValueError as exc:
         raise _ArgumentError(f"bad --point {point!r}: {exc}") from exc
+    name = splitting or _SPLITTINGS[ctx_name][0]
+    if name not in _SPLITTINGS[ctx_name]:
+        raise _ArgumentError(f"context {ctx_name!r} has no splitting {name!r}")
     if ctx_name == "abelian-2":
         # the formula-level desk case: identity anchor on a 2-dim chart
+        if idx != 0:
+            raise _ArgumentError(f"bad --point {point!r}: the {ctx_name} desk case has only point 0")
         alg = abelian_algebra_split2()
         pt = anchored.AnchoredPoint(alg, ((1, 0), (0, 1)), 2)
         e = ExactSubspace.span([(1, 0)])
@@ -215,21 +222,13 @@ def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
     if idx >= len(ctx.sample_points):
         raise _ArgumentError(f"bad --point {point!r}: {ctx_name} has {len(ctx.sample_points)} sample points")
     pt = liegrp.double_action_anchor(ctx, ctx.sample_points[idx])
-    name = splitting or _SPLITTINGS[ctx_name][0]
-    alg = ctx.algebra
-    if ctx_name in ("sl2-double", "sl2c-real"):
-        if name == "delta-antidelta":
-            return pt, diagonal_subspace(alg, 1), diagonal_subspace(alg, -1)
-        if name == "delta-triangular" and ctx_name == "sl2-double":
-            return pt, diagonal_subspace(alg, 1), triangular_complement()
-    if ctx_name == "sl2-pair":
+    if name in ("plus", "minus"):
         t = sl2_triangular_triple()
-        eplus, fplus, eminus, fminus = liegrp.product_splittings(t)
-        if name == "plus":
-            return pt, eplus, fplus
-        if name == "minus":
-            return pt, eminus, fminus
-    raise _ArgumentError(f"context {ctx_name!r} has no splitting {name!r}")
+        s = t.plus if name == "plus" else t.minus
+        return pt, s.e, s.f
+    alg = ctx.algebra
+    f = diagonal_subspace(alg, -1) if name == "delta-antidelta" else triangular_complement()
+    return pt, diagonal_subspace(alg, 1), f
 
 
 def cmd_bivector(args) -> tuple[dict, int]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import ExactSubspace, Matrix, det, matrix
-from .liegrp import GroupContext, TripleContext, amb, amb_mul, block_diag
+from .exactlin import ExactSubspace, Matrix, det, mat_mul, matrix
+from .liegrp import GroupContext, TripleContext, block_diag
 from .quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
 
 F = Fraction
@@ -45,12 +45,12 @@ def _is_sl(g: Matrix) -> bool:
 
 
 def sl2_samples() -> tuple[Matrix, ...]:
-    up = amb([[1, 1], [0, 1]])
-    up_half = amb([[1, F(1, 2)], [0, 1]])
-    lo = amb([[1, 0], [1, 1]])
-    lo_half = amb([[1, 0], [F(1, 2), 1]])
-    dg = amb([[2, 0], [0, F(1, 2)]])
-    eye = amb([[1, 0], [0, 1]])
+    up = matrix([[1, 1], [0, 1]])
+    up_half = matrix([[1, F(1, 2)], [0, 1]])
+    lo = matrix([[1, 0], [1, 1]])
+    lo_half = matrix([[1, 0], [F(1, 2), 1]])
+    dg = matrix([[2, 0], [0, F(1, 2)]])
+    eye = matrix([[1, 0], [0, 1]])
     return (
         eye,
         up,
@@ -58,12 +58,12 @@ def sl2_samples() -> tuple[Matrix, ...]:
         up_half,
         lo_half,
         dg,
-        amb_mul(up, lo),
-        amb_mul(lo, up_half),
-        amb_mul(up_half, dg),
-        amb_mul(dg, lo_half),
-        amb_mul(amb_mul(up, lo), dg),
-        amb([[1, -1], [0, 1]]),
+        mat_mul(up, lo),
+        mat_mul(lo, up_half),
+        mat_mul(up_half, dg),
+        mat_mul(dg, lo_half),
+        mat_mul(mat_mul(up, lo), dg),
+        matrix([[1, -1], [0, 1]]),
     )
 
 
@@ -72,7 +72,7 @@ def sl2_context() -> GroupContext:
     return GroupContext(
         name="sl2",
         ambient_size=2,
-        algebra_basis=(amb(SL2_E), amb(SL2_H), amb(SL2_F)),
+        algebra_basis=(matrix(SL2_E), matrix(SL2_H), matrix(SL2_F)),
         algebra=sl2_algebra(),
         sample_points=sl2_samples(),
         membership=_is_sl,
@@ -96,8 +96,8 @@ def _pair(a: Matrix, b: Matrix) -> Matrix:
 @lru_cache(maxsize=None)
 def sl2_pair_context() -> GroupContext:
     """SL2 x SL2 as 4x4 block diagonals; algebra sl2 (+) sl2-bar."""
-    base = (amb(SL2_E), amb(SL2_H), amb(SL2_F))
-    zero2 = amb([[0, 0], [0, 0]])
+    base = (matrix(SL2_E), matrix(SL2_H), matrix(SL2_F))
+    zero2 = matrix([[0, 0], [0, 0]])
     basis = tuple(_pair(x, zero2) for x in base) + tuple(
         _pair(zero2, x) for x in base
     )
@@ -189,18 +189,18 @@ def _is_pos_diag_unit_second(g: Matrix) -> bool:
 @lru_cache(maxsize=None)
 def abelian2_group_context() -> GroupContext:
     """Positive diagonal 2x2 matrices: the group of the split abelian d."""
-    basis = (amb([[1, 0], [0, 0]]), amb([[0, 0], [0, 1]]))
+    basis = (matrix([[1, 0], [0, 0]]), matrix([[0, 0], [0, 1]]))
     samples = (
-        amb([[1, 0], [0, 1]]),
-        amb([[2, 0], [0, 1]]),
-        amb([[1, 0], [0, 3]]),
-        amb([[F(1, 2), 0], [0, 2]]),
-        amb([[3, 0], [0, F(1, 3)]]),
-        amb([[2, 0], [0, F(1, 2)]]),
-        amb([[F(2, 3), 0], [0, 1]]),
-        amb([[1, 0], [0, F(3, 2)]]),
-        amb([[4, 0], [0, 1]]),
-        amb([[F(1, 4), 0], [0, F(1, 2)]]),
+        matrix([[1, 0], [0, 1]]),
+        matrix([[2, 0], [0, 1]]),
+        matrix([[1, 0], [0, 3]]),
+        matrix([[F(1, 2), 0], [0, 2]]),
+        matrix([[3, 0], [0, F(1, 3)]]),
+        matrix([[2, 0], [0, F(1, 2)]]),
+        matrix([[F(2, 3), 0], [0, 1]]),
+        matrix([[1, 0], [0, F(3, 2)]]),
+        matrix([[4, 0], [0, 1]]),
+        matrix([[F(1, 4), 0], [0, F(1, 2)]]),
     )
     return GroupContext(
         name="abelian-2",
@@ -215,18 +215,18 @@ def abelian2_group_context() -> GroupContext:
 @lru_cache(maxsize=None)
 def abelian2_triple() -> TripleContext:
     """Split abelian Q^2 with the coordinate-line Manin triple."""
-    g1_basis = (amb([[1, 0], [0, 0]]),)
+    g1_basis = (matrix([[1, 0], [0, 0]]),)
     g1_samples = (
-        amb([[1, 0], [0, 1]]),
-        amb([[2, 0], [0, 1]]),
-        amb([[F(1, 2), 0], [0, 1]]),
-        amb([[3, 0], [0, 1]]),
-        amb([[F(2, 3), 0], [0, 1]]),
-        amb([[4, 0], [0, 1]]),
-        amb([[F(1, 4), 0], [0, 1]]),
-        amb([[F(3, 2), 0], [0, 1]]),
-        amb([[5, 0], [0, 1]]),
-        amb([[F(1, 5), 0], [0, 1]]),
+        matrix([[1, 0], [0, 1]]),
+        matrix([[2, 0], [0, 1]]),
+        matrix([[F(1, 2), 0], [0, 1]]),
+        matrix([[3, 0], [0, 1]]),
+        matrix([[F(2, 3), 0], [0, 1]]),
+        matrix([[4, 0], [0, 1]]),
+        matrix([[F(1, 4), 0], [0, 1]]),
+        matrix([[F(3, 2), 0], [0, 1]]),
+        matrix([[5, 0], [0, 1]]),
+        matrix([[F(1, 5), 0], [0, 1]]),
     )
     g1_ctx = GroupContext(
         name="abelian-2-line",
@@ -264,7 +264,7 @@ def _realify(z_rows) -> Matrix:
 
 def _complex_det_is_one(g: Matrix) -> bool:
     j_mat = _realify([[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
-    if amb_mul(g, j_mat) != amb_mul(j_mat, g):
+    if mat_mul(g, j_mat) != mat_mul(j_mat, g):
         return False
     z = {}
     for i in range(2):

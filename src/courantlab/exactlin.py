@@ -424,18 +424,6 @@ class ExactSubspace:
         return cls.span([vector(row) for row in data["basis"]], ambient_dim=dim)
 
 
-def span(vectors: Iterable[Iterable], ambient_dim: int | None = None) -> ExactSubspace:
-    return ExactSubspace.span(vectors, ambient_dim=ambient_dim)
-
-
-def intersect(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
-    return s1.intersect(s2)
-
-
-def subspace_sum(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
-    return s1.sum(s2)
-
-
 def product_subspace(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
     """S1 x S2 inside Q^(n1+n2), block coordinates in the given order."""
     n1, n2 = s1.ambient_dim, s2.ambient_dim
@@ -624,10 +612,6 @@ class BilinearForm:
         return BilinearForm(tuple(tuple(-x for x in row) for row in self.matrix))
 
 
-def orth_complement(s: ExactSubspace, form: BilinearForm) -> ExactSubspace:
-    return form.orth_complement(s)
-
-
 @_lru_cache(maxsize=256)
 def _nondegenerate(m: Matrix) -> bool:
     return det(m) != 0
@@ -635,7 +619,3 @@ def _nondegenerate(m: Matrix) -> bool:
 
 def vector_to_json(v: Vector) -> list[str]:
     return [str(x) for x in v]
-
-
-def vector_from_json(data: Sequence) -> Vector:
-    return vector(data)

@@ -213,18 +213,6 @@ class LinearRelation:
         }
 
 
-def kernel(r: LinearRelation) -> ExactSubspace:
-    return r.kernel()
-
-
-def relation_range(r: LinearRelation) -> ExactSubspace:
-    return r.range_()
-
-
-def compose(s: LinearRelation, r: LinearRelation) -> LinearRelation:
-    return s.compose(r)
-
-
 @dataclass(frozen=True)
 class ReducedIso:
     """The induced isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t)."""

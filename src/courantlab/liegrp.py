@@ -1,7 +1,6 @@
 """Matrix Lie group contexts: exponential charts, adjoint actions,
 double actions on a group, the two product-group structures pi+/pi-,
-dressing actions, morphism fibers, and the end-to-end verification
-suites over rational sample points.
+dressing actions and morphism fibers over rational sample points.
 
 Sample points are kept rational so the adjoint action, anchors, and
 relation fibers are exact; the same points feed the floating-point
@@ -18,12 +17,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
-from .diffnum import ChartAtPoint, ChartBivectorField
+from .diffnum import ChartAtPoint, ChartBivectorField, courant_bracket_jets_np
 from .exactlin import (
     ExactSubspace,
     Matrix,
     Vector,
     concat_vec,
+    det,
     inverse,
     mat_mul,
     mat_vec,
@@ -49,18 +49,6 @@ from .quadlie import QuadraticLieAlgebra, build_double
 
 # ---------------------------------------------------------------------------
 # exact ambient-matrix helpers
-
-def amb(rows) -> Matrix:
-    return matrix(rows)
-
-
-def amb_mul(a: Matrix, b: Matrix) -> Matrix:
-    return mat_mul(a, b)
-
-
-def amb_inv(a: Matrix) -> Matrix:
-    return inverse(a)
-
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
     xy = mat_mul(x, y)
@@ -164,9 +152,9 @@ class GroupContext:
         return cls(
             name=name,
             ambient_size=data["ambient_size"],
-            algebra_basis=tuple(amb(b) for b in data["basis"]),
+            algebra_basis=tuple(matrix(b) for b in data["basis"]),
             algebra=QuadraticLieAlgebra.from_json(data["algebra"]),
-            sample_points=tuple(amb(s) for s in data["samples"]),
+            sample_points=tuple(matrix(s) for s in data["samples"]),
         )
 
 
@@ -191,7 +179,7 @@ def validate_context(ctx: GroupContext) -> None:
 
 def adjoint_matrix(ctx: GroupContext, g: Matrix) -> Matrix:
     """Ad_g over the algebra basis, exact for rational g."""
-    ginv = amb_inv(g)
+    ginv = inverse(g)
     cols = [
         ctx.coordinatize(mat_mul(mat_mul(g, b), ginv)) for b in ctx.algebra_basis
     ]
@@ -229,10 +217,6 @@ def exp_chart(ctx: GroupContext, g0: Matrix) -> ChartFrame:
     gram = mat_mul(jt, jac)
     pinv = mat_mul(inverse(gram), jt)
     return ChartFrame(g0, jac, pinv)
-
-
-def ambient_to_chart(frame: ChartFrame, tangent: Matrix) -> Vector:
-    return frame.ambient_to_chart(tangent)
 
 
 # float chart machinery -----------------------------------------------------
@@ -333,7 +317,7 @@ def double_action_anchor(ctx: GroupContext, g: Matrix) -> AnchoredPoint:
     The stabilizer {(u, Ad_{g^-1} u)} is Lagrangian, hence coisotropic.
     """
     k = ctx.dim
-    adg_inv = adjoint_matrix(ctx, amb_inv(g))
+    adg_inv = adjoint_matrix(ctx, inverse(g))
     rows = []
     for r in range(k):
         rows.append(
@@ -482,11 +466,11 @@ def dressing_anchor(t: TripleContext, g: Matrix) -> tuple[AnchoredPoint, Anchore
     """
     p1, _ = t.projectors
     adg = phi_adjoint(t, g)
-    adg_inv_g1 = adjoint_matrix(t.g1_ctx, amb_inv(g))
+    adg_inv_g1 = adjoint_matrix(t.g1_ctx, inverse(g))
     n = t.d_algebra.dim
     right_cols = []
     left_cols = []
-    ad_phi_inv = phi_adjoint(t, amb_inv(g))
+    ad_phi_inv = phi_adjoint(t, inverse(g))
     for b in range(n):
         zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))
         xr = g1_coords_of(t, mat_vec(p1, mat_vec(adg, zeta)))
@@ -569,11 +553,6 @@ def g1_bivector_field(t: TripleContext, g0: Matrix, h: float = 1e-4) -> ChartBiv
 
 # product-group splittings --------------------------------------------------
 
-def product_splittings(t: TripleContext):
-    """e+/f+ and e-/f- inside d (+) d-bar."""
-    return t.plus.e, t.plus.f, t.minus.e, t.minus.f
-
-
 def pi_plus_minus(t: TripleContext, d: Matrix) -> tuple[Bivector, Bivector]:
     """pi+ and pi- at d from the splitting formula, exact."""
     pt = double_action_anchor(t.d_ctx, d)
@@ -583,7 +562,7 @@ def pi_plus_minus(t: TripleContext, d: Matrix) -> tuple[Bivector, Bivector]:
 def pi_plus_minus_invariant(t: TripleContext, d: Matrix) -> tuple[Matrix, Matrix]:
     """r^R +/- r^L at d in the left-trivialized chart, exact."""
     r = t.splitting.bivector.matrix
-    c = adjoint_matrix(t.d_ctx, amb_inv(d))
+    c = adjoint_matrix(t.d_ctx, inverse(d))
     r_right = mat_mul(mat_mul(c, r), transpose(c))
     plus = tuple(
         tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(r_right, r)
@@ -608,7 +587,7 @@ def pair_multiplication_check(
     dmult = dmult_fd(ctx, ga, gb, h=h)
     a_ga = np_matrix(double_action_anchor(ctx, ga).exact_anchor())
     a_gb = np_matrix(double_action_anchor(ctx, gb).exact_anchor())
-    a_prod = np_matrix(double_action_anchor(ctx, amb_mul(ga, gb)).exact_anchor())
+    a_prod = np_matrix(double_action_anchor(ctx, mat_mul(ga, gb)).exact_anchor())
     worst = 0.0
     for idx in range(3 * k):
         a_c = np.zeros(k)
@@ -629,7 +608,7 @@ def dmult_fd(ctx: GroupContext, ga: Matrix, gb: Matrix, h: float = 1e-4) -> np.n
     k = ctx.dim
     fa = FloatChart.build(ctx, ga)
     fb = FloatChart.build(ctx, gb)
-    base = np_matrix(amb_mul(ga, gb))
+    base = np_matrix(mat_mul(ga, gb))
     base_inv = np.linalg.inv(base)
     coord = fa.coordinatizer
 
@@ -657,7 +636,7 @@ def q_mult_fiber(t: TripleContext, gp: Matrix, gpp: Matrix) -> LinearRelation:
     n = t.d_algebra.dim
     p1, p2 = t.projectors
     c = phi_adjoint(t, gpp)
-    c_inv = phi_adjoint(t, amb_inv(gpp))
+    c_inv = phi_adjoint(t, inverse(gpp))
     constraint = tuple(
         tuple(-p2[r][i] for i in range(n))
         + tuple(sum((p2[r][q] * c[q][i] for q in range(n)), Fraction(0)) for i in range(n))
@@ -680,7 +659,7 @@ def q_mult_fiber(t: TripleContext, gp: Matrix, gpp: Matrix) -> LinearRelation:
 def q_mult_kernel_expected(t: TripleContext, gpp: Matrix) -> ExactSubspace:
     """{(xi, -Ad_{Phi(g''^-1)} xi) : xi in g1} from solving the fiber."""
     n = t.d_algebra.dim
-    c_inv = phi_adjoint(t, amb_inv(gpp))
+    c_inv = phi_adjoint(t, inverse(gpp))
     rows = [
         concat_vec(xi, tuple(-x for x in mat_vec(c_inv, xi))) for xi in t.g1.basis
     ]
@@ -692,7 +671,7 @@ def p_phi_fiber(t: TripleContext, g: Matrix) -> LinearRelation:
     n = t.d_algebra.dim
     _, p2 = t.projectors
     adg = phi_adjoint(t, g)
-    adg_inv = phi_adjoint(t, amb_inv(g))
+    adg_inv = phi_adjoint(t, inverse(g))
     rows = []
     for xi in t.g1.basis:
         rows.append(
@@ -744,7 +723,7 @@ def action_morphism_check(ctx: GroupContext, g: Matrix, m: Matrix) -> bool:
                 for r1, r2 in zip(mat_mul(v_g, m), mat_mul(g, w_m))
             )
             rhs = tuple(
-                tuple(-x for x in row) for row in mat_mul(z, amb_mul(g, m))
+                tuple(-x for x in row) for row in mat_mul(z, mat_mul(g, m))
             )
             if lhs != rhs:
                 return False
@@ -785,8 +764,6 @@ def phi_r_homomorphism_residual(
     t: TripleContext, d0: Matrix, zeta: Vector, zeta2: Vector, h: float = 1e-4
 ) -> float:
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
-    from .diffnum import courant_bracket_jets_np
-
     dbl = t.d_ctx.double_algebra
     pt = double_action_anchor(t.d_ctx, d0)
     anchor = np.array([[float(x) for x in row] for row in pt.exact_anchor()])
@@ -823,114 +800,13 @@ def dressing_pullback_check(t: TripleContext, g: Matrix) -> bool:
             return False
         coords_cols.append(pb.quotient.coords(lift))
     z = transpose(matrix(coords_cols))
-    from .exactlin import det as _det
-
-    if _det(z) == 0:
+    if det(z) == 0:
         return False
     gram = mat_mul(mat_mul(transpose(z), pb.reduced_form.matrix), z)
     minus_b = t.d_algebra.form.negate().matrix
     if gram != minus_b:
         return False
     return mat_mul(pb.reduced_anchor, z) == ra
-
-
-def poisson_lie_suite(
-    t: TripleContext,
-    samples: int = 10,
-    tol: float = 1e-6,
-    h: float = 1e-4,
-    seed: int = 0,
-) -> list[dict]:
-    """End-to-end checks for one Manin-triple context.
-
-    Ordering is fail-fast: the triple is validated first and numeric
-    phases are skipped when it is broken.  Phases: (a) the exact
-    relatedness table of the product splittings under the groupoid
-    relation, (b) multiplicativity of pi+/- under the multiplication
-    Jacobian, (c) exact backward images through the embedding lift,
-    (d) the embedding as a bivector map.
-    """
-    import random as _random
-
-    from . import quadlie as _quadlie
-    from .diffnum import relatedness_check
-    from .lagrel import backward_image_subspace, pair_groupoid_relation, related_splitting
-
-    def rec(name, ok, residual=None, detail=""):
-        out = {"name": name, "status": "pass" if ok else "fail"}
-        if residual is not None:
-            out["residual"] = float(residual)
-        if detail:
-            out["detail"] = detail
-        return out
-
-    records: list[dict] = []
-    trep = _quadlie.validate_manin_triple(
-        _quadlie.ManinTriple(t.d_algebra, t.g1, t.g2)
-    )
-    arep = _quadlie.validate_algebra(t.d_algebra)
-    records.append(rec("triple validates", trep.passed and arep.passed,
-                       detail=(trep.describe() if not trep.passed else arep.describe())))
-    if not (trep.passed and arep.passed):
-        return records
-
-    rng = _random.Random(seed)
-    e_plus, f_plus, e_minus, f_minus = product_splittings(t)
-    big = pair_groupoid_relation(t.d_algebra)
-    table = (
-        ((e_minus, e_minus), (f_minus, f_minus), (e_minus, f_minus)),
-        ((e_plus, f_plus), (f_plus, e_plus), (e_minus, f_minus)),
-        ((e_plus, f_minus), (f_plus, e_minus), (e_plus, f_plus)),
-        ((e_minus, e_plus), (f_minus, f_plus), (e_plus, f_plus)),
-    )
-    algebraic_ok = all(
-        related_splitting(
-            (product_subspace(ea, eb), product_subspace(fa, fb)), tgt, big
-        ).related
-        for (ea, eb), (fa, fb), tgt in table
-    )
-    records.append(rec("exact relatedness table", algebraic_ok))
-
-    n = t.d_algebra.dim
-    worst_mult = 0.0
-    pairs = [
-        (rng.choice(t.d_ctx.sample_points), rng.choice(t.d_ctx.sample_points))
-        for _ in range(samples)
-    ]
-    for d1, d2 in pairs:
-        dm = dmult_fd(t.d_ctx, d1, d2, h=h)
-        d12 = amb_mul(d1, d2)
-        p1p, p1m = (np_matrix(b.matrix) for b in pi_plus_minus(t, d1))
-        p2p, p2m = (np_matrix(b.matrix) for b in pi_plus_minus(t, d2))
-        tp, tm = (np_matrix(b.matrix) for b in pi_plus_minus(t, d12))
-        for sa, sb, tgt in ((p1m, p2m, tm), (p1p, -p2p, tm),
-                            (p1p, -p2m, tp), (p1m, p2p, tp)):
-            big_m = np.zeros((2 * n, 2 * n))
-            big_m[:n, :n] = sa
-            big_m[n:, n:] = sb
-            worst_mult = max(worst_mult, float(np.max(np.abs(dm @ big_m @ dm.T - tgt))))
-    records.append(rec("bivector multiplicativity", worst_mult <= tol, worst_mult))
-
-    g1_samples = t.g1_ctx.sample_points[:samples]
-    images_ok = True
-    for g in g1_samples:
-        p = p_phi_fiber(t, g)
-        images_ok = images_ok and backward_image_subspace(e_minus, p) == t.g1
-        images_ok = images_ok and backward_image_subspace(f_minus, p) == t.g2
-    records.append(rec("backward images through the embedding lift", images_ok))
-
-    worst_phi = 0.0
-    phi_ok = True
-    for g in g1_samples:
-        pig = g1_poisson_bivector(t, g)
-        _, pim = pi_plus_minus(t, t.embed(g))
-        ok, r = relatedness_check(
-            np_matrix(t.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix), tol=tol
-        )
-        phi_ok = phi_ok and ok
-        worst_phi = max(worst_phi, r)
-    records.append(rec("embedding is a bivector map", phi_ok, worst_phi))
-    return records
 
 
 def s_phi_fiber(ctx: GroupContext) -> LinearRelation:

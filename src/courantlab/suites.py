@@ -9,9 +9,7 @@ fixed seeds reproduce byte-identical output.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -19,15 +17,15 @@ import numpy as np
 from . import anchored, diffnum, lagrel, liegrp, quadlie, randgen
 from .contexts import (
     get_group_context,
+    get_triple_context,
     sl2_context,
-    sl2_pair_context,
     sl2_triangular_triple,
     sl2c_realified_context,
     triangular_complement,
 )
-from .exactlin import ExactSubspace, add_vec, mat_vec, scale_vec
+from .exactlin import ExactSubspace, add_vec, mat_mul, mat_vec, scale_vec
 from .lagrel import Splitting, dual_basis, product_subspace, related_splitting
-from .liegrp import np_matrix
+from .liegrp import TripleContext, np_matrix
 from .quadlie import diagonal_subspace
 
 DEFAULT_H = 1e-4
@@ -35,23 +33,12 @@ DEFAULT_TOL = 1e-6
 
 SUITE_NAMES = ("schouten", "rank", "leaves", "mult", "dressing", "relations", "all")
 
-# dressing (also run by all) relates the lifts at sample points 1 and 2
-MIN_SAMPLES = {"dressing": 3, "all": 3}
+# schouten needs two points for its h-ladder; dressing (also run by all)
+# relates the lifts at sample points 1 and 2
+MIN_SAMPLES = {"schouten": 2, "dressing": 3, "all": 3}
 
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("COURANTLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# the suites that run on a named context; the others take no --ctx
+CONTEXT_SUITES = ("schouten", "mult", "dressing")
 
 
 def _rec(name: str, ok: bool, residual: float | None = None, detail: str = "") -> dict:
@@ -154,7 +141,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         gd = diagonal_subspace(ctx.algebra, 1)
         manin = Splitting.of_algebra(alg, gd, triangular_complement())
         quasi = Splitting.of_algebra(alg, gd, diagonal_subspace(ctx.algebra, -1))
-        points = ctx.sample_points[:max(2, samples)]
+        points = ctx.sample_points[:samples]
         charts = [liegrp.double_chart_at(ctx, g, manin, h=h) for g in points]
         rep = diffnum.verify_main_identity(charts, manin, alg, tol=tol, h=h)
         for chk in rep.checks:
@@ -168,7 +155,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         records.append(_ladder_rec("main identity h-ladder ratio", rh1, rh2))
     elif ctx_name == "sl2c-real":
         ctx, d, sheared = _sheared_quasi_splitting()
-        points = ctx.sample_points[:max(2, samples)]
+        points = ctx.sample_points[:samples]
         charts = [liegrp.double_chart_at(ctx, g, sheared, h=h) for g in points]
         defects = [diffnum.main_identity_rhs(d, sheared, chart.anchor0).max_abs() for chart in charts]
         rep = diffnum.verify_main_identity(charts, sheared, d, tol=1.0, h=h)
@@ -178,6 +165,9 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         records.append(_rec("sheared case has nonzero defect", any(x > 0.01 for x in defects)))
     else:
         raise KeyError(f"schouten suite has no context {ctx_name!r}")
+    if len(points) < samples:
+        records.append(_rec("sample count capped at the shipped points", True,
+                            detail=f"asked for {samples}, ran {len(points)}"))
     return records
 
 
@@ -191,29 +181,22 @@ def _random_anchored_instance(seed_key: str):
     return pt, Splitting.of_algebra(alg, e, f), j
 
 
-def suite_rank(samples: int = 100, seed: int = 0, **_ignored) -> list[dict]:
+def suite_rank(samples: int = 100, seed: int = 0) -> list[dict]:
     records: list[dict] = []
     rank_fails = []
     diag_fails = []
-
-    def one(i):
+    for i in range(samples):
         pt, s, j = _random_anchored_instance(f"rank:{seed}:{i}")
         try:
             anchored.rank_formula(pt, s)
         except anchored.CourantStructureError as exc:
-            return ("rank", i, str(exc))
+            rank_fails.append((i, str(exc)))
+            continue
         if j > 0:
             try:
                 anchored.diagonal_backward(pt, s)
             except anchored.CourantStructureError as exc:
-                return ("diag", i, str(exc))
-        return None
-
-    for res in _pmap(one, range(samples)):
-        if res is None:
-            continue
-        (kind, i, msg) = res
-        (rank_fails if kind == "rank" else diag_fails).append((i, msg))
+                diag_fails.append((i, str(exc)))
     records.append(_rec(
         f"rank formula == matrix rank on {samples} seeded instances",
         not rank_fails, detail="; ".join(f"#{i}: {m}" for i, m in rank_fails) or f"{samples} exact agreements",
@@ -225,7 +208,7 @@ def suite_rank(samples: int = 100, seed: int = 0, **_ignored) -> list[dict]:
     return records
 
 
-def suite_leaves(samples: int = 40, seed: int = 0, **_ignored) -> list[dict]:
+def suite_leaves(samples: int = 40, seed: int = 0) -> list[dict]:
     records: list[dict] = []
     true_count = 0
     fails = []
@@ -262,13 +245,16 @@ def suite_leaves(samples: int = 40, seed: int = 0, **_ignored) -> list[dict]:
     return records
 
 
-def suite_mult(tol: float = DEFAULT_TOL, h: float = DEFAULT_H, seed: int = 0,
-               samples: int = 10, **_ignored) -> list[dict]:
+def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
+               seed: int = 0, samples: int = 10) -> list[dict]:
+    """pi+/pi- on the double group D of a Manin triple: the relatedness
+    table of the product splittings, then their multiplicativity."""
     records: list[dict] = []
-    t = sl2_triangular_triple()
-    pair = sl2_pair_context()
+    group = t.d_ctx
+    n = t.d_algebra.dim
     rng = random.Random(seed)
-    eplus, fplus, eminus, fminus = liegrp.product_splittings(t)
+    # a triple that is not one stops here, before any FD work
+    eplus, fplus, eminus, fminus = t.plus.e, t.plus.f, t.minus.e, t.minus.f
 
     big_r = lagrel.pair_groupoid_relation(t.d_algebra)
     lines = [
@@ -287,12 +273,12 @@ def suite_mult(tol: float = DEFAULT_TOL, h: float = DEFAULT_H, seed: int = 0,
                             detail=",".join(rep.reasons)))
 
     pairs = [
-        (rng.choice(pair.sample_points), rng.choice(pair.sample_points))
+        (rng.choice(group.sample_points), rng.choice(group.sample_points))
         for _ in range(samples)
     ]
     worst_equi = 0.0
     for (d1, d2) in pairs:
-        worst_equi = max(worst_equi, liegrp.pair_multiplication_check(pair, d1, d2, h=h))
+        worst_equi = max(worst_equi, liegrp.pair_multiplication_check(group, d1, d2, h=h))
     records.append(_rec("anchor equivariance of multiplication", worst_equi <= tol, worst_equi))
 
     def pis(d):
@@ -301,37 +287,39 @@ def suite_mult(tol: float = DEFAULT_TOL, h: float = DEFAULT_H, seed: int = 0,
 
     worst = 0.0
     for (d1, d2) in pairs:
-        dm = liegrp.dmult_fd(pair, d1, d2, h=h)
-        d12 = liegrp.amb_mul(d1, d2)
+        dm = liegrp.dmult_fd(group, d1, d2, h=h)
+        d12 = mat_mul(d1, d2)
         p1p, p1m = pis(d1)
         p2p, p2m = pis(d2)
         tp, tm = pis(d12)
         for (sa, sb, tgt) in (
             (p1m, p2m, tm), (p1p, -p2p, tm), (p1p, -p2m, tp), (p1m, p2p, tp)
         ):
-            big = np.zeros((12, 12))
-            big[:6, :6] = sa
-            big[6:, 6:] = sb
+            big = np.zeros((2 * n, 2 * n))
+            big[:n, :n] = sa
+            big[n:, n:] = sb
             worst = max(worst, float(np.max(np.abs(dm @ big @ dm.T - tgt))))
     records.append(_rec("pi multiplicativity (4 relations) under dMult", worst <= tol, worst))
 
     # invariant formulas and the unit fibers
     exact_ok = True
-    for d in pair.sample_points[:samples]:
+    for d in group.sample_points[:samples]:
         pip, pim = liegrp.pi_plus_minus(t, d)
         plus, minus = liegrp.pi_plus_minus_invariant(t, d)
         exact_ok = exact_ok and pip.matrix == plus and pim.matrix == minus
     records.append(_rec("pi+- match the invariant-frame formulas exactly", exact_ok))
-    _, pim_e = liegrp.pi_plus_minus(t, pair.sample_points[0])
+    _, pim_e = liegrp.pi_plus_minus(t, group.sample_points[0])
     records.append(_rec("pi- vanishes at the unit", all(x == 0 for row in pim_e.matrix for x in row)))
     return records
 
 
-def suite_dressing(tol: float = DEFAULT_TOL, h: float = DEFAULT_H, seed: int = 0,
-                   samples: int = 10, **_ignored) -> list[dict]:
+def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
+                   seed: int = 0, samples: int = 10) -> list[dict]:
+    """The dressing actions of G1 on itself and the embedding G1 -> D of a
+    Manin triple, as statements about related Lagrangian splittings."""
     records: list[dict] = []
-    t = sl2_triangular_triple()
-    ctx = sl2_context()
+    ctx = t.g1_ctx
+    n = t.d_algebra.dim
     points = ctx.sample_points[:samples]
     cois = True
     for g in points:
@@ -349,25 +337,23 @@ def suite_dressing(tol: float = DEFAULT_TOL, h: float = DEFAULT_H, seed: int = 0
     records.append(_rec("dressing action axiom (FD)", worst <= tol, worst))
 
     rng = random.Random(seed)
-    pair = sl2_pair_context()
     worst_hom = 0.0
-    for d0 in pair.sample_points[:3]:
-        i = rng.randrange(6)
-        j = (i + 1 + rng.randrange(5)) % 6
-        z1 = tuple(Fraction(1 if a == i else 0) for a in range(6))
-        z2 = tuple(Fraction(1 if a == j else 0) for a in range(6))
+    for d0 in t.d_ctx.sample_points[:3]:
+        i = rng.randrange(n)
+        j = (i + 1 + rng.randrange(n - 1)) % n
+        z1 = tuple(Fraction(1 if a == i else 0) for a in range(n))
+        z2 = tuple(Fraction(1 if a == j else 0) for a in range(n))
         worst_hom = max(worst_hom, liegrp.phi_r_homomorphism_residual(t, d0, z1, z2, h=h))
     records.append(_rec("phi^R bracket homomorphism (FD jets)", worst_hom <= tol, worst_hom))
 
     pull = all(liegrp.dressing_pullback_check(t, g) for g in points)
     records.append(_rec("pull-back reduction == dressing anchor through phi^R", pull))
 
-    eplus, fplus, eminus, fminus = liegrp.product_splittings(t)
     img_ok = True
     for g in points[:5]:
         p = liegrp.p_phi_fiber(t, g)
-        img_ok = img_ok and lagrel.backward_image_subspace(eminus, p) == t.g1
-        img_ok = img_ok and lagrel.backward_image_subspace(fminus, p) == t.g2
+        img_ok = img_ok and lagrel.backward_image_subspace(t.minus.e, p) == t.g1
+        img_ok = img_ok and lagrel.backward_image_subspace(t.minus.f, p) == t.g2
     records.append(_rec("backward images of E-, F- are the g1, g2 columns", img_ok))
 
     qm_ok = True
@@ -400,7 +386,7 @@ def suite_dressing(tol: float = DEFAULT_TOL, h: float = DEFAULT_H, seed: int = 0
     return records
 
 
-def suite_relations(samples: int = 200, seed: int = 0, **_ignored) -> list[dict]:
+def suite_relations(samples: int = 200, seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
     fails = []
     for i in range(samples):
@@ -432,7 +418,7 @@ def suite_relations(samples: int = 200, seed: int = 0, **_ignored) -> list[dict]
 
 
 def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
-              samples: int | None = None, **_ignored) -> list[dict]:
+              samples: int | None = None) -> list[dict]:
     records: list[dict] = []
     # fail-fast validation of the shipped data
     for name in ("sl2-double", "sl2-pair", "abelian-2", "sl2c-real"):
@@ -453,9 +439,9 @@ def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
     records += [{**r, "name": f"leaves: {r['name']}"}
                 for r in suite_leaves(samples or 40, seed)]
     records += [{**r, "name": f"mult: {r['name']}"}
-                for r in suite_mult(tol, h, seed, min(samples or 10, 10))]
+                for r in suite_mult(t, tol, h, seed, min(samples or 10, 10))]
     records += [{**r, "name": f"dressing: {r['name']}"}
-                for r in suite_dressing(tol, h, seed, min(samples or 10, 10))]
+                for r in suite_dressing(t, tol, h, seed, min(samples or 10, 10))]
     records += [{**r, "name": f"relations: {r['name']}"}
                 for r in suite_relations(samples or 200, seed)]
     return records
@@ -469,10 +455,10 @@ def run_suite(name: str, *, ctx: str | None = None, samples: int | None = None,
         return suite_rank(samples or 100, seed)
     if name == "leaves":
         return suite_leaves(samples or 40, seed)
-    if name == "mult":
-        return suite_mult(tol, h, seed, samples or 10)
-    if name == "dressing":
-        return suite_dressing(tol, h, seed, samples or 10)
+    if name in ("mult", "dressing"):
+        suite = suite_mult if name == "mult" else suite_dressing
+        t = get_triple_context(ctx or "sl2-triangular-triple")
+        return suite(t, tol, h, seed, samples or 10)
     if name == "relations":
         return suite_relations(samples or 200, seed)
     if name == "all":

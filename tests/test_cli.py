@@ -113,13 +113,6 @@ def test_bivector_swapped_splitting_negates(tmp_path, capsys):
             assert Fraction(a) == -Fraction(b)
 
 
-def test_thread_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("COURANTLAB_THREADS", "2")
-    assert main(["verify", "rank", "--samples", "8", "--seed", "5"]) == 0
-    monkeypatch.setenv("COURANTLAB_THREADS", "not-a-number")
-    assert main(["verify", "rank", "--samples", "4", "--seed", "5"]) == 0
-
-
 def _assert_usage_error(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -170,9 +163,80 @@ def test_two_main_calls_in_one_process_give_identical_reports(capsys):
 
 
 @pytest.mark.parametrize("ctx", ["sl2-double", "abelian-2"])
-@pytest.mark.parametrize("point", ["-1", "abc"])
+@pytest.mark.parametrize("point", ["-1", "abc", "99"])
 def test_bad_point_is_usage_error(ctx, point, capsys):
     _assert_usage_error(["bivector", "--ctx", ctx, "--point", point], capsys)
+
+
+@pytest.mark.parametrize("ctx,splitting", [("abelian-2", "nope"), ("sl2-double", "nope"),
+                                           ("sl2c-real", "delta-triangular")])
+def test_unknown_splitting_is_usage_error(ctx, splitting, capsys):
+    _assert_usage_error(["bivector", "--ctx", ctx, "--splitting", splitting], capsys)
+
+
+@pytest.mark.parametrize("argv", [["rank", "--ctx", "nonsense"], ["leaves", "--ctx", "nonsense"],
+                                  ["relations", "--ctx", "sl2-double"], ["all", "--ctx", "nonsense"],
+                                  ["mult", "--ctx", "nope"], ["dressing", "--ctx", "sl2-double"],
+                                  ["schouten", "--ctx", "abelian-2"]])
+def test_unknown_or_unused_ctx_is_usage_error(argv, capsys):
+    _assert_usage_error(["verify"] + argv, capsys)
+
+
+@pytest.mark.parametrize("suite", ["mult", "dressing"])
+def test_triple_suites_run_on_abelian_2(suite, capsys):
+    assert main(["verify", suite, "--ctx", "abelian-2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["ctx"] == "abelian-2"
+    assert len(report["records"]) == 8
+    assert all(r["status"] == "pass" for r in report["records"])
+
+
+def _broken_triple():
+    """The sl2 triangular triple over an algebra whose form is not
+    invariant: its product subspaces are not Lagrangian."""
+    from dataclasses import replace
+
+    from courantlab.contexts import sl2_triangular_triple
+    from courantlab.quadlie import QuadraticLieAlgebra
+
+    t = sl2_triangular_triple()
+    bad_alg = QuadraticLieAlgebra.from_triples(
+        6,
+        [(i, j, k, v) for (i, j, row) in t.d_algebra.bracket
+         for k, v in enumerate(row) if v != 0],
+        [[(9 if (i == j == 1) else x) for j, x in enumerate(row)]
+         for i, row in enumerate(t.d_algebra.form.matrix)],
+    )
+    return replace(t, d_ctx=replace(t.d_ctx, algebra=bad_alg))
+
+
+def test_broken_triple_stops_mult_before_fd_work(monkeypatch, capsys):
+    from courantlab import liegrp, suites
+    from courantlab.lagrel import NotLagrangianError
+
+    calls = []
+    original = liegrp.dmult_fd
+    monkeypatch.setattr(liegrp, "dmult_fd", lambda *a, **k: calls.append(a) or original(*a, **k))
+    bad = _broken_triple()
+    with pytest.raises(NotLagrangianError):
+        suites.suite_mult(bad, samples=2)
+    # through the command line it is one failed record, exit 2
+    monkeypatch.setattr(suites, "get_triple_context", lambda name: bad)
+    assert main(["verify", "mult", "--json"]) == 2
+    (rec,) = json.loads(capsys.readouterr().out)["records"]
+    assert rec["name"] == "mult suite stopped" and "NotLagrangianError" in rec["detail"]
+    assert calls == []
+
+
+def test_schouten_reports_a_capped_sample_count(capsys):
+    assert main(["verify", "schouten", "--samples", "1000", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records[-1] == {"name": "sample count capped at the shipped points",
+                           "status": "pass", "detail": "asked for 1000, ran 12"}
+    assert main(["verify", "schouten", "--samples", "12", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert not any("capped" in r["name"] for r in records)
+    _assert_usage_error(["verify", "schouten", "--samples", "1"], capsys)
 
 
 def test_non_splitting_files_are_usage_error(tmp_path, capsys):

@@ -14,6 +14,18 @@ import pytest
 from courantlab.cli import main
 
 GOLDEN = {
+    "mult": (
+        ["verify", "mult", "--seed", "1"],
+        "6fc7ff38e4ca5edce9907f3d295f7594ce48b2863d08ad96995a19fa8f659666",
+    ),
+    "dressing": (
+        ["verify", "dressing", "--seed", "1"],
+        "cca591e0bef891d381987bc1aa69f5af535d690e535860fa9f2edf7ae00dc2ad",
+    ),
+    "all": (
+        ["verify", "all", "--seed", "1"],
+        "9e8326a8b1a83b52543cea1398fcb9b6fb2800a27bd4c681f4b1b92ebf20aca9",
+    ),
     "leaves": (
         ["verify", "leaves", "--seed", "1"],
         "96752ced42424b7370e1830f4ff85a952a3c17a6c34f53f84d1118bcbb06a586",
