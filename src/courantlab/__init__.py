@@ -30,7 +30,6 @@ from .anchored import (
     AnchoredPoint,
     SectionJet,
     bivector_at,
-    check_coisotropic_stabilizer,
     courant_bracket_jets,
     diagonal_backward,
     drinfeld_lagrangian,

@@ -116,27 +116,12 @@ class AnchoredPoint:
         return ExactSubspace.span(transpose(self.dual), ambient_dim=self.algebra.dim)
 
 
-def stabilizer(pt: AnchoredPoint) -> ExactSubspace:
-    """ker(a_m) as a subspace of the algebra."""
-    return pt.stabilizer
-
-
-def check_coisotropic_stabilizer(pt: AnchoredPoint) -> tuple[bool, Vector | None]:
-    """True iff ker(a)-perp is inside ker(a); otherwise a witness vector."""
-    return pt.coisotropy
-
-
 def require_coisotropic(pt: AnchoredPoint) -> None:
     ok, witness = pt.coisotropy
     if not ok:
         raise CourantStructureError(
             f"stabilizer is not coisotropic; witness {witness}"
         )
-
-
-def anchor_dual(pt: AnchoredPoint) -> Matrix:
-    """a* = B^-1 a^T, the metric-dual map from chart covectors."""
-    return pt.dual
 
 
 def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:

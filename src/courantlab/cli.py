@@ -244,7 +244,7 @@ def cmd_bivector(args) -> tuple[dict, int]:
     except NotLagrangianError as exc:
         raise _ArgumentError(f"E and F do not split the algebra: {exc}") from exc
     piv = anchored.bivector_at(pt, s)
-    cois, _ = anchored.check_coisotropic_stabilizer(pt)
+    cois, _ = pt.coisotropy
     report = {
         "command": "bivector",
         "context": args.ctx,

@@ -61,6 +61,21 @@ def _set_antisym(T: np.ndarray, i: int, j: int, k: int, val: float) -> None:
     T[k, j, i] = -val
 
 
+def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                       h: float) -> np.ndarray:
+    """Jacobian of f at x by central differences, O(h^2).
+
+    out[..., l] = (f(x + h e_l) - f(x - h e_l)) / 2h, a new C-contiguous
+    array with the derivative index last.
+    """
+    cols = []
+    for l in range(x.shape[0]):
+        e = np.zeros(x.shape[0])
+        e[l] = h
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def schouten_fd(field: ChartBivectorField, point) -> Trivector:
     """Schouten bracket [pi, pi] by central differences, O(h^2).
 
@@ -69,13 +84,8 @@ def schouten_fd(field: ChartBivectorField, point) -> Trivector:
     """
     d = field.chart_dim
     x = np.asarray(point, dtype=float)
-    h = field.step
     P = field(x)
-    dP = np.empty((d, d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
-        dP[l] = (field(x + e) - field(x - e)) / (2.0 * h)
+    dP = central_difference(field, x, field.step)  # dP[j, k, l] = d_l P^jk
     T = _empty_trivector(d)
     for i in range(d):
         for j in range(i + 1, d):
@@ -83,9 +93,9 @@ def schouten_fd(field: ChartBivectorField, point) -> Trivector:
                 val = 0.0
                 for l in range(d):
                     val += (
-                        P[i, l] * dP[l, j, k]
-                        + P[j, l] * dP[l, k, i]
-                        + P[k, l] * dP[l, i, j]
+                        P[i, l] * dP[j, k, l]
+                        + P[j, l] * dP[k, i, l]
+                        + P[k, l] * dP[i, j, l]
                     )
                 _set_antisym(T, i, j, k, 2.0 * val)
     return Trivector(d, T)
@@ -233,16 +243,10 @@ def vf_bracket_fd(
 ) -> np.ndarray:
     """[v, w] = Dw(v) - Dv(w) with central-difference Jacobians."""
     x = np.asarray(point, dtype=float)
-    d = x.shape[0]
     v0 = np.asarray(v_sampler(x), dtype=float)
     w0 = np.asarray(w_sampler(x), dtype=float)
-    jac_v = np.empty((d, d))
-    jac_w = np.empty((d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
-        jac_v[:, l] = (np.asarray(v_sampler(x + e)) - np.asarray(v_sampler(x - e))) / (2 * h)
-        jac_w[:, l] = (np.asarray(w_sampler(x + e)) - np.asarray(w_sampler(x - e))) / (2 * h)
+    jac_v = central_difference(v_sampler, x, h)
+    jac_w = central_difference(w_sampler, x, h)
     return jac_w @ v0 - jac_v @ w0
 
 

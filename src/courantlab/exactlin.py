@@ -77,10 +77,6 @@ def add_vec(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def sub_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def scale_vec(c, v: Vector) -> Vector:
     c = frac(c)
     return tuple(c * a for a in v)

@@ -17,13 +17,20 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
-from .diffnum import ChartAtPoint, ChartBivectorField, courant_bracket_jets_np
+from .diffnum import (
+    ChartAtPoint,
+    ChartBivectorField,
+    central_difference,
+    courant_bracket_jets_np,
+    structure_tensor_np,
+)
 from .exactlin import (
     ExactSubspace,
     Matrix,
     Vector,
     concat_vec,
     det,
+    identity,
     inverse,
     mat_mul,
     mat_vec,
@@ -82,8 +89,9 @@ def block_diag(*mats: Matrix) -> Matrix:
 class GroupContext:
     """A matrix group with a chosen algebra basis and rational samples.
 
-    The exact coordinatizer of the basis and the double algebra are built
-    on first use and kept.
+    The exact coordinatizer of the basis, the double algebra and the float
+    data of the exponential charts (basis, coordinatizer, ad tables) are
+    built on first use and kept.
     """
 
     name: str
@@ -128,6 +136,30 @@ class GroupContext:
         if vec_mat(coef, rows) != flat:
             raise ValueError("element is not in the algebra span")
         return coef
+
+    @cached_property
+    def float_basis(self) -> np.ndarray:
+        """The basis as a (k, n, n) float array."""
+        return np.array([np_matrix(b) for b in self.algebra_basis])
+
+    @cached_property
+    def float_coordinatizer(self) -> np.ndarray:
+        """(k, n^2) pseudo-inverse of the flattened float basis."""
+        return np.linalg.pinv(self.float_basis.reshape(self.dim, -1).T)
+
+    @cached_property
+    def float_ad(self) -> np.ndarray:
+        """(k, k, k) float ad matrices: float_ad[a] = ad_{X_a} over the basis."""
+        return np.ascontiguousarray(structure_tensor_np(self.algebra).transpose(0, 2, 1))
+
+    def float_coords(self, elt: np.ndarray) -> np.ndarray:
+        """Float coordinates of an ambient algebra element over the basis."""
+        return self.float_coordinatizer @ elt.reshape(-1)
+
+    def float_adjoint(self, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+        """Ad_g over the basis in floats; the caller passes g^-1 too, since
+        inverting an inverse does not give g back bit for bit."""
+        return np.stack([self.float_coords(g @ b @ ginv) for b in self.float_basis], axis=1)
 
     def from_coords(self, coords: Iterable) -> Matrix:
         coords = vector(coords)
@@ -184,15 +216,6 @@ def adjoint_matrix(ctx: GroupContext, g: Matrix) -> Matrix:
         ctx.coordinatize(mat_mul(mat_mul(g, b), ginv)) for b in ctx.algebra_basis
     ]
     return transpose(matrix(cols))
-
-
-def ad_matrices(ctx: GroupContext) -> tuple[Matrix, ...]:
-    """ad_{X_a} over the basis."""
-    out = []
-    for a in range(ctx.dim):
-        cols = [ctx.algebra.bracket_basis(a, b) for b in range(ctx.dim)]
-        out.append(transpose(matrix(cols)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +285,22 @@ def logm_np(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class FloatChart:
-    """Float scaffolding for one exponential chart, built once per base."""
+    """The exponential chart t -> g0 exp(sum t_a X_a) in floats; the data
+    that does not depend on g0 is kept on the context."""
 
-    ctx: GroupContext
-    g0: np.ndarray
-    basis: np.ndarray  # (k, n, n)
-    coordinatizer: np.ndarray  # (k, n^2) pseudo-inverse of the flattened basis
-    ad: np.ndarray  # (k, k, k) ad matrices
-
-    @classmethod
-    def build(cls, ctx: GroupContext, g0: Matrix) -> "FloatChart":
-        basis = np.array([np_matrix(b) for b in ctx.algebra_basis])
-        flat = basis.reshape(ctx.dim, -1).T  # (n^2, k)
-        coordinatizer = np.linalg.pinv(flat)
-        ad = np.array([np_matrix(m) for m in ad_matrices(ctx)])
-        return cls(ctx, np_matrix(g0), basis, coordinatizer, ad)
+    def __init__(self, ctx: GroupContext, g0: Matrix):
+        self.ctx = ctx
+        self.g0 = np_matrix(g0)
 
     def point(self, t: np.ndarray) -> np.ndarray:
-        x = np.tensordot(t, self.basis, axes=1)
+        x = np.tensordot(t, self.ctx.float_basis, axes=1)
         return self.g0 @ expm_np(x)
-
-    def coords_of_algebra(self, elt: np.ndarray) -> np.ndarray:
-        return self.coordinatizer @ elt.reshape(-1)
 
     def dexp_matrix(self, t: np.ndarray) -> np.ndarray:
         """T with d/dt_a (g0 exp X(t)) = point(t) . (basis T[:, a])."""
         k = self.ctx.dim
-        adx = np.tensordot(t, self.ad, axes=1)
+        adx = np.tensordot(t, self.ctx.float_ad, axes=1)
         out = np.eye(k)
         term = np.eye(k)
         for j in range(1, 40):
@@ -299,12 +309,6 @@ class FloatChart:
             if np.max(np.abs(term)) < 1e-18:
                 break
         return out
-
-    def field_coords(self, t: np.ndarray, ambient_tangent: np.ndarray) -> np.ndarray:
-        """Chart coordinates of a tangent vector at point(t)."""
-        g = self.point(t)
-        xi = self.coords_of_algebra(np.linalg.solve(g, ambient_tangent))
-        return np.linalg.solve(self.dexp_matrix(t), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +336,12 @@ def double_bivector_field(
 ) -> ChartBivectorField:
     """pi(t) for a splitting (E, F) of the double, in the chart at g0."""
     pi_np = np_matrix(s.bivector.matrix)
-    fc = FloatChart.build(ctx, g0)
+    fc = FloatChart(ctx, g0)
     k = ctx.dim
 
     def sampler(t: np.ndarray) -> np.ndarray:
         g = fc.point(t)
-        ginv = np.linalg.inv(g)
-        cols = [fc.coords_of_algebra(ginv @ b @ g) for b in fc.basis]
-        adg_inv = np.stack(cols, axis=1)
+        adg_inv = ctx.float_adjoint(np.linalg.inv(g), g)
         tmat = fc.dexp_matrix(t)
         anchor = np.linalg.solve(tmat, np.hstack([-adg_inv, np.eye(k)]))
         return anchor @ pi_np @ anchor.T
@@ -379,8 +381,8 @@ class TripleContext:
     D by ``embed`` (a group homomorphism); ``inclusion`` expresses the
     differential of the embedding over the two algebra bases.
 
-    The splittings the triple induces and its projector pair are built on
-    first use and kept.
+    The splittings the triple induces, its projector pair and the float
+    data of the embedding are built on first use and kept.
     """
 
     name: str
@@ -443,6 +445,36 @@ class TripleContext:
         )
         return p1, p2
 
+    @cached_property
+    def float_projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        p1, p2 = self.projectors
+        return np_matrix(p1), np_matrix(p2)
+
+    @cached_property
+    def float_inclusion_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(np_matrix(self.inclusion))
+
+    @cached_property
+    def float_embed_units(self) -> np.ndarray:
+        """embed(E_ij) for the k x k matrix units, as a (k, k, N, N) array."""
+        k = self.g1_ctx.ambient_size
+        eye = identity(k)
+        return np.array([
+            [np_matrix(self.embed(tuple(eye[j] if r == i else zero_vector(k) for r in range(k))))
+             for j in range(k)]
+            for i in range(k)
+        ])
+
+    def float_embed(self, g: np.ndarray) -> np.ndarray:
+        """Float version of the embedding; valid because shipped embeddings
+        are linear in the matrix entries."""
+        units = self.float_embed_units
+        out = np.zeros(units.shape[2:])
+        for i in range(g.shape[0]):
+            for j in range(g.shape[1]):
+                out += g[i, j] * units[i, j]
+        return out
+
 
 def phi_adjoint(t: TripleContext, g: Matrix) -> Matrix:
     """Ad_{Phi(g)} on d for g in G1."""
@@ -486,49 +518,24 @@ def dressing_anchor(t: TripleContext, g: Matrix) -> tuple[AnchoredPoint, Anchore
 
 def dressing_field_sampler(t: TripleContext, g0: Matrix, h: float = 1e-4):
     """rho(index, t) for the right dressing action in the chart at g0."""
-    p1, _ = t.projectors
-    p1_np = np_matrix(p1)
-    inc_np = np_matrix(t.inclusion)
-    inc_pinv = np.linalg.pinv(inc_np)
-    fc = FloatChart.build(t.g1_ctx, g0)
-    d_fc = FloatChart.build(t.d_ctx, t.embed(g0))
+    p1_np, _ = t.float_projectors
+    g1_ctx = t.g1_ctx
+    fc = FloatChart(g1_ctx, g0)
     n = t.d_algebra.dim
 
     def rho(index: int, tvec: np.ndarray) -> np.ndarray:
         g = fc.point(tvec)
-        phi_g = _embed_np(t, g)
+        phi_g = t.float_embed(g)
         zeta = np.zeros(n)
         zeta[index] = 1.0
-        ad = _adjoint_np(d_fc, phi_g)
-        x = inc_pinv @ (p1_np @ (ad @ zeta))
+        ad = t.d_ctx.float_adjoint(phi_g, np.linalg.inv(phi_g))
+        x = t.float_inclusion_pinv @ (p1_np @ (ad @ zeta))
         ginv = np.linalg.inv(g)
-        amb_t = np.tensordot(x, fc.basis, axes=1) @ g  # right-invariant: x . g
-        xi = fc.coords_of_algebra(ginv @ amb_t)
+        amb_t = np.tensordot(x, g1_ctx.float_basis, axes=1) @ g  # right-invariant: x . g
+        xi = g1_ctx.float_coords(ginv @ amb_t)
         return np.linalg.solve(fc.dexp_matrix(tvec), xi)
 
     return rho
-
-
-def _embed_np(t: TripleContext, g: np.ndarray) -> np.ndarray:
-    """Float version of the embedding; valid because shipped embeddings
-    are linear in the matrix entries."""
-    k = g.shape[0]
-    size = t.d_ctx.ambient_size
-    out = np.zeros((size, size))
-    for i in range(k):
-        for j in range(k):
-            unit = tuple(
-                tuple(Fraction(1 if (r == i and c == j) else 0) for c in range(k))
-                for r in range(k)
-            )
-            out += g[i, j] * np_matrix(t.embed(unit))
-    return out
-
-
-def _adjoint_np(fc: FloatChart, g: np.ndarray) -> np.ndarray:
-    ginv = np.linalg.inv(g)
-    cols = [fc.coords_of_algebra(g @ b @ ginv) for b in fc.basis]
-    return np.stack(cols, axis=1)
 
 
 def g1_poisson_bivector(t: TripleContext, g: Matrix) -> Bivector:
@@ -606,29 +613,15 @@ def pair_multiplication_check(
 def dmult_fd(ctx: GroupContext, ga: Matrix, gb: Matrix, h: float = 1e-4) -> np.ndarray:
     """FD Jacobian of multiplication in product exponential charts."""
     k = ctx.dim
-    fa = FloatChart.build(ctx, ga)
-    fb = FloatChart.build(ctx, gb)
-    base = np_matrix(mat_mul(ga, gb))
-    base_inv = np.linalg.inv(base)
-    coord = fa.coordinatizer
+    fa = FloatChart(ctx, ga)
+    fb = FloatChart(ctx, gb)
+    base_inv = np.linalg.inv(np_matrix(mat_mul(ga, gb)))
 
-    def prod_coords(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        m = fa.point(s) @ fb.point(t)
-        return coord @ logm_np(base_inv @ m).reshape(-1)
+    def prod_coords(st: np.ndarray) -> np.ndarray:
+        m = fa.point(st[:k]) @ fb.point(st[k:])
+        return ctx.float_coords(logm_np(base_inv @ m))
 
-    cols = []
-    for src in range(2):
-        for a in range(k):
-            e = np.zeros(k)
-            e[a] = h
-            if src == 0:
-                plus = prod_coords(e, np.zeros(k))
-                minus = prod_coords(-e, np.zeros(k))
-            else:
-                plus = prod_coords(np.zeros(k), e)
-                minus = prod_coords(np.zeros(k), -e)
-            cols.append((plus - minus) / (2 * h))
-    return np.stack(cols, axis=1)
+    return central_difference(prod_coords, np.zeros(2 * k), h)
 
 
 def q_mult_fiber(t: TripleContext, gp: Matrix, gpp: Matrix) -> LinearRelation:
@@ -741,23 +734,17 @@ def phi_r_value(t: TripleContext, d: Matrix, zeta: Vector) -> Vector:
 
 def phi_r_jet(t: TripleContext, d0: Matrix, zeta: Vector, h: float = 1e-4):
     """(value, FD jacobian) of the section phi^R(zeta) in the chart at d0."""
-    n = t.d_algebra.dim
-    fc = FloatChart.build(t.d_ctx, d0)
-    p2_np = np_matrix(t.projectors[1])
+    fc = FloatChart(t.d_ctx, d0)
+    _, p2_np = t.float_projectors
     z = np.array([float(x) for x in zeta])
 
     def section(tvec: np.ndarray) -> np.ndarray:
         g = fc.point(tvec)
-        ad = _adjoint_np(fc, g)
+        ad = t.d_ctx.float_adjoint(g, np.linalg.inv(g))
         return np.concatenate([p2_np @ (ad @ z), z])
 
     value = np.array([float(x) for x in phi_r_value(t, d0, zeta)])
-    jac = np.empty((2 * n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        jac[:, a] = (section(e) - section(-e)) / (2 * h)
-    return value, jac
+    return value, central_difference(section, np.zeros(t.d_algebra.dim), h)
 
 
 def phi_r_homomorphism_residual(
@@ -766,7 +753,7 @@ def phi_r_homomorphism_residual(
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
     dbl = t.d_ctx.double_algebra
     pt = double_action_anchor(t.d_ctx, d0)
-    anchor = np.array([[float(x) for x in row] for row in pt.exact_anchor()])
+    anchor = np_matrix(pt.exact_anchor())
     xv, xj = phi_r_jet(t, d0, zeta, h=h)
     yv, yj = phi_r_jet(t, d0, zeta2, h=h)
     got = courant_bracket_jets_np(dbl, anchor, xv, xj, yv, yj)
@@ -787,15 +774,18 @@ def dressing_pullback_check(t: TripleContext, g: Matrix) -> bool:
     """
     n = t.d_algebra.dim
     k = t.g1.dim
-    pt_d = double_action_anchor(t.d_ctx, t.embed(g))
+    phi_g = t.embed(g)
+    pt_d = double_action_anchor(t.d_ctx, phi_g)
     pb = pullback_point(pt_d, t.inclusion)
     right, _ = dressing_anchor(t, g)
     ra = right.exact_anchor()
+    # phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b): column b of p2 Ad_{Phi(g)}
+    p2_ad = mat_mul(t.projectors[1], adjoint_matrix(t.d_ctx, phi_g))
     coords_cols = []
     for b in range(n):
         zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))
         v = tuple(ra[r][b] for r in range(k))
-        lift = concat_vec(phi_r_value(t, t.embed(g), zeta), v, zero_vector(k))
+        lift = concat_vec(tuple(row[b] for row in p2_ad), zeta, v, zero_vector(k))
         if not pb.c.contains(lift):
             return False
         coords_cols.append(pb.quotient.coords(lift))

@@ -198,14 +198,6 @@ def validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
     return ValidationReport(tuple(records))
 
 
-def is_lagrangian(alg: QuadraticLieAlgebra, s: ExactSubspace) -> bool:
-    return alg.form.is_lagrangian(s)
-
-
-def is_coisotropic(alg: QuadraticLieAlgebra, s: ExactSubspace) -> bool:
-    return alg.form.is_coisotropic(s)
-
-
 def is_subalgebra(alg: QuadraticLieAlgebra, s: ExactSubspace) -> bool:
     rows = s.basis
     for a in range(len(rows)):
@@ -275,7 +267,7 @@ def courant_tensor(alg: QuadraticLieAlgebra, lag: ExactSubspace) -> CourantTenso
 
     Identically zero exactly when the subspace is a subalgebra.
     """
-    if not is_lagrangian(alg, lag):
+    if not alg.form.is_lagrangian(lag):
         raise NotLagrangianError("courant_tensor needs a Lagrangian subspace")
     return _tabulate(alg, lag, lag.basis)
 
@@ -284,7 +276,7 @@ def courant_tensor_on_basis(
     alg: QuadraticLieAlgebra, sub: ExactSubspace, basis: Matrix
 ) -> CourantTensor3:
     """Tabulate the tensor of a Lagrangian subspace on a caller-chosen basis."""
-    if not is_lagrangian(alg, sub):
+    if not alg.form.is_lagrangian(sub):
         raise NotLagrangianError("courant_tensor needs a Lagrangian subspace")
     return _tabulate(alg, sub, matrix(basis))
 
@@ -341,7 +333,7 @@ def validate_manin_triple(t: ManinTriple) -> ValidationReport:
         if sub.ambient_dim != t.d.dim:
             records.append(ValidationRecord("ambient", (label,), "wrong ambient dim"))
             continue
-        if not is_lagrangian(t.d, sub):
+        if not t.d.form.is_lagrangian(sub):
             records.append(ValidationRecord("lagrangian", (label,), "S-perp != S"))
         if not is_subalgebra(t.d, sub):
             records.append(ValidationRecord("subalgebra", (label,), "[S,S] not in S"))

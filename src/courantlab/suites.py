@@ -123,7 +123,9 @@ def _sheared_quasi_splitting():
 
 
 def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
-                   tol: float = DEFAULT_TOL, samples: int = 10, seed: int = 0) -> list[dict]:
+                   tol: float = DEFAULT_TOL, samples: int = 10) -> list[dict]:
+    if ctx_name not in ("sl2-double", "sl2c-real"):
+        raise KeyError(f"schouten suite has no context {ctx_name!r}")
     records: list[dict] = []
     flat = _flat_poisson_field()
     point = np.array([0.3, 0.7, 0.2])
@@ -135,7 +137,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
     r2 = diffnum.schouten_fd(diffnum.ChartBivectorField(3, flat.sampler, step=5e-4), point).max_abs()
     records.append(_ladder_rec("flat-chart h-ladder ratio", r1, r2))
 
-    if ctx_name in ("sl2-double", "all-builtin"):
+    if ctx_name == "sl2-double":
         ctx = sl2_context()
         alg = ctx.double_algebra
         gd = diagonal_subspace(ctx.algebra, 1)
@@ -153,7 +155,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         rh1 = diffnum.verify_main_identity(charts, manin, alg, tol=1.0, h=1e-3).max_residual
         rh2 = diffnum.verify_main_identity(charts, manin, alg, tol=1.0, h=5e-4).max_residual
         records.append(_ladder_rec("main identity h-ladder ratio", rh1, rh2))
-    elif ctx_name == "sl2c-real":
+    else:
         ctx, d, sheared = _sheared_quasi_splitting()
         points = ctx.sample_points[:samples]
         charts = [liegrp.double_chart_at(ctx, g, sheared, h=h) for g in points]
@@ -163,8 +165,6 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
             records.append(_rec(f"main identity (sheared) {chk.label}",
                                 chk.residual <= tol * (1.0 + defect), chk.residual))
         records.append(_rec("sheared case has nonzero defect", any(x > 0.01 for x in defects)))
-    else:
-        raise KeyError(f"schouten suite has no context {ctx_name!r}")
     if len(points) < samples:
         records.append(_rec("sample count capped at the shipped points", True,
                             detail=f"asked for {samples}, ran {len(points)}"))
@@ -324,9 +324,7 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
     cois = True
     for g in points:
         right, left = liegrp.dressing_anchor(t, g)
-        okr, _ = anchored.check_coisotropic_stabilizer(right)
-        okl, _ = anchored.check_coisotropic_stabilizer(left)
-        cois = cois and okr and okl
+        cois = cois and right.coisotropy[0] and left.coisotropy[0]
     records.append(_rec("dressing stabilizers exactly coisotropic", cois))
 
     worst = 0.0
@@ -431,9 +429,9 @@ def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
     records.append(_rec("validate manin triple [sl2-triangular-triple]",
                         trip_rep.passed, detail=trip_rep.describe()))
     records += [{**r, "name": f"schouten: {r['name']}"}
-                for r in suite_schouten("sl2-double", h, tol, samples or 10, seed)]
+                for r in suite_schouten("sl2-double", h, tol, samples or 10)]
     records += [{**r, "name": f"schouten: {r['name']}"}
-                for r in suite_schouten("sl2c-real", h, tol, 4, seed)]
+                for r in suite_schouten("sl2c-real", h, tol, 4)]
     records += [{**r, "name": f"rank: {r['name']}"}
                 for r in suite_rank(samples or 100, seed)]
     records += [{**r, "name": f"leaves: {r['name']}"}
@@ -450,7 +448,7 @@ def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
 def run_suite(name: str, *, ctx: str | None = None, samples: int | None = None,
               seed: int = 0, h: float = DEFAULT_H, tol: float = DEFAULT_TOL) -> list[dict]:
     if name == "schouten":
-        return suite_schouten(ctx or "sl2-double", h, tol, samples or 10, seed)
+        return suite_schouten(ctx or "sl2-double", h, tol, samples or 10)
     if name == "rank":
         return suite_rank(samples or 100, seed)
     if name == "leaves":

@@ -2,18 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from courantlab.anchored import (
     AnchoredPoint,
     CourantStructureError,
     ExactnessError,
     SectionJet,
-    anchor_dual,
     anchor_image,
     bivector_at,
-    check_coisotropic_stabilizer,
     coisotropic_reduce_point,
     courant_bracket_jet_closed,
     courant_bracket_jets,
@@ -23,11 +19,9 @@ from courantlab.anchored import (
     leaf_condition,
     pullback_point,
     rank_formula,
-    stabilizer,
 )
-from courantlab.contexts import abelian_algebra_split2, sl2_algebra
+from courantlab.contexts import abelian_algebra_split2
 from courantlab.exactlin import (
-    BilinearForm,
     ExactSubspace,
     add_vec,
     inverse,
@@ -37,12 +31,11 @@ from courantlab.exactlin import (
     nullspace,
     transpose,
     vector,
-    zero_vector,
 )
 from courantlab.lagrel import Splitting
 from courantlab.liegrp import double_action_anchor
 from courantlab.contexts import sl2_context
-from courantlab.quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
+from courantlab.quadlie import QuadraticLieAlgebra, diagonal_subspace
 from courantlab.randgen import (
     random_abelian_split_algebra,
     random_coisotropic_anchor,
@@ -60,40 +53,40 @@ S4 = Splitting.of_algebra(AB4, E4, F4)
 
 
 def test_coisotropic_examples():
-    ok, _ = check_coisotropic_stabilizer(PT4)
+    ok, _ = PT4.coisotropy
     assert ok
     # zero anchor: full stabilizer
     pt0 = AnchoredPoint(AB2, ((0, 0), (0, 0)), 2)
-    assert check_coisotropic_stabilizer(pt0)[0]
+    assert pt0.coisotropy[0]
     # split Q^2 with a 1-row anchor: kernel is the isotropic line
     pt1 = AnchoredPoint(AB2, ((1, 0),), 1)
-    assert check_coisotropic_stabilizer(pt1)[0]
+    assert pt1.coisotropy[0]
     # same anchor over a definite form fails, with a witness
     definite = QuadraticLieAlgebra.from_triples(2, [], [[1, 0], [0, 1]])
     bad = AnchoredPoint(definite, ((1, 0),), 1)
-    ok, witness = check_coisotropic_stabilizer(bad)
+    ok, witness = bad.coisotropy
     assert not ok and witness is not None
-    assert not stabilizer(bad).contains(witness)
+    assert not bad.stabilizer.contains(witness)
 
 
 def test_identity_anchor_not_coisotropic():
     pt = AnchoredPoint(AB2, ((1, 0), (0, 1)), 2)
-    ok, _ = check_coisotropic_stabilizer(pt)
+    ok, _ = pt.coisotropy
     assert not ok
     with pytest.raises(CourantStructureError):
         diagonal_relation(pt)
 
 
 def test_anchor_dual_and_p3():
-    assert anchor_dual(AnchoredPoint(AB2, ((0, 0),), 1)) == ((F(0),), (F(0),))
-    astar = anchor_dual(PT4)
+    assert AnchoredPoint(AB2, ((0, 0),), 1).dual == ((F(0),), (F(0),))
+    astar = PT4.dual
     # a o a* = 0 at coisotropic points
     assert all(
         x == 0 for row in mat_mul(matrix(PT4.anchor), astar) for x in row
     )
     # Q^2 split case: a = (1, 0) row gives a* = column (0, 1)
     pt1 = AnchoredPoint(AB2, ((1, 0),), 1)
-    assert anchor_dual(pt1) == ((F(0),), (F(1),))
+    assert pt1.dual == ((F(0),), (F(1),))
 
 
 def test_bivector_formula_and_diagonal_backward():
@@ -122,7 +115,7 @@ def test_sl2_double_identity_point():
     pt = double_action_anchor(ctx, ctx.sample_points[0])
     gd = diagonal_subspace(ctx.algebra, 1)
     gad = diagonal_subspace(ctx.algebra, -1)
-    assert stabilizer(pt) == gd
+    assert pt.stabilizer == gd
     quasi = Splitting.of_algebra(pt.algebra, gd, gad)
     piv = bivector_at(pt, quasi)
     assert all(x == 0 for row in piv.matrix for x in row)
@@ -142,7 +135,7 @@ def test_leaf_condition_strict_case():
     f6 = ExactSubspace.span(
         [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
     )
-    assert check_coisotropic_stabilizer(pt6)[0]
+    assert pt6.coisotropy[0]
     s6 = Splitting.of_algebra(ab6, e6, f6)
     assert not leaf_condition(pt6, s6)
     assert rank_formula(pt6, s6) == 0
@@ -155,9 +148,9 @@ def test_random_points_p3_and_rank(subtests=None):
         alg = random_abelian_split_algebra(k)
         anchor, j = random_coisotropic_anchor(rng, k)
         pt = AnchoredPoint(alg, anchor if j else (), j)
-        assert check_coisotropic_stabilizer(pt)[0]
+        assert pt.coisotropy[0]
         if j:
-            astar = anchor_dual(pt)
+            astar = pt.dual
             assert all(
                 x == 0 for row in mat_mul(matrix(pt.anchor), astar) for x in row
             )
@@ -172,7 +165,7 @@ def test_float_anchor_guards():
     pt = AnchoredPoint(AB2, ((0.5, 0.0), (0.0, 0.5)), 2)
     assert not pt.is_exact
     with pytest.raises(ExactnessError):
-        stabilizer(pt)
+        pt.stabilizer
     out = bivector_at(
         pt, Splitting.of_algebra(AB2, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
     )
@@ -239,7 +232,7 @@ def test_axioms_c2_c3_on_random_jets():
             + alg.pairing(x.value, y.jac_column(u))
             for u in range(j)
         )
-        assert lhs == mat_vec(anchor_dual(pt), dpair)
+        assert lhs == mat_vec(pt.dual, dpair)
         # c2: a(x)<y, z> = <[[x, y]], z> + <y, [[x, z]]>
         ax = mat_vec(pt.exact_anchor(), x.value)
         deriv = sum(
@@ -279,7 +272,7 @@ def test_c1_on_linear_jets_constant_anchor():
 
 def test_coisotropic_reduce_point():
     form = AB4.form
-    ker = stabilizer(PT4)
+    ker = PT4.stabilizer
     q, reduced = coisotropic_reduce_point(form, ker.sum(ExactSubspace.span([(1, 0, 0, 0)])))
     assert reduced.is_nondegenerate()
     # C = W reduces to W itself
@@ -329,10 +322,10 @@ def _points():
 def test_kept_point_data_equals_direct_formulas():
     for pt in _points():
         a = matrix(pt.anchor)
-        assert stabilizer(pt) == nullspace(a, pt.algebra.dim)
-        assert check_coisotropic_stabilizer(pt) == _direct_coisotropy(pt)
-        assert anchor_dual(pt) == mat_mul(inverse(pt.algebra.form.matrix), transpose(a))
-        assert pt.dual_range == ExactSubspace.span(transpose(anchor_dual(pt)), ambient_dim=pt.algebra.dim)
+        assert pt.stabilizer == nullspace(a, pt.algebra.dim)
+        assert pt.coisotropy == _direct_coisotropy(pt)
+        assert pt.dual == mat_mul(inverse(pt.algebra.form.matrix), transpose(a))
+        assert pt.dual_range == ExactSubspace.span(transpose(pt.dual), ambient_dim=pt.algebra.dim)
         # computed once: later reads return the same objects
-        assert stabilizer(pt) is stabilizer(pt)
-        assert anchor_dual(pt) is anchor_dual(pt)
+        assert pt.stabilizer is pt.stabilizer
+        assert pt.dual is pt.dual

@@ -182,6 +182,16 @@ def test_unknown_or_unused_ctx_is_usage_error(argv, capsys):
     _assert_usage_error(["verify"] + argv, capsys)
 
 
+@pytest.mark.parametrize("ctx", ["all-builtin", "nope"])
+def test_unknown_schouten_ctx_stops_before_fd_work(ctx, monkeypatch, capsys):
+    from courantlab import diffnum
+
+    calls = []
+    monkeypatch.setattr(diffnum, "schouten_fd", lambda *a, **k: calls.append(a))
+    _assert_usage_error(["verify", "schouten", "--ctx", ctx, "--samples", "2"], capsys)
+    assert calls == []
+
+
 @pytest.mark.parametrize("suite", ["mult", "dressing"])
 def test_triple_suites_run_on_abelian_2(suite, capsys):
     assert main(["verify", suite, "--ctx", "abelian-2", "--json"]) == 0

@@ -12,7 +12,6 @@ from courantlab.exactlin import (
     SingularMatrixError,
     det,
     dot,
-    frac,
     identity,
     inverse,
     mat_mul,
@@ -20,7 +19,6 @@ from courantlab.exactlin import (
     matrix,
     nullspace,
     quotient_coords,
-    rank,
     rref,
     solve,
     transpose,

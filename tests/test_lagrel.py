@@ -8,19 +8,15 @@ from courantlab.contexts import sl2_algebra
 from courantlab.exactlin import (
     BilinearForm,
     ExactSubspace,
-    add_vec,
     concat_vec,
     identity,
     mat_vec,
     matrix,
     quotient_coords,
-    sub_vec,
     transpose,
-    vector,
     zero_vector,
 )
 from courantlab.lagrel import (
-    Bivector,
     LinearRelation,
     NotLagrangianError,
     ReductionError,
@@ -31,10 +27,8 @@ from courantlab.lagrel import (
     backward_image_subspace,
     dual_basis,
     forward_image,
-    from_algebra,
     hyperbolic_space,
     pair_groupoid_relation,
-    product_subspace,
     reduce_bivector,
     reduced_iso,
     related_lagrangian,
@@ -43,7 +37,6 @@ from courantlab.lagrel import (
 )
 from courantlab.quadlie import build_double, courant_form, diagonal_subspace
 from courantlab.randgen import (
-    random_lagrangian_subspace,
     random_relation,
     random_split_transform,
 )

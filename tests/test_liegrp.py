@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import courantlab.liegrp as liegrp
 
-from courantlab.anchored import check_coisotropic_stabilizer, stabilizer
 from courantlab.contexts import (
     GROUP_CONTEXT_NAMES,
+    TRIPLE_CONTEXT_NAMES,
     abelian2_triple,
     get_group_context,
+    get_triple_context,
     sl2_context,
     sl2_pair_context,
     sl2_triangular_triple,
@@ -35,7 +36,6 @@ from courantlab.exactlin import (
     inverse,
     mat_vec,
     matrix,
-    transpose,
 )
 from courantlab.lagrel import (
     Splitting,
@@ -73,7 +73,6 @@ from courantlab.quadlie import (
     ManinTriple,
     build_double,
     diagonal_subspace,
-    is_lagrangian,
     is_subalgebra,
     validate_algebra,
     validate_manin_triple,
@@ -106,10 +105,8 @@ def test_exp_chart_frame():
         coords = frame.ambient_to_chart(b)
         assert coords == tuple(F(1 if j == i else 0) for j in range(3))
     # chart derivative along one direction: numerical vs g0 . X
-    import courantlab.liegrp as liegrp
-
     g0 = CTX.sample_points[5]
-    fc = liegrp.FloatChart.build(CTX, g0)
+    fc = liegrp.FloatChart(CTX, g0)
     h = 1e-6
     for a in range(3):
         t = np.zeros(3)
@@ -117,7 +114,7 @@ def test_exp_chart_frame():
         tm = np.zeros(3)
         tm[a] = -h
         fd = (fc.point(t) - fc.point(tm)) / (2 * h)
-        exact = np_matrix(g0) @ fc.basis[a]
+        exact = np_matrix(g0) @ CTX.float_basis[a]
         assert np.max(np.abs(fd - exact)) < 1e-9
 
 
@@ -126,8 +123,8 @@ def test_double_action_stabilizer():
         pt = double_action_anchor(CTX, g)
         adg = adjoint_matrix(CTX, g)
         rows = [concat_vec(mat_vec(adg, v), v) for v in identity(3)]
-        assert stabilizer(pt) == ExactSubspace.span(rows, ambient_dim=6)
-        ok, _ = check_coisotropic_stabilizer(pt)
+        assert pt.stabilizer == ExactSubspace.span(rows, ambient_dim=6)
+        ok, _ = pt.coisotropy
         assert ok
 
 
@@ -151,8 +148,8 @@ def test_mult_anchor_equivariance():
 def test_dressing_anchors():
     for g in CTX.sample_points:
         right, left = dressing_anchor(TRIPLE, g)
-        assert check_coisotropic_stabilizer(right)[0]
-        assert check_coisotropic_stabilizer(left)[0]
+        assert right.coisotropy[0]
+        assert left.coisotropy[0]
     # at the identity the right action restricted to g1 is the full frame
     right_e, _ = dressing_anchor(TRIPLE, CTX.sample_points[0])
     for i in range(3):
@@ -254,7 +251,7 @@ def test_t_psi_fibers():
     gtheta = ExactSubspace.span(
         [concat_vec(v, mat_vec(adg, v)) for v in identity(3)], ambient_dim=6
     )
-    assert is_lagrangian(TRIPLE.d_algebra, gtheta)
+    assert TRIPLE.d_algebra.form.is_lagrangian(gtheta)
     assert is_subalgebra(TRIPLE.d_algebra, gtheta)
     rep = related_splitting(
         (eplus, fplus), (TRIPLE.g1, TRIPLE.g2), t_psi_fiber(TRIPLE, gtheta)
@@ -334,7 +331,7 @@ def test_abelian_triple_suite_pieces():
     t = abelian2_triple()
     for g in t.g1_ctx.sample_points[:4]:
         right, left = dressing_anchor(t, g)
-        assert check_coisotropic_stabilizer(right)[0]
+        assert right.coisotropy[0]
         pig = g1_poisson_bivector(t, g)
         assert all(x == 0 for row in pig.matrix for x in row)
     d = t.d_ctx.sample_points[1]
@@ -346,7 +343,6 @@ def test_related_splitting_transports_reduced_bivector():
     # through the groupoid relation, the reduced isomorphism carries the
     # reduced splitting bivector onto the reduced splitting bivector
     from courantlab.lagrel import (
-        from_algebra,
         pair_groupoid_relation,
         reduce_bivector,
         reduced_iso,
@@ -458,3 +454,50 @@ def test_context_keeps_its_double_and_triple_splittings():
     assert CTX.double_algebra == build_double(CTX.algebra)
     assert TRIPLE.plus is TRIPLE.plus
     assert TRIPLE.minus is TRIPLE.minus
+
+
+# --- the kept float chart data ----------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(TRIPLE_CONTEXT_NAMES), data=st.data())
+def test_float_embedding_is_the_linear_extension_of_embed(name, data):
+    # the kept unit images give the embedding only where it is linear
+    t = get_triple_context(name)
+    for g in t.g1_ctx.sample_points:
+        assert np.array_equal(t.float_embed(np_matrix(g)), np_matrix(t.embed(g)))
+    k = t.g1_ctx.ambient_size
+    a, b = (
+        matrix(data.draw(st.lists(st.lists(_RATIONALS, min_size=k, max_size=k),
+                                  min_size=k, max_size=k)))
+        for _ in range(2)
+    )
+    combo = tuple(tuple(x + 2 * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    want = tuple(
+        tuple(x + 2 * y for x, y in zip(ra, rb)) for ra, rb in zip(t.embed(a), t.embed(b))
+    )
+    assert t.embed(combo) == want
+
+
+def test_float_chart_data_is_built_once_per_context(monkeypatch):
+    ctx = GroupContext.from_json(sl2_context().to_json())
+    calls = []
+    original = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a) or original(*a, **k))
+    s = Splitting.of_algebra(
+        ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), triangular_complement()
+    )
+    for g in ctx.sample_points[1:3]:
+        fc = liegrp.FloatChart(ctx, g)
+        tangent = fc.g0 @ ctx.float_basis[0]
+        assert np.allclose(ctx.float_coords(np.linalg.solve(fc.g0, tangent)), [1, 0, 0])
+        liegrp.double_bivector_field(ctx, g, s)(np.zeros(3))
+        ginv = inverse(g)
+        got = ctx.float_adjoint(np_matrix(g), np_matrix(ginv))
+        assert np.allclose(got, np_matrix(adjoint_matrix(ctx, g)), atol=1e-12)
+    assert len(calls) == 1
+    # ad tables: float_ad[a] has the coordinates of [X_a, X_b] as column b
+    for a in range(ctx.dim):
+        cols = [ctx.algebra.bracket_basis(a, b) for b in range(ctx.dim)]
+        assert np.array_equal(ctx.float_ad[a], np_matrix(matrix(cols)).T)
+    assert ctx.float_ad is ctx.float_ad

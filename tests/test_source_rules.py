@@ -1,8 +1,10 @@
-"""Rules the package source keeps: no threads and no environment reads.
+"""Rules the source keeps: no threads, no environment reads and no
+unused imports.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
-exact suites down; and a report must depend on its command line alone,
-not on the environment it runs in.
+exact suites down; a report must depend on its command line alone, not
+on the environment it runs in; and an import nothing uses hides which
+names a module really depends on.
 """
 
 import ast
@@ -11,6 +13,9 @@ from pathlib import Path
 import courantlab
 
 SOURCES = sorted(Path(courantlab.__file__).parent.glob("*.py"))
+# modules checked for unused imports; a package __init__ imports to re-export
+IMPORTERS = [p for p in SOURCES + sorted(Path(__file__).parent.glob("*.py"))
+             if p.name != "__init__.py"]
 NO_IMPORT = ("concurrent", "threading", "multiprocessing")
 
 
@@ -46,3 +51,32 @@ def test_the_rule_catches_each_form():
                 "import os\nos.environ.get('X')", "from os import environ", "os.getenv('X')"):
         assert _violations(ast.parse(src)), src
     assert _violations(ast.parse("import os\nos.path.join('a')")) == []
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names an import binds that no expression of the module reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_imports():
+    assert any(p.name == "test_source_rules.py" for p in IMPORTERS)
+    bad = {p.name: v for p in IMPORTERS if (v := _unused_imports(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_unused_import_rule_catches_each_form():
+    for src in ("import json", "import os.path", "from a import b", "from a import b as c",
+                "def f():\n    from a import b\n    return 1"):
+        assert _unused_imports(ast.parse(src)), src
+    for src in ("from __future__ import annotations", "import os.path\nos.path.join('a')",
+                "from a import b as c\nc()", "import json\ndef f() -> json.JSONDecoder: ..."):
+        assert _unused_imports(ast.parse(src)) == [], src
