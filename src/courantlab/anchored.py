@@ -161,14 +161,20 @@ def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:
     return pt.dual_range.sum(pt.stabilizer.intersect(f))
 
 
-def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
-    """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank."""
+def rank_formula(pt: AnchoredPoint, s: Splitting, *, pi: Bivector | None = None,
+                 lm: ExactSubspace | None = None) -> int:
+    """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank.
+
+    A caller that already holds bivector_at(pt, s) or L_m passes it as
+    ``pi`` or ``lm``, so that neither is built twice.
+    """
     require_coisotropic(pt)
-    lm = drinfeld_lagrangian(pt, s.f)
+    if lm is None:
+        lm = drinfeld_lagrangian(pt, s.f)
     if not pt.algebra.form.is_lagrangian(lm):
         raise CourantStructureError("L_m failed to be Lagrangian")
     value = anchor_image(pt, s.f).dim - lm.intersect(s.e).dim
-    actual = bivector_at(pt, s).rank()
+    actual = (pi if pi is not None else bivector_at(pt, s)).rank()
     if value != actual:
         raise CourantStructureError(
             f"rank formula {value} disagrees with matrix rank {actual}"
@@ -176,17 +182,18 @@ def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     return value
 
 
-def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
+def leaf_condition(pt: AnchoredPoint, s: Splitting, *, pi: Bivector | None = None) -> bool:
     """ker(a) = ran(a*) + (ker cap E) + (ker cap F)?
 
     When it holds, the sharp range of the bivector is certified to equal
-    a(E) cap a(F); the inclusion is strict otherwise.
+    a(E) cap a(F); the inclusion is strict otherwise.  ``pi`` is as in
+    rank_formula.
     """
     require_coisotropic(pt)
     ker = pt.stabilizer
     rhs = pt.dual_range.sum(ker.intersect(s.e)).sum(ker.intersect(s.f))
     holds = rhs == ker
-    sharp = bivector_at(pt, s).sharp_range()
+    sharp = (pi if pi is not None else bivector_at(pt, s)).sharp_range()
     cap = anchor_image(pt, s.e).intersect(anchor_image(pt, s.f))
     if holds and sharp != cap:
         raise CourantStructureError("leaf condition holds but ranges differ")
@@ -322,9 +329,7 @@ def coisotropic_reduce_point(
         raise ValueError("C must be coisotropic")
     c_perp = form.orth_complement(c)
     q = quotient_coords(c, c_perp)
-    reduced = BilinearForm(
-        tuple(tuple(form.pairing(a, b) for b in q.complement) for a in q.complement)
-    )
+    reduced = q.descended_form(form)
     if not reduced.is_nondegenerate():
         raise ValueError("descended form is degenerate")
     return q, reduced
@@ -380,12 +385,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
         if any(x != 0 for x in row[n:n + s_dim]):
             raise CourantStructureError("quotient anchor is not well-defined")
     q = quotient_coords(c, c_perp)
-    reduced_form = BilinearForm(
-        tuple(
-            tuple(ambient_form.pairing(u, v) for v in q.complement)
-            for u in q.complement
-        )
-    )
+    reduced_form = q.descended_form(ambient_form)
     expected = n - 2 * (m - s_dim)
     if q.dim != expected:
         raise CourantStructureError(

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
-from . import anchored, liegrp, quadlie, suites
+from . import anchored, quadlie, suites
 from .contexts import (
     abelian_algebra_split2,
     get_group_context,
@@ -74,15 +75,18 @@ def _parser() -> _Parser:
 
 
 def _positive(value: float, name: str) -> None:
-    if value <= 0:
-        raise _ArgumentError(f"{name} must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise _ArgumentError(f"{name} must be finite and positive")
 
 
 def _emit(report: dict, out: str | None, as_json: bool, elapsed: float) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _ArgumentError(f"cannot write {out}: {exc}") from exc
     if as_json:
         sys.stdout.write(text)
     else:
@@ -221,7 +225,7 @@ def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
     ctx = get_group_context(ctx_name)
     if idx >= len(ctx.sample_points):
         raise _ArgumentError(f"bad --point {point!r}: {ctx_name} has {len(ctx.sample_points)} sample points")
-    pt = liegrp.double_action_anchor(ctx, ctx.sample_points[idx])
+    pt = ctx.points[idx].anchor
     if name in ("plus", "minus"):
         t = sl2_triangular_triple()
         s = t.plus if name == "plus" else t.minus
@@ -255,9 +259,9 @@ def cmd_bivector(args) -> tuple[dict, int]:
     }
     if cois:
         lm = anchored.drinfeld_lagrangian(pt, f)
-        report["formula_rank"] = anchored.rank_formula(pt, s)
+        report["formula_rank"] = anchored.rank_formula(pt, s, pi=piv, lm=lm)
         report["drinfeld_lagrangian"] = [[str(x) for x in row] for row in lm.basis]
-        report["leaf_condition"] = anchored.leaf_condition(pt, s)
+        report["leaf_condition"] = anchored.leaf_condition(pt, s, pi=piv)
     else:
         report["formula_rank"] = None
         report["drinfeld_lagrangian"] = None
@@ -282,10 +286,10 @@ def main(argv=None) -> int:
             report, code = cmd_verify(args)
         else:
             report, code = cmd_bivector(args)
+        _emit(report, args.out, args.json, time.perf_counter() - start)
     except _ArgumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    _emit(report, args.out, args.json, time.perf_counter() - start)
     return code
 
 

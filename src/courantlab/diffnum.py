@@ -304,19 +304,22 @@ def structure_tensor_np(alg: QuadraticLieAlgebra) -> np.ndarray:
 
 
 def courant_bracket_jets_np(
-    alg: QuadraticLieAlgebra,
+    structure: np.ndarray,
+    form: np.ndarray,
     anchor: np.ndarray,
+    dual: np.ndarray,
     x_value: np.ndarray,
     x_jac: np.ndarray,
     y_value: np.ndarray,
     y_jac: np.ndarray,
 ) -> np.ndarray:
-    """Float twin of the exact jet bracket, for FD-sourced jacobians."""
-    a = np.asarray(anchor, dtype=float)
-    b_np = np.array([[float(x) for x in row] for row in alg.form.matrix])
-    c = structure_tensor_np(alg)
-    out = np.einsum("ijk,i,j->k", c, x_value, y_value)
-    out = out + y_jac @ (a @ x_value) - x_jac @ (a @ y_value)
-    pairing = x_jac.T @ (b_np @ y_value)
-    astar = np.linalg.solve(b_np, a.T)
-    return out + astar @ pairing
+    """Float twin of the exact jet bracket, for FD-sourced jacobians.
+
+    ``structure`` is structure_tensor_np of the algebra and ``form`` its
+    Gram matrix, both kept per algebra; ``dual`` is a* = form^-1 anchor^T,
+    kept per point.
+    """
+    out = np.einsum("ijk,i,j->k", structure, x_value, y_value)
+    out = out + y_jac @ (anchor @ x_value) - x_jac @ (anchor @ y_value)
+    pairing = x_jac.T @ (form @ y_value)
+    return out + dual @ pairing

@@ -467,6 +467,13 @@ class QuotientMap:
             [self.coords(row) for row in inter.basis], ambient_dim=self.dim
         )
 
+    def descended_form(self, form: BilinearForm) -> BilinearForm:
+        """The form on W1/W0 read on the complement basis; well defined
+        when W0 pairs to zero with W1."""
+        return BilinearForm(
+            tuple(tuple(form.pairing(a, b) for b in self.complement) for a in self.complement)
+        )
+
 
 def quotient_coords(w1: ExactSubspace, w0: ExactSubspace) -> QuotientMap:
     """Quotient W1/W0 with a greedily chosen complement basis."""

@@ -449,12 +449,7 @@ def reduce_bivector(
                 break
         raise ReductionError("W0 is not split by the decomposition", witness or w0.basis[0])
     q = quotient_coords(w1, w0)
-    red_form = BilinearForm(
-        tuple(
-            tuple(space.form.pairing(a, b) for b in q.complement)
-            for a in q.complement
-        )
-    )
+    red_form = q.descended_form(space.form)
     red_space = SplitSpace(q.dim, red_form)
     e_red = q.map_subspace(e)
     f_red = q.map_subspace(f)

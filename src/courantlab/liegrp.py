@@ -4,7 +4,8 @@ dressing actions and morphism fibers over rational sample points.
 
 Sample points are kept rational so the adjoint action, anchors, and
 relation fibers are exact; the same points feed the floating-point
-finite-difference layer as floats.
+finite-difference layer as floats.  The data the checks read at one
+group element lives on its GroupPoint.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ def block_diag(*mats: Matrix) -> Matrix:
 class GroupContext:
     """A matrix group with a chosen algebra basis and rational samples.
 
-    The exact coordinatizer of the basis, the double algebra and the float
-    data of the exponential charts (basis, coordinatizer, ad tables) are
-    built on first use and kept.
+    The exact coordinatizer of the basis, the double algebra, the float
+    data of the exponential charts (basis, coordinatizer, ad tables) and
+    one GroupPoint per sample point are built on first use and kept.
     """
 
     name: str
@@ -109,6 +110,18 @@ class GroupContext:
     def double_algebra(self) -> QuadraticLieAlgebra:
         """The double g (+) g-bar that acts on the group from both sides."""
         return build_double(self.algebra)
+
+    @cached_property
+    def points(self) -> tuple[GroupPoint, ...]:
+        """One GroupPoint per sample point, in sample order."""
+        return tuple(GroupPoint(self, g) for g in self.sample_points)
+
+    def point(self, g: Matrix) -> GroupPoint:
+        """The kept point of g when g is a sample point, else a new one."""
+        try:
+            return self.points[self.sample_points.index(g)]
+        except ValueError:
+            return GroupPoint(self, g)
 
     @cached_property
     def _coordinatizer(self) -> tuple[Matrix, tuple[int, ...], Matrix]:
@@ -152,6 +165,12 @@ class GroupContext:
         """(k, k, k) float ad matrices: float_ad[a] = ad_{X_a} over the basis."""
         return np.ascontiguousarray(structure_tensor_np(self.algebra).transpose(0, 2, 1))
 
+    @cached_property
+    def float_double(self) -> tuple[np.ndarray, np.ndarray]:
+        """(structure tensor, Gram matrix) of the double algebra in floats."""
+        d = self.double_algebra
+        return structure_tensor_np(d), np_matrix(d.form.matrix)
+
     def float_coords(self, elt: np.ndarray) -> np.ndarray:
         """Float coordinates of an ambient algebra element over the basis."""
         return self.float_coordinatizer @ elt.reshape(-1)
@@ -160,6 +179,20 @@ class GroupContext:
         """Ad_g over the basis in floats; the caller passes g^-1 too, since
         inverting an inverse does not give g back bit for bit."""
         return np.stack([self.float_coords(g @ b @ ginv) for b in self.float_basis], axis=1)
+
+    def dexp_matrix(self, t: np.ndarray) -> np.ndarray:
+        """T with d/dt_a (g0 exp X(t)) = g0 exp X(t) . (basis T[:, a]),
+        for any base point g0."""
+        k = self.dim
+        adx = np.tensordot(t, self.float_ad, axes=1)
+        out = np.eye(k)
+        term = np.eye(k)
+        for j in range(1, 40):
+            term = term @ (-adx) / (j + 1)
+            out = out + term
+            if np.max(np.abs(term)) < 1e-18:
+                break
+        return out
 
     def from_coords(self, coords: Iterable) -> Matrix:
         coords = vector(coords)
@@ -171,23 +204,69 @@ class GroupContext:
                     out[i][j] += c * b[i][j]
         return tuple(tuple(r) for r in out)
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_size": self.ambient_size,
-            "basis": [[[str(x) for x in row] for row in b] for b in self.algebra_basis],
-            "algebra": self.algebra.to_json(),
-            "samples": [[[str(x) for x in row] for row in s] for s in self.sample_points],
-        }
 
-    @classmethod
-    def from_json(cls, data: dict, name: str = "custom") -> "GroupContext":
-        return cls(
-            name=name,
-            ambient_size=data["ambient_size"],
-            algebra_basis=tuple(matrix(b) for b in data["basis"]),
-            algebra=QuadraticLieAlgebra.from_json(data["algebra"]),
-            sample_points=tuple(matrix(s) for s in data["samples"]),
-        )
+@dataclass(frozen=True, eq=False)
+class GroupPoint:
+    """One element g of a context's group.
+
+    g^-1, Ad_g, Ad_{g^-1}, the anchor of the two-sided action at g and
+    the float twins are built on first use and kept.
+    """
+
+    ctx: GroupContext
+    g: Matrix
+
+    @cached_property
+    def inverse(self) -> Matrix:
+        return inverse(self.g)
+
+    @cached_property
+    def adjoint(self) -> Matrix:
+        """Ad_g over the algebra basis, exact."""
+        cols = [
+            self.ctx.coordinatize(mat_mul(mat_mul(self.g, b), self.inverse))
+            for b in self.ctx.algebra_basis
+        ]
+        return transpose(matrix(cols))
+
+    @cached_property
+    def adjoint_inverse(self) -> Matrix:
+        """Ad_{g^-1}, read off the kept point of g^-1 when it is a sample."""
+        return self.ctx.point(self.inverse).adjoint
+
+    @cached_property
+    def anchor(self) -> AnchoredPoint:
+        """Anchor of the two-sided action a(u, v) = v^L - u^R at g, in the
+        left-trivialized chart.
+
+        Columns over the double's basis: (u, 0) -> -Ad_{g^-1} u, (0, v) -> v.
+        The stabilizer {(u, Ad_{g^-1} u)} is Lagrangian, hence coisotropic.
+        """
+        k = self.ctx.dim
+        adg_inv = self.adjoint_inverse
+        rows = [
+            tuple(-x for x in adg_inv[r]) + tuple(Fraction(1 if c == r else 0) for c in range(k))
+            for r in range(k)
+        ]
+        return AnchoredPoint(self.ctx.double_algebra, tuple(rows), k)
+
+    @cached_property
+    def float_g(self) -> np.ndarray:
+        return np_matrix(self.g)
+
+    @cached_property
+    def float_anchor(self) -> np.ndarray:
+        return np_matrix(self.anchor.exact_anchor())
+
+    @cached_property
+    def float_anchor_dual(self) -> np.ndarray:
+        """a* = B^-1 a^T of the anchor, in floats."""
+        return np.linalg.solve(self.ctx.float_double[1], self.float_anchor.T)
+
+    def point(self, t: np.ndarray) -> np.ndarray:
+        """The exponential chart t -> g exp(sum t_a X_a) in floats."""
+        x = np.tensordot(t, self.ctx.float_basis, axes=1)
+        return self.float_g @ expm_np(x)
 
 
 class ContextError(ValueError):
@@ -209,40 +288,8 @@ def validate_context(ctx: GroupContext) -> None:
                 raise ContextError("sample point fails the group membership test")
 
 
-def adjoint_matrix(ctx: GroupContext, g: Matrix) -> Matrix:
-    """Ad_g over the algebra basis, exact for rational g."""
-    ginv = inverse(g)
-    cols = [
-        ctx.coordinatize(mat_mul(mat_mul(g, b), ginv)) for b in ctx.algebra_basis
-    ]
-    return transpose(matrix(cols))
-
-
 # ---------------------------------------------------------------------------
 # charts
-
-@dataclass(frozen=True)
-class ChartFrame:
-    """First-order data of the chart t -> g0 exp(sum t_a X_a) at t = 0."""
-
-    base_point: Matrix
-    jacobian: Matrix  # ambient^2 x chart_dim, flattened tangents
-    pseudo_inverse: Matrix
-
-    def ambient_to_chart(self, tangent: Matrix) -> Vector:
-        return mat_vec(self.pseudo_inverse, flatten(tangent))
-
-
-def exp_chart(ctx: GroupContext, g0: Matrix) -> ChartFrame:
-    cols = [flatten(mat_mul(g0, b)) for b in ctx.algebra_basis]
-    jac = transpose(matrix(cols))
-    jt = transpose(jac)
-    gram = mat_mul(jt, jac)
-    pinv = mat_mul(inverse(gram), jt)
-    return ChartFrame(g0, jac, pinv)
-
-
-# float chart machinery -----------------------------------------------------
 
 def np_matrix(m: Matrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m])
@@ -285,87 +332,35 @@ def logm_np(m: np.ndarray) -> np.ndarray:
     return out
 
 
-class FloatChart:
-    """The exponential chart t -> g0 exp(sum t_a X_a) in floats; the data
-    that does not depend on g0 is kept on the context."""
-
-    def __init__(self, ctx: GroupContext, g0: Matrix):
-        self.ctx = ctx
-        self.g0 = np_matrix(g0)
-
-    def point(self, t: np.ndarray) -> np.ndarray:
-        x = np.tensordot(t, self.ctx.float_basis, axes=1)
-        return self.g0 @ expm_np(x)
-
-    def dexp_matrix(self, t: np.ndarray) -> np.ndarray:
-        """T with d/dt_a (g0 exp X(t)) = point(t) . (basis T[:, a])."""
-        k = self.ctx.dim
-        adx = np.tensordot(t, self.ctx.float_ad, axes=1)
-        out = np.eye(k)
-        term = np.eye(k)
-        for j in range(1, 40):
-            term = term @ (-adx) / (j + 1)
-            out = out + term
-            if np.max(np.abs(term)) < 1e-18:
-                break
-        return out
-
-
 # ---------------------------------------------------------------------------
 # the double action on a group: a(u, v) = v^L - u^R
 
-def double_action_anchor(ctx: GroupContext, g: Matrix) -> AnchoredPoint:
-    """Anchor of the two-sided action at g, in the left-trivialized chart.
-
-    Columns over the double's basis: (u, 0) -> -Ad_{g^-1} u, (0, v) -> v.
-    The stabilizer {(u, Ad_{g^-1} u)} is Lagrangian, hence coisotropic.
-    """
-    k = ctx.dim
-    adg_inv = adjoint_matrix(ctx, inverse(g))
-    rows = []
-    for r in range(k):
-        rows.append(
-            tuple(-adg_inv[r][c] for c in range(k))
-            + tuple(Fraction(1 if c == r else 0) for c in range(k))
-        )
-    return AnchoredPoint(ctx.double_algebra, tuple(rows), k)
-
-
-def double_bivector_field(
-    ctx: GroupContext, g0: Matrix, s: Splitting, h: float = 1e-4
-) -> ChartBivectorField:
-    """pi(t) for a splitting (E, F) of the double, in the chart at g0."""
+def double_bivector_field(p: GroupPoint, s: Splitting, h: float = 1e-4) -> ChartBivectorField:
+    """pi(t) for a splitting (E, F) of the double, in the chart at p."""
     pi_np = np_matrix(s.bivector.matrix)
-    fc = FloatChart(ctx, g0)
+    ctx = p.ctx
     k = ctx.dim
 
     def sampler(t: np.ndarray) -> np.ndarray:
-        g = fc.point(t)
+        g = p.point(t)
         adg_inv = ctx.float_adjoint(np.linalg.inv(g), g)
-        tmat = fc.dexp_matrix(t)
+        tmat = ctx.dexp_matrix(t)
         anchor = np.linalg.solve(tmat, np.hstack([-adg_inv, np.eye(k)]))
         return anchor @ pi_np @ anchor.T
 
     return ChartBivectorField(k, sampler, step=h)
 
 
-def double_chart_at(
-    ctx: GroupContext,
-    g0: Matrix,
-    s: Splitting,
-    h: float = 1e-4,
-    label: str | None = None,
-) -> ChartAtPoint:
-    pt = double_action_anchor(ctx, g0)
-    if label is None:
-        try:
-            label = f"{ctx.name}#{ctx.sample_points.index(g0)}"
-        except ValueError:
-            label = f"{ctx.name}@?"
+def double_chart_at(p: GroupPoint, s: Splitting, h: float = 1e-4) -> ChartAtPoint:
+    ctx = p.ctx
+    try:
+        label = f"{ctx.name}#{ctx.sample_points.index(p.g)}"
+    except ValueError:
+        label = f"{ctx.name}@?"
     return ChartAtPoint(
         label=label,
-        field=double_bivector_field(ctx, g0, s, h=h),
-        anchor0=pt.exact_anchor(),
+        field=double_bivector_field(p, s, h=h),
+        anchor0=p.anchor.exact_anchor(),
     )
 
 
@@ -381,8 +376,9 @@ class TripleContext:
     D by ``embed`` (a group homomorphism); ``inclusion`` expresses the
     differential of the embedding over the two algebra bases.
 
-    The splittings the triple induces, its projector pair and the float
-    data of the embedding are built on first use and kept.
+    The splittings the triple induces, its projector pair, the float
+    data of the embedding and one G1Point per G1 sample point are built
+    on first use and kept.
     """
 
     name: str
@@ -396,6 +392,13 @@ class TripleContext:
     @property
     def d_algebra(self) -> QuadraticLieAlgebra:
         return self.d_ctx.algebra
+
+    @cached_property
+    def points(self) -> tuple[G1Point, ...]:
+        """One G1Point per G1 sample point, in sample order."""
+        return tuple(
+            G1Point(self, p, self.d_ctx.point(self.embed(p.g))) for p in self.g1_ctx.points
+        )
 
     @cached_property
     def splitting(self) -> Splitting:
@@ -476,11 +479,6 @@ class TripleContext:
         return out
 
 
-def phi_adjoint(t: TripleContext, g: Matrix) -> Matrix:
-    """Ad_{Phi(g)} on d for g in G1."""
-    return adjoint_matrix(t.d_ctx, t.embed(g))
-
-
 def g1_coords_of(t: TripleContext, v: Vector) -> Vector:
     """Express a vector of g1 (inside d) over G1's own basis."""
     coef = solve(t.inclusion, v)
@@ -489,87 +487,86 @@ def g1_coords_of(t: TripleContext, v: Vector) -> Vector:
     return coef
 
 
-def dressing_anchor(t: TripleContext, g: Matrix) -> tuple[AnchoredPoint, AnchoredPoint]:
-    """The two dressing actions at g in G1, as anchored points.
+@dataclass(frozen=True, eq=False)
+class G1Point:
+    """A point g of G1 in a Manin triple, with the D-point of Phi(g).
 
-    Right version: zeta -> p1(Ad_{Phi(g)} zeta) as a right-invariant
-    field; carries the opposite inner product.  Left version:
-    zeta -> -p1(Ad_{Phi(g^-1)} zeta) as a left-invariant field.
+    The (right, left) pair of dressing actions at g is built on first use
+    and kept.
     """
-    p1, _ = t.projectors
-    adg = phi_adjoint(t, g)
-    adg_inv_g1 = adjoint_matrix(t.g1_ctx, inverse(g))
-    n = t.d_algebra.dim
-    right_cols = []
-    left_cols = []
-    ad_phi_inv = phi_adjoint(t, inverse(g))
-    for b in range(n):
-        zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))
-        xr = g1_coords_of(t, mat_vec(p1, mat_vec(adg, zeta)))
-        right_cols.append(mat_vec(adg_inv_g1, xr))
-        xl = g1_coords_of(t, mat_vec(p1, mat_vec(ad_phi_inv, zeta)))
-        left_cols.append(tuple(-x for x in xl))
-    right = AnchoredPoint(
-        t.d_algebra.opposite(), transpose(matrix(right_cols)), t.g1.dim
-    )
-    left = AnchoredPoint(t.d_algebra, transpose(matrix(left_cols)), t.g1.dim)
-    return right, left
+
+    triple: TripleContext
+    g1: GroupPoint
+    phi: GroupPoint
+
+    @cached_property
+    def dressing(self) -> tuple[AnchoredPoint, AnchoredPoint]:
+        """The two dressing actions at g, as anchored points.
+
+        Right version: zeta -> p1(Ad_{Phi(g)} zeta) as a right-invariant
+        field; carries the opposite inner product.  Left version:
+        zeta -> -p1(Ad_{Phi(g^-1)} zeta) as a left-invariant field.
+        """
+        t = self.triple
+        p1, _ = t.projectors
+        adg = self.phi.adjoint
+        adg_inv_g1 = self.g1.adjoint_inverse
+        n = t.d_algebra.dim
+        right_cols = []
+        left_cols = []
+        ad_phi_inv = self.phi.adjoint_inverse
+        for b in range(n):
+            zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))
+            xr = g1_coords_of(t, mat_vec(p1, mat_vec(adg, zeta)))
+            right_cols.append(mat_vec(adg_inv_g1, xr))
+            xl = g1_coords_of(t, mat_vec(p1, mat_vec(ad_phi_inv, zeta)))
+            left_cols.append(tuple(-x for x in xl))
+        right = AnchoredPoint(
+            t.d_algebra.opposite(), transpose(matrix(right_cols)), t.g1.dim
+        )
+        left = AnchoredPoint(t.d_algebra, transpose(matrix(left_cols)), t.g1.dim)
+        return right, left
 
 
-def dressing_field_sampler(t: TripleContext, g0: Matrix, h: float = 1e-4):
-    """rho(index, t) for the right dressing action in the chart at g0."""
+def dressing_field_sampler(x: G1Point):
+    """rho(index, t) for the right dressing action in the chart at x."""
+    t = x.triple
     p1_np, _ = t.float_projectors
     g1_ctx = t.g1_ctx
-    fc = FloatChart(g1_ctx, g0)
     n = t.d_algebra.dim
 
     def rho(index: int, tvec: np.ndarray) -> np.ndarray:
-        g = fc.point(tvec)
+        g = x.g1.point(tvec)
         phi_g = t.float_embed(g)
         zeta = np.zeros(n)
         zeta[index] = 1.0
         ad = t.d_ctx.float_adjoint(phi_g, np.linalg.inv(phi_g))
-        x = t.float_inclusion_pinv @ (p1_np @ (ad @ zeta))
+        xv = t.float_inclusion_pinv @ (p1_np @ (ad @ zeta))
         ginv = np.linalg.inv(g)
-        amb_t = np.tensordot(x, g1_ctx.float_basis, axes=1) @ g  # right-invariant: x . g
+        amb_t = np.tensordot(xv, g1_ctx.float_basis, axes=1) @ g  # right-invariant: xv . g
         xi = g1_ctx.float_coords(ginv @ amb_t)
-        return np.linalg.solve(fc.dexp_matrix(tvec), xi)
+        return np.linalg.solve(g1_ctx.dexp_matrix(tvec), xi)
 
     return rho
 
 
-def g1_poisson_bivector(t: TripleContext, g: Matrix) -> Bivector:
-    """Bivector of the splitting (g1, g2) on G1 at g, exact."""
-    right, _ = dressing_anchor(t, g)
-    return bivector_at(right, t.splitting_bar)
-
-
-def g1_bivector_field(t: TripleContext, g0: Matrix, h: float = 1e-4) -> ChartBivectorField:
-    pi_np = np_matrix(t.splitting_bar.bivector.matrix)
-    rho = dressing_field_sampler(t, g0, h=h)
-    k = t.g1.dim
-    n = t.d_algebra.dim
-
-    def sampler(tvec: np.ndarray) -> np.ndarray:
-        cols = [rho(i, tvec) for i in range(n)]
-        anchor = np.stack(cols, axis=1)
-        return anchor @ pi_np @ anchor.T
-
-    return ChartBivectorField(k, sampler, step=h)
+def g1_poisson_bivector(x: G1Point) -> Bivector:
+    """Bivector of the splitting (g1, g2) on G1 at x, exact."""
+    right, _ = x.dressing
+    return bivector_at(right, x.triple.splitting_bar)
 
 
 # product-group splittings --------------------------------------------------
 
-def pi_plus_minus(t: TripleContext, d: Matrix) -> tuple[Bivector, Bivector]:
+def pi_plus_minus(t: TripleContext, d: GroupPoint) -> tuple[Bivector, Bivector]:
     """pi+ and pi- at d from the splitting formula, exact."""
-    pt = double_action_anchor(t.d_ctx, d)
-    return bivector_at(pt, t.plus), bivector_at(pt, t.minus)
+    return bivector_at(d.anchor, t.plus), bivector_at(d.anchor, t.minus)
 
 
-def pi_plus_minus_invariant(t: TripleContext, d: Matrix) -> tuple[Matrix, Matrix]:
+def pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Matrix, Matrix]:
     """r^R +/- r^L at d in the left-trivialized chart, exact."""
     r = t.splitting.bivector.matrix
-    c = adjoint_matrix(t.d_ctx, inverse(d))
+    c = d.adjoint_inverse
     r_right = mat_mul(mat_mul(c, r), transpose(c))
     plus = tuple(
         tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(r_right, r)
@@ -583,18 +580,18 @@ def pi_plus_minus_invariant(t: TripleContext, d: Matrix) -> tuple[Matrix, Matrix
 # morphism fibers -----------------------------------------------------------
 
 def pair_multiplication_check(
-    ctx: GroupContext, ga: Matrix, gb: Matrix, h: float = 1e-4
+    dmult: np.ndarray, pa: GroupPoint, pb: GroupPoint, pab: GroupPoint
 ) -> float:
-    """Anchor equivariance of group multiplication, via FD Jacobians.
+    """Anchor equivariance of group multiplication at (ga, gb), given the
+    Jacobian dmult = dmult_fd(pa, pb, pab).
 
     For composable (a,b) o (b,c): dMult(a(z')|_ga, a(z'')|_gb) must equal
     a(z)|_{ga gb}; returns the max-abs residual over a parameter basis.
     """
-    k = ctx.dim
-    dmult = dmult_fd(ctx, ga, gb, h=h)
-    a_ga = np_matrix(double_action_anchor(ctx, ga).exact_anchor())
-    a_gb = np_matrix(double_action_anchor(ctx, gb).exact_anchor())
-    a_prod = np_matrix(double_action_anchor(ctx, mat_mul(ga, gb)).exact_anchor())
+    k = pa.ctx.dim
+    a_ga = pa.float_anchor
+    a_gb = pb.float_anchor
+    a_prod = pab.float_anchor
     worst = 0.0
     for idx in range(3 * k):
         a_c = np.zeros(k)
@@ -610,26 +607,27 @@ def pair_multiplication_check(
     return worst
 
 
-def dmult_fd(ctx: GroupContext, ga: Matrix, gb: Matrix, h: float = 1e-4) -> np.ndarray:
-    """FD Jacobian of multiplication in product exponential charts."""
+def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
+    """FD Jacobian of multiplication in product exponential charts; pab is
+    the point of the product ga gb."""
+    ctx = pa.ctx
     k = ctx.dim
-    fa = FloatChart(ctx, ga)
-    fb = FloatChart(ctx, gb)
-    base_inv = np.linalg.inv(np_matrix(mat_mul(ga, gb)))
+    base_inv = np.linalg.inv(pab.float_g)
 
     def prod_coords(st: np.ndarray) -> np.ndarray:
-        m = fa.point(st[:k]) @ fb.point(st[k:])
+        m = pa.point(st[:k]) @ pb.point(st[k:])
         return ctx.float_coords(logm_np(base_inv @ m))
 
     return central_difference(prod_coords, np.zeros(2 * k), h)
 
 
-def q_mult_fiber(t: TripleContext, gp: Matrix, gpp: Matrix) -> LinearRelation:
+def q_mult_fiber(xp: G1Point, xpp: G1Point) -> LinearRelation:
     """Multiplication morphism fiber over (g' g'', g', g'') for G1."""
+    t = xpp.triple
     n = t.d_algebra.dim
     p1, p2 = t.projectors
-    c = phi_adjoint(t, gpp)
-    c_inv = phi_adjoint(t, inverse(gpp))
+    c = xpp.phi.adjoint
+    c_inv = xpp.phi.adjoint_inverse
     constraint = tuple(
         tuple(-p2[r][i] for i in range(n))
         + tuple(sum((p2[r][q] * c[q][i] for q in range(n)), Fraction(0)) for i in range(n))
@@ -649,28 +647,30 @@ def q_mult_fiber(t: TripleContext, gp: Matrix, gpp: Matrix) -> LinearRelation:
     return LinearRelation.from_rows(dbar.direct_sum(dbar), dbar, rows)
 
 
-def q_mult_kernel_expected(t: TripleContext, gpp: Matrix) -> ExactSubspace:
+def q_mult_kernel_expected(xpp: G1Point) -> ExactSubspace:
     """{(xi, -Ad_{Phi(g''^-1)} xi) : xi in g1} from solving the fiber."""
+    t = xpp.triple
     n = t.d_algebra.dim
-    c_inv = phi_adjoint(t, inverse(gpp))
+    c_inv = xpp.phi.adjoint_inverse
     rows = [
         concat_vec(xi, tuple(-x for x in mat_vec(c_inv, xi))) for xi in t.g1.basis
     ]
     return ExactSubspace.span(rows, ambient_dim=2 * n)
 
 
-def p_phi_fiber(t: TripleContext, g: Matrix) -> LinearRelation:
+def p_phi_fiber(x: G1Point) -> LinearRelation:
     """Fiber of the lift of the embedding G1 -> D over (Phi(g), g)."""
+    t = x.triple
     n = t.d_algebra.dim
     _, p2 = t.projectors
-    adg = phi_adjoint(t, g)
-    adg_inv = phi_adjoint(t, inverse(g))
+    adg = x.phi.adjoint
+    adg_inv = x.phi.adjoint_inverse
     rows = []
     for xi in t.g1.basis:
         rows.append(
             concat_vec(
-                tuple(-x for x in xi),
-                tuple(-x for x in mat_vec(adg_inv, xi)),
+                tuple(-v for v in xi),
+                tuple(-v for v in mat_vec(adg_inv, xi)),
                 zero_vector(n),
             )
         )
@@ -698,48 +698,21 @@ def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> Linea
     return LinearRelation.from_rows(source, target, rows)
 
 
-def action_morphism_check(ctx: GroupContext, g: Matrix, m: Matrix) -> bool:
-    """Exact equivariance of the action morphism for the G-space M = G.
-
-    Checks d(mult)(a_G(z, z')|_g, a_M(z')|_m) = a_M(z)|_{g m} in ambient
-    matrices, for all basis pairs.
-    """
-    for z in ctx.algebra_basis:
-        for zp in ctx.algebra_basis:
-            v_g = tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(mat_mul(g, zp), mat_mul(z, g))
-            )
-            w_m = tuple(tuple(-x for x in row) for row in mat_mul(zp, m))
-            lhs = tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(mat_mul(v_g, m), mat_mul(g, w_m))
-            )
-            rhs = tuple(
-                tuple(-x for x in row) for row in mat_mul(z, mat_mul(g, m))
-            )
-            if lhs != rhs:
-                return False
-    return True
-
-
 # phi^R sections ------------------------------------------------------------
 
-def phi_r_value(t: TripleContext, d: Matrix, zeta: Vector) -> Vector:
+def phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
     """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d."""
     _, p2 = t.projectors
-    ad = adjoint_matrix(t.d_ctx, d)
-    return concat_vec(mat_vec(p2, mat_vec(ad, zeta)), zeta)
+    return concat_vec(mat_vec(p2, mat_vec(d.adjoint, zeta)), zeta)
 
 
-def phi_r_jet(t: TripleContext, d0: Matrix, zeta: Vector, h: float = 1e-4):
+def phi_r_jet(t: TripleContext, d0: GroupPoint, zeta: Vector, h: float = 1e-4):
     """(value, FD jacobian) of the section phi^R(zeta) in the chart at d0."""
-    fc = FloatChart(t.d_ctx, d0)
     _, p2_np = t.float_projectors
     z = np.array([float(x) for x in zeta])
 
     def section(tvec: np.ndarray) -> np.ndarray:
-        g = fc.point(tvec)
+        g = d0.point(tvec)
         ad = t.d_ctx.float_adjoint(g, np.linalg.inv(g))
         return np.concatenate([p2_np @ (ad @ z), z])
 
@@ -748,22 +721,21 @@ def phi_r_jet(t: TripleContext, d0: Matrix, zeta: Vector, h: float = 1e-4):
 
 
 def phi_r_homomorphism_residual(
-    t: TripleContext, d0: Matrix, zeta: Vector, zeta2: Vector, h: float = 1e-4
+    t: TripleContext, d0: GroupPoint, zeta: Vector, zeta2: Vector, h: float = 1e-4
 ) -> float:
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
-    dbl = t.d_ctx.double_algebra
-    pt = double_action_anchor(t.d_ctx, d0)
-    anchor = np_matrix(pt.exact_anchor())
+    structure, form = t.d_ctx.float_double
     xv, xj = phi_r_jet(t, d0, zeta, h=h)
     yv, yj = phi_r_jet(t, d0, zeta2, h=h)
-    got = courant_bracket_jets_np(dbl, anchor, xv, xj, yv, yj)
+    got = courant_bracket_jets_np(structure, form, d0.float_anchor, d0.float_anchor_dual,
+                                  xv, xj, yv, yj)
     want = np.array(
         [float(x) for x in phi_r_value(t, d0, t.d_algebra.bracket_vec(zeta, zeta2))]
     )
     return float(np.max(np.abs(got - want)))
 
 
-def dressing_pullback_check(t: TripleContext, g: Matrix) -> bool:
+def dressing_pullback_check(x: G1Point) -> bool:
     """The pull-back of the big anchored fiber along the embedding is the
     right dressing action, exactly, through phi^R lifts.
 
@@ -772,15 +744,14 @@ def dressing_pullback_check(t: TripleContext, g: Matrix) -> bool:
     descended pairing is the opposite inner product, and the reduced
     anchor reproduces the dressing anchor.
     """
+    t = x.triple
     n = t.d_algebra.dim
     k = t.g1.dim
-    phi_g = t.embed(g)
-    pt_d = double_action_anchor(t.d_ctx, phi_g)
-    pb = pullback_point(pt_d, t.inclusion)
-    right, _ = dressing_anchor(t, g)
+    pb = pullback_point(x.phi.anchor, t.inclusion)
+    right, _ = x.dressing
     ra = right.exact_anchor()
     # phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b): column b of p2 Ad_{Phi(g)}
-    p2_ad = mat_mul(t.projectors[1], adjoint_matrix(t.d_ctx, phi_g))
+    p2_ad = mat_mul(t.projectors[1], x.phi.adjoint)
     coords_cols = []
     for b in range(n):
         zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))

@@ -143,12 +143,12 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         gd = diagonal_subspace(ctx.algebra, 1)
         manin = Splitting.of_algebra(alg, gd, triangular_complement())
         quasi = Splitting.of_algebra(alg, gd, diagonal_subspace(ctx.algebra, -1))
-        points = ctx.sample_points[:samples]
-        charts = [liegrp.double_chart_at(ctx, g, manin, h=h) for g in points]
+        points = ctx.points[:samples]
+        charts = [liegrp.double_chart_at(p, manin, h=h) for p in points]
         rep = diffnum.verify_main_identity(charts, manin, alg, tol=tol, h=h)
         for chk in rep.checks:
             records.append(_rec(f"main identity (manin) {chk.label}", chk.passed, chk.residual))
-        charts_q = [liegrp.double_chart_at(ctx, g, quasi, h=h) for g in points]
+        charts_q = [liegrp.double_chart_at(p, quasi, h=h) for p in points]
         rep_q = diffnum.verify_main_identity(charts_q, quasi, alg, tol=tol, h=h)
         for chk in rep_q.checks:
             records.append(_rec(f"main identity (quasi) {chk.label}", chk.passed, chk.residual))
@@ -157,8 +157,8 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         records.append(_ladder_rec("main identity h-ladder ratio", rh1, rh2))
     else:
         ctx, d, sheared = _sheared_quasi_splitting()
-        points = ctx.sample_points[:samples]
-        charts = [liegrp.double_chart_at(ctx, g, sheared, h=h) for g in points]
+        points = ctx.points[:samples]
+        charts = [liegrp.double_chart_at(p, sheared, h=h) for p in points]
         defects = [diffnum.main_identity_rhs(d, sheared, chart.anchor0).max_abs() for chart in charts]
         rep = diffnum.verify_main_identity(charts, sheared, d, tol=1.0, h=h)
         for chk, defect in zip(rep.checks, defects):
@@ -237,10 +237,7 @@ def suite_leaves(samples: int = 40, seed: int = 0) -> list[dict]:
     quasi = Splitting.of_algebra(
         ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), diagonal_subspace(ctx.algebra, -1)
     )
-    auto = all(
-        anchored.leaf_condition(liegrp.double_action_anchor(ctx, g), quasi)
-        for g in ctx.sample_points[:4]
-    )
+    auto = all(anchored.leaf_condition(p.anchor, quasi) for p in ctx.points[:4])
     records.append(_rec("exact-type points satisfy the leaf condition", auto))
     return records
 
@@ -272,13 +269,15 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
         records.append(_rec(f"algebraic relatedness {label}", rep.related,
                             detail=",".join(rep.reasons)))
 
-    pairs = [
-        (rng.choice(group.sample_points), rng.choice(group.sample_points))
-        for _ in range(samples)
-    ]
+    # each pair's product point and FD Jacobian are built once
+    pairs = []
+    for _ in range(samples):
+        d1, d2 = rng.choice(group.points), rng.choice(group.points)
+        pairs.append((d1, d2, group.point(mat_mul(d1.g, d2.g))))
+    jacobians = [liegrp.dmult_fd(d1, d2, d12, h=h) for d1, d2, d12 in pairs]
     worst_equi = 0.0
-    for (d1, d2) in pairs:
-        worst_equi = max(worst_equi, liegrp.pair_multiplication_check(group, d1, d2, h=h))
+    for (d1, d2, d12), dm in zip(pairs, jacobians):
+        worst_equi = max(worst_equi, liegrp.pair_multiplication_check(dm, d1, d2, d12))
     records.append(_rec("anchor equivariance of multiplication", worst_equi <= tol, worst_equi))
 
     def pis(d):
@@ -286,9 +285,7 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
         return np_matrix(pip.matrix), np_matrix(pim.matrix)
 
     worst = 0.0
-    for (d1, d2) in pairs:
-        dm = liegrp.dmult_fd(group, d1, d2, h=h)
-        d12 = mat_mul(d1, d2)
+    for (d1, d2, d12), dm in zip(pairs, jacobians):
         p1p, p1m = pis(d1)
         p2p, p2m = pis(d2)
         tp, tm = pis(d12)
@@ -303,12 +300,12 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
 
     # invariant formulas and the unit fibers
     exact_ok = True
-    for d in group.sample_points[:samples]:
+    for d in group.points[:samples]:
         pip, pim = liegrp.pi_plus_minus(t, d)
         plus, minus = liegrp.pi_plus_minus_invariant(t, d)
         exact_ok = exact_ok and pip.matrix == plus and pim.matrix == minus
     records.append(_rec("pi+- match the invariant-frame formulas exactly", exact_ok))
-    _, pim_e = liegrp.pi_plus_minus(t, group.sample_points[0])
+    _, pim_e = liegrp.pi_plus_minus(t, group.points[0])
     records.append(_rec("pi- vanishes at the unit", all(x == 0 for row in pim_e.matrix for x in row)))
     return records
 
@@ -318,25 +315,24 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
     """The dressing actions of G1 on itself and the embedding G1 -> D of a
     Manin triple, as statements about related Lagrangian splittings."""
     records: list[dict] = []
-    ctx = t.g1_ctx
     n = t.d_algebra.dim
-    points = ctx.sample_points[:samples]
+    points = t.points[:samples]
     cois = True
-    for g in points:
-        right, left = liegrp.dressing_anchor(t, g)
+    for x in points:
+        right, left = x.dressing
         cois = cois and right.coisotropy[0] and left.coisotropy[0]
     records.append(_rec("dressing stabilizers exactly coisotropic", cois))
 
     worst = 0.0
-    for g in points[:3]:
-        rho = liegrp.dressing_field_sampler(t, g, h=h)
+    for x in points[:3]:
+        rho = liegrp.dressing_field_sampler(x)
         rep = diffnum.action_axiom_check(rho, t.d_algebra, [np.zeros(t.g1.dim)], tol=tol, h=h)
         worst = max(worst, rep.max_residual)
     records.append(_rec("dressing action axiom (FD)", worst <= tol, worst))
 
     rng = random.Random(seed)
     worst_hom = 0.0
-    for d0 in t.d_ctx.sample_points[:3]:
+    for d0 in t.d_ctx.points[:3]:
         i = rng.randrange(n)
         j = (i + 1 + rng.randrange(n - 1)) % n
         z1 = tuple(Fraction(1 if a == i else 0) for a in range(n))
@@ -344,37 +340,37 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
         worst_hom = max(worst_hom, liegrp.phi_r_homomorphism_residual(t, d0, z1, z2, h=h))
     records.append(_rec("phi^R bracket homomorphism (FD jets)", worst_hom <= tol, worst_hom))
 
-    pull = all(liegrp.dressing_pullback_check(t, g) for g in points)
+    pull = all(liegrp.dressing_pullback_check(x) for x in points)
     records.append(_rec("pull-back reduction == dressing anchor through phi^R", pull))
 
     img_ok = True
-    for g in points[:5]:
-        p = liegrp.p_phi_fiber(t, g)
+    for x in points[:5]:
+        p = liegrp.p_phi_fiber(x)
         img_ok = img_ok and lagrel.backward_image_subspace(t.minus.e, p) == t.g1
         img_ok = img_ok and lagrel.backward_image_subspace(t.minus.f, p) == t.g2
     records.append(_rec("backward images of E-, F- are the g1, g2 columns", img_ok))
 
     qm_ok = True
-    gpps = [ctx.sample_points[0]] + list(points[1:6])
+    gpps = [t.points[0]] + list(points[1:6])
     for gpp in gpps:
-        q = liegrp.q_mult_fiber(t, rng.choice(points), gpp)
-        qm_ok = qm_ok and q.kernel() == liegrp.q_mult_kernel_expected(t, gpp)
+        q = liegrp.q_mult_fiber(rng.choice(points), gpp)
+        qm_ok = qm_ok and q.kernel() == liegrp.q_mult_kernel_expected(gpp)
         qm_ok = qm_ok and q.range_().dim == t.d_algebra.dim
     records.append(_rec("ker/ran of the multiplication lift match closed forms", qm_ok))
 
     rel = related_splitting(
         (product_subspace(t.g1, t.g1), product_subspace(t.g2, t.g2)),
         (t.g1, t.g2),
-        liegrp.q_mult_fiber(t, points[1], points[2]),
+        liegrp.q_mult_fiber(points[1], points[2]),
     )
     records.append(_rec("(E x E, F x F) related to (E, F) through the lift", rel.related,
                         detail=",".join(rel.reasons)))
 
     phi_ok = True
     worst_phi = 0.0
-    for g in points[1:5]:
-        pig = liegrp.g1_poisson_bivector(t, g)
-        _, pim = liegrp.pi_plus_minus(t, t.embed(g))
+    for x in points[1:5]:
+        pig = liegrp.g1_poisson_bivector(x)
+        _, pim = liegrp.pi_plus_minus(t, x.phi)
         ok, r = diffnum.relatedness_check(
             np_matrix(t.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix), tol=tol
         )

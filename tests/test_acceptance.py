@@ -87,8 +87,7 @@ def manin_charts():
     manin = lagrel.Splitting.of_algebra(
         build_double(ctx.algebra), diagonal_subspace(ctx.algebra, 1), triangular_complement()
     )
-    points = ctx.sample_points[:10]
-    return ctx, manin, [liegrp.double_chart_at(ctx, g, manin, h=H) for g in points]
+    return ctx, manin, [liegrp.double_chart_at(p, manin, h=H) for p in ctx.points[:10]]
 
 
 def test_criterion_04_main_identity_poisson(manin_charts):
@@ -105,10 +104,9 @@ def test_criterion_05_main_identity_quasi():
     gd = diagonal_subspace(ctx.algebra, 1)
     gad = diagonal_subspace(ctx.algebra, -1)
     quasi = lagrel.Splitting.of_algebra(d, gd, gad)
-    charts = [liegrp.double_chart_at(ctx, g, quasi, h=H) for g in ctx.sample_points[:10]]
+    charts = [liegrp.double_chart_at(p, quasi, h=H) for p in ctx.points[:10]]
     rep = diffnum.verify_main_identity(charts, quasi, d, tol=TOL, h=H)
-    pt_e = liegrp.double_action_anchor(ctx, ctx.sample_points[0])
-    pi_e = anchored.bivector_at(pt_e, quasi)
+    pi_e = anchored.bivector_at(ctx.points[0].anchor, quasi)
     zero_at_e = all(x == 0 for row in pi_e.matrix for x in row)
     _report(5, "main identity, quasi splitting; bivector exactly zero at the unit",
             rep.passed and zero_at_e, f"max residual {rep.max_residual:.2e}")
@@ -128,13 +126,13 @@ def test_criterion_07_double_structures():
     t = sl2_triangular_triple()
     pair = sl2_pair_context()
     worst = 0.0
-    for dmat in pair.sample_points[:10]:
+    for dmat in pair.points[:10]:
         pip, pim = liegrp.pi_plus_minus(t, dmat)
         plus, minus = liegrp.pi_plus_minus_invariant(t, dmat)
         dp = np.max(np.abs(np_matrix(pip.matrix) - np_matrix(plus)))
         dm = np.max(np.abs(np_matrix(pim.matrix) - np_matrix(minus)))
         worst = max(worst, float(dp), float(dm))
-    _, pim_e = liegrp.pi_plus_minus(t, pair.sample_points[0])
+    _, pim_e = liegrp.pi_plus_minus(t, pair.points[0])
     zero_e = all(x == 0 for row in pim_e.matrix for x in row)
     _report(7, "pi+- match the invariant formulas; pi- vanishes at the unit",
             worst <= PI_TOL and zero_e, f"max deviation {worst:.1e}")
@@ -144,12 +142,11 @@ def test_criterion_08_multiplicativity():
     t = sl2_triangular_triple()
     pair = sl2_pair_context()
     rng = random.Random(SEED)
-    pairs = [(rng.choice(pair.sample_points), rng.choice(pair.sample_points))
-             for _ in range(10)]
+    pairs = [(rng.choice(pair.points), rng.choice(pair.points)) for _ in range(10)]
     worst = 0.0
     for d1, d2 in pairs:
-        dm = liegrp.dmult_fd(pair, d1, d2, h=H)
-        d12 = mat_mul(d1, d2)
+        d12 = pair.point(mat_mul(d1.g, d2.g))
+        dm = liegrp.dmult_fd(d1, d2, d12, h=H)
         p1p, p1m = (np_matrix(b.matrix) for b in liegrp.pi_plus_minus(t, d1))
         p2p, p2m = (np_matrix(b.matrix) for b in liegrp.pi_plus_minus(t, d2))
         tp, tm = (np_matrix(b.matrix) for b in liegrp.pi_plus_minus(t, d12))
@@ -176,43 +173,41 @@ def test_criterion_08_multiplicativity():
 
 def test_criterion_09_dressing():
     t = sl2_triangular_triple()
-    ctx = sl2_context()
-    points = ctx.sample_points[:10]
+    points = t.points[:10]
     cois = True
-    for g in points:
-        right, left = liegrp.dressing_anchor(t, g)
+    for x in points:
+        right, left = x.dressing
         cois = cois and right.coisotropy[0]
         cois = cois and left.coisotropy[0]
     worst = 0.0
-    for g in points[:3]:
-        rho = liegrp.dressing_field_sampler(t, g, h=H)
+    for x in points[:3]:
+        rho = liegrp.dressing_field_sampler(x)
         rep = diffnum.action_axiom_check(rho, t.d_algebra, [np.zeros(3)], tol=TOL, h=H)
         worst = max(worst, rep.max_residual)
-    pull = all(liegrp.dressing_pullback_check(t, g) for g in points)
+    pull = all(liegrp.dressing_pullback_check(x) for x in points)
     _report(9, "dressing stabilizers coisotropic; action axiom; pull-back identification",
             cois and worst <= TOL and pull, f"axiom residual {worst:.2e}")
 
 
 def test_criterion_10_morphism_suite():
     t = sl2_triangular_triple()
-    ctx = sl2_context()
     eplus, fplus, eminus, fminus = t.plus.e, t.plus.f, t.minus.e, t.minus.f
     img_ok = True
-    for g in ctx.sample_points[:5]:
-        p = liegrp.p_phi_fiber(t, g)
+    for x in t.points[:5]:
+        p = liegrp.p_phi_fiber(x)
         img_ok = img_ok and lagrel.backward_image_subspace(eminus, p) == t.g1
         img_ok = img_ok and lagrel.backward_image_subspace(fminus, p) == t.g2
     rel = related_splitting(
         (product_subspace(t.g1, t.g1), product_subspace(t.g2, t.g2)),
         (t.g1, t.g2),
-        liegrp.q_mult_fiber(t, ctx.sample_points[1], ctx.sample_points[2]),
+        liegrp.q_mult_fiber(t.points[1], t.points[2]),
     )
     rng = random.Random(SEED)
     kernels_ok = True
-    gpps = [ctx.sample_points[0]] + [rng.choice(ctx.sample_points) for _ in range(5)]
+    gpps = [t.points[0]] + [rng.choice(t.points) for _ in range(5)]
     for gpp in gpps:
-        q = liegrp.q_mult_fiber(t, rng.choice(ctx.sample_points), gpp)
-        kernels_ok = kernels_ok and q.kernel() == liegrp.q_mult_kernel_expected(t, gpp)
+        q = liegrp.q_mult_fiber(rng.choice(t.points), gpp)
+        kernels_ok = kernels_ok and q.kernel() == liegrp.q_mult_kernel_expected(gpp)
         kernels_ok = kernels_ok and q.range_().dim == 6
     _report(10, "backward images, product relatedness, and multiplication kernels",
             img_ok and rel.related and kernels_ok)

@@ -33,7 +33,6 @@ from courantlab.exactlin import (
     vector,
 )
 from courantlab.lagrel import Splitting
-from courantlab.liegrp import double_action_anchor
 from courantlab.contexts import sl2_context
 from courantlab.quadlie import QuadraticLieAlgebra, diagonal_subspace
 from courantlab.randgen import (
@@ -112,7 +111,7 @@ def test_identity_anchor_formula_level():
 
 def test_sl2_double_identity_point():
     ctx = sl2_context()
-    pt = double_action_anchor(ctx, ctx.sample_points[0])
+    pt = ctx.points[0].anchor
     gd = diagonal_subspace(ctx.algebra, 1)
     gad = diagonal_subspace(ctx.algebra, -1)
     assert pt.stabilizer == gd
@@ -185,7 +184,7 @@ def _rand_jet(rng, alg, m):
 
 def test_constant_sections_bracket_is_lie_bracket():
     ctx = sl2_context()
-    pt = double_action_anchor(ctx, ctx.sample_points[1])
+    pt = ctx.points[1].anchor
     alg = pt.algebra
     x = SectionJet.constant((1, 0, 0, 0, 0, 0), 3)
     y = SectionJet.constant((0, 1, 0, 0, 0, 0), 3)
@@ -195,7 +194,7 @@ def test_constant_sections_bracket_is_lie_bracket():
 def test_function_coefficient_rule():
     # y = f y0 with df given: [[x, y]] = f [x, y0] + (a(x) f) y0
     ctx = sl2_context()
-    pt = double_action_anchor(ctx, ctx.sample_points[2])
+    pt = ctx.points[2].anchor
     alg = pt.algebra
     y0 = vector((0, 0, 1, 0, 1, 0))
     f_val = F(3, 2)
@@ -312,8 +311,8 @@ def _points():
         anchor, j = random_coisotropic_anchor(rng, k)
         yield AnchoredPoint(random_abelian_split_algebra(k), anchor if j else (), j)
     ctx = sl2_context()
-    for g in ctx.sample_points[:4]:
-        yield double_action_anchor(ctx, g)
+    for p in ctx.points[:4]:
+        yield p.anchor
     yield PT4
     yield AnchoredPoint(AB2, ((1, 0),), 1)
     yield AnchoredPoint(AB2, ((1, 0), (0, 1)), 2)  # not coisotropic

@@ -293,19 +293,40 @@ def test_ladder_record_never_writes_a_non_finite_residual():
 
 
 def test_bivector_query_computes_pi_once(monkeypatch, capsys):
-    from courantlab import lagrel
+    from courantlab import anchored, lagrel
 
-    calls = []
-    original = lagrel.splitting_bivector
+    calls = {}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(lagrel, "splitting_bivector", counting)
+        def counting(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((lagrel, "splitting_bivector"), (anchored, "drinfeld_lagrangian"),
+                         (anchored, "bivector_at")):
+        count(module, name)
     for argv in (["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
-                 ["bivector", "--ctx", "sl2c-real", "--point", "1"]):
+                 ["bivector", "--ctx", "sl2c-real", "--point", "1"],
+                 ["bivector", "--ctx", "sl2-pair", "--point", "5", "--splitting", "minus"]):
         calls.clear()
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert calls == {"splitting_bivector": 1, "drinfeld_lagrangian": 1, "bivector_at": 1}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["mult", "--h", "nan"], ["mult", "--h", "inf"],
+                                  ["schouten", "--tol", "nan"], ["rank", "--tol", "nan"],
+                                  ["dressing", "--tol", "inf"]])
+def test_non_finite_step_or_tolerance_is_usage_error(argv, capsys):
+    _assert_usage_error(["verify"] + argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [["verify", "leaves", "--samples", "2"],
+                                  ["bivector", "--ctx", "sl2-double"]])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    _assert_usage_error(argv + ["--out", str(tmp_path / "missing" / "x.json")], capsys)
+    _assert_usage_error(argv + ["--out", str(tmp_path)], capsys)  # a directory

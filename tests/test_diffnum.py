@@ -10,6 +10,7 @@ from courantlab.diffnum import (
     push_trivector,
     relatedness_check,
     schouten_fd,
+    structure_tensor_np,
     vf_bracket_fd,
     wedge3,
 )
@@ -122,17 +123,16 @@ def test_vf_bracket_examples():
 
 def test_action_axiom_check_sl2_fields():
     # matrix-commutator fields X(g) = g u realize the bracket
-    import courantlab.liegrp as liegrp
     from courantlab.contexts import sl2_context
 
     ctx = sl2_context()
-    fc = liegrp.FloatChart(ctx, ctx.sample_points[1])
+    p = ctx.points[1]
 
     def rho(i, t):
-        g = fc.point(t)
+        g = p.point(t)
         amb = g @ ctx.float_basis[i]
         xi = ctx.float_coords(np.linalg.solve(g, amb))
-        return np.linalg.solve(fc.dexp_matrix(t), xi)
+        return np.linalg.solve(ctx.dexp_matrix(t), xi)
 
     rep = action_axiom_check(rho, ctx.algebra, [np.zeros(3)], tol=1e-7)
     assert rep.passed, rep.max_residual
@@ -169,9 +169,12 @@ def test_float_jet_bracket_matches_exact():
     x, y = jet(), jet()
     exact = courant_bracket_jets(pt, x, y)
     a_np = np.array([[float(c) for c in row] for row in pt.anchor])
+    b_np = np.array([[float(c) for c in row] for row in alg.form.matrix])
     got = courant_bracket_jets_np(
-        alg,
+        structure_tensor_np(alg),
+        b_np,
         a_np,
+        np.linalg.solve(b_np, a_np.T),
         np.array([float(c) for c in x.value]),
         np.array([[float(c) for c in row] for row in x.jacobian]),
         np.array([float(c) for c in y.value]),
@@ -183,11 +186,10 @@ def test_float_jet_bracket_matches_exact():
 def test_main_identity_rhs_vanishes_for_subalgebra_pairs():
     # both halves of the triangular splitting are subalgebras
     from courantlab.contexts import sl2_context, triangular_complement
-    from courantlab.liegrp import double_action_anchor
 
     ctx = sl2_context()
     d = build_double(ctx.algebra)
-    pt = double_action_anchor(ctx, ctx.sample_points[3])
+    pt = ctx.points[3].anchor
     manin = Splitting.of_algebra(d, diagonal_subspace(ctx.algebra, 1), triangular_complement())
     rhs = main_identity_rhs(d, manin, pt.exact_anchor())
     assert rhs.max_abs() == 0.0

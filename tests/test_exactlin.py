@@ -9,6 +9,7 @@ from courantlab.exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    QuotientMap,
     SingularMatrixError,
     det,
     dot,
@@ -77,6 +78,20 @@ def test_sum_and_quotient():
     assert q2.coords((5, 5)) == (F(0),)
     with pytest.raises(ValueError):
         quotient_coords(ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
+
+
+def test_descended_form_reads_the_complement_gram_matrix():
+    # split Q^4 pairing e1 with e3 and e2 with e4; W1 = <e1, e2, e4> is
+    # coisotropic with W1-perp = <e1>, so W1/W1-perp is the plane <e2, e4>
+    form = BilinearForm(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
+    w1 = ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
+    w0 = form.orth_complement(w1)
+    assert w0 == ExactSubspace.span([(1, 0, 0, 0)])
+    q = quotient_coords(w1, w0)
+    assert q.descended_form(form).matrix == matrix([(0, 1), (1, 0)])
+    # shifting the complement by W1-perp does not change the descended form
+    shifted = QuotientMap(w1, w0, ((1, 1, 0, 0), (2, 0, 0, 1)))
+    assert shifted.descended_form(form) == q.descended_form(form)
 
 
 def test_orth_complement_examples():

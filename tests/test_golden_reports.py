@@ -38,6 +38,18 @@ GOLDEN = {
         ["verify", "relations", "--seed", "1", "--samples", "20"],
         "29dea1997dacb33d2d5259b99054883970514499b472000c89fe04d2779a901d",
     ),
+    "mult-abelian-2": (
+        ["verify", "mult", "--ctx", "abelian-2", "--seed", "1"],
+        "ba77eea2effcd194d71c737617b664b0673933434f09a3fbaf809a242d2f9b82",
+    ),
+    "dressing-abelian-2": (
+        ["verify", "dressing", "--ctx", "abelian-2", "--seed", "1"],
+        "acb1f30c1e9f8b27af692b85b374576dd562810875859f72f16dfe283882b6ce",
+    ),
+    "schouten-sl2c-real": (
+        ["verify", "schouten", "--ctx", "sl2c-real", "--samples", "4"],
+        "31ab23c4ef814b8a3777e13140e077f27900b0fe08f693926a1fc9d9e06d8afe",
+    ),
     "bivector-sl2-double": (
         ["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
         "9901e21319142e16ed9ca9c2c888f2848b70cf032420c824778973c03c890515",

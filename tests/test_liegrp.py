@@ -1,5 +1,8 @@
+import collections
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import courantlab.liegrp as liegrp
+from courantlab import suites
+from courantlab.cli import main
 
 from courantlab.contexts import (
     GROUP_CONTEXT_NAMES,
@@ -34,8 +39,10 @@ from courantlab.exactlin import (
     concat_vec,
     identity,
     inverse,
+    mat_mul,
     mat_vec,
     matrix,
+    transpose,
 )
 from courantlab.lagrel import (
     Splitting,
@@ -45,17 +52,11 @@ from courantlab.lagrel import (
     related_splitting,
 )
 from courantlab.liegrp import (
-    GroupContext,
-    action_morphism_check,
-    adjoint_matrix,
-    double_action_anchor,
+    GroupPoint,
     double_chart_at,
     dmult_fd,
-    dressing_anchor,
     dressing_field_sampler,
     dressing_pullback_check,
-    exp_chart,
-    g1_bivector_field,
     g1_poisson_bivector,
     np_matrix,
     p_phi_fiber,
@@ -90,38 +91,24 @@ def test_contexts_validate():
         assert validate_algebra(ctx.algebra).passed
 
 
-def test_context_json_roundtrip():
-    data = CTX.to_json()
-    again = GroupContext.from_json(data, name="sl2-copy")
-    validate_context(again)
-    assert again.algebra == CTX.algebra
-    assert again.sample_points == CTX.sample_points
-
-
-def test_exp_chart_frame():
-    frame = exp_chart(CTX, CTX.sample_points[0])
-    # at the identity the frame is the basis itself
-    for i, b in enumerate(CTX.algebra_basis):
-        coords = frame.ambient_to_chart(b)
-        assert coords == tuple(F(1 if j == i else 0) for j in range(3))
+def test_group_point_chart_derivative():
     # chart derivative along one direction: numerical vs g0 . X
-    g0 = CTX.sample_points[5]
-    fc = liegrp.FloatChart(CTX, g0)
+    p = CTX.points[5]
     h = 1e-6
     for a in range(3):
         t = np.zeros(3)
         t[a] = h
         tm = np.zeros(3)
         tm[a] = -h
-        fd = (fc.point(t) - fc.point(tm)) / (2 * h)
-        exact = np_matrix(g0) @ CTX.float_basis[a]
+        fd = (p.point(t) - p.point(tm)) / (2 * h)
+        exact = np_matrix(p.g) @ CTX.float_basis[a]
         assert np.max(np.abs(fd - exact)) < 1e-9
 
 
 def test_double_action_stabilizer():
-    for g in CTX.sample_points[:6]:
-        pt = double_action_anchor(CTX, g)
-        adg = adjoint_matrix(CTX, g)
+    for p in CTX.points[:6]:
+        pt = p.anchor
+        adg = p.adjoint
         rows = [concat_vec(mat_vec(adg, v), v) for v in identity(3)]
         assert pt.stabilizer == ExactSubspace.span(rows, ambient_dim=6)
         ok, _ = pt.coisotropy
@@ -129,29 +116,31 @@ def test_double_action_stabilizer():
 
 
 def test_pi_plus_minus_exact_identities():
-    for d in PAIR.sample_points:
+    for d in PAIR.points:
         pip, pim = pi_plus_minus(TRIPLE, d)
         plus, minus = pi_plus_minus_invariant(TRIPLE, d)
         assert pip.matrix == plus
         assert pim.matrix == minus
-    pip_e, pim_e = pi_plus_minus(TRIPLE, PAIR.sample_points[0])
+    pip_e, pim_e = pi_plus_minus(TRIPLE, PAIR.points[0])
     assert all(x == 0 for row in pim_e.matrix for x in row)
     two_r = tuple(tuple(2 * x for x in row) for row in TRIPLE.splitting.bivector.matrix)
     assert pip_e.matrix == two_r
 
 
 def test_mult_anchor_equivariance():
-    worst = pair_multiplication_check(PAIR, PAIR.sample_points[1], PAIR.sample_points[2])
+    pa, pb = PAIR.points[1], PAIR.points[2]
+    pab = PAIR.point(mat_mul(pa.g, pb.g))
+    worst = pair_multiplication_check(dmult_fd(pa, pb, pab), pa, pb, pab)
     assert worst < 1e-9
 
 
 def test_dressing_anchors():
-    for g in CTX.sample_points:
-        right, left = dressing_anchor(TRIPLE, g)
+    for x in TRIPLE.points:
+        right, left = x.dressing
         assert right.coisotropy[0]
         assert left.coisotropy[0]
     # at the identity the right action restricted to g1 is the full frame
-    right_e, _ = dressing_anchor(TRIPLE, CTX.sample_points[0])
+    right_e, _ = TRIPLE.points[0].dressing
     for i in range(3):
         diag_vec = tuple(
             F(1 if (j == i or j == i + 3) else 0) for j in range(6)
@@ -161,14 +150,14 @@ def test_dressing_anchors():
 
 
 def test_dressing_action_axiom_fd():
-    rho = dressing_field_sampler(TRIPLE, CTX.sample_points[2])
+    rho = dressing_field_sampler(TRIPLE.points[2])
     rep = action_axiom_check(rho, TRIPLE.d_algebra, [np.zeros(3)], tol=1e-6)
     assert rep.passed, rep.max_residual
 
 
 def test_phi_r_homomorphism():
     worst = 0.0
-    for d0 in PAIR.sample_points[:2]:
+    for d0 in PAIR.points[:2]:
         for (i, j) in [(0, 4), (1, 5)]:
             z1 = tuple(F(1 if a == i else 0) for a in range(6))
             z2 = tuple(F(1 if a == j else 0) for a in range(6))
@@ -177,35 +166,35 @@ def test_phi_r_homomorphism():
 
 
 def test_dressing_pullback_identification():
-    for g in CTX.sample_points[:6]:
-        assert dressing_pullback_check(TRIPLE, g)
+    for x in TRIPLE.points[:6]:
+        assert dressing_pullback_check(x)
 
 
 def test_p_phi_backward_images():
     eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
-    for g in CTX.sample_points[:5]:
-        p = p_phi_fiber(TRIPLE, g)
+    for x in TRIPLE.points[:5]:
+        p = p_phi_fiber(x)
         assert backward_image_subspace(eminus, p) == TRIPLE.g1
         img_f, _ = backward_image(fminus, p)
         assert img_f == TRIPLE.g2
         # both plus-splitting halves pull back to the same subspace
         assert backward_image_subspace(eplus, p) == backward_image_subspace(fplus, p)
     rel = related_splitting(
-        (TRIPLE.g1, TRIPLE.g2), (eminus, fminus), p_phi_fiber(TRIPLE, CTX.sample_points[3])
+        (TRIPLE.g1, TRIPLE.g2), (eminus, fminus), p_phi_fiber(TRIPLE.points[3])
     )
     assert rel.related
 
 
 def test_q_mult_fiber():
     rng = random.Random(4)
-    gpps = [CTX.sample_points[0]] + [rng.choice(CTX.sample_points) for _ in range(5)]
+    gpps = [TRIPLE.points[0]] + [rng.choice(TRIPLE.points) for _ in range(5)]
     for gpp in gpps:
-        gp = rng.choice(CTX.sample_points)
-        q = q_mult_fiber(TRIPLE, gp, gpp)
-        assert q.kernel() == q_mult_kernel_expected(TRIPLE, gpp)
+        gp = rng.choice(TRIPLE.points)
+        q = q_mult_fiber(gp, gpp)
+        assert q.kernel() == q_mult_kernel_expected(gpp)
         assert q.range_().dim == 6
     # unit fiber kernel is the plain anti-diagonal of g1
-    q0 = q_mult_fiber(TRIPLE, CTX.sample_points[1], CTX.sample_points[0])
+    q0 = q_mult_fiber(TRIPLE.points[1], TRIPLE.points[0])
     expect = ExactSubspace.span(
         [concat_vec(xi, tuple(-x for x in xi)) for xi in TRIPLE.g1.basis],
         ambient_dim=12,
@@ -214,7 +203,7 @@ def test_q_mult_fiber():
     rel = related_splitting(
         (product_subspace(TRIPLE.g1, TRIPLE.g1), product_subspace(TRIPLE.g2, TRIPLE.g2)),
         (TRIPLE.g1, TRIPLE.g2),
-        q_mult_fiber(TRIPLE, CTX.sample_points[1], CTX.sample_points[2]),
+        q_mult_fiber(TRIPLE.points[1], TRIPLE.points[2]),
     )
     assert rel.related
 
@@ -247,7 +236,7 @@ def test_t_psi_fibers():
         assert related_splitting((eplus, fplus), (TRIPLE.g1, TRIPLE.g2), t_rel).related
         assert related_splitting((eminus, fminus), (TRIPLE.g1, TRIPLE.g2), t_rel).related
     # graph of a nontrivial inner automorphism breaks the splitting condition
-    adg = adjoint_matrix(CTX, matrix([[1, 1], [0, 1]]))
+    adg = GroupPoint(CTX, matrix([[1, 1], [0, 1]])).adjoint
     gtheta = ExactSubspace.span(
         [concat_vec(v, mat_vec(adg, v)) for v in identity(3)], ambient_dim=6
     )
@@ -260,11 +249,6 @@ def test_t_psi_fibers():
 
 
 def test_s_phi_morphism():
-    for (g, m) in [
-        (PAIR.sample_points[1], PAIR.sample_points[4]),
-        (PAIR.sample_points[2], PAIR.sample_points[6]),
-    ]:
-        assert action_morphism_check(PAIR, g, m)
     s = s_phi_fiber(PAIR)
     eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
     rep1 = related_splitting(
@@ -279,20 +263,16 @@ def test_s_phi_morphism():
 
 
 def test_g1_poisson_structure():
-    pi_e = g1_poisson_bivector(TRIPLE, CTX.sample_points[0])
+    pi_e = g1_poisson_bivector(TRIPLE.points[0])
     assert all(x == 0 for row in pi_e.matrix for x in row)
-    for g in CTX.sample_points[1:6]:
-        pig = g1_poisson_bivector(TRIPLE, g)
-        _, pim = pi_plus_minus(TRIPLE, TRIPLE.embed(g))
+    for x in TRIPLE.points[1:6]:
+        pig = g1_poisson_bivector(x)
+        _, pim = pi_plus_minus(TRIPLE, x.phi)
         ok, r = relatedness_check(
             np_matrix(TRIPLE.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix),
             tol=1e-9,
         )
         assert ok, r
-    # the G1 bivector field is Poisson: FD Jacobi defect is tiny
-    fld = g1_bivector_field(TRIPLE, CTX.sample_points[2])
-    tri = schouten_fd(fld, np.zeros(3))
-    assert tri.max_abs() < 1e-6
 
 
 def test_main_identity_sl2_cases():
@@ -301,9 +281,9 @@ def test_main_identity_sl2_cases():
     gad = diagonal_subspace(CTX.algebra, -1)
     manin = Splitting.of_algebra(d, gd, triangular_complement())
     quasi = Splitting.of_algebra(d, gd, gad)
-    charts = [double_chart_at(CTX, g, manin) for g in CTX.sample_points[:6]]
+    charts = [double_chart_at(p, manin) for p in CTX.points[:6]]
     assert verify_main_identity(charts, manin, d, tol=1e-6).passed
-    charts_q = [double_chart_at(CTX, g, quasi) for g in CTX.sample_points[:6]]
+    charts_q = [double_chart_at(p, quasi) for p in CTX.points[:6]]
     assert verify_main_identity(charts_q, quasi, d, tol=1e-6).passed
 
 
@@ -316,10 +296,10 @@ def test_sl2c_context_and_nonzero_defect():
     from courantlab.suites import _sheared_quasi_splitting
 
     _, d2, sheared = _sheared_quasi_splitting()
-    pt = double_action_anchor(ctx, ctx.sample_points[7])
-    rhs = main_identity_rhs(d2, sheared, pt.exact_anchor())
+    p = ctx.points[7]
+    rhs = main_identity_rhs(d2, sheared, p.anchor.exact_anchor())
     assert rhs.max_abs() > 0.1
-    chart = double_chart_at(ctx, ctx.sample_points[7], sheared)
+    chart = double_chart_at(p, sheared)
     lhs = 0.5 * schouten_fd(chart.field, np.zeros(6)).values
     correct = float(np.max(np.abs(lhs - rhs.values)))
     flipped = float(np.max(np.abs(lhs + rhs.values)))
@@ -329,12 +309,12 @@ def test_sl2c_context_and_nonzero_defect():
 
 def test_abelian_triple_suite_pieces():
     t = abelian2_triple()
-    for g in t.g1_ctx.sample_points[:4]:
-        right, left = dressing_anchor(t, g)
+    for x in t.points[:4]:
+        right, _ = x.dressing
         assert right.coisotropy[0]
-        pig = g1_poisson_bivector(t, g)
-        assert all(x == 0 for row in pig.matrix for x in row)
-    d = t.d_ctx.sample_points[1]
+        pig = g1_poisson_bivector(x)
+        assert all(v == 0 for row in pig.matrix for v in row)
+    d = t.d_ctx.points[1]
     pip, pim = pi_plus_minus(t, d)
     assert all(x == 0 for row in pim.matrix for x in row)
 
@@ -377,8 +357,9 @@ def test_related_splitting_transports_reduced_bivector():
 
 def test_dmult_linear_in_left_trivialization():
     # the product chart map is linear, so the FD Jacobian is essentially exact
-    dm = dmult_fd(PAIR, PAIR.sample_points[1], PAIR.sample_points[3])
-    adj = adjoint_matrix(PAIR, inverse(PAIR.sample_points[3]))
+    pa, pb = PAIR.points[1], PAIR.points[3]
+    dm = dmult_fd(pa, pb, PAIR.point(mat_mul(pa.g, pb.g)))
+    adj = pb.adjoint_inverse
     expect = np.hstack([np_matrix(adj), np.eye(6)])
     assert np.max(np.abs(dm - expect)) < 1e-9
 
@@ -480,24 +461,102 @@ def test_float_embedding_is_the_linear_extension_of_embed(name, data):
 
 
 def test_float_chart_data_is_built_once_per_context(monkeypatch):
-    ctx = GroupContext.from_json(sl2_context().to_json())
+    ctx = replace(sl2_context())  # a fresh context, with nothing kept yet
     calls = []
     original = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a) or original(*a, **k))
     s = Splitting.of_algebra(
         ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), triangular_complement()
     )
-    for g in ctx.sample_points[1:3]:
-        fc = liegrp.FloatChart(ctx, g)
-        tangent = fc.g0 @ ctx.float_basis[0]
-        assert np.allclose(ctx.float_coords(np.linalg.solve(fc.g0, tangent)), [1, 0, 0])
-        liegrp.double_bivector_field(ctx, g, s)(np.zeros(3))
-        ginv = inverse(g)
-        got = ctx.float_adjoint(np_matrix(g), np_matrix(ginv))
-        assert np.allclose(got, np_matrix(adjoint_matrix(ctx, g)), atol=1e-12)
+    for p in ctx.points[1:3]:
+        tangent = p.float_g @ ctx.float_basis[0]
+        assert np.allclose(ctx.float_coords(np.linalg.solve(p.float_g, tangent)), [1, 0, 0])
+        liegrp.double_bivector_field(p, s)(np.zeros(3))
+        got = ctx.float_adjoint(p.float_g, np_matrix(p.inverse))
+        assert np.allclose(got, np_matrix(p.adjoint), atol=1e-12)
     assert len(calls) == 1
     # ad tables: float_ad[a] has the coordinates of [X_a, X_b] as column b
     for a in range(ctx.dim):
         cols = [ctx.algebra.bracket_basis(a, b) for b in range(ctx.dim)]
         assert np.array_equal(ctx.float_ad[a], np_matrix(matrix(cols)).T)
     assert ctx.float_ad is ctx.float_ad
+
+
+# --- the kept group point data ----------------------------------------
+
+
+def test_group_point_keeps_its_data():
+    # a fresh context, so that no test before this one has filled it
+    ctx = replace(sl2_context())
+    assert ctx.points is ctx.points
+    assert [p.g for p in ctx.points] == list(ctx.sample_points)
+    for i, p in enumerate(ctx.points):
+        assert ctx.point(p.g) is p
+        assert p.inverse == inverse(p.g)
+        cols = [ctx.coordinatize(mat_mul(mat_mul(p.g, b), p.inverse)) for b in ctx.algebra_basis]
+        assert p.adjoint == transpose(matrix(cols))
+        assert p.adjoint_inverse == inverse(p.adjoint)
+        assert p.adjoint is p.adjoint and p.anchor is p.anchor
+        a = p.anchor.exact_anchor()
+        assert a == tuple(
+            tuple(-x for x in row) + tuple(F(1 if c == r else 0) for c in range(3))
+            for r, row in enumerate(p.adjoint_inverse)
+        )
+        assert np.array_equal(p.float_anchor, np_matrix(a))
+        assert double_chart_at(p, TRIPLE.splitting).label == f"sl2#{i}"
+    # up and up^-1 are both sample points: Ad_{up^-1} is read off the kept point
+    up, up_inv = ctx.points[1], ctx.points[11]
+    assert up.inverse == up_inv.g and up.adjoint_inverse is up_inv.adjoint
+    other = ctx.point(mat_mul(up.g, up.g))
+    assert other not in ctx.points and other.adjoint == mat_mul(up.adjoint, up.adjoint)
+    assert double_chart_at(other, TRIPLE.splitting).label == "sl2@?"
+
+
+def test_triple_points_keep_phi_and_dressings():
+    t = TRIPLE
+    assert t.points is t.points
+    for x, p in zip(t.points, t.g1_ctx.points):
+        assert x.g1 is p
+        assert x.phi.g == t.embed(p.g) and x.phi.ctx is t.d_ctx
+        assert x.dressing is x.dressing
+    # Phi of the unit and of up are sample points of D: their points are shared
+    assert t.points[0].phi is t.d_ctx.points[0]
+    assert t.points[1].phi is t.d_ctx.points[10]
+
+
+def _count_builds(monkeypatch, cls, name, key):
+    """Count the builds of a kept attribute of ``cls``, by ``key`` of the object."""
+    counts = collections.Counter()
+    build = vars(cls)[name].func
+
+    def counted(self):
+        counts[key(self)] += 1
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return counts
+
+
+def _run_on_a_fresh_triple(monkeypatch, suite):
+    t = TRIPLE
+    fresh = replace(t, d_ctx=replace(t.d_ctx), g1_ctx=replace(t.g1_ctx))
+    monkeypatch.setattr(suites, "get_triple_context", lambda name: fresh)
+    assert main(["verify", suite, "--seed", "1", "--json"]) == 0
+
+
+def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys):
+    adjoints = _count_builds(monkeypatch, GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g))
+    dressings = _count_builds(monkeypatch, liegrp.G1Point, "dressing", lambda x: x.g1.g)
+    _run_on_a_fresh_triple(monkeypatch, "dressing")
+    capsys.readouterr()
+    assert max(adjoints.values()) == 1 and sum(adjoints.values()) <= 33
+    assert max(dressings.values()) == 1 and sum(dressings.values()) <= 10
+
+
+def test_mult_builds_one_anchor_per_point(monkeypatch, capsys):
+    anchors = _count_builds(monkeypatch, GroupPoint, "anchor", lambda p: (p.ctx.name, p.g))
+    _run_on_a_fresh_triple(monkeypatch, "mult")
+    capsys.readouterr()
+    assert max(anchors.values()) == 1 and sum(anchors.values()) <= 20
