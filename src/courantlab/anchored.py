@@ -2,9 +2,9 @@
 
 An AnchoredPoint is a quadratic Lie algebra together with the action
 matrix a_m mapping the algebra onto chart directions at a single point.
-Exact anchors support decidable predicates (coisotropic stabilizer,
-rank formula, leaf condition, backward image through the diagonal
-relation); floating anchors only feed the numeric layer.
+Anchors are exact, so the predicates are decided (coisotropic
+stabilizer, rank formula, leaf condition, backward image through the
+diagonal relation); the numeric layer keeps its own float anchors.
 """
 
 from __future__ import annotations
@@ -45,24 +45,18 @@ from .lagrel import (
 from .quadlie import QuadraticLieAlgebra
 
 
-class ExactnessError(TypeError):
-    """An exact predicate was asked of floating-point data."""
-
-
 class CourantStructureError(ValueError):
     """The stabilizer is not coisotropic, so no bracket/relation exists."""
-
-
-def _is_exact_matrix(rows) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
 
 
 @dataclass(frozen=True)
 class AnchoredPoint:
     """Action matrix of a quadratic Lie algebra at one chart point.
 
-    The exact data of the point (its stabilizer, the coisotropy verdict
-    and the metric-dual anchor) is computed on first use and kept.
+    The anchor is stored as an exact matrix; a float entry raises
+    TypeError at construction.  The exact data of the point (its
+    stabilizer, the coisotropy verdict and the metric-dual anchor) is
+    computed on first use and kept.
     """
 
     algebra: QuadraticLieAlgebra
@@ -70,21 +64,15 @@ class AnchoredPoint:
     chart_dim: int
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.anchor)
+        rows = matrix(self.anchor)
         object.__setattr__(self, "anchor", rows)
         if len(rows) != self.chart_dim or any(
             len(r) != self.algebra.dim for r in rows
         ):
             raise ValueError("anchor must be chart_dim x algebra dim")
 
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact_matrix(self.anchor)
-
     def exact_anchor(self) -> Matrix:
-        if not self.is_exact:
-            raise ExactnessError("operation needs an exact anchor")
-        return matrix(self.anchor)
+        return self.anchor
 
     def apply(self, x: Iterable) -> Vector:
         return mat_vec(self.exact_anchor(), vector(x))
@@ -131,29 +119,10 @@ def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
     )
 
 
-def bivector_at(pt: AnchoredPoint, s: Splitting):
-    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a Lagrangian splitting.
-
-    For exact anchors returns a Bivector; a floating anchor yields a
-    plain tuple-of-tuples of floats.
-    """
-    pi = s.bivector
-    if pt.is_exact:
-        a = pt.exact_anchor()
-        p = mat_mul(mat_mul(a, pi.matrix), transpose(a))
-        return Bivector(pt.chart_dim, p)
-    a = [[float(x) for x in row] for row in pt.anchor]
-    pif = [[float(x) for x in row] for row in pi.matrix]
-    m, n = pt.chart_dim, pt.algebra.dim
-    out = [[0.0] * m for _ in range(m)]
-    for u in range(m):
-        for v in range(m):
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    acc += a[u][i] * pif[i][j] * a[v][j]
-            out[u][v] = acc
-    return tuple(tuple(row) for row in out)
+def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
+    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a Lagrangian splitting."""
+    a = pt.exact_anchor()
+    return Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a)))
 
 
 def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:

@@ -36,10 +36,6 @@ def abelian_algebra_split2() -> QuadraticLieAlgebra:
     )
 
 
-def abelian_algebra_line() -> QuadraticLieAlgebra:
-    return QuadraticLieAlgebra.from_triples(1, [], [[1]], basis_names=("a",))
-
-
 def _is_sl(g: Matrix) -> bool:
     return det(g) == 1
 

@@ -2,6 +2,8 @@
 trivector pushforwards, the main splitting identity, vector-field
 bracket tests, and bivector relatedness under chart maps.
 
+Each check returns a plain residual; the caller decides what passes.
+
 Conventions: a bivector field is sampled as its antisymmetric component
 matrix P with pi = sum_{u<v} P[u,v] d_u ^ d_v, and a trivector is a
 fully antisymmetric 3-index array T with T[i,j,k] the coefficient
@@ -10,7 +12,8 @@ against d_i ^ d_j ^ d_k for i < j < k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,7 +31,6 @@ class ChartBivectorField:
 
     chart_dim: int
     sampler: Callable[[np.ndarray], np.ndarray]
-    step: float = 1e-4
 
     def __call__(self, point) -> np.ndarray:
         p = np.asarray(self.sampler(np.asarray(point, dtype=float)), dtype=float)
@@ -61,6 +63,18 @@ def _set_antisym(T: np.ndarray, i: int, j: int, k: int, val: float) -> None:
     T[k, j, i] = -val
 
 
+def worst(residuals: Iterable[float]) -> float:
+    """The largest residual, 0.0 for none.
+
+    A NaN among them is the result, and an inf wins over every finite
+    value: builtin max would let a finite residual hide a NaN.
+    """
+    values = [float(r) for r in residuals]
+    if any(math.isnan(r) for r in values):
+        return math.nan
+    return max(values, default=0.0)
+
+
 def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                        h: float) -> np.ndarray:
     """Jacobian of f at x by central differences, O(h^2).
@@ -76,8 +90,8 @@ def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.stack(cols, axis=-1)
 
 
-def schouten_fd(field: ChartBivectorField, point) -> Trivector:
-    """Schouten bracket [pi, pi] by central differences, O(h^2).
+def schouten_fd(field: ChartBivectorField, point, h: float) -> Trivector:
+    """Schouten bracket [pi, pi] by central differences of step h, O(h^2).
 
     Components are twice the coordinate Jacobiator:
     T^ijk = 2 sum_l (P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij).
@@ -85,7 +99,7 @@ def schouten_fd(field: ChartBivectorField, point) -> Trivector:
     d = field.chart_dim
     x = np.asarray(point, dtype=float)
     P = field(x)
-    dP = central_difference(field, x, field.step)  # dP[j, k, l] = d_l P^jk
+    dP = central_difference(field, x, h)  # dP[j, k, l] = d_l P^jk
     T = _empty_trivector(d)
     for i in range(d):
         for j in range(i + 1, d):
@@ -136,49 +150,6 @@ def push_trivector(
     return Trivector(m, T)
 
 
-@dataclass(frozen=True)
-class PointCheck:
-    label: str
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[PointCheck, ...]
-    h: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "tol": self.tol,
-            "pass": self.passed,
-            "points": [
-                {"label": c.label, "residual": c.residual, "pass": c.passed}
-                for c in self.checks
-            ],
-        }
-
-
-@dataclass
-class ChartAtPoint:
-    """One verification site: a bivector field in a local chart centered
-    at the point, plus the exact anchor matrix there."""
-
-    label: str
-    field: ChartBivectorField
-    anchor0: Matrix
-
-
 def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
     """Value tables and wedge frames for both halves of a splitting.
 
@@ -213,26 +184,18 @@ def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> Trivec
     return Trivector(t1.dim, t1.values + t2.values)
 
 
-def verify_main_identity(
-    charts: Iterable[ChartAtPoint],
+def main_identity_residual(
+    field: ChartBivectorField,
+    anchor0: Matrix,
     s: Splitting,
     alg: QuadraticLieAlgebra,
-    tol: float = 1e-6,
-    h: float | None = None,
-) -> IdentityReport:
-    """Check (1/2)[pi, pi] = a(Y^E) + a(Y^F) at each chart point."""
-    checks = []
-    used_h = h
-    for chart in charts:
-        fld = chart.field
-        if h is not None:
-            fld = ChartBivectorField(fld.chart_dim, fld.sampler, step=h)
-        used_h = fld.step
-        lhs = 0.5 * schouten_fd(fld, np.zeros(fld.chart_dim)).values
-        rhs = main_identity_rhs(alg, s, chart.anchor0).values
-        residual = float(np.max(np.abs(lhs - rhs)))
-        checks.append(PointCheck(chart.label, residual, residual <= tol))
-    return IdentityReport(tuple(checks), used_h if used_h is not None else 1e-4, tol)
+    h: float,
+) -> float:
+    """max |(1/2)[pi, pi] - a(Y^E) - a(Y^F)| at the center of the chart of
+    ``field``, where the exact anchor is ``anchor0``; FD step h."""
+    lhs = 0.5 * schouten_fd(field, np.zeros(field.chart_dim), h).values
+    rhs = main_identity_rhs(alg, s, anchor0).values
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def vf_bracket_fd(
@@ -253,44 +216,38 @@ def vf_bracket_fd(
 def action_axiom_check(
     rho: Callable[[int, np.ndarray], np.ndarray],
     alg: QuadraticLieAlgebra,
-    points: Sequence,
-    tol: float = 1e-6,
-    h: float = 1e-4,
-) -> IdentityReport:
-    """[rho(b_i), rho(b_j)] = rho([b_i, b_j]) per basis pair and point."""
-    checks = []
+    point,
+    h: float,
+) -> float:
+    """Worst max-abs residual of [rho(b_i), rho(b_j)] = rho([b_i, b_j])
+    over the basis pairs, at one point."""
+    x = np.asarray(point, dtype=float)
     n = alg.dim
-    for p_idx, point in enumerate(points):
-        x = np.asarray(point, dtype=float)
-        worst = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = vf_bracket_fd(
-                    lambda q, i=i: rho(i, q), lambda q, j=j: rho(j, q), x, h=h
-                )
-                coeffs = alg.bracket_basis(i, j)
-                rhs = np.zeros_like(lhs)
-                for k, c in enumerate(coeffs):
-                    if c != 0:
-                        rhs += float(c) * np.asarray(rho(k, x), dtype=float)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        checks.append(PointCheck(f"point{p_idx}", worst, worst <= tol))
-    return IdentityReport(tuple(checks), h, tol)
+    residuals = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = vf_bracket_fd(
+                lambda q, i=i: rho(i, q), lambda q, j=j: rho(j, q), x, h=h
+            )
+            rhs = np.zeros_like(lhs)
+            for k, c in enumerate(alg.bracket_basis(i, j)):
+                if c != 0:
+                    rhs += float(c) * np.asarray(rho(k, x), dtype=float)
+            residuals.append(float(np.max(np.abs(lhs - rhs))))
+    return worst(residuals)
 
 
 def relatedness_check(
     dphi: np.ndarray,
     pi_source: np.ndarray,
     pi_target: np.ndarray,
-    tol: float = 1e-6,
-) -> tuple[bool, float]:
+) -> float:
     """max-norm residual of dPhi pi dPhi^T - pi'."""
     dphi = np.asarray(dphi, dtype=float)
     resid = dphi @ np.asarray(pi_source, dtype=float) @ dphi.T - np.asarray(
         pi_target, dtype=float
     )
-    r = float(np.max(np.abs(resid))) if resid.size else 0.0
-    return r <= tol, r
+    return float(np.max(np.abs(resid))) if resid.size else 0.0
 
 
 def structure_tensor_np(alg: QuadraticLieAlgebra) -> np.ndarray:

@@ -19,11 +19,11 @@ import numpy as np
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .diffnum import (
-    ChartAtPoint,
     ChartBivectorField,
     central_difference,
     courant_bracket_jets_np,
     structure_tensor_np,
+    worst,
 )
 from .exactlin import (
     ExactSubspace,
@@ -39,7 +39,6 @@ from .exactlin import (
     nullspace,
     pivot_columns,
     rref,
-    solve,
     transpose,
     vec_mat,
     vector,
@@ -335,7 +334,7 @@ def logm_np(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the double action on a group: a(u, v) = v^L - u^R
 
-def double_bivector_field(p: GroupPoint, s: Splitting, h: float = 1e-4) -> ChartBivectorField:
+def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
     """pi(t) for a splitting (E, F) of the double, in the chart at p."""
     pi_np = np_matrix(s.bivector.matrix)
     ctx = p.ctx
@@ -348,20 +347,7 @@ def double_bivector_field(p: GroupPoint, s: Splitting, h: float = 1e-4) -> Chart
         anchor = np.linalg.solve(tmat, np.hstack([-adg_inv, np.eye(k)]))
         return anchor @ pi_np @ anchor.T
 
-    return ChartBivectorField(k, sampler, step=h)
-
-
-def double_chart_at(p: GroupPoint, s: Splitting, h: float = 1e-4) -> ChartAtPoint:
-    ctx = p.ctx
-    try:
-        label = f"{ctx.name}#{ctx.sample_points.index(p.g)}"
-    except ValueError:
-        label = f"{ctx.name}@?"
-    return ChartAtPoint(
-        label=label,
-        field=double_bivector_field(p, s, h=h),
-        anchor0=p.anchor.exact_anchor(),
-    )
+    return ChartBivectorField(k, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +435,17 @@ class TripleContext:
         return p1, p2
 
     @cached_property
+    def inclusion_left_inverse(self) -> Matrix:
+        """L with L . inclusion = 1: the inverse of the k x k block of the
+        inclusion at the pivot rows of its transpose's RREF, zero
+        elsewhere."""
+        rows = pivot_columns(rref(transpose(self.inclusion)))
+        block = tuple(self.inclusion[r] for r in rows)
+        n = len(self.inclusion)
+        select = tuple(tuple(Fraction(1 if c == r else 0) for c in range(n)) for r in rows)
+        return mat_mul(inverse(block), select)
+
+    @cached_property
     def float_projectors(self) -> tuple[np.ndarray, np.ndarray]:
         p1, p2 = self.projectors
         return np_matrix(p1), np_matrix(p2)
@@ -481,8 +478,8 @@ class TripleContext:
 
 def g1_coords_of(t: TripleContext, v: Vector) -> Vector:
     """Express a vector of g1 (inside d) over G1's own basis."""
-    coef = solve(t.inclusion, v)
-    if coef is None:
+    coef = mat_vec(t.inclusion_left_inverse, v)
+    if mat_vec(t.inclusion, coef) != v:
         raise ValueError("vector is not in the embedded subalgebra")
     return coef
 
@@ -592,7 +589,7 @@ def pair_multiplication_check(
     a_ga = pa.float_anchor
     a_gb = pb.float_anchor
     a_prod = pab.float_anchor
-    worst = 0.0
+    residuals = []
     for idx in range(3 * k):
         a_c = np.zeros(k)
         b_c = np.zeros(k)
@@ -603,8 +600,8 @@ def pair_multiplication_check(
         z = np.concatenate([a_c, c_c])
         lhs = dmult @ np.concatenate([a_ga @ zp, a_gb @ zpp])
         rhs = a_prod @ z
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        residuals.append(float(np.max(np.abs(lhs - rhs))))
+    return worst(residuals)
 
 
 def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
@@ -621,8 +618,11 @@ def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -
     return central_difference(prod_coords, np.zeros(2 * k), h)
 
 
-def q_mult_fiber(xp: G1Point, xpp: G1Point) -> LinearRelation:
-    """Multiplication morphism fiber over (g' g'', g', g'') for G1."""
+def q_mult_fiber(xpp: G1Point) -> LinearRelation:
+    """Multiplication morphism fiber over (g' g'', g', g'') for G1.
+
+    In the left-trivialized chart it depends on g'' only.
+    """
     t = xpp.triple
     n = t.d_algebra.dim
     p1, p2 = t.projectors

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from courantlab.anchored import (
     AnchoredPoint,
     CourantStructureError,
-    ExactnessError,
     SectionJet,
     anchor_image,
     bivector_at,
@@ -161,14 +161,16 @@ def test_random_points_p3_and_rank(subtests=None):
 
 
 def test_float_anchor_guards():
-    pt = AnchoredPoint(AB2, ((0.5, 0.0), (0.0, 0.5)), 2)
-    assert not pt.is_exact
-    with pytest.raises(ExactnessError):
-        pt.stabilizer
+    # anchors are exact: a float entry is refused when the point is built
+    for anchor in (((0.5, 0.0), (0.0, 0.5)), ((F(1, 2), 0), (0, np.float64(0.5)))):
+        with pytest.raises(TypeError):
+            AnchoredPoint(AB2, anchor, 2)
+    pt = AnchoredPoint(AB2, ((F(1, 2), 0), (0, F(1, 2))), 2)
+    assert pt.exact_anchor() is pt.anchor == ((F(1, 2), F(0)), (F(0), F(1, 2)))
     out = bivector_at(
         pt, Splitting.of_algebra(AB2, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
     )
-    assert out[0][1] == pytest.approx(0.125)
+    assert out.matrix[0][1] == F(1, 8)
 
 
 # --- jets -------------------------------------------------------------

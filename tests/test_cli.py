@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from courantlab.cli import main
 from courantlab.contexts import sl2_algebra, triangular_complement
@@ -290,6 +295,65 @@ def test_ladder_record_never_writes_a_non_finite_residual():
     for coarse, fine in ((1e-8, 0.0), (float("inf"), 1e-8), (float("nan"), 1e-8)):
         rec = _ladder_rec("r", coarse, fine)
         assert rec["status"] == "fail" and "residual" not in rec and rec["detail"]
+
+
+def test_record_never_writes_a_non_finite_residual():
+    from courantlab.suites import _rec
+
+    assert _rec("r", True, 1e-9) == {"name": "r", "status": "pass", "residual": 1e-9}
+    for residual in (float("nan"), float("inf"), -float("inf")):
+        rec = _rec("r", True, residual)
+        assert rec["status"] == "fail" and "residual" not in rec and rec["detail"]
+
+
+def test_nan_residuals_fail_their_records(capsys):
+    # at h = 1e5 the dressing FD jets are NaN; a max fold used to hide them
+    assert main(["verify", "dressing", "--h", "1e5", "--json"]) == 2
+    report = _strict_json(capsys.readouterr().out)
+    fd = [r for r in report["records"] if "(FD" in r["name"]]
+    assert len(fd) == 2
+    for rec in fd:
+        assert rec["status"] == "fail" and "residual" not in rec and "nan" in rec["detail"]
+
+
+def _verify_argv(draw):
+    suite = draw(st.sampled_from(["schouten", "rank", "leaves", "mult", "dressing", "relations"]))
+    argv = ["verify", suite, "--samples", str(draw(st.integers(1, 3))),
+            "--seed", str(draw(st.sampled_from([0, 1, 7])))]
+    for flag in ("--h", "--tol"):
+        if draw(st.booleans()):
+            argv += [flag, repr(draw(st.floats(min_value=1e-8, max_value=1e12)))]
+    if draw(st.booleans()):
+        argv += ["--ctx", draw(st.sampled_from(["sl2-double", "sl2c-real", "abelian-2", "nope"]))]
+    return argv
+
+
+def _bivector_argv(draw):
+    argv = ["bivector", "--ctx", draw(st.sampled_from(["sl2-double", "sl2-pair", "abelian-2",
+                                                       "sl2c-real", "nope"])),
+            "--point", draw(st.sampled_from(["0", "1", "7", "11", "12", "-1", "x"]))]
+    splitting = draw(st.sampled_from([None, "delta-antidelta", "delta-triangular", "plus",
+                                      "minus", "lines"]))
+    return argv + (["--splitting", splitting] if splitting else [])
+
+
+@st.composite
+def _small_argv(draw):
+    return (_verify_argv if draw(st.booleans()) else _bivector_argv)(draw)
+
+
+@settings(max_examples=30, deadline=None)
+@example(argv=["verify", "dressing", "--h", "1e5"])
+@given(argv=_small_argv())
+def test_cli_boundary_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        report = _strict_json(out.getvalue())
+        assert all(math.isfinite(r["residual"]) for r in report["records"] if "residual" in r)
 
 
 def test_bivector_query_computes_pi_once(monkeypatch, capsys):

@@ -99,13 +99,12 @@ def test_graph_of_form_preserving_map():
 
 
 def test_pair_groupoid_relation_dims():
-    from courantlab.contexts import abelian_algebra_line
-
     r = pair_groupoid_relation(sl2_algebra())
     assert 2 * r.graph.dim == r.source.dim + r.target.dim
     assert r.kernel().dim == 3
     assert r.range_() == ExactSubspace.full(6)
-    tiny = pair_groupoid_relation(abelian_algebra_line())
+    line = quadlie.QuadraticLieAlgebra.from_triples(1, [], [[1]], basis_names=("a",))
+    tiny = pair_groupoid_relation(line)
     assert tiny.kernel().dim == 1
     assert tiny.kernel().basis == ((F(0), F(1), F(1), F(0)),)
 

@@ -29,10 +29,10 @@ from courantlab.contexts import (
 )
 from courantlab.diffnum import (
     action_axiom_check,
+    main_identity_residual,
     main_identity_rhs,
     relatedness_check,
     schouten_fd,
-    verify_main_identity,
 )
 from courantlab.exactlin import (
     ExactSubspace,
@@ -42,6 +42,7 @@ from courantlab.exactlin import (
     mat_mul,
     mat_vec,
     matrix,
+    solve,
     transpose,
 )
 from courantlab.lagrel import (
@@ -53,7 +54,7 @@ from courantlab.lagrel import (
 )
 from courantlab.liegrp import (
     GroupPoint,
-    double_chart_at,
+    double_bivector_field,
     dmult_fd,
     dressing_field_sampler,
     dressing_pullback_check,
@@ -151,8 +152,8 @@ def test_dressing_anchors():
 
 def test_dressing_action_axiom_fd():
     rho = dressing_field_sampler(TRIPLE.points[2])
-    rep = action_axiom_check(rho, TRIPLE.d_algebra, [np.zeros(3)], tol=1e-6)
-    assert rep.passed, rep.max_residual
+    residual = action_axiom_check(rho, TRIPLE.d_algebra, np.zeros(3), 1e-4)
+    assert residual <= 1e-6, residual
 
 
 def test_phi_r_homomorphism():
@@ -189,12 +190,11 @@ def test_q_mult_fiber():
     rng = random.Random(4)
     gpps = [TRIPLE.points[0]] + [rng.choice(TRIPLE.points) for _ in range(5)]
     for gpp in gpps:
-        gp = rng.choice(TRIPLE.points)
-        q = q_mult_fiber(gp, gpp)
+        q = q_mult_fiber(gpp)
         assert q.kernel() == q_mult_kernel_expected(gpp)
         assert q.range_().dim == 6
     # unit fiber kernel is the plain anti-diagonal of g1
-    q0 = q_mult_fiber(TRIPLE.points[1], TRIPLE.points[0])
+    q0 = q_mult_fiber(TRIPLE.points[0])
     expect = ExactSubspace.span(
         [concat_vec(xi, tuple(-x for x in xi)) for xi in TRIPLE.g1.basis],
         ambient_dim=12,
@@ -203,7 +203,7 @@ def test_q_mult_fiber():
     rel = related_splitting(
         (product_subspace(TRIPLE.g1, TRIPLE.g1), product_subspace(TRIPLE.g2, TRIPLE.g2)),
         (TRIPLE.g1, TRIPLE.g2),
-        q_mult_fiber(TRIPLE.points[1], TRIPLE.points[2]),
+        q_mult_fiber(TRIPLE.points[2]),
     )
     assert rel.related
 
@@ -268,11 +268,10 @@ def test_g1_poisson_structure():
     for x in TRIPLE.points[1:6]:
         pig = g1_poisson_bivector(x)
         _, pim = pi_plus_minus(TRIPLE, x.phi)
-        ok, r = relatedness_check(
-            np_matrix(TRIPLE.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix),
-            tol=1e-9,
+        r = relatedness_check(
+            np_matrix(TRIPLE.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix)
         )
-        assert ok, r
+        assert r <= 1e-9, r
 
 
 def test_main_identity_sl2_cases():
@@ -281,10 +280,10 @@ def test_main_identity_sl2_cases():
     gad = diagonal_subspace(CTX.algebra, -1)
     manin = Splitting.of_algebra(d, gd, triangular_complement())
     quasi = Splitting.of_algebra(d, gd, gad)
-    charts = [double_chart_at(p, manin) for p in CTX.points[:6]]
-    assert verify_main_identity(charts, manin, d, tol=1e-6).passed
-    charts_q = [double_chart_at(p, quasi) for p in CTX.points[:6]]
-    assert verify_main_identity(charts_q, quasi, d, tol=1e-6).passed
+    for s in (manin, quasi):
+        for p in CTX.points[:6]:
+            fld = double_bivector_field(p, s)
+            assert main_identity_residual(fld, p.anchor.exact_anchor(), s, d, 1e-4) <= 1e-6
 
 
 def test_sl2c_context_and_nonzero_defect():
@@ -299,8 +298,7 @@ def test_sl2c_context_and_nonzero_defect():
     p = ctx.points[7]
     rhs = main_identity_rhs(d2, sheared, p.anchor.exact_anchor())
     assert rhs.max_abs() > 0.1
-    chart = double_chart_at(p, sheared)
-    lhs = 0.5 * schouten_fd(chart.field, np.zeros(6)).values
+    lhs = 0.5 * schouten_fd(double_bivector_field(p, sheared), np.zeros(6), 1e-4).values
     correct = float(np.max(np.abs(lhs - rhs.values)))
     flipped = float(np.max(np.abs(lhs + rhs.values)))
     assert correct <= 1e-6 * (1.0 + rhs.max_abs())
@@ -437,6 +435,26 @@ def test_context_keeps_its_double_and_triple_splittings():
     assert TRIPLE.minus is TRIPLE.minus
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(TRIPLE_CONTEXT_NAMES), data=st.data())
+def test_g1_coords_of_matches_solve(name, data):
+    # the kept left inverse gives solve's coordinates, and a vector
+    # outside g1 still raises
+    t = get_triple_context(name)
+    n, k = len(t.inclusion), len(t.inclusion[0])
+    assert mat_mul(t.inclusion_left_inverse, t.inclusion) == identity(k)
+    coords = tuple(data.draw(st.lists(_RATIONALS, min_size=k, max_size=k)))
+    inside = mat_vec(t.inclusion, coords)
+    assert liegrp.g1_coords_of(t, inside) == solve(t.inclusion, inside) == coords
+    v = tuple(data.draw(st.lists(_RATIONALS, min_size=n, max_size=n)))
+    want = solve(t.inclusion, v)
+    if want is None:
+        with pytest.raises(ValueError):
+            liegrp.g1_coords_of(t, v)
+    else:
+        assert liegrp.g1_coords_of(t, v) == want
+
+
 # --- the kept float chart data ----------------------------------------
 
 
@@ -490,7 +508,7 @@ def test_group_point_keeps_its_data():
     ctx = replace(sl2_context())
     assert ctx.points is ctx.points
     assert [p.g for p in ctx.points] == list(ctx.sample_points)
-    for i, p in enumerate(ctx.points):
+    for p in ctx.points:
         assert ctx.point(p.g) is p
         assert p.inverse == inverse(p.g)
         cols = [ctx.coordinatize(mat_mul(mat_mul(p.g, b), p.inverse)) for b in ctx.algebra_basis]
@@ -503,13 +521,11 @@ def test_group_point_keeps_its_data():
             for r, row in enumerate(p.adjoint_inverse)
         )
         assert np.array_equal(p.float_anchor, np_matrix(a))
-        assert double_chart_at(p, TRIPLE.splitting).label == f"sl2#{i}"
     # up and up^-1 are both sample points: Ad_{up^-1} is read off the kept point
     up, up_inv = ctx.points[1], ctx.points[11]
     assert up.inverse == up_inv.g and up.adjoint_inverse is up_inv.adjoint
     other = ctx.point(mat_mul(up.g, up.g))
     assert other not in ctx.points and other.adjoint == mat_mul(up.adjoint, up.adjoint)
-    assert double_chart_at(other, TRIPLE.splitting).label == "sl2@?"
 
 
 def test_triple_points_keep_phi_and_dressings():
@@ -560,3 +576,19 @@ def test_mult_builds_one_anchor_per_point(monkeypatch, capsys):
     _run_on_a_fresh_triple(monkeypatch, "mult")
     capsys.readouterr()
     assert max(anchors.values()) == 1 and sum(anchors.values()) <= 20
+
+
+def test_mult_builds_pi_plus_minus_once_per_point(monkeypatch, capsys):
+    # one bivector_at per distinct (anchor, splitting): seed 1 reaches 20
+    # points, each with the pi+ and pi- splittings
+    calls = collections.Counter()
+    original = liegrp.bivector_at
+
+    def counted(pt, s):
+        calls[(id(pt), id(s))] += 1
+        return original(pt, s)
+
+    monkeypatch.setattr(liegrp, "bivector_at", counted)
+    _run_on_a_fresh_triple(monkeypatch, "mult")
+    capsys.readouterr()
+    assert max(calls.values()) == 1 and sum(calls.values()) == 40

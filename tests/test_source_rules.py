@@ -1,10 +1,11 @@
-"""Rules the source keeps: no threads, no environment reads and no
-unused imports.
+"""Rules the source keeps: no threads, no environment reads, no unused
+imports and no worst-residual fold through builtin max.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
-on the environment it runs in; and an import nothing uses hides which
-names a module really depends on.
+on the environment it runs in; an import nothing uses hides which names
+a module really depends on; and max(worst, nan) returns worst, so a fold
+through builtin max lets a NaN residual pass (diffnum.worst keeps it).
 """
 
 import ast
@@ -80,3 +81,25 @@ def test_the_unused_import_rule_catches_each_form():
     for src in ("from __future__ import annotations", "import os.path\nos.path.join('a')",
                 "from a import b as c\nc()", "import json\ndef f() -> json.JSONDecoder: ..."):
         assert _unused_imports(ast.parse(src)) == [], src
+
+
+def _max_folds(tree: ast.AST) -> list[str]:
+    """Calls of builtin max with an argument named worst..."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "max"
+        and any(isinstance(a, ast.Name) and a.id.startswith("worst") for a in node.args)
+    ]
+
+
+def test_no_worst_residual_folds_through_max():
+    bad = {p.name: v for p in SOURCES if (v := _max_folds(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_max_fold_rule_catches_each_form():
+    for src in ("worst = max(worst, r)", "w = max(worst_hom, f(x))", "max(r, worst)"):
+        assert _max_folds(ast.parse(src)), src
+    for src in ("max(a, b)", "np.max(worst)", "max(values, default=0.0)", "worst(rs)"):
+        assert _max_folds(ast.parse(src)) == [], src
