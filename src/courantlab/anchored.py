@@ -40,6 +40,9 @@ from .lagrel import (
     SplitSpace,
     Splitting,
     backward_image,
+    from_algebra,
+    graph_form,
+    hyperbolic_space,
     product_subspace,
 )
 from .quadlie import QuadraticLieAlgebra
@@ -171,27 +174,16 @@ def leaf_condition(pt: AnchoredPoint, s: Splitting, *, pi: Bivector | None = Non
     return holds
 
 
-def tangent_prolongation_space(chart_dim: int) -> SplitSpace:
-    """T (+) T* with the contraction pairing, coordinates (v; mu)."""
-    m = chart_dim
-    rows = []
-    for i in range(2 * m):
-        row = [Fraction(0)] * (2 * m)
-        row[(i + m) % (2 * m)] = Fraction(1)
-        rows.append(tuple(row))
-    return SplitSpace(2 * m, BilinearForm(tuple(rows)))
-
-
 def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
     """The relation T(+)T* -> A x A-bar spanned by ((x, x - a* mu), (a x, mu))."""
     require_coisotropic(pt)
     n, m = pt.algebra.dim, pt.chart_dim
     a = pt.exact_anchor()
     astar = pt.dual
-    source = tangent_prolongation_space(m)
-    target = SplitSpace(
-        2 * n, pt.algebra.form.direct_sum(pt.algebra.form.negate())
-    )
+    # T (+) T* with the contraction pairing, coordinates (v; mu)
+    source = hyperbolic_space(m)
+    alg_space = from_algebra(pt.algebra)
+    target = SplitSpace(2 * n, graph_form(alg_space, alg_space))
     rows = []
     for x in identity(n):
         rows.append(concat_vec(x, x, mat_vec(a, x), zero_vector(m)))
@@ -338,7 +330,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     n = pt.algebra.dim
     ambient = n + 2 * s_dim
     ambient_form = pt.algebra.form.direct_sum(
-        tangent_prolongation_space(s_dim).form
+        hyperbolic_space(s_dim).form
     )
     constraint = tuple(
         tuple(-a[r][i] for i in range(n))

@@ -8,7 +8,11 @@ explicit ambient dimension and an empty basis.
 
 Values are ``Fraction`` at the API and integers inside: products put
 each operand over the lcm of its denominators, and elimination works on
-primitive integer rows, so a result entry is normalised once.
+primitive integer rows, so a result entry is normalised once.  A
+subspace also keeps its canonical basis as primitive integer rows, and
+the subspace operations (sum, intersection, kernels, orthogonal
+complements, isotropy) work on those rows alone; Fractions are built
+once, for the stored basis.
 
 All values are immutable and all operations are pure.
 """
@@ -215,29 +219,81 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> tuple[list[i
     return pivots, Fraction(num, den)
 
 
+def _primitive(v: Iterable) -> list[int]:
+    """The primitive integer row on the line of v (all zeros for v = 0)."""
+    if not isinstance(v, (tuple, list)):
+        v = tuple(v)
+    try:
+        nums, _ = _over_lcm(v)
+    except TypeError:
+        nums, _ = _over_lcm(vector(v))
+    content = gcd(*nums)
+    return [x // content for x in nums] if content > 1 else nums
+
+
+def _int_rows(rows: Iterable[Iterable]) -> list[list[int]]:
+    """Rows as primitive integer rows; raises on ragged input."""
+    work = [_primitive(r) for r in rows]
+    if work and any(len(r) != len(work[0]) for r in work):
+        raise DimensionMismatchError("ragged matrix rows")
+    return work
+
+
+def _rref(work: list, ncols: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The reduced row echelon form of integer rows (consumed) as
+    primitive rows with positive pivots, zero rows dropped, and its
+    pivot columns."""
+    pivots, _ = _eliminate(work, ncols, reduced=True)
+    out = []
+    for row, c in zip(work, pivots):
+        content = gcd(*row)
+        if row[c] < 0:
+            content = -content
+        out.append(tuple(row) if content == 1 else tuple(x // content for x in row))
+    return tuple(out), pivots
+
+
+def _unit_pivot(rows: Iterable[Sequence[int]]) -> Matrix:
+    """Fraction rows of integer echelon rows, each divided by its pivot."""
+    out = []
+    for row in rows:
+        p = next(filter(None, row))
+        if p == 1:
+            out.append(tuple(Fraction(x) if x else _ZERO for x in row))
+        else:
+            out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
+    return tuple(out)
+
+
+def zero_prefix_rows(work: list, k: int) -> list:
+    """Integer rows spanning the vectors of the row space of ``work``
+    (consumed) whose first k entries vanish, cut to their remaining
+    entries.
+
+    Fraction-free elimination on the first k columns leaves echelon rows
+    with a pivot there, and below them rows that vanish on those
+    columns; a combination of the rows vanishes there only if it uses
+    none of the pivot rows.  Stacking (s, s) over (t, 0) gives S cap T
+    (Zassenhaus); stacking the rows of two relations by their shared
+    block gives their composite.
+    """
+    pivots, _ = _eliminate(work, k, reduced=False)
+    return [row[k:] for row in work[len(pivots):]]
+
+
 def rref(rows: Sequence[Sequence]) -> Matrix:
     """Reduced row echelon form with unit pivots; zero rows dropped."""
-    vecs = [vector(r) for r in rows]
-    if not vecs:
+    work = _int_rows(rows)
+    if not work:
         return ()
-    ncols = len(vecs[0])
-    if any(len(v) != ncols for v in vecs):
-        raise DimensionMismatchError("ragged matrix rows")
-    work = []
-    for v in vecs:
-        nums, _ = _over_lcm(v)
-        content = gcd(*nums)
-        if content:
-            work.append([x // content for x in nums] if content > 1 else nums)
-    pivots, _ = _eliminate(work, ncols, reduced=True)
-    return tuple(
-        tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
-        for row, c in zip(work, pivots)
-    )
+    return _unit_pivot(_rref(work, len(work[0]))[0])
 
 
 def rank(A: Sequence[Sequence]) -> int:
-    return len(rref(A))
+    work = _int_rows(A)
+    if not work:
+        return 0
+    return len(_eliminate(work, len(work[0]), reduced=False)[0])
 
 
 def pivot_columns(R: Matrix) -> tuple[int, ...]:
@@ -250,19 +306,28 @@ def pivot_columns(R: Matrix) -> tuple[int, ...]:
     return tuple(pivots)
 
 
+def _kernel_rows(work: list, ncols: int) -> list[list[int]]:
+    """An integer basis of {x : row . x = 0 for every row} in Q^ncols;
+    the rows (integers, each of length ncols) are consumed."""
+    rows, piv = _rref(work, ncols)
+    pivot_set = set(piv)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        used = [(row, p) for row, p in zip(rows, piv) if row[f]]
+        scale = lcm(*[row[p] for row, p in used])
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in used:
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(v)
+    return basis
+
+
 def nullspace(A: Matrix, ncols: int) -> "ExactSubspace":
     """Kernel of x -> A x as a canonical subspace of Q^ncols."""
-    R = rref(A)
-    piv = pivot_columns(R)
-    free = [j for j in range(ncols) if j not in piv]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(R, piv):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return ExactSubspace.span(basis, ambient_dim=ncols)
+    return ExactSubspace.of_rows(ncols, _kernel_rows(_int_rows(A), ncols))
 
 
 def solve(A: Matrix, b: Vector) -> Vector | None:
@@ -322,32 +387,45 @@ def det(A: Matrix) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactSubspace:
-    """A subspace of Q^ambient_dim with canonical (RREF) stored basis."""
+    """A subspace of Q^ambient_dim with canonical (RREF) stored basis.
+
+    ``rows`` is the same basis as primitive integer rows with positive
+    pivots; it is determined by ``basis``, so it takes no part in
+    equality, hashing or the repr.
+    """
 
     ambient_dim: int
     basis: Matrix
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    @classmethod
+    def of_rows(cls, ambient_dim: int, work: list) -> "ExactSubspace":
+        """The span of integer rows of length ambient_dim (consumed)."""
+        rows, _ = _rref(work, ambient_dim)
+        return cls(ambient_dim, _unit_pivot(rows), rows)
 
     @classmethod
     def span(cls, vectors: Iterable[Iterable], ambient_dim: int | None = None) -> "ExactSubspace":
-        rows = [vector(v) for v in vectors]
-        if rows:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
+        work = [_primitive(v) for v in vectors]
+        if work:
+            n = len(work[0])
+            if any(len(r) != n for r in work):
                 raise DimensionMismatchError("span of vectors with mixed dimensions")
             if ambient_dim is not None and ambient_dim != n:
                 raise DimensionMismatchError("ambient_dim disagrees with vectors")
             ambient_dim = n
         elif ambient_dim is None:
             raise DimensionMismatchError("empty span needs an explicit ambient_dim")
-        return cls(ambient_dim, rref(rows))
+        return cls.of_rows(ambient_dim, work)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "ExactSubspace":
-        return cls(ambient_dim, ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "ExactSubspace":
-        return cls(ambient_dim, identity(ambient_dim))
+        rows = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return cls(ambient_dim, identity(ambient_dim), rows)
 
     @property
     def dim(self) -> int:
@@ -389,26 +467,21 @@ class ExactSubspace:
 
     def sum(self, other: "ExactSubspace") -> "ExactSubspace":
         self._check(other)
-        return ExactSubspace.span(
-            list(self.basis) + list(other.basis), ambient_dim=self.ambient_dim
-        )
+        if not other.rows:
+            return self
+        if not self.rows:
+            return other
+        return ExactSubspace.of_rows(self.ambient_dim, list(self.rows + other.rows))
 
     def intersect(self, other: "ExactSubspace") -> "ExactSubspace":
-        """S1 cap S2 via the kernel of the stacked coefficient system."""
+        """S1 cap S2 from the stacked rows (s, s) over (t, 0)."""
         self._check(other)
-        if not self.basis or not other.basis:
-            return ExactSubspace.zero(self.ambient_dim)
-        # x^T A = y^T B  <=>  (x, y) in ker [A^T | -B^T]
-        A, B = self.basis, other.basis
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append(
-                tuple(A[k][i] for k in range(len(A)))
-                + tuple(-B[k][i] for k in range(len(B)))
-            )
-        ker = nullspace(tuple(rows), len(A) + len(B))
-        vecs = [vec_mat(coef[: len(A)], A) for coef in ker.basis]
-        return ExactSubspace.span(vecs, ambient_dim=self.ambient_dim)
+        n = self.ambient_dim
+        if not self.rows or not other.rows:
+            return ExactSubspace.zero(n)
+        zeros = (0,) * n
+        work = [r + r for r in self.rows] + [r + zeros for r in other.rows]
+        return ExactSubspace.of_rows(n, zero_prefix_rows(work, n))
 
     def to_json(self) -> dict:
         return {"basis": [[str(x) for x in row] for row in self.basis],
@@ -423,9 +496,10 @@ class ExactSubspace:
 def product_subspace(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
     """S1 x S2 inside Q^(n1+n2), block coordinates in the given order."""
     n1, n2 = s1.ambient_dim, s2.ambient_dim
-    rows = [concat_vec(r, zero_vector(n2)) for r in s1.basis]
-    rows += [concat_vec(zero_vector(n1), r) for r in s2.basis]
-    return ExactSubspace.span(rows, ambient_dim=n1 + n2)
+    # the block rows of two reduced echelon bases are one already
+    rows = tuple(r + (0,) * n2 for r in s1.rows) + tuple((0,) * n1 + r for r in s2.rows)
+    basis = tuple(r + zero_vector(n2) for r in s1.basis) + tuple(zero_vector(n1) + r for r in s2.basis)
+    return ExactSubspace(n1 + n2, basis, rows)
 
 
 @dataclass(frozen=True)
@@ -495,7 +569,7 @@ class BilinearForm:
 
     matrix: Matrix
     # the Gram matrix as integer rows over one common denominator
-    _ints: tuple[tuple[list[int], ...], int] = field(init=False, repr=False, compare=False)
+    _ints: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = matrix(self.matrix)
@@ -504,8 +578,13 @@ class BilinearForm:
             raise ValueError("bilinear form must be symmetric")
         nums, den = _over_lcm([x for row in m for x in row])
         n = len(m)
-        rows = tuple(nums[i * n:(i + 1) * n] for i in range(n))
+        rows = tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(n))
         object.__setattr__(self, "_ints", (rows, den))
+
+    def __hash__(self) -> int:
+        # equal matrices have equal integer rows, which hash faster than
+        # Fractions (split spaces are cache keys)
+        return hash(self._ints)
 
     @property
     def dim(self) -> int:
@@ -583,16 +662,23 @@ class BilinearForm:
         """{w : <w, v> = 0 for all v in S}."""
         if s.ambient_dim != self.dim:
             raise DimensionMismatchError("subspace not in the form's space")
-        if not s.basis:
+        if not s.rows:
             return ExactSubspace.full(self.dim)
-        # the form is symmetric, so row i of basis * G is G applied to row i
-        return nullspace(mat_mul(s.basis, self.matrix), self.dim)
+        return ExactSubspace.of_rows(self.dim, _kernel_rows(self._applied(s), self.dim))
+
+    def _applied(self, s: ExactSubspace) -> list[list[int]]:
+        """G applied to each integer row of S (G is symmetric, so these
+        are the rows of S G), up to the Gram denominator."""
+        gram = self._ints[0]
+        return [[sum(map(mul, g, r)) for g in gram] for r in s.rows]
 
     def is_isotropic(self, s: ExactSubspace) -> bool:
         if s.ambient_dim != self.dim:
             raise DimensionMismatchError("subspace not in the form's space")
-        gram = _products(mat_mul(s.basis, self.matrix), s.basis, self.dim)
-        return not any(x for row in gram for x in row)
+        rows = s.rows
+        return not any(
+            sum(map(mul, gr, t)) for i, gr in enumerate(self._applied(s)) for t in rows[i:]
+        )
 
     def is_coisotropic(self, s: ExactSubspace) -> bool:
         return s.contains_subspace(self.orth_complement(s))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .exactlin import (
@@ -30,7 +30,6 @@ from .exactlin import (
     mat_mul,
     mat_vec,
     matrix,
-    nullspace,
     product_subspace,
     quotient_coords,
     rank,
@@ -39,6 +38,7 @@ from .exactlin import (
     transpose,
     vec_mat,
     vector,
+    zero_prefix_rows,
     zero_vector,
 )
 from .quadlie import QuadraticLieAlgebra, build_double
@@ -86,8 +86,10 @@ class SplitSpace:
         return self.form.is_lagrangian(s)
 
 
+@lru_cache(maxsize=64)
 def hyperbolic_space(k: int) -> SplitSpace:
-    """Q^2k with <e_i, f^j> = delta, basis order (e_1..e_k, f^1..f^k)."""
+    """Q^2k with <e_i, f^j> = delta, basis order (e_1..e_k, f^1..f^k),
+    built once per k."""
     rows = []
     for i in range(2 * k):
         row = [Fraction(0)] * 2 * k
@@ -102,8 +104,9 @@ def from_algebra(alg: QuadraticLieAlgebra) -> SplitSpace:
     return SplitSpace(alg.dim, alg.form)
 
 
+@lru_cache(maxsize=256)
 def graph_form(target: SplitSpace, source: SplitSpace) -> BilinearForm:
-    """Form on W' (+) W-bar."""
+    """Form on W' (+) W-bar, built once per pair of spaces."""
     return target.form.direct_sum(source.form.negate())
 
 
@@ -145,61 +148,42 @@ class LinearRelation:
         ]
         return cls.from_rows(source, target, rows)
 
-    def _target_part(self, v: Vector) -> Vector:
-        return v[: self.target.dim]
-
-    def _source_part(self, v: Vector) -> Vector:
-        return v[self.target.dim:]
-
     def holds(self, w: Iterable, wprime: Iterable) -> bool:
         """True when w ~ w' through the relation."""
         return self.graph.contains(concat_vec(vector(wprime), vector(w)))
 
     def kernel(self) -> ExactSubspace:
-        """{w : w ~ 0}."""
-        zero_target = ExactSubspace.zero(self.target.dim)
-        full_source = ExactSubspace.full(self.source.dim)
-        inter = self.graph.intersect(product_subspace(zero_target, full_source))
-        return ExactSubspace.span(
-            [self._source_part(r) for r in inter.basis], ambient_dim=self.source.dim
+        """{w : w ~ 0}.
+
+        The graph's echelon rows with a pivot in the source block (which
+        comes second) are the ones with a zero target part, and they span
+        every graph vector with a zero target part.
+        """
+        nt = self.target.dim
+        return ExactSubspace.of_rows(
+            self.source.dim, [r[nt:] for r in self.graph.rows if not any(r[:nt])]
         )
 
     def range_(self) -> ExactSubspace:
-        return ExactSubspace.span(
-            [self._target_part(r) for r in self.graph.basis],
-            ambient_dim=self.target.dim,
-        )
+        nt = self.target.dim
+        return ExactSubspace.of_rows(nt, [r[:nt] for r in self.graph.rows])
 
     def transpose(self) -> "LinearRelation":
-        rows = [
-            concat_vec(self._source_part(r), self._target_part(r))
-            for r in self.graph.basis
-        ]
-        return LinearRelation.from_rows(self.target, self.source, rows)
+        nt = self.target.dim
+        sub = ExactSubspace.of_rows(self.graph.ambient_dim, [r[nt:] + r[:nt] for r in self.graph.rows])
+        return LinearRelation(self.target, self.source, sub)
 
     def compose(self, other: "LinearRelation") -> "LinearRelation":
         """self after other: (self o other): other.source -> self.target."""
         if self.source != other.target:
             raise DimensionMismatchError("composition spaces do not match")
         nt, nm, ns = self.target.dim, self.source.dim, other.source.dim
-        srows = [
-            concat_vec(r, zero_vector(nm + ns)) for r in self.graph.basis
-        ]
-        orows = [
-            concat_vec(zero_vector(nt + nm), r) for r in other.graph.basis
-        ]
-        table = matrix(srows + orows)
-        # kernel of the middle-matching constraint in coefficient space
-        mid = tuple(
-            tuple(row[nt + i] - row[nt + nm + i] for row in table)
-            for i in range(nm)
-        )
-        coeffs = nullspace(mid, len(table))
-        rows = []
-        for c in coeffs.basis:
-            v = vec_mat(c, table)
-            rows.append(concat_vec(v[:nt], v[nt + 2 * nm:]))
-        sub = ExactSubspace.span(rows, ambient_dim=nt + ns)
+        # rows (middle, target, source): (y, x', 0) for (x', y) in self and
+        # (-y, 0, x) for (y, x) in other; the pairs matching in the middle
+        # are the combinations with a zero middle
+        work = [r[nt:] + r[:nt] + (0,) * ns for r in self.graph.rows]
+        work += [tuple(-x for x in r[:nm]) + (0,) * nt + r[nm:] for r in other.graph.rows]
+        sub = ExactSubspace.of_rows(nt + ns, zero_prefix_rows(work, nm))
         return LinearRelation(other.source, self.target, sub)
 
     def __mul__(self, other: "LinearRelation") -> "LinearRelation":
@@ -266,21 +250,21 @@ def _any_image(r: LinearRelation, w: Vector) -> Vector:
     return v[:nt]
 
 
+def _graph_over(eprime: ExactSubspace, r: LinearRelation) -> ExactSubspace:
+    """The part R cap (E' x W) of the graph over a Lagrangian E'."""
+    if not r.target.is_lagrangian(eprime):
+        raise NotLagrangianError("backward image needs a Lagrangian subspace")
+    return r.graph.intersect(product_subspace(eprime, ExactSubspace.full(r.source.dim)))
+
+
 def backward_image_subspace(eprime: ExactSubspace, r: LinearRelation) -> ExactSubspace:
     """The set {w : exists w' in E' with w ~ w'}; Lagrangian whenever E' is.
 
     No transversality is required here, but without it the comparison
     map to E' is not unique (use backward_image for that).
     """
-    if not r.target.is_lagrangian(eprime):
-        raise NotLagrangianError("backward image needs a Lagrangian subspace")
-    inter = r.graph.intersect(
-        product_subspace(eprime, ExactSubspace.full(r.source.dim))
-    )
     nt = r.target.dim
-    return ExactSubspace.span(
-        [row[nt:] for row in inter.basis], ambient_dim=r.source.dim
-    )
+    return ExactSubspace.of_rows(r.source.dim, [row[nt:] for row in _graph_over(eprime, r).rows])
 
 
 def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubspace, Matrix]:
@@ -296,23 +280,15 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
         raise TransversalityError(
             "subspace meets the relation's co-kernel", bad.basis[0]
         )
-    inter = r.graph.intersect(
-        product_subspace(eprime, ExactSubspace.full(r.source.dim))
-    )
-    nt = r.target.dim
-    e = backward_image_subspace(eprime, r)
-    alpha_rows = []
-    for x in e.basis:
-        coef = solve(
-            tuple(
-                tuple(inter.basis[k][nt + i] for k in range(len(inter.basis)))
-                for i in range(r.source.dim)
-            ),
-            x,
-        )
-        img = vec_mat(coef, inter.basis)[:nt]
-        alpha_rows.append(img)
-    return e, matrix(alpha_rows) if alpha_rows else ()
+    inter = _graph_over(eprime, r)
+    nt, ns = r.target.dim, r.source.dim
+    # Transversality makes (x', x) -> x injective on the intersection, so
+    # its echelon basis in (source, target) order has every pivot in the
+    # source block: the source parts are E's canonical basis, and the
+    # target parts their images alpha(x).
+    pairs = ExactSubspace.of_rows(nt + ns, [row[nt:] + row[:nt] for row in inter.rows])
+    e = ExactSubspace.of_rows(ns, [row[:ns] for row in pairs.rows])
+    return e, tuple(row[ns:] for row in pairs.basis)
 
 
 def forward_image(e: ExactSubspace, r: LinearRelation) -> tuple[ExactSubspace, Matrix]:

@@ -384,7 +384,7 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
     residuals = []
     for x in points[1:5]:
         pig = liegrp.g1_poisson_bivector(x)
-        _, pim = liegrp.pi_plus_minus(t, x.phi)
+        pim = anchored.bivector_at(x.phi.anchor, t.minus)
         residuals.append(diffnum.relatedness_check(
             np_matrix(t.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix)
         ))

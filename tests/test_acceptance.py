@@ -132,13 +132,13 @@ def test_criterion_06_second_order_convergence(manin_points):
 def test_criterion_07_double_structures():
     t = sl2_triangular_triple()
     pair = sl2_pair_context()
-    worst = 0.0
+    deviations = []
     for dmat in pair.points[:10]:
         pip, pim = liegrp.pi_plus_minus(t, dmat)
         plus, minus = liegrp.pi_plus_minus_invariant(t, dmat)
-        dp = np.max(np.abs(np_matrix(pip.matrix) - np_matrix(plus)))
-        dm = np.max(np.abs(np_matrix(pim.matrix) - np_matrix(minus)))
-        worst = max(worst, float(dp), float(dm))
+        deviations.append(np.max(np.abs(np_matrix(pip.matrix) - np_matrix(plus))))
+        deviations.append(np.max(np.abs(np_matrix(pim.matrix) - np_matrix(minus))))
+    worst = diffnum.worst(deviations)
     _, pim_e = liegrp.pi_plus_minus(t, pair.points[0])
     zero_e = all(x == 0 for row in pim_e.matrix for x in row)
     _report(7, "pi+- match the invariant formulas; pi- vanishes at the unit",
@@ -150,7 +150,7 @@ def test_criterion_08_multiplicativity():
     pair = sl2_pair_context()
     rng = random.Random(SEED)
     pairs = [(rng.choice(pair.points), rng.choice(pair.points)) for _ in range(10)]
-    worst = 0.0
+    residuals = []
     for d1, d2 in pairs:
         d12 = pair.point(mat_mul(d1.g, d2.g))
         dm = liegrp.dmult_fd(d1, d2, d12, h=H)
@@ -162,7 +162,8 @@ def test_criterion_08_multiplicativity():
             big = np.zeros((12, 12))
             big[:6, :6] = sa
             big[6:, 6:] = sb
-            worst = max(worst, float(np.max(np.abs(dm @ big @ dm.T - tgt))))
+            residuals.append(np.max(np.abs(dm @ big @ dm.T - tgt)))
+    worst = diffnum.worst(residuals)
     eplus, fplus, eminus, fminus = t.plus.e, t.plus.f, t.minus.e, t.minus.f
     big_r = lagrel.pair_groupoid_relation(t.d_algebra)
     lines_ok = all(

@@ -99,6 +99,21 @@ def test_bivector_formula_and_diagonal_backward():
     assert leaf_condition(PT4, S4)
 
 
+def test_diagonal_backward_intersects_twice(monkeypatch):
+    # once for transversality (E x F against ker R^t) and once for the part
+    # of the graph over E x F, which builds both E and the comparison map
+    calls = []
+    original = ExactSubspace.intersect
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(ExactSubspace, "intersect", counted)
+    assert diagonal_backward(PT4, S4).matrix == matrix([[0, -1], [1, 0]])
+    assert len(calls) == 2
+
+
 def test_identity_anchor_formula_level():
     # the formula itself applies to any splitting, Courant-valid or not
     pt = AnchoredPoint(AB2, ((1, 0), (0, 1)), 2)

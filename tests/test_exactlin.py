@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from courantlab.exactlin import (
@@ -391,3 +392,67 @@ def test_signature_matches_reference(a, data):
         sym = tuple(tuple(F(0) if i == j else x for j, x in enumerate(row))
                     for i, row in enumerate(sym))
     assert BilinearForm(sym).signature() == _ref_signature(sym)
+
+
+# --- the integer rows of a subspace against Fraction references ------------
+
+def _pivot(row):
+    return next(x for x in row if x)
+
+
+def _unit_rows(s):
+    """The integer rows of s, each divided by its pivot."""
+    return tuple(tuple(F(x, _pivot(row)) for x in row) for row in s.rows)
+
+
+def _ref_gram(form, s):
+    g = form.matrix
+    return [[_ref_dot(u, [_ref_dot(row, v) for row in g]) for v in s.basis] for u in s.basis]
+
+
+@given(subspace_pairs())
+@settings(max_examples=60, deadline=None)
+def test_integer_rows_sum_and_intersection_match_fractions(pair):
+    s, t = pair
+    both, cap = s.sum(t), s.intersect(t)
+    for sub in (s, t, both, cap, nullspace(s.basis, s.ambient_dim)):
+        assert _unit_rows(sub) == sub.basis
+        assert all(_pivot(r) > 0 and math.gcd(*r) == 1 for r in sub.rows)
+    assert both.basis == _ref_rref(s.basis + t.basis)
+    assert both.dim + cap.dim == s.dim + t.dim
+    assert s.contains_subspace(cap) and t.contains_subspace(cap)
+
+
+@st.composite
+def _symmetric_forms(draw, n):
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return BilinearForm(tuple(map(tuple, m)))
+
+
+@given(subspace_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orth_complement_and_isotropy_match_the_gram_matrix(pair, data):
+    s, _ = pair
+    form = data.draw(_symmetric_forms(s.ambient_dim))
+    assume(det(form.matrix) != 0)
+    perp = form.orth_complement(s)
+    assert perp.dim == s.ambient_dim - s.dim
+    assert all(form.pairing(u, v) == 0 for u in perp.basis for v in s.basis)
+    # S cap S-perp is isotropic; S itself may or may not be
+    for sub in (s, s.intersect(perp)):
+        assert form.is_isotropic(sub) == all(x == 0 for row in _ref_gram(form, sub) for x in row)
+    assert form.is_isotropic(s.intersect(perp))
+
+
+def test_integer_rows_stay_out_of_equality_and_json():
+    s = ExactSubspace.span([(F(1, 2), 1, 0), (0, 2, 4)])
+    assert s.rows == ((1, 0, -4), (0, 1, 2))
+    assert s == ExactSubspace.span([(1, 0, -4), (0, 3, 6)])
+    assert hash(s) == hash(ExactSubspace.span([(2, 0, -8), (0, 1, 2)]))
+    assert "rows" not in repr(s) and "rows" not in s.to_json()
+    assert ExactSubspace.zero(3).rows == ()
+    assert ExactSubspace.full(2).rows == ((1, 0), (0, 1))

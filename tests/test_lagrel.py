@@ -10,6 +10,8 @@ from courantlab.exactlin import (
     ExactSubspace,
     concat_vec,
     identity,
+    inverse,
+    mat_mul,
     mat_vec,
     matrix,
     quotient_coords,
@@ -37,6 +39,8 @@ from courantlab.lagrel import (
 )
 from courantlab.quadlie import build_double, courant_form, diagonal_subspace
 from courantlab.randgen import (
+    random_antisym,
+    random_invertible,
     random_relation,
     random_split_transform,
 )
@@ -314,3 +318,47 @@ def test_one_not_lagrangian_error_class():
     with pytest.raises(lagrel.NotLagrangianError):
         quadlie.courant_tensor(d, not_lagrangian)
     assert quadlie.NotLagrangianError is lagrel.NotLagrangianError
+
+
+# --- random generation and the kept split spaces ---------------------------
+
+def _dense_split_transform(rng, k, words=3):
+    """The dense reference: one 2k x 2k Fraction product per word."""
+    g = identity(2 * k)
+    for _ in range(words):
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = random_invertible(rng, k)
+            b = transpose(inverse(a))
+            factor = tuple(row + (F(0),) * k for row in a) + tuple((F(0),) * k + row for row in b)
+        else:
+            n = random_antisym(rng, k)
+            rows = [list(row) for row in identity(2 * k)]
+            for i in range(k):
+                for j in range(k):
+                    if kind == 1:
+                        rows[i][k + j] += n[i][j]
+                    else:
+                        rows[k + i][j] += n[i][j]
+            factor = matrix(rows)
+        g = mat_mul(g, factor)
+    return g
+
+
+def test_block_updates_match_the_dense_split_transform():
+    for k in range(1, 9):
+        for seed in range(20):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            assert random_split_transform(rng, k) == _dense_split_transform(ref_rng, k)
+            assert rng.random() == ref_rng.random()
+
+
+def test_split_spaces_and_graph_forms_are_built_once():
+    assert hyperbolic_space(3) is hyperbolic_space(3)
+    assert lagrel.graph_form(hyperbolic_space(2), hyperbolic_space(1)) is lagrel.graph_form(
+        hyperbolic_space(2), hyperbolic_space(1))
+    # the kept graph form still decides isotropy
+    rows = list(random_relation(random.Random(3), 1, 2).graph.basis)
+    rows[0] = concat_vec((F(1),), (F(0),) * 5)
+    with pytest.raises(NotLagrangianError, match="not isotropic"):
+        LinearRelation.from_rows(hyperbolic_space(1), hyperbolic_space(2), rows)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import courantlab.liegrp as liegrp
-from courantlab import suites
+from courantlab import anchored, suites
 from courantlab.cli import main
 
 from courantlab.contexts import (
@@ -33,6 +33,7 @@ from courantlab.diffnum import (
     main_identity_rhs,
     relatedness_check,
     schouten_fd,
+    worst,
 )
 from courantlab.exactlin import (
     ExactSubspace,
@@ -131,8 +132,8 @@ def test_pi_plus_minus_exact_identities():
 def test_mult_anchor_equivariance():
     pa, pb = PAIR.points[1], PAIR.points[2]
     pab = PAIR.point(mat_mul(pa.g, pb.g))
-    worst = pair_multiplication_check(dmult_fd(pa, pb, pab), pa, pb, pab)
-    assert worst < 1e-9
+    residual = pair_multiplication_check(dmult_fd(pa, pb, pab), pa, pb, pab)
+    assert residual < 1e-9
 
 
 def test_dressing_anchors():
@@ -157,13 +158,13 @@ def test_dressing_action_axiom_fd():
 
 
 def test_phi_r_homomorphism():
-    worst = 0.0
+    residuals = []
     for d0 in PAIR.points[:2]:
         for (i, j) in [(0, 4), (1, 5)]:
             z1 = tuple(F(1 if a == i else 0) for a in range(6))
             z2 = tuple(F(1 if a == j else 0) for a in range(6))
-            worst = max(worst, phi_r_homomorphism_residual(TRIPLE, d0, z1, z2))
-    assert worst < 1e-6
+            residuals.append(phi_r_homomorphism_residual(TRIPLE, d0, z1, z2))
+    assert worst(residuals) < 1e-6
 
 
 def test_dressing_pullback_identification():
@@ -592,3 +593,20 @@ def test_mult_builds_pi_plus_minus_once_per_point(monkeypatch, capsys):
     _run_on_a_fresh_triple(monkeypatch, "mult")
     capsys.readouterr()
     assert max(calls.values()) == 1 and sum(calls.values()) == 40
+
+
+def test_dressing_builds_pi_minus_only(monkeypatch, capsys):
+    # four points each build the G1 bivector and pi- of the D-point of Phi(g)
+    calls = []
+    original = anchored.bivector_at
+
+    def counted(pt, s):
+        calls.append(s)
+        return original(pt, s)
+
+    monkeypatch.setattr(anchored, "bivector_at", counted)
+    monkeypatch.setattr(liegrp, "bivector_at", counted)
+    assert main(["verify", "dressing", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 8
+    assert TRIPLE.plus not in calls

@@ -1,5 +1,5 @@
 """Rules the source keeps: no threads, no environment reads, no unused
-imports and no worst-residual fold through builtin max.
+imports and no worst-residual fold through builtin max (in the tests too).
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -94,12 +94,15 @@ def _max_folds(tree: ast.AST) -> list[str]:
 
 
 def test_no_worst_residual_folds_through_max():
-    bad = {p.name: v for p in SOURCES if (v := _max_folds(ast.parse(p.read_text())))}
+    # the tests decide pass or fail on residuals too, so they keep the rule
+    assert any(p.name == "test_acceptance.py" for p in IMPORTERS)
+    bad = {p.name: v for p in SOURCES + IMPORTERS if (v := _max_folds(ast.parse(p.read_text())))}
     assert bad == {}
 
 
 def test_the_max_fold_rule_catches_each_form():
-    for src in ("worst = max(worst, r)", "w = max(worst_hom, f(x))", "max(r, worst)"):
+    for src in ("worst = max(worst, r)", "w = max(worst_hom, f(x))", "max(r, worst)",
+                "worst = max(worst, float(dp), float(dm))"):
         assert _max_folds(ast.parse(src)), src
     for src in ("max(a, b)", "np.max(worst)", "max(values, default=0.0)", "worst(rs)"):
         assert _max_folds(ast.parse(src)) == [], src
