@@ -16,15 +16,10 @@ import math
 import sys
 import time
 from . import anchored, quadlie, suites
-from .contexts import (
-    abelian_algebra_split2,
-    get_group_context,
-    sl2_triangular_triple,
-    triangular_complement,
-)
+from .contexts import SPLITTING_NAMES, abelian_algebra_split2, get_group_context, named_splitting
 from .exactlin import ExactSubspace
 from .lagrel import NotLagrangianError, Splitting
-from .quadlie import ManinTriple, QuadraticLieAlgebra, diagonal_subspace
+from .quadlie import ManinTriple, QuadraticLieAlgebra
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -195,14 +190,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     return report, (0 if passed else CHECK_FAILED)
 
 
-_SPLITTINGS = {
-    "sl2-double": ("delta-antidelta", "delta-triangular"),
-    "sl2-pair": ("plus", "minus"),
-    "abelian-2": ("lines",),
-    "sl2c-real": ("delta-antidelta",),
-}
-
-
 def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
     try:
         idx = int(point)
@@ -210,43 +197,33 @@ def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
             raise ValueError("sample indices start at 0")
     except ValueError as exc:
         raise _ArgumentError(f"bad --point {point!r}: {exc}") from exc
-    name = splitting or _SPLITTINGS[ctx_name][0]
-    if name not in _SPLITTINGS[ctx_name]:
+    name = splitting or SPLITTING_NAMES[ctx_name][0]
+    if name not in SPLITTING_NAMES[ctx_name]:
         raise _ArgumentError(f"context {ctx_name!r} has no splitting {name!r}")
     if ctx_name == "abelian-2":
         # the formula-level desk case: identity anchor on a 2-dim chart
         if idx != 0:
             raise _ArgumentError(f"bad --point {point!r}: the {ctx_name} desk case has only point 0")
-        alg = abelian_algebra_split2()
-        pt = anchored.AnchoredPoint(alg, ((1, 0), (0, 1)), 2)
-        e = ExactSubspace.span([(1, 0)])
-        f = ExactSubspace.span([(0, 1)])
-        return pt, e, f
-    ctx = get_group_context(ctx_name)
-    if idx >= len(ctx.sample_points):
-        raise _ArgumentError(f"bad --point {point!r}: {ctx_name} has {len(ctx.sample_points)} sample points")
-    pt = ctx.points[idx].anchor
-    if name in ("plus", "minus"):
-        t = sl2_triangular_triple()
-        s = t.plus if name == "plus" else t.minus
-        return pt, s.e, s.f
-    alg = ctx.algebra
-    f = diagonal_subspace(alg, -1) if name == "delta-antidelta" else triangular_complement()
-    return pt, diagonal_subspace(alg, 1), f
+        pt = anchored.AnchoredPoint(abelian_algebra_split2(), ((1, 0), (0, 1)), 2)
+    else:
+        ctx = get_group_context(ctx_name)
+        if idx >= len(ctx.sample_points):
+            raise _ArgumentError(f"bad --point {point!r}: {ctx_name} has {len(ctx.sample_points)} sample points")
+        pt = ctx.points[idx].anchor
+    return pt, named_splitting(ctx_name, name)
 
 
 def cmd_bivector(args) -> tuple[dict, int]:
-    if args.ctx not in _SPLITTINGS:
+    if args.ctx not in SPLITTING_NAMES:
         raise _ArgumentError(f"unknown context {args.ctx!r}")
-    pt, e, f = _desk_point_and_splitting(args.ctx, args.point, args.splitting)
-    if args.e_file:
-        e = _load_subspace(args.e_file, pt.algebra.dim)
-    if args.f_file:
-        f = _load_subspace(args.f_file, pt.algebra.dim)
-    try:
-        s = Splitting.of_algebra(pt.algebra, e, f)
-    except NotLagrangianError as exc:
-        raise _ArgumentError(f"E and F do not split the algebra: {exc}") from exc
+    pt, s = _desk_point_and_splitting(args.ctx, args.point, args.splitting)
+    if args.e_file or args.f_file:
+        e = _load_subspace(args.e_file, pt.algebra.dim) if args.e_file else s.e
+        f = _load_subspace(args.f_file, pt.algebra.dim) if args.f_file else s.f
+        try:
+            s = Splitting.of_algebra(pt.algebra, e, f)
+        except NotLagrangianError as exc:
+            raise _ArgumentError(f"E and F do not split the algebra: {exc}") from exc
     piv = anchored.bivector_at(pt, s)
     cois, _ = pt.coisotropy
     report = {
@@ -258,7 +235,7 @@ def cmd_bivector(args) -> tuple[dict, int]:
         "coisotropic_stabilizer": cois,
     }
     if cois:
-        lm = anchored.drinfeld_lagrangian(pt, f)
+        lm = anchored.drinfeld_lagrangian(pt, s.f)
         report["formula_rank"] = anchored.rank_formula(pt, s, pi=piv, lm=lm)
         report["drinfeld_lagrangian"] = [[str(x) for x in row] for row in lm.basis]
         report["leaf_condition"] = anchored.leaf_condition(pt, s, pi=piv)

@@ -1,8 +1,8 @@
 """Shipped algebra and group data: sl2 with its Killing form, the
 double sl2 (+) sl2-bar with the diagonal/triangular Manin triple over
-SL2 x SL2, and a split abelian rank-2 triple over a diagonal matrix
-group.  All sample points are rational, so adjoint matrices and
-relation fibers stay exact."""
+SL2 x SL2, a split abelian rank-2 triple over a diagonal matrix group,
+and the named Lagrangian splittings of each context.  All sample points
+are rational, so adjoint matrices and relation fibers stay exact."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import ExactSubspace, Matrix, det, mat_mul, matrix
+from .lagrel import Splitting
 from .liegrp import GroupContext, TripleContext, block_diag
 from .quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
 
@@ -374,3 +375,33 @@ def get_triple_context(name: str) -> TripleContext:
     if name == "abelian-2":
         return abelian2_triple()
     raise KeyError(f"unknown triple context {name!r}")
+
+
+# the named splittings of each context that `courantlab bivector
+# --splitting` offers; the first is the default
+SPLITTING_NAMES = {
+    "sl2-double": ("delta-antidelta", "delta-triangular"),
+    "sl2-pair": ("plus", "minus"),
+    "abelian-2": ("lines",),
+    "sl2c-real": ("delta-antidelta",),
+}
+
+
+@lru_cache(maxsize=None)
+def named_splitting(ctx_name: str, name: str) -> Splitting:
+    """The splitting ``name`` of the context's double (of its own algebra
+    for abelian-2), built on first use and kept; a splitting that a
+    triple keeps is that one."""
+    if name not in SPLITTING_NAMES.get(ctx_name, ()):
+        raise KeyError(f"context {ctx_name!r} has no splitting {name!r}")
+    if ctx_name == "sl2-pair":
+        t = sl2_triangular_triple()
+        return t.plus if name == "plus" else t.minus
+    if ctx_name == "abelian-2":
+        return abelian2_triple().splitting
+    if name == "delta-triangular":
+        return sl2_triangular_triple().splitting
+    ctx = get_group_context(ctx_name)
+    return Splitting.of_algebra(
+        ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), diagonal_subspace(ctx.algebra, -1)
+    )

@@ -432,30 +432,34 @@ class ExactSubspace:
         return len(self.basis)
 
     def contains(self, v: Iterable) -> bool:
-        v = vector(v)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector not in ambient space")
-        return self.coefficients(v) is not None
+        return self._reduces(v)[0]
 
-    def coefficients(self, v: Vector) -> Vector | None:
+    def coefficients(self, v: Iterable) -> Vector | None:
         """Coordinates of v over the stored basis, or None if outside.
 
-        Fast path: the stored basis is in reduced row echelon form, so
-        the coordinates are read off at the pivot columns.
+        The stored basis is a reduced echelon basis with unit pivots, so
+        the coordinates are v's entries at the pivot columns.
         """
-        v = list(vector(v))
-        coeffs = []
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            c = v[p]
-            coeffs.append(c)
-            if c != 0:
-                for j in range(p, self.ambient_dim):
-                    if row[j] != 0:
-                        v[j] -= c * row[j]
-        if any(x != 0 for x in v):
-            return None
-        return tuple(coeffs)
+        v = vector(v)
+        inside, pivots = self._reduces(v)
+        return tuple(v[p] for p in pivots) if inside else None
+
+    def _reduces(self, v: Iterable) -> tuple[bool, list[int]]:
+        """Whether v's primitive integer row reduces to zero against
+        ``rows``, and the pivot columns of ``rows``."""
+        work = _primitive(v)
+        if len(work) != self.ambient_dim:
+            raise DimensionMismatchError("vector not in ambient space")
+        pivots = []
+        for row in self.rows:
+            p = next(j for j, x in enumerate(row) if x)
+            pivots.append(p)
+            b = work[p]
+            if b:
+                g = gcd(row[p], b)
+                a, b = row[p] // g, b // g
+                work = [a * x - b * y for x, y in zip(work, row)]
+        return not any(work), pivots
 
     def contains_subspace(self, other: "ExactSubspace") -> bool:
         self._check(other)
@@ -489,7 +493,11 @@ class ExactSubspace:
 
     @classmethod
     def from_json(cls, data: dict, ambient_dim: int | None = None) -> "ExactSubspace":
+        """The subspace spanned by ``data["basis"]``; a stated
+        ``data["ambient_dim"]`` must agree with the caller's."""
         dim = data.get("ambient_dim", ambient_dim)
+        if ambient_dim is not None and dim != ambient_dim:
+            raise DimensionMismatchError(f"ambient_dim {dim!r} disagrees with {ambient_dim}")
         return cls.span([vector(row) for row in data["basis"]], ambient_dim=dim)
 
 

@@ -23,7 +23,6 @@ from .exactlin import (
     NotLagrangianError,
     QuotientMap,
     Vector,
-    add_vec,
     concat_vec,
     identity,
     inverse,
@@ -81,9 +80,6 @@ class SplitSpace:
 
     def direct_sum(self, other: "SplitSpace") -> "SplitSpace":
         return SplitSpace(self.dim + other.dim, self.form.direct_sum(other.form))
-
-    def is_lagrangian(self, s: ExactSubspace) -> bool:
-        return self.form.is_lagrangian(s)
 
 
 @lru_cache(maxsize=64)
@@ -252,7 +248,7 @@ def _any_image(r: LinearRelation, w: Vector) -> Vector:
 
 def _graph_over(eprime: ExactSubspace, r: LinearRelation) -> ExactSubspace:
     """The part R cap (E' x W) of the graph over a Lagrangian E'."""
-    if not r.target.is_lagrangian(eprime):
+    if not r.target.form.is_lagrangian(eprime):
         raise NotLagrangianError("backward image needs a Lagrangian subspace")
     return r.graph.intersect(product_subspace(eprime, ExactSubspace.full(r.source.dim)))
 
@@ -323,60 +319,32 @@ class Bivector:
         )
 
 
-def dual_basis(form: BilinearForm, e: ExactSubspace, f: ExactSubspace) -> Matrix:
-    """Basis f^i of F with <e_i, f^j> = delta over E's stored basis."""
-    gram = tuple(
-        tuple(form.pairing(er, fr) for fr in f.basis) for er in e.basis
-    )
-    try:
-        ginv = inverse(gram)
-    except Exception as exc:
-        raise NotLagrangianError("pairing between E and F is degenerate") from exc
-    rows = []
-    for j in range(len(e.basis)):
-        col = tuple(ginv[k][j] for k in range(len(f.basis)))
-        rows.append(vec_mat(col, f.basis))
-    return matrix(rows)
-
-
-def splitting_bivector(space: SplitSpace, e: ExactSubspace, f: ExactSubspace) -> Bivector:
-    """Pi = (1/2) sum e_i ^ f^i for dual bases of a Lagrangian splitting."""
-    _check_splitting(space, e, f)
-    duals = dual_basis(space.form, e, f)
-    # sum e_i^T f^i - f^i^T e_i as one product of stacked bases
-    lhs = transpose(e.basis + duals)
-    rhs = duals + tuple(scale_vec(-1, ei) for ei in e.basis)
-    p = mat_mul(lhs, rhs)
-    return Bivector(space.dim, tuple(tuple(x / 2 for x in row) for row in p))
-
-
-def _check_splitting(space: SplitSpace, e: ExactSubspace, f: ExactSubspace) -> None:
-    if not (space.is_lagrangian(e) and space.is_lagrangian(f)):
-        raise NotLagrangianError("splitting requires two Lagrangian subspaces")
-    if e.intersect(f).dim != 0:
-        raise NotLagrangianError("splitting subspaces are not transverse")
-
-
 @dataclass(frozen=True)
 class Splitting:
     """A Lagrangian splitting W = E (+) F with its point-independent data.
 
-    Construction checks that E and F are transverse Lagrangians and builds
-    Pi = (1/2) sum e_i ^ f^i with one splitting_bivector call (raising
-    NotLagrangianError otherwise); the dual basis f^i of F is built on
-    first use.  Pointwise bivectors a(Pi) reuse this one Pi.
+    Construction checks that E and F lie in W and are transverse
+    Lagrangians (raising DimensionMismatchError or NotLagrangianError
+    otherwise).  The dual frame f^i of F, Pi = (1/2) sum e_i ^ f^i and
+    the projector pair are built on first use and kept, so pointwise
+    bivectors a(Pi) reuse one Pi.
     """
 
     space: SplitSpace
     e: ExactSubspace
     f: ExactSubspace
-    bivector: Bivector = field(init=False, repr=False, compare=False)
     # the (algebra, tables) pair of diffnum.splitting_tensor_tables, kept
     # here once they are built for that algebra
     tensor_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bivector", splitting_bivector(self.space, self.e, self.f))
+        form = self.space.form
+        if self.e.ambient_dim != self.space.dim or self.f.ambient_dim != self.space.dim:
+            raise DimensionMismatchError("splitting subspaces are not in the space")
+        if not (form.is_lagrangian(self.e) and form.is_lagrangian(self.f)):
+            raise NotLagrangianError("splitting requires two Lagrangian subspaces")
+        if self.e.intersect(self.f).dim != 0:
+            raise NotLagrangianError("splitting subspaces are not transverse")
 
     @classmethod
     def of_algebra(cls, alg: QuadraticLieAlgebra, e: ExactSubspace, f: ExactSubspace) -> "Splitting":
@@ -384,77 +352,80 @@ class Splitting:
 
     @cached_property
     def duals(self) -> Matrix:
-        """Basis f^i of F with <e_i, f^j> = delta over E's stored basis."""
-        return dual_basis(self.space.form, self.e, self.f)
+        """Basis f^i of F with <e_i, f^j> = delta over E's stored basis:
+        the rows of G^-T F for the Gram matrix G of E against F."""
+        gram = mat_mul(mat_mul(self.e.basis, self.space.form.matrix), transpose(self.f.basis))
+        return mat_mul(transpose(inverse(gram)), self.f.basis)
+
+    @cached_property
+    def bivector(self) -> Bivector:
+        return splitting_bivector(self)
+
+    @cached_property
+    def projectors(self) -> tuple[Matrix, Matrix]:
+        """(P_E, P_F): projections onto E along F and onto F along E.
+
+        pr_E(w) = sum <w, f^i> e_i, so P_E = E^T D B for the dual frame D
+        and the Gram matrix B; P_F = I - P_E.
+        """
+        p_e = mat_mul(mat_mul(transpose(self.e.basis), self.duals), self.space.form.matrix)
+        p_f = tuple(
+            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(identity(self.space.dim), p_e)
+        )
+        return p_e, p_f
+
+
+def splitting_bivector(s: Splitting) -> Bivector:
+    """Pi = (1/2) sum e_i ^ f^i over the dual frames of a splitting."""
+    e, duals = s.e.basis, s.duals
+    # sum e_i^T f^i - f^i^T e_i as one product of stacked bases
+    lhs = transpose(e + duals)
+    rhs = duals + tuple(scale_vec(-1, ei) for ei in e)
+    p = mat_mul(lhs, rhs)
+    return Bivector(s.space.dim, tuple(tuple(x / 2 for x in row) for row in p))
 
 
 @dataclass(frozen=True)
 class ReducedBivector:
+    """The splitting of W1/W0 a splitting descends to; its bivector is
+    the descended Pi."""
+
     quotient: QuotientMap
-    space: SplitSpace
-    e_red: ExactSubspace
-    f_red: ExactSubspace
-    bivector: Bivector
+    splitting: Splitting
 
 
-def reduce_bivector(
-    space: SplitSpace,
-    pi: Bivector,
-    w1: ExactSubspace,
-    e: ExactSubspace,
-    f: ExactSubspace,
-) -> ReducedBivector:
-    """Descend a splitting bivector along a coisotropic W1.
+def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
+    """Descend a splitting's bivector along a coisotropic W1.
 
     Succeeds exactly when W0 = (E cap W0) (+) (F cap W0) for W0 = W1-perp;
     on failure raises ReductionError carrying a witness w in W0 whose
     E-projection leaves W0.
     """
-    if not space.form.is_coisotropic(w1):
+    form = s.space.form
+    if not form.is_coisotropic(w1):
         raise ValueError("W1 must be coisotropic")
-    w0 = space.form.orth_complement(w1)
-    e0 = e.intersect(w0)
-    f0 = f.intersect(w0)
-    if e0.sum(f0) != w0:
-        duals = dual_basis(space.form, e, f)
-        witness = None
-        for w in w0.basis:
-            pr_e = _project_onto(e, duals, space.form, w)
-            if not w0.contains(pr_e):
-                witness = w
-                break
-        raise ReductionError("W0 is not split by the decomposition", witness or w0.basis[0])
+    w0 = form.orth_complement(w1)
+    if s.e.intersect(w0).sum(s.f.intersect(w0)) != w0:
+        p_e, _ = s.projectors
+        witness = next((w for w in w0.basis if not w0.contains(mat_vec(p_e, w))), w0.basis[0])
+        raise ReductionError("W0 is not split by the decomposition", witness)
     q = quotient_coords(w1, w0)
-    red_form = q.descended_form(space.form)
-    red_space = SplitSpace(q.dim, red_form)
-    e_red = q.map_subspace(e)
-    f_red = q.map_subspace(f)
+    red_form = q.descended_form(form)
+    e_red = q.map_subspace(s.e)
+    f_red = q.map_subspace(s.f)
     if e_red.intersect(f_red).dim != 0:
         raise ReductionError("reduced subspaces are not transverse", w0.basis[0])
-    red_pi_cols = []
-    for c in q.complement:
-        img = pi.contract(c, space.form)
-        red_pi_cols.append(q.coords(img))
+    reduced = Splitting(SplitSpace(q.dim, red_form), e_red, f_red)
+    red_pi_cols = [q.coords(s.bivector.contract(c, form)) for c in q.complement]
     # iota(w_red) Pi_red = (iota(w) Pi)_red and iota(w) Pi = -P B w
     bred = mat_mul(
         tuple(tuple(-x for x in row) for row in transpose(matrix(red_pi_cols))),
-        inverse(red_form.matrix),
+        red_form.inverse_matrix,
     )
-    reduced = Bivector(q.dim, bred)
-    expected = splitting_bivector(red_space, e_red, f_red)
-    if reduced.matrix != expected.matrix:
-        raise ReductionError("descended bivector disagrees with reduced splitting", w0.basis[0] if w0.basis else zero_vector(space.dim))
-    return ReducedBivector(q, red_space, e_red, f_red, reduced)
-
-
-def _project_onto(
-    e: ExactSubspace, duals: Matrix, form: BilinearForm, w: Vector
-) -> Vector:
-    """pr_E(w) = sum <w, f^i> e_i for the dual basis of the complement."""
-    out = zero_vector(e.ambient_dim)
-    for ei, fi in zip(e.basis, duals):
-        out = add_vec(out, scale_vec(form.pairing(w, fi), ei))
-    return out
+    if bred != reduced.bivector.matrix:
+        raise ReductionError("descended bivector disagrees with reduced splitting",
+                             w0.basis[0] if w0.basis else zero_vector(s.space.dim))
+    return ReducedBivector(q, reduced)
 
 
 @dataclass(frozen=True)
@@ -500,15 +471,12 @@ def related_lagrangian(
     return _iso_carries(reduced_iso(r), e, eprime)
 
 
-def related_splitting(
-    splitting: tuple[ExactSubspace, ExactSubspace],
-    splitting_prime: tuple[ExactSubspace, ExactSubspace],
-    r: LinearRelation,
-) -> RelatednessReport:
-    e, f = splitting
-    ep, fp = splitting_prime
-    _check_splitting(r.source, e, f)
-    _check_splitting(r.target, ep, fp)
+def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> RelatednessReport:
+    """Whether R relates the splitting s of its source to s_prime of its
+    target; NotLagrangianError when they split other spaces."""
+    if s.space != r.source or s_prime.space != r.target:
+        raise NotLagrangianError("splittings are not on the relation's spaces")
+    e, f, ep, fp = s.e, s.f, s_prime.e, s_prime.f
     ker = r.kernel()
     ran = r.range_()
     kernel_splits = ker.intersect(e).sum(ker.intersect(f)) == ker

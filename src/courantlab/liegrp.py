@@ -362,9 +362,9 @@ class TripleContext:
     D by ``embed`` (a group homomorphism); ``inclusion`` expresses the
     differential of the embedding over the two algebra bases.
 
-    The splittings the triple induces, its projector pair, the float
-    data of the embedding and one G1Point per G1 sample point are built
-    on first use and kept.
+    The splittings the triple induces (the projector pair is that of
+    ``splitting``), the float data of the embedding and one G1Point per
+    G1 sample point are built on first use and kept.
     """
 
     name: str
@@ -416,25 +416,6 @@ class TripleContext:
         )
 
     @cached_property
-    def projectors(self) -> tuple[Matrix, Matrix]:
-        """Projections of d onto g1 along g2 and onto g2 along g1."""
-        n = self.d_algebra.dim
-        cols = list(self.g1.basis) + list(self.g2.basis)
-        m = transpose(matrix(cols))
-        minv = inverse(m)
-        k1 = self.g1.dim
-        sel1 = tuple(
-            tuple(Fraction(1 if (i == j and i < k1) else 0) for j in range(n))
-            for i in range(n)
-        )
-        p1 = mat_mul(mat_mul(m, sel1), minv)
-        p2 = tuple(
-            tuple((Fraction(1 if i == j else 0) - p1[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        return p1, p2
-
-    @cached_property
     def inclusion_left_inverse(self) -> Matrix:
         """L with L . inclusion = 1: the inverse of the k x k block of the
         inclusion at the pivot rows of its transpose's RREF, zero
@@ -447,7 +428,7 @@ class TripleContext:
 
     @cached_property
     def float_projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        p1, p2 = self.projectors
+        p1, p2 = self.splitting.projectors
         return np_matrix(p1), np_matrix(p2)
 
     @cached_property
@@ -505,7 +486,7 @@ class G1Point:
         zeta -> -p1(Ad_{Phi(g^-1)} zeta) as a left-invariant field.
         """
         t = self.triple
-        p1, _ = t.projectors
+        p1, _ = t.splitting.projectors
         adg = self.phi.adjoint
         adg_inv_g1 = self.g1.adjoint_inverse
         n = t.d_algebra.dim
@@ -625,7 +606,7 @@ def q_mult_fiber(xpp: G1Point) -> LinearRelation:
     """
     t = xpp.triple
     n = t.d_algebra.dim
-    p1, p2 = t.projectors
+    p1, p2 = t.splitting.projectors
     c = xpp.phi.adjoint
     c_inv = xpp.phi.adjoint_inverse
     constraint = tuple(
@@ -662,7 +643,7 @@ def p_phi_fiber(x: G1Point) -> LinearRelation:
     """Fiber of the lift of the embedding G1 -> D over (Phi(g), g)."""
     t = x.triple
     n = t.d_algebra.dim
-    _, p2 = t.projectors
+    _, p2 = t.splitting.projectors
     adg = x.phi.adjoint
     adg_inv = x.phi.adjoint_inverse
     rows = []
@@ -702,7 +683,7 @@ def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> Linea
 
 def phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
     """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d."""
-    _, p2 = t.projectors
+    _, p2 = t.splitting.projectors
     return concat_vec(mat_vec(p2, mat_vec(d.adjoint, zeta)), zeta)
 
 
@@ -751,7 +732,7 @@ def dressing_pullback_check(x: G1Point) -> bool:
     right, _ = x.dressing
     ra = right.exact_anchor()
     # phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b): column b of p2 Ad_{Phi(g)}
-    p2_ad = mat_mul(t.projectors[1], x.phi.adjoint)
+    p2_ad = mat_mul(t.splitting.projectors[1], x.phi.adjoint)
     coords_cols = []
     for b in range(n):
         zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))

@@ -18,14 +18,14 @@ from operator import mul
 from .exactlin import (
     ExactSubspace,
     Matrix,
+    SingularMatrixError,
     _over_lcm,
-    det,
     inverse,
     mat_mul,
     matrix,
     transpose,
 )
-from .lagrel import LinearRelation, SplitSpace, hyperbolic_space
+from .lagrel import LinearRelation, Splitting, hyperbolic_space
 from .quadlie import QuadraticLieAlgebra
 
 
@@ -43,13 +43,17 @@ def random_antisym(rng: random.Random, k: int) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def random_invertible(rng: random.Random, k: int) -> Matrix:
+def random_invertible(rng: random.Random, k: int) -> tuple[Matrix, Matrix]:
+    """A random invertible k x k matrix a and a^-1: draws until one
+    elimination inverts the draw."""
     while True:
         a = matrix(
             [[small_fraction(rng) for _ in range(k)] for _ in range(k)]
         )
-        if det(a) != 0:
-            return a
+        try:
+            return a, inverse(a)
+        except SingularMatrixError:
+            pass
 
 
 def _ints_over_lcm(m: Matrix) -> tuple[list[list[int]], int]:
@@ -81,9 +85,9 @@ def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[l
         left = [row[:k] for row in g]
         right = [row[k:] for row in g]
         if kind == 0:
-            a_frac = random_invertible(rng, k)
+            a_frac, a_inv = random_invertible(rng, k)
             a, da = _ints_over_lcm(a_frac)
-            b, db = _ints_over_lcm(transpose(inverse(a_frac)))
+            b, db = _ints_over_lcm(transpose(a_inv))
             left = [[x * db for x in row] for row in _times(left, a)]
             right = [[x * da for x in row] for row in _times(right, b)]
             den *= da * db
@@ -111,16 +115,13 @@ def random_split_transform(rng: random.Random, k: int, words: int = 3) -> Matrix
     return tuple(tuple(Fraction(x, den) for x in row) for row in g)
 
 
-def random_lagrangian_splitting(
-    rng: random.Random, k: int
-) -> tuple[SplitSpace, ExactSubspace, ExactSubspace]:
-    """A hyperbolic space with a random transverse Lagrangian pair."""
-    space = hyperbolic_space(k)
+def random_lagrangian_splitting(rng: random.Random, k: int) -> Splitting:
+    """A random splitting of the hyperbolic space Q^2k."""
     g, _ = _split_transform_ints(rng, k)
     cols = [list(c) for c in zip(*g)]
     e = ExactSubspace.of_rows(2 * k, cols[:k])
     f = ExactSubspace.of_rows(2 * k, cols[k:])
-    return space, e, f
+    return Splitting(hyperbolic_space(k), e, f)
 
 
 def random_lagrangian_subspace(rng: random.Random, k: int) -> ExactSubspace:
@@ -138,7 +139,7 @@ def random_coisotropic_anchor(
     """
     j = rng.randint(0, k)
     g, den = _split_transform_ints(rng, k)
-    tmix = random_invertible(rng, j) if j else ()
+    tmix = random_invertible(rng, j)[0] if j else ()
     # read the first j "f"-coordinates of g^-1 x: kernel = g(span of the
     # orthogonal of the first j isotropic e-directions).  g preserves the
     # form J = [[0, I], [I, 0]], so g^-1 = J g^T J and row k + r of g^-1

@@ -21,15 +21,14 @@ from . import anchored, diffnum, lagrel, liegrp, quadlie, randgen
 from .contexts import (
     get_group_context,
     get_triple_context,
+    named_splitting,
     sl2_context,
     sl2_triangular_triple,
     sl2c_realified_context,
-    triangular_complement,
 )
 from .exactlin import ExactSubspace, add_vec, mat_mul, mat_vec, scale_vec
-from .lagrel import Splitting, dual_basis, product_subspace, related_splitting
+from .lagrel import Splitting, product_subspace, related_splitting
 from .liegrp import TripleContext, np_matrix
-from .quadlie import diagonal_subspace
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-6
@@ -97,11 +96,9 @@ def _sheared_quasi_splitting():
     form-preserving transvections that mix the complex halves.
     """
     ctx = sl2c_realified_context()
-    alg = ctx.algebra
     d = ctx.double_algebra
-    gd = diagonal_subspace(alg, 1)
-    gad = diagonal_subspace(alg, -1)
-    duals = dual_basis(d.form, gd, gad)
+    quasi = named_splitting("sl2c-real", "delta-antidelta")
+    gd, duals = quasi.e, quasi.duals
     k = 6
     n_upper = [[Fraction(0)] * k for _ in range(k)]
     n_lower = [[Fraction(0)] * k for _ in range(k)]
@@ -151,9 +148,8 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
     if ctx_name == "sl2-double":
         ctx = sl2_context()
         alg = ctx.double_algebra
-        gd = diagonal_subspace(ctx.algebra, 1)
-        manin = Splitting.of_algebra(alg, gd, triangular_complement())
-        quasi = Splitting.of_algebra(alg, gd, diagonal_subspace(ctx.algebra, -1))
+        manin = named_splitting(ctx_name, "delta-triangular")
+        quasi = named_splitting(ctx_name, "delta-antidelta")
         points = ctx.points[:samples]
         fields = [liegrp.double_bivector_field(p, manin) for p in points]
         for i, r in enumerate(_main_identity_residuals(points, fields, manin, alg, h)):
@@ -187,8 +183,7 @@ def _random_anchored_instance(seed_key: str):
     alg = randgen.random_abelian_split_algebra(k)
     anchor, j = randgen.random_coisotropic_anchor(rng, k)
     pt = anchored.AnchoredPoint(alg, anchor if j else (), j)
-    _, e, f = randgen.random_lagrangian_splitting(rng, k)
-    return pt, Splitting.of_algebra(alg, e, f), j
+    return pt, randgen.random_lagrangian_splitting(rng, k), j
 
 
 def suite_rank(samples: int = 100, seed: int = 0) -> list[dict]:
@@ -243,11 +238,8 @@ def suite_leaves(samples: int = 40, seed: int = 0) -> list[dict]:
     strict = not anchored.leaf_condition(pt6, Splitting.of_algebra(ab6, e6, f6))
     records.append(_rec("synthetic dim-6 case violates the leaf condition", strict))
     # Lagrangian stabilizers make the condition automatic
-    ctx = sl2_context()
-    quasi = Splitting.of_algebra(
-        ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), diagonal_subspace(ctx.algebra, -1)
-    )
-    auto = all(anchored.leaf_condition(p.anchor, quasi) for p in ctx.points[:4])
+    quasi = named_splitting("sl2-double", "delta-antidelta")
+    auto = all(anchored.leaf_condition(p.anchor, quasi) for p in sl2_context().points[:4])
     records.append(_rec("exact-type points satisfy the leaf condition", auto))
     return records
 
@@ -261,20 +253,18 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
     n = t.d_algebra.dim
     rng = random.Random(seed)
     # a triple that is not one stops here, before any FD work
-    eplus, fplus, eminus, fminus = t.plus.e, t.plus.f, t.minus.e, t.minus.f
+    plus, minus = t.plus, t.minus
 
     big_r = lagrel.pair_groupoid_relation(t.d_algebra)
+    # (label, E-factors, F-factors, target) of each product splitting
     lines = [
-        ("(e- x e-, f- x f-) ~ (e-, f-)",
-         (product_subspace(eminus, eminus), product_subspace(fminus, fminus)), (eminus, fminus)),
-        ("(e+ x f+, f+ x e+) ~ (e-, f-)",
-         (product_subspace(eplus, fplus), product_subspace(fplus, eplus)), (eminus, fminus)),
-        ("(e+ x f-, f+ x e-) ~ (e+, f+)",
-         (product_subspace(eplus, fminus), product_subspace(fplus, eminus)), (eplus, fplus)),
-        ("(e- x e+, f- x f+) ~ (e+, f+)",
-         (product_subspace(eminus, eplus), product_subspace(fminus, fplus)), (eplus, fplus)),
+        ("(e- x e-, f- x f-) ~ (e-, f-)", (minus.e, minus.e), (minus.f, minus.f), minus),
+        ("(e+ x f+, f+ x e+) ~ (e-, f-)", (plus.e, plus.f), (plus.f, plus.e), minus),
+        ("(e+ x f-, f+ x e-) ~ (e+, f+)", (plus.e, minus.f), (plus.f, minus.e), plus),
+        ("(e- x e+, f- x f+) ~ (e+, f+)", (minus.e, plus.e), (minus.f, plus.f), plus),
     ]
-    for label, src, tgt in lines:
+    for label, es, fs, tgt in lines:
+        src = Splitting(big_r.source, product_subspace(*es), product_subspace(*fs))
         rep = related_splitting(src, tgt, big_r)
         records.append(_rec(f"algebraic relatedness {label}", rep.related,
                             detail=",".join(rep.reasons)))
@@ -373,10 +363,10 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
         qm_ok = qm_ok and q.range_().dim == t.d_algebra.dim
     records.append(_rec("ker/ran of the multiplication lift match closed forms", qm_ok))
 
+    q = liegrp.q_mult_fiber(points[2])
     rel = related_splitting(
-        (product_subspace(t.g1, t.g1), product_subspace(t.g2, t.g2)),
-        (t.g1, t.g2),
-        liegrp.q_mult_fiber(points[2]),
+        Splitting(q.source, product_subspace(t.g1, t.g1), product_subspace(t.g2, t.g2)),
+        t.splitting_bar, q,
     )
     records.append(_rec("(E x E, F x F) related to (E, F) through the lift", rel.related,
                         detail=",".join(rel.reasons)))

@@ -19,7 +19,7 @@ from courantlab.contexts import (
     triangular_complement,
 )
 from courantlab.exactlin import mat_mul
-from courantlab.lagrel import product_subspace, related_splitting
+from courantlab.lagrel import Splitting, product_subspace, related_splitting
 from courantlab.liegrp import np_matrix
 from courantlab.quadlie import ManinTriple, build_double, diagonal_subspace
 
@@ -53,8 +53,7 @@ def _instances(count):
         alg = randgen.random_abelian_split_algebra(k)
         anchor, j = randgen.random_coisotropic_anchor(rng, k)
         pt = anchored.AnchoredPoint(alg, anchor if j else (), j)
-        _, e, f = randgen.random_lagrangian_splitting(rng, k)
-        yield pt, lagrel.Splitting.of_algebra(alg, e, f), j
+        yield pt, randgen.random_lagrangian_splitting(rng, k), j
 
 
 def test_criterion_02_rank_formula_oracle():
@@ -164,15 +163,17 @@ def test_criterion_08_multiplicativity():
             big[6:, 6:] = sb
             residuals.append(np.max(np.abs(dm @ big @ dm.T - tgt)))
     worst = diffnum.worst(residuals)
-    eplus, fplus, eminus, fminus = t.plus.e, t.plus.f, t.minus.e, t.minus.f
+    plus, minus = t.plus, t.minus
     big_r = lagrel.pair_groupoid_relation(t.d_algebra)
     lines_ok = all(
-        related_splitting(src, tgt, big_r).related
-        for src, tgt in (
-            ((product_subspace(eminus, eminus), product_subspace(fminus, fminus)), (eminus, fminus)),
-            ((product_subspace(eplus, fplus), product_subspace(fplus, eplus)), (eminus, fminus)),
-            ((product_subspace(eplus, fminus), product_subspace(fplus, eminus)), (eplus, fplus)),
-            ((product_subspace(eminus, eplus), product_subspace(fminus, fplus)), (eplus, fplus)),
+        related_splitting(
+            Splitting(big_r.source, product_subspace(*es), product_subspace(*fs)), tgt, big_r
+        ).related
+        for es, fs, tgt in (
+            ((minus.e, minus.e), (minus.f, minus.f), minus),
+            ((plus.e, plus.f), (plus.f, plus.e), minus),
+            ((plus.e, minus.f), (plus.f, minus.e), plus),
+            ((minus.e, plus.e), (minus.f, plus.f), plus),
         )
     )
     _report(8, "four bivector relations under dMult and the exact relatedness table",
@@ -198,16 +199,16 @@ def test_criterion_09_dressing():
 
 def test_criterion_10_morphism_suite():
     t = sl2_triangular_triple()
-    eplus, fplus, eminus, fminus = t.plus.e, t.plus.f, t.minus.e, t.minus.f
+    eminus, fminus = t.minus.e, t.minus.f
     img_ok = True
     for x in t.points[:5]:
         p = liegrp.p_phi_fiber(x)
         img_ok = img_ok and lagrel.backward_image_subspace(eminus, p) == t.g1
         img_ok = img_ok and lagrel.backward_image_subspace(fminus, p) == t.g2
+    q2 = liegrp.q_mult_fiber(t.points[2])
     rel = related_splitting(
-        (product_subspace(t.g1, t.g1), product_subspace(t.g2, t.g2)),
-        (t.g1, t.g2),
-        liegrp.q_mult_fiber(t.points[2]),
+        Splitting(q2.source, product_subspace(t.g1, t.g1), product_subspace(t.g2, t.g2)),
+        t.splitting_bar, q2,
     )
     rng = random.Random(SEED)
     kernels_ok = True

@@ -168,8 +168,7 @@ def test_random_points_p3_and_rank(subtests=None):
             assert all(
                 x == 0 for row in mat_mul(matrix(pt.anchor), astar) for x in row
             )
-        _, e, f = random_lagrangian_splitting(rng, k)
-        s = Splitting.of_algebra(alg, e, f)
+        s = random_lagrangian_splitting(rng, k)
         rank_formula(pt, s)
         if j:
             diagonal_backward(pt, s)

@@ -357,6 +357,7 @@ def test_cli_boundary_ends_in_an_exit_code(argv):
 
 
 def test_bivector_query_computes_pi_once(monkeypatch, capsys):
+    # Pi is built at most once per named splitting per process
     from courantlab import anchored, lagrel
 
     calls = {}
@@ -373,13 +374,162 @@ def test_bivector_query_computes_pi_once(monkeypatch, capsys):
     for module, name in ((lagrel, "splitting_bivector"), (anchored, "drinfeld_lagrangian"),
                          (anchored, "bivector_at")):
         count(module, name)
-    for argv in (["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
-                 ["bivector", "--ctx", "sl2c-real", "--point", "1"],
-                 ["bivector", "--ctx", "sl2-pair", "--point", "5", "--splitting", "minus"]):
-        calls.clear()
-        assert main(argv) == 0
-        assert calls == {"splitting_bivector": 1, "drinfeld_lagrangian": 1, "bivector_at": 1}
+    queries = (["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
+               ["bivector", "--ctx", "sl2c-real", "--point", "1"],
+               ["bivector", "--ctx", "sl2-pair", "--point", "5", "--splitting", "minus"])
+    for built in (1, 0):
+        for argv in queries:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls.pop("splitting_bivector", 0) <= built
+            assert calls == {"drinfeld_lagrangian": 1, "bivector_at": 1}
     capsys.readouterr()
+
+
+def test_bivector_reads_the_kept_named_splittings(monkeypatch, capsys):
+    from courantlab import anchored
+    from courantlab.contexts import named_splitting, sl2_triangular_triple
+
+    seen = []
+    original = anchored.bivector_at
+
+    def spy(pt, s):
+        seen.append(s)
+        return original(pt, s)
+
+    monkeypatch.setattr(anchored, "bivector_at", spy)
+    t = sl2_triangular_triple()
+    for ctx, name, kept in (("sl2-double", "delta-triangular", t.splitting),
+                            ("sl2-pair", "plus", t.plus), ("sl2-pair", "minus", t.minus)):
+        assert main(["bivector", "--ctx", ctx, "--point", "2", "--splitting", name]) == 0
+        assert seen.pop() is kept is named_splitting(ctx, name)
+    capsys.readouterr()
+
+
+def test_mult_suite_builds_no_pi_for_its_product_splittings(monkeypatch):
+    from courantlab import lagrel, suites
+    from courantlab.contexts import sl2_triangular_triple
+
+    dims = []
+    original = lagrel.splitting_bivector
+
+    def counting(s):
+        dims.append(s.space.dim)
+        return original(s)
+
+    monkeypatch.setattr(lagrel, "splitting_bivector", counting)
+    t = sl2_triangular_triple()
+    records = suites.suite_mult(t, samples=2)
+    assert all(r["status"] == "pass" for r in records)
+    # the source splittings live on (d (+) d-bar)^2; pi+- on d (+) d-bar
+    assert 2 * t.d_ctx.double_algebra.dim not in dims
+
+
+def test_subspace_file_must_agree_with_the_ambient_dim(double_json, tmp_path, capsys):
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps({"basis": [[0], [-1]], "ambient_dim": 1}))
+    _assert_usage_error(["bivector", "--ctx", "abelian-2", "--e-file", str(e)], capsys)
+    e.write_text(json.dumps({"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "ambient_dim": 3}))
+    _assert_usage_error(["bivector", "--ctx", "sl2-double", "--e-file", str(e)], capsys)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"basis": [["1", "0", "0"]], "ambient_dim": 3}))
+    _assert_usage_error(["validate", double_json, "--g1", str(g), "--g2", str(g)], capsys)
+
+
+# --- fuzzed JSON inputs ------------------------------------------------------
+
+_JSON_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-3/4", "2/0", "0", "x", "", "1/", "nan", "inf", "1e3"]),
+    st.floats(-2, 2),
+    st.none(),
+)
+_JSON_ROWS = st.lists(st.lists(_JSON_ENTRY, max_size=5), max_size=5)
+
+
+def _mutate(draw, rows):
+    """rows with a few entries replaced and perhaps a row cut short."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and rows[0]:
+            i = draw(st.integers(0, len(rows) - 1))
+            if rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_JSON_ENTRY)
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows[-1] = rows[-1][:-1]
+    return rows
+
+
+@st.composite
+def _algebra_json(draw):
+    from courantlab.contexts import abelian_algebra_split2
+    from courantlab.randgen import random_abelian_split_algebra
+
+    if draw(st.booleans()):
+        return {"dim": draw(st.one_of(st.integers(-1, 4), st.sampled_from(["2", None, 2.5]))),
+                "brackets": draw(st.lists(st.lists(_JSON_ENTRY, min_size=3, max_size=5), max_size=4)),
+                "form": draw(_JSON_ROWS)}
+    alg = draw(st.sampled_from([sl2_algebra(), abelian_algebra_split2(),
+                                random_abelian_split_algebra(2)]))
+    data = alg.to_json()
+    data["form"] = _mutate(draw, data["form"])
+    data["brackets"] = _mutate(draw, data["brackets"])
+    if draw(st.integers(0, 4)) == 0:
+        data["dim"] = draw(st.integers(0, 5))
+    return data
+
+
+@st.composite
+def _subspace_json(draw, known=()):
+    rows = draw(st.sampled_from(known)) if known and draw(st.booleans()) else draw(_JSON_ROWS)
+    data = {"basis": _mutate(draw, rows)}
+    if draw(st.booleans()):
+        data["ambient_dim"] = draw(st.one_of(st.integers(0, 13), st.sampled_from(["6", None])))
+    return data
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alg=_algebra_json(), g=st.none() | st.tuples(_subspace_json(), _subspace_json()))
+def test_fuzzed_validate_inputs_end_in_an_exit_code(tmp_path_factory, alg, g):
+    d = tmp_path_factory.getbasetemp()
+    argv = ["validate", _write(d / "fuzz-alg.json", alg)]
+    if g is not None:
+        argv += ["--g1", _write(d / "fuzz-g1.json", g[0]), "--g2", _write(d / "fuzz-g2.json", g[1])]
+    _run_quietly(argv)
+
+
+_KNOWN_ROWS = (
+    [[1, 0]], [[0, 1]],
+    [list(r) for r in diagonal_subspace(sl2_algebra(), 1).to_json()["basis"]],
+    [list(r) for r in triangular_complement().to_json()["basis"]],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(ctx="abelian-2", e={"basis": [[0], [-1]], "ambient_dim": 1}, f=None)
+@given(ctx=st.sampled_from(["sl2-double", "sl2-pair", "abelian-2", "sl2c-real"]),
+       e=st.none() | _subspace_json(_KNOWN_ROWS), f=st.none() | _subspace_json(_KNOWN_ROWS))
+def test_fuzzed_subspace_files_end_in_an_exit_code(tmp_path_factory, ctx, e, f):
+    d = tmp_path_factory.getbasetemp()
+    argv = ["bivector", "--ctx", ctx]
+    if e is not None:
+        argv += ["--e-file", _write(d / "fuzz-e.json", e)]
+    if f is not None:
+        argv += ["--f-file", _write(d / "fuzz-f.json", f)]
+    _run_quietly(argv)
 
 
 @pytest.mark.parametrize("argv", [["mult", "--h", "nan"], ["mult", "--h", "inf"],

@@ -456,3 +456,43 @@ def test_integer_rows_stay_out_of_equality_and_json():
     assert "rows" not in repr(s) and "rows" not in s.to_json()
     assert ExactSubspace.zero(3).rows == ()
     assert ExactSubspace.full(2).rows == ((1, 0), (0, 1))
+
+
+def _ref_coefficients(s, v):
+    """The Fraction reference: clear v at each pivot of the stored basis."""
+    v = [F(x) for x in v]
+    coeffs = []
+    for row in s.basis:
+        c = v[next(j for j, x in enumerate(row) if x)]
+        coeffs.append(c)
+        v = [a - c * b for a, b in zip(v, row)]
+    return tuple(coeffs) if not any(v) else None
+
+
+@given(subspace_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_contains_and_coefficients_match_fractions(pair, data):
+    s, t = pair
+    n = s.ambient_dim
+    # vectors inside s, inside t, and arbitrary ones
+    combo = data.draw(st.lists(_entries, min_size=s.dim, max_size=s.dim))
+    inside = vec_mat(tuple(combo), s.basis) if s.dim else (F(0),) * n
+    other = tuple(data.draw(st.lists(_entries, min_size=n, max_size=n)))
+    for v in (inside, other) + t.basis:
+        want = _ref_coefficients(s, v)
+        assert s.coefficients(v) == want
+        assert s.contains(v) == (want is not None)
+    assert s.coefficients(inside) == (tuple(combo) if s.dim else ())
+    with pytest.raises(DimensionMismatchError):
+        s.contains((F(0),) * (n + 1))
+
+
+def test_from_json_keeps_the_callers_ambient_dim():
+    data = {"basis": [["1", "0"]], "ambient_dim": 2}
+    assert ExactSubspace.from_json(data, ambient_dim=2) == ExactSubspace.span([(1, 0)])
+    assert ExactSubspace.from_json(data).ambient_dim == 2
+    for dim in (1, 3):
+        with pytest.raises(DimensionMismatchError):
+            ExactSubspace.from_json(data, ambient_dim=dim)
+    with pytest.raises(DimensionMismatchError):
+        ExactSubspace.from_json({"basis": [[0], [-1]], "ambient_dim": 1}, ambient_dim=2)

@@ -7,6 +7,7 @@ from courantlab import lagrel, quadlie
 from courantlab.contexts import sl2_algebra
 from courantlab.exactlin import (
     BilinearForm,
+    DimensionMismatchError,
     ExactSubspace,
     concat_vec,
     identity,
@@ -27,7 +28,6 @@ from courantlab.lagrel import (
     TransversalityError,
     backward_image,
     backward_image_subspace,
-    dual_basis,
     forward_image,
     hyperbolic_space,
     pair_groupoid_relation,
@@ -58,20 +58,12 @@ def test_split_space_rejects_nonsplit():
 
 
 def test_splitting_bivector_dim2():
-    pi = splitting_bivector(SP2, E2, F2)
+    pi = Splitting(SP2, E2, F2).bivector
     assert pi.matrix == matrix([[0, "1/2"], ["-1/2", 0]])
-    assert splitting_bivector(SP2, F2, E2).matrix == matrix([[0, "-1/2"], ["1/2", 0]])
+    assert Splitting(SP2, F2, E2).bivector.matrix == matrix([[0, "-1/2"], ["1/2", 0]])
     # contraction identity iota(w)Pi = (pr_F - pr_E)(w) / 2
     assert pi.contract((1, 0), SP2.form) == (F(-1, 2), F(0))
     assert pi.contract((0, 1), SP2.form) == (F(0), F(1, 2))
-
-
-def test_splitting_bivector_rejects_bad_input():
-    with pytest.raises(NotLagrangianError):
-        splitting_bivector(SP2, E2, E2)
-    full = ExactSubspace.full(2)
-    with pytest.raises(NotLagrangianError):
-        splitting_bivector(SP2, full, F2)
 
 
 def test_identity_relation():
@@ -157,7 +149,7 @@ def test_backward_image_transversality_error():
     assert exc.value.witness == (F(1), F(0))
     # the subspace-level image is still defined and Lagrangian
     img = backward_image_subspace(E2, r)
-    assert r.source.is_lagrangian(img)
+    assert r.source.form.is_lagrangian(img)
 
 
 def test_courant_tensor_pullback_through_morphism():
@@ -191,34 +183,34 @@ def test_reduce_bivector_dim4():
     sp4 = hyperbolic_space(2)
     e = ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0)])
     f = ExactSubspace.span([(0, 0, 1, 0), (0, 0, 0, 1)])
-    pi = splitting_bivector(sp4, e, f)
+    s = Splitting(sp4, e, f)
     w1 = ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
-    red = reduce_bivector(sp4, pi, w1, e, f)
-    assert red.bivector.matrix == matrix([[0, "1/2"], ["-1/2", 0]])
-    assert red.e_red.dim == 1 and red.f_red.dim == 1
+    red = reduce_bivector(s, w1)
+    assert red.splitting.bivector.matrix == matrix([[0, "1/2"], ["-1/2", 0]])
+    assert red.splitting.e.dim == 1 and red.splitting.f.dim == 1
     # trivial reduction: W1 = W
     full = ExactSubspace.full(4)
-    red2 = reduce_bivector(sp4, pi, full, e, f)
-    assert red2.bivector.matrix == pi.matrix
+    red2 = reduce_bivector(s, full)
+    assert red2.splitting.bivector.matrix == s.bivector.matrix
 
 
 def test_reduce_bivector_witness():
     sp4 = hyperbolic_space(2)
     e = ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0)])
     f = ExactSubspace.span([(0, 0, 1, 0), (0, 0, 0, 1)])
-    pi = splitting_bivector(sp4, e, f)
     w0 = ExactSubspace.span([(1, 0, 0, 1)])  # isotropic, outside E and F
     w1 = sp4.form.orth_complement(w0)
     with pytest.raises(ReductionError) as exc:
-        reduce_bivector(sp4, pi, w1, e, f)
+        reduce_bivector(Splitting(sp4, e, f), w1)
     assert exc.value.witness == (F(1), F(0), F(0), F(1))
 
 
 def test_related_splitting_identity():
     r = LinearRelation.identity_relation(SP2)
-    rep = related_splitting((E2, F2), (E2, F2), r)
+    s = Splitting(SP2, E2, F2)
+    rep = related_splitting(s, s, r)
     assert rep.related and rep.reasons == ()
-    swapped = related_splitting((E2, F2), (F2, E2), r)
+    swapped = related_splitting(s, Splitting(SP2, F2, E2), r)
     assert not swapped.related
     assert "e_not_related" in swapped.reasons
 
@@ -236,10 +228,10 @@ def test_reduced_pi_transported_by_related_splittings():
         r = LinearRelation.graph_of_map(sp, sp, g)
         e0 = ExactSubspace.span(identity(2 * k)[:k], ambient_dim=2 * k)
         f0 = ExactSubspace.span(identity(2 * k)[k:], ambient_dim=2 * k)
-        rep = related_splitting((e0, f0), (e, f), r)
+        s0, s1 = Splitting(sp, e0, f0), Splitting(sp, e, f)
+        rep = related_splitting(s0, s1, r)
         assert rep.related
-        pi0 = splitting_bivector(sp, e0, f0)
-        pi1 = splitting_bivector(sp, e, f)
+        pi0, pi1 = s0.bivector, s1.bivector
         # ker = 0 and ran = all, so the reduced map is g: g Pi g^T = Pi'
         lhs = tuple(
             tuple(
@@ -296,12 +288,18 @@ def test_splitting_keeps_checked_bivector_and_duals():
         e = ExactSubspace.span([mat_vec(a, v) for v in identity(4)[:2]])
         f = ExactSubspace.span([mat_vec(a, v) for v in identity(4)[2:]])
         s = Splitting(sp, e, f)
-        assert s.bivector == splitting_bivector(sp, e, f)
-        assert s.duals == dual_basis(sp.form, e, f)
+        assert s.bivector is s.bivector
+        assert s.bivector == splitting_bivector(s)
         assert s.duals is s.duals
+        assert ExactSubspace.span(s.duals) == f
         for i, ei in enumerate(e.basis):
             for j, fj in enumerate(s.duals):
                 assert sp.form.pairing(ei, fj) == (1 if i == j else 0)
+        # the projector pair fixes one factor and kills the other
+        p_e, p_f = s.projectors
+        zero = zero_vector(4)
+        assert all(mat_vec(p_e, v) == v and mat_vec(p_f, v) == zero for v in e.basis)
+        assert all(mat_vec(p_f, v) == v and mat_vec(p_e, v) == zero for v in f.basis)
 
 
 def test_splitting_rejects_non_splittings():
@@ -309,6 +307,11 @@ def test_splitting_rejects_non_splittings():
         Splitting(SP2, E2, E2)
     with pytest.raises(NotLagrangianError):
         Splitting(SP2, ExactSubspace.full(2), F2)
+    # subspaces of another ambient space are refused first
+    with pytest.raises(DimensionMismatchError):
+        Splitting(SP2, ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0)]), F2)
+    with pytest.raises(DimensionMismatchError):
+        Splitting(SP2, E2, ExactSubspace.span([(0,)]))
 
 
 def test_one_not_lagrangian_error_class():
@@ -328,7 +331,7 @@ def _dense_split_transform(rng, k, words=3):
     for _ in range(words):
         kind = rng.randrange(3)
         if kind == 0:
-            a = random_invertible(rng, k)
+            a, _ = random_invertible(rng, k)
             b = transpose(inverse(a))
             factor = tuple(row + (F(0),) * k for row in a) + tuple((F(0),) * k + row for row in b)
         else:

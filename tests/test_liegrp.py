@@ -181,9 +181,7 @@ def test_p_phi_backward_images():
         assert img_f == TRIPLE.g2
         # both plus-splitting halves pull back to the same subspace
         assert backward_image_subspace(eplus, p) == backward_image_subspace(fplus, p)
-    rel = related_splitting(
-        (TRIPLE.g1, TRIPLE.g2), (eminus, fminus), p_phi_fiber(TRIPLE.points[3])
-    )
+    rel = related_splitting(TRIPLE.splitting_bar, TRIPLE.minus, p_phi_fiber(TRIPLE.points[3]))
     assert rel.related
 
 
@@ -201,10 +199,11 @@ def test_q_mult_fiber():
         ambient_dim=12,
     )
     assert q0.kernel() == expect
+    q2 = q_mult_fiber(TRIPLE.points[2])
     rel = related_splitting(
-        (product_subspace(TRIPLE.g1, TRIPLE.g1), product_subspace(TRIPLE.g2, TRIPLE.g2)),
-        (TRIPLE.g1, TRIPLE.g2),
-        q_mult_fiber(TRIPLE.points[2]),
+        Splitting(q2.source, product_subspace(TRIPLE.g1, TRIPLE.g1),
+                  product_subspace(TRIPLE.g2, TRIPLE.g2)),
+        TRIPLE.splitting_bar, q2,
     )
     assert rel.related
 
@@ -215,27 +214,25 @@ def test_section52_relatedness_table():
     eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
     big = pair_groupoid_relation(TRIPLE.d_algebra)
     cases = [
-        ((eminus, eminus), (fminus, fminus), (eminus, fminus), True),
-        ((eplus, fplus), (fplus, eplus), (eminus, fminus), True),
-        ((eplus, fminus), (fplus, eminus), (eplus, fplus), True),
-        ((eminus, eplus), (fminus, fplus), (eplus, fplus), True),
-        ((eplus, eplus), (fplus, fplus), (eplus, fplus), False),
+        ((eminus, eminus), (fminus, fminus), TRIPLE.minus, True),
+        ((eplus, fplus), (fplus, eplus), TRIPLE.minus, True),
+        ((eplus, fminus), (fplus, eminus), TRIPLE.plus, True),
+        ((eminus, eplus), (fminus, fplus), TRIPLE.plus, True),
+        ((eplus, eplus), (fplus, fplus), TRIPLE.plus, False),
     ]
     for (ea, eb), (fa, fb), tgt, expect in cases:
-        rep = related_splitting(
-            (product_subspace(ea, eb), product_subspace(fa, fb)), tgt, big
-        )
+        src = Splitting(big.source, product_subspace(ea, eb), product_subspace(fa, fb))
+        rep = related_splitting(src, tgt, big)
         assert rep.related == expect
         if not expect:
             assert "kernel_not_split" in rep.reasons
 
 
 def test_t_psi_fibers():
-    eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
     for sub in (TRIPLE.g1, TRIPLE.g2, twisted_diagonal_complement()):
         t_rel = t_psi_fiber(TRIPLE, sub)
-        assert related_splitting((eplus, fplus), (TRIPLE.g1, TRIPLE.g2), t_rel).related
-        assert related_splitting((eminus, fminus), (TRIPLE.g1, TRIPLE.g2), t_rel).related
+        assert related_splitting(TRIPLE.plus, TRIPLE.splitting, t_rel).related
+        assert related_splitting(TRIPLE.minus, TRIPLE.splitting, t_rel).related
     # graph of a nontrivial inner automorphism breaks the splitting condition
     adg = GroupPoint(CTX, matrix([[1, 1], [0, 1]])).adjoint
     gtheta = ExactSubspace.span(
@@ -243,9 +240,7 @@ def test_t_psi_fibers():
     )
     assert TRIPLE.d_algebra.form.is_lagrangian(gtheta)
     assert is_subalgebra(TRIPLE.d_algebra, gtheta)
-    rep = related_splitting(
-        (eplus, fplus), (TRIPLE.g1, TRIPLE.g2), t_psi_fiber(TRIPLE, gtheta)
-    )
+    rep = related_splitting(TRIPLE.plus, TRIPLE.splitting, t_psi_fiber(TRIPLE, gtheta))
     assert not rep.related and "kernel_not_split" in rep.reasons
 
 
@@ -253,12 +248,12 @@ def test_s_phi_morphism():
     s = s_phi_fiber(PAIR)
     eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
     rep1 = related_splitting(
-        (product_subspace(eplus, TRIPLE.g2), product_subspace(fplus, TRIPLE.g1)),
-        (TRIPLE.g1, TRIPLE.g2), s,
+        Splitting(s.source, product_subspace(eplus, TRIPLE.g2), product_subspace(fplus, TRIPLE.g1)),
+        TRIPLE.splitting, s,
     )
     rep2 = related_splitting(
-        (product_subspace(eminus, TRIPLE.g1), product_subspace(fminus, TRIPLE.g2)),
-        (TRIPLE.g1, TRIPLE.g2), s,
+        Splitting(s.source, product_subspace(eminus, TRIPLE.g1), product_subspace(fminus, TRIPLE.g2)),
+        TRIPLE.splitting, s,
     )
     assert rep1.related and rep2.related
 
@@ -321,23 +316,15 @@ def test_abelian_triple_suite_pieces():
 def test_related_splitting_transports_reduced_bivector():
     # through the groupoid relation, the reduced isomorphism carries the
     # reduced splitting bivector onto the reduced splitting bivector
-    from courantlab.lagrel import (
-        pair_groupoid_relation,
-        reduce_bivector,
-        reduced_iso,
-        splitting_bivector,
-    )
+    from courantlab.lagrel import pair_groupoid_relation, reduce_bivector, reduced_iso
 
-    eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
+    minus = TRIPLE.minus
     big = pair_groupoid_relation(TRIPLE.d_algebra)
-    e = product_subspace(eminus, eminus)
-    f = product_subspace(fminus, fminus)
-    rep = related_splitting((e, f), (eminus, fminus), big)
+    src = Splitting(big.source, product_subspace(minus.e, minus.e), product_subspace(minus.f, minus.f))
+    rep = related_splitting(src, minus, big)
     assert rep.related
-    pi_src = splitting_bivector(big.source, e, f)
-    pi_tgt = splitting_bivector(big.target, eminus, fminus)
-    red_src = reduce_bivector(big.source, pi_src, big.transpose().range_(), e, f)
-    red_tgt = reduce_bivector(big.target, pi_tgt, big.range_(), eminus, fminus)
+    red_src = reduce_bivector(src, big.transpose().range_()).splitting
+    red_tgt = reduce_bivector(minus, big.range_()).splitting
     iso = reduced_iso(big)
     m = iso.matrix
     carried = tuple(

@@ -149,12 +149,11 @@ def test_random_lagrangians_tensor_iff_subalgebra():
     sl2 = sl2_algebra()
     d = build_double(sl2)
     # transported Lagrangians of the sl2 double: zero tensor iff subalgebra
-    from courantlab.lagrel import dual_basis
+    from courantlab.lagrel import Splitting
     from courantlab.exactlin import transpose, mat_mul
 
-    gd = diagonal_subspace(sl2, 1)
-    duals = dual_basis(d.form, gd, diagonal_subspace(sl2, -1))
-    h = transpose(matrix(list(gd.basis) + list(duals)))
+    quasi = Splitting.of_algebra(d, diagonal_subspace(sl2, 1), diagonal_subspace(sl2, -1))
+    h = transpose(matrix(list(quasi.e.basis) + list(quasi.duals)))
     from courantlab.randgen import random_split_transform
 
     for _ in range(8):
