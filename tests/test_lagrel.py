@@ -66,6 +66,15 @@ def test_splitting_bivector_dim2():
     assert pi.contract((0, 1), SP2.form) == (F(0), F(1, 2))
 
 
+def test_splitting_bivector_rejects_bad_input():
+    # Pi is only reachable through a checked Splitting
+    with pytest.raises(NotLagrangianError):
+        splitting_bivector(Splitting(SP2, E2, E2))
+    full = ExactSubspace.full(2)
+    with pytest.raises(NotLagrangianError):
+        splitting_bivector(Splitting(SP2, full, F2))
+
+
 def test_identity_relation():
     r = LinearRelation.identity_relation(SP2)
     assert r.kernel().dim == 0
