@@ -16,6 +16,7 @@ from .quadlie import (
 from .lagrel import (
     Bivector,
     LinearRelation,
+    ReducedIso,
     SplitSpace,
     Splitting,
     backward_image,
@@ -23,7 +24,6 @@ from .lagrel import (
     related_lagrangian,
     related_splitting,
     reduce_bivector,
-    reduced_iso,
     splitting_bivector,
 )
 from .anchored import (

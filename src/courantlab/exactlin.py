@@ -120,7 +120,11 @@ def _products(rows: Sequence[Sequence], cols: Sequence[Sequence], k: int) -> Mat
     """
     if any(len(x) != k for x in rows) or any(len(x) != k for x in cols):
         raise DimensionMismatchError("operand lengths disagree")
-    cs = [_over_lcm(c) for c in cols]
+    return _products_over(rows, [_over_lcm(c) for c in cols])
+
+
+def _products_over(rows: Sequence[Sequence], cs: list[tuple[list[int], int]]) -> Matrix:
+    """The table of _products for columns already put over their lcm."""
     out = []
     for r in rows:
         rn, rd = _over_lcm(r)
@@ -511,8 +515,70 @@ def product_subspace(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
 
 
 @dataclass(frozen=True)
+class Coordinatizer:
+    """Exact coordinates over a basis of independent rows of Q^ambient_dim.
+
+    The pivot columns of the rows' RREF pick k entries at which the
+    k x k block of the rows is invertible.  The coordinates of v are its
+    entries there times the inverse block, and they count only when they
+    rebuild v exactly; otherwise v lies outside ``span``, the name the
+    error gives.
+    """
+
+    rows: Matrix
+    ambient_dim: int
+    pivots: tuple[int, ...]
+    block_inverse: Matrix
+    span: str = "the span"
+
+    @classmethod
+    def of_rows(cls, rows: Iterable[Iterable], ambient_dim: int,
+                span: str = "the span") -> "Coordinatizer":
+        """Raises DimensionMismatchError on rows of the wrong length and
+        ValueError on dependent rows."""
+        rows = matrix(rows)
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimensionMismatchError("coordinate rows not in the ambient space")
+        pivots = pivot_columns(rref(rows))
+        if len(pivots) != len(rows):
+            raise ValueError("coordinate rows are linearly dependent")
+        block = tuple(tuple(row[p] for p in pivots) for row in rows)
+        return cls(rows, ambient_dim, pivots, inverse(block), span)
+
+    def coords(self, v: Iterable) -> Vector:
+        """Coordinates of one vector; DimensionMismatchError outside the span."""
+        return self.coords_rows((v,))[0]
+
+    def coords_rows(self, vs: Iterable[Iterable]) -> Matrix:
+        """Coordinates of each row of vs as one product, then one exact
+        rebuild check; DimensionMismatchError on a row of the wrong
+        length or outside the span."""
+        vs = tuple(map(vector, vs))
+        n = self.ambient_dim
+        if any(len(v) != n for v in vs):
+            raise DimensionMismatchError("vector not in the ambient space")
+        inverse_cols, row_cols = self._columns_over_lcm
+        coef = _products_over([[v[p] for p in self.pivots] for v in vs], inverse_cols)
+        rebuilt = _products_over(coef, row_cols) if self.rows else tuple(zero_vector(n) for _ in vs)
+        if rebuilt != vs:
+            raise DimensionMismatchError(f"vector not in {self.span}")
+        return coef
+
+    @cached_property
+    def _columns_over_lcm(self) -> tuple[list, list]:
+        """The columns of the inverse block and of the rows, each put over
+        the lcm of its denominators once."""
+        return ([_over_lcm(c) for c in _columns(self.block_inverse)] if self.block_inverse else [],
+                [_over_lcm(c) for c in _columns(self.rows)] if self.rows else [])
+
+
+@dataclass(frozen=True)
 class QuotientMap:
-    """Coordinates on W1/W0 through a chosen complement basis inside W1."""
+    """Coordinates on W1/W0 through a chosen complement basis inside W1.
+
+    Coordinates are read through one coordinatizer over the rows
+    W0 basis + complement, built on first use and kept.
+    """
 
     w1: ExactSubspace
     w0: ExactSubspace
@@ -522,18 +588,14 @@ class QuotientMap:
     def dim(self) -> int:
         return len(self.complement)
 
+    @cached_property
+    def _coordinatizer(self) -> Coordinatizer:
+        return Coordinatizer.of_rows(self.w0.basis + tuple(self.complement),
+                                     self.w1.ambient_dim, "W1")
+
     def coords(self, v: Iterable) -> Vector:
         """Quotient coordinates of v (requires v in W1)."""
-        v = vector(v)
-        rows = list(self.w0.basis) + list(self.complement)
-        coef = solve(transpose(matrix(rows)), v) if rows else ()
-        if coef is None and rows:
-            raise DimensionMismatchError("vector not in W1")
-        if not rows:
-            if any(x != 0 for x in v):
-                raise DimensionMismatchError("vector not in W1")
-            return ()
-        return tuple(coef[self.w0.dim:])
+        return self._coordinatizer.coords(v)[self.w0.dim:]
 
     def lift(self, coords: Iterable) -> Vector:
         coords = vector(coords)
@@ -545,8 +607,9 @@ class QuotientMap:
     def map_subspace(self, s: ExactSubspace) -> ExactSubspace:
         """Image of (S cap W1) in the quotient coordinates."""
         inter = s.intersect(self.w1)
+        k = self.w0.dim
         return ExactSubspace.span(
-            [self.coords(row) for row in inter.basis], ambient_dim=self.dim
+            [c[k:] for c in self._coordinatizer.coords_rows(inter.basis)], ambient_dim=self.dim
         )
 
     def descended_form(self, form: BilinearForm) -> BilinearForm:

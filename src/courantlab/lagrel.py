@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .exactlin import (
     BilinearForm,
+    Coordinatizer,
     DimensionMismatchError,
     ExactSubspace,
     Matrix,
@@ -33,9 +34,7 @@ from .exactlin import (
     quotient_coords,
     rank,
     scale_vec,
-    solve,
     transpose,
-    vec_mat,
     vector,
     zero_prefix_rows,
     zero_vector,
@@ -185,6 +184,38 @@ class LinearRelation:
     def __mul__(self, other: "LinearRelation") -> "LinearRelation":
         return self.compose(other)
 
+    @cached_property
+    def reduced_iso(self) -> "ReducedIso":
+        """The isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t) that maps [w]
+        to [w'] whenever w ~ w', built once; NotLagrangianError when the
+        induced map is not invertible.
+
+        One elimination of the graph in (source, target) order gives both
+        source-side spaces: its rows with a source pivot carry the
+        canonical basis of ran(R^t), each with an image, and the others
+        span ker(R^t) x 0.
+        """
+        nt, ns = self.target.dim, self.source.dim
+        flipped = ExactSubspace.of_rows(nt + ns, [r[nt:] + r[:nt] for r in self.graph.rows])
+        with_image = [r for r in flipped.basis if any(r[:ns])]
+        qs = quotient_coords(
+            ExactSubspace.of_rows(ns, [r[:ns] for r in flipped.rows if any(r[:ns])]),
+            self.kernel(),
+        )
+        qt = quotient_coords(
+            self.range_(),
+            ExactSubspace.of_rows(nt, [r[ns:] for r in flipped.rows if not any(r[:ns])]),
+        )
+        # an image of each complement vector: its coordinates over the
+        # source parts applied to the target parts
+        coef = Coordinatizer.of_rows([r[:ns] for r in with_image], ns, "ran(R^t)").coords_rows(
+            qs.complement)
+        cols = [qt.coords(img) for img in mat_mul(coef, tuple(r[ns:] for r in with_image))]
+        mat = transpose(matrix(cols)) if cols else ()
+        if cols and rank(mat) != len(cols):
+            raise NotLagrangianError("reduced map failed to be invertible")
+        return ReducedIso(qs, qt, mat)
+
     def to_json(self) -> dict:
         return {
             "source_dim": self.source.dim,
@@ -211,39 +242,6 @@ class ReducedIso:
     def map_subspace(self, s_red: ExactSubspace) -> ExactSubspace:
         rows = [self.apply_coords(r) for r in s_red.basis]
         return ExactSubspace.span(rows, ambient_dim=self.dim)
-
-
-def reduced_iso(r: LinearRelation) -> ReducedIso:
-    """Build the quotient isomorphism; w ~ w' implies it maps [w] to [w']."""
-    w1 = r.transpose().range_()
-    w0 = r.kernel()
-    w1p = r.range_()
-    w0p = r.transpose().kernel()
-    qs = quotient_coords(w1, w0)
-    qt = quotient_coords(w1p, w0p)
-    cols = []
-    for c in qs.complement:
-        img = _any_image(r, c)
-        cols.append(qt.coords(img))
-    mat = transpose(matrix(cols)) if cols else ()
-    iso = ReducedIso(qs, qt, mat)
-    if cols and rank(mat) != len(cols):
-        raise NotLagrangianError("reduced map failed to be invertible")
-    return iso
-
-
-def _any_image(r: LinearRelation, w: Vector) -> Vector:
-    """Some w' with w ~ w' (requires w in ran(R^t))."""
-    nt = r.target.dim
-    g = r.graph.basis
-    sys_rows = tuple(
-        tuple(g[k][nt + i] for k in range(len(g))) for i in range(r.source.dim)
-    )
-    coef = solve(sys_rows, w)
-    if coef is None:
-        raise DimensionMismatchError("vector is not in ran(R^t)")
-    v = vec_mat(coef, g)
-    return v[:nt]
 
 
 def _graph_over(eprime: ExactSubspace, r: LinearRelation) -> ExactSubspace:
@@ -468,7 +466,7 @@ def related_lagrangian(
     e: ExactSubspace, eprime: ExactSubspace, r: LinearRelation
 ) -> bool:
     """True when the reduced isomorphism carries E_red onto E'_red."""
-    return _iso_carries(reduced_iso(r), e, eprime)
+    return _iso_carries(r.reduced_iso, e, eprime)
 
 
 def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> RelatednessReport:
@@ -481,7 +479,7 @@ def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> Re
     ran = r.range_()
     kernel_splits = ker.intersect(e).sum(ker.intersect(f)) == ker
     range_splits = ran.intersect(ep).sum(ran.intersect(fp)) == ran
-    iso = reduced_iso(r)
+    iso = r.reduced_iso
     return RelatednessReport(
         e_related=_iso_carries(iso, e, ep),
         f_related=_iso_carries(iso, f, fp),

@@ -26,6 +26,7 @@ from .diffnum import (
     worst,
 )
 from .exactlin import (
+    Coordinatizer,
     ExactSubspace,
     Matrix,
     Vector,
@@ -37,10 +38,7 @@ from .exactlin import (
     mat_vec,
     matrix,
     nullspace,
-    pivot_columns,
-    rref,
     transpose,
-    vec_mat,
     vector,
     zero_vector,
 )
@@ -49,6 +47,7 @@ from .lagrel import (
     LinearRelation,
     SplitSpace,
     Splitting,
+    from_algebra,
     product_subspace,
 )
 from .quadlie import QuadraticLieAlgebra, build_double
@@ -123,31 +122,14 @@ class GroupContext:
             return GroupPoint(self, g)
 
     @cached_property
-    def _coordinatizer(self) -> tuple[Matrix, tuple[int, ...], Matrix]:
-        """(flattened basis rows, pivot entries, inverse of the basis at
-        those entries): the pivots of the basis rows' RREF pick k entries
-        where the k x k block of the basis is invertible."""
-        rows = tuple(flatten(b) for b in self.algebra_basis)
-        pivots = pivot_columns(rref(rows))
-        if len(pivots) != len(rows):
-            raise ValueError("the algebra basis is linearly dependent")
-        block = tuple(tuple(row[p] for p in pivots) for row in rows)
-        return rows, pivots, inverse(block)
+    def _coordinatizer(self) -> Coordinatizer:
+        return Coordinatizer.of_rows((flatten(b) for b in self.algebra_basis),
+                                     self.ambient_size ** 2, "the algebra span")
 
     def coordinatize(self, elt: Matrix) -> Vector:
-        """Exact coordinates of an ambient algebra element over the basis.
-
-        Reads the element at the pivot entries, solves with the kept
-        inverse block, and checks that the coordinates rebuild it.
-        """
-        rows, pivots, block_inv = self._coordinatizer
-        flat = flatten(elt)
-        if len(flat) != len(rows[0]):
-            raise ValueError("element is not in the algebra span")
-        coef = vec_mat(tuple(flat[p] for p in pivots), block_inv)
-        if vec_mat(coef, rows) != flat:
-            raise ValueError("element is not in the algebra span")
-        return coef
+        """Exact coordinates of an ambient algebra element over the basis;
+        DimensionMismatchError when it is not in the algebra's span."""
+        return self._coordinatizer.coords(flatten(elt))
 
     @cached_property
     def float_basis(self) -> np.ndarray:
@@ -416,15 +398,17 @@ class TripleContext:
         )
 
     @cached_property
-    def inclusion_left_inverse(self) -> Matrix:
-        """L with L . inclusion = 1: the inverse of the k x k block of the
-        inclusion at the pivot rows of its transpose's RREF, zero
-        elsewhere."""
-        rows = pivot_columns(rref(transpose(self.inclusion)))
-        block = tuple(self.inclusion[r] for r in rows)
-        n = len(self.inclusion)
-        select = tuple(tuple(Fraction(1 if c == r else 0) for c in range(n)) for r in rows)
-        return mat_mul(inverse(block), select)
+    def dbar_pair(self) -> SplitSpace:
+        """d-bar (+) d-bar, the source of the multiplication lift."""
+        dbar = self.splitting_bar.space
+        return dbar.direct_sum(dbar)
+
+    @cached_property
+    def g1_coordinatizer(self) -> Coordinatizer:
+        """Coordinates over the columns of the inclusion, i.e. over G1's
+        own basis."""
+        return Coordinatizer.of_rows(transpose(self.inclusion), len(self.inclusion),
+                                     "the embedded subalgebra")
 
     @cached_property
     def float_projectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -458,11 +442,9 @@ class TripleContext:
 
 
 def g1_coords_of(t: TripleContext, v: Vector) -> Vector:
-    """Express a vector of g1 (inside d) over G1's own basis."""
-    coef = mat_vec(t.inclusion_left_inverse, v)
-    if mat_vec(t.inclusion, coef) != v:
-        raise ValueError("vector is not in the embedded subalgebra")
-    return coef
+    """Express a vector of g1 (inside d) over G1's own basis;
+    DimensionMismatchError when it is not in the embedded subalgebra."""
+    return t.g1_coordinatizer.coords(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,8 +606,7 @@ def q_mult_fiber(xpp: G1Point) -> LinearRelation:
             for a, b in zip(mat_vec(c_inv, mat_vec(p1, zp)), zpp, strict=True)
         )
         rows.append(concat_vec(zeta, zp, zpp))
-    dbar = SplitSpace(n, t.d_algebra.form.negate())
-    return LinearRelation.from_rows(dbar.direct_sum(dbar), dbar, rows)
+    return LinearRelation.from_rows(t.dbar_pair, t.splitting_bar.space, rows)
 
 
 def q_mult_kernel_expected(xpp: G1Point) -> ExactSubspace:
@@ -660,9 +641,7 @@ def p_phi_fiber(x: G1Point) -> LinearRelation:
         rows.append(
             concat_vec(mat_vec(p2, mat_vec(adg, zeta)), zeta, zeta)
         )
-    dbar = SplitSpace(n, t.d_algebra.form.negate())
-    target = SplitSpace(2 * n, t.d_algebra.form.direct_sum(t.d_algebra.form.negate()))
-    return LinearRelation.from_rows(dbar, target, rows)
+    return LinearRelation.from_rows(t.splitting_bar.space, from_algebra(t.d_ctx.double_algebra), rows)
 
 
 def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> LinearRelation:
@@ -674,9 +653,9 @@ def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> Linea
         rows.append(concat_vec(z, z, zero_vector(n)))
     for u in lagrangian_subalgebra.basis:
         rows.append(concat_vec(zero_vector(n), zero_vector(n), u))
-    source = SplitSpace(2 * n, t.d_algebra.form.direct_sum(t.d_algebra.form.negate()))
-    target = SplitSpace(n, t.d_algebra.form)
-    return LinearRelation.from_rows(source, target, rows)
+    return LinearRelation.from_rows(
+        from_algebra(t.d_ctx.double_algebra), from_algebra(t.d_algebra), rows
+    )
 
 
 # phi^R sections ------------------------------------------------------------
@@ -764,6 +743,7 @@ def s_phi_fiber(ctx: GroupContext) -> LinearRelation:
         z = tuple(Fraction(1 if j == i else 0) for j in range(n))
         rows.append(concat_vec(z, z, zero_vector(n), zero_vector(n)))
         rows.append(concat_vec(zero_vector(n), zero_vector(n), z, z))
-    g_space = SplitSpace(n, alg.form)
-    d_space = SplitSpace(2 * n, alg.form.direct_sum(alg.form.negate()))
-    return LinearRelation.from_rows(d_space.direct_sum(g_space), g_space, rows)
+    g_space = from_algebra(alg)
+    return LinearRelation.from_rows(
+        from_algebra(ctx.double_algebra).direct_sum(g_space), g_space, rows
+    )

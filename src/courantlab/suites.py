@@ -72,6 +72,14 @@ def _ladder_rec(name: str, coarse: float, fine: float) -> dict:
     return _rec(name, 3.5 <= ratio <= 4.5, ratio)
 
 
+def _cap_recs(asked: int, ran: int, cap: str = "the shipped points") -> list[dict]:
+    """One record naming the count asked for and the count run, when a
+    suite ran fewer sample points than asked for; none otherwise."""
+    if ran >= asked:
+        return []
+    return [_rec(f"sample count capped at {cap}", True, detail=f"asked for {asked}, ran {ran}")]
+
+
 def _flat_poisson_field() -> diffnum.ChartBivectorField:
     """A closed-form Poisson field on R^3 (pushforward of a constant
     bivector under a polynomial chart change); quartic entries give an
@@ -171,10 +179,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
             records.append(_rec(f"main identity (sheared) {ctx.name}#{i}",
                                 r <= tol * (1.0 + defect), r))
         records.append(_rec("sheared case has nonzero defect", any(x > 0.01 for x in defects)))
-    if len(points) < samples:
-        records.append(_rec("sample count capped at the shipped points", True,
-                            detail=f"asked for {samples}, ran {len(points)}"))
-    return records
+    return records + _cap_recs(samples, len(points))
 
 
 def _random_anchored_instance(seed_key: str):
@@ -304,14 +309,15 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
 
     # invariant formulas and the unit fibers
     exact_ok = True
-    for d in group.points[:samples]:
+    points = group.points[:samples]
+    for d in points:
         pip, pim = pi_pm(d)
         plus, minus = liegrp.pi_plus_minus_invariant(t, d)
         exact_ok = exact_ok and pip.matrix == plus and pim.matrix == minus
     records.append(_rec("pi+- match the invariant-frame formulas exactly", exact_ok))
     _, pim_e = pi_pm(group.points[0])
     records.append(_rec("pi- vanishes at the unit", all(x == 0 for row in pim_e.matrix for x in row)))
-    return records
+    return records + _cap_recs(samples, len(points))
 
 
 def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
@@ -380,7 +386,7 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
         ))
     worst_phi = diffnum.worst(residuals)
     records.append(_rec("embedding is a bivector map onto pi-", worst_phi <= tol, worst_phi))
-    return records
+    return records + _cap_recs(samples, len(points))
 
 
 def suite_relations(samples: int = 200, seed: int = 0) -> list[dict]:
@@ -435,10 +441,12 @@ def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
                 for r in suite_rank(samples or 100, seed)]
     records += [{**r, "name": f"leaves: {r['name']}"}
                 for r in suite_leaves(samples or 40, seed)]
-    records += [{**r, "name": f"mult: {r['name']}"}
-                for r in suite_mult(t, tol, h, seed, min(samples or 10, 10))]
-    records += [{**r, "name": f"dressing: {r['name']}"}
-                for r in suite_dressing(t, tol, h, seed, min(samples or 10, 10))]
+    # mult and dressing run at most 10 samples here
+    group_samples = min(samples or 10, 10)
+    for name, suite in (("mult", suite_mult), ("dressing", suite_dressing)):
+        suite_records = suite(t, tol, h, seed, group_samples)
+        suite_records += _cap_recs(samples or 10, group_samples, "10 in verify all")
+        records += [{**r, "name": f"{name}: {r['name']}"} for r in suite_records]
     records += [{**r, "name": f"relations: {r['name']}"}
                 for r in suite_relations(samples or 200, seed)]
     return records

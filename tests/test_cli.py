@@ -254,6 +254,22 @@ def test_schouten_reports_a_capped_sample_count(capsys):
     _assert_usage_error(["verify", "schouten", "--samples", "1"], capsys)
 
 
+
+def test_mult_dressing_and_all_report_capped_sample_counts(capsys):
+    # both triple suites have 12 shipped points; verify all runs them on 10
+    for suite, asked in (("dressing", 100), ("mult", 13)):
+        assert main(["verify", suite, "--samples", str(asked), "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records[-1] == {"name": "sample count capped at the shipped points",
+                               "status": "pass", "detail": f"asked for {asked}, ran 12"}
+    assert main(["verify", "all", "--samples", "11", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r for r in records if "capped" in r["name"]] == [
+        {"name": f"{suite}: sample count capped at 10 in verify all",
+         "status": "pass", "detail": "asked for 11, ran 10"}
+        for suite in ("mult", "dressing")
+    ]
+
 def test_non_splitting_files_are_usage_error(tmp_path, capsys):
     e = tmp_path / "e.json"
     e.write_text(json.dumps(diagonal_subspace(sl2_algebra(), 1).to_json()))

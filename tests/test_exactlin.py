@@ -487,6 +487,52 @@ def test_contains_and_coefficients_match_fractions(pair, data):
         s.contains((F(0),) * (n + 1))
 
 
+
+def _ref_quotient_coords(q, v):
+    """The solve reference: coordinates of v over W0 basis + complement,
+    cut to the complement's; None outside W1."""
+    rows = q.w0.basis + tuple(q.complement)
+    if not rows:
+        return None if any(v) else ()
+    coef = solve(transpose(rows), tuple(v))
+    return None if coef is None else coef[q.w0.dim:]
+
+
+@given(subspace_pairs(), subspace_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_quotient_coords_match_solve(pair, others, data):
+    s, t = pair
+    n = s.ambient_dim
+    w1 = s.sum(t)
+    # W0 from the whole chain 0 <= s cap t <= s <= W1; W0 = W1 leaves an
+    # empty complement
+    w0 = data.draw(st.sampled_from([ExactSubspace.zero(n), s.intersect(t), s, w1]))
+    q = quotient_coords(w1, w0)
+    assert q.dim == w1.dim - w0.dim
+    combo = data.draw(st.lists(_entries, min_size=w1.dim, max_size=w1.dim))
+    inside = vec_mat(tuple(combo), w1.basis) if w1.dim else (F(0),) * n
+    want = _ref_quotient_coords(q, inside)
+    assert want is not None and q.coords(inside) == want
+    # S cap W1 for an S of the same ambient space, and W1 itself
+    other = others[0] if others[0].ambient_dim == n else ExactSubspace.zero(n)
+    for sub in (other, w1):
+        got = q.map_subspace(sub)
+        rows = [_ref_quotient_coords(q, r) for r in sub.intersect(w1).basis]
+        assert got == ExactSubspace.span(rows, ambient_dim=q.dim)
+    # a unit vector outside W1 moves the vector off W1
+    outside_units = [e for e in identity(n) if not w1.contains(e)]
+    for e in outside_units[:2]:
+        off = tuple(a + b for a, b in zip(inside, e))
+        assert _ref_quotient_coords(q, off) is None
+        with pytest.raises(DimensionMismatchError):
+            q.coords(off)
+        with pytest.raises(DimensionMismatchError):
+            quotient_coords(w1, w1).coords(off)
+    assert quotient_coords(w1, w1).coords(inside) == ()
+    for wrong in ((F(0),) * (n + 1), inside[:-1]):
+        with pytest.raises(DimensionMismatchError):
+            q.coords(wrong)
+
 def test_from_json_keeps_the_callers_ambient_dim():
     data = {"basis": [["1", "0"]], "ambient_dim": 2}
     assert ExactSubspace.from_json(data, ambient_dim=2) == ExactSubspace.span([(1, 0)])

@@ -32,7 +32,6 @@ from courantlab.lagrel import (
     hyperbolic_space,
     pair_groupoid_relation,
     reduce_bivector,
-    reduced_iso,
     related_lagrangian,
     related_splitting,
     splitting_bivector,
@@ -119,7 +118,7 @@ def test_transpose_compose_reduced_identity():
     for _ in range(10):
         r = random_relation(rng, rng.randint(1, 3), rng.randint(1, 3))
         t = r.transpose() * r
-        iso = reduced_iso(t)
+        iso = t.reduced_iso
         assert iso.matrix == identity(iso.dim) if iso.dim else iso.matrix == ()
         # and the quotients are ran(R^t)/ker(R) on both sides
         assert t.kernel() == r.kernel()
@@ -134,7 +133,7 @@ def test_isom_lemma_identities_random():
         assert r.kernel() == r.source.form.orth_complement(rt.range_())
         assert r.range_() == r.target.form.orth_complement(rt.kernel())
         assert r.kernel().dim + r.range_().dim == r.graph.dim
-        iso = reduced_iso(r)
+        iso = r.reduced_iso
         assert iso.dim == rt.range_().dim - r.kernel().dim
 
 

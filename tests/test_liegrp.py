@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import courantlab.exactlin as exactlin
 import courantlab.liegrp as liegrp
 from courantlab import anchored, suites
 from courantlab.cli import main
@@ -36,6 +38,8 @@ from courantlab.diffnum import (
     worst,
 )
 from courantlab.exactlin import (
+    Coordinatizer,
+    DimensionMismatchError,
     ExactSubspace,
     concat_vec,
     identity,
@@ -45,8 +49,10 @@ from courantlab.exactlin import (
     matrix,
     solve,
     transpose,
+    vec_mat,
 )
 from courantlab.lagrel import (
+    LinearRelation,
     Splitting,
     backward_image,
     backward_image_subspace,
@@ -316,7 +322,7 @@ def test_abelian_triple_suite_pieces():
 def test_related_splitting_transports_reduced_bivector():
     # through the groupoid relation, the reduced isomorphism carries the
     # reduced splitting bivector onto the reduced splitting bivector
-    from courantlab.lagrel import pair_groupoid_relation, reduce_bivector, reduced_iso
+    from courantlab.lagrel import pair_groupoid_relation, reduce_bivector
 
     minus = TRIPLE.minus
     big = pair_groupoid_relation(TRIPLE.d_algebra)
@@ -325,7 +331,7 @@ def test_related_splitting_transports_reduced_bivector():
     assert rep.related
     red_src = reduce_bivector(src, big.transpose().range_()).splitting
     red_tgt = reduce_bivector(minus, big.range_()).splitting
-    iso = reduced_iso(big)
+    iso = big.reduced_iso
     m = iso.matrix
     carried = tuple(
         tuple(
@@ -353,36 +359,37 @@ def test_dmult_linear_in_left_trivialization():
 # --- the kept coordinatizer -------------------------------------------
 
 
-def _naive_coords(ctx, elt):
-    """Reference: Gauss-Jordan on the n^2 x k system sum_a c_a X_a = elt,
-    one Fraction at a time; None when the system is inconsistent."""
-    k = ctx.dim
-    rows = [
-        [F(b[i][j]) for b in ctx.algebra_basis] + [F(elt[i][j])]
-        for i in range(ctx.ambient_size)
-        for j in range(ctx.ambient_size)
-    ]
+def _gauss_jordan(rows, v):
+    """Reference: Gauss-Jordan on the system sum_a c_a rows[a] = v, one
+    Fraction at a time; None when the system is inconsistent."""
+    k = len(rows)
+    system = [[F(row[i]) for row in rows] + [F(v[i])] for i in range(len(v))]
     r = 0
     pivots = []
     for c in range(k):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(system)) if system[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                m = rows[i][c]
-                rows[i] = [x - m * y for x, y in zip(rows[i], rows[r])]
+        system[r], system[piv] = system[piv], system[r]
+        lead = system[r][c]
+        system[r] = [x / lead for x in system[r]]
+        for i in range(len(system)):
+            if i != r and system[i][c] != 0:
+                m = system[i][c]
+                system[i] = [x - m * y for x, y in zip(system[i], system[r])]
         pivots.append(c)
         r += 1
-    if any(row[k] != 0 for row in rows[r:]):
+    if any(row[k] != 0 for row in system[r:]):
         return None
     coords = [F(0)] * k
-    for row, c in zip(rows, pivots):
+    for row, c in zip(system, pivots):
         coords[c] = row[k]
     return tuple(coords)
+
+
+def _naive_coords(ctx, elt):
+    """Reference coordinates of an ambient matrix over the algebra basis."""
+    return _gauss_jordan([liegrp.flatten(b) for b in ctx.algebra_basis], liegrp.flatten(elt))
 
 
 def _unit(size, i, j):
@@ -416,6 +423,32 @@ def test_coordinatize_matches_naive_solve(name, data):
         ctx.coordinatize(off)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coordinatizer_matches_gauss_jordan(data):
+    # the one coordinatizer behind the group, G1 and quotient coordinates
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, n))
+    rows = [tuple(data.draw(st.lists(_RATIONALS, min_size=n, max_size=n))) for _ in range(k)]
+    if ExactSubspace.span(rows, ambient_dim=n).dim < k:
+        with pytest.raises(ValueError):
+            Coordinatizer.of_rows(rows, n)
+        return
+    coz = Coordinatizer.of_rows(rows, n)
+    combos = [tuple(data.draw(st.lists(_RATIONALS, min_size=k, max_size=k))) for _ in range(3)]
+    vs = [vec_mat(c, rows) if rows else (F(0),) * n for c in combos]
+    assert coz.coords_rows(vs) == tuple(combos) == tuple(_gauss_jordan(rows, v) for v in vs)
+    assert coz.coords(vs[0]) == combos[0]
+    for e in identity(n):
+        if _gauss_jordan(rows, e) is None:
+            with pytest.raises(DimensionMismatchError):
+                coz.coords(e)
+            with pytest.raises(DimensionMismatchError):
+                coz.coords_rows([vs[0], tuple(a + b for a, b in zip(vs[1], e))])
+    with pytest.raises(DimensionMismatchError):
+        coz.coords((F(0),) * (n + 1))
+
 def test_context_keeps_its_double_and_triple_splittings():
     assert CTX.double_algebra is CTX.double_algebra
     assert CTX.double_algebra == build_double(CTX.algebra)
@@ -430,7 +463,7 @@ def test_g1_coords_of_matches_solve(name, data):
     # outside g1 still raises
     t = get_triple_context(name)
     n, k = len(t.inclusion), len(t.inclusion[0])
-    assert mat_mul(t.inclusion_left_inverse, t.inclusion) == identity(k)
+    assert tuple(liegrp.g1_coords_of(t, col) for col in transpose(t.inclusion)) == identity(k)
     coords = tuple(data.draw(st.lists(_RATIONALS, min_size=k, max_size=k)))
     inside = mat_vec(t.inclusion, coords)
     assert liegrp.g1_coords_of(t, inside) == solve(t.inclusion, inside) == coords
@@ -597,3 +630,40 @@ def test_dressing_builds_pi_minus_only(monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == 8
     assert TRIPLE.plus not in calls
+
+
+def _count_solves(monkeypatch):
+    """Count exactlin.solve calls, through every module that binds it."""
+    calls = []
+    original = exactlin.solve
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod and mod.__name__.startswith("courantlab") and getattr(mod, "solve", None) is original:
+            monkeypatch.setattr(mod, "solve", counted)
+    return calls
+
+
+def test_mult_builds_the_reduced_iso_once(monkeypatch, capsys):
+    # the four relatedness lines share one pair-groupoid relation, whose
+    # reduced isomorphism is built once; no quotient coordinate runs solve
+    isos = _count_builds(monkeypatch, LinearRelation, "reduced_iso", lambda r: r.graph)
+    solves = _count_solves(monkeypatch)
+    _run_on_a_fresh_triple(monkeypatch, "mult")
+    capsys.readouterr()
+    assert list(isos.values()) == [1]
+    assert len(solves) <= 12
+
+
+def test_dressing_reads_kept_split_spaces(monkeypatch, capsys):
+    # the fibers read the triple's kept d-bar and d-bar (+) d-bar spaces, so
+    # each form computes its signature once
+    signatures = _count_builds(monkeypatch, exactlin.BilinearForm, "_signature", lambda f: f)
+    solves = _count_solves(monkeypatch)
+    _run_on_a_fresh_triple(monkeypatch, "dressing")
+    capsys.readouterr()
+    assert sum(signatures.values()) <= 6
+    assert len(solves) <= 6
