@@ -282,20 +282,6 @@ def courant_bracket_jet_closed(
     return SectionJet(value, jac)
 
 
-def coisotropic_reduce_point(
-    form: BilinearForm, c: ExactSubspace
-) -> tuple[QuotientMap, BilinearForm]:
-    """Reduce a coisotropic subspace to C / C-perp with the descended form."""
-    if not form.is_coisotropic(c):
-        raise ValueError("C must be coisotropic")
-    c_perp = form.orth_complement(c)
-    q = quotient_coords(c, c_perp)
-    reduced = q.descended_form(form)
-    if not reduced.is_nondegenerate():
-        raise ValueError("descended form is degenerate")
-    return q, reduced
-
-
 @dataclass(frozen=True)
 class PointPullback:
     """Pointwise pull-back data along a chart map differential."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exactlin import Matrix
 from .lagrel import Splitting
-from .quadlie import CourantTensor3, QuadraticLieAlgebra, courant_tensor_on_basis
+from .quadlie import QuadraticLieAlgebra, courant_tensor_on_basis
 
 ANTISYM_TOL = 1e-12
 
@@ -130,7 +130,7 @@ def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def push_trivector(
     anchor: np.ndarray,
-    values: Sequence[tuple[tuple[int, int, int], object]] | CourantTensor3,
+    values: Sequence[tuple[tuple[int, int, int], object]],
     wedge_vectors: Sequence,
 ) -> Trivector:
     """Push sum values[i<j<k] * w^i ^ w^j ^ w^k through the anchor matrix.
@@ -141,8 +141,6 @@ def push_trivector(
     """
     a = np.asarray(anchor, dtype=float)
     m = a.shape[0]
-    if isinstance(values, CourantTensor3):
-        values = values.values
     pushed = [a @ np.asarray([float(x) for x in vec]) for vec in wedge_vectors]
     T = _empty_trivector(m)
     for (i, j, k), val in values:

@@ -436,34 +436,18 @@ class ExactSubspace:
         return len(self.basis)
 
     def contains(self, v: Iterable) -> bool:
-        return self._reduces(v)[0]
-
-    def coefficients(self, v: Iterable) -> Vector | None:
-        """Coordinates of v over the stored basis, or None if outside.
-
-        The stored basis is a reduced echelon basis with unit pivots, so
-        the coordinates are v's entries at the pivot columns.
-        """
-        v = vector(v)
-        inside, pivots = self._reduces(v)
-        return tuple(v[p] for p in pivots) if inside else None
-
-    def _reduces(self, v: Iterable) -> tuple[bool, list[int]]:
-        """Whether v's primitive integer row reduces to zero against
-        ``rows``, and the pivot columns of ``rows``."""
+        """Whether v's primitive integer row reduces to zero against ``rows``."""
         work = _primitive(v)
         if len(work) != self.ambient_dim:
             raise DimensionMismatchError("vector not in ambient space")
-        pivots = []
         for row in self.rows:
             p = next(j for j, x in enumerate(row) if x)
-            pivots.append(p)
             b = work[p]
             if b:
                 g = gcd(row[p], b)
                 a, b = row[p] // g, b // g
                 work = [a * x - b * y for x, y in zip(work, row)]
-        return not any(work), pivots
+        return not any(work)
 
     def contains_subspace(self, other: "ExactSubspace") -> bool:
         self._check(other)
@@ -621,17 +605,20 @@ class QuotientMap:
 
 
 def quotient_coords(w1: ExactSubspace, w0: ExactSubspace) -> QuotientMap:
-    """Quotient W1/W0 with a greedily chosen complement basis."""
+    """Quotient W1/W0 with a greedily chosen complement basis: the W1
+    basis rows outside the span of W0 and the W1 rows before them.
+
+    One elimination of the columns W0 rows + W1 rows picks them: its
+    pivot columns past the W0 block.  W0 lies in W1 exactly when the
+    pivots number dim W1.
+    """
     w1._check(w0)
-    if not w1.contains_subspace(w0):
+    k = w0.dim
+    cols = [list(c) for c in zip(*(w0.rows + w1.rows))]
+    pivots, _ = _eliminate(cols, k + w1.dim, reduced=False)
+    if len(pivots) != w1.dim:
         raise ValueError("W0 is not contained in W1")
-    chosen: list[Vector] = []
-    current = w0
-    for row in w1.basis:
-        if not current.contains(row):
-            chosen.append(row)
-            current = current.sum(ExactSubspace.span([row]))
-    return QuotientMap(w1, w0, tuple(chosen))
+    return QuotientMap(w1, w0, tuple(w1.basis[p - k] for p in pivots if p >= k))
 
 
 @dataclass(frozen=True)
@@ -775,7 +762,3 @@ class BilinearForm:
 @_lru_cache(maxsize=256)
 def _nondegenerate(m: Matrix) -> bool:
     return det(m) != 0
-
-
-def vector_to_json(v: Vector) -> list[str]:
-    return [str(x) for x in v]

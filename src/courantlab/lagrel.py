@@ -39,7 +39,7 @@ from .exactlin import (
     zero_prefix_rows,
     zero_vector,
 )
-from .quadlie import QuadraticLieAlgebra, build_double
+from .quadlie import QuadraticLieAlgebra
 
 
 class TransversalityError(ValueError):
@@ -285,11 +285,6 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
     return e, tuple(row[ns:] for row in pairs.basis)
 
 
-def forward_image(e: ExactSubspace, r: LinearRelation) -> tuple[ExactSubspace, Matrix]:
-    """Forward image R o E, via the backward image through the transpose."""
-    return backward_image(e, r.transpose())
-
-
 @dataclass(frozen=True)
 class Bivector:
     """Antisymmetric coefficient matrix P: pi = sum_{u<v} P[u][v] d_u ^ d_v."""
@@ -488,14 +483,14 @@ def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> Re
     )
 
 
-def pair_groupoid_relation(d: QuadraticLieAlgebra) -> LinearRelation:
-    """Multiplication relation of d (+) d-bar viewed as a pair groupoid.
+def pair_groupoid_relation(dd: QuadraticLieAlgebra) -> LinearRelation:
+    """Multiplication relation of the double dd = d (+) d-bar (as
+    ``build_double(d)`` makes it) viewed as a pair groupoid.
 
     Elements compose by (a, b) o (b, c) = (a, c); the relation maps the
     direct-sum space (d (+) d-bar)^2 to d (+) d-bar.
     """
-    n = d.dim
-    dd = build_double(d)
+    n = dd.dim // 2
     space_d = from_algebra(dd)
     source = space_d.direct_sum(space_d)
     rows = []

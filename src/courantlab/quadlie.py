@@ -216,38 +216,13 @@ def courant_form(alg: QuadraticLieAlgebra, u1, u2, u3) -> Fraction:
 class CourantTensor3:
     """Alternating trilinear table on a chosen basis of a subspace.
 
-    Values are stored for index triples i < j < k only.
+    Values are stored for index triples i < j < k only, and only the
+    nonzero ones, so the tensor vanishes exactly when ``values`` is empty.
     """
 
     subspace: ExactSubspace
     basis: Matrix
     values: tuple[tuple[tuple[int, int, int], Fraction], ...]
-
-    def value(self, i: int, j: int, k: int) -> Fraction:
-        if len({i, j, k}) < 3:
-            return Fraction(0)
-        order = sorted([i, j, k])
-        sign = _perm_sign((i, j, k))
-        table = dict(self.values)
-        return sign * table.get(tuple(order), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for _, v in self.values)
-
-
-def _perm_sign(p: tuple[int, int, int]) -> Fraction:
-    i, j, k = p
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    if j > k:
-        j, k = k, j
-        sign = -sign
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    return Fraction(sign)
 
 
 def _tabulate(alg: QuadraticLieAlgebra, sub: ExactSubspace, basis: Matrix) -> CourantTensor3:
@@ -267,9 +242,7 @@ def courant_tensor(alg: QuadraticLieAlgebra, lag: ExactSubspace) -> CourantTenso
 
     Identically zero exactly when the subspace is a subalgebra.
     """
-    if not alg.form.is_lagrangian(lag):
-        raise NotLagrangianError("courant_tensor needs a Lagrangian subspace")
-    return _tabulate(alg, lag, lag.basis)
+    return courant_tensor_on_basis(alg, lag, lag.basis)
 
 
 def courant_tensor_on_basis(
@@ -283,16 +256,8 @@ def courant_tensor_on_basis(
 
 def cartan_trivector(alg: QuadraticLieAlgebra) -> CourantTensor3:
     """Structure tensor (1/4) <x, [y, z]> on the full basis; zero iff abelian."""
-    n = alg.dim
-    basis = identity(n)
-    vals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = courant_form(alg, basis[i], basis[j], basis[k]) / 4
-                if v != 0:
-                    vals.append(((i, j, k), v))
-    return CourantTensor3(alg.full_space(), basis, tuple(vals))
+    t = _tabulate(alg, alg.full_space(), identity(alg.dim))
+    return CourantTensor3(t.subspace, t.basis, tuple((ijk, v / 4) for ijk, v in t.values))
 
 
 def build_double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:

@@ -124,11 +124,6 @@ def random_lagrangian_splitting(rng: random.Random, k: int) -> Splitting:
     return Splitting(hyperbolic_space(k), e, f)
 
 
-def random_lagrangian_subspace(rng: random.Random, k: int) -> ExactSubspace:
-    g, _ = _split_transform_ints(rng, k)
-    return ExactSubspace.of_rows(2 * k, [list(c) for c in zip(*g)][:k])
-
-
 def random_coisotropic_anchor(
     rng: random.Random, k: int
 ) -> tuple[Matrix, int]:

@@ -164,7 +164,7 @@ def test_criterion_08_multiplicativity():
             residuals.append(np.max(np.abs(dm @ big @ dm.T - tgt)))
     worst = diffnum.worst(residuals)
     plus, minus = t.plus, t.minus
-    big_r = lagrel.pair_groupoid_relation(t.d_algebra)
+    big_r = lagrel.pair_groupoid_relation(t.d_ctx.double_algebra)
     lines_ok = all(
         related_splitting(
             Splitting(big_r.source, product_subspace(*es), product_subspace(*fs)), tgt, big_r

@@ -73,6 +73,13 @@ def test_verify_json_output(capsys):
     assert report["config"]["seed"] == 3
 
 
+def test_relations_below_eight_samples_runs_a_triple(capsys):
+    # samples // 8 is 0 here; the associativity record must still check one
+    assert main(["verify", "relations", "--samples", "1", "--json"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)["records"]]
+    assert "composition associativity on 1 seeded triples" in names
+
+
 def test_verify_deterministic_bytes(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

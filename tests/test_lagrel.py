@@ -28,7 +28,6 @@ from courantlab.lagrel import (
     TransversalityError,
     backward_image,
     backward_image_subspace,
-    forward_image,
     hyperbolic_space,
     pair_groupoid_relation,
     reduce_bivector,
@@ -98,17 +97,17 @@ def test_graph_of_form_preserving_map():
     img, alpha = backward_image(E2, r)
     assert img == E2  # span(g^-1 e1) = span(e1) here
     assert alpha == ((F(2), F(0)),)
-    fwd, _ = forward_image(E2, r)
+    fwd, _ = backward_image(E2, r.transpose())
     assert fwd == E2
 
 
 def test_pair_groupoid_relation_dims():
-    r = pair_groupoid_relation(sl2_algebra())
+    r = pair_groupoid_relation(build_double(sl2_algebra()))
     assert 2 * r.graph.dim == r.source.dim + r.target.dim
     assert r.kernel().dim == 3
     assert r.range_() == ExactSubspace.full(6)
     line = quadlie.QuadraticLieAlgebra.from_triples(1, [], [[1]], basis_names=("a",))
-    tiny = pair_groupoid_relation(line)
+    tiny = pair_groupoid_relation(build_double(line))
     assert tiny.kernel().dim == 1
     assert tiny.kernel().basis == ((F(0), F(1), F(1), F(0)),)
 
@@ -165,7 +164,7 @@ def test_courant_tensor_pullback_through_morphism():
     # relation: the tensor of the image is the pulled-back tensor
     sl2 = sl2_algebra()
     d = build_double(sl2)
-    r = pair_groupoid_relation(sl2)
+    r = pair_groupoid_relation(d)
     eprime = diagonal_subspace(sl2, -1)  # the anti-diagonal inside d
     img, alpha = backward_image(eprime, r)
     # source of r is the direct product algebra d (+) d (componentwise)

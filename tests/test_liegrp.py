@@ -218,7 +218,7 @@ def test_section52_relatedness_table():
     from courantlab.lagrel import pair_groupoid_relation
 
     eplus, fplus, eminus, fminus = TRIPLE.plus.e, TRIPLE.plus.f, TRIPLE.minus.e, TRIPLE.minus.f
-    big = pair_groupoid_relation(TRIPLE.d_algebra)
+    big = pair_groupoid_relation(TRIPLE.d_ctx.double_algebra)
     cases = [
         ((eminus, eminus), (fminus, fminus), TRIPLE.minus, True),
         ((eplus, fplus), (fplus, eplus), TRIPLE.minus, True),
@@ -325,7 +325,7 @@ def test_related_splitting_transports_reduced_bivector():
     from courantlab.lagrel import pair_groupoid_relation, reduce_bivector
 
     minus = TRIPLE.minus
-    big = pair_groupoid_relation(TRIPLE.d_algebra)
+    big = pair_groupoid_relation(TRIPLE.d_ctx.double_algebra)
     src = Splitting(big.source, product_subspace(minus.e, minus.e), product_subspace(minus.f, minus.f))
     rep = related_splitting(src, minus, big)
     assert rep.related
