@@ -1,6 +1,6 @@
 """Floating-point chart calculus: finite-difference Schouten brackets,
-trivector pushforwards, the main splitting identity, vector-field
-bracket tests, and bivector relatedness under chart maps.
+trivector pushforwards, the main splitting identity, the action axiom
+of tabulated vector fields, and bivector relatedness under chart maps.
 
 Each check returns a plain residual; the caller decides what passes.
 
@@ -196,41 +196,29 @@ def main_identity_residual(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def vf_bracket_fd(
-    v_sampler: Callable[[np.ndarray], np.ndarray],
-    w_sampler: Callable[[np.ndarray], np.ndarray],
-    point,
-    h: float = 1e-4,
-) -> np.ndarray:
-    """[v, w] = Dw(v) - Dv(w) with central-difference Jacobians."""
-    x = np.asarray(point, dtype=float)
-    v0 = np.asarray(v_sampler(x), dtype=float)
-    w0 = np.asarray(w_sampler(x), dtype=float)
-    jac_v = central_difference(v_sampler, x, h)
-    jac_w = central_difference(w_sampler, x, h)
-    return jac_w @ v0 - jac_v @ w0
-
-
 def action_axiom_check(
-    rho: Callable[[int, np.ndarray], np.ndarray],
+    fields: Callable[[np.ndarray], np.ndarray],
     alg: QuadraticLieAlgebra,
     point,
     h: float,
 ) -> float:
     """Worst max-abs residual of [rho(b_i), rho(b_j)] = rho([b_i, b_j])
-    over the basis pairs, at one point."""
+    over the basis pairs, at one point, where [v, w] = Dw(v) - Dv(w).
+
+    ``fields(q)`` is the (n, k) table whose row i is rho(b_i) at q; one
+    stencil gives every Jacobian."""
     x = np.asarray(point, dtype=float)
+    vals = np.asarray(fields(x), dtype=float)
+    jacs = central_difference(fields, x, h)  # jacs[i] = D rho(b_i)
     n = alg.dim
     residuals = []
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = vf_bracket_fd(
-                lambda q, i=i: rho(i, q), lambda q, j=j: rho(j, q), x, h=h
-            )
+            lhs = jacs[j] @ vals[i] - jacs[i] @ vals[j]
             rhs = np.zeros_like(lhs)
             for k, c in enumerate(alg.bracket_basis(i, j)):
                 if c != 0:
-                    rhs += float(c) * np.asarray(rho(k, x), dtype=float)
+                    rhs += float(c) * vals[k]
             residuals.append(float(np.max(np.abs(lhs - rhs))))
     return worst(residuals)
 

@@ -163,10 +163,22 @@ class LinearRelation:
         nt = self.target.dim
         return ExactSubspace.of_rows(nt, [r[:nt] for r in self.graph.rows])
 
-    def transpose(self) -> "LinearRelation":
+    @cached_property
+    def flipped(self) -> ExactSubspace:
+        """The graph eliminated in (source, target) order, built once: its
+        rows with a source pivot carry the canonical basis of ran(R^t),
+        and the others span ker(R^t) x 0."""
         nt = self.target.dim
-        sub = ExactSubspace.of_rows(self.graph.ambient_dim, [r[nt:] + r[:nt] for r in self.graph.rows])
-        return LinearRelation(self.target, self.source, sub)
+        return ExactSubspace.of_rows(self.graph.ambient_dim, [r[nt:] + r[:nt] for r in self.graph.rows])
+
+    @cached_property
+    def cokernel(self) -> ExactSubspace:
+        """ker(R^t) = {w' : 0 ~ w'}, read off the flipped elimination."""
+        ns = self.source.dim
+        return ExactSubspace.of_rows(self.target.dim, [r[ns:] for r in self.flipped.rows if not any(r[:ns])])
+
+    def transpose(self) -> "LinearRelation":
+        return LinearRelation(self.target, self.source, self.flipped)
 
     def compose(self, other: "LinearRelation") -> "LinearRelation":
         """self after other: (self o other): other.source -> self.target."""
@@ -188,24 +200,17 @@ class LinearRelation:
     def reduced_iso(self) -> "ReducedIso":
         """The isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t) that maps [w]
         to [w'] whenever w ~ w', built once; NotLagrangianError when the
-        induced map is not invertible.
-
-        One elimination of the graph in (source, target) order gives both
-        source-side spaces: its rows with a source pivot carry the
-        canonical basis of ran(R^t), each with an image, and the others
-        span ker(R^t) x 0.
+        induced map is not invertible.  Both source-side spaces come from
+        the kept ``flipped`` elimination: its source-pivot rows each carry
+        an image.
         """
-        nt, ns = self.target.dim, self.source.dim
-        flipped = ExactSubspace.of_rows(nt + ns, [r[nt:] + r[:nt] for r in self.graph.rows])
-        with_image = [r for r in flipped.basis if any(r[:ns])]
+        ns = self.source.dim
+        with_image = [r for r in self.flipped.basis if any(r[:ns])]
         qs = quotient_coords(
-            ExactSubspace.of_rows(ns, [r[:ns] for r in flipped.rows if any(r[:ns])]),
+            ExactSubspace.of_rows(ns, [r[:ns] for r in self.flipped.rows if any(r[:ns])]),
             self.kernel(),
         )
-        qt = quotient_coords(
-            self.range_(),
-            ExactSubspace.of_rows(nt, [r[ns:] for r in flipped.rows if not any(r[:ns])]),
-        )
+        qt = quotient_coords(self.range_(), self.cokernel)
         # an image of each complement vector: its coordinates over the
         # source parts applied to the target parts
         coef = Coordinatizer.of_rows([r[:ns] for r in with_image], ns, "ran(R^t)").coords_rows(
@@ -269,7 +274,7 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
     with a witness when E' meets ker(R^t) nontrivially (alpha would not
     be unique there).
     """
-    bad = eprime.intersect(r.transpose().kernel())
+    bad = eprime.intersect(r.cokernel)
     if bad.dim:
         raise TransversalityError(
             "subspace meets the relation's co-kernel", bad.basis[0]

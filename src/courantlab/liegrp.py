@@ -489,25 +489,29 @@ class G1Point:
 
 
 def dressing_field_sampler(x: G1Point):
-    """rho(index, t) for the right dressing action in the chart at x."""
+    """fields(t), the (n, k) table whose row i is rho(b_i) at t, for the
+    right dressing action in the chart at x; the group data at t is built
+    once, and each row keeps its own matrix-vector products."""
     t = x.triple
     p1_np, _ = t.float_projectors
     g1_ctx = t.g1_ctx
     n = t.d_algebra.dim
 
-    def rho(index: int, tvec: np.ndarray) -> np.ndarray:
+    def fields(tvec: np.ndarray) -> np.ndarray:
         g = x.g1.point(tvec)
         phi_g = t.float_embed(g)
-        zeta = np.zeros(n)
-        zeta[index] = 1.0
         ad = t.d_ctx.float_adjoint(phi_g, np.linalg.inv(phi_g))
-        xv = t.float_inclusion_pinv @ (p1_np @ (ad @ zeta))
         ginv = np.linalg.inv(g)
-        amb_t = np.tensordot(xv, g1_ctx.float_basis, axes=1) @ g  # right-invariant: xv . g
-        xi = g1_ctx.float_coords(ginv @ amb_t)
-        return np.linalg.solve(g1_ctx.dexp_matrix(tvec), xi)
+        dexp = g1_ctx.dexp_matrix(tvec)
+        rows = []
+        for zeta in np.eye(n):
+            xv = t.float_inclusion_pinv @ (p1_np @ (ad @ zeta))
+            amb_t = np.tensordot(xv, g1_ctx.float_basis, axes=1) @ g  # right-invariant: xv . g
+            xi = g1_ctx.float_coords(ginv @ amb_t)
+            rows.append(np.linalg.solve(dexp, xi))
+        return np.array(rows)
 
-    return rho
+    return fields
 
 
 def g1_poisson_bivector(x: G1Point) -> Bivector:
@@ -573,10 +577,13 @@ def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -
     ctx = pa.ctx
     k = ctx.dim
     base_inv = np.linalg.inv(pab.float_g)
+    # every stencil point moves one factor only: the other is at its base
+    a0, b0 = pa.point(np.zeros(k)), pb.point(np.zeros(k))
 
     def prod_coords(st: np.ndarray) -> np.ndarray:
-        m = pa.point(st[:k]) @ pb.point(st[k:])
-        return ctx.float_coords(logm_np(base_inv @ m))
+        a = pa.point(st[:k]) if st[:k].any() else a0
+        b = pb.point(st[k:]) if st[k:].any() else b0
+        return ctx.float_coords(logm_np(base_inv @ (a @ b)))
 
     return central_difference(prod_coords, np.zeros(2 * k), h)
 
@@ -666,18 +673,19 @@ def phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
     return concat_vec(mat_vec(p2, mat_vec(d.adjoint, zeta)), zeta)
 
 
-def phi_r_jet(t: TripleContext, d0: GroupPoint, zeta: Vector, h: float = 1e-4):
-    """(value, FD jacobian) of the section phi^R(zeta) in the chart at d0."""
+def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
+    """(values, FD jacobians) of the sections phi^R(zeta), zeta in
+    ``zetas``, in the chart at d0; one stencil serves every section."""
     _, p2_np = t.float_projectors
-    z = np.array([float(x) for x in zeta])
+    zs = [np.array([float(x) for x in zeta]) for zeta in zetas]
 
-    def section(tvec: np.ndarray) -> np.ndarray:
+    def sections(tvec: np.ndarray) -> np.ndarray:
         g = d0.point(tvec)
         ad = t.d_ctx.float_adjoint(g, np.linalg.inv(g))
-        return np.concatenate([p2_np @ (ad @ z), z])
+        return np.array([np.concatenate([p2_np @ (ad @ z), z]) for z in zs])
 
-    value = np.array([float(x) for x in phi_r_value(t, d0, zeta)])
-    return value, central_difference(section, np.zeros(t.d_algebra.dim), h)
+    values = [np.array([float(x) for x in phi_r_value(t, d0, zeta)]) for zeta in zetas]
+    return values, central_difference(sections, np.zeros(t.d_algebra.dim), h)
 
 
 def phi_r_homomorphism_residual(
@@ -685,8 +693,7 @@ def phi_r_homomorphism_residual(
 ) -> float:
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
     structure, form = t.d_ctx.float_double
-    xv, xj = phi_r_jet(t, d0, zeta, h=h)
-    yv, yj = phi_r_jet(t, d0, zeta2, h=h)
+    (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
     got = courant_bracket_jets_np(structure, form, d0.float_anchor, d0.float_anchor_dual,
                                   xv, xj, yv, yj)
     want = np.array(

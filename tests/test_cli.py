@@ -409,6 +409,40 @@ def test_bivector_query_computes_pi_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys):
+    # 3 action-axiom points and 3 phi^R points, one central difference
+    # each; an action-axiom stencil reads the dressing fields 2k + 1 times
+    from courantlab import diffnum, liegrp
+
+    stencils = []
+    original = diffnum.central_difference
+
+    def counting(f, x, h):
+        stencils.append(x.shape[0])
+        return original(f, x, h)
+
+    monkeypatch.setattr(diffnum, "central_difference", counting)
+    monkeypatch.setattr(liegrp, "central_difference", counting)
+    evals = []
+    sampler = liegrp.dressing_field_sampler
+
+    def counting_sampler(x):
+        fields = sampler(x)
+        evals.append(0)
+
+        def counted(t):
+            evals[-1] += 1
+            return fields(t)
+
+        return counted
+
+    monkeypatch.setattr(liegrp, "dressing_field_sampler", counting_sampler)
+    assert main(["verify", "dressing", "--seed", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert len(stencils) == 6
+    assert evals == [2 * 3 + 1] * 3
+
+
 def test_bivector_reads_the_kept_named_splittings(monkeypatch, capsys):
     from courantlab import anchored
     from courantlab.contexts import named_splitting, sl2_triangular_triple

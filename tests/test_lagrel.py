@@ -112,6 +112,22 @@ def test_pair_groupoid_relation_dims():
     assert tiny.kernel().basis == ((F(0), F(1), F(1), F(0)),)
 
 
+def test_kept_cokernel_is_the_transpose_kernel():
+    # ker(R^t), read off the kept flipped elimination, is the kernel of the
+    # transposed relation, down to its integer rows, and the target parts
+    # of the graph's intersection with W' x 0
+    rng = random.Random(5)
+    for _ in range(20):
+        r = random_relation(rng, rng.randint(1, 4), rng.randint(1, 4))
+        nt = r.target.dim
+        kernel_t = r.transpose().kernel()
+        assert r.cokernel == kernel_t
+        assert r.cokernel.rows == kernel_t.rows
+        over_zero = r.graph.intersect(ExactSubspace.span(identity(r.graph.ambient_dim)[:nt]))
+        assert r.cokernel == ExactSubspace.span([v[:nt] for v in over_zero.basis], ambient_dim=nt)
+        assert r.transpose().cokernel == r.kernel()
+
+
 def test_transpose_compose_reduced_identity():
     rng = random.Random(2)
     for _ in range(10):

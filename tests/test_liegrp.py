@@ -163,6 +163,20 @@ def test_dressing_action_axiom_fd():
     assert residual <= 1e-6, residual
 
 
+def test_dressing_action_axiom_fails_with_a_flipped_row():
+    # the tabulated left-hand side is not vacuous: rho(b_r) -> -rho(b_r)
+    # breaks the axiom for every r
+    fields = dressing_field_sampler(TRIPLE.points[2])
+    for r in range(TRIPLE.d_algebra.dim):
+        def flipped(t, r=r):
+            out = fields(t)
+            out[r] = -out[r]
+            return out
+
+        residual = action_axiom_check(flipped, TRIPLE.d_algebra, np.zeros(3), 1e-4)
+        assert residual > 1e-6, (r, residual)
+
+
 def test_phi_r_homomorphism():
     residuals = []
     for d0 in PAIR.points[:2]:
