@@ -74,16 +74,10 @@ class AnchoredPoint:
         ):
             raise ValueError("anchor must be chart_dim x algebra dim")
 
-    def exact_anchor(self) -> Matrix:
-        return self.anchor
-
-    def apply(self, x: Iterable) -> Vector:
-        return mat_vec(self.exact_anchor(), vector(x))
-
     @cached_property
     def stabilizer(self) -> ExactSubspace:
         """ker(a_m) as a subspace of the algebra."""
-        return nullspace(self.exact_anchor(), self.algebra.dim)
+        return nullspace(self.anchor, self.algebra.dim)
 
     @cached_property
     def coisotropy(self) -> tuple[bool, Vector | None]:
@@ -99,7 +93,7 @@ class AnchoredPoint:
     @cached_property
     def dual(self) -> Matrix:
         """a* = B^-1 a^T, the metric-dual map from chart covectors."""
-        return mat_mul(self.algebra.form.inverse_matrix, transpose(self.exact_anchor()))
+        return mat_mul(self.algebra.form.inverse_matrix, transpose(self.anchor))
 
     @cached_property
     def dual_range(self) -> ExactSubspace:
@@ -116,7 +110,7 @@ def require_coisotropic(pt: AnchoredPoint) -> None:
 
 
 def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
-    a = pt.exact_anchor()
+    a = pt.anchor
     return ExactSubspace.span(
         [mat_vec(a, row) for row in s.basis], ambient_dim=pt.chart_dim
     )
@@ -124,7 +118,7 @@ def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
 
 def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
     """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a Lagrangian splitting."""
-    a = pt.exact_anchor()
+    a = pt.anchor
     return Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a)))
 
 
@@ -178,7 +172,7 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
     """The relation T(+)T* -> A x A-bar spanned by ((x, x - a* mu), (a x, mu))."""
     require_coisotropic(pt)
     n, m = pt.algebra.dim, pt.chart_dim
-    a = pt.exact_anchor()
+    a = pt.anchor
     astar = pt.dual
     # T (+) T* with the contraction pairing, coordinates (v; mu)
     source = hyperbolic_space(m)
@@ -242,7 +236,7 @@ def courant_bracket_jets(pt: AnchoredPoint, x: SectionJet, y: SectionJet) -> Vec
     """
     require_coisotropic(pt)
     alg = pt.algebra
-    a = pt.exact_anchor()
+    a = pt.anchor
     out = alg.bracket_vec(x.value, y.value)
     out = add_vec(out, mat_vec(y.jacobian, mat_vec(a, x.value)))
     out = add_vec(out, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.value))))
@@ -262,7 +256,7 @@ def courant_bracket_jet_closed(
     e.g. abelian algebras; lets the Jacobi identity close on linear jets.
     """
     alg = pt.algebra
-    a = pt.exact_anchor()
+    a = pt.anchor
     value = courant_bracket_jets(pt, x, y)
     cols = []
     for u in range(pt.chart_dim):
@@ -301,7 +295,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     asserted to be dim(algebra) - 2 (dim M - dim S).
     """
     dphi = matrix(dphi)
-    a = pt.exact_anchor()
+    a = pt.anchor
     m = pt.chart_dim
     s_dim = len(dphi[0]) if dphi else 0
     if len(dphi) != m:

@@ -72,9 +72,9 @@ def zero_vector(n: int) -> Vector:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    """The n x n identity; its rows are the unit vectors of Q^n."""
+    zero = zero_vector(n)
+    return tuple(zero[:i] + (Fraction(1),) + zero[i + 1:] for i in range(n))
 
 
 def add_vec(u: Vector, v: Vector) -> Vector:
@@ -577,9 +577,11 @@ class QuotientMap:
         return Coordinatizer.of_rows(self.w0.basis + tuple(self.complement),
                                      self.w1.ambient_dim, "W1")
 
-    def coords(self, v: Iterable) -> Vector:
-        """Quotient coordinates of v (requires v in W1)."""
-        return self._coordinatizer.coords(v)[self.w0.dim:]
+    def coords_rows(self, vs: Iterable[Iterable]) -> Matrix:
+        """Quotient coordinates of each row of vs, as one product;
+        DimensionMismatchError on a row outside W1."""
+        k = self.w0.dim
+        return tuple(c[k:] for c in self._coordinatizer.coords_rows(vs))
 
     def lift(self, coords: Iterable) -> Vector:
         coords = vector(coords)
@@ -590,11 +592,8 @@ class QuotientMap:
 
     def map_subspace(self, s: ExactSubspace) -> ExactSubspace:
         """Image of (S cap W1) in the quotient coordinates."""
-        inter = s.intersect(self.w1)
-        k = self.w0.dim
-        return ExactSubspace.span(
-            [c[k:] for c in self._coordinatizer.coords_rows(inter.basis)], ambient_dim=self.dim
-        )
+        rows = self.coords_rows(s.intersect(self.w1).basis)
+        return ExactSubspace.span(rows, ambient_dim=self.dim)
 
     def descended_form(self, form: BilinearForm) -> BilinearForm:
         """The form on W1/W0 read on the complement basis; well defined

@@ -35,7 +35,6 @@ from .exactlin import (
     rank,
     scale_vec,
     transpose,
-    vector,
     zero_prefix_rows,
     zero_vector,
 )
@@ -143,10 +142,6 @@ class LinearRelation:
         ]
         return cls.from_rows(source, target, rows)
 
-    def holds(self, w: Iterable, wprime: Iterable) -> bool:
-        """True when w ~ w' through the relation."""
-        return self.graph.contains(concat_vec(vector(wprime), vector(w)))
-
     def kernel(self) -> ExactSubspace:
         """{w : w ~ 0}.
 
@@ -215,8 +210,8 @@ class LinearRelation:
         # source parts applied to the target parts
         coef = Coordinatizer.of_rows([r[:ns] for r in with_image], ns, "ran(R^t)").coords_rows(
             qs.complement)
-        cols = [qt.coords(img) for img in mat_mul(coef, tuple(r[ns:] for r in with_image))]
-        mat = transpose(matrix(cols)) if cols else ()
+        cols = qt.coords_rows(mat_mul(coef, tuple(r[ns:] for r in with_image)))
+        mat = transpose(cols) if cols else ()
         if cols and rank(mat) != len(cols):
             raise NotLagrangianError("reduced map failed to be invertible")
         return ReducedIso(qs, qt, mat)
@@ -241,11 +236,8 @@ class ReducedIso:
     def dim(self) -> int:
         return len(self.source_quotient.complement)
 
-    def apply_coords(self, c: Vector) -> Vector:
-        return mat_vec(self.matrix, c)
-
     def map_subspace(self, s_red: ExactSubspace) -> ExactSubspace:
-        rows = [self.apply_coords(r) for r in s_red.basis]
+        rows = mat_mul(s_red.basis, transpose(self.matrix))
         return ExactSubspace.span(rows, ambient_dim=self.dim)
 
 
@@ -414,10 +406,10 @@ def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
     if e_red.intersect(f_red).dim != 0:
         raise ReductionError("reduced subspaces are not transverse", w0.basis[0])
     reduced = Splitting(SplitSpace(q.dim, red_form), e_red, f_red)
-    red_pi_cols = [q.coords(s.bivector.contract(c, form)) for c in q.complement]
+    red_pi_cols = q.coords_rows(s.bivector.contract(c, form) for c in q.complement)
     # iota(w_red) Pi_red = (iota(w) Pi)_red and iota(w) Pi = -P B w
     bred = mat_mul(
-        tuple(tuple(-x for x in row) for row in transpose(matrix(red_pi_cols))),
+        tuple(tuple(-x for x in row) for row in transpose(red_pi_cols)),
         red_form.inverse_matrix,
     )
     if bred != reduced.bivector.matrix:

@@ -27,17 +27,19 @@ from .diffnum import (
 )
 from .exactlin import (
     Coordinatizer,
+    DimensionMismatchError,
     ExactSubspace,
     Matrix,
     Vector,
+    add_vec,
     concat_vec,
     det,
     identity,
     inverse,
     mat_mul,
     mat_vec,
-    matrix,
     nullspace,
+    scale_vec,
     transpose,
     vector,
     zero_vector,
@@ -122,14 +124,15 @@ class GroupContext:
             return GroupPoint(self, g)
 
     @cached_property
-    def _coordinatizer(self) -> Coordinatizer:
+    def coordinatizer(self) -> Coordinatizer:
+        """Exact coordinates of flattened ambient matrices over the basis."""
         return Coordinatizer.of_rows((flatten(b) for b in self.algebra_basis),
                                      self.ambient_size ** 2, "the algebra span")
 
     def coordinatize(self, elt: Matrix) -> Vector:
         """Exact coordinates of an ambient algebra element over the basis;
         DimensionMismatchError when it is not in the algebra's span."""
-        return self._coordinatizer.coords(flatten(elt))
+        return self.coordinatizer.coords(flatten(elt))
 
     @cached_property
     def float_basis(self) -> np.ndarray:
@@ -203,12 +206,10 @@ class GroupPoint:
 
     @cached_property
     def adjoint(self) -> Matrix:
-        """Ad_g over the algebra basis, exact."""
-        cols = [
-            self.ctx.coordinatize(mat_mul(mat_mul(self.g, b), self.inverse))
-            for b in self.ctx.algebra_basis
-        ]
-        return transpose(matrix(cols))
+        """Ad_g over the algebra basis, exact: column b holds the
+        coordinates of g b g^-1, all read by one product."""
+        conj = (flatten(mat_mul(mat_mul(self.g, b), self.inverse)) for b in self.ctx.algebra_basis)
+        return transpose(self.ctx.coordinatizer.coords_rows(conj))
 
     @cached_property
     def adjoint_inverse(self) -> Matrix:
@@ -224,11 +225,7 @@ class GroupPoint:
         The stabilizer {(u, Ad_{g^-1} u)} is Lagrangian, hence coisotropic.
         """
         k = self.ctx.dim
-        adg_inv = self.adjoint_inverse
-        rows = [
-            tuple(-x for x in adg_inv[r]) + tuple(Fraction(1 if c == r else 0) for c in range(k))
-            for r in range(k)
-        ]
+        rows = (scale_vec(-1, a) + e for a, e in zip(self.adjoint_inverse, identity(k)))
         return AnchoredPoint(self.ctx.double_algebra, tuple(rows), k)
 
     @cached_property
@@ -237,7 +234,7 @@ class GroupPoint:
 
     @cached_property
     def float_anchor(self) -> np.ndarray:
-        return np_matrix(self.anchor.exact_anchor())
+        return np_matrix(self.anchor.anchor)
 
     @cached_property
     def float_anchor_dual(self) -> np.ndarray:
@@ -441,12 +438,6 @@ class TripleContext:
         return out
 
 
-def g1_coords_of(t: TripleContext, v: Vector) -> Vector:
-    """Express a vector of g1 (inside d) over G1's own basis;
-    DimensionMismatchError when it is not in the embedded subalgebra."""
-    return t.g1_coordinatizer.coords(v)
-
-
 @dataclass(frozen=True, eq=False)
 class G1Point:
     """A point g of G1 in a Manin triple, with the D-point of Phi(g).
@@ -469,23 +460,15 @@ class G1Point:
         """
         t = self.triple
         p1, _ = t.splitting.projectors
-        adg = self.phi.adjoint
-        adg_inv_g1 = self.g1.adjoint_inverse
-        n = t.d_algebra.dim
-        right_cols = []
-        left_cols = []
-        ad_phi_inv = self.phi.adjoint_inverse
-        for b in range(n):
-            zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))
-            xr = g1_coords_of(t, mat_vec(p1, mat_vec(adg, zeta)))
-            right_cols.append(mat_vec(adg_inv_g1, xr))
-            xl = g1_coords_of(t, mat_vec(p1, mat_vec(ad_phi_inv, zeta)))
-            left_cols.append(tuple(-x for x in xl))
-        right = AnchoredPoint(
-            t.d_algebra.opposite(), transpose(matrix(right_cols)), t.g1.dim
-        )
-        left = AnchoredPoint(t.d_algebra, transpose(matrix(left_cols)), t.g1.dim)
-        return right, left
+
+        def g1_columns(m: Matrix) -> Matrix:
+            # the columns of m lie in g1: their coordinates over G1's basis
+            return transpose(t.g1_coordinatizer.coords_rows(transpose(m)))
+
+        right = mat_mul(self.g1.adjoint_inverse, g1_columns(mat_mul(p1, self.phi.adjoint)))
+        left = g1_columns(mat_mul(p1, self.phi.adjoint_inverse))
+        return (AnchoredPoint(t.d_algebra.opposite(), right, t.g1.dim),
+                AnchoredPoint(t.d_algebra, tuple(scale_vec(-1, r) for r in left), t.g1.dim))
 
 
 def dressing_field_sampler(x: G1Point):
@@ -596,23 +579,12 @@ def q_mult_fiber(xpp: G1Point) -> LinearRelation:
     t = xpp.triple
     n = t.d_algebra.dim
     p1, p2 = t.splitting.projectors
-    c = xpp.phi.adjoint
-    c_inv = xpp.phi.adjoint_inverse
-    constraint = tuple(
-        tuple(-p2[r][i] for i in range(n))
-        + tuple(sum((p2[r][q] * c[q][i] for q in range(n)), Fraction(0)) for i in range(n))
-        for r in range(n)
-    )
-    params = nullspace(constraint, 2 * n)
-    rows = []
-    for pvec in params.basis:
-        zp = pvec[:n]
-        zpp = pvec[n:]
-        zeta = tuple(
-            a + b
-            for a, b in zip(mat_vec(c_inv, mat_vec(p1, zp)), zpp, strict=True)
-        )
-        rows.append(concat_vec(zeta, zp, zpp))
+    # parameters (z', z'') with p2 z' = p2 Ad_{Phi(g'')} z''
+    constraint = tuple(scale_vec(-1, a) + b for a, b in zip(p2, mat_mul(p2, xpp.phi.adjoint)))
+    params = nullspace(constraint, 2 * n).basis
+    # zeta = Ad_{Phi(g'')^-1} p1 z' + z'', for every parameter row at once
+    moved = mat_mul(tuple(p[:n] for p in params), transpose(mat_mul(xpp.phi.adjoint_inverse, p1)))
+    rows = [concat_vec(add_vec(m, p[n:]), p) for m, p in zip(moved, params)]
     return LinearRelation.from_rows(t.dbar_pair, t.splitting_bar.space, rows)
 
 
@@ -632,32 +604,18 @@ def p_phi_fiber(x: G1Point) -> LinearRelation:
     t = x.triple
     n = t.d_algebra.dim
     _, p2 = t.splitting.projectors
-    adg = x.phi.adjoint
-    adg_inv = x.phi.adjoint_inverse
-    rows = []
-    for xi in t.g1.basis:
-        rows.append(
-            concat_vec(
-                tuple(-v for v in xi),
-                tuple(-v for v in mat_vec(adg_inv, xi)),
-                zero_vector(n),
-            )
-        )
-    for i in range(n):
-        zeta = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(
-            concat_vec(mat_vec(p2, mat_vec(adg, zeta)), zeta, zeta)
-        )
+    # (-xi, -Ad_{Phi(g)^-1} xi, 0) for xi in g1, and (p2 Ad_{Phi(g)} e_i, e_i, e_i)
+    moved = mat_mul(t.g1.basis, transpose(x.phi.adjoint_inverse))
+    p2_ad = mat_mul(p2, x.phi.adjoint)
+    rows = [scale_vec(-1, concat_vec(xi, m)) + zero_vector(n) for xi, m in zip(t.g1.basis, moved)]
+    rows += [concat_vec(c, e, e) for c, e in zip(transpose(p2_ad), identity(n))]
     return LinearRelation.from_rows(t.splitting_bar.space, from_algebra(t.d_ctx.double_algebra), rows)
 
 
 def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> LinearRelation:
     """Quotient morphism fiber (z, u) ~ z for u in a Lagrangian subalgebra."""
     n = t.d_algebra.dim
-    rows = []
-    for i in range(n):
-        z = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(concat_vec(z, z, zero_vector(n)))
+    rows = [concat_vec(z, z, zero_vector(n)) for z in identity(n)]
     for u in lagrangian_subalgebra.basis:
         rows.append(concat_vec(zero_vector(n), zero_vector(n), u))
     return LinearRelation.from_rows(
@@ -712,22 +670,20 @@ def dressing_pullback_check(x: G1Point) -> bool:
     anchor reproduces the dressing anchor.
     """
     t = x.triple
-    n = t.d_algebra.dim
     k = t.g1.dim
     pb = pullback_point(x.phi.anchor, t.inclusion)
     right, _ = x.dressing
-    ra = right.exact_anchor()
-    # phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b): column b of p2 Ad_{Phi(g)}
+    ra = right.anchor
+    # the lift of phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b) with the dressing
+    # chart vector is row b of [(p2 Ad_{Phi(g)})^T | I | ra^T | 0]
     p2_ad = mat_mul(t.splitting.projectors[1], x.phi.adjoint)
-    coords_cols = []
-    for b in range(n):
-        zeta = tuple(Fraction(1 if i == b else 0) for i in range(n))
-        v = tuple(ra[r][b] for r in range(k))
-        lift = concat_vec(tuple(row[b] for row in p2_ad), zeta, v, zero_vector(k))
-        if not pb.c.contains(lift):
-            return False
-        coords_cols.append(pb.quotient.coords(lift))
-    z = transpose(matrix(coords_cols))
+    lifts = [concat_vec(c, e, v, zero_vector(k))
+             for c, e, v in zip(transpose(p2_ad), identity(t.d_algebra.dim), transpose(ra))]
+    try:
+        # the exact rebuild check of the coordinates decides lifts in C
+        z = transpose(pb.quotient.coords_rows(lifts))
+    except DimensionMismatchError:
+        return False
     if det(z) == 0:
         return False
     gram = mat_mul(mat_mul(transpose(z), pb.reduced_form.matrix), z)
@@ -744,12 +700,11 @@ def s_phi_fiber(ctx: GroupContext) -> LinearRelation:
     spaces of the relation calculus require split factors).
     """
     alg = ctx.algebra
-    n = alg.dim
+    zero = zero_vector(alg.dim)
     rows = []
-    for i in range(n):
-        z = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(concat_vec(z, z, zero_vector(n), zero_vector(n)))
-        rows.append(concat_vec(zero_vector(n), zero_vector(n), z, z))
+    for z in identity(alg.dim):
+        rows.append(concat_vec(z, z, zero, zero))
+        rows.append(concat_vec(zero, zero, z, z))
     g_space = from_algebra(alg)
     return LinearRelation.from_rows(
         from_algebra(ctx.double_algebra).direct_sum(g_space), g_space, rows

@@ -26,7 +26,7 @@ from .contexts import (
     sl2_triangular_triple,
     sl2c_realified_context,
 )
-from .exactlin import ExactSubspace, add_vec, mat_mul, mat_vec, scale_vec
+from .exactlin import ExactSubspace, add_vec, identity, mat_mul, mat_vec, scale_vec
 from .lagrel import Splitting, product_subspace, related_splitting
 from .liegrp import TripleContext, np_matrix
 
@@ -136,7 +136,7 @@ def _sheared_quasi_splitting():
 
 def _main_identity_residuals(points, fields, s: Splitting, alg, h: float) -> list[float]:
     """The main identity residual at each point, in the chart of its field."""
-    return [diffnum.main_identity_residual(fld, p.anchor.exact_anchor(), s, alg, h)
+    return [diffnum.main_identity_residual(fld, p.anchor.anchor, s, alg, h)
             for p, fld in zip(points, fields)]
 
 
@@ -172,7 +172,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
         ctx, d, sheared = _sheared_quasi_splitting()
         points = ctx.points[:samples]
         fields = [liegrp.double_bivector_field(p, sheared) for p in points]
-        defects = [diffnum.main_identity_rhs(d, sheared, p.anchor.exact_anchor()).max_abs()
+        defects = [diffnum.main_identity_rhs(d, sheared, p.anchor.anchor).max_abs()
                    for p in points]
         resids = _main_identity_residuals(points, fields, sheared, d, h)
         for i, (r, defect) in enumerate(zip(resids, defects)):
@@ -342,12 +342,11 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
 
     rng = random.Random(seed)
     residuals = []
+    units = identity(n)
     for d0 in t.d_ctx.points[:3]:
         i = rng.randrange(n)
         j = (i + 1 + rng.randrange(n - 1)) % n
-        z1 = tuple(Fraction(1 if a == i else 0) for a in range(n))
-        z2 = tuple(Fraction(1 if a == j else 0) for a in range(n))
-        residuals.append(liegrp.phi_r_homomorphism_residual(t, d0, z1, z2, h=h))
+        residuals.append(liegrp.phi_r_homomorphism_residual(t, d0, units[i], units[j], h=h))
     worst_hom = diffnum.worst(residuals)
     records.append(_rec("phi^R bracket homomorphism (FD jets)", worst_hom <= tol, worst_hom))
 

@@ -83,7 +83,7 @@ def test_criterion_03_diagonal_backward_consistency():
 def _main_identity_worst(points, s, alg, h):
     return diffnum.worst(
         diffnum.main_identity_residual(liegrp.double_bivector_field(p, s),
-                                       p.anchor.exact_anchor(), s, alg, h)
+                                       p.anchor.anchor, s, alg, h)
         for p in points
     )
 

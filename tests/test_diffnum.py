@@ -207,5 +207,5 @@ def test_main_identity_rhs_vanishes_for_subalgebra_pairs():
     d = build_double(ctx.algebra)
     pt = ctx.points[3].anchor
     manin = Splitting.of_algebra(d, diagonal_subspace(ctx.algebra, 1), triangular_complement())
-    rhs = main_identity_rhs(d, manin, pt.exact_anchor())
+    rhs = main_identity_rhs(d, manin, pt.anchor)
     assert rhs.max_abs() == 0.0

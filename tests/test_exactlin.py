@@ -75,8 +75,7 @@ def test_sum_and_quotient():
     q2 = quotient_coords(ExactSubspace.full(2), ExactSubspace.span([(1, 1)]))
     assert q2.dim == 1
     # map is (x, y) -> x - y up to the scale fixed by the complement (1, 0)
-    assert q2.coords((3, 1)) == (F(2),)
-    assert q2.coords((5, 5)) == (F(0),)
+    assert q2.coords_rows([(3, 1), (5, 5)]) == ((F(2),), (F(0),))
     with pytest.raises(ValueError):
         quotient_coords(ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
 
@@ -515,7 +514,7 @@ def test_quotient_coords_match_solve(pair, others, data):
     combo = data.draw(st.lists(_entries, min_size=w1.dim, max_size=w1.dim))
     inside = vec_mat(tuple(combo), w1.basis) if w1.dim else (F(0),) * n
     want = _ref_quotient_coords(q, inside)
-    assert want is not None and q.coords(inside) == want
+    assert want is not None and q.coords_rows([inside]) == (want,)
     # S cap W1 for an S of the same ambient space, and W1 itself
     other = others[0] if others[0].ambient_dim == n else ExactSubspace.zero(n)
     for sub in (other, w1):
@@ -528,13 +527,15 @@ def test_quotient_coords_match_solve(pair, others, data):
         off = tuple(a + b for a, b in zip(inside, e))
         assert _ref_quotient_coords(q, off) is None
         with pytest.raises(DimensionMismatchError):
-            q.coords(off)
+            q.coords_rows([off])
         with pytest.raises(DimensionMismatchError):
-            quotient_coords(w1, w1).coords(off)
-    assert quotient_coords(w1, w1).coords(inside) == ()
+            q.coords_rows([inside, off])
+        with pytest.raises(DimensionMismatchError):
+            quotient_coords(w1, w1).coords_rows([off])
+    assert quotient_coords(w1, w1).coords_rows([inside]) == ((),)
     for wrong in ((F(0),) * (n + 1), inside[:-1]):
         with pytest.raises(DimensionMismatchError):
-            q.coords(wrong)
+            q.coords_rows([wrong])
 
 
 def _ref_greedy_complement(w1, w0):

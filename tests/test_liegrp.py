@@ -153,7 +153,7 @@ def test_dressing_anchors():
         diag_vec = tuple(
             F(1 if (j == i or j == i + 3) else 0) for j in range(6)
         )
-        got = right_e.apply(diag_vec)
+        got = mat_vec(right_e.anchor, diag_vec)
         assert got == tuple(F(1 if r == i else 0) for r in range(3))
 
 
@@ -190,6 +190,36 @@ def test_phi_r_homomorphism():
 def test_dressing_pullback_identification():
     for x in TRIPLE.points[:6]:
         assert dressing_pullback_check(x)
+
+
+def test_dressing_pullback_check_rejects_a_lift_outside_c(monkeypatch):
+    # a sign-flipped nonzero column of the kept right anchor moves that
+    # phi^R lift off C: the quotient's rebuild check raises, the check
+    # returns False
+    x = TRIPLE.points[2]
+    right, left = x.dressing
+    b = next(b for b, col in enumerate(transpose(right.anchor)) if any(col))
+    flipped = transpose(
+        tuple(tuple(-v for v in col) if c == b else col
+              for c, col in enumerate(transpose(right.anchor)))
+    )
+    fresh = liegrp.G1Point(TRIPLE, x.g1, x.phi)
+    vars(fresh)["dressing"] = (replace(right, anchor=flipped), left)
+    raised = []
+    original = exactlin.QuotientMap.coords_rows
+
+    def spy(self, vs):
+        try:
+            return original(self, vs)
+        except DimensionMismatchError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(exactlin.QuotientMap, "coords_rows", spy)
+    assert dressing_pullback_check(x)
+    assert raised == []
+    assert dressing_pullback_check(fresh) is False
+    assert len(raised) == 1
 
 
 def test_p_phi_backward_images():
@@ -299,7 +329,7 @@ def test_main_identity_sl2_cases():
     for s in (manin, quasi):
         for p in CTX.points[:6]:
             fld = double_bivector_field(p, s)
-            assert main_identity_residual(fld, p.anchor.exact_anchor(), s, d, 1e-4) <= 1e-6
+            assert main_identity_residual(fld, p.anchor.anchor, s, d, 1e-4) <= 1e-6
 
 
 def test_sl2c_context_and_nonzero_defect():
@@ -312,7 +342,7 @@ def test_sl2c_context_and_nonzero_defect():
 
     _, d2, sheared = _sheared_quasi_splitting()
     p = ctx.points[7]
-    rhs = main_identity_rhs(d2, sheared, p.anchor.exact_anchor())
+    rhs = main_identity_rhs(d2, sheared, p.anchor.anchor)
     assert rhs.max_abs() > 0.1
     lhs = 0.5 * schouten_fd(double_bivector_field(p, sheared), np.zeros(6), 1e-4).values
     correct = float(np.max(np.abs(lhs - rhs.values)))
@@ -472,22 +502,25 @@ def test_context_keeps_its_double_and_triple_splittings():
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(TRIPLE_CONTEXT_NAMES), data=st.data())
-def test_g1_coords_of_matches_solve(name, data):
-    # the kept left inverse gives solve's coordinates, and a vector
-    # outside g1 still raises
+def test_g1_coordinatizer_matches_solve(name, data):
+    # the kept coordinatizer over the inclusion's columns gives solve's
+    # coordinates, and a vector outside g1 still raises
     t = get_triple_context(name)
+    coz = t.g1_coordinatizer
     n, k = len(t.inclusion), len(t.inclusion[0])
-    assert tuple(liegrp.g1_coords_of(t, col) for col in transpose(t.inclusion)) == identity(k)
+    assert coz.coords_rows(transpose(t.inclusion)) == identity(k)
     coords = tuple(data.draw(st.lists(_RATIONALS, min_size=k, max_size=k)))
     inside = mat_vec(t.inclusion, coords)
-    assert liegrp.g1_coords_of(t, inside) == solve(t.inclusion, inside) == coords
+    assert coz.coords_rows([inside]) == (solve(t.inclusion, inside),) == (coords,)
     v = tuple(data.draw(st.lists(_RATIONALS, min_size=n, max_size=n)))
     want = solve(t.inclusion, v)
     if want is None:
         with pytest.raises(ValueError):
-            liegrp.g1_coords_of(t, v)
+            coz.coords_rows([v])
+        with pytest.raises(ValueError):
+            coz.coords_rows([inside, v])
     else:
-        assert liegrp.g1_coords_of(t, v) == want
+        assert coz.coords_rows([inside, v]) == (coords, want)
 
 
 # --- the kept float chart data ----------------------------------------
@@ -550,7 +583,7 @@ def test_group_point_keeps_its_data():
         assert p.adjoint == transpose(matrix(cols))
         assert p.adjoint_inverse == inverse(p.adjoint)
         assert p.adjoint is p.adjoint and p.anchor is p.anchor
-        a = p.anchor.exact_anchor()
+        a = p.anchor.anchor
         assert a == tuple(
             tuple(-x for x in row) + tuple(F(1 if c == r else 0) for c in range(3))
             for r, row in enumerate(p.adjoint_inverse)
@@ -598,12 +631,40 @@ def _run_on_a_fresh_triple(monkeypatch, suite):
 
 
 def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys):
-    adjoints = _count_builds(monkeypatch, GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g))
-    dressings = _count_builds(monkeypatch, liegrp.G1Point, "dressing", lambda x: x.g1.g)
+    # each Ad_g and each dressing pair is built once, and a build makes one
+    # coords_rows call per matrix it coordinatizes: one for Ad_g, one per
+    # side of a dressing pair (a call counts for the build that makes it,
+    # not for the kept builds it reads)
+    frames = [0]
+    original = Coordinatizer.coords_rows
+
+    def counted(self, vs):
+        frames[-1] += 1
+        return original(self, vs)
+
+    monkeypatch.setattr(Coordinatizer, "coords_rows", counted)
+    builds = {}
+    for cls, name, key in ((GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g)),
+                           (liegrp.G1Point, "dressing", lambda x: x.g1.g)):
+        calls = builds[name] = collections.defaultdict(list)
+
+        def framed(self, build=vars(cls)[name].func, calls=calls, key=key):
+            frames.append(0)
+            try:
+                return build(self)
+            finally:
+                calls[key(self)].append(frames.pop())
+
+        prop = cached_property(framed)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     _run_on_a_fresh_triple(monkeypatch, "dressing")
     capsys.readouterr()
-    assert max(adjoints.values()) == 1 and sum(adjoints.values()) <= 33
-    assert max(dressings.values()) == 1 and sum(dressings.values()) <= 10
+    adjoints, dressings = builds["adjoint"], builds["dressing"]
+    assert max(map(len, adjoints.values())) == 1 and 0 < len(adjoints) <= 33
+    assert max(map(len, dressings.values())) == 1 and 0 < len(dressings) <= 10
+    assert {n for c in adjoints.values() for n in c} == {1}
+    assert {n for c in dressings.values() for n in c} == {2}
 
 
 def test_mult_builds_one_anchor_per_point(monkeypatch, capsys):

@@ -1,11 +1,15 @@
 """Rules the source keeps: no threads, no environment reads, no unused
-imports and no worst-residual fold through builtin max (in the tests too).
+imports, no worst-residual fold through builtin max (in the tests too)
+and no unit vector built by hand.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
 on the environment it runs in; an import nothing uses hides which names
-a module really depends on; and max(worst, nan) returns worst, so a fold
-through builtin max lets a NaN residual pass (diffnum.worst keeps it).
+a module really depends on; max(worst, nan) returns worst, so a fold
+through builtin max lets a NaN residual pass (diffnum.worst keeps it);
+and a linear map applied to hand-built unit vectors one at a time is a
+matrix product taken column by column (a unit vector is a row of
+exactlin.identity).
 """
 
 import ast
@@ -106,3 +110,63 @@ def test_the_max_fold_rule_catches_each_form():
         assert _max_folds(ast.parse(src)), src
     for src in ("max(a, b)", "np.max(worst)", "max(values, default=0.0)", "worst(rs)"):
         assert _max_folds(ast.parse(src)) == [], src
+
+
+def _unit_vectors(tree: ast.AST) -> list[str]:
+    """The functions (or <module>) holding a Fraction(1 if ... else 0)
+    or Fraction(1) if ... else Fraction(0) entry, under any name the
+    module gives Fraction."""
+    names = {"Fraction"} | {
+        a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and node.module == "fractions" for a in node.names if a.name == "Fraction" and a.asname
+    }
+
+    def fraction_arg(node: ast.AST) -> ast.AST | None:
+        if not (isinstance(node, ast.Call) and len(node.args) == 1):
+            return None
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return node.args[0] if name in names else None
+
+    def is_unit(node: ast.AST) -> bool:
+        arg = fraction_arg(node)
+        if isinstance(arg, ast.IfExp):
+            branches = (arg.body, arg.orelse)
+        elif isinstance(node, ast.IfExp):
+            branches = (fraction_arg(node.body), fraction_arg(node.orelse))
+        else:
+            return False
+        values = [b.value for b in branches if isinstance(b, ast.Constant) and b.value in (0, 1)]
+        return sorted(values) == [0, 1]
+
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if is_unit(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_unit_vectors_are_rows_of_identity():
+    bad = {p.name: v for p in SOURCES if (v := _unit_vectors(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_unit_vector_rule_catches_each_form():
+    for src in ("z = tuple(Fraction(1 if a == i else 0) for a in range(n))",
+                "fractions.Fraction(1 if i == j else 0)", "Fraction(0 if i != j else 1)",
+                "from fractions import Fraction as F\nF(1 if i == j else 0)",
+                "def f(k):\n    return [Fraction(1 if c == r else 0) for c in range(k)]",
+                "Fraction(1) if i == j else Fraction(0)"):
+        assert _unit_vectors(ast.parse(src)), src
+    assert _unit_vectors(ast.parse("def f():\n    Fraction(1 if a else 0)")) == ["f"]
+    for src in ("Fraction(1)", "Fraction(x if c else 0)", "Fraction(2 if c else 0)",
+                "identity(n)[i]", "F(1 if a else 0)", "Fraction(1) if a else Fraction(2)",
+                "Fraction(1 if a else 0, 2)"):
+        assert _unit_vectors(ast.parse(src)) == [], src
