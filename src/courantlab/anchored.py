@@ -112,7 +112,7 @@ def require_coisotropic(pt: AnchoredPoint) -> None:
 def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
     a = pt.anchor
     return ExactSubspace.span(
-        [mat_vec(a, row) for row in s.basis], ambient_dim=pt.chart_dim
+        [mat_vec(a, row) for row in s.rows], ambient_dim=pt.chart_dim
     )
 
 
@@ -178,14 +178,12 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
     source = hyperbolic_space(m)
     alg_space = from_algebra(pt.algebra)
     target = SplitSpace(2 * n, graph_form(alg_space, alg_space))
-    rows = []
-    for x in identity(n):
-        rows.append(concat_vec(x, x, mat_vec(a, x), zero_vector(m)))
-    for j, mu in enumerate(identity(m)):
-        astar_mu = tuple(astar[i][j] for i in range(n))
-        rows.append(
-            concat_vec(zero_vector(n), scale_vec(-1, astar_mu), zero_vector(m), mu)
-        )
+    # column x of the anchor is row x of its transpose; an n x 0 anchor
+    # (chart dimension 0) has n empty columns, which transpose(()) drops
+    a_cols = transpose(a) if m else ((),) * n
+    rows = [concat_vec(x, x, ax, zero_vector(m)) for x, ax in zip(identity(n), a_cols)]
+    rows += [concat_vec(zero_vector(n), scale_vec(-1, astar_mu), zero_vector(m), mu)
+             for astar_mu, mu in zip(transpose(astar), identity(m))]
     return LinearRelation.from_rows(source, target, rows)
 
 

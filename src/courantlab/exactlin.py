@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``Fraction``; matrices are tuples of row tuples.
-Subspaces are stored as reduced row echelon bases with lowest-index
-pivots, so two equal subspaces have identical stored data and subspace
-equality is plain structural equality.  The zero subspace keeps an
-explicit ambient dimension and an empty basis.
+A subspace is stored as its reduced row echelon basis with lowest-index
+pivots, written as primitive integer rows with positive pivots, so two
+equal subspaces have identical stored rows and subspace equality is
+plain structural equality.  The zero subspace keeps an explicit ambient
+dimension and no rows.
 
 Values are ``Fraction`` at the API and integers inside: products put
 each operand over the lcm of its denominators, and elimination works on
-primitive integer rows, so a result entry is normalised once.  A
-subspace also keeps its canonical basis as primitive integer rows, and
-the subspace operations (sum, intersection, kernels, orthogonal
-complements, isotropy) work on those rows alone; Fractions are built
-once, for the stored basis.
+primitive integer rows, so a result entry is normalised once.  The
+subspace operations (sum, intersection, kernels, orthogonal complements,
+isotropy) work on the integer rows alone; the unit-pivot Fraction basis
+is a view, built on first read.
 
 All values are immutable and all operations are pure.
 """
@@ -300,16 +300,6 @@ def rank(A: Sequence[Sequence]) -> int:
     return len(_eliminate(work, len(work[0]), reduced=False)[0])
 
 
-def pivot_columns(R: Matrix) -> tuple[int, ...]:
-    pivots = []
-    for row in R:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    return tuple(pivots)
-
-
 def _kernel_rows(work: list, ncols: int) -> list[list[int]]:
     """An integer basis of {x : row . x = 0 for every row} in Q^ncols;
     the rows (integers, each of length ncols) are consumed."""
@@ -364,10 +354,10 @@ def inverse(A: Matrix) -> Matrix:
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    aug = rref([tuple(row) + e for row, e in zip(A, identity(n))])
-    if len(aug) < n or pivot_columns(aug)[:n] != tuple(range(n)):
+    aug, pivots = _rref(_int_rows([tuple(row) + e for row, e in zip(A, identity(n))]), 2 * n)
+    if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return tuple(row[n:] for row in aug)
+    return tuple(row[n:] for row in _unit_pivot(aug))
 
 
 def det(A: Matrix) -> Fraction:
@@ -391,22 +381,22 @@ def det(A: Matrix) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactSubspace:
-    """A subspace of Q^ambient_dim with canonical (RREF) stored basis.
+    """A subspace of Q^ambient_dim stored as its canonical basis: the
+    reduced row echelon rows as primitive integer rows with positive
+    pivots.  They determine the unit-pivot RREF and are determined by
+    it, so equality, hashing and the repr read ``rows`` alone.
 
-    ``rows`` is the same basis as primitive integer rows with positive
-    pivots; it is determined by ``basis``, so it takes no part in
-    equality, hashing or the repr.
+    Build one through ``of_rows``, ``span``, ``zero`` or ``full``, which
+    keep the rows canonical.
     """
 
     ambient_dim: int
-    basis: Matrix
-    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of_rows(cls, ambient_dim: int, work: list) -> "ExactSubspace":
         """The span of integer rows of length ambient_dim (consumed)."""
-        rows, _ = _rref(work, ambient_dim)
-        return cls(ambient_dim, _unit_pivot(rows), rows)
+        return cls(ambient_dim, _rref(work, ambient_dim)[0])
 
     @classmethod
     def span(cls, vectors: Iterable[Iterable], ambient_dim: int | None = None) -> "ExactSubspace":
@@ -424,16 +414,22 @@ class ExactSubspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "ExactSubspace":
-        return cls(ambient_dim, (), ())
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "ExactSubspace":
-        rows = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
-        return cls(ambient_dim, identity(ambient_dim), rows)
+        return cls(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim))
+                                      for i in range(ambient_dim)))
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The canonical basis with unit pivots, as Fractions; built on
+        first read."""
+        return _unit_pivot(self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v: Iterable) -> bool:
         """Whether v's primitive integer row reduces to zero against ``rows``."""
@@ -451,7 +447,7 @@ class ExactSubspace:
 
     def contains_subspace(self, other: "ExactSubspace") -> bool:
         self._check(other)
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other.rows)
 
     def _check(self, other: "ExactSubspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -494,8 +490,7 @@ def product_subspace(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
     n1, n2 = s1.ambient_dim, s2.ambient_dim
     # the block rows of two reduced echelon bases are one already
     rows = tuple(r + (0,) * n2 for r in s1.rows) + tuple((0,) * n1 + r for r in s2.rows)
-    basis = tuple(r + zero_vector(n2) for r in s1.basis) + tuple(zero_vector(n1) + r for r in s2.basis)
-    return ExactSubspace(n1 + n2, basis, rows)
+    return ExactSubspace(n1 + n2, rows)
 
 
 @dataclass(frozen=True)
@@ -523,7 +518,7 @@ class Coordinatizer:
         rows = matrix(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatchError("coordinate rows not in the ambient space")
-        pivots = pivot_columns(rref(rows))
+        pivots = tuple(_rref(_int_rows(rows), ambient_dim)[1])
         if len(pivots) != len(rows):
             raise ValueError("coordinate rows are linearly dependent")
         block = tuple(tuple(row[p] for p in pivots) for row in rows)
@@ -574,7 +569,7 @@ class QuotientMap:
 
     @cached_property
     def _coordinatizer(self) -> Coordinatizer:
-        return Coordinatizer.of_rows(self.w0.basis + tuple(self.complement),
+        return Coordinatizer.of_rows(self.w0.rows + tuple(self.complement),
                                      self.w1.ambient_dim, "W1")
 
     def coords_rows(self, vs: Iterable[Iterable]) -> Matrix:
@@ -592,7 +587,7 @@ class QuotientMap:
 
     def map_subspace(self, s: ExactSubspace) -> ExactSubspace:
         """Image of (S cap W1) in the quotient coordinates."""
-        rows = self.coords_rows(s.intersect(self.w1).basis)
+        rows = self.coords_rows(s.intersect(self.w1).rows)
         return ExactSubspace.span(rows, ambient_dim=self.dim)
 
     def descended_form(self, form: BilinearForm) -> BilinearForm:

@@ -200,16 +200,13 @@ class LinearRelation:
         an image.
         """
         ns = self.source.dim
-        with_image = [r for r in self.flipped.basis if any(r[:ns])]
-        qs = quotient_coords(
-            ExactSubspace.of_rows(ns, [r[:ns] for r in self.flipped.rows if any(r[:ns])]),
-            self.kernel(),
-        )
+        with_image = [r for r in self.flipped.rows if any(r[:ns])]
+        sources = [r[:ns] for r in with_image]
+        qs = quotient_coords(ExactSubspace.of_rows(ns, list(sources)), self.kernel())
         qt = quotient_coords(self.range_(), self.cokernel)
         # an image of each complement vector: its coordinates over the
         # source parts applied to the target parts
-        coef = Coordinatizer.of_rows([r[:ns] for r in with_image], ns, "ran(R^t)").coords_rows(
-            qs.complement)
+        coef = Coordinatizer.of_rows(sources, ns, "ran(R^t)").coords_rows(qs.complement)
         cols = qt.coords_rows(mat_mul(coef, tuple(r[ns:] for r in with_image)))
         mat = transpose(cols) if cols else ()
         if cols and rank(mat) != len(cols):
@@ -237,7 +234,7 @@ class ReducedIso:
         return len(self.source_quotient.complement)
 
     def map_subspace(self, s_red: ExactSubspace) -> ExactSubspace:
-        rows = mat_mul(s_red.basis, transpose(self.matrix))
+        rows = mat_mul(s_red.rows, transpose(self.matrix))
         return ExactSubspace.span(rows, ambient_dim=self.dim)
 
 

@@ -199,7 +199,7 @@ def validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
 
 
 def is_subalgebra(alg: QuadraticLieAlgebra, s: ExactSubspace) -> bool:
-    rows = s.basis
+    rows = s.rows
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
             if not s.contains(alg.bracket_vec(rows[a], rows[b])):

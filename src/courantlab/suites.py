@@ -38,6 +38,10 @@ SUITE_NAMES = ("schouten", "rank", "leaves", "mult", "dressing", "relations", "a
 # schouten needs two points for its h-ladder; dressing (also run by all)
 # relates the lifts at sample points 1 and 2
 MIN_SAMPLES = {"schouten": 2, "dressing": 3, "all": 3}
+# the sample count of each suite when none is asked for; verify all runs
+# mult and dressing at no more than theirs
+DEFAULT_SAMPLES = {"schouten": 10, "rank": 100, "leaves": 40, "mult": 10, "dressing": 10,
+                   "relations": 200}
 
 # the suites that run on a named context; the others take no --ctx
 CONTEXT_SUITES = ("schouten", "mult", "dressing")
@@ -140,8 +144,8 @@ def _main_identity_residuals(points, fields, s: Splitting, alg, h: float) -> lis
             for p, fld in zip(points, fields)]
 
 
-def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H,
-                   tol: float = DEFAULT_TOL, samples: int = 10) -> list[dict]:
+def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H, tol: float = DEFAULT_TOL,
+                   samples: int = DEFAULT_SAMPLES["schouten"]) -> list[dict]:
     if ctx_name not in ("sl2-double", "sl2c-real"):
         raise KeyError(f"schouten suite has no context {ctx_name!r}")
     records: list[dict] = []
@@ -191,7 +195,7 @@ def _random_anchored_instance(seed_key: str):
     return pt, randgen.random_lagrangian_splitting(rng, k), j
 
 
-def suite_rank(samples: int = 100, seed: int = 0) -> list[dict]:
+def suite_rank(samples: int = DEFAULT_SAMPLES["rank"], seed: int = 0) -> list[dict]:
     records: list[dict] = []
     rank_fails = []
     diag_fails = []
@@ -218,7 +222,7 @@ def suite_rank(samples: int = 100, seed: int = 0) -> list[dict]:
     return records
 
 
-def suite_leaves(samples: int = 40, seed: int = 0) -> list[dict]:
+def suite_leaves(samples: int = DEFAULT_SAMPLES["leaves"], seed: int = 0) -> list[dict]:
     records: list[dict] = []
     true_count = 0
     fails = []
@@ -250,7 +254,7 @@ def suite_leaves(samples: int = 40, seed: int = 0) -> list[dict]:
 
 
 def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
-               seed: int = 0, samples: int = 10) -> list[dict]:
+               seed: int = 0, samples: int = DEFAULT_SAMPLES["mult"]) -> list[dict]:
     """pi+/pi- on the double group D of a Manin triple: the relatedness
     table of the product splittings, then their multiplicativity."""
     records: list[dict] = []
@@ -321,7 +325,7 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
 
 
 def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
-                   seed: int = 0, samples: int = 10) -> list[dict]:
+                   seed: int = 0, samples: int = DEFAULT_SAMPLES["dressing"]) -> list[dict]:
     """The dressing actions of G1 on itself and the embedding G1 -> D of a
     Manin triple, as statements about related Lagrangian splittings."""
     records: list[dict] = []
@@ -388,7 +392,7 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
     return records + _cap_recs(samples, len(points))
 
 
-def suite_relations(samples: int = 200, seed: int = 0) -> list[dict]:
+def suite_relations(samples: int = DEFAULT_SAMPLES["relations"], seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
     fails = []
     for i in range(samples):
@@ -434,39 +438,40 @@ def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
     trip_rep = quadlie.validate_manin_triple(quadlie.ManinTriple(t.d_algebra, t.g1, t.g2))
     records.append(_rec("validate manin triple [sl2-triangular-triple]",
                         trip_rep.passed, detail=trip_rep.describe()))
-    records += [{**r, "name": f"schouten: {r['name']}"}
-                for r in suite_schouten("sl2-double", h, tol, samples or 10)]
-    records += [{**r, "name": f"schouten: {r['name']}"}
-                for r in suite_schouten("sl2c-real", h, tol, 4)]
-    records += [{**r, "name": f"rank: {r['name']}"}
-                for r in suite_rank(samples or 100, seed)]
-    records += [{**r, "name": f"leaves: {r['name']}"}
-                for r in suite_leaves(samples or 40, seed)]
-    # mult and dressing run at most 10 samples here
-    group_samples = min(samples or 10, 10)
+    asked = {name: samples or n for name, n in DEFAULT_SAMPLES.items()}
+    records += _prefixed("schouten", suite_schouten("sl2-double", h, tol, asked["schouten"]))
+    records += _prefixed("schouten", suite_schouten("sl2c-real", h, tol, 4))
+    records += _prefixed("rank", suite_rank(asked["rank"], seed))
+    records += _prefixed("leaves", suite_leaves(asked["leaves"], seed))
     for name, suite in (("mult", suite_mult), ("dressing", suite_dressing)):
-        suite_records = suite(t, tol, h, seed, group_samples)
-        suite_records += _cap_recs(samples or 10, group_samples, "10 in verify all")
-        records += [{**r, "name": f"{name}: {r['name']}"} for r in suite_records]
-    records += [{**r, "name": f"relations: {r['name']}"}
-                for r in suite_relations(samples or 200, seed)]
+        cap = DEFAULT_SAMPLES[name]
+        ran = min(asked[name], cap)
+        records += _prefixed(name, suite(t, tol, h, seed, ran)
+                             + _cap_recs(asked[name], ran, f"{cap} in verify all"))
+    records += _prefixed("relations", suite_relations(asked["relations"], seed))
     return records
+
+
+def _prefixed(suite: str, records: list[dict]) -> list[dict]:
+    """The records of one suite, each name led by the suite's."""
+    return [{**r, "name": f"{suite}: {r['name']}"} for r in records]
 
 
 def run_suite(name: str, *, ctx: str | None = None, samples: int | None = None,
               seed: int = 0, h: float = DEFAULT_H, tol: float = DEFAULT_TOL) -> list[dict]:
+    if name == "all":
+        return suite_all(h, tol, seed, samples)
+    if name not in DEFAULT_SAMPLES:
+        raise KeyError(f"unknown suite {name!r}")
+    samples = samples or DEFAULT_SAMPLES[name]
     if name == "schouten":
-        return suite_schouten(ctx or "sl2-double", h, tol, samples or 10)
+        return suite_schouten(ctx or "sl2-double", h, tol, samples)
     if name == "rank":
-        return suite_rank(samples or 100, seed)
+        return suite_rank(samples, seed)
     if name == "leaves":
-        return suite_leaves(samples or 40, seed)
+        return suite_leaves(samples, seed)
     if name in ("mult", "dressing"):
         suite = suite_mult if name == "mult" else suite_dressing
         t = get_triple_context(ctx or "sl2-triangular-triple")
-        return suite(t, tol, h, seed, samples or 10)
-    if name == "relations":
-        return suite_relations(samples or 200, seed)
-    if name == "all":
-        return suite_all(h, tol, seed, samples)
-    raise KeyError(f"unknown suite {name!r}")
+        return suite(t, tol, h, seed, samples)
+    return suite_relations(samples, seed)

@@ -23,6 +23,7 @@ from courantlab.contexts import abelian_algebra_split2
 from courantlab.exactlin import (
     ExactSubspace,
     add_vec,
+    identity,
     inverse,
     mat_mul,
     mat_vec,
@@ -153,6 +154,31 @@ def test_leaf_condition_strict_case():
     s6 = Splitting.of_algebra(ab6, e6, f6)
     assert not leaf_condition(pt6, s6)
     assert rank_formula(pt6, s6) == 0
+
+
+def _diagonal_graph_by_columns(pt):
+    """The reference graph of diagonal_relation: column x of the anchor
+    read as a x for each unit vector x, column j of a* likewise."""
+    n, m = pt.algebra.dim, pt.chart_dim
+    a, astar = pt.anchor, pt.dual
+    zeros_n, zeros_m = (F(0),) * n, (F(0),) * m
+    rows = [x + x + mat_vec(a, x) + zeros_m for x in identity(n)]
+    rows += [zeros_n + tuple(-y for y in mat_vec(astar, mu)) + zeros_m + mu for mu in identity(m)]
+    return ExactSubspace.span(rows, ambient_dim=2 * n + 2 * m)
+
+
+def test_diagonal_relation_matches_the_per_column_construction():
+    points = [AnchoredPoint(AB2, (), 0), AnchoredPoint(AB4, (), 0), PT4]
+    rng = random.Random(23)
+    for _ in range(15):
+        k = rng.randint(1, 3)
+        anchor, j = random_coisotropic_anchor(rng, k)
+        points.append(AnchoredPoint(random_abelian_split_algebra(k), anchor if j else (), j))
+    assert any(pt.chart_dim == 0 for pt in points[3:]) and any(pt.chart_dim for pt in points)
+    for pt in points:
+        rel = diagonal_relation(pt)
+        assert rel.graph == _diagonal_graph_by_columns(pt)
+        assert rel.graph.dim == pt.algebra.dim + pt.chart_dim
 
 
 def test_random_points_p3_and_rank(subtests=None):

@@ -21,6 +21,7 @@ from courantlab.exactlin import (
     mat_vec,
     matrix,
     nullspace,
+    product_subspace,
     quotient_coords,
     rref,
     solve,
@@ -28,6 +29,7 @@ from courantlab.exactlin import (
     vec_mat,
     vector,
 )
+from courantlab.lagrel import LinearRelation, hyperbolic_space
 
 
 def test_span_dependent_rows_collapse():
@@ -445,14 +447,63 @@ def test_orth_complement_and_isotropy_match_the_gram_matrix(pair, data):
     assert form.is_isotropic(s.intersect(perp))
 
 
-def test_integer_rows_stay_out_of_equality_and_json():
+def test_integer_rows_decide_equality_and_json_keeps_the_basis():
     s = ExactSubspace.span([(F(1, 2), 1, 0), (0, 2, 4)])
     assert s.rows == ((1, 0, -4), (0, 1, 2))
     assert s == ExactSubspace.span([(1, 0, -4), (0, 3, 6)])
     assert hash(s) == hash(ExactSubspace.span([(2, 0, -8), (0, 1, 2)]))
-    assert "rows" not in repr(s) and "rows" not in s.to_json()
+    assert "rows" in repr(s) and "basis" not in repr(s)
+    assert set(s.to_json()) == {"basis", "ambient_dim"}
     assert ExactSubspace.zero(3).rows == ()
     assert ExactSubspace.full(2).rows == ((1, 0), (0, 1))
+    assert ExactSubspace.full(2).basis == identity(2)
+
+
+@st.composite
+def _generator_pairs(draw):
+    """Two lists of rational generators of Q^n; about half the time the
+    second spans the same space as the first, through scaled, reordered
+    and recombined copies of its generators."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gens = st.lists(st.tuples(*[entry] * n), max_size=n + 1)
+    first = draw(gens)
+    if not draw(st.booleans()):
+        return n, first, draw(gens)
+    scales = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    second = [tuple(draw(scales) * x for x in v) for v in first]
+    if len(second) > 1:  # add a multiple of one generator to another
+        c = draw(scales)
+        second[0] = tuple(x + c * y for x, y in zip(second[0], second[-1]))
+    return n, first, draw(st.permutations(second))
+
+
+@given(_generator_pairs())
+@settings(max_examples=150, deadline=None)
+def test_rows_equality_and_hash_agree_with_basis_equality(case):
+    n, first, second = case
+    s, t = ExactSubspace.span(first, ambient_dim=n), ExactSubspace.span(second, ambient_dim=n)
+    same = s.basis == t.basis
+    assert (s == t) == same
+    assert (hash(s) == hash(t)) or not same
+    assert s.basis == _ref_rref(first)
+
+
+def test_the_fraction_basis_is_built_on_first_read():
+    s = ExactSubspace.span([(1, 2, 0, 1), (0, 1, 1, 0)])
+    t = ExactSubspace.span([(0, 1, 1, 0), (1, 0, 0, 3)])
+    # e' ~ 0 and e ~ 0 on Q^2 = span(e, f): a kernel, a range and a
+    # composite that are all nonzero
+    r = LinearRelation.from_rows(hyperbolic_space(1), hyperbolic_space(1),
+                                 [(1, 0, 0, 0), (0, 0, 1, 0)])
+    built = {
+        "sum": s.sum(t), "intersect": s.intersect(t),
+        "product_subspace": product_subspace(s, t),
+        "kernel": r.kernel(), "range_": r.range_(), "compose": r.compose(r).graph,
+    }
+    for name, sub in built.items():
+        assert "basis" not in sub.__dict__, name
+        assert sub.basis == _unit_rows(sub) and "basis" in sub.__dict__, name
 
 
 def _ref_coefficients(s, v):

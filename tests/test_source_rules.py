@@ -1,6 +1,7 @@
 """Rules the source keeps: no threads, no environment reads, no unused
-imports, no worst-residual fold through builtin max (in the tests too)
-and no unit vector built by hand.
+imports, no worst-residual fold through builtin max (in the tests too),
+no unit vector built by hand and no direct ExactSubspace(...) call
+outside exactlin.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -9,7 +10,9 @@ a module really depends on; max(worst, nan) returns worst, so a fold
 through builtin max lets a NaN residual pass (diffnum.worst keeps it);
 and a linear map applied to hand-built unit vectors one at a time is a
 matrix product taken column by column (a unit vector is a row of
-exactlin.identity).
+exactlin.identity); a subspace's stored rows decide its equality only
+while they are canonical, which the exactlin constructors (of_rows,
+span, zero, full) keep.
 """
 
 import ast
@@ -170,3 +173,30 @@ def test_the_unit_vector_rule_catches_each_form():
                 "identity(n)[i]", "F(1 if a else 0)", "Fraction(1) if a else Fraction(2)",
                 "Fraction(1 if a else 0, 2)"):
         assert _unit_vectors(ast.parse(src)) == [], src
+
+
+def _subspace_constructions(tree: ast.AST) -> list[str]:
+    """Calls of ExactSubspace itself, by bare name or as an attribute;
+    its classmethods (ExactSubspace.span(...) and the like) pass."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "ExactSubspace"
+    ]
+
+
+def test_subspaces_are_built_through_exactlin():
+    assert any(p.name == "exactlin.py" for p in SOURCES)
+    bad = {p.name: v for p in SOURCES if p.name != "exactlin.py"
+           and (v := _subspace_constructions(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_subspace_construction_rule_catches_each_form():
+    for src in ("ExactSubspace(3, ((1, 0, 0),))", "exactlin.ExactSubspace(2, ())",
+                "def f(n):\n    return ExactSubspace(n, rows=())"):
+        assert _subspace_constructions(ast.parse(src)), src
+    for src in ("ExactSubspace.span([(1, 0)])", "ExactSubspace.of_rows(2, [[1, 0]])",
+                "ExactSubspace.zero(3)", "exactlin.ExactSubspace.full(2)", "ExactSubspace"):
+        assert _subspace_constructions(ast.parse(src)) == [], src
