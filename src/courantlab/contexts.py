@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import ExactSubspace, Matrix, det, mat_mul, matrix
+from .exactlin import ExactSubspace, Matrix, mat_mul, matrix
 from .lagrel import Splitting
 from .liegrp import GroupContext, TripleContext, block_diag
 from .quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
@@ -38,7 +38,8 @@ def abelian_algebra_split2() -> QuadraticLieAlgebra:
 
 
 def _is_sl(g: Matrix) -> bool:
-    return det(g) == 1
+    """Whether the 2 x 2 matrix g has determinant 1."""
+    return g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
 
 
 def sl2_samples() -> tuple[Matrix, ...]:
@@ -81,9 +82,7 @@ def _is_block_sl2(g: Matrix) -> bool:
         for j in range(4):
             if (i < 2) != (j < 2) and g[i][j] != 0:
                 return False
-    a = tuple(tuple(g[i][j] for j in range(2)) for i in range(2))
-    b = tuple(tuple(g[i][j] for j in range(2, 4)) for i in range(2, 4))
-    return det(a) == 1 and det(b) == 1
+    return _is_sl([row[:2] for row in g[:2]]) and _is_sl([row[2:] for row in g[2:]])
 
 
 def _pair(a: Matrix, b: Matrix) -> Matrix:

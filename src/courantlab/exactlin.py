@@ -12,7 +12,9 @@ each operand over the lcm of its denominators, and elimination works on
 primitive integer rows, so a result entry is normalised once.  The
 subspace operations (sum, intersection, kernels, orthogonal complements,
 isotropy) work on the integer rows alone; the unit-pivot Fraction basis
-is a view, built on first read.
+is a view, built on first read.  Nonsingularity is decided by rank, and
+``inverse`` is the Fraction view of one integer elimination of [A | I]
+(``_inverse_rows``).
 
 All values are immutable and all operations are pure.
 """
@@ -181,17 +183,15 @@ def concat_vec(*parts: Vector) -> Vector:
     return out
 
 
-def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> tuple[list[int], Fraction]:
+def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
     """Fraction-free row reduction of integer rows, in place.
 
     A row is cleared at a pivot column by cross-multiplying it with the
     pivot row, then divided by its content (the gcd of its entries).
     With ``reduced`` the rows above each pivot are cleared too.  Returns
-    the pivot columns, in row order, and the factor f with
-    det(result) = f * det(input) for a square input.
+    the pivot columns, in row order.
     """
     pivots: list[int] = []
-    num = den = 1
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -199,7 +199,6 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> tuple[list[i
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
-            num = -num
         lead = work[r]
         p = lead[c]
         for i in range(0 if reduced else r + 1, len(work)):
@@ -213,14 +212,12 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> tuple[list[i
             content = gcd(*row)
             if content > 1:
                 row = [x // content for x in row]
-                den *= content
             work[i] = row
-            num *= a
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return pivots, Fraction(num, den)
+    return pivots
 
 
 def _primitive(v: Iterable) -> list[int]:
@@ -247,7 +244,7 @@ def _rref(work: list, ncols: int) -> tuple[tuple[tuple[int, ...], ...], list[int
     """The reduced row echelon form of integer rows (consumed) as
     primitive rows with positive pivots, zero rows dropped, and its
     pivot columns."""
-    pivots, _ = _eliminate(work, ncols, reduced=True)
+    pivots = _eliminate(work, ncols, reduced=True)
     out = []
     for row, c in zip(work, pivots):
         content = gcd(*row)
@@ -281,7 +278,7 @@ def zero_prefix_rows(work: list, k: int) -> list:
     (Zassenhaus); stacking the rows of two relations by their shared
     block gives their composite.
     """
-    pivots, _ = _eliminate(work, k, reduced=False)
+    pivots = _eliminate(work, k, reduced=False)
     return [row[k:] for row in work[len(pivots):]]
 
 
@@ -297,7 +294,7 @@ def rank(A: Sequence[Sequence]) -> int:
     work = _int_rows(A)
     if not work:
         return 0
-    return len(_eliminate(work, len(work[0]), reduced=False)[0])
+    return len(_eliminate(work, len(work[0]), reduced=False))
 
 
 def _kernel_rows(work: list, ncols: int) -> list[list[int]]:
@@ -350,33 +347,29 @@ def solve(A: Matrix, b: Vector) -> Vector | None:
     return tuple(x)
 
 
+def _inverse_rows(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The inverse of a square integer matrix as integer rows over one
+    positive denominator, from one fraction-free reduced elimination of
+    [A | I]; raises SingularMatrixError."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if len(_eliminate(aug, n, reduced=True)) < n:
+        raise SingularMatrixError("matrix is singular")
+    # row i of the reduced [A | I] is p_i e_i | p_i (row i of A^-1)
+    den = lcm(*[row[i] for i, row in enumerate(aug)])
+    return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(aug)], den
+
+
 def inverse(A: Matrix) -> Matrix:
+    """A^-1 as Fractions: A is put over the lcm of its entries'
+    denominators once, and the integer inverse is read back."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    aug, pivots = _rref(_int_rows([tuple(row) + e for row, e in zip(A, identity(n))]), 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(row[n:] for row in _unit_pivot(aug))
-
-
-def det(A: Matrix) -> Fraction:
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise DimensionMismatchError("det needs a square matrix")
-    work = []
-    scale = 1
-    for r in A:
-        nums, d = _over_lcm(vector(r))
-        work.append(nums)
-        scale *= d
-    pivots, factor = _eliminate(work, n, reduced=False)
-    if len(pivots) < n:
-        return _ZERO
-    diag = 1
-    for i in range(n):
-        diag *= work[i][i]
-    return diag / (factor * scale)
+    nums, den = _over_lcm(vector(x for row in A for x in row))
+    rows, inv_den = _inverse_rows([nums[i * n:(i + 1) * n] for i in range(n)])
+    # (N / den)^-1 = den * N^-1
+    return tuple(tuple(Fraction(den * x, inv_den) if x else _ZERO for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -578,13 +571,6 @@ class QuotientMap:
         k = self.w0.dim
         return tuple(c[k:] for c in self._coordinatizer.coords_rows(vs))
 
-    def lift(self, coords: Iterable) -> Vector:
-        coords = vector(coords)
-        out = zero_vector(self.w1.ambient_dim)
-        for c, row in zip(coords, self.complement, strict=True):
-            out = add_vec(out, scale_vec(c, row))
-        return out
-
     def map_subspace(self, s: ExactSubspace) -> ExactSubspace:
         """Image of (S cap W1) in the quotient coordinates."""
         rows = self.coords_rows(s.intersect(self.w1).rows)
@@ -609,7 +595,7 @@ def quotient_coords(w1: ExactSubspace, w0: ExactSubspace) -> QuotientMap:
     w1._check(w0)
     k = w0.dim
     cols = [list(c) for c in zip(*(w0.rows + w1.rows))]
-    pivots, _ = _eliminate(cols, k + w1.dim, reduced=False)
+    pivots = _eliminate(cols, k + w1.dim, reduced=False)
     if len(pivots) != w1.dim:
         raise ValueError("W0 is not contained in W1")
     return QuotientMap(w1, w0, tuple(w1.basis[p - k] for p in pivots if p >= k))
@@ -755,4 +741,4 @@ class BilinearForm:
 
 @_lru_cache(maxsize=256)
 def _nondegenerate(m: Matrix) -> bool:
-    return det(m) != 0
+    return rank(m) == len(m)

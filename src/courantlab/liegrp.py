@@ -33,12 +33,12 @@ from .exactlin import (
     Vector,
     add_vec,
     concat_vec,
-    det,
     identity,
     inverse,
     mat_mul,
     mat_vec,
     nullspace,
+    rank,
     scale_vec,
     transpose,
     vector,
@@ -684,7 +684,7 @@ def dressing_pullback_check(x: G1Point) -> bool:
         z = transpose(pb.quotient.coords_rows(lifts))
     except DimensionMismatchError:
         return False
-    if det(z) == 0:
+    if rank(z) < len(z):
         return False
     gram = mat_mul(mat_mul(transpose(z), pb.reduced_form.matrix), z)
     minus_b = t.d_algebra.form.negate().matrix

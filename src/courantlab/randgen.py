@@ -3,6 +3,12 @@ splittings, anchors with coisotropic stabilizers, and Lagrangian
 relations.  Entries stay small rationals so the exact elimination
 downstream is fast and overflow-free.
 
+Draws are integers: a block of small rationals is drawn as integer
+numerators over one denominator, a draw is inverted by one integer
+elimination, and the transforms are multiplied up on integer rows.
+Fractions are built only in the matrices that ``random_split_transform``
+and ``random_coisotropic_anchor`` return.
+
 Everything is driven by a caller-supplied ``random.Random`` so fixed
 seeds reproduce identical instances byte for byte.
 """
@@ -12,65 +18,60 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
-from .exactlin import (
-    ExactSubspace,
-    Matrix,
-    SingularMatrixError,
-    _over_lcm,
-    inverse,
-    mat_mul,
-    matrix,
-    transpose,
-)
+from .exactlin import ExactSubspace, Matrix, SingularMatrixError, _inverse_rows
 from .lagrel import LinearRelation, Splitting, hyperbolic_space
 from .quadlie import QuadraticLieAlgebra
 
-
-def small_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+IntRows = list[list[int]]
 
 
-def random_antisym(rng: random.Random, k: int) -> Matrix:
-    rows = [[Fraction(0)] * k for _ in range(k)]
+def _small_ints(rng: random.Random, count: int) -> tuple[list[int], int]:
+    """count small rationals n/d, n in [-2, 2] and d in [1, 3], drawn in
+    turn, as integer numerators over one denominator."""
+    draws = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(count)]
+    den = lcm(*[d for _, d in draws])
+    return [n * (den // d) for n, d in draws], den
+
+
+def random_antisym(rng: random.Random, k: int) -> tuple[IntRows, int]:
+    """A random antisymmetric k x k matrix as integer rows over one
+    denominator; the entries above the diagonal are drawn row by row."""
+    nums, den = _small_ints(rng, k * (k - 1) // 2)
+    upper = iter(nums)
+    rows = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            x = small_fraction(rng)
-            rows[i][j] = x
-            rows[j][i] = -x
-    return tuple(tuple(r) for r in rows)
+            x = next(upper)
+            rows[i][j], rows[j][i] = x, -x
+    return rows, den
 
 
-def random_invertible(rng: random.Random, k: int) -> tuple[Matrix, Matrix]:
-    """A random invertible k x k matrix a and a^-1: draws until one
-    elimination inverts the draw."""
+def random_invertible(rng: random.Random, k: int) -> tuple[tuple[IntRows, int], tuple[IntRows, int]]:
+    """A random invertible k x k matrix a and a^-1, each as integer rows
+    over one denominator: draws until one elimination inverts the draw."""
     while True:
-        a = matrix(
-            [[small_fraction(rng) for _ in range(k)] for _ in range(k)]
-        )
+        nums, den = _small_ints(rng, k * k)
+        a = [nums[i * k:(i + 1) * k] for i in range(k)]
         try:
-            return a, inverse(a)
+            inv, inv_den = _inverse_rows(a)
         except SingularMatrixError:
-            pass
+            continue
+        # (a / den)^-1 = den * a^-1
+        return (a, den), ([[den * x for x in row] for row in inv], inv_den)
 
 
-def _ints_over_lcm(m: Matrix) -> tuple[list[list[int]], int]:
-    """A k x k Fraction matrix as integer rows over one denominator."""
-    k = len(m)
-    nums, den = _over_lcm([x for row in m for x in row])
-    return [nums[i * k:(i + 1) * k] for i in range(k)], den
-
-
-def _times(rows: list[list[int]], m: list[list[int]]) -> list[list[int]]:
+def _times(rows: IntRows, m: IntRows) -> IntRows:
     """The integer product rows * m."""
     cols = list(zip(*m))
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
-def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[list[list[int]], int]:
-    """random_split_transform as integer rows over one denominator.
+def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[IntRows, int]:
+    """random_split_transform as integer rows over one denominator,
+    divided by their common content after each word.
 
     With g = [G1 | G2] in k-column blocks, the factors act by block
     updates: block_diag(a, a^-T) sends g to [G1 a | G2 a^-T],
@@ -85,14 +86,12 @@ def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[l
         left = [row[:k] for row in g]
         right = [row[k:] for row in g]
         if kind == 0:
-            a_frac, a_inv = random_invertible(rng, k)
-            a, da = _ints_over_lcm(a_frac)
-            b, db = _ints_over_lcm(transpose(a_inv))
+            (a, da), (b, db) = random_invertible(rng, k)
             left = [[x * db for x in row] for row in _times(left, a)]
-            right = [[x * da for x in row] for row in _times(right, b)]
+            right = [[x * da for x in row] for row in _times(right, list(zip(*b)))]
             den *= da * db
         else:
-            nm, dn = _ints_over_lcm(random_antisym(rng, k))
+            nm, dn = random_antisym(rng, k)
             if kind == 1:
                 right = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(right, _times(left, nm))]
                 left = [[dn * x for x in row] for row in left]
@@ -134,15 +133,15 @@ def random_coisotropic_anchor(
     """
     j = rng.randint(0, k)
     g, den = _split_transform_ints(rng, k)
-    tmix = random_invertible(rng, j)[0] if j else ()
+    if not j:
+        return (), 0
+    (tmix, dt), _ = random_invertible(rng, j)
     # read the first j "f"-coordinates of g^-1 x: kernel = g(span of the
     # orthogonal of the first j isotropic e-directions).  g preserves the
     # form J = [[0, I], [I, 0]], so g^-1 = J g^T J and row k + r of g^-1
     # is column r of g with its two halves swapped.
-    rows = tuple(
-        tuple(Fraction(g[(c + k) % (2 * k)][r], den) for c in range(2 * k)) for r in range(j)
-    )
-    return (mat_mul(tmix, rows) if j else ()), j
+    rows = [[g[(c + k) % (2 * k)][r] for c in range(2 * k)] for r in range(j)]
+    return tuple(tuple(Fraction(x, dt * den) for x in row) for row in _times(tmix, rows)), j
 
 
 @lru_cache(maxsize=64)

@@ -9,6 +9,7 @@ from courantlab.exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    SingularMatrixError,
     concat_vec,
     identity,
     inverse,
@@ -37,8 +38,7 @@ from courantlab.lagrel import (
 )
 from courantlab.quadlie import build_double, courant_form, diagonal_subspace
 from courantlab.randgen import (
-    random_antisym,
-    random_invertible,
+    random_coisotropic_anchor,
     random_relation,
     random_split_transform,
 )
@@ -348,17 +348,42 @@ def test_one_not_lagrangian_error_class():
 
 # --- random generation and the kept split spaces ---------------------------
 
+# Fraction draws making the same randint calls, in the same order, as the
+# integer draws of randgen
+
+def _small_fraction(rng):
+    return F(rng.randint(-2, 2), rng.randint(1, 3))
+
+
+def _fraction_antisym(rng, k):
+    rows = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            x = _small_fraction(rng)
+            rows[i][j], rows[j][i] = x, -x
+    return tuple(map(tuple, rows))
+
+
+def _fraction_invertible(rng, k):
+    while True:
+        a = tuple(tuple(_small_fraction(rng) for _ in range(k)) for _ in range(k))
+        try:
+            return a, inverse(a)
+        except SingularMatrixError:
+            pass
+
+
 def _dense_split_transform(rng, k, words=3):
     """The dense reference: one 2k x 2k Fraction product per word."""
     g = identity(2 * k)
     for _ in range(words):
         kind = rng.randrange(3)
         if kind == 0:
-            a, _ = random_invertible(rng, k)
-            b = transpose(inverse(a))
+            a, a_inv = _fraction_invertible(rng, k)
+            b = transpose(a_inv)
             factor = tuple(row + (F(0),) * k for row in a) + tuple((F(0),) * k + row for row in b)
         else:
-            n = random_antisym(rng, k)
+            n = _fraction_antisym(rng, k)
             rows = [list(row) for row in identity(2 * k)]
             for i in range(k):
                 for j in range(k):
@@ -377,6 +402,32 @@ def test_block_updates_match_the_dense_split_transform():
             ref_rng, rng = random.Random(seed), random.Random(seed)
             assert random_split_transform(rng, k) == _dense_split_transform(ref_rng, k)
             assert rng.random() == ref_rng.random()
+
+
+def _dense_coisotropic_anchor(rng, k):
+    """The Fraction reference of random_coisotropic_anchor: the first j
+    f-coordinates of g^-1 = J g^T J, mixed by a Fraction draw."""
+    j = rng.randint(0, k)
+    g = _dense_split_transform(rng, k)
+    if not j:
+        return (), 0
+    tmix, _ = _fraction_invertible(rng, j)
+    rows = tuple(tuple(g[(c + k) % (2 * k)][r] for c in range(2 * k)) for r in range(j))
+    return mat_mul(tmix, rows), j
+
+
+def test_coisotropic_anchor_matches_the_fraction_reference():
+    seen = set()
+    for k in range(1, 5):
+        for seed in range(15):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            anchor, j = random_coisotropic_anchor(rng, k)
+            assert (anchor, j) == _dense_coisotropic_anchor(ref_rng, k)
+            assert all(type(x) is F for row in anchor for x in row)
+            assert rng.random() == ref_rng.random()
+            seen.add(j == 0)
+    # both a draw with no mixing matrix (j = 0) and one with it occur
+    assert seen == {True, False}
 
 
 def test_split_spaces_and_graph_forms_are_built_once():

@@ -60,7 +60,9 @@ from courantlab.lagrel import (
     related_splitting,
 )
 from courantlab.liegrp import (
+    ContextError,
     GroupPoint,
+    block_diag,
     double_bivector_field,
     dmult_fd,
     dressing_field_sampler,
@@ -97,6 +99,21 @@ def test_contexts_validate():
         ctx = get_group_context(name)
         validate_context(ctx)
         assert validate_algebra(ctx.algebra).passed
+
+
+def test_membership_predicates_reject_points_off_the_group():
+    eye, det2 = identity(2), matrix([[2, 0], [0, 1]])
+    off_block = [list(row) for row in identity(4)]
+    off_block[0][2] = F(1)
+    bad = {
+        "sl2-double": [det2],
+        "sl2-pair": [block_diag(det2, eye), block_diag(eye, det2), matrix(off_block)],
+    }
+    for name, samples in bad.items():
+        ctx = get_group_context(name)
+        for g in samples:
+            with pytest.raises(ContextError, match="membership"):
+                validate_context(replace(ctx, sample_points=ctx.sample_points + (g,)))
 
 
 def test_group_point_chart_derivative():

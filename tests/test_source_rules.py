@@ -1,7 +1,8 @@
 """Rules the source keeps: no threads, no environment reads, no unused
 imports, no worst-residual fold through builtin max (in the tests too),
-no unit vector built by hand and no direct ExactSubspace(...) call
-outside exactlin.
+no unit vector built by hand, no direct ExactSubspace(...) call
+outside exactlin and no Fraction(...) call in randgen outside the two
+functions that return Fraction matrices.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -12,7 +13,10 @@ and a linear map applied to hand-built unit vectors one at a time is a
 matrix product taken column by column (a unit vector is a row of
 exactlin.identity); a subspace's stored rows decide its equality only
 while they are canonical, which the exactlin constructors (of_rows,
-span, zero, full) keep.
+span, zero, full) keep; and randgen draws, inverts and multiplies on
+integer rows, so a Fraction built anywhere but in the two matrices it
+returns (random_split_transform, random_coisotropic_anchor) is a
+normalisation the integer path exists to avoid.
 """
 
 import ast
@@ -115,21 +119,47 @@ def test_the_max_fold_rule_catches_each_form():
         assert _max_folds(ast.parse(src)) == [], src
 
 
-def _unit_vectors(tree: ast.AST) -> list[str]:
-    """The functions (or <module>) holding a Fraction(1 if ... else 0)
-    or Fraction(1) if ... else Fraction(0) entry, under any name the
-    module gives Fraction."""
-    names = {"Fraction"} | {
+def _fraction_names(tree: ast.AST) -> set[str]:
+    """Fraction and every name the module imports it under."""
+    return {"Fraction"} | {
         a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         and node.module == "fractions" for a in node.names if a.name == "Fraction" and a.asname
     }
 
+
+def _is_call_of(node: ast.AST, names: set[str]) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
+
+
+def _holders(tree: ast.AST, match) -> list[str]:
+    """The enclosing function (or <module>) of each node that match accepts."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if match(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _unit_vectors(tree: ast.AST) -> list[str]:
+    """The functions (or <module>) holding a Fraction(1 if ... else 0)
+    or Fraction(1) if ... else Fraction(0) entry, under any name the
+    module gives Fraction."""
+    names = _fraction_names(tree)
+
     def fraction_arg(node: ast.AST) -> ast.AST | None:
-        if not (isinstance(node, ast.Call) and len(node.args) == 1):
+        if not (_is_call_of(node, names) and len(node.args) == 1):
             return None
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        return node.args[0] if name in names else None
+        return node.args[0]
 
     def is_unit(node: ast.AST) -> bool:
         arg = fraction_arg(node)
@@ -142,18 +172,7 @@ def _unit_vectors(tree: ast.AST) -> list[str]:
         values = [b.value for b in branches if isinstance(b, ast.Constant) and b.value in (0, 1)]
         return sorted(values) == [0, 1]
 
-    found = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if is_unit(node):
-            found.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, "<module>")
-    return found
+    return _holders(tree, is_unit)
 
 
 def test_unit_vectors_are_rows_of_identity():
@@ -200,3 +219,30 @@ def test_the_subspace_construction_rule_catches_each_form():
     for src in ("ExactSubspace.span([(1, 0)])", "ExactSubspace.of_rows(2, [[1, 0]])",
                 "ExactSubspace.zero(3)", "exactlin.ExactSubspace.full(2)", "ExactSubspace"):
         assert _subspace_constructions(ast.parse(src)) == [], src
+
+
+# the randgen functions that return Fraction matrices
+FRACTION_RETURNING = {"random_split_transform", "random_coisotropic_anchor"}
+
+
+def _fraction_calls(tree: ast.AST) -> list[str]:
+    """The functions (or <module>) holding a Fraction(...) call, under any
+    name the module gives Fraction."""
+    names = _fraction_names(tree)
+    return _holders(tree, lambda node: _is_call_of(node, names))
+
+
+def test_randgen_builds_fractions_only_in_its_returned_matrices():
+    randgen = next(p for p in SOURCES if p.name == "randgen.py")
+    holders = set(_fraction_calls(ast.parse(randgen.read_text())))
+    assert holders and holders <= FRACTION_RETURNING, holders - FRACTION_RETURNING
+
+
+def test_the_fraction_call_rule_catches_each_form():
+    for src in ("Fraction(1, 2)", "def small(rng):\n    return Fraction(rng.randint(-2, 2), 3)",
+                "from fractions import Fraction as F\nF(x, d)", "fractions.Fraction(0)"):
+        assert _fraction_calls(ast.parse(src)), src
+    assert _fraction_calls(ast.parse("def f():\n    Fraction(x, d)")) == ["f"]
+    for src in ("Fraction", "isinstance(x, Fraction)", "from fractions import Fraction as F\nG(1)",
+                "x.as_integer_ratio()"):
+        assert _fraction_calls(ast.parse(src)) == [], src
