@@ -37,6 +37,6 @@ from .anchored import (
     pullback_point,
     rank_formula,
 )
-from .diffnum import ChartBivectorField, Trivector, main_identity_residual, schouten_fd
+from .diffnum import ChartBivectorField, main_identity_residual, schouten_fd
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from .exactlin import (
     matrix,
     nullspace,
     quotient_coords,
+    rank,
     scale_vec,
     transpose,
     vector,
@@ -330,7 +331,8 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
         raise CourantStructureError(
             f"reduced rank {q.dim} != expected {expected}"
         )
-    if not reduced_form.is_nondegenerate():
+    # every point builds a new form: read its rank, keep no signature
+    if rank(reduced_form.matrix) < q.dim:
         raise CourantStructureError("reduced form is degenerate")
     anchor_rows = tuple(
         tuple(q.complement[k][n + j] for k in range(q.dim)) for j in range(s_dim)

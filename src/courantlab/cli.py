@@ -20,6 +20,7 @@ from .contexts import SPLITTING_NAMES, abelian_algebra_split2, get_group_context
 from .exactlin import ExactSubspace
 from .lagrel import NotLagrangianError, Splitting
 from .quadlie import ManinTriple, QuadraticLieAlgebra
+from .suites import _rec
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -119,32 +120,26 @@ def _load_subspace(path: str, ambient_dim: int) -> ExactSubspace:
         raise _ArgumentError(f"bad subspace description {path}: {exc}") from exc
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     data = _load_json(args.algebra)
     try:
         alg = QuadraticLieAlgebra.from_json(data)
     except _BAD_INPUT as exc:
         raise _ArgumentError(f"bad algebra description: {exc}") from exc
-    report_records = []
     rep = quadlie.validate_algebra(alg)
-    for r in rep.records:
-        report_records.append(
-            {"name": f"{r.kind} at {r.where}", "status": "fail", "detail": r.detail}
-        )
+    report_records = [_rec(f"{r.kind} at {r.where}", False, detail=r.detail) for r in rep.records]
     if rep.passed:
-        report_records.append({"name": "algebra axioms", "status": "pass"})
+        report_records.append(_rec("algebra axioms", True))
     if (args.g1 is None) != (args.g2 is None):
         raise _ArgumentError("--g1 and --g2 must be given together")
     if args.g1:
         g1 = _load_subspace(args.g1, alg.dim)
         g2 = _load_subspace(args.g2, alg.dim)
         trep = quadlie.validate_manin_triple(ManinTriple(alg, g1, g2))
-        for r in trep.records:
-            report_records.append(
-                {"name": f"manin {r.kind} at {r.where}", "status": "fail", "detail": r.detail}
-            )
+        report_records += [_rec(f"manin {r.kind} at {r.where}", False, detail=r.detail)
+                           for r in trep.records]
         if trep.passed:
-            report_records.append({"name": "manin triple axioms", "status": "pass"})
+            report_records.append(_rec("manin triple axioms", True))
     passed = all(r["status"] == "pass" for r in report_records)
     report = {"command": "validate", "input": args.algebra,
               "records": report_records, "pass": passed}
@@ -171,8 +166,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     except (ArithmeticError, ValueError) as exc:
         # a numeric breakdown (a step too large for a chart's log series,
         # a singular float solve) is a failed check, not a crash
-        records = [{"name": f"{args.suite} suite stopped", "status": "fail",
-                    "detail": f"{type(exc).__name__}: {exc}"}]
+        records = [_rec(f"{args.suite} suite stopped", False,
+                        detail=f"{type(exc).__name__}: {exc}")]
     passed = all(r["status"] == "pass" for r in records)
     report = {
         "command": "verify",
@@ -244,7 +239,7 @@ def cmd_bivector(args) -> tuple[dict, int]:
         report["drinfeld_lagrangian"] = None
         report["leaf_condition"] = None
         report["note"] = "stabilizer not coisotropic: formula diagnostics unavailable"
-    report["records"] = [{"name": "bivector computed", "status": "pass"}]
+    report["records"] = [_rec("bivector computed", True)]
     report["pass"] = True
     return report, 0
 

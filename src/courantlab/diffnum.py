@@ -36,22 +36,9 @@ class ChartBivectorField:
         p = np.asarray(self.sampler(np.asarray(point, dtype=float)), dtype=float)
         if p.shape != (self.chart_dim, self.chart_dim):
             raise ValueError("sampler returned a wrong shape")
-        if np.max(np.abs(p + p.T)) > ANTISYM_TOL * max(1.0, np.max(np.abs(p))):
+        if max_abs(p + p.T) > ANTISYM_TOL * max(1.0, max_abs(p)):
             raise ValueError("sampler output is not antisymmetric")
         return p
-
-
-@dataclass(frozen=True)
-class Trivector:
-    dim: int
-    values: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.dim else 0.0
-
-
-def _empty_trivector(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim, dim))
 
 
 def _set_antisym(T: np.ndarray, i: int, j: int, k: int, val: float) -> None:
@@ -61,6 +48,18 @@ def _set_antisym(T: np.ndarray, i: int, j: int, k: int, val: float) -> None:
     T[j, i, k] = -val
     T[i, k, j] = -val
     T[k, j, i] = -val
+
+
+def np_matrix(m) -> np.ndarray:
+    """The float array of an exact vector, matrix or stack of matrices:
+    each entry converted once by float()."""
+    return np.array(m, dtype=float)
+
+
+def max_abs(a: np.ndarray) -> float:
+    """The max-norm of an array, 0.0 for an empty one; a NaN entry is
+    the result."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def worst(residuals: Iterable[float]) -> float:
@@ -82,15 +81,11 @@ def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     out[..., l] = (f(x + h e_l) - f(x - h e_l)) / 2h, a new C-contiguous
     array with the derivative index last.
     """
-    cols = []
-    for l in range(x.shape[0]):
-        e = np.zeros(x.shape[0])
-        e[l] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
+    cols = [(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h) for e in h * np.eye(len(x))]
     return np.stack(cols, axis=-1)
 
 
-def schouten_fd(field: ChartBivectorField, point, h: float) -> Trivector:
+def schouten_fd(field: ChartBivectorField, point, h: float) -> np.ndarray:
     """Schouten bracket [pi, pi] by central differences of step h, O(h^2).
 
     Components are twice the coordinate Jacobiator:
@@ -100,7 +95,7 @@ def schouten_fd(field: ChartBivectorField, point, h: float) -> Trivector:
     x = np.asarray(point, dtype=float)
     P = field(x)
     dP = central_difference(field, x, h)  # dP[j, k, l] = d_l P^jk
-    T = _empty_trivector(d)
+    T = np.zeros((d, d, d))
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
@@ -112,7 +107,7 @@ def schouten_fd(field: ChartBivectorField, point, h: float) -> Trivector:
                         + P[k, l] * dP[i, j, l]
                     )
                 _set_antisym(T, i, j, k, 2.0 * val)
-    return Trivector(d, T)
+    return T
 
 
 def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -132,7 +127,7 @@ def push_trivector(
     anchor: np.ndarray,
     values: Sequence[tuple[tuple[int, int, int], object]],
     wedge_vectors: Sequence,
-) -> Trivector:
+) -> np.ndarray:
     """Push sum values[i<j<k] * w^i ^ w^j ^ w^k through the anchor matrix.
 
     ``wedge_vectors`` are the algebra vectors attached to the value table
@@ -141,11 +136,11 @@ def push_trivector(
     """
     a = np.asarray(anchor, dtype=float)
     m = a.shape[0]
-    pushed = [a @ np.asarray([float(x) for x in vec]) for vec in wedge_vectors]
-    T = _empty_trivector(m)
+    pushed = [a @ np_matrix(vec) for vec in wedge_vectors]
+    T = np.zeros((m, m, m))
     for (i, j, k), val in values:
         T += float(val) * wedge3(pushed[i], pushed[j], pushed[k])
-    return Trivector(m, T)
+    return T
 
 
 def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
@@ -173,13 +168,11 @@ def _kept_tables(alg: QuadraticLieAlgebra, s: Splitting):
     return kept[1]
 
 
-def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> Trivector:
+def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> np.ndarray:
     """a(Y^E) + a(Y^F) for a Lagrangian splitting, pushed to the chart."""
     (vals_e, wedge_e), (vals_f, wedge_f) = _kept_tables(alg, s)
-    a = np.asarray([[float(x) for x in row] for row in anchor0])
-    t1 = push_trivector(a, vals_e, wedge_e)
-    t2 = push_trivector(a, vals_f, wedge_f)
-    return Trivector(t1.dim, t1.values + t2.values)
+    a = np_matrix(anchor0)
+    return push_trivector(a, vals_e, wedge_e) + push_trivector(a, vals_f, wedge_f)
 
 
 def main_identity_residual(
@@ -191,9 +184,8 @@ def main_identity_residual(
 ) -> float:
     """max |(1/2)[pi, pi] - a(Y^E) - a(Y^F)| at the center of the chart of
     ``field``, where the exact anchor is ``anchor0``; FD step h."""
-    lhs = 0.5 * schouten_fd(field, np.zeros(field.chart_dim), h).values
-    rhs = main_identity_rhs(alg, s, anchor0).values
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = 0.5 * schouten_fd(field, np.zeros(field.chart_dim), h)
+    return max_abs(lhs - main_identity_rhs(alg, s, anchor0))
 
 
 def action_axiom_check(
@@ -219,31 +211,22 @@ def action_axiom_check(
             for k, c in enumerate(alg.bracket_basis(i, j)):
                 if c != 0:
                     rhs += float(c) * vals[k]
-            residuals.append(float(np.max(np.abs(lhs - rhs))))
+            residuals.append(max_abs(lhs - rhs))
     return worst(residuals)
 
 
-def relatedness_check(
-    dphi: np.ndarray,
-    pi_source: np.ndarray,
-    pi_target: np.ndarray,
-) -> float:
-    """max-norm residual of dPhi pi dPhi^T - pi'."""
-    dphi = np.asarray(dphi, dtype=float)
-    resid = dphi @ np.asarray(pi_source, dtype=float) @ dphi.T - np.asarray(
-        pi_target, dtype=float
-    )
-    return float(np.max(np.abs(resid))) if resid.size else 0.0
+def relatedness_check(dphi, pi_source, pi_target) -> float:
+    """max-norm residual of dPhi pi dPhi^T - pi', from exact or float
+    matrices."""
+    dphi, pi_source, pi_target = (np_matrix(m) for m in (dphi, pi_source, pi_target))
+    return max_abs(dphi @ pi_source @ dphi.T - pi_target)
 
 
 def structure_tensor_np(alg: QuadraticLieAlgebra) -> np.ndarray:
     """c[i, j, :] = coordinates of [b_i, b_j]."""
     n = alg.dim
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            c[i, j] = [float(x) for x in alg.bracket_basis(i, j)]
-    return c
+    table = [[alg.bracket_basis(i, j) for j in range(n)] for i in range(n)]
+    return np_matrix(table).reshape(n, n, n)
 
 
 def courant_bracket_jets_np(

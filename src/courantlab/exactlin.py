@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from functools import lru_cache as _lru_cache
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable, Sequence
@@ -639,7 +638,8 @@ class BilinearForm:
         return Fraction(total, ud * vd * den) if total else _ZERO
 
     def is_nondegenerate(self) -> bool:
-        return _nondegenerate(self.matrix)
+        # Sylvester: the zeros of the signature count n - rank
+        return self._signature[2] == 0
 
     def apply(self, v: Iterable) -> Vector:
         return mat_vec(self.matrix, vector(v))
@@ -737,8 +737,3 @@ class BilinearForm:
 
     def negate(self) -> "BilinearForm":
         return BilinearForm(tuple(tuple(-x for x in row) for row in self.matrix))
-
-
-@_lru_cache(maxsize=256)
-def _nondegenerate(m: Matrix) -> bool:
-    return rank(m) == len(m)

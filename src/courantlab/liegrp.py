@@ -22,6 +22,8 @@ from .diffnum import (
     ChartBivectorField,
     central_difference,
     courant_bracket_jets_np,
+    max_abs,
+    np_matrix,
     structure_tensor_np,
     worst,
 )
@@ -137,7 +139,7 @@ class GroupContext:
     @cached_property
     def float_basis(self) -> np.ndarray:
         """The basis as a (k, n, n) float array."""
-        return np.array([np_matrix(b) for b in self.algebra_basis])
+        return np_matrix(self.algebra_basis)
 
     @cached_property
     def float_coordinatizer(self) -> np.ndarray:
@@ -174,7 +176,7 @@ class GroupContext:
         for j in range(1, 40):
             term = term @ (-adx) / (j + 1)
             out = out + term
-            if np.max(np.abs(term)) < 1e-18:
+            if max_abs(term) < 1e-18:
                 break
         return out
 
@@ -269,14 +271,10 @@ def validate_context(ctx: GroupContext) -> None:
 # ---------------------------------------------------------------------------
 # charts
 
-def np_matrix(m: Matrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m])
-
-
 def expm_np(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    norm = float(np.max(np.abs(a))) if a.size else 0.0
+    norm = max_abs(a)
     s = 0
     while norm > 0.5:
         norm /= 2.0
@@ -287,7 +285,7 @@ def expm_np(a: np.ndarray) -> np.ndarray:
     for k in range(1, 40):
         term = term @ b / k
         out = out + term
-        if np.max(np.abs(term)) < 1e-18:
+        if max_abs(term) < 1e-18:
             break
     for _ in range(s):
         out = out @ out
@@ -298,14 +296,14 @@ def logm_np(m: np.ndarray) -> np.ndarray:
     """Principal log near the identity (series in m - I)."""
     m = np.asarray(m, dtype=float)
     z = m - np.eye(m.shape[0])
-    if np.max(np.abs(z)) > 0.4:
+    if max_abs(z) > 0.4:
         raise ValueError("matrix too far from the identity for the log series")
     out = np.zeros_like(z)
     term = np.eye(m.shape[0])
     for k in range(1, 60):
         term = term @ z
         out = out + ((-1) ** (k + 1)) * term / k
-        if np.max(np.abs(term)) < 1e-18:
+        if max_abs(term) < 1e-18:
             break
     return out
 
@@ -338,12 +336,14 @@ class TripleContext:
 
     ``d_ctx`` realizes the big group D (algebra = the triple's algebra);
     ``g1_ctx`` realizes G1 with its own smaller ambient size, embedded in
-    D by ``embed`` (a group homomorphism); ``inclusion`` expresses the
+    D by ``embed`` (a group homomorphism that only places entries and
+    zeros, so it maps float matrices too); ``inclusion`` expresses the
     differential of the embedding over the two algebra bases.
 
     The splittings the triple induces (the projector pair is that of
-    ``splitting``), the float data of the embedding and one G1Point per
-    G1 sample point are built on first use and kept.
+    ``splitting``), their float projectors, the pseudo-inverse of the
+    inclusion and one G1Point per G1 sample point are built on first use
+    and kept.
     """
 
     name: str
@@ -416,27 +416,6 @@ class TripleContext:
     def float_inclusion_pinv(self) -> np.ndarray:
         return np.linalg.pinv(np_matrix(self.inclusion))
 
-    @cached_property
-    def float_embed_units(self) -> np.ndarray:
-        """embed(E_ij) for the k x k matrix units, as a (k, k, N, N) array."""
-        k = self.g1_ctx.ambient_size
-        eye = identity(k)
-        return np.array([
-            [np_matrix(self.embed(tuple(eye[j] if r == i else zero_vector(k) for r in range(k))))
-             for j in range(k)]
-            for i in range(k)
-        ])
-
-    def float_embed(self, g: np.ndarray) -> np.ndarray:
-        """Float version of the embedding; valid because shipped embeddings
-        are linear in the matrix entries."""
-        units = self.float_embed_units
-        out = np.zeros(units.shape[2:])
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                out += g[i, j] * units[i, j]
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class G1Point:
@@ -482,7 +461,7 @@ def dressing_field_sampler(x: G1Point):
 
     def fields(tvec: np.ndarray) -> np.ndarray:
         g = x.g1.point(tvec)
-        phi_g = t.float_embed(g)
+        phi_g = np_matrix(t.embed(g))
         ad = t.d_ctx.float_adjoint(phi_g, np.linalg.inv(phi_g))
         ginv = np.linalg.inv(g)
         dexp = g1_ctx.dexp_matrix(tvec)
@@ -550,7 +529,7 @@ def pair_multiplication_check(
         z = np.concatenate([a_c, c_c])
         lhs = dmult @ np.concatenate([a_ga @ zp, a_gb @ zpp])
         rhs = a_prod @ z
-        residuals.append(float(np.max(np.abs(lhs - rhs))))
+        residuals.append(max_abs(lhs - rhs))
     return worst(residuals)
 
 
@@ -635,14 +614,14 @@ def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
     """(values, FD jacobians) of the sections phi^R(zeta), zeta in
     ``zetas``, in the chart at d0; one stencil serves every section."""
     _, p2_np = t.float_projectors
-    zs = [np.array([float(x) for x in zeta]) for zeta in zetas]
+    zs = [np_matrix(zeta) for zeta in zetas]
 
     def sections(tvec: np.ndarray) -> np.ndarray:
         g = d0.point(tvec)
         ad = t.d_ctx.float_adjoint(g, np.linalg.inv(g))
         return np.array([np.concatenate([p2_np @ (ad @ z), z]) for z in zs])
 
-    values = [np.array([float(x) for x in phi_r_value(t, d0, zeta)]) for zeta in zetas]
+    values = [np_matrix(phi_r_value(t, d0, zeta)) for zeta in zetas]
     return values, central_difference(sections, np.zeros(t.d_algebra.dim), h)
 
 
@@ -654,10 +633,8 @@ def phi_r_homomorphism_residual(
     (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
     got = courant_bracket_jets_np(structure, form, d0.float_anchor, d0.float_anchor_dual,
                                   xv, xj, yv, yj)
-    want = np.array(
-        [float(x) for x in phi_r_value(t, d0, t.d_algebra.bracket_vec(zeta, zeta2))]
-    )
-    return float(np.max(np.abs(got - want)))
+    want = np_matrix(phi_r_value(t, d0, t.d_algebra.bracket_vec(zeta, zeta2)))
+    return max_abs(got - want)
 
 
 def dressing_pullback_check(x: G1Point) -> bool:

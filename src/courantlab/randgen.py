@@ -27,6 +27,8 @@ from .quadlie import QuadraticLieAlgebra
 
 IntRows = list[list[int]]
 
+WORDS = 3  # elementary factors in one random split transform
+
 
 def _small_ints(rng: random.Random, count: int) -> tuple[list[int], int]:
     """count small rationals n/d, n in [-2, 2] and d in [1, 3], drawn in
@@ -69,7 +71,7 @@ def _times(rows: IntRows, m: IntRows) -> IntRows:
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
-def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[IntRows, int]:
+def _split_transform_ints(rng: random.Random, k: int) -> tuple[IntRows, int]:
     """random_split_transform as integer rows over one denominator,
     divided by their common content after each word.
 
@@ -81,7 +83,7 @@ def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[I
     n = 2 * k
     g = [[int(i == j) for j in range(n)] for i in range(n)]
     den = 1
-    for _ in range(words):
+    for _ in range(WORDS):
         kind = rng.randrange(3)
         left = [row[:k] for row in g]
         right = [row[k:] for row in g]
@@ -107,10 +109,10 @@ def _split_transform_ints(rng: random.Random, k: int, words: int = 3) -> tuple[I
     return g, den
 
 
-def random_split_transform(rng: random.Random, k: int, words: int = 3) -> Matrix:
+def random_split_transform(rng: random.Random, k: int) -> Matrix:
     """A word of elementary transformations preserving the hyperbolic form
     [[0, I], [I, 0]] on Q^2k."""
-    g, den = _split_transform_ints(rng, k, words)
+    g, den = _split_transform_ints(rng, k)
     return tuple(tuple(Fraction(x, den) for x in row) for row in g)
 
 

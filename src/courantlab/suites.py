@@ -28,7 +28,7 @@ from .contexts import (
 )
 from .exactlin import ExactSubspace, add_vec, identity, mat_mul, mat_vec, scale_vec
 from .lagrel import Splitting, product_subspace, related_splitting
-from .liegrp import TripleContext, np_matrix
+from .liegrp import TripleContext
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-6
@@ -151,10 +151,10 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H, tol: floa
     records: list[dict] = []
     flat = _flat_poisson_field()
     point = np.array([0.3, 0.7, 0.2])
-    r0 = diffnum.schouten_fd(flat, point, h).max_abs()
+    r0 = diffnum.max_abs(diffnum.schouten_fd(flat, point, h))
     records.append(_rec("flat-chart poisson residual", r0 <= tol, r0))
-    r1 = diffnum.schouten_fd(flat, point, 1e-3).max_abs()
-    r2 = diffnum.schouten_fd(flat, point, 5e-4).max_abs()
+    r1 = diffnum.max_abs(diffnum.schouten_fd(flat, point, 1e-3))
+    r2 = diffnum.max_abs(diffnum.schouten_fd(flat, point, 5e-4))
     records.append(_ladder_rec("flat-chart h-ladder ratio", r1, r2))
 
     if ctx_name == "sl2-double":
@@ -176,7 +176,7 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H, tol: floa
         ctx, d, sheared = _sheared_quasi_splitting()
         points = ctx.points[:samples]
         fields = [liegrp.double_bivector_field(p, sheared) for p in points]
-        defects = [diffnum.main_identity_rhs(d, sheared, p.anchor.anchor).max_abs()
+        defects = [diffnum.max_abs(diffnum.main_identity_rhs(d, sheared, p.anchor.anchor))
                    for p in points]
         resids = _main_identity_residuals(points, fields, sheared, d, h)
         for i, (r, defect) in enumerate(zip(resids, defects)):
@@ -293,7 +293,7 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
 
     def pis(d):
         pip, pim = pi_pm(d)
-        return np_matrix(pip.matrix), np_matrix(pim.matrix)
+        return diffnum.np_matrix(pip.matrix), diffnum.np_matrix(pim.matrix)
 
     residuals = []
     for (d1, d2, d12), dm in zip(pairs, jacobians):
@@ -306,7 +306,7 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
             big = np.zeros((2 * n, 2 * n))
             big[:n, :n] = sa
             big[n:, n:] = sb
-            residuals.append(float(np.max(np.abs(dm @ big @ dm.T - tgt))))
+            residuals.append(diffnum.max_abs(dm @ big @ dm.T - tgt))
     worst_mult = diffnum.worst(residuals)
     records.append(_rec("pi multiplicativity (4 relations) under dMult",
                         worst_mult <= tol, worst_mult))
@@ -384,9 +384,7 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
     for x in points[1:5]:
         pig = liegrp.g1_poisson_bivector(x)
         pim = anchored.bivector_at(x.phi.anchor, t.minus)
-        residuals.append(diffnum.relatedness_check(
-            np_matrix(t.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix)
-        ))
+        residuals.append(diffnum.relatedness_check(t.inclusion, pig.matrix, pim.matrix))
     worst_phi = diffnum.worst(residuals)
     records.append(_rec("embedding is a bivector map onto pi-", worst_phi <= tol, worst_phi))
     return records + _cap_recs(samples, len(points))

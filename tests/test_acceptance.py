@@ -20,7 +20,7 @@ from courantlab.contexts import (
 )
 from courantlab.exactlin import mat_mul
 from courantlab.lagrel import Splitting, product_subspace, related_splitting
-from courantlab.liegrp import np_matrix
+from courantlab.diffnum import np_matrix
 from courantlab.quadlie import ManinTriple, build_double, diagonal_subspace
 
 H = 1e-4

@@ -9,6 +9,8 @@ from courantlab.diffnum import (
     action_axiom_check,
     courant_bracket_jets_np,
     main_identity_rhs,
+    max_abs,
+    np_matrix,
     push_trivector,
     relatedness_check,
     schouten_fd,
@@ -31,7 +33,7 @@ def field(fn, dim=3):
 def test_constant_field_zero_bracket():
     p = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
     tri = schouten_fd(field(lambda x: p), np.zeros(3), H)
-    assert tri.max_abs() < 1e-14
+    assert max_abs(tri) < 1e-14
 
 
 def test_rank_two_linear_field_zero():
@@ -42,7 +44,7 @@ def test_rank_two_linear_field_zero():
         return out
 
     tri = schouten_fd(field(sampler), np.array([0.4, -0.2, 1.1]), H)
-    assert tri.max_abs() < 1e-13
+    assert max_abs(tri) < 1e-13
 
 
 def test_regression_nonzero_bracket():
@@ -56,11 +58,11 @@ def test_regression_nonzero_bracket():
         return out
 
     tri = schouten_fd(field(sampler), np.array([0.3, -0.7, 0.25]), H)
-    assert tri.values[0, 1, 2] == pytest.approx(-2.0, abs=1e-10)
+    assert tri.shape == (3, 3, 3)
+    assert tri[0, 1, 2] == pytest.approx(-2.0, abs=1e-10)
     # full antisymmetry of the output table
-    v = tri.values
-    assert v[1, 0, 2] == pytest.approx(2.0, abs=1e-10)
-    assert v[1, 2, 0] == pytest.approx(-2.0, abs=1e-10)
+    assert tri[1, 0, 2] == pytest.approx(2.0, abs=1e-10)
+    assert tri[1, 2, 0] == pytest.approx(-2.0, abs=1e-10)
 
 
 def _curved_poisson():
@@ -81,7 +83,7 @@ def test_second_order_ladder():
     point = np.array([0.3, 0.7, 0.2])
     res = {}
     for h in (1e-3, 5e-4, 2.5e-4):
-        res[h] = schouten_fd(field(_curved_poisson()), point, h).max_abs()
+        res[h] = max_abs(schouten_fd(field(_curved_poisson()), point, h))
     assert res[1e-3] > 1e-9  # genuinely nonzero truncation
     assert res[1e-3] / res[5e-4] == pytest.approx(4.0, abs=0.5)
     assert res[5e-4] / res[2.5e-4] == pytest.approx(4.0, abs=0.5)
@@ -106,12 +108,13 @@ def test_wedge3_convention():
 
 def test_push_trivector_zeros():
     a = np.eye(3)
-    assert push_trivector(a, (), [np.zeros(3)] * 3).max_abs() == 0.0
+    assert max_abs(push_trivector(a, (), [np.zeros(3)] * 3)) == 0.0
     vals = (((0, 1, 2), 5),)
     zero_anchor = np.zeros((3, 3))
-    assert push_trivector(zero_anchor, vals, np.eye(3)).max_abs() == 0.0
+    assert max_abs(push_trivector(zero_anchor, vals, np.eye(3))) == 0.0
     got = push_trivector(a, vals, np.eye(3))
-    assert got.values[0, 1, 2] == 5.0
+    assert got.shape == (3, 3, 3)
+    assert got[0, 1, 2] == 5.0
 
 
 def test_vf_bracket_examples():
@@ -184,19 +187,19 @@ def test_float_jet_bracket_matches_exact():
 
     x, y = jet(), jet()
     exact = courant_bracket_jets(pt, x, y)
-    a_np = np.array([[float(c) for c in row] for row in pt.anchor])
-    b_np = np.array([[float(c) for c in row] for row in alg.form.matrix])
+    a_np = np_matrix(pt.anchor)
+    b_np = np_matrix(alg.form.matrix)
     got = courant_bracket_jets_np(
         structure_tensor_np(alg),
         b_np,
         a_np,
         np.linalg.solve(b_np, a_np.T),
-        np.array([float(c) for c in x.value]),
-        np.array([[float(c) for c in row] for row in x.jacobian]),
-        np.array([float(c) for c in y.value]),
-        np.array([[float(c) for c in row] for row in y.jacobian]),
+        np_matrix(x.value),
+        np_matrix(x.jacobian),
+        np_matrix(y.value),
+        np_matrix(y.jacobian),
     )
-    assert np.max(np.abs(got - np.array([float(c) for c in exact]))) < 1e-12
+    assert max_abs(got - np_matrix(exact)) < 1e-12
 
 
 def test_main_identity_rhs_vanishes_for_subalgebra_pairs():
@@ -208,4 +211,39 @@ def test_main_identity_rhs_vanishes_for_subalgebra_pairs():
     pt = ctx.points[3].anchor
     manin = Splitting.of_algebra(d, diagonal_subspace(ctx.algebra, 1), triangular_complement())
     rhs = main_identity_rhs(d, manin, pt.anchor)
-    assert rhs.max_abs() == 0.0
+    assert rhs.shape == (pt.chart_dim,) * 3
+    assert max_abs(rhs) == 0.0
+
+
+@pytest.mark.parametrize("a,expected", [
+    (np.array([-3.0, 2.0]), 3.0),
+    (np.array([[0.5, -0.0], [-7.25, 1.0]]), 7.25),
+    (np.array([1.0, -np.inf, 2.0]), math.inf),
+    (np.zeros(0), 0.0),
+    (np.zeros((0, 0, 0)), 0.0),
+])
+def test_max_abs_is_the_max_norm(a, expected):
+    got = max_abs(a)
+    assert type(got) is float and got == expected
+
+
+@pytest.mark.parametrize("a", [
+    np.array([math.nan, 1.0]), np.array([1.0, math.nan]), np.array([math.inf, math.nan]),
+])
+def test_max_abs_keeps_a_nan(a):
+    assert math.isnan(max_abs(a))
+
+
+def test_np_matrix_converts_each_entry_by_float():
+    from fractions import Fraction as F
+
+    from courantlab.contexts import sl2c_realified_context
+
+    vec = (F(1, 3), F(-2), 5)
+    mat = ((F(2, 7), 0), (F(-1, 10**20), F(10**30, 3)))
+    basis = sl2c_realified_context().algebra_basis  # the (k, n, n) stack
+    assert all(np_matrix(m).dtype == float for m in (vec, mat, basis))
+    assert np_matrix(vec).tolist() == [float(x) for x in vec]
+    assert np_matrix(mat).tolist() == [[float(x) for x in row] for row in mat]
+    assert np_matrix(basis).tolist() == [[[float(x) for x in row] for row in b] for b in basis]
+    assert np_matrix(()).shape == (0,)

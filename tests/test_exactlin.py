@@ -14,7 +14,6 @@ from courantlab.exactlin import (
     QuotientMap,
     SingularMatrixError,
     _inverse_rows,
-    _nondegenerate,
     dot,
     identity,
     inverse,
@@ -296,7 +295,6 @@ def test_products_match_reference(a, data):
 def test_inverse_solve_match_reference(a, data):
     n = len(a)
     d = _ref_det(a)
-    assert _nondegenerate(a) == (d != 0)
     a_den = math.lcm(*[x.denominator for row in a for x in row])
     nums = [[int(x * a_den) for x in row] for row in a]
     if d != 0:
@@ -323,6 +321,20 @@ def test_inverse_solve_match_reference(a, data):
     else:
         assert x is not None
         assert tuple(_ref_dot(row, x) for row in a) == b
+
+
+@given(_squares())
+@settings(max_examples=150, deadline=None)
+def test_nondegenerate_matches_reference_determinant(a):
+    n = len(a)
+    sym = tuple(tuple(x + y for x, y in zip(r, c)) for r, c in zip(a, transpose(a)))
+    assert BilinearForm(sym).is_nondegenerate() == (_ref_det(sym) != 0)
+    if n >= 2:
+        # P sym P^T with row n-1 of P a copy of row 0: a repeated row, singular
+        p = identity(n)[:-1] + (identity(n)[0],)
+        singular = mat_mul(mat_mul(p, sym), transpose(p))
+        assert _ref_det(singular) == 0
+        assert not BilinearForm(singular).is_nondegenerate()
 
 
 def test_kernel_shape_mismatches_raise():

@@ -1,8 +1,9 @@
 """Rules the source keeps: no threads, no environment reads, no unused
 imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
-outside exactlin and no Fraction(...) call in randgen outside the two
-functions that return Fraction matrices.
+outside exactlin, no Fraction(...) call in randgen outside the two
+functions that return Fraction matrices, no max-norm outside
+diffnum.max_abs and no float(...) comprehension outside diffnum.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -16,7 +17,9 @@ while they are canonical, which the exactlin constructors (of_rows,
 span, zero, full) keep; and randgen draws, inverts and multiplies on
 integer rows, so a Fraction built anywhere but in the two matrices it
 returns (random_split_transform, random_coisotropic_anchor) is a
-normalisation the integer path exists to avoid.
+normalisation the integer path exists to avoid; and one conversion
+(diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
+residual computed the same way.
 """
 
 import ast
@@ -246,3 +249,57 @@ def test_the_fraction_call_rule_catches_each_form():
     for src in ("Fraction", "isinstance(x, Fraction)", "from fractions import Fraction as F\nG(1)",
                 "x.as_integer_ratio()"):
         assert _fraction_calls(ast.parse(src)) == [], src
+
+
+def _is_np_call(node: ast.AST, names: tuple[str, ...]) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+
+
+def _is_max_norm(node: ast.AST) -> bool:
+    """np.max(np.abs(...)) or np.abs(...).max(...)."""
+    if _is_np_call(node, ("max", "amax")):
+        return bool(node.args) and _is_np_call(node.args[0], ("abs", "absolute"))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "max" and _is_np_call(node.func.value, ("abs", "absolute")))
+
+
+def test_the_max_norm_lives_in_max_abs():
+    diffnum = next(p for p in SOURCES if p.name == "diffnum.py")
+    assert _holders(ast.parse(diffnum.read_text()), _is_max_norm) == ["max_abs"]
+    bad = {p.name: v for p in SOURCES if p.name != "diffnum.py"
+           and (v := _holders(ast.parse(p.read_text()), _is_max_norm))}
+    assert bad == {}
+
+
+def test_the_max_norm_rule_catches_each_form():
+    for src in ("np.max(np.abs(x))", "float(np.max(np.abs(a - b)))", "np.abs(x).max()",
+                "np.amax(np.absolute(x))", "def f(a):\n    return np.abs(a).max(initial=0.0)"):
+        assert _holders(ast.parse(src), _is_max_norm), src
+    for src in ("np.max(x)", "np.abs(x)", "max_abs(x)", "np.abs(x).sum()", "max(np.abs(x))"):
+        assert _holders(ast.parse(src), _is_max_norm) == [], src
+
+
+def _float_comprehensions(tree: ast.AST) -> list[str]:
+    """The functions (or <module>) holding a comprehension whose element
+    is a float(...) call."""
+    kinds = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
+    return _holders(tree, lambda node: isinstance(node, kinds)
+                    and _is_call_of(node.elt, {"float"}))
+
+
+def test_entries_are_converted_in_diffnum_only():
+    assert any(p.name == "liegrp.py" for p in SOURCES)
+    bad = {p.name: v for p in SOURCES if p.name != "diffnum.py"
+           and (v := _float_comprehensions(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_float_comprehension_rule_catches_each_form():
+    for src in ("[float(x) for x in row]", "np.array([[float(x) for x in row] for row in m])",
+                "tuple(float(c) for c in v)", "{float(x) for x in s}",
+                "def f(v):\n    return np.asarray([float(x) for x in v])"):
+        assert _float_comprehensions(ast.parse(src)), src
+    for src in ("[x for x in row]", "float(x)", "np_matrix(m)", "[f(x) for x in row]"):
+        assert _float_comprehensions(ast.parse(src)) == [], src
