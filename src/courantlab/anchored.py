@@ -9,7 +9,7 @@ diagonal relation); the numeric layer keeps its own float anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -59,13 +59,15 @@ class AnchoredPoint:
 
     The anchor is stored as an exact matrix; a float entry raises
     TypeError at construction.  The exact data of the point (its
-    stabilizer, the coisotropy verdict and the metric-dual anchor) is
-    computed on first use and kept.
+    stabilizer, coisotropy verdict, metric-dual anchor, and pi_m and L_m
+    per splitting) is computed on first use and kept.
     """
 
     algebra: QuadraticLieAlgebra
     anchor: tuple
     chart_dim: int
+    # bivector_at by the splitting's value, drinfeld_lagrangian by F's
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = matrix(self.anchor)
@@ -74,6 +76,13 @@ class AnchoredPoint:
             len(r) != self.algebra.dim for r in rows
         ):
             raise ValueError("anchor must be chart_dim x algebra dim")
+
+    def _keep(self, key, build):
+        """The kept value for ``key``; ``build()`` makes it on a miss only."""
+        value = self.kept.get(key)
+        if value is None:
+            value = self.kept[key] = build()
+        return value
 
     @cached_property
     def stabilizer(self) -> ExactSubspace:
@@ -118,30 +127,24 @@ def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
 
 
 def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
-    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a Lagrangian splitting."""
+    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a splitting, kept by the point."""
     a = pt.anchor
-    return Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a)))
+    return pt._keep(s, lambda: Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a))))
 
 
 def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:
-    """L_m = ran(a*) + (ker(a) cap F); Lagrangian at valid points."""
-    return pt.dual_range.sum(pt.stabilizer.intersect(f))
+    """L_m = ran(a*) + (ker(a) cap F), kept by the point; Lagrangian at valid points."""
+    return pt._keep(f, lambda: pt.dual_range.sum(pt.stabilizer.intersect(f)))
 
 
-def rank_formula(pt: AnchoredPoint, s: Splitting, *, pi: Bivector | None = None,
-                 lm: ExactSubspace | None = None) -> int:
-    """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank.
-
-    A caller that already holds bivector_at(pt, s) or L_m passes it as
-    ``pi`` or ``lm``, so that neither is built twice.
-    """
+def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
+    """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank."""
     require_coisotropic(pt)
-    if lm is None:
-        lm = drinfeld_lagrangian(pt, s.f)
+    lm = drinfeld_lagrangian(pt, s.f)
     if not pt.algebra.form.is_lagrangian(lm):
         raise CourantStructureError("L_m failed to be Lagrangian")
     value = anchor_image(pt, s.f).dim - lm.intersect(s.e).dim
-    actual = (pi if pi is not None else bivector_at(pt, s)).rank()
+    actual = bivector_at(pt, s).rank()
     if value != actual:
         raise CourantStructureError(
             f"rank formula {value} disagrees with matrix rank {actual}"
@@ -149,18 +152,17 @@ def rank_formula(pt: AnchoredPoint, s: Splitting, *, pi: Bivector | None = None,
     return value
 
 
-def leaf_condition(pt: AnchoredPoint, s: Splitting, *, pi: Bivector | None = None) -> bool:
-    """ker(a) = ran(a*) + (ker cap E) + (ker cap F)?
+def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
+    """ker(a) = ran(a*) + (ker cap E) + (ker cap F)?  The right side is
+    L_m + (ker cap E).
 
     When it holds, the sharp range of the bivector is certified to equal
-    a(E) cap a(F); the inclusion is strict otherwise.  ``pi`` is as in
-    rank_formula.
+    a(E) cap a(F); the inclusion is strict otherwise.
     """
     require_coisotropic(pt)
     ker = pt.stabilizer
-    rhs = pt.dual_range.sum(ker.intersect(s.e)).sum(ker.intersect(s.f))
-    holds = rhs == ker
-    sharp = (pi if pi is not None else bivector_at(pt, s)).sharp_range()
+    holds = drinfeld_lagrangian(pt, s.f).sum(ker.intersect(s.e)) == ker
+    sharp = bivector_at(pt, s).sharp_range()
     cap = anchor_image(pt, s.e).intersect(anchor_image(pt, s.f))
     if holds and sharp != cap:
         raise CourantStructureError("leaf condition holds but ranges differ")
@@ -191,7 +193,8 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
 def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     """Recover the splitting bivector as a backward image of E x F.
 
-    Independent code path from bivector_at: the two must agree exactly.
+    Independent code path from bivector_at: it must equal the kept value
+    exactly, and returns it.
     """
     rel = diagonal_relation(pt)
     image, _alpha = backward_image(product_subspace(s.e, s.f), rel)
@@ -199,13 +202,11 @@ def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     v_block = tuple(row[:m] for row in image.basis)
     mu_block = tuple(row[m:] for row in image.basis)
     # image = Gr_{-pi} = {(P mu, mu)}; mu-block must be invertible
-    p_t = mat_mul(inverse(mu_block), v_block)
-    p = transpose(p_t)
-    biv = Bivector(m, p)
+    p = transpose(mat_mul(inverse(mu_block), v_block))
     direct = bivector_at(pt, s)
-    if biv.matrix != direct.matrix:
+    if p != direct.matrix:
         raise CourantStructureError("diagonal backward image disagrees with formula")
-    return biv
+    return direct
 
 
 @dataclass(frozen=True)

@@ -231,9 +231,9 @@ def cmd_bivector(args) -> tuple[dict, int]:
     }
     if cois:
         lm = anchored.drinfeld_lagrangian(pt, s.f)
-        report["formula_rank"] = anchored.rank_formula(pt, s, pi=piv, lm=lm)
+        report["formula_rank"] = anchored.rank_formula(pt, s)
         report["drinfeld_lagrangian"] = [[str(x) for x in row] for row in lm.basis]
-        report["leaf_condition"] = anchored.leaf_condition(pt, s, pi=piv)
+        report["leaf_condition"] = anchored.leaf_condition(pt, s)
     else:
         report["formula_rank"] = None
         report["drinfeld_lagrangian"] = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -158,14 +159,10 @@ def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
     )
 
 
+@lru_cache(maxsize=64)
 def _kept_tables(alg: QuadraticLieAlgebra, s: Splitting):
-    """The splitting's tensor tables for ``alg``, built on first use and
-    kept on the splitting."""
-    kept = s.tensor_tables
-    if kept is None or kept[0] is not alg:
-        kept = (alg, splitting_tensor_tables(alg, s))
-        object.__setattr__(s, "tensor_tables", kept)
-    return kept[1]
+    """splitting_tensor_tables(alg, s), built once per (algebra, splitting)."""
+    return splitting_tensor_tables(alg, s)
 
 
 def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> np.ndarray:

@@ -321,7 +321,12 @@ def nullspace(A: Matrix, ncols: int) -> "ExactSubspace":
 
 
 def solve(A: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent."""
+    """One exact solution of A x = b, or None if inconsistent.
+
+    No module calls it (nor rref, its elimination): it stays as the
+    independent reference that the tests check quotient_coords,
+    GroupContext.coordinatize and TripleContext.g1_coordinatizer against.
+    """
     if len(A) != len(b):
         raise DimensionMismatchError("matrix/vector shape mismatch")
     if not A:

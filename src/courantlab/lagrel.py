@@ -10,7 +10,7 @@ here.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -320,9 +320,6 @@ class Splitting:
     space: SplitSpace
     e: ExactSubspace
     f: ExactSubspace
-    # the (algebra, tables) pair of diffnum.splitting_tensor_tables, kept
-    # here once they are built for that algebra
-    tensor_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         form = self.space.form

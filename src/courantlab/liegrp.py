@@ -240,8 +240,8 @@ class GroupPoint:
 
     @cached_property
     def float_anchor_dual(self) -> np.ndarray:
-        """a* = B^-1 a^T of the anchor, in floats."""
-        return np.linalg.solve(self.ctx.float_double[1], self.float_anchor.T)
+        """a* = B^-1 a^T, the float image of the exact one the anchor keeps."""
+        return np_matrix(self.anchor.dual)
 
     def point(self, t: np.ndarray) -> np.ndarray:
         """The exponential chart t -> g exp(sum t_a X_a) in floats."""

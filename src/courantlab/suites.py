@@ -10,10 +10,8 @@ byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .contexts import (
     sl2_triangular_triple,
     sl2c_realified_context,
 )
-from .exactlin import ExactSubspace, add_vec, identity, mat_mul, mat_vec, scale_vec
+from .exactlin import ExactSubspace, identity, mat_mul, mat_vec
 from .lagrel import Splitting, product_subspace, related_splitting
 from .liegrp import TripleContext
 
@@ -110,31 +108,21 @@ def _sheared_quasi_splitting():
     ctx = sl2c_realified_context()
     d = ctx.double_algebra
     quasi = named_splitting("sl2c-real", "delta-antidelta")
-    gd, duals = quasi.e, quasi.duals
+    frame = quasi.e.basis + quasi.duals
     k = 6
-    n_upper = [[Fraction(0)] * k for _ in range(k)]
-    n_lower = [[Fraction(0)] * k for _ in range(k)]
-    for (i, j, val) in [(0, 4, 1), (1, 3, -1), (2, 5, 1)]:
-        n_upper[i][j] = Fraction(val)
-        n_upper[j][i] = -Fraction(val)
-    for (i, j, val) in [(0, 3, 1), (1, 5, 1), (2, 4, -1)]:
-        n_lower[i][j] = Fraction(val)
-        n_lower[j][i] = -Fraction(val)
-    # new frame: e_i -> e_i + (N_lower-pair), f^i -> f^i + N_upper e
-    rows_e = []
-    rows_f = []
-    for i in range(k):
-        v = gd.basis[i]
-        w = duals[i]
-        for j in range(k):
-            if n_lower[i][j]:
-                v = add_vec(v, scale_vec(n_lower[i][j], duals[j]))
-            if n_upper[i][j]:
-                w = add_vec(w, scale_vec(n_upper[i][j], gd.basis[j]))
-        rows_e.append(v)
-        rows_f.append(w)
-    e = ExactSubspace.span(rows_e, ambient_dim=12)
-    f_sub = ExactSubspace.span(rows_f, ambient_dim=12)
+
+    def shear(entries):
+        n = [[0] * k for _ in range(k)]
+        for i, j, val in entries:
+            n[i][j], n[j][i] = val, -val
+        return n
+
+    # e_i -> e_i + sum_j N_lower[i][j] f^j and f^i -> f^i + sum_j N_upper[i][j] e_j:
+    # the rows of [I | N_lower] and [N_upper | I] applied to the frame (e, f)
+    n_upper = shear([(0, 4, 1), (1, 3, -1), (2, 5, 1)])
+    n_lower = shear([(0, 3, 1), (1, 5, 1), (2, 4, -1)])
+    e = ExactSubspace.span(mat_mul([u + tuple(n) for u, n in zip(identity(k), n_lower)], frame))
+    f_sub = ExactSubspace.span(mat_mul([tuple(n) + u for n, u in zip(n_upper, identity(k))], frame))
     return ctx, d, Splitting.of_algebra(d, e, f_sub)
 
 
@@ -288,12 +276,9 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
                                for (d1, d2, d12), dm in zip(pairs, jacobians))
     records.append(_rec("anchor equivariance of multiplication", worst_equi <= tol, worst_equi))
 
-    # pi+ and pi- at each distinct point, built once
-    pi_pm = functools.cache(functools.partial(liegrp.pi_plus_minus, t))
-
+    # pi+ and pi- at each distinct point, built once and kept by its anchor
     def pis(d):
-        pip, pim = pi_pm(d)
-        return diffnum.np_matrix(pip.matrix), diffnum.np_matrix(pim.matrix)
+        return tuple(diffnum.np_matrix(pi.matrix) for pi in liegrp.pi_plus_minus(t, d))
 
     residuals = []
     for (d1, d2, d12), dm in zip(pairs, jacobians):
@@ -315,11 +300,11 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
     exact_ok = True
     points = group.points[:samples]
     for d in points:
-        pip, pim = pi_pm(d)
+        pip, pim = liegrp.pi_plus_minus(t, d)
         plus, minus = liegrp.pi_plus_minus_invariant(t, d)
         exact_ok = exact_ok and pip.matrix == plus and pim.matrix == minus
     records.append(_rec("pi+- match the invariant-frame formulas exactly", exact_ok))
-    _, pim_e = pi_pm(group.points[0])
+    _, pim_e = liegrp.pi_plus_minus(t, group.points[0])
     records.append(_rec("pi- vanishes at the unit", all(x == 0 for row in pim_e.matrix for x in row)))
     return records + _cap_recs(samples, len(points))
 

@@ -33,7 +33,7 @@ from courantlab.exactlin import (
     transpose,
     vector,
 )
-from courantlab.lagrel import Splitting
+from courantlab.lagrel import Bivector, Splitting
 from courantlab.contexts import sl2_context
 from courantlab.quadlie import QuadraticLieAlgebra, diagonal_subspace
 from courantlab.randgen import (
@@ -198,6 +198,30 @@ def test_random_points_p3_and_rank(subtests=None):
         rank_formula(pt, s)
         if j:
             diagonal_backward(pt, s)
+
+
+def test_pointwise_checks_share_one_pi_and_one_lm(point_builds):
+    # rank_formula, leaf_condition and diagonal_backward read the pi_m and
+    # L_m the point keeps, at a random instance with a nonzero chart
+    rng = random.Random(5)
+    k = 3
+    anchor, j = random_coisotropic_anchor(rng, k)
+    assert j > 0
+    pt = AnchoredPoint(random_abelian_split_algebra(k), anchor, j)
+    s = random_lagrangian_splitting(rng, k)
+    rank_formula(pt, s)
+    leaf_condition(pt, s)
+    assert diagonal_backward(pt, s) is bivector_at(pt, s)
+    assert [key for _, key in point_builds] == [s.f, s]
+
+
+def test_diagonal_backward_checks_the_kept_bivector():
+    # the backward image is compared with the kept pi_m on every call
+    pt = AnchoredPoint(AB4, A4, 2)
+    pi = bivector_at(pt, S4)
+    pt.kept[S4] = Bivector(2, tuple(tuple(-x for x in row) for row in pi.matrix))
+    with pytest.raises(CourantStructureError, match="disagrees"):
+        diagonal_backward(pt, S4)
 
 
 def test_float_anchor_guards():

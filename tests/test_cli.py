@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -379,34 +380,50 @@ def test_cli_boundary_ends_in_an_exit_code(argv):
         assert all(math.isfinite(r["residual"]) for r in report["records"] if "residual" in r)
 
 
-def test_bivector_query_computes_pi_once(monkeypatch, capsys):
-    # Pi is built at most once per named splitting per process
-    from courantlab import anchored, lagrel
+def test_bivector_query_computes_pi_once(monkeypatch, capsys, point_builds):
+    # Pi is built at most once per named splitting per process, and pi_m and
+    # L_m once per (point, splitting): a repeated query builds neither
+    from courantlab import lagrel
 
-    calls = {}
+    calls = []
+    original = lagrel.splitting_bivector
 
-    def count(module, name):
-        original = getattr(module, name)
+    def counting(s):
+        calls.append(s)
+        return original(s)
 
-        def counting(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counting)
-
-    for module, name in ((lagrel, "splitting_bivector"), (anchored, "drinfeld_lagrangian"),
-                         (anchored, "bivector_at")):
-        count(module, name)
+    monkeypatch.setattr(lagrel, "splitting_bivector", counting)
     queries = (["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
                ["bivector", "--ctx", "sl2c-real", "--point", "1"],
                ["bivector", "--ctx", "sl2-pair", "--point", "5", "--splitting", "minus"])
     for built in (1, 0):
         for argv in queries:
             calls.clear()
+            point_builds.clear()
             assert main(argv) == 0
-            assert calls.pop("splitting_bivector", 0) <= built
-            assert calls == {"drinfeld_lagrangian": 1, "bivector_at": 1}
+            assert len(calls) <= built
+            # L_m and pi_m at most once on the first pass, never on the second
+            kinds = collections.Counter(type(key).__name__ for _, key in point_builds)
+            assert all(n <= built for n in kinds.values())
     capsys.readouterr()
+
+
+def test_verify_rank_builds_one_chart_bivector_per_instance(monkeypatch, capsys):
+    # seed 1 draws 100 instances; rank_formula and diagonal_backward read
+    # the one bivector each point keeps
+    from courantlab import anchored
+
+    builds = []
+    original = anchored.Bivector
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(anchored, "Bivector", counting)
+    assert main(["verify", "rank", "--seed", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 100
 
 
 def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from courantlab import diffnum
 from courantlab.anchored import AnchoredPoint, SectionJet, courant_bracket_jets
+from courantlab.cli import main
 from courantlab.diffnum import (
     ChartBivectorField,
     action_axiom_check,
@@ -247,3 +250,23 @@ def test_np_matrix_converts_each_entry_by_float():
     assert np_matrix(mat).tolist() == [[float(x) for x in row] for row in mat]
     assert np_matrix(basis).tolist() == [[[float(x) for x in row] for row in b] for b in basis]
     assert np_matrix(()).shape == (0,)
+
+
+def test_tensor_tables_are_built_once_per_algebra_and_splitting(monkeypatch, capsys):
+    # both h-ladder rungs and a second run read the kept tables; each
+    # sl2c-real run shears a new splitting, equal to the last by value
+    builds = collections.Counter()
+    original = diffnum.splitting_tensor_tables
+
+    def counting(alg, s):
+        builds[(alg, s)] += 1
+        return original(alg, s)
+
+    monkeypatch.setattr(diffnum, "splitting_tensor_tables", counting)
+    diffnum._kept_tables.cache_clear()
+    for _ in range(2):
+        for ctx in ("sl2-double", "sl2c-real"):
+            assert main(["verify", "schouten", "--ctx", ctx, "--json"]) == 0
+    capsys.readouterr()
+    # the Manin and quasi splittings of sl2-double, and the sheared one
+    assert list(builds.values()) == [1, 1, 1]

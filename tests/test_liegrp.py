@@ -680,20 +680,14 @@ def test_mult_builds_one_anchor_per_point(monkeypatch, capsys):
     assert max(anchors.values()) == 1 and sum(anchors.values()) <= 20
 
 
-def test_mult_builds_pi_plus_minus_once_per_point(monkeypatch, capsys):
-    # one bivector_at per distinct (anchor, splitting): seed 1 reaches 20
-    # points, each with the pi+ and pi- splittings
-    calls = collections.Counter()
-    original = liegrp.bivector_at
-
-    def counted(pt, s):
-        calls[(id(pt), id(s))] += 1
-        return original(pt, s)
-
-    monkeypatch.setattr(liegrp, "bivector_at", counted)
+def test_mult_builds_pi_plus_minus_once_per_point(monkeypatch, capsys, point_builds):
+    # seed 1 reaches 20 points, and each keeps pi+ and pi-, built once
+    # each however often the suite reads them
     _run_on_a_fresh_triple(monkeypatch, "mult")
     capsys.readouterr()
-    assert max(calls.values()) == 1 and sum(calls.values()) == 40
+    kept = collections.Counter((id(pt), key) for pt, key in point_builds)
+    assert max(kept.values()) == 1 and len(kept) == 40
+    assert {key for _, key in kept} == {TRIPLE.plus, TRIPLE.minus}
 
 
 def test_dressing_builds_pi_minus_only(monkeypatch, capsys):

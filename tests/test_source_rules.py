@@ -3,7 +3,8 @@ imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
 outside exactlin, no Fraction(...) call in randgen outside the two
 functions that return Fraction matrices, no max-norm outside
-diffnum.max_abs and no float(...) comprehension outside diffnum.
+diffnum.max_abs, no float(...) comprehension outside diffnum and no
+object.__setattr__ but on self in __post_init__.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -19,7 +20,9 @@ integer rows, so a Fraction built anywhere but in the two matrices it
 returns (random_split_transform, random_coisotropic_anchor) is a
 normalisation the integer path exists to avoid; and one conversion
 (diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
-residual computed the same way.
+residual computed the same way; and a frozen value is written only by
+its own constructor, so no module keeps its cache on another module's
+value.
 """
 
 import ast
@@ -303,3 +306,38 @@ def test_the_float_comprehension_rule_catches_each_form():
         assert _float_comprehensions(ast.parse(src)), src
     for src in ("[x for x in row]", "float(x)", "np_matrix(m)", "[f(x) for x in row]"):
         assert _float_comprehensions(ast.parse(src)) == [], src
+
+
+def _is_object_setattr(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "object")
+
+
+def _frozen_writes(tree: ast.AST) -> list[str]:
+    """The functions (or <module>) holding an object.__setattr__ call
+    other than one on self in a __post_init__."""
+    writes = _holders(tree, _is_object_setattr)
+    foreign = _holders(tree, lambda node: _is_object_setattr(node) and not (
+        node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"))
+    return [w for w in writes if w != "__post_init__"] + [w for w in foreign if w == "__post_init__"]
+
+
+def test_frozen_values_are_written_by_their_constructor():
+    assert any(p.name == "lagrel.py" for p in SOURCES)
+    bad = {p.name: v for p in SOURCES if (v := _frozen_writes(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_frozen_write_rule_catches_each_form():
+    kept_on_splitting = ("def _kept_tables(alg, s):\n"
+                         "    object.__setattr__(s, 'tensor_tables', (alg, 1))")
+    assert _frozen_writes(ast.parse(kept_on_splitting)) == ["_kept_tables"]
+    for src in ("object.__setattr__(other, 'x', 1)",
+                "def __post_init__(self):\n    object.__setattr__(other, 'x', 1)",
+                "def keep(self):\n    object.__setattr__(self, 'x', 1)",
+                "def __post_init__(self):\n    object.__setattr__(*args)"):
+        assert _frozen_writes(ast.parse(src)), src
+    for src in ("class A:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)",
+                "setattr(other, 'x', 1)", "other.__setattr__('x', 1)"):
+        assert _frozen_writes(ast.parse(src)) == [], src
