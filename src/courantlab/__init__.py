@@ -37,6 +37,5 @@ from .anchored import (
     pullback_point,
     rank_formula,
 )
-from .diffnum import ChartBivectorField, main_identity_residual, schouten_fd
 
 __version__ = "0.1.0"

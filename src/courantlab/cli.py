@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from . import anchored, quadlie, suites
-from .contexts import SPLITTING_NAMES, abelian_algebra_split2, get_group_context, named_splitting
+from .contexts import SPLITTING_NAMES, abelian2_desk_point, get_group_context, named_splitting
 from .exactlin import ExactSubspace
 from .lagrel import NotLagrangianError, Splitting
 from .quadlie import ManinTriple, QuadraticLieAlgebra
@@ -196,10 +196,9 @@ def _desk_point_and_splitting(ctx_name: str, point: str, splitting: str | None):
     if name not in SPLITTING_NAMES[ctx_name]:
         raise _ArgumentError(f"context {ctx_name!r} has no splitting {name!r}")
     if ctx_name == "abelian-2":
-        # the formula-level desk case: identity anchor on a 2-dim chart
         if idx != 0:
             raise _ArgumentError(f"bad --point {point!r}: the {ctx_name} desk case has only point 0")
-        pt = anchored.AnchoredPoint(abelian_algebra_split2(), ((1, 0), (0, 1)), 2)
+        pt = abelian2_desk_point()
     else:
         ctx = get_group_context(ctx_name)
         if idx >= len(ctx.sample_points):

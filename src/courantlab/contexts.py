@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .anchored import AnchoredPoint
 from .exactlin import ExactSubspace, Matrix, mat_mul, matrix
 from .lagrel import Splitting
 from .liegrp import GroupContext, TripleContext, block_diag
@@ -241,6 +242,12 @@ def abelian2_triple() -> TripleContext:
         embed=lambda g: g,
         inclusion=matrix([(1,), (0,)]),
     )
+
+
+@lru_cache(maxsize=None)
+def abelian2_desk_point() -> AnchoredPoint:
+    """The abelian-2 desk case (identity anchor on a 2-dim chart), built once."""
+    return AnchoredPoint(abelian_algebra_split2(), ((1, 0), (0, 1)), 2)
 
 
 def _realify(z_rows) -> Matrix:

@@ -1,7 +1,9 @@
 """Floating-point chart calculus: finite-difference Schouten brackets,
 trivector pushforwards, the main splitting identity, the action axiom
-of tabulated vector fields, and bivector relatedness under chart maps.
+of tabulated vector fields, bivector relatedness under chart maps, and
+the float group layer: exponential charts of the liegrp contexts.
 
+This is the one module that uses numpy; no exact module imports it.
 Each check returns a plain residual; the caller decides what passes.
 
 Conventions: a bivector field is sampled as its antisymmetric component
@@ -14,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exactlin import Matrix
+from .exactlin import Matrix, Vector
 from .lagrel import Splitting
+from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_value
 from .quadlie import QuadraticLieAlgebra, courant_tensor_on_basis
 
 ANTISYM_TOL = 1e-12
@@ -61,6 +64,12 @@ def max_abs(a: np.ndarray) -> float:
     """The max-norm of an array, 0.0 for an empty one; a NaN entry is
     the result."""
     return float(np.abs(a).max(initial=0.0))
+
+
+def float_warnings_off() -> np.errstate:
+    """numpy's overflow, invalid and divide warnings off: a non-finite
+    residual already fails its record, so they would only add noise."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def worst(residuals: Iterable[float]) -> float:
@@ -246,3 +255,244 @@ def courant_bracket_jets_np(
     out = out + y_jac @ (anchor @ x_value) - x_jac @ (anchor @ y_value)
     pairing = x_jac.T @ (form @ y_value)
     return out + dual @ pairing
+
+
+def flat_poisson_field() -> ChartBivectorField:
+    """A closed-form Poisson field on R^3 (pushforward of a constant
+    bivector under a polynomial chart change); quartic entries give an
+    exactly-order-2 FD ladder."""
+
+    def sampler(y):
+        y1, y2, y3 = y
+        w = y2 - y1 * y1
+        p13 = 2.0 * y1 * w
+        p23 = 4.0 * y1 * y1 * w - w * w
+        return np.array([[0.0, 1.0, p13], [-1.0, 0.0, p23], [-p13, -p23, 0.0]])
+
+    return ChartBivectorField(3, sampler)
+
+
+# ---------------------------------------------------------------------------
+# the float group layer: exponential charts of the liegrp contexts
+
+def _exp_series(x: np.ndarray, shift: int) -> np.ndarray:
+    """sum_j x^j / (j + shift)!: exp x for shift 0, (exp x - 1) / x for shift 1."""
+    out = np.eye(len(x))
+    term = np.eye(len(x))
+    for j in range(1, 40):
+        term = term @ x / (j + shift)
+        out = out + term
+        if max_abs(term) < 1e-18:
+            break
+    return out
+
+
+def expm_np(a: np.ndarray) -> np.ndarray:
+    norm = max_abs(a)
+    s = 0
+    while norm > 0.5:
+        norm /= 2.0
+        s += 1
+    out = _exp_series(a / (2.0 ** s), 0)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def logm_np(m: np.ndarray) -> np.ndarray:
+    """Principal log near the identity (series in m - I)."""
+    z = m - np.eye(m.shape[0])
+    if max_abs(z) > 0.4:
+        raise ValueError("matrix too far from the identity for the log series")
+    out = np.zeros_like(z)
+    term = np.eye(m.shape[0])
+    for k in range(1, 60):
+        term = term @ z
+        out = out + ((-1) ** (k + 1)) * term / k
+        if max_abs(term) < 1e-18:
+            break
+    return out
+
+
+@dataclass(eq=False)
+class GroupChart:
+    """The exponential charts of a group context in floats; the float
+    basis, its coordinatizer and the ad tables are built on first use."""
+
+    ctx: GroupContext
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The basis as a (k, n, n) float array."""
+        return np_matrix(self.ctx.algebra_basis)
+
+    @cached_property
+    def coordinatizer(self) -> np.ndarray:
+        """(k, n^2) pseudo-inverse of the flattened float basis."""
+        return np.linalg.pinv(self.basis.reshape(self.ctx.dim, -1).T)
+
+    @cached_property
+    def ad(self) -> np.ndarray:
+        """(k, k, k) float ad matrices: ad[a] = ad_{X_a} over the basis."""
+        return np.ascontiguousarray(structure_tensor_np(self.ctx.algebra).transpose(0, 2, 1))
+
+    @cached_property
+    def double(self) -> tuple[np.ndarray, np.ndarray]:
+        """(structure tensor, Gram matrix) of the double algebra in floats."""
+        d = self.ctx.double_algebra
+        return structure_tensor_np(d), np_matrix(d.form.matrix)
+
+    def coords(self, elt: np.ndarray) -> np.ndarray:
+        """Float coordinates of an ambient algebra element over the basis."""
+        return self.coordinatizer @ elt.reshape(-1)
+
+    def adjoint(self, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+        """Ad_g over the basis in floats; the caller passes g^-1 too, since
+        inverting an inverse does not give g back bit for bit."""
+        return np.stack([self.coords(g @ b @ ginv) for b in self.basis], axis=1)
+
+    def dexp(self, t: np.ndarray) -> np.ndarray:
+        """T with d/dt_a (g0 exp X(t)) = g0 exp X(t) . (basis T[:, a]), for any g0."""
+        return _exp_series(-np.tensordot(t, self.ad, axes=1), 1)
+
+    def point(self, g0: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The exponential chart t -> g0 exp(sum t_a X_a) at the float matrix g0."""
+        return g0 @ expm_np(np.tensordot(t, self.basis, axes=1))
+
+
+@lru_cache(maxsize=64)
+def group_chart(ctx: GroupContext) -> GroupChart:
+    """The float chart of ctx, one per context object."""
+    return GroupChart(ctx)
+
+
+@lru_cache(maxsize=64)
+def triple_floats(t: TripleContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p1, p2 and the pseudo-inverse of the inclusion of t, in floats."""
+    p1, p2 = t.splitting.projectors
+    return np_matrix(p1), np_matrix(p2), np.linalg.pinv(np_matrix(t.inclusion))
+
+
+# the double action on a group: a(u, v) = v^L - u^R ------------------------
+
+def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
+    """pi(t) for a splitting (E, F) of the double, in the chart at p."""
+    pi_np = np_matrix(s.bivector.matrix)
+    chart = group_chart(p.ctx)
+    g0 = np_matrix(p.g)
+    k = p.ctx.dim
+
+    def sampler(t: np.ndarray) -> np.ndarray:
+        g = chart.point(g0, t)
+        adg_inv = chart.adjoint(np.linalg.inv(g), g)
+        tmat = chart.dexp(t)
+        anchor = np.linalg.solve(tmat, np.hstack([-adg_inv, np.eye(k)]))
+        return anchor @ pi_np @ anchor.T
+
+    return ChartBivectorField(k, sampler)
+
+
+# multiplication -----------------------------------------------------------
+
+def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
+    """FD Jacobian of multiplication in product exponential charts; pab is
+    the point of the product ga gb."""
+    chart = group_chart(pa.ctx)
+    k = pa.ctx.dim
+    ga, gb = np_matrix(pa.g), np_matrix(pb.g)
+    base_inv = np.linalg.inv(np_matrix(pab.g))
+
+    def prod_coords(st: np.ndarray) -> np.ndarray:
+        # every stencil point moves one factor only: the other is at its base
+        a = chart.point(ga, st[:k]) if st[:k].any() else ga
+        b = chart.point(gb, st[k:]) if st[k:].any() else gb
+        return chart.coords(logm_np(base_inv @ (a @ b)))
+
+    return central_difference(prod_coords, np.zeros(2 * k), h)
+
+
+def pair_multiplication_check(
+    dmult: np.ndarray, pa: GroupPoint, pb: GroupPoint, pab: GroupPoint
+) -> float:
+    """Anchor equivariance of group multiplication at (ga, gb), given the
+    Jacobian dmult = dmult_fd(pa, pb, pab).
+
+    For composable (a,b) o (b,c): dMult(a(z')|_ga, a(z'')|_gb) must equal
+    a(z)|_{ga gb}; returns the max-abs residual over a parameter basis.
+    """
+    k = pa.ctx.dim
+    a_ga, a_gb, a_prod = (np_matrix(p.anchor.anchor) for p in (pa, pb, pab))
+    # e = (a, b, c) runs over a basis: z' = (a, b), z'' = (b, c), z = (a, c)
+    return worst(
+        max_abs(dmult @ np.concatenate([a_ga @ e[:2 * k], a_gb @ e[k:]])
+                - a_prod @ np.concatenate([e[:k], e[2 * k:]]))
+        for e in np.eye(3 * k)
+    )
+
+
+def multiplicativity_residual(dmult: np.ndarray, pi_a: np.ndarray, pi_b: np.ndarray,
+                              pi_ab: np.ndarray) -> float:
+    """max |dMult (pi_a x pi_b) dMult^T - pi_ab| for the float pi at ga, gb, ga gb."""
+    n = len(pi_a)
+    big = np.zeros((2 * n, 2 * n))
+    big[:n, :n] = pi_a
+    big[n:, n:] = pi_b
+    return max_abs(dmult @ big @ dmult.T - pi_ab)
+
+
+# dressing and phi^R sections ----------------------------------------------
+
+def dressing_field_sampler(x: G1Point):
+    """fields(t), the (n, k) table whose row i is rho(b_i) at t, for the
+    right dressing action in the chart at x; the group data at t is built
+    once, and each row keeps its own matrix-vector products."""
+    t = x.triple
+    p1_np, _, inclusion_pinv = triple_floats(t)
+    g1_chart, d_chart = group_chart(t.g1_ctx), group_chart(t.d_ctx)
+    g0 = np_matrix(x.g1.g)
+    n = t.d_algebra.dim
+
+    def fields(tvec: np.ndarray) -> np.ndarray:
+        g = g1_chart.point(g0, tvec)
+        phi_g = np_matrix(t.embed(g))
+        ad = d_chart.adjoint(phi_g, np.linalg.inv(phi_g))
+        ginv = np.linalg.inv(g)
+        dexp = g1_chart.dexp(tvec)
+        rows = []
+        for zeta in np.eye(n):
+            xv = inclusion_pinv @ (p1_np @ (ad @ zeta))
+            amb_t = np.tensordot(xv, g1_chart.basis, axes=1) @ g  # right-invariant: xv . g
+            xi = g1_chart.coords(ginv @ amb_t)
+            rows.append(np.linalg.solve(dexp, xi))
+        return np.array(rows)
+
+    return fields
+
+
+def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
+    """(values, FD jacobians) of the sections phi^R(zeta), zeta in
+    ``zetas``, in the chart at d0; one stencil serves every section."""
+    _, p2_np, _ = triple_floats(t)
+    chart = group_chart(t.d_ctx)
+    g0 = np_matrix(d0.g)
+    zs = [np_matrix(zeta) for zeta in zetas]
+
+    def sections(tvec: np.ndarray) -> np.ndarray:
+        g = chart.point(g0, tvec)
+        ad = chart.adjoint(g, np.linalg.inv(g))
+        return np.array([np.concatenate([p2_np @ (ad @ z), z]) for z in zs])
+
+    values = [np_matrix(phi_r_value(t, d0, zeta)) for zeta in zetas]
+    return values, central_difference(sections, np.zeros(t.d_algebra.dim), h)
+
+
+def phi_r_homomorphism_residual(
+    t: TripleContext, d0: GroupPoint, zeta: Vector, zeta2: Vector, h: float = 1e-4
+) -> float:
+    """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
+    structure, form = group_chart(t.d_ctx).double
+    (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
+    got = courant_bracket_jets_np(structure, form, np_matrix(d0.anchor.anchor),
+                                  np_matrix(d0.anchor.dual), xv, xj, yv, yj)
+    want = np_matrix(phi_r_value(t, d0, t.d_algebra.bracket_vec(zeta, zeta2)))
+    return max_abs(got - want)

@@ -1,32 +1,21 @@
-"""Matrix Lie group contexts: exponential charts, adjoint actions,
-double actions on a group, the two product-group structures pi+/pi-,
-dressing actions and morphism fibers over rational sample points.
+"""Matrix Lie group contexts: adjoint actions, double actions on a
+group, the two product-group structures pi+/pi-, dressing actions and
+morphism fibers over rational sample points.
 
 Sample points are kept rational so the adjoint action, anchors, and
-relation fibers are exact; the same points feed the floating-point
-finite-difference layer as floats.  The data the checks read at one
-group element lives on its GroupPoint.
+relation fibers are exact; the finite-difference layer (diffnum) reads
+the same points as floats.  The data the checks read at one group
+element lives on its GroupPoint.  Everything here is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .anchored import AnchoredPoint, bivector_at, pullback_point
-from .diffnum import (
-    ChartBivectorField,
-    central_difference,
-    courant_bracket_jets_np,
-    max_abs,
-    np_matrix,
-    structure_tensor_np,
-    worst,
-)
 from .exactlin import (
     Coordinatizer,
     DimensionMismatchError,
@@ -88,21 +77,19 @@ def block_diag(*mats: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # contexts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupContext:
-    """A matrix group with a chosen algebra basis and rational samples.
-
-    The exact coordinatizer of the basis, the double algebra, the float
-    data of the exponential charts (basis, coordinatizer, ad tables) and
-    one GroupPoint per sample point are built on first use and kept.
-    """
+    """A matrix group with a chosen algebra basis and rational samples,
+    equal only to itself.  The exact coordinatizer of the basis, the
+    double algebra and one GroupPoint per sample point are built on first
+    use and kept."""
 
     name: str
     ambient_size: int
     algebra_basis: tuple[Matrix, ...]
     algebra: QuadraticLieAlgebra
     sample_points: tuple[Matrix, ...]
-    membership: Callable[[Matrix], bool] | None = field(default=None, compare=False)
+    membership: Callable[[Matrix], bool] | None = None
 
     @property
     def dim(self) -> int:
@@ -136,50 +123,6 @@ class GroupContext:
         DimensionMismatchError when it is not in the algebra's span."""
         return self.coordinatizer.coords(flatten(elt))
 
-    @cached_property
-    def float_basis(self) -> np.ndarray:
-        """The basis as a (k, n, n) float array."""
-        return np_matrix(self.algebra_basis)
-
-    @cached_property
-    def float_coordinatizer(self) -> np.ndarray:
-        """(k, n^2) pseudo-inverse of the flattened float basis."""
-        return np.linalg.pinv(self.float_basis.reshape(self.dim, -1).T)
-
-    @cached_property
-    def float_ad(self) -> np.ndarray:
-        """(k, k, k) float ad matrices: float_ad[a] = ad_{X_a} over the basis."""
-        return np.ascontiguousarray(structure_tensor_np(self.algebra).transpose(0, 2, 1))
-
-    @cached_property
-    def float_double(self) -> tuple[np.ndarray, np.ndarray]:
-        """(structure tensor, Gram matrix) of the double algebra in floats."""
-        d = self.double_algebra
-        return structure_tensor_np(d), np_matrix(d.form.matrix)
-
-    def float_coords(self, elt: np.ndarray) -> np.ndarray:
-        """Float coordinates of an ambient algebra element over the basis."""
-        return self.float_coordinatizer @ elt.reshape(-1)
-
-    def float_adjoint(self, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-        """Ad_g over the basis in floats; the caller passes g^-1 too, since
-        inverting an inverse does not give g back bit for bit."""
-        return np.stack([self.float_coords(g @ b @ ginv) for b in self.float_basis], axis=1)
-
-    def dexp_matrix(self, t: np.ndarray) -> np.ndarray:
-        """T with d/dt_a (g0 exp X(t)) = g0 exp X(t) . (basis T[:, a]),
-        for any base point g0."""
-        k = self.dim
-        adx = np.tensordot(t, self.float_ad, axes=1)
-        out = np.eye(k)
-        term = np.eye(k)
-        for j in range(1, 40):
-            term = term @ (-adx) / (j + 1)
-            out = out + term
-            if max_abs(term) < 1e-18:
-                break
-        return out
-
     def from_coords(self, coords: Iterable) -> Matrix:
         coords = vector(coords)
         n = self.ambient_size
@@ -195,8 +138,8 @@ class GroupContext:
 class GroupPoint:
     """One element g of a context's group.
 
-    g^-1, Ad_g, Ad_{g^-1}, the anchor of the two-sided action at g and
-    the float twins are built on first use and kept.
+    g^-1, Ad_g, Ad_{g^-1} and the anchor of the two-sided action at g
+    are built on first use and kept.
     """
 
     ctx: GroupContext
@@ -230,25 +173,6 @@ class GroupPoint:
         rows = (scale_vec(-1, a) + e for a, e in zip(self.adjoint_inverse, identity(k)))
         return AnchoredPoint(self.ctx.double_algebra, tuple(rows), k)
 
-    @cached_property
-    def float_g(self) -> np.ndarray:
-        return np_matrix(self.g)
-
-    @cached_property
-    def float_anchor(self) -> np.ndarray:
-        return np_matrix(self.anchor.anchor)
-
-    @cached_property
-    def float_anchor_dual(self) -> np.ndarray:
-        """a* = B^-1 a^T, the float image of the exact one the anchor keeps."""
-        return np_matrix(self.anchor.dual)
-
-    def point(self, t: np.ndarray) -> np.ndarray:
-        """The exponential chart t -> g exp(sum t_a X_a) in floats."""
-        x = np.tensordot(t, self.ctx.float_basis, axes=1)
-        return self.float_g @ expm_np(x)
-
-
 class ContextError(ValueError):
     pass
 
@@ -269,68 +193,9 @@ def validate_context(ctx: GroupContext) -> None:
 
 
 # ---------------------------------------------------------------------------
-# charts
-
-def expm_np(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    norm = max_abs(a)
-    s = 0
-    while norm > 0.5:
-        norm /= 2.0
-        s += 1
-    b = a / (2.0 ** s)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 40):
-        term = term @ b / k
-        out = out + term
-        if max_abs(term) < 1e-18:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
-def logm_np(m: np.ndarray) -> np.ndarray:
-    """Principal log near the identity (series in m - I)."""
-    m = np.asarray(m, dtype=float)
-    z = m - np.eye(m.shape[0])
-    if max_abs(z) > 0.4:
-        raise ValueError("matrix too far from the identity for the log series")
-    out = np.zeros_like(z)
-    term = np.eye(m.shape[0])
-    for k in range(1, 60):
-        term = term @ z
-        out = out + ((-1) ** (k + 1)) * term / k
-        if max_abs(term) < 1e-18:
-            break
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the double action on a group: a(u, v) = v^L - u^R
-
-def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
-    """pi(t) for a splitting (E, F) of the double, in the chart at p."""
-    pi_np = np_matrix(s.bivector.matrix)
-    ctx = p.ctx
-    k = ctx.dim
-
-    def sampler(t: np.ndarray) -> np.ndarray:
-        g = p.point(t)
-        adg_inv = ctx.float_adjoint(np.linalg.inv(g), g)
-        tmat = ctx.dexp_matrix(t)
-        anchor = np.linalg.solve(tmat, np.hstack([-adg_inv, np.eye(k)]))
-        return anchor @ pi_np @ anchor.T
-
-    return ChartBivectorField(k, sampler)
-
-
-# ---------------------------------------------------------------------------
 # Manin-triple contexts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleContext:
     """A Manin triple with its integrating matrix groups.
 
@@ -341,9 +206,8 @@ class TripleContext:
     differential of the embedding over the two algebra bases.
 
     The splittings the triple induces (the projector pair is that of
-    ``splitting``), their float projectors, the pseudo-inverse of the
-    inclusion and one G1Point per G1 sample point are built on first use
-    and kept.
+    ``splitting``) and one G1Point per G1 sample point are built on first
+    use and kept.
     """
 
     name: str
@@ -351,7 +215,7 @@ class TripleContext:
     g1: ExactSubspace
     g2: ExactSubspace
     g1_ctx: GroupContext
-    embed: Callable[[Matrix], Matrix] = field(compare=False)
+    embed: Callable[[Matrix], Matrix]
     inclusion: Matrix = ()  # d dim x g1 dim
 
     @property
@@ -407,16 +271,6 @@ class TripleContext:
         return Coordinatizer.of_rows(transpose(self.inclusion), len(self.inclusion),
                                      "the embedded subalgebra")
 
-    @cached_property
-    def float_projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        p1, p2 = self.splitting.projectors
-        return np_matrix(p1), np_matrix(p2)
-
-    @cached_property
-    def float_inclusion_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(np_matrix(self.inclusion))
-
-
 @dataclass(frozen=True, eq=False)
 class G1Point:
     """A point g of G1 in a Manin triple, with the D-point of Phi(g).
@@ -450,32 +304,6 @@ class G1Point:
                 AnchoredPoint(t.d_algebra, tuple(scale_vec(-1, r) for r in left), t.g1.dim))
 
 
-def dressing_field_sampler(x: G1Point):
-    """fields(t), the (n, k) table whose row i is rho(b_i) at t, for the
-    right dressing action in the chart at x; the group data at t is built
-    once, and each row keeps its own matrix-vector products."""
-    t = x.triple
-    p1_np, _ = t.float_projectors
-    g1_ctx = t.g1_ctx
-    n = t.d_algebra.dim
-
-    def fields(tvec: np.ndarray) -> np.ndarray:
-        g = x.g1.point(tvec)
-        phi_g = np_matrix(t.embed(g))
-        ad = t.d_ctx.float_adjoint(phi_g, np.linalg.inv(phi_g))
-        ginv = np.linalg.inv(g)
-        dexp = g1_ctx.dexp_matrix(tvec)
-        rows = []
-        for zeta in np.eye(n):
-            xv = t.float_inclusion_pinv @ (p1_np @ (ad @ zeta))
-            amb_t = np.tensordot(xv, g1_ctx.float_basis, axes=1) @ g  # right-invariant: xv . g
-            xi = g1_ctx.float_coords(ginv @ amb_t)
-            rows.append(np.linalg.solve(dexp, xi))
-        return np.array(rows)
-
-    return fields
-
-
 def g1_poisson_bivector(x: G1Point) -> Bivector:
     """Bivector of the splitting (g1, g2) on G1 at x, exact."""
     right, _ = x.dressing
@@ -504,51 +332,6 @@ def pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Matrix, Ma
 
 
 # morphism fibers -----------------------------------------------------------
-
-def pair_multiplication_check(
-    dmult: np.ndarray, pa: GroupPoint, pb: GroupPoint, pab: GroupPoint
-) -> float:
-    """Anchor equivariance of group multiplication at (ga, gb), given the
-    Jacobian dmult = dmult_fd(pa, pb, pab).
-
-    For composable (a,b) o (b,c): dMult(a(z')|_ga, a(z'')|_gb) must equal
-    a(z)|_{ga gb}; returns the max-abs residual over a parameter basis.
-    """
-    k = pa.ctx.dim
-    a_ga = pa.float_anchor
-    a_gb = pb.float_anchor
-    a_prod = pab.float_anchor
-    residuals = []
-    for idx in range(3 * k):
-        a_c = np.zeros(k)
-        b_c = np.zeros(k)
-        c_c = np.zeros(k)
-        (a_c, b_c, c_c)[idx // k][idx % k] = 1.0
-        zp = np.concatenate([a_c, b_c])
-        zpp = np.concatenate([b_c, c_c])
-        z = np.concatenate([a_c, c_c])
-        lhs = dmult @ np.concatenate([a_ga @ zp, a_gb @ zpp])
-        rhs = a_prod @ z
-        residuals.append(max_abs(lhs - rhs))
-    return worst(residuals)
-
-
-def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
-    """FD Jacobian of multiplication in product exponential charts; pab is
-    the point of the product ga gb."""
-    ctx = pa.ctx
-    k = ctx.dim
-    base_inv = np.linalg.inv(pab.float_g)
-    # every stencil point moves one factor only: the other is at its base
-    a0, b0 = pa.point(np.zeros(k)), pb.point(np.zeros(k))
-
-    def prod_coords(st: np.ndarray) -> np.ndarray:
-        a = pa.point(st[:k]) if st[:k].any() else a0
-        b = pb.point(st[k:]) if st[k:].any() else b0
-        return ctx.float_coords(logm_np(base_inv @ (a @ b)))
-
-    return central_difference(prod_coords, np.zeros(2 * k), h)
-
 
 def q_mult_fiber(xpp: G1Point) -> LinearRelation:
     """Multiplication morphism fiber over (g' g'', g', g'') for G1.
@@ -608,33 +391,6 @@ def phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
     """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d."""
     _, p2 = t.splitting.projectors
     return concat_vec(mat_vec(p2, mat_vec(d.adjoint, zeta)), zeta)
-
-
-def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
-    """(values, FD jacobians) of the sections phi^R(zeta), zeta in
-    ``zetas``, in the chart at d0; one stencil serves every section."""
-    _, p2_np = t.float_projectors
-    zs = [np_matrix(zeta) for zeta in zetas]
-
-    def sections(tvec: np.ndarray) -> np.ndarray:
-        g = d0.point(tvec)
-        ad = t.d_ctx.float_adjoint(g, np.linalg.inv(g))
-        return np.array([np.concatenate([p2_np @ (ad @ z), z]) for z in zs])
-
-    values = [np_matrix(phi_r_value(t, d0, zeta)) for zeta in zetas]
-    return values, central_difference(sections, np.zeros(t.d_algebra.dim), h)
-
-
-def phi_r_homomorphism_residual(
-    t: TripleContext, d0: GroupPoint, zeta: Vector, zeta2: Vector, h: float = 1e-4
-) -> float:
-    """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
-    structure, form = t.d_ctx.float_double
-    (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
-    got = courant_bracket_jets_np(structure, form, d0.float_anchor, d0.float_anchor_dual,
-                                  xv, xj, yv, yj)
-    want = np_matrix(phi_r_value(t, d0, t.d_algebra.bracket_vec(zeta, zeta2)))
-    return max_abs(got - want)
 
 
 def dressing_pullback_check(x: G1Point) -> bool:

@@ -82,7 +82,7 @@ def test_criterion_03_diagonal_backward_consistency():
 
 def _main_identity_worst(points, s, alg, h):
     return diffnum.worst(
-        diffnum.main_identity_residual(liegrp.double_bivector_field(p, s),
+        diffnum.main_identity_residual(diffnum.double_bivector_field(p, s),
                                        p.anchor.anchor, s, alg, h)
         for p in points
     )
@@ -152,7 +152,7 @@ def test_criterion_08_multiplicativity():
     residuals = []
     for d1, d2 in pairs:
         d12 = pair.point(mat_mul(d1.g, d2.g))
-        dm = liegrp.dmult_fd(d1, d2, d12, h=H)
+        dm = diffnum.dmult_fd(d1, d2, d12, h=H)
         p1p, p1m = (np_matrix(b.matrix) for b in liegrp.pi_plus_minus(t, d1))
         p2p, p2m = (np_matrix(b.matrix) for b in liegrp.pi_plus_minus(t, d2))
         tp, tm = (np_matrix(b.matrix) for b in liegrp.pi_plus_minus(t, d12))
@@ -189,7 +189,7 @@ def test_criterion_09_dressing():
         cois = cois and right.coisotropy[0]
         cois = cois and left.coisotropy[0]
     worst = diffnum.worst(
-        diffnum.action_axiom_check(liegrp.dressing_field_sampler(x), t.d_algebra, np.zeros(3), H)
+        diffnum.action_axiom_check(diffnum.dressing_field_sampler(x), t.d_algebra, np.zeros(3), H)
         for x in points[:3]
     )
     pull = all(liegrp.dressing_pullback_check(x) for x in points)

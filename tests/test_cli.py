@@ -1,13 +1,18 @@
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import courantlab
 from courantlab.cli import main
 from courantlab.contexts import sl2_algebra, triangular_complement
 from courantlab.quadlie import build_double, diagonal_subspace
@@ -234,12 +239,12 @@ def _broken_triple():
 
 
 def test_broken_triple_stops_mult_before_fd_work(monkeypatch, capsys):
-    from courantlab import liegrp, suites
+    from courantlab import diffnum, suites
     from courantlab.lagrel import NotLagrangianError
 
     calls = []
-    original = liegrp.dmult_fd
-    monkeypatch.setattr(liegrp, "dmult_fd", lambda *a, **k: calls.append(a) or original(*a, **k))
+    original = diffnum.dmult_fd
+    monkeypatch.setattr(diffnum, "dmult_fd", lambda *a, **k: calls.append(a) or original(*a, **k))
     bad = _broken_triple()
     with pytest.raises(NotLagrangianError):
         suites.suite_mult(bad, samples=2)
@@ -408,6 +413,19 @@ def test_bivector_query_computes_pi_once(monkeypatch, capsys, point_builds):
     capsys.readouterr()
 
 
+def test_repeated_abelian_2_queries_build_pi_once(capsys, point_builds):
+    # the abelian-2 desk point is kept like the sample points, so a
+    # repeated query reads the pi_m it keeps
+    from courantlab.contexts import abelian2_desk_point
+    from courantlab.lagrel import Splitting
+
+    abelian2_desk_point.cache_clear()
+    for _ in range(3):
+        assert main(["bivector", "--ctx", "abelian-2"]) == 0
+    capsys.readouterr()
+    assert sum(isinstance(key, Splitting) for _, key in point_builds) == 1
+
+
 def test_verify_rank_builds_one_chart_bivector_per_instance(monkeypatch, capsys):
     # seed 1 draws 100 instances; rank_formula and diagonal_backward read
     # the one bivector each point keeps
@@ -429,7 +447,7 @@ def test_verify_rank_builds_one_chart_bivector_per_instance(monkeypatch, capsys)
 def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys):
     # 3 action-axiom points and 3 phi^R points, one central difference
     # each; an action-axiom stencil reads the dressing fields 2k + 1 times
-    from courantlab import diffnum, liegrp
+    from courantlab import diffnum
 
     stencils = []
     original = diffnum.central_difference
@@ -439,9 +457,8 @@ def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys):
         return original(f, x, h)
 
     monkeypatch.setattr(diffnum, "central_difference", counting)
-    monkeypatch.setattr(liegrp, "central_difference", counting)
     evals = []
-    sampler = liegrp.dressing_field_sampler
+    sampler = diffnum.dressing_field_sampler
 
     def counting_sampler(x):
         fields = sampler(x)
@@ -453,7 +470,7 @@ def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys):
 
         return counted
 
-    monkeypatch.setattr(liegrp, "dressing_field_sampler", counting_sampler)
+    monkeypatch.setattr(diffnum, "dressing_field_sampler", counting_sampler)
     assert main(["verify", "dressing", "--seed", "1", "--json"]) == 0
     capsys.readouterr()
     assert len(stencils) == 6
@@ -618,3 +635,43 @@ def test_non_finite_step_or_tolerance_is_usage_error(argv, capsys):
 def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     _assert_usage_error(argv + ["--out", str(tmp_path / "missing" / "x.json")], capsys)
     _assert_usage_error(argv + ["--out", str(tmp_path)], capsys)  # a directory
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this courantlab."""
+    src = str(Path(courantlab.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})\n{code}"],
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [[], ["verify", "rank", "--samples", "2"],
+                                  ["verify", "leaves", "--samples", "2"],
+                                  ["verify", "relations", "--samples", "2"],
+                                  ["bivector", "--ctx", "sl2-double"],
+                                  ["bivector", "--ctx", "abelian-2"], ["validate"]], ids=" ".join)
+def test_exact_paths_never_load_numpy(argv, double_json):
+    # [] is the bare package import; validate reads the shipped double
+    call = ""
+    if argv:
+        argv = argv + [double_json] if argv == ["validate"] else argv
+        call = f"from courantlab.cli import main\nassert main({argv!r}) == 0\n"
+    proc = _fresh_interpreter(f"import courantlab\n{call}assert 'numpy' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+# the report digests of `verify SUITE --h 1e300 --json`, as before the
+# float warnings were silenced
+OVERFLOW_DIGESTS = {
+    "schouten": "f85762d900c432cb8d52333a82c479597f2d839f31cb9d2b165c71fba975c138",
+    "dressing": "27206a39b311e6731d107a3692ccdc7a81c514b1148ceb85dfc7af52d20798b7",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(OVERFLOW_DIGESTS))
+def test_an_overflowing_step_fails_without_float_warnings(suite):
+    # a step of 1e300 overflows the FD work: its non-finite residuals fail
+    # their records, and numpy's float warnings stay off stderr
+    proc = _fresh_interpreter("from courantlab.cli import main\n"
+                              f"sys.exit(main(['verify', {suite!r}, '--h', '1e300', '--json']))")
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == OVERFLOW_DIGESTS[suite]

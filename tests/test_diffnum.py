@@ -68,25 +68,12 @@ def test_regression_nonzero_bracket():
     assert tri[1, 2, 0] == pytest.approx(-2.0, abs=1e-10)
 
 
-def _curved_poisson():
-    def sampler(y):
-        y1, y2, _ = y
-        w = y2 - y1 * y1
-        p13 = 2.0 * y1 * w
-        p23 = 4.0 * y1 * y1 * w - w * w
-        return np.array(
-            [[0.0, 1.0, p13], [-1.0, 0.0, p23], [-p13, -p23, 0.0]]
-        )
-
-    return sampler
-
-
 def test_second_order_ladder():
     # analytically zero case with quartic entries: the ratio is exactly 4
     point = np.array([0.3, 0.7, 0.2])
     res = {}
     for h in (1e-3, 5e-4, 2.5e-4):
-        res[h] = max_abs(schouten_fd(field(_curved_poisson()), point, h))
+        res[h] = max_abs(schouten_fd(diffnum.flat_poisson_field(), point, h))
     assert res[1e-3] > 1e-9  # genuinely nonzero truncation
     assert res[1e-3] / res[5e-4] == pytest.approx(4.0, abs=0.5)
     assert res[5e-4] / res[2.5e-4] == pytest.approx(4.0, abs=0.5)
@@ -137,13 +124,13 @@ def test_action_axiom_check_sl2_fields():
     from courantlab.contexts import sl2_context
 
     ctx = sl2_context()
-    p = ctx.points[1]
+    chart, g0 = diffnum.group_chart(ctx), np_matrix(ctx.points[1].g)
 
     def fields(t):
-        g = p.point(t)
-        dexp = ctx.dexp_matrix(t)
-        return np.array([np.linalg.solve(dexp, ctx.float_coords(np.linalg.solve(g, g @ u)))
-                         for u in ctx.float_basis])
+        g = chart.point(g0, t)
+        dexp = chart.dexp(t)
+        return np.array([np.linalg.solve(dexp, chart.coords(np.linalg.solve(g, g @ u)))
+                         for u in chart.basis])
 
     residual = action_axiom_check(fields, ctx.algebra, np.zeros(3), H)
     assert residual <= 1e-7, residual

@@ -31,10 +31,16 @@ from courantlab.contexts import (
 )
 from courantlab.diffnum import (
     action_axiom_check,
+    double_bivector_field,
+    dmult_fd,
+    dressing_field_sampler,
+    group_chart,
     main_identity_residual,
     main_identity_rhs,
     max_abs,
     np_matrix,
+    pair_multiplication_check,
+    phi_r_homomorphism_residual,
     relatedness_check,
     schouten_fd,
     worst,
@@ -65,14 +71,9 @@ from courantlab.liegrp import (
     ContextError,
     GroupPoint,
     block_diag,
-    double_bivector_field,
-    dmult_fd,
-    dressing_field_sampler,
     dressing_pullback_check,
     g1_poisson_bivector,
     p_phi_fiber,
-    pair_multiplication_check,
-    phi_r_homomorphism_residual,
     pi_plus_minus,
     pi_plus_minus_invariant,
     q_mult_fiber,
@@ -119,15 +120,15 @@ def test_membership_predicates_reject_points_off_the_group():
 
 def test_group_point_chart_derivative():
     # chart derivative along one direction: numerical vs g0 . X
-    p = CTX.points[5]
+    chart, g0 = group_chart(CTX), np_matrix(CTX.points[5].g)
     h = 1e-6
     for a in range(3):
         t = np.zeros(3)
         t[a] = h
         tm = np.zeros(3)
         tm[a] = -h
-        fd = (p.point(t) - p.point(tm)) / (2 * h)
-        exact = np_matrix(p.g) @ CTX.float_basis[a]
+        fd = (chart.point(g0, t) - chart.point(g0, tm)) / (2 * h)
+        exact = g0 @ chart.basis[a]
         assert np.max(np.abs(fd - exact)) < 1e-9
 
 
@@ -560,18 +561,21 @@ def test_float_chart_data_is_built_once_per_context(monkeypatch):
     s = Splitting.of_algebra(
         ctx.double_algebra, diagonal_subspace(ctx.algebra, 1), triangular_complement()
     )
+    chart = group_chart(ctx)
+    assert chart is not group_chart(sl2_context())
     for p in ctx.points[1:3]:
-        tangent = p.float_g @ ctx.float_basis[0]
-        assert np.allclose(ctx.float_coords(np.linalg.solve(p.float_g, tangent)), [1, 0, 0])
-        liegrp.double_bivector_field(p, s)(np.zeros(3))
-        got = ctx.float_adjoint(p.float_g, np_matrix(p.inverse))
+        g = np_matrix(p.g)
+        tangent = g @ chart.basis[0]
+        assert np.allclose(chart.coords(np.linalg.solve(g, tangent)), [1, 0, 0])
+        double_bivector_field(p, s)(np.zeros(3))
+        got = group_chart(ctx).adjoint(g, np_matrix(p.inverse))
         assert np.allclose(got, np_matrix(p.adjoint), atol=1e-12)
     assert len(calls) == 1
-    # ad tables: float_ad[a] has the coordinates of [X_a, X_b] as column b
+    # ad tables: ad[a] has the coordinates of [X_a, X_b] as column b
     for a in range(ctx.dim):
         cols = [ctx.algebra.bracket_basis(a, b) for b in range(ctx.dim)]
-        assert np.array_equal(ctx.float_ad[a], np_matrix(matrix(cols)).T)
-    assert ctx.float_ad is ctx.float_ad
+        assert np.array_equal(chart.ad[a], np_matrix(matrix(cols)).T)
+    assert group_chart(ctx) is chart and chart.ad is chart.ad
 
 
 # --- the kept group point data ----------------------------------------
@@ -594,7 +598,9 @@ def test_group_point_keeps_its_data():
             tuple(-x for x in row) + tuple(F(1 if c == r else 0) for c in range(3))
             for r, row in enumerate(p.adjoint_inverse)
         )
-        assert np.array_equal(p.float_anchor, np_matrix(a))
+        # the FD layer reads the anchor in floats, and the point keeps no float twin
+        pair_multiplication_check(np.zeros((3, 6)), p, p, p)
+        assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
     # up and up^-1 are both sample points: Ad_{up^-1} is read off the kept point
     up, up_inv = ctx.points[1], ctx.points[11]
     assert up.inverse == up_inv.g and up.adjoint_inverse is up_inv.adjoint

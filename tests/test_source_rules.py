@@ -3,8 +3,9 @@ imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
 outside exactlin, no Fraction(...) call in randgen outside the two
 functions that return Fraction matrices, no max-norm outside
-diffnum.max_abs, no float(...) comprehension outside diffnum and no
-object.__setattr__ but on self in __post_init__.
+diffnum.max_abs, no float(...) comprehension outside diffnum, no
+object.__setattr__ but on self in __post_init__, no numpy import outside
+diffnum and no import of diffnum outside suites.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -22,7 +23,8 @@ normalisation the integer path exists to avoid; and one conversion
 (diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
 residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
-value.
+value; and the float work has one home, diffnum, which only the FD
+suites load, so the exact modules and commands never load numpy.
 """
 
 import ast
@@ -341,3 +343,45 @@ def test_the_frozen_write_rule_catches_each_form():
     for src in ("class A:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)",
                 "setattr(other, 'x', 1)", "other.__setattr__('x', 1)"):
         assert _frozen_writes(ast.parse(src)) == [], src
+
+
+# each float module, and the one source file that may import it
+FLOAT_IMPORTS = {"numpy": "diffnum.py", "diffnum": "suites.py"}
+
+
+def _float_imports(tree: ast.AST, name: str) -> list[str]:
+    """The lines of the module ``name`` that import numpy outside diffnum
+    or diffnum outside suites, at module or function level."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{a.name}".lstrip(".") for a in node.names]
+        else:
+            continue
+        if any(FLOAT_IMPORTS.get(part, name) != name
+               for n in names for part in n.split(".")):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_numpy_lives_in_diffnum_alone():
+    assert {"diffnum.py", "suites.py"} <= {p.name for p in SOURCES}
+    bad = {p.name: v for p in SOURCES if (v := _float_imports(ast.parse(p.read_text()), p.name))}
+    assert bad == {}
+
+
+def test_the_float_import_rule_catches_each_form():
+    for src in ("import numpy as np", "import numpy.linalg", "from numpy import linalg",
+                "def f():\n    import numpy\n    return numpy", "from .diffnum import max_abs",
+                "from . import diffnum", "from courantlab import diffnum",
+                "import courantlab.diffnum", "def f():\n    from .diffnum import worst"):
+        assert _float_imports(ast.parse(src), "liegrp.py"), src
+    assert _float_imports(ast.parse("from . import anchored, diffnum"), "cli.py") == ["line 1"]
+    assert _float_imports(ast.parse("import numpy as np"), "suites.py") == ["line 1"]
+    for src in ("from . import anchored, lagrel", "import numbers", "from .exactlin import rank",
+                "import math"):
+        assert _float_imports(ast.parse(src), "liegrp.py") == [], src
+    assert _float_imports(ast.parse("import numpy as np"), "diffnum.py") == []
+    assert _float_imports(ast.parse("def f():\n    from . import diffnum"), "suites.py") == []
