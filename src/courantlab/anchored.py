@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
+from operator import mul
 from typing import Iterable
 
 from .exactlin import (
     BilinearForm,
+    DimensionMismatchError,
     ExactSubspace,
     Matrix,
     QuotientMap,
@@ -23,6 +25,7 @@ from .exactlin import (
     add_vec,
     concat_vec,
     identity,
+    int_matrix,
     inverse,
     mat_mul,
     mat_vec,
@@ -57,16 +60,18 @@ class CourantStructureError(ValueError):
 class AnchoredPoint:
     """Action matrix of a quadratic Lie algebra at one chart point.
 
-    The anchor is stored as an exact matrix; a float entry raises
-    TypeError at construction.  The exact data of the point (its
-    stabilizer, coisotropy verdict, metric-dual anchor, and pi_m and L_m
-    per splitting) is computed on first use and kept.
+    The anchor is an exact matrix, also kept as integer rows over one
+    denominator; a float entry raises TypeError at construction.  The
+    point builds its exact data on first use and keeps it: stabilizer,
+    coisotropy verdict, metric-dual anchor, and in ``kept`` by (kind,
+    value) a(S) ("image", S), L_m ("lm", F), and pi_m, the rank formula
+    and the leaf verdict ("pi", "rank", "leaf", by the splitting).
     """
 
     algebra: QuadraticLieAlgebra
     anchor: tuple
     chart_dim: int
-    # bivector_at by the splitting's value, drinfeld_lagrangian by F's
+    _ints: tuple = field(init=False, repr=False, compare=False)
     kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,6 +81,7 @@ class AnchoredPoint:
             len(r) != self.algebra.dim for r in rows
         ):
             raise ValueError("anchor must be chart_dim x algebra dim")
+        object.__setattr__(self, "_ints", int_matrix(rows))
 
     def _keep(self, key, build):
         """The kept value for ``key``; ``build()`` makes it on a miss only."""
@@ -119,24 +125,35 @@ def require_coisotropic(pt: AnchoredPoint) -> None:
         )
 
 
+def _kept(kind: str):
+    """Keep f(pt, x) by the point under (kind, x), through ``pt._keep``."""
+    def wrap(f):
+        return wraps(f)(lambda pt, x: pt._keep((kind, x), lambda: f(pt, x)))
+    return wrap
+
+
+@_kept("image")
 def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
-    a = pt.anchor
-    return ExactSubspace.span(
-        [mat_vec(a, row) for row in s.rows], ambient_dim=pt.chart_dim
-    )
+    """a(S): the span of the integer anchor rows applied to S's rows."""
+    if s.ambient_dim != pt.algebra.dim:
+        raise DimensionMismatchError("subspace not in the algebra")
+    return ExactSubspace.of_rows(pt.chart_dim, [[sum(map(mul, a, r)) for a in pt._ints[0]] for r in s.rows])
 
 
+@_kept("pi")
 def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
-    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a splitting, kept by the point."""
+    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a splitting."""
     a = pt.anchor
-    return pt._keep(s, lambda: Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a))))
+    return Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a)))
 
 
+@_kept("lm")
 def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:
-    """L_m = ran(a*) + (ker(a) cap F), kept by the point; Lagrangian at valid points."""
-    return pt._keep(f, lambda: pt.dual_range.sum(pt.stabilizer.intersect(f)))
+    """L_m = ran(a*) + (ker(a) cap F); Lagrangian at valid points."""
+    return pt.dual_range.sum(pt.stabilizer.intersect(f))
 
 
+@_kept("rank")
 def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank."""
     require_coisotropic(pt)
@@ -144,7 +161,7 @@ def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     if not pt.algebra.form.is_lagrangian(lm):
         raise CourantStructureError("L_m failed to be Lagrangian")
     value = anchor_image(pt, s.f).dim - lm.intersect(s.e).dim
-    actual = bivector_at(pt, s).rank()
+    actual = bivector_at(pt, s).rank
     if value != actual:
         raise CourantStructureError(
             f"rank formula {value} disagrees with matrix rank {actual}"
@@ -152,6 +169,7 @@ def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     return value
 
 
+@_kept("leaf")
 def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
     """ker(a) = ran(a*) + (ker cap E) + (ker cap F)?  The right side is
     L_m + (ker cap E).

@@ -225,7 +225,7 @@ def cmd_bivector(args) -> tuple[dict, int]:
         "context": args.ctx,
         "point": args.point,
         "pi": [[str(x) for x in row] for row in piv.matrix],
-        "matrix_rank": piv.rank(),
+        "matrix_rank": piv.rank,
         "coisotropic_stabilizer": cois,
     }
     if cois:

@@ -137,6 +137,13 @@ def _products_over(rows: Sequence[Sequence], cs: list[tuple[list[int], int]]) ->
     return tuple(out)
 
 
+def int_matrix(A: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A as integer rows over the lcm of all its entries' denominators."""
+    nums, den = _over_lcm([x for row in A for x in row])
+    n = len(A[0]) if A else 0
+    return tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(len(A))), den
+
+
 def dot(u: Vector, v: Vector) -> Fraction:
     return _products((u,), (v,), len(u))[0][0]
 
@@ -370,8 +377,8 @@ def inverse(A: Matrix) -> Matrix:
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    nums, den = _over_lcm(vector(x for row in A for x in row))
-    rows, inv_den = _inverse_rows([nums[i * n:(i + 1) * n] for i in range(n)])
+    ints, den = int_matrix(matrix(A))
+    rows, inv_den = _inverse_rows(ints)
     # (N / den)^-1 = den * N^-1
     return tuple(tuple(Fraction(den * x, inv_den) if x else _ZERO for x in row) for row in rows)
 
@@ -618,10 +625,7 @@ class BilinearForm:
         object.__setattr__(self, "matrix", m)
         if m != transpose(m):
             raise ValueError("bilinear form must be symmetric")
-        nums, den = _over_lcm([x for row in m for x in row])
-        n = len(m)
-        rows = tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(n))
-        object.__setattr__(self, "_ints", (rows, den))
+        object.__setattr__(self, "_ints", int_matrix(m))
 
     def __hash__(self) -> int:
         # equal matrices have equal integer rows, which hash faster than

@@ -137,10 +137,8 @@ class LinearRelation:
     @classmethod
     def graph_of_map(cls, source: SplitSpace, target: SplitSpace, A: Matrix) -> "LinearRelation":
         """Relation {(A w, w)}; A must intertwine the forms."""
-        rows = [
-            concat_vec(mat_vec(A, e), e) for e in identity(source.dim)
-        ]
-        return cls.from_rows(source, target, rows)
+        # row j is (A e_j, e_j), column j of A stacked over I
+        return cls.from_rows(source, target, transpose(matrix([*A, *identity(source.dim)])))
 
     def kernel(self) -> ExactSubspace:
         """{w : w ~ 0}.
@@ -297,7 +295,9 @@ class Bivector:
         bw = form.apply(w)
         return scale_vec(-1, mat_vec(self.matrix, bw))
 
+    @cached_property
     def rank(self) -> int:
+        """The matrix rank, eliminated once per bivector."""
         return rank(self.matrix)
 
     def sharp_range(self) -> ExactSubspace:

@@ -354,10 +354,8 @@ def q_mult_kernel_expected(xpp: G1Point) -> ExactSubspace:
     """{(xi, -Ad_{Phi(g''^-1)} xi) : xi in g1} from solving the fiber."""
     t = xpp.triple
     n = t.d_algebra.dim
-    c_inv = xpp.phi.adjoint_inverse
-    rows = [
-        concat_vec(xi, tuple(-x for x in mat_vec(c_inv, xi))) for xi in t.g1.basis
-    ]
+    moved = mat_mul(t.g1.basis, transpose(xpp.phi.adjoint_inverse))
+    rows = [concat_vec(xi, scale_vec(-1, m)) for xi, m in zip(t.g1.basis, moved)]
     return ExactSubspace.span(rows, ambient_dim=2 * n)
 
 

@@ -21,6 +21,7 @@ from courantlab.anchored import (
 )
 from courantlab.contexts import abelian_algebra_split2
 from courantlab.exactlin import (
+    DimensionMismatchError,
     ExactSubspace,
     add_vec,
     identity,
@@ -139,6 +140,37 @@ def test_sl2_double_identity_point():
     assert rank_formula(pt, quasi) == 0
 
 
+def _image_by_mat_vec(pt, s):
+    """The reference a(S): one exact mat_vec per row of S, spanned."""
+    return ExactSubspace.span([mat_vec(pt.anchor, row) for row in s.rows], ambient_dim=pt.chart_dim)
+
+
+def test_anchor_image_matches_the_mat_vec_span():
+    # seeded anchors, whose entries have mixed denominators, a hand anchor
+    # and chart dimension 0; at each, a random splitting's E and F, the
+    # stabilizer, the zero subspace and the full algebra
+    rng = random.Random(11)
+    points = [AnchoredPoint(AB4, ((F(1, 2), F(-2, 3), 0, 5), (F(3, 4), 1, F(1, 6), 0)), 2),
+              AnchoredPoint(AB4, (), 0)]
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        anchor, j = random_coisotropic_anchor(rng, k)
+        points.append(AnchoredPoint(random_abelian_split_algebra(k), anchor, j))
+    dens = [{x.denominator for row in pt.anchor for x in row} for pt in points[2:]]
+    assert sum(len(d) > 1 for d in dens) >= 3
+    for pt in points:
+        n = pt.algebra.dim
+        s = random_lagrangian_splitting(rng, n // 2)
+        for sub in (s.e, s.f, pt.stabilizer, ExactSubspace.zero(n), ExactSubspace.full(n)):
+            assert anchor_image(pt, sub) == _image_by_mat_vec(pt, sub)
+    # a subspace of another ambient space is refused, as by mat_vec
+    for sub in (ExactSubspace.full(2), ExactSubspace.span([(1, 0, 0, 0, 0, 0)])):
+        with pytest.raises(DimensionMismatchError):
+            _image_by_mat_vec(PT4, sub)
+        with pytest.raises(DimensionMismatchError):
+            anchor_image(PT4, sub)
+
+
 def test_leaf_condition_strict_case():
     ab6 = random_abelian_split_algebra(3)
     r1 = mat_vec(ab6.form.matrix, (1, 0, 0, 0, 0, 0))
@@ -201,25 +233,28 @@ def test_random_points_p3_and_rank(subtests=None):
 
 
 def test_pointwise_checks_share_one_pi_and_one_lm(point_builds):
-    # rank_formula, leaf_condition and diagonal_backward read the pi_m and
-    # L_m the point keeps, at a random instance with a nonzero chart
+    # rank_formula, leaf_condition and diagonal_backward read the pi_m,
+    # L_m and a(F) the point keeps, at a random instance with a nonzero
+    # chart; a second round of checks reads the kept rank and leaf verdict
     rng = random.Random(5)
     k = 3
     anchor, j = random_coisotropic_anchor(rng, k)
     assert j > 0
     pt = AnchoredPoint(random_abelian_split_algebra(k), anchor, j)
     s = random_lagrangian_splitting(rng, k)
-    rank_formula(pt, s)
-    leaf_condition(pt, s)
-    assert diagonal_backward(pt, s) is bivector_at(pt, s)
-    assert [key for _, key in point_builds] == [s.f, s]
+    for _ in range(2):
+        rank_formula(pt, s)
+        leaf_condition(pt, s)
+        assert diagonal_backward(pt, s) is bivector_at(pt, s)
+    assert [key for _, key in point_builds] == [
+        ("rank", s), ("lm", s.f), ("image", s.f), ("pi", s), ("leaf", s), ("image", s.e)]
 
 
 def test_diagonal_backward_checks_the_kept_bivector():
     # the backward image is compared with the kept pi_m on every call
     pt = AnchoredPoint(AB4, A4, 2)
     pi = bivector_at(pt, S4)
-    pt.kept[S4] = Bivector(2, tuple(tuple(-x for x in row) for row in pi.matrix))
+    pt.kept["pi", S4] = Bivector(2, tuple(tuple(-x for x in row) for row in pi.matrix))
     with pytest.raises(CourantStructureError, match="disagrees"):
         diagonal_backward(pt, S4)
 

@@ -386,9 +386,12 @@ def test_cli_boundary_ends_in_an_exit_code(argv):
 
 
 def test_bivector_query_computes_pi_once(monkeypatch, capsys, point_builds):
-    # Pi is built at most once per named splitting per process, and pi_m and
-    # L_m once per (point, splitting): a repeated query builds neither
+    # Pi is built at most once per named splitting per process, and each
+    # value a point keeps once per (point, splitting): a first query at a
+    # point with nothing kept builds pi_m, L_m, the rank formula, a(F),
+    # the leaf verdict and a(E), and a repeated query builds none
     from courantlab import lagrel
+    from courantlab.contexts import get_group_context, named_splitting
 
     calls = []
     original = lagrel.splitting_bivector
@@ -398,32 +401,56 @@ def test_bivector_query_computes_pi_once(monkeypatch, capsys, point_builds):
         return original(s)
 
     monkeypatch.setattr(lagrel, "splitting_bivector", counting)
-    queries = (["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"],
-               ["bivector", "--ctx", "sl2c-real", "--point", "1"],
-               ["bivector", "--ctx", "sl2-pair", "--point", "5", "--splitting", "minus"])
+    queries = (("sl2-double", 3, "delta-triangular"), ("sl2c-real", 1, "delta-antidelta"),
+               ("sl2-pair", 5, "minus"))
+    for ctx, point, _ in queries:
+        get_group_context(ctx).points[point].anchor.kept.clear()
     for built in (1, 0):
-        for argv in queries:
+        for ctx, point, name in queries:
             calls.clear()
             point_builds.clear()
-            assert main(argv) == 0
+            assert main(["bivector", "--ctx", ctx, "--point", str(point), "--splitting", name]) == 0
             assert len(calls) <= built
-            # L_m and pi_m at most once on the first pass, never on the second
-            kinds = collections.Counter(type(key).__name__ for _, key in point_builds)
-            assert all(n <= built for n in kinds.values())
+            s = named_splitting(ctx, name)
+            first = [("pi", s), ("lm", s.f), ("rank", s), ("image", s.f), ("leaf", s), ("image", s.e)]
+            assert [key for _, key in point_builds] == (first if built else [])
+    capsys.readouterr()
+
+
+def test_repeated_bivector_queries_eliminate_and_multiply_nothing(monkeypatch, capsys):
+    # a repeated query reads the kept pi_m, its rank, L_m, the images, the
+    # rank formula and the leaf verdict: no elimination, no exact product
+    from courantlab import exactlin
+
+    counts = collections.Counter()
+    for name in ("_eliminate", "_products_over"):
+        def counted(*args, _name=name, _original=getattr(exactlin, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exactlin, name, counted)
+    for ctx, point, name in (("sl2-double", "3", "delta-triangular"), ("sl2-double", "0", "delta-antidelta"),
+                             ("sl2-pair", "5", "minus"), ("sl2-pair", "2", "plus"),
+                             ("sl2c-real", "1", "delta-antidelta"), ("abelian-2", "0", "lines")):
+        argv = ["bivector", "--ctx", ctx, "--point", point, "--splitting", name]
+        assert main(argv) == 0
+        counts.clear()
+        assert main(argv) == 0
+        assert counts == {}, (ctx, point, name)
     capsys.readouterr()
 
 
 def test_repeated_abelian_2_queries_build_pi_once(capsys, point_builds):
     # the abelian-2 desk point is kept like the sample points, so a
-    # repeated query reads the pi_m it keeps
-    from courantlab.contexts import abelian2_desk_point
-    from courantlab.lagrel import Splitting
+    # repeated query reads the pi_m it keeps; its stabilizer is not
+    # coisotropic, so pi_m is all the query builds
+    from courantlab.contexts import abelian2_desk_point, named_splitting
 
     abelian2_desk_point.cache_clear()
     for _ in range(3):
         assert main(["bivector", "--ctx", "abelian-2"]) == 0
     capsys.readouterr()
-    assert sum(isinstance(key, Splitting) for _, key in point_builds) == 1
+    assert [key for _, key in point_builds] == [("pi", named_splitting("abelian-2", "lines"))]
 
 
 def test_verify_rank_builds_one_chart_bivector_per_instance(monkeypatch, capsys):

@@ -693,7 +693,7 @@ def test_mult_builds_pi_plus_minus_once_per_point(monkeypatch, capsys, point_bui
     capsys.readouterr()
     kept = collections.Counter((id(pt), key) for pt, key in point_builds)
     assert max(kept.values()) == 1 and len(kept) == 40
-    assert {key for _, key in kept} == {TRIPLE.plus, TRIPLE.minus}
+    assert {key for _, key in kept} == {("pi", TRIPLE.plus), ("pi", TRIPLE.minus)}
 
 
 def test_dressing_builds_pi_minus_only(monkeypatch, capsys):

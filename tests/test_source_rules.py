@@ -5,7 +5,8 @@ outside exactlin, no Fraction(...) call in randgen outside the two
 functions that return Fraction matrices, no max-norm outside
 diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
-diffnum and no import of diffnum outside suites.
+diffnum, no import of diffnum outside suites and no mat_vec call inside a
+list comprehension.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -24,7 +25,9 @@ normalisation the integer path exists to avoid; and one conversion
 residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
 value; and the float work has one home, diffnum, which only the FD
-suites load, so the exact modules and commands never load numpy.
+suites load, so the exact modules and commands never load numpy; and a
+mat_vec per element of a list is a matrix product taken one vector at a
+time, each putting the whole matrix over its denominators again.
 """
 
 import ast
@@ -385,3 +388,26 @@ def test_the_float_import_rule_catches_each_form():
         assert _float_imports(ast.parse(src), "liegrp.py") == [], src
     assert _float_imports(ast.parse("import numpy as np"), "diffnum.py") == []
     assert _float_imports(ast.parse("def f():\n    from . import diffnum"), "suites.py") == []
+
+
+def _mat_vec_in_list_comprehensions(tree: ast.AST) -> list[str]:
+    """The lines of the mat_vec calls anywhere inside a list comprehension."""
+    return sorted({f"line {node.lineno}" for comp in ast.walk(tree) if isinstance(comp, ast.ListComp)
+                   for node in ast.walk(comp) if _is_call_of(node, {"mat_vec"})})
+
+
+def test_no_mat_vec_per_list_element():
+    bad = {p.name: v for p in SOURCES if (v := _mat_vec_in_list_comprehensions(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_mat_vec_comprehension_rule_catches_each_form():
+    # the three per-vector product loops the sources used to hold
+    for src in ("ExactSubspace.span(\n    [mat_vec(a, row) for row in s.rows], ambient_dim=m\n)",
+                "rows = [\n    concat_vec(mat_vec(A, e), e) for e in identity(source.dim)\n]",
+                "rows = [\n    concat_vec(xi, tuple(-x for x in mat_vec(c_inv, xi))) for xi in basis\n]",
+                "[exactlin.mat_vec(a, v) for v in vs]"):
+        assert _mat_vec_in_list_comprehensions(ast.parse(src)) == ["line 2" if "\n" in src else "line 1"], src
+    for src in ("mat_vec(a, v)", "[mat_mul(a, v) for v in vs]", "mat_mul(vs, transpose(a))",
+                "next(w for w in ws if mat_vec(p, w))"):
+        assert _mat_vec_in_list_comprehensions(ast.parse(src)) == [], src
