@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from operator import mul
 from typing import Iterable
 
 from .exactlin import (
@@ -24,8 +23,10 @@ from .exactlin import (
     Vector,
     add_vec,
     concat_vec,
+    frac_matrix,
     identity,
     int_matrix,
+    int_products,
     inverse,
     mat_mul,
     mat_vec,
@@ -137,14 +138,18 @@ def anchor_image(pt: AnchoredPoint, s: ExactSubspace) -> ExactSubspace:
     """a(S): the span of the integer anchor rows applied to S's rows."""
     if s.ambient_dim != pt.algebra.dim:
         raise DimensionMismatchError("subspace not in the algebra")
-    return ExactSubspace.of_rows(pt.chart_dim, [[sum(map(mul, a, r)) for a in pt._ints[0]] for r in s.rows])
+    return ExactSubspace.of_rows(pt.chart_dim, int_products(s.rows, pt._ints[0]))
 
 
 @_kept("pi")
 def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
-    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a splitting."""
-    a = pt.anchor
-    return Bivector(pt.chart_dim, mat_mul(mat_mul(a, s.bivector.matrix), transpose(a)))
+    """Chart bivector (1/2) sum a(e_i) ^ a(f^i) of a splitting: a Pi a^T
+    as integer products of the kept anchor rows with Pi's columns and
+    then with the anchor rows (the columns of a^T)."""
+    a, da = pt._ints
+    pi, dp = int_matrix(s.bivector.matrix)
+    a_pi = int_products(a, list(zip(*pi)))
+    return Bivector(pt.chart_dim, frac_matrix(int_products(a_pi, a), da * da * dp))
 
 
 @_kept("lm")
@@ -296,11 +301,9 @@ def courant_bracket_jet_closed(
 
 @dataclass(frozen=True)
 class PointPullback:
-    """Pointwise pull-back data along a chart map differential."""
+    """Pointwise pull-back data along a chart map differential; the
+    quotient's W1 and W0 are the constraint C and its orthogonal."""
 
-    ambient_dim: int
-    c: ExactSubspace
-    c_perp: ExactSubspace
     quotient: QuotientMap
     reduced_form: BilinearForm
     reduced_anchor: Matrix  # source chart dim x reduced dim
@@ -326,7 +329,6 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     if spans.dim != m:
         raise ValueError("dPhi is not transverse to the anchor")
     n = pt.algebra.dim
-    ambient = n + 2 * s_dim
     ambient_form = pt.algebra.form.direct_sum(
         hyperbolic_space(s_dim).form
     )
@@ -336,7 +338,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
         + tuple(Fraction(0) for _ in range(s_dim))
         for r in range(m)
     )
-    c = nullspace(constraint, ambient)
+    c = nullspace(constraint, n + 2 * s_dim)
     c_perp = ambient_form.orth_complement(c)
     if not c.contains_subspace(c_perp):
         raise CourantStructureError("pull-back constraint is not coisotropic")
@@ -356,4 +358,4 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     anchor_rows = tuple(
         tuple(q.complement[k][n + j] for k in range(q.dim)) for j in range(s_dim)
     )
-    return PointPullback(ambient, c, c_perp, q, reduced_form, anchor_rows)
+    return PointPullback(q, reduced_form, anchor_rows)

@@ -7,9 +7,12 @@ equal subspaces have identical stored rows and subspace equality is
 plain structural equality.  The zero subspace keeps an explicit ambient
 dimension and no rows.
 
-Values are ``Fraction`` at the API and integers inside: products put
-each operand over the lcm of its denominators, and elimination works on
-primitive integer rows, so a result entry is normalised once.  The
+Values are ``Fraction`` at the API and integers inside.  Every exact
+matrix product is one integer product: ``int_matrix`` puts each operand
+over the lcm of its denominators, ``int_products`` multiplies the
+integer rows by the integer columns, and ``frac_matrix`` reads the table
+back, so a result entry is normalised once.  Elimination works on
+primitive integer rows.  The
 subspace operations (sum, intersection, kernels, orthogonal complements,
 isotropy) work on the integer rows alone; the unit-pivot Fraction basis
 is a view, built on first read.  Nonsingularity is decided by rank, and
@@ -113,67 +116,59 @@ def _over_lcm(v: Sequence) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _products(rows: Sequence[Sequence], cols: Sequence[Sequence], k: int) -> Matrix:
-    """The table dot(r, c) over rows r and columns c, all of length k.
-
-    Each operand is put over a common denominator once, so an entry is a
-    sum of integer products and a single Fraction normalisation.
-    """
-    if any(len(x) != k for x in rows) or any(len(x) != k for x in cols):
-        raise DimensionMismatchError("operand lengths disagree")
-    return _products_over(rows, [_over_lcm(c) for c in cols])
-
-
-def _products_over(rows: Sequence[Sequence], cs: list[tuple[list[int], int]]) -> Matrix:
-    """The table of _products for columns already put over their lcm."""
-    out = []
-    for r in rows:
-        rn, rd = _over_lcm(r)
-        entries = []
-        for cn, cd in cs:
-            total = sum(map(mul, rn, cn))
-            entries.append(Fraction(total, rd * cd) if total else _ZERO)
-        out.append(tuple(entries))
-    return tuple(out)
-
-
 def int_matrix(A: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """A as integer rows over the lcm of all its entries' denominators."""
-    nums, den = _over_lcm([x for row in A for x in row])
+    """A as integer rows over the lcm of all its entries' denominators:
+    the one way into an integer product.  Raises DimensionMismatchError
+    on ragged rows."""
     n = len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise DimensionMismatchError("ragged matrix rows")
+    nums, den = _over_lcm([x for row in A for x in row])
     return tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(len(A))), den
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    return _products((u,), (v,), len(u))[0][0]
+def int_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The table r . c over integer rows r and columns c: the one exact
+    matrix product."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
-def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return tuple(row[0] for row in _products(A, (v,), len(v)))
-
-
-def _columns(A: Matrix) -> list[tuple]:
-    if any(len(row) != len(A[0]) for row in A):
-        raise DimensionMismatchError("ragged matrix rows")
-    return list(zip(*A))
+def frac_matrix(table: Iterable[Iterable[int]], den: int) -> Matrix:
+    """An integer table over den as Fraction rows: the one way back from
+    an integer product, normalising each entry once."""
+    return tuple(tuple(Fraction(x, den) if x else _ZERO for x in row) for row in table)
 
 
 # An empty matrix () also stands for an n x 0 one (the transpose of a 0 x n
 # matrix), so a product with an empty right factor has no columns.
 
 
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    a, da = int_matrix(A)
+    b, db = int_matrix(B)
+    if not b:
+        return tuple(() for _ in a)
+    if a and len(a[0]) != len(b):
+        raise DimensionMismatchError("matrix shapes disagree")
+    return frac_matrix(int_products(a, list(zip(*b))), da * db)
+
+
+def mat_vec(A: Matrix, v: Vector) -> Vector:
+    a, da = int_matrix(A)
+    (vn,), vd = int_matrix((v,))
+    if a and len(a[0]) != len(vn):
+        raise DimensionMismatchError("matrix/vector shape mismatch")
+    return tuple(row[0] for row in frac_matrix(int_products(a, (vn,)), da * vd))
+
+
 def vec_mat(v: Vector, A: Matrix) -> Vector:
     if not A:
         return ()
-    if len(v) != len(A):
-        raise DimensionMismatchError("vector/matrix shape mismatch")
-    return _products((v,), _columns(A), len(A))[0]
+    return mat_mul((v,), A)[0]
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if not B:
-        return tuple(() for _ in A)
-    return _products(A, _columns(B), len(B))
+def dot(u: Vector, v: Vector) -> Fraction:
+    return mat_vec((u,), v)[0]
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -380,7 +375,7 @@ def inverse(A: Matrix) -> Matrix:
     ints, den = int_matrix(matrix(A))
     rows, inv_den = _inverse_rows(ints)
     # (N / den)^-1 = den * N^-1
-    return tuple(tuple(Fraction(den * x, inv_den) if x else _ZERO for x in row) for row in rows)
+    return frac_matrix([[den * x for x in row] for row in rows], inv_den)
 
 
 @dataclass(frozen=True)
@@ -505,13 +500,14 @@ class Coordinatizer:
     k x k block of the rows is invertible.  The coordinates of v are its
     entries there times the inverse block, and they count only when they
     rebuild v exactly; otherwise v lies outside ``span``, the name the
-    error gives.
+    error gives.  Both products read columns kept as ``int_matrix``: those
+    of the inverse block and those of the rows.
     """
 
-    rows: Matrix
     ambient_dim: int
     pivots: tuple[int, ...]
-    block_inverse: Matrix
+    inverse_columns: tuple[tuple[tuple[int, ...], ...], int]
+    row_columns: tuple[tuple[tuple[int, ...], ...], int]
     span: str = "the span"
 
     @classmethod
@@ -526,7 +522,10 @@ class Coordinatizer:
         if len(pivots) != len(rows):
             raise ValueError("coordinate rows are linearly dependent")
         block = tuple(tuple(row[p] for p in pivots) for row in rows)
-        return cls(rows, ambient_dim, pivots, inverse(block), span)
+        # k = 0 rows still have ambient_dim (empty) columns
+        row_columns = transpose(rows) if rows else ((),) * ambient_dim
+        return cls(ambient_dim, pivots, int_matrix(transpose(inverse(block))),
+                   int_matrix(row_columns), span)
 
     def coords(self, v: Iterable) -> Vector:
         """Coordinates of one vector; DimensionMismatchError outside the span."""
@@ -540,19 +539,14 @@ class Coordinatizer:
         n = self.ambient_dim
         if any(len(v) != n for v in vs):
             raise DimensionMismatchError("vector not in the ambient space")
-        inverse_cols, row_cols = self._columns_over_lcm
-        coef = _products_over([[v[p] for p in self.pivots] for v in vs], inverse_cols)
-        rebuilt = _products_over(coef, row_cols) if self.rows else tuple(zero_vector(n) for _ in vs)
-        if rebuilt != vs:
+        picked, den = int_matrix([[v[p] for p in self.pivots] for v in vs])
+        inverse_cols, inverse_den = self.inverse_columns
+        row_cols, row_den = self.row_columns
+        coef = int_products(picked, inverse_cols)
+        den *= inverse_den
+        if frac_matrix(int_products(coef, row_cols), den * row_den) != vs:
             raise DimensionMismatchError(f"vector not in {self.span}")
-        return coef
-
-    @cached_property
-    def _columns_over_lcm(self) -> tuple[list, list]:
-        """The columns of the inverse block and of the rows, each put over
-        the lcm of its denominators once."""
-        return ([_over_lcm(c) for c in _columns(self.block_inverse)] if self.block_inverse else [],
-                [_over_lcm(c) for c in _columns(self.rows)] if self.rows else [])
+        return frac_matrix(coef, den)
 
 
 @dataclass(frozen=True)
@@ -650,9 +644,6 @@ class BilinearForm:
         # Sylvester: the zeros of the signature count n - rank
         return self._signature[2] == 0
 
-    def apply(self, v: Iterable) -> Vector:
-        return mat_vec(self.matrix, vector(v))
-
     @cached_property
     def inverse_matrix(self) -> Matrix:
         """B^-1, computed on first use; raises SingularMatrixError."""
@@ -716,16 +707,12 @@ class BilinearForm:
     def _applied(self, s: ExactSubspace) -> list[list[int]]:
         """G applied to each integer row of S (G is symmetric, so these
         are the rows of S G), up to the Gram denominator."""
-        gram = self._ints[0]
-        return [[sum(map(mul, g, r)) for g in gram] for r in s.rows]
+        return int_products(s.rows, self._ints[0])
 
     def is_isotropic(self, s: ExactSubspace) -> bool:
         if s.ambient_dim != self.dim:
             raise DimensionMismatchError("subspace not in the form's space")
-        rows = s.rows
-        return not any(
-            sum(map(mul, gr, t)) for i, gr in enumerate(self._applied(s)) for t in rows[i:]
-        )
+        return not any(map(any, int_products(self._applied(s), s.rows)))
 
     def is_coisotropic(self, s: ExactSubspace) -> bool:
         return s.contains_subspace(self.orth_complement(s))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable
 
 from .exactlin import (
     BilinearForm,
@@ -290,11 +289,6 @@ class Bivector:
         if m != tuple(tuple(-x for x in row) for row in transpose(m)):
             raise ValueError("bivector matrix must be antisymmetric")
 
-    def contract(self, w: Iterable, form: BilinearForm) -> Vector:
-        """iota(w) Pi, the derivation pairing against the split form."""
-        bw = form.apply(w)
-        return scale_vec(-1, mat_vec(self.matrix, bw))
-
     @cached_property
     def rank(self) -> int:
         """The matrix rank, eliminated once per bivector."""
@@ -400,8 +394,10 @@ def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
     if e_red.intersect(f_red).dim != 0:
         raise ReductionError("reduced subspaces are not transverse", w0.basis[0])
     reduced = Splitting(SplitSpace(q.dim, red_form), e_red, f_red)
-    red_pi_cols = q.coords_rows(s.bivector.contract(c, form) for c in q.complement)
-    # iota(w_red) Pi_red = (iota(w) Pi)_red and iota(w) Pi = -P B w
+    # iota(w) Pi = -Pi B w, for every complement row w at once the rows of
+    # C B Pi (B is symmetric and Pi antisymmetric), and
+    # iota(w_red) Pi_red = (iota(w) Pi)_red
+    red_pi_cols = q.coords_rows(mat_mul(mat_mul(q.complement, form.matrix), s.bivector.matrix))
     bred = mat_mul(
         tuple(tuple(-x for x in row) for row in transpose(red_pi_cols)),
         red_form.inverse_matrix,

@@ -89,7 +89,7 @@ class GroupContext:
     algebra_basis: tuple[Matrix, ...]
     algebra: QuadraticLieAlgebra
     sample_points: tuple[Matrix, ...]
-    membership: Callable[[Matrix], bool] | None = None
+    membership: Callable[[Matrix], bool]
 
     @property
     def dim(self) -> int:
@@ -186,10 +186,9 @@ def validate_context(ctx: GroupContext) -> None:
             want = ctx.algebra.bracket_basis(i, j)
             if got != want:
                 raise ContextError(f"[{i},{j}] disagrees with structure constants")
-    if ctx.membership is not None:
-        for s in ctx.sample_points:
-            if not ctx.membership(s):
-                raise ContextError("sample point fails the group membership test")
+    for s in ctx.sample_points:
+        if not ctx.membership(s):
+            raise ContextError("sample point fails the group membership test")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ class TripleContext:
     g2: ExactSubspace
     g1_ctx: GroupContext
     embed: Callable[[Matrix], Matrix]
-    inclusion: Matrix = ()  # d dim x g1 dim
+    inclusion: Matrix  # d dim x g1 dim
 
     @property
     def d_algebra(self) -> QuadraticLieAlgebra:

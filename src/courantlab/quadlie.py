@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -21,11 +20,12 @@ from .exactlin import (
     Matrix,
     NotLagrangianError,
     Vector,
-    _ZERO,
-    _over_lcm,
     add_vec,
     frac,
+    frac_matrix,
     identity,
+    int_matrix,
+    int_products,
     matrix,
     scale_vec,
     vector,
@@ -39,8 +39,8 @@ class QuadraticLieAlgebra:
 
     ``bracket`` maps (i, j) with i < j to the coordinate vector of
     [b_i, b_j]; missing pairs bracket to zero.  The dense antisymmetric
-    table of all [b_i, b_j], and its columns as integers over a common
-    denominator, are built once at construction.
+    table of all [b_i, b_j], and its columns as one ``int_matrix``, are
+    built once at construction.
     """
 
     dim: int
@@ -48,7 +48,7 @@ class QuadraticLieAlgebra:
     form: BilinearForm
     basis_names: tuple[str, ...]
     _table: tuple[tuple[Vector, ...], ...] = field(init=False, repr=False, compare=False)
-    _columns: tuple[tuple[list[int], int], ...] = field(init=False, repr=False, compare=False)
+    _columns: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -60,7 +60,7 @@ class QuadraticLieAlgebra:
             table[i][j] = v
             table[j][i] = tuple(-x for x in v)
         # column k holds the k-th coordinate of [b_i, b_j] for each stored pair
-        columns = tuple(_over_lcm([v[k] for _, _, v in self.bracket]) for k in range(n))
+        columns = int_matrix([[v[k] for _, _, v in self.bracket] for k in range(n)])
         object.__setattr__(self, "_table", tuple(map(tuple, table)))
         object.__setattr__(self, "_columns", columns)
 
@@ -98,14 +98,10 @@ class QuadraticLieAlgebra:
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatchError("vectors not in the algebra")
-        xn, xd = _over_lcm(x)
-        yn, yd = _over_lcm(y)
+        (xn, yn), den = int_matrix((x, y))
         wedge = [xn[i] * yn[j] - xn[j] * yn[i] for i, j, _ in self.bracket]
-        out = []
-        for cn, cd in self._columns:
-            total = sum(map(mul, wedge, cn))
-            out.append(Fraction(total, xd * yd * cd) if total else _ZERO)
-        return tuple(out)
+        cols, cols_den = self._columns
+        return frac_matrix(int_products((wedge,), cols), den * den * cols_den)[0]
 
     def pairing(self, x: Iterable, y: Iterable) -> Fraction:
         return self.form.pairing(x, y)

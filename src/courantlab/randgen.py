@@ -5,9 +5,10 @@ downstream is fast and overflow-free.
 
 Draws are integers: a block of small rationals is drawn as integer
 numerators over one denominator, a draw is inverted by one integer
-elimination, and the transforms are multiplied up on integer rows.
-Fractions are built only in the matrices that ``random_split_transform``
-and ``random_coisotropic_anchor`` return.
+elimination, and the transforms are multiplied up on integer rows by
+``exactlin.int_products``.  Fractions are read back, by
+``exactlin.frac_matrix``, only in the matrices that
+``random_split_transform`` and ``random_coisotropic_anchor`` return.
 
 Everything is driven by a caller-supplied ``random.Random`` so fixed
 seeds reproduce identical instances byte for byte.
@@ -16,12 +17,17 @@ seeds reproduce identical instances byte for byte.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 
-from .exactlin import ExactSubspace, Matrix, SingularMatrixError, _inverse_rows
+from .exactlin import (
+    ExactSubspace,
+    Matrix,
+    SingularMatrixError,
+    _inverse_rows,
+    frac_matrix,
+    int_products,
+)
 from .lagrel import LinearRelation, Splitting, hyperbolic_space
 from .quadlie import QuadraticLieAlgebra
 
@@ -65,12 +71,6 @@ def random_invertible(rng: random.Random, k: int) -> tuple[tuple[IntRows, int], 
         return (a, den), ([[den * x for x in row] for row in inv], inv_den)
 
 
-def _times(rows: IntRows, m: IntRows) -> IntRows:
-    """The integer product rows * m."""
-    cols = list(zip(*m))
-    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
-
-
 def _split_transform_ints(rng: random.Random, k: int) -> tuple[IntRows, int]:
     """random_split_transform as integer rows over one denominator,
     divided by their common content after each word.
@@ -89,16 +89,18 @@ def _split_transform_ints(rng: random.Random, k: int) -> tuple[IntRows, int]:
         right = [row[k:] for row in g]
         if kind == 0:
             (a, da), (b, db) = random_invertible(rng, k)
-            left = [[x * db for x in row] for row in _times(left, a)]
-            right = [[x * da for x in row] for row in _times(right, list(zip(*b)))]
+            left = [[x * db for x in row] for row in int_products(left, list(zip(*a)))]
+            # the columns of b^T are the rows of b
+            right = [[x * da for x in row] for row in int_products(right, b)]
             den *= da * db
         else:
             nm, dn = random_antisym(rng, k)
+            nm_cols = list(zip(*nm))
             if kind == 1:
-                right = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(right, _times(left, nm))]
+                right = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(right, int_products(left, nm_cols))]
                 left = [[dn * x for x in row] for row in left]
             else:
-                left = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(left, _times(right, nm))]
+                left = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(left, int_products(right, nm_cols))]
                 right = [[dn * x for x in row] for row in right]
             den *= dn
         g = [lr + rr for lr, rr in zip(left, right)]
@@ -113,7 +115,7 @@ def random_split_transform(rng: random.Random, k: int) -> Matrix:
     """A word of elementary transformations preserving the hyperbolic form
     [[0, I], [I, 0]] on Q^2k."""
     g, den = _split_transform_ints(rng, k)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in g)
+    return frac_matrix(g, den)
 
 
 def random_lagrangian_splitting(rng: random.Random, k: int) -> Splitting:
@@ -141,9 +143,10 @@ def random_coisotropic_anchor(
     # read the first j "f"-coordinates of g^-1 x: kernel = g(span of the
     # orthogonal of the first j isotropic e-directions).  g preserves the
     # form J = [[0, I], [I, 0]], so g^-1 = J g^T J and row k + r of g^-1
-    # is column r of g with its two halves swapped.
-    rows = [[g[(c + k) % (2 * k)][r] for c in range(2 * k)] for r in range(j)]
-    return tuple(tuple(Fraction(x, dt * den) for x in row) for row in _times(tmix, rows)), j
+    # is column r of g with its two halves swapped, so column c of those
+    # j rows is the first j entries of row c + k (mod 2k) of g.
+    cols = [g[(c + k) % (2 * k)][:j] for c in range(2 * k)]
+    return frac_matrix(int_products(tmix, cols), dt * den), j
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from courantlab.anchored import AnchoredPoint
@@ -22,3 +24,30 @@ def point_builds(monkeypatch):
 
     monkeypatch.setattr(AnchoredPoint, "_keep", counted)
     return builds
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """spy(owner, name) wraps ``owner.name`` and returns the list of the
+    positional arguments of each call.  A method is wrapped on its class;
+    a function on every loaded courantlab module that binds it, so a call
+    through any module's import counts."""
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
+            return seen
+        for module in list(sys.modules.values()):
+            if (module and module.__name__.startswith("courantlab")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+        return seen
+
+    return spy

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,7 +20,13 @@ from courantlab.anchored import (
     pullback_point,
     rank_formula,
 )
-from courantlab.contexts import abelian_algebra_split2
+from courantlab.contexts import (
+    SPLITTING_NAMES,
+    abelian2_desk_point,
+    abelian_algebra_split2,
+    get_group_context,
+    named_splitting,
+)
 from courantlab.exactlin import (
     DimensionMismatchError,
     ExactSubspace,
@@ -101,19 +108,35 @@ def test_bivector_formula_and_diagonal_backward():
     assert leaf_condition(PT4, S4)
 
 
-def test_diagonal_backward_intersects_twice(monkeypatch):
+def test_diagonal_backward_intersects_twice(calls):
     # once for transversality (E x F against ker R^t) and once for the part
     # of the graph over E x F, which builds both E and the comparison map
-    calls = []
-    original = ExactSubspace.intersect
-
-    def counted(self, other):
-        calls.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(ExactSubspace, "intersect", counted)
+    intersects = calls(ExactSubspace, "intersect")
     assert diagonal_backward(PT4, S4).matrix == matrix([[0, -1], [1, 0]])
-    assert len(calls) == 2
+    assert len(intersects) == 2
+
+
+def test_integer_bivector_matches_fraction_products():
+    # a Pi a^T from the kept integer anchor equals the two Fraction
+    # products: seeded anchors with mixed row denominators (chart dimension
+    # 0 among them) and every shipped splitting at its context's points,
+    # each on a fresh point so that nothing is read from a kept value
+    rng = random.Random(31)
+    cases = []
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        anchor, j = random_coisotropic_anchor(rng, k)
+        cases.append((AnchoredPoint(random_abelian_split_algebra(k), anchor, j),
+                      random_lagrangian_splitting(rng, k)))
+    assert any(pt.chart_dim == 0 for pt, _ in cases)
+    assert any(len({math.lcm(*[x.denominator for x in row]) for row in pt.anchor}) > 1 for pt, _ in cases)
+    for ctx, names in SPLITTING_NAMES.items():
+        points = [abelian2_desk_point()] if ctx == "abelian-2" else [p.anchor for p in get_group_context(ctx).points]
+        cases += [(AnchoredPoint(pt.algebra, pt.anchor, pt.chart_dim), named_splitting(ctx, name))
+                  for pt in points for name in names]
+    for pt, s in cases:
+        a = pt.anchor
+        assert bivector_at(pt, s).matrix == mat_mul(mat_mul(a, s.bivector.matrix), transpose(a))
 
 
 def test_identity_anchor_formula_level():

@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import hashlib
 import io
@@ -385,7 +384,7 @@ def test_cli_boundary_ends_in_an_exit_code(argv):
         assert all(math.isfinite(r["residual"]) for r in report["records"] if "residual" in r)
 
 
-def test_bivector_query_computes_pi_once(monkeypatch, capsys, point_builds):
+def test_bivector_query_computes_pi_once(capsys, point_builds, calls):
     # Pi is built at most once per named splitting per process, and each
     # value a point keeps once per (point, splitting): a first query at a
     # point with nothing kept builds pi_m, L_m, the rank formula, a(F),
@@ -393,50 +392,39 @@ def test_bivector_query_computes_pi_once(monkeypatch, capsys, point_builds):
     from courantlab import lagrel
     from courantlab.contexts import get_group_context, named_splitting
 
-    calls = []
-    original = lagrel.splitting_bivector
-
-    def counting(s):
-        calls.append(s)
-        return original(s)
-
-    monkeypatch.setattr(lagrel, "splitting_bivector", counting)
+    bivectors = calls(lagrel, "splitting_bivector")
     queries = (("sl2-double", 3, "delta-triangular"), ("sl2c-real", 1, "delta-antidelta"),
                ("sl2-pair", 5, "minus"))
     for ctx, point, _ in queries:
         get_group_context(ctx).points[point].anchor.kept.clear()
     for built in (1, 0):
         for ctx, point, name in queries:
-            calls.clear()
+            bivectors.clear()
             point_builds.clear()
             assert main(["bivector", "--ctx", ctx, "--point", str(point), "--splitting", name]) == 0
-            assert len(calls) <= built
+            assert len(bivectors) <= built
             s = named_splitting(ctx, name)
             first = [("pi", s), ("lm", s.f), ("rank", s), ("image", s.f), ("leaf", s), ("image", s.e)]
             assert [key for _, key in point_builds] == (first if built else [])
     capsys.readouterr()
 
 
-def test_repeated_bivector_queries_eliminate_and_multiply_nothing(monkeypatch, capsys):
-    # a repeated query reads the kept pi_m, its rank, L_m, the images, the
-    # rank formula and the leaf verdict: no elimination, no exact product
+def test_repeated_bivector_queries_eliminate_and_multiply_nothing(capsys, calls):
+    # a repeated query reads the kept pi_m, its rank, L_m, the images a(S),
+    # the rank formula and the leaf verdict: no elimination, and no exact
+    # product (int_products, through every module that binds it)
     from courantlab import exactlin
 
-    counts = collections.Counter()
-    for name in ("_eliminate", "_products_over"):
-        def counted(*args, _name=name, _original=getattr(exactlin, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(exactlin, name, counted)
+    counts = [calls(exactlin, name) for name in ("_eliminate", "int_products")]
     for ctx, point, name in (("sl2-double", "3", "delta-triangular"), ("sl2-double", "0", "delta-antidelta"),
                              ("sl2-pair", "5", "minus"), ("sl2-pair", "2", "plus"),
                              ("sl2c-real", "1", "delta-antidelta"), ("abelian-2", "0", "lines")):
         argv = ["bivector", "--ctx", ctx, "--point", point, "--splitting", name]
         assert main(argv) == 0
-        counts.clear()
+        for seen in counts:
+            seen.clear()
         assert main(argv) == 0
-        assert counts == {}, (ctx, point, name)
+        assert counts == [[], []], (ctx, point, name)
     capsys.readouterr()
 
 
@@ -453,37 +441,20 @@ def test_repeated_abelian_2_queries_build_pi_once(capsys, point_builds):
     assert [key for _, key in point_builds] == [("pi", named_splitting("abelian-2", "lines"))]
 
 
-def test_verify_rank_builds_one_chart_bivector_per_instance(monkeypatch, capsys):
+def test_verify_rank_builds_one_chart_bivector_per_instance(capsys, point_builds):
     # seed 1 draws 100 instances; rank_formula and diagonal_backward read
     # the one bivector each point keeps
-    from courantlab import anchored
-
-    builds = []
-    original = anchored.Bivector
-
-    def counting(*args):
-        builds.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(anchored, "Bivector", counting)
     assert main(["verify", "rank", "--seed", "1", "--json"]) == 0
     capsys.readouterr()
-    assert len(builds) == 100
+    assert len([key for _, key in point_builds if key[0] == "pi"]) == 100
 
 
-def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys):
+def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys, calls):
     # 3 action-axiom points and 3 phi^R points, one central difference
     # each; an action-axiom stencil reads the dressing fields 2k + 1 times
     from courantlab import diffnum
 
-    stencils = []
-    original = diffnum.central_difference
-
-    def counting(f, x, h):
-        stencils.append(x.shape[0])
-        return original(f, x, h)
-
-    monkeypatch.setattr(diffnum, "central_difference", counting)
+    stencils = calls(diffnum, "central_difference")
     evals = []
     sampler = diffnum.dressing_field_sampler
 
@@ -524,23 +495,16 @@ def test_bivector_reads_the_kept_named_splittings(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_mult_suite_builds_no_pi_for_its_product_splittings(monkeypatch):
+def test_mult_suite_builds_no_pi_for_its_product_splittings(calls):
     from courantlab import lagrel, suites
     from courantlab.contexts import sl2_triangular_triple
 
-    dims = []
-    original = lagrel.splitting_bivector
-
-    def counting(s):
-        dims.append(s.space.dim)
-        return original(s)
-
-    monkeypatch.setattr(lagrel, "splitting_bivector", counting)
+    bivectors = calls(lagrel, "splitting_bivector")
     t = sl2_triangular_triple()
     records = suites.suite_mult(t, samples=2)
     assert all(r["status"] == "pass" for r in records)
     # the source splittings live on (d (+) d-bar)^2; pi+- on d (+) d-bar
-    assert 2 * t.d_ctx.double_algebra.dim not in dims
+    assert 2 * t.d_ctx.double_algebra.dim not in [s.space.dim for s, in bivectors]
 
 
 def test_subspace_file_must_agree_with_the_ambient_dim(double_json, tmp_path, capsys):

@@ -239,21 +239,14 @@ def test_np_matrix_converts_each_entry_by_float():
     assert np_matrix(()).shape == (0,)
 
 
-def test_tensor_tables_are_built_once_per_algebra_and_splitting(monkeypatch, capsys):
+def test_tensor_tables_are_built_once_per_algebra_and_splitting(capsys, calls):
     # both h-ladder rungs and a second run read the kept tables; each
     # sl2c-real run shears a new splitting, equal to the last by value
-    builds = collections.Counter()
-    original = diffnum.splitting_tensor_tables
-
-    def counting(alg, s):
-        builds[(alg, s)] += 1
-        return original(alg, s)
-
-    monkeypatch.setattr(diffnum, "splitting_tensor_tables", counting)
+    tables = calls(diffnum, "splitting_tensor_tables")
     diffnum._kept_tables.cache_clear()
     for _ in range(2):
         for ctx in ("sl2-double", "sl2c-real"):
             assert main(["verify", "schouten", "--ctx", ctx, "--json"]) == 0
     capsys.readouterr()
     # the Manin and quasi splittings of sl2-double, and the sheared one
-    assert list(builds.values()) == [1, 1, 1]
+    assert list(collections.Counter(tables).values()) == [1, 1, 1]

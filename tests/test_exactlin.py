@@ -16,6 +16,7 @@ from courantlab.exactlin import (
     _inverse_rows,
     dot,
     identity,
+    int_matrix,
     inverse,
     mat_mul,
     mat_vec,
@@ -353,6 +354,13 @@ def test_kernel_shape_mismatches_raise():
         solve(a23, vector((1,)))
     with pytest.raises(ValueError):
         rref([(1, 2), (3,)])
+    # a ragged operand, on either side of a product
+    ragged = ((F(1), F(2)), (F(3),))
+    for call in (lambda: int_matrix(ragged), lambda: mat_mul(ragged, identity(2)),
+                 lambda: mat_mul(identity(2), ragged), lambda: mat_vec(ragged, vector((1, 2))),
+                 lambda: vec_mat(vector((1, 2)), ragged), lambda: dot(*ragged)):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 def test_float_operands_raise_type_error():

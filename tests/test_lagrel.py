@@ -59,9 +59,10 @@ def test_splitting_bivector_dim2():
     pi = Splitting(SP2, E2, F2).bivector
     assert pi.matrix == matrix([[0, "1/2"], ["-1/2", 0]])
     assert Splitting(SP2, F2, E2).bivector.matrix == matrix([[0, "-1/2"], ["1/2", 0]])
-    # contraction identity iota(w)Pi = (pr_F - pr_E)(w) / 2
-    assert pi.contract((1, 0), SP2.form) == (F(-1, 2), F(0))
-    assert pi.contract((0, 1), SP2.form) == (F(0), F(1, 2))
+    # contraction identity iota(w)Pi = (pr_F - pr_E)(w) / 2, where
+    # iota(w) Pi = -Pi B w is row w of I B Pi for a unit row w
+    contractions = mat_mul(mat_mul(identity(2), SP2.form.matrix), pi.matrix)
+    assert contractions == ((F(-1, 2), F(0)), (F(0), F(1, 2)))
 
 
 def test_splitting_bivector_rejects_bad_input():

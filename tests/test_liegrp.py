@@ -1,6 +1,5 @@
 import collections
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
@@ -642,30 +641,27 @@ def _run_on_a_fresh_triple(monkeypatch, suite):
     assert main(["verify", suite, "--seed", "1", "--json"]) == 0
 
 
-def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys):
+def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, calls):
     # each Ad_g and each dressing pair is built once, and a build makes one
     # coords_rows call per matrix it coordinatizes: one for Ad_g, one per
     # side of a dressing pair (a call counts for the build that makes it,
     # not for the kept builds it reads)
-    frames = [0]
-    original = Coordinatizer.coords_rows
-
-    def counted(self, vs):
-        frames[-1] += 1
-        return original(self, vs)
-
-    monkeypatch.setattr(Coordinatizer, "coords_rows", counted)
+    coords = calls(Coordinatizer, "coords_rows")
+    frames = [[0, 0]]  # per open build: calls made before it, and by the builds it opens
     builds = {}
     for cls, name, key in ((GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g)),
                            (liegrp.G1Point, "dressing", lambda x: x.g1.g)):
-        calls = builds[name] = collections.defaultdict(list)
+        made = builds[name] = collections.defaultdict(list)
 
-        def framed(self, build=vars(cls)[name].func, calls=calls, key=key):
-            frames.append(0)
+        def framed(self, build=vars(cls)[name].func, made=made, key=key):
+            frames.append([len(coords), 0])
             try:
                 return build(self)
             finally:
-                calls[key(self)].append(frames.pop())
+                before, inner = frames.pop()
+                total = len(coords) - before
+                made[key(self)].append(total - inner)
+                frames[-1][1] += total
 
         prop = cached_property(framed)
         prop.__set_name__(cls, name)
@@ -696,54 +692,31 @@ def test_mult_builds_pi_plus_minus_once_per_point(monkeypatch, capsys, point_bui
     assert {key for _, key in kept} == {("pi", TRIPLE.plus), ("pi", TRIPLE.minus)}
 
 
-def test_dressing_builds_pi_minus_only(monkeypatch, capsys):
+def test_dressing_builds_pi_minus_only(capsys, calls):
     # four points each build the G1 bivector and pi- of the D-point of Phi(g)
-    calls = []
-    original = anchored.bivector_at
-
-    def counted(pt, s):
-        calls.append(s)
-        return original(pt, s)
-
-    monkeypatch.setattr(anchored, "bivector_at", counted)
-    monkeypatch.setattr(liegrp, "bivector_at", counted)
+    bivectors = calls(anchored, "bivector_at")
     assert main(["verify", "dressing", "--seed", "1"]) == 0
     capsys.readouterr()
-    assert len(calls) == 8
-    assert TRIPLE.plus not in calls
+    assert len(bivectors) == 8
+    assert TRIPLE.plus not in [s for _, s in bivectors]
 
 
-def _count_solves(monkeypatch):
-    """Count exactlin.solve calls, through every module that binds it."""
-    calls = []
-    original = exactlin.solve
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for mod in list(sys.modules.values()):
-        if mod and mod.__name__.startswith("courantlab") and getattr(mod, "solve", None) is original:
-            monkeypatch.setattr(mod, "solve", counted)
-    return calls
-
-
-def test_mult_builds_the_reduced_iso_once(monkeypatch, capsys):
+def test_mult_builds_the_reduced_iso_once(monkeypatch, capsys, calls):
     # the four relatedness lines share one pair-groupoid relation, whose
     # reduced isomorphism is built once; no quotient coordinate runs solve
     isos = _count_builds(monkeypatch, LinearRelation, "reduced_iso", lambda r: r.graph)
-    solves = _count_solves(monkeypatch)
+    solves = calls(exactlin, "solve")
     _run_on_a_fresh_triple(monkeypatch, "mult")
     capsys.readouterr()
     assert list(isos.values()) == [1]
     assert len(solves) <= 12
 
 
-def test_dressing_reads_kept_split_spaces(monkeypatch, capsys):
+def test_dressing_reads_kept_split_spaces(monkeypatch, capsys, calls):
     # the fibers read the triple's kept d-bar and d-bar (+) d-bar spaces, so
     # each form computes its signature once
     signatures = _count_builds(monkeypatch, exactlin.BilinearForm, "_signature", lambda f: f)
-    solves = _count_solves(monkeypatch)
+    solves = calls(exactlin, "solve")
     _run_on_a_fresh_triple(monkeypatch, "dressing")
     capsys.readouterr()
     assert sum(signatures.values()) <= 6

@@ -1,8 +1,10 @@
 """Rules the source keeps: no threads, no environment reads, no unused
 imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
-outside exactlin, no Fraction(...) call in randgen outside the two
-functions that return Fraction matrices, no max-norm outside
+outside exactlin, no Fraction(...) call in randgen and no frac_matrix
+call there outside the two functions that return Fraction matrices, no
+integer product sum(map(mul, ...)) outside exactlin.int_products and
+BilinearForm.pairing, no max-norm outside
 diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
 diffnum, no import of diffnum outside suites and no mat_vec call inside a
@@ -20,7 +22,10 @@ while they are canonical, which the exactlin constructors (of_rows,
 span, zero, full) keep; and randgen draws, inverts and multiplies on
 integer rows, so a Fraction built anywhere but in the two matrices it
 returns (random_split_transform, random_coisotropic_anchor) is a
-normalisation the integer path exists to avoid; and one conversion
+normalisation the integer path exists to avoid; and every exact matrix
+product is one exactlin.int_products, so a product written in place is
+a second home that a call count cannot see (pairing, the one scalar
+u^T G v, stays inline: validate calls it n^3 times); and one conversion
 (diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
 residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
@@ -244,9 +249,10 @@ def _fraction_calls(tree: ast.AST) -> list[str]:
 
 
 def test_randgen_builds_fractions_only_in_its_returned_matrices():
-    randgen = next(p for p in SOURCES if p.name == "randgen.py")
-    holders = set(_fraction_calls(ast.parse(randgen.read_text())))
-    assert holders and holders <= FRACTION_RETURNING, holders - FRACTION_RETURNING
+    tree = ast.parse(next(p for p in SOURCES if p.name == "randgen.py").read_text())
+    assert _fraction_calls(tree) == []
+    holders = _holders(tree, lambda node: _is_call_of(node, {"frac_matrix"}))
+    assert sorted(holders) == sorted(FRACTION_RETURNING)
 
 
 def test_the_fraction_call_rule_catches_each_form():
@@ -257,6 +263,54 @@ def test_the_fraction_call_rule_catches_each_form():
     for src in ("Fraction", "isinstance(x, Fraction)", "from fractions import Fraction as F\nG(1)",
                 "x.as_integer_ratio()"):
         assert _fraction_calls(ast.parse(src)) == [], src
+
+
+# the one integer matrix product, and the one scalar u^T G v
+INTEGER_PRODUCTS = {("exactlin.py", "int_products"), ("exactlin.py", "pairing")}
+
+
+def _is_name_or_attr(node: ast.AST, name: str) -> bool:
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == name
+
+
+def _integer_products(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function or <module>, line) of each sum(map(mul, ...)),
+    with mul by bare name or as operator.mul."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (_is_call_of(node, {"sum"}) and node.args and _is_call_of(node.args[0], {"map"})
+                and node.args[0].args and _is_name_or_attr(node.args[0].args[0], "mul")):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_integer_products_live_in_int_products():
+    found = [(p.name, where, line) for p in SOURCES
+             for where, line in _integer_products(ast.parse(p.read_text()))]
+    outside = [f"{name} line {line}" for name, where, line in found
+               if (name, where) not in INTEGER_PRODUCTS]
+    assert {(name, where) for name, where, _ in found} == INTEGER_PRODUCTS, outside
+
+
+def test_the_integer_product_rule_catches_each_form():
+    # the in-place products the sources used to hold, and their forms
+    for src in ("[[sum(map(mul, a, r)) for a in ints] for r in s.rows]",
+                "total = sum(map(mul, wedge, cn))",
+                "def _times(rows, m):\n    return [[sum(map(mul, r, c)) for c in m] for r in rows]",
+                "not any(sum(map(mul, gr, t)) for gr in applied for t in rows)",
+                "sum(map(operator.mul, u, v))"):
+        assert _integer_products(ast.parse(src)), src
+    assert _integer_products(ast.parse("def f(u, v):\n    return sum(map(mul, u, v))")) == [("f", 2)]
+    for src in ("sum(map(add, u, v))", "map(mul, u, v)", "sum(r)", "int_products(rows, cols)",
+                "sum(x * y for x, y in zip(u, v))", "sum(map(abs, v))"):
+        assert _integer_products(ast.parse(src)) == [], src
 
 
 def _is_np_call(node: ast.AST, names: tuple[str, ...]) -> bool:
