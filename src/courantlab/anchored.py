@@ -10,7 +10,6 @@ diagonal relation); the numeric layer keeps its own float anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Iterable
 
@@ -22,13 +21,14 @@ from .exactlin import (
     QuotientMap,
     Vector,
     add_vec,
-    concat_vec,
     frac_matrix,
+    hstack,
     identity,
     int_matrix,
     int_products,
     inverse,
     mat_mul,
+    mat_scale,
     mat_vec,
     matrix,
     nullspace,
@@ -37,7 +37,7 @@ from .exactlin import (
     scale_vec,
     transpose,
     vector,
-    zero_vector,
+    zeros,
 )
 from .lagrel import (
     Bivector,
@@ -206,10 +206,9 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
     target = SplitSpace(2 * n, graph_form(alg_space, alg_space))
     # column x of the anchor is row x of its transpose; an n x 0 anchor
     # (chart dimension 0) has n empty columns, which transpose(()) drops
-    a_cols = transpose(a) if m else ((),) * n
-    rows = [concat_vec(x, x, ax, zero_vector(m)) for x, ax in zip(identity(n), a_cols)]
-    rows += [concat_vec(zero_vector(n), scale_vec(-1, astar_mu), zero_vector(m), mu)
-             for astar_mu, mu in zip(transpose(astar), identity(m))]
+    a_cols = transpose(a) if m else zeros(n, 0)
+    rows = hstack(identity(n), identity(n), a_cols, zeros(n, m))
+    rows += hstack(zeros(m, n), mat_scale(-1, transpose(astar)), zeros(m, m), identity(m))
     return LinearRelation.from_rows(source, target, rows)
 
 
@@ -246,7 +245,7 @@ class SectionJet:
     @classmethod
     def constant(cls, value: Iterable, chart_dim: int) -> "SectionJet":
         v = vector(value)
-        return cls(v, tuple(zero_vector(chart_dim) for _ in v))
+        return cls(v, zeros(len(v), chart_dim))
 
     def jac_column(self, u: int) -> Vector:
         return tuple(row[u] for row in self.jacobian)
@@ -332,12 +331,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     ambient_form = pt.algebra.form.direct_sum(
         hyperbolic_space(s_dim).form
     )
-    constraint = tuple(
-        tuple(-a[r][i] for i in range(n))
-        + tuple(dphi[r][j] for j in range(s_dim))
-        + tuple(Fraction(0) for _ in range(s_dim))
-        for r in range(m)
-    )
+    constraint = hstack(mat_scale(-1, a), dphi, zeros(m, s_dim))
     c = nullspace(constraint, n + 2 * s_dim)
     c_perp = ambient_form.orth_complement(c)
     if not c.contains_subspace(c_perp):

@@ -10,9 +10,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .anchored import AnchoredPoint
-from .exactlin import ExactSubspace, Matrix, mat_mul, matrix
+from .exactlin import (
+    ExactSubspace,
+    Matrix,
+    block_diag,
+    hstack,
+    identity,
+    mat_mul,
+    mat_scale,
+    matrix,
+    zeros,
+)
 from .lagrel import Splitting
-from .liegrp import GroupContext, TripleContext, block_diag
+from .liegrp import GroupContext, TripleContext
 from .quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
 
 F = Fraction
@@ -86,32 +96,28 @@ def _is_block_sl2(g: Matrix) -> bool:
     return _is_sl([row[:2] for row in g[:2]]) and _is_sl([row[2:] for row in g[2:]])
 
 
-def _pair(a: Matrix, b: Matrix) -> Matrix:
-    return block_diag(a, b)
-
-
 @lru_cache(maxsize=None)
 def sl2_pair_context() -> GroupContext:
     """SL2 x SL2 as 4x4 block diagonals; algebra sl2 (+) sl2-bar."""
     base = (matrix(SL2_E), matrix(SL2_H), matrix(SL2_F))
-    zero2 = matrix([[0, 0], [0, 0]])
-    basis = tuple(_pair(x, zero2) for x in base) + tuple(
-        _pair(zero2, x) for x in base
+    zero2 = zeros(2, 2)
+    basis = tuple(block_diag(x, zero2) for x in base) + tuple(
+        block_diag(zero2, x) for x in base
     )
     s = sl2_samples()
     samples = (
-        _pair(s[0], s[0]),
-        _pair(s[1], s[2]),
-        _pair(s[5], s[1]),
-        _pair(s[3], s[4]),
-        _pair(s[6], s[5]),
-        _pair(s[2], s[3]),
-        _pair(s[4], s[6]),
-        _pair(s[7], s[0]),
-        _pair(s[0], s[8]),
-        _pair(s[9], s[2]),
-        _pair(s[1], s[1]),
-        _pair(s[10], s[4]),
+        block_diag(s[0], s[0]),
+        block_diag(s[1], s[2]),
+        block_diag(s[5], s[1]),
+        block_diag(s[3], s[4]),
+        block_diag(s[6], s[5]),
+        block_diag(s[2], s[3]),
+        block_diag(s[4], s[6]),
+        block_diag(s[7], s[0]),
+        block_diag(s[0], s[8]),
+        block_diag(s[9], s[2]),
+        block_diag(s[1], s[1]),
+        block_diag(s[10], s[4]),
     )
     return GroupContext(
         name="sl2-pair",
@@ -170,7 +176,7 @@ def sl2_triangular_triple() -> TripleContext:
         g1=diagonal_subspace(sl2_algebra(), sign=1),
         g2=triangular_complement(),
         g1_ctx=sl2_context(),
-        embed=lambda g: _pair(g, g),
+        embed=lambda g: block_diag(g, g),
         inclusion=inclusion,
     )
 
@@ -341,21 +347,11 @@ def sl2c_realified_context() -> GroupContext:
 def sl2c_triangular_complement() -> ExactSubspace:
     """Complex-Cartan anti-diagonal plus the two complex nilpotent wings,
     inside the double of the realified algebra (ambient dim 12)."""
-    rows = []
-    n = 6
-    for idx in (1, 4):  # h, ih
-        v = [0] * (2 * n)
-        v[idx] = 1
-        v[n + idx] = -1
-        rows.append(tuple(v))
-    for idx in (2, 5):  # f, if on the left
-        v = [0] * (2 * n)
-        v[idx] = 1
-        rows.append(tuple(v))
-    for idx in (0, 3):  # e, ie on the right
-        v = [0] * (2 * n)
-        v[n + idx] = 1
-        rows.append(tuple(v))
+    one = identity(6)
+    cartan, lower, upper = ((one[i], one[j]) for i, j in ((1, 4), (2, 5), (0, 3)))
+    # (h, -h) and (ih, -ih); f and if on the left; e and ie on the right
+    rows = hstack(cartan, mat_scale(-1, cartan))
+    rows += hstack(lower, zeros(2, 6)) + hstack(zeros(2, 6), upper)
     return ExactSubspace.span(rows, ambient_dim=12)
 
 

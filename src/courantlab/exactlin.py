@@ -19,6 +19,10 @@ is a view, built on first read.  Nonsingularity is decided by rank, and
 ``inverse`` is the Fraction view of one integer elimination of [A | I]
 (``_inverse_rows``).
 
+Block matrices are laid out here alone: ``hstack`` joins blocks row by
+row, ``zeros`` and ``block_diag`` pad them, and ``mat_add`` and
+``mat_scale`` are the entrywise arithmetic.
+
 All values are immutable and all operations are pure.
 """
 
@@ -27,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, neg
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -75,6 +80,12 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
+def zeros(r: int, c: int) -> Matrix:
+    """The r x c zero matrix.  zeros(r, 0) is r empty rows: the block
+    ``hstack`` takes for no columns, where transpose(()) has no rows."""
+    return (zero_vector(c),) * r
+
+
 def identity(n: int) -> Matrix:
     """The n x n identity; its rows are the unit vectors of Q^n."""
     zero = zero_vector(n)
@@ -88,6 +99,40 @@ def add_vec(u: Vector, v: Vector) -> Vector:
 def scale_vec(c, v: Vector) -> Vector:
     c = frac(c)
     return tuple(c * a for a in v)
+
+
+def hstack(*blocks: Sequence[Sequence]) -> Matrix:
+    """The rows of [B1 | B2 | ...]: the one home of block rows.  Raises
+    DimensionMismatchError when the blocks have different row counts."""
+    if len({len(b) for b in blocks}) > 1:
+        raise DimensionMismatchError("blocks have different row counts")
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
+
+
+def block_diag(*blocks: Matrix) -> Matrix:
+    """The block diagonal matrix of the blocks, which need not be square.
+    Entries are placed, not computed, so float blocks place too."""
+    widths = [len(b[0]) if len(b) else 0 for b in blocks]
+    total, before, rows = sum(widths), 0, ()
+    for b, w in zip(blocks, widths):
+        rows += hstack(zeros(len(b), before), b, zeros(len(b), total - before - w))
+        before += w
+    return rows
+
+
+def mat_add(A: Matrix, B: Matrix) -> Matrix:
+    """A + B entrywise; DimensionMismatchError when the shapes differ."""
+    if len(A) != len(B) or any(len(r) != len(s) for r, s in zip(A, B)):
+        raise DimensionMismatchError("matrix shapes disagree")
+    return tuple(tuple(map(add, r, s)) for r, s in zip(A, B))
+
+
+def mat_scale(c, A: Matrix) -> Matrix:
+    """c A entrywise, for an exact scalar c.  For c = -1 each entry is
+    negated, which skips the gcds of a Fraction product: antisymmetry
+    checks and relation graphs scale by -1."""
+    scale = neg if c == -1 else frac(c).__mul__
+    return tuple(tuple(map(scale, row)) for row in A)
 
 
 _ZERO = Fraction(0)
@@ -161,27 +206,10 @@ def mat_vec(A: Matrix, v: Vector) -> Vector:
     return tuple(row[0] for row in frac_matrix(int_products(a, (vn,)), da * vd))
 
 
-def vec_mat(v: Vector, A: Matrix) -> Vector:
-    if not A:
-        return ()
-    return mat_mul((v,), A)[0]
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return mat_vec((u,), v)[0]
-
-
 def transpose(A: Matrix) -> Matrix:
     if not A:
         return ()
     return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
-def concat_vec(*parts: Vector) -> Vector:
-    out: tuple[Fraction, ...] = ()
-    for p in parts:
-        out = out + tuple(p)
-    return out
 
 
 def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
@@ -723,13 +751,7 @@ class BilinearForm:
         return self.orth_complement(s) == s
 
     def direct_sum(self, other: "BilinearForm") -> "BilinearForm":
-        n, m = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.matrix[i]) + zero_vector(m))
-        for i in range(m):
-            rows.append(zero_vector(n) + tuple(other.matrix[i]))
-        return BilinearForm(tuple(rows))
+        return BilinearForm(block_diag(self.matrix, other.matrix))
 
     def negate(self) -> "BilinearForm":
-        return BilinearForm(tuple(tuple(-x for x in row) for row in self.matrix))
+        return BilinearForm(mat_scale(-1, self.matrix))

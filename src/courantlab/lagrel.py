@@ -23,19 +23,21 @@ from .exactlin import (
     NotLagrangianError,
     QuotientMap,
     Vector,
-    concat_vec,
+    hstack,
     identity,
     inverse,
+    mat_add,
     mat_mul,
+    mat_scale,
     mat_vec,
     matrix,
     product_subspace,
     quotient_coords,
     rank,
-    scale_vec,
     transpose,
     zero_prefix_rows,
     zero_vector,
+    zeros,
 )
 from .quadlie import QuadraticLieAlgebra
 
@@ -72,9 +74,6 @@ class SplitSpace:
         if zer or pos != neg:
             raise ValueError(f"form signature {(pos, neg, zer)} is not split")
 
-    def opposite(self) -> "SplitSpace":
-        return SplitSpace(self.dim, self.form.negate())
-
     def direct_sum(self, other: "SplitSpace") -> "SplitSpace":
         return SplitSpace(self.dim + other.dim, self.form.direct_sum(other.form))
 
@@ -83,12 +82,8 @@ class SplitSpace:
 def hyperbolic_space(k: int) -> SplitSpace:
     """Q^2k with <e_i, f^j> = delta, basis order (e_1..e_k, f^1..f^k),
     built once per k."""
-    rows = []
-    for i in range(2 * k):
-        row = [Fraction(0)] * 2 * k
-        row[(i + k) % (2 * k)] = Fraction(1)
-        rows.append(tuple(row))
-    return SplitSpace(2 * k, BilinearForm(tuple(rows)))
+    rows = hstack(zeros(k, k), identity(k)) + hstack(identity(k), zeros(k, k))
+    return SplitSpace(2 * k, BilinearForm(rows))
 
 
 def from_algebra(alg: QuadraticLieAlgebra) -> SplitSpace:
@@ -130,14 +125,14 @@ class LinearRelation:
 
     @classmethod
     def identity_relation(cls, space: SplitSpace) -> "LinearRelation":
-        rows = [concat_vec(r, r) for r in identity(space.dim)]
-        return cls.from_rows(space, space, rows)
+        return cls.from_rows(space, space, hstack(identity(space.dim), identity(space.dim)))
 
     @classmethod
     def graph_of_map(cls, source: SplitSpace, target: SplitSpace, A: Matrix) -> "LinearRelation":
         """Relation {(A w, w)}; A must intertwine the forms."""
-        # row j is (A e_j, e_j), column j of A stacked over I
-        return cls.from_rows(source, target, transpose(matrix([*A, *identity(source.dim)])))
+        # row j is (A e_j, e_j): column j of A beside row j of I
+        a_cols = transpose(matrix(A)) if A else zeros(source.dim, 0)
+        return cls.from_rows(source, target, hstack(a_cols, identity(source.dim)))
 
     def kernel(self) -> ExactSubspace:
         """{w : w ~ 0}.
@@ -286,7 +281,7 @@ class Bivector:
     def __post_init__(self):
         m = matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m != tuple(tuple(-x for x in row) for row in transpose(m)):
+        if m != mat_scale(-1, transpose(m)):
             raise ValueError("bivector matrix must be antisymmetric")
 
     @cached_property
@@ -347,10 +342,7 @@ class Splitting:
         and the Gram matrix B; P_F = I - P_E.
         """
         p_e = mat_mul(mat_mul(transpose(self.e.basis), self.duals), self.space.form.matrix)
-        p_f = tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(identity(self.space.dim), p_e)
-        )
-        return p_e, p_f
+        return p_e, mat_add(identity(self.space.dim), mat_scale(-1, p_e))
 
 
 def splitting_bivector(s: Splitting) -> Bivector:
@@ -358,9 +350,8 @@ def splitting_bivector(s: Splitting) -> Bivector:
     e, duals = s.e.basis, s.duals
     # sum e_i^T f^i - f^i^T e_i as one product of stacked bases
     lhs = transpose(e + duals)
-    rhs = duals + tuple(scale_vec(-1, ei) for ei in e)
-    p = mat_mul(lhs, rhs)
-    return Bivector(s.space.dim, tuple(tuple(x / 2 for x in row) for row in p))
+    rhs = duals + mat_scale(-1, e)
+    return Bivector(s.space.dim, mat_scale(Fraction(1, 2), mat_mul(lhs, rhs)))
 
 
 @dataclass(frozen=True)
@@ -398,10 +389,7 @@ def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
     # C B Pi (B is symmetric and Pi antisymmetric), and
     # iota(w_red) Pi_red = (iota(w) Pi)_red
     red_pi_cols = q.coords_rows(mat_mul(mat_mul(q.complement, form.matrix), s.bivector.matrix))
-    bred = mat_mul(
-        tuple(tuple(-x for x in row) for row in transpose(red_pi_cols)),
-        red_form.inverse_matrix,
-    )
+    bred = mat_mul(mat_scale(-1, transpose(red_pi_cols)), red_form.inverse_matrix)
     if bred != reduced.bivector.matrix:
         raise ReductionError("descended bivector disagrees with reduced splitting",
                              w0.basis[0] if w0.basis else zero_vector(s.space.dim))
@@ -480,14 +468,11 @@ def pair_groupoid_relation(dd: QuadraticLieAlgebra) -> LinearRelation:
     n = dd.dim // 2
     space_d = from_algebra(dd)
     source = space_d.direct_sum(space_d)
-    rows = []
-    zero = zero_vector(n)
-    for basis_vec in identity(n):
-        b = tuple(basis_vec)
-        # parameter a: z = (a, 0), z' = (a, 0), z'' = 0
-        rows.append(concat_vec(b, zero, b, zero, zero, zero))
-        # parameter b: z = 0, z' = (0, b), z'' = (b, 0)
-        rows.append(concat_vec(zero, zero, zero, b, b, zero))
-        # parameter c: z = (0, c), z' = 0, z'' = (0, c)
-        rows.append(concat_vec(zero, b, zero, zero, zero, b))
+    one, zero = identity(n), zeros(n, n)
+    # parameter a: z = (a, 0), z' = (a, 0), z'' = 0
+    rows = hstack(one, zero, one, zero, zero, zero)
+    # parameter b: z = 0, z' = (0, b), z'' = (b, 0)
+    rows += hstack(zero, zero, zero, one, one, zero)
+    # parameter c: z = (0, c), z' = 0, z'' = (0, c)
+    rows += hstack(zero, one, zero, zero, zero, one)
     return LinearRelation.from_rows(source, space_d, rows)

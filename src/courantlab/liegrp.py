@@ -22,18 +22,18 @@ from .exactlin import (
     ExactSubspace,
     Matrix,
     Vector,
-    add_vec,
-    concat_vec,
+    hstack,
     identity,
     inverse,
+    mat_add,
     mat_mul,
+    mat_scale,
     mat_vec,
     nullspace,
     rank,
-    scale_vec,
     transpose,
     vector,
-    zero_vector,
+    zeros,
 )
 from .lagrel import (
     Bivector,
@@ -50,28 +50,11 @@ from .quadlie import QuadraticLieAlgebra, build_double
 # exact ambient-matrix helpers
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
-    xy = mat_mul(x, y)
-    yx = mat_mul(y, x)
-    return tuple(
-        tuple(p - q for p, q in zip(r1, r2)) for r1, r2 in zip(xy, yx)
-    )
+    return mat_add(mat_mul(x, y), mat_scale(-1, mat_mul(y, x)))
 
 
 def flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
-
-
-def block_diag(*mats: Matrix) -> Matrix:
-    size = sum(len(m) for m in mats)
-    rows = []
-    offset = 0
-    for m in mats:
-        for r in m:
-            rows.append(
-                zero_vector(offset) + tuple(r) + zero_vector(size - offset - len(r))
-            )
-        offset += len(m)
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +122,7 @@ class GroupPoint:
     """One element g of a context's group.
 
     g^-1, Ad_g, Ad_{g^-1} and the anchor of the two-sided action at g
-    are built on first use and kept.
+    are built on first use and kept; g is inverted once.
     """
 
     ctx: GroupContext
@@ -149,17 +132,21 @@ class GroupPoint:
     def inverse(self) -> Matrix:
         return inverse(self.g)
 
-    @cached_property
-    def adjoint(self) -> Matrix:
-        """Ad_g over the algebra basis, exact: column b holds the
-        coordinates of g b g^-1, all read by one product."""
-        conj = (flatten(mat_mul(mat_mul(self.g, b), self.inverse)) for b in self.ctx.algebra_basis)
+    def _conjugation(self, h: Matrix, h_inv: Matrix) -> Matrix:
+        """Ad_h over the algebra basis, exact: column b holds the
+        coordinates of h b h^-1, all read by one product."""
+        conj = (flatten(mat_mul(mat_mul(h, b), h_inv)) for b in self.ctx.algebra_basis)
         return transpose(self.ctx.coordinatizer.coords_rows(conj))
 
     @cached_property
+    def adjoint(self) -> Matrix:
+        """Ad_g."""
+        return self._conjugation(self.g, self.inverse)
+
+    @cached_property
     def adjoint_inverse(self) -> Matrix:
-        """Ad_{g^-1}, read off the kept point of g^-1 when it is a sample."""
-        return self.ctx.point(self.inverse).adjoint
+        """Ad_{g^-1}, conjugating by g^-1 with g as its inverse."""
+        return self._conjugation(self.inverse, self.g)
 
     @cached_property
     def anchor(self) -> AnchoredPoint:
@@ -170,8 +157,8 @@ class GroupPoint:
         The stabilizer {(u, Ad_{g^-1} u)} is Lagrangian, hence coisotropic.
         """
         k = self.ctx.dim
-        rows = (scale_vec(-1, a) + e for a, e in zip(self.adjoint_inverse, identity(k)))
-        return AnchoredPoint(self.ctx.double_algebra, tuple(rows), k)
+        rows = hstack(mat_scale(-1, self.adjoint_inverse), identity(k))
+        return AnchoredPoint(self.ctx.double_algebra, rows, k)
 
 class ContextError(ValueError):
     pass
@@ -300,7 +287,7 @@ class G1Point:
         right = mat_mul(self.g1.adjoint_inverse, g1_columns(mat_mul(p1, self.phi.adjoint)))
         left = g1_columns(mat_mul(p1, self.phi.adjoint_inverse))
         return (AnchoredPoint(t.d_algebra.opposite(), right, t.g1.dim),
-                AnchoredPoint(t.d_algebra, tuple(scale_vec(-1, r) for r in left), t.g1.dim))
+                AnchoredPoint(t.d_algebra, mat_scale(-1, left), t.g1.dim))
 
 
 def g1_poisson_bivector(x: G1Point) -> Bivector:
@@ -321,13 +308,7 @@ def pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Matrix, Ma
     r = t.splitting.bivector.matrix
     c = d.adjoint_inverse
     r_right = mat_mul(mat_mul(c, r), transpose(c))
-    plus = tuple(
-        tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(r_right, r)
-    )
-    minus = tuple(
-        tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(r_right, r)
-    )
-    return plus, minus
+    return mat_add(r_right, r), mat_add(r_right, mat_scale(-1, r))
 
 
 # morphism fibers -----------------------------------------------------------
@@ -341,12 +322,12 @@ def q_mult_fiber(xpp: G1Point) -> LinearRelation:
     n = t.d_algebra.dim
     p1, p2 = t.splitting.projectors
     # parameters (z', z'') with p2 z' = p2 Ad_{Phi(g'')} z''
-    constraint = tuple(scale_vec(-1, a) + b for a, b in zip(p2, mat_mul(p2, xpp.phi.adjoint)))
+    constraint = hstack(mat_scale(-1, p2), mat_mul(p2, xpp.phi.adjoint))
     params = nullspace(constraint, 2 * n).basis
     # zeta = Ad_{Phi(g'')^-1} p1 z' + z'', for every parameter row at once
     moved = mat_mul(tuple(p[:n] for p in params), transpose(mat_mul(xpp.phi.adjoint_inverse, p1)))
-    rows = [concat_vec(add_vec(m, p[n:]), p) for m, p in zip(moved, params)]
-    return LinearRelation.from_rows(t.dbar_pair, t.splitting_bar.space, rows)
+    zeta = mat_add(moved, tuple(p[n:] for p in params))
+    return LinearRelation.from_rows(t.dbar_pair, t.splitting_bar.space, hstack(zeta, params))
 
 
 def q_mult_kernel_expected(xpp: G1Point) -> ExactSubspace:
@@ -354,8 +335,7 @@ def q_mult_kernel_expected(xpp: G1Point) -> ExactSubspace:
     t = xpp.triple
     n = t.d_algebra.dim
     moved = mat_mul(t.g1.basis, transpose(xpp.phi.adjoint_inverse))
-    rows = [concat_vec(xi, scale_vec(-1, m)) for xi, m in zip(t.g1.basis, moved)]
-    return ExactSubspace.span(rows, ambient_dim=2 * n)
+    return ExactSubspace.span(hstack(t.g1.basis, mat_scale(-1, moved)), ambient_dim=2 * n)
 
 
 def p_phi_fiber(x: G1Point) -> LinearRelation:
@@ -366,17 +346,15 @@ def p_phi_fiber(x: G1Point) -> LinearRelation:
     # (-xi, -Ad_{Phi(g)^-1} xi, 0) for xi in g1, and (p2 Ad_{Phi(g)} e_i, e_i, e_i)
     moved = mat_mul(t.g1.basis, transpose(x.phi.adjoint_inverse))
     p2_ad = mat_mul(p2, x.phi.adjoint)
-    rows = [scale_vec(-1, concat_vec(xi, m)) + zero_vector(n) for xi, m in zip(t.g1.basis, moved)]
-    rows += [concat_vec(c, e, e) for c, e in zip(transpose(p2_ad), identity(n))]
+    rows = hstack(mat_scale(-1, t.g1.basis), mat_scale(-1, moved), zeros(t.g1.dim, n))
+    rows += hstack(transpose(p2_ad), identity(n), identity(n))
     return LinearRelation.from_rows(t.splitting_bar.space, from_algebra(t.d_ctx.double_algebra), rows)
 
 
 def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> LinearRelation:
     """Quotient morphism fiber (z, u) ~ z for u in a Lagrangian subalgebra."""
-    n = t.d_algebra.dim
-    rows = [concat_vec(z, z, zero_vector(n)) for z in identity(n)]
-    for u in lagrangian_subalgebra.basis:
-        rows.append(concat_vec(zero_vector(n), zero_vector(n), u))
+    n, u = t.d_algebra.dim, lagrangian_subalgebra.basis
+    rows = hstack(identity(n), identity(n), zeros(n, n)) + hstack(zeros(len(u), 2 * n), u)
     return LinearRelation.from_rows(
         from_algebra(t.d_ctx.double_algebra), from_algebra(t.d_algebra), rows
     )
@@ -387,7 +365,7 @@ def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> Linea
 def phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
     """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d."""
     _, p2 = t.splitting.projectors
-    return concat_vec(mat_vec(p2, mat_vec(d.adjoint, zeta)), zeta)
+    return mat_vec(p2, mat_vec(d.adjoint, zeta)) + tuple(zeta)
 
 
 def dressing_pullback_check(x: G1Point) -> bool:
@@ -407,8 +385,8 @@ def dressing_pullback_check(x: G1Point) -> bool:
     # the lift of phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b) with the dressing
     # chart vector is row b of [(p2 Ad_{Phi(g)})^T | I | ra^T | 0]
     p2_ad = mat_mul(t.splitting.projectors[1], x.phi.adjoint)
-    lifts = [concat_vec(c, e, v, zero_vector(k))
-             for c, e, v in zip(transpose(p2_ad), identity(t.d_algebra.dim), transpose(ra))]
+    n = t.d_algebra.dim
+    lifts = hstack(transpose(p2_ad), identity(n), transpose(ra), zeros(n, k))
     try:
         # the exact rebuild check of the coordinates decides lifts in C
         z = transpose(pb.quotient.coords_rows(lifts))
@@ -430,11 +408,8 @@ def s_phi_fiber(ctx: GroupContext) -> LinearRelation:
     spaces of the relation calculus require split factors).
     """
     alg = ctx.algebra
-    zero = zero_vector(alg.dim)
-    rows = []
-    for z in identity(alg.dim):
-        rows.append(concat_vec(z, z, zero, zero))
-        rows.append(concat_vec(zero, zero, z, z))
+    one, zero = identity(alg.dim), zeros(alg.dim, alg.dim)
+    rows = hstack(one, one, zero, zero) + hstack(zero, zero, one, one)
     g_space = from_algebra(alg)
     return LinearRelation.from_rows(
         from_algebra(ctx.double_algebra).direct_sum(g_space), g_space, rows

@@ -23,11 +23,12 @@ from .exactlin import (
     add_vec,
     frac,
     frac_matrix,
+    hstack,
     identity,
     int_matrix,
     int_products,
+    mat_scale,
     matrix,
-    scale_vec,
     vector,
     zero_vector,
 )
@@ -275,10 +276,7 @@ def build_double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
 def diagonal_subspace(g: QuadraticLieAlgebra, sign: int = 1) -> ExactSubspace:
     """The (anti-)diagonal {(x, sign*x)} inside the double's coordinates."""
     n = g.dim
-    rows = []
-    for row in identity(n):
-        rows.append(tuple(row) + tuple(scale_vec(sign, row)))
-    return ExactSubspace.span(rows, ambient_dim=2 * n)
+    return ExactSubspace.span(hstack(identity(n), mat_scale(sign, identity(n))), ambient_dim=2 * n)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .contexts import (
     sl2_triangular_triple,
     sl2c_realified_context,
 )
-from .exactlin import ExactSubspace, identity, mat_mul, mat_vec
+from .exactlin import ExactSubspace, hstack, identity, mat_mul, mat_vec
 from .lagrel import Splitting, product_subspace, related_splitting
 from .liegrp import TripleContext
 
@@ -106,8 +106,8 @@ def _sheared_quasi_splitting():
     # the rows of [I | N_lower] and [N_upper | I] applied to the frame (e, f)
     n_upper = shear([(0, 4, 1), (1, 3, -1), (2, 5, 1)])
     n_lower = shear([(0, 3, 1), (1, 5, 1), (2, 4, -1)])
-    e = ExactSubspace.span(mat_mul([u + tuple(n) for u, n in zip(identity(k), n_lower)], frame))
-    f_sub = ExactSubspace.span(mat_mul([tuple(n) + u for n, u in zip(n_upper, identity(k))], frame))
+    e = ExactSubspace.span(mat_mul(hstack(identity(k), n_lower), frame))
+    f_sub = ExactSubspace.span(mat_mul(hstack(n_upper, identity(k)), frame))
     return ctx, d, Splitting.of_algebra(d, e, f_sub)
 
 

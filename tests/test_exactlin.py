@@ -14,11 +14,14 @@ from courantlab.exactlin import (
     QuotientMap,
     SingularMatrixError,
     _inverse_rows,
-    dot,
+    block_diag,
+    hstack,
     identity,
     int_matrix,
     inverse,
+    mat_add,
     mat_mul,
+    mat_scale,
     mat_vec,
     matrix,
     nullspace,
@@ -27,10 +30,12 @@ from courantlab.exactlin import (
     rref,
     solve,
     transpose,
-    vec_mat,
     vector,
+    zeros,
 )
+from courantlab.contexts import sl2_pair_context
 from courantlab.lagrel import LinearRelation, hyperbolic_space
+from exact_strategies import rationals
 
 
 def test_span_dependent_rows_collapse():
@@ -143,7 +148,7 @@ def subspace_pairs(draw):
         rows = draw(
             st.lists(
                 st.lists(
-                    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                    rationals(3, 3),
                     min_size=n, max_size=n,
                 ),
                 min_size=0, max_size=n,
@@ -237,7 +242,7 @@ def _ref_det(a):
 _entries = st.one_of(
     st.just(F(0)),
     st.integers(min_value=-5, max_value=5).map(F),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    rationals(4, 6),
     st.builds(
         F,
         st.integers(min_value=-(10**15), max_value=10**15),
@@ -285,9 +290,9 @@ def test_products_match_reference(a, data):
     v = data.draw(_matrices(rows=1, cols=len(a)))[0] if a else ()
     if a and k and b and b[0]:
         assert mat_mul(a, b) == _ref_mat_mul(a, b)
-        assert vec_mat(v, a) == _ref_mat_mul((v,), a)[0]
+        assert mat_mul((v,), a) == _ref_mat_mul((v,), a)
     for row in a:
-        assert dot(row, row) == _ref_dot(row, row)
+        assert mat_vec((row,), row) == (_ref_dot(row, row),)
         assert all(type(x) is F for x in mat_mul((row,), transpose((row,)))[0])
 
 
@@ -338,14 +343,50 @@ def test_nondegenerate_matches_reference_determinant(a):
         assert not BilinearForm(singular).is_nondegenerate()
 
 
+def test_hstack_lays_out_block_rows():
+    a, b = matrix([[1, 2], [3, 4]]), matrix([[5], [6]])
+    assert hstack(a, b, zeros(2, 0)) == matrix([[1, 2, 5], [3, 4, 6]])
+    # an empty column block keeps its rows, where transpose(()) has none
+    assert hstack(zeros(3, 0), zeros(3, 0)) == ((),) * 3 and transpose(()) == ()
+    assert hstack() == () and hstack(zeros(0, 2), zeros(0, 5)) == ()
+    for blocks in ((a, matrix([[5]])), (a, ()), (zeros(2, 0), zeros(3, 1))):
+        with pytest.raises(DimensionMismatchError):
+            hstack(*blocks)
+
+
+def test_entrywise_arithmetic_checks_shapes():
+    a = matrix([[1, "1/2"], [0, -3]])
+    assert mat_add(a, mat_scale(-1, a)) == zeros(2, 2)
+    assert mat_scale(F(1, 2), a) == matrix([["1/2", "1/4"], [0, "-3/2"]])
+    for b in (matrix([[1, 2]]), matrix([[1], [2]]), ()):
+        with pytest.raises(DimensionMismatchError):
+            mat_add(a, b)
+
+
+def test_block_diag_matches_a_reference_on_the_sl2_pair_samples():
+    def ref(a, b):
+        n, m = len(a), len(b)
+        return tuple(
+            tuple(a[i][j] if i < n and j < n else b[i - n][j - n] if i >= n and j >= n else F(0)
+                  for j in range(n + m))
+            for i in range(n + m))
+
+    for g in sl2_pair_context().sample_points:
+        a, b = tuple(r[:2] for r in g[:2]), tuple(r[2:] for r in g[2:])
+        assert block_diag(a, b) == ref(a, b) == g
+    # blocks need not be square: the offsets are the widths
+    assert block_diag(matrix([[1, 2]]), matrix([[3], [4]])) == matrix(
+        [[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+
+
 def test_kernel_shape_mismatches_raise():
     a23 = matrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(DimensionMismatchError):
-        dot(vector((1, 2)), vector((1,)))
+        mat_vec((vector((1, 2)),), vector((1,)))
     with pytest.raises(DimensionMismatchError):
         mat_mul(a23, a23)
     with pytest.raises(DimensionMismatchError):
-        vec_mat(vector((1, 2, 3)), a23)
+        mat_mul((vector((1, 2, 3)),), a23)
     with pytest.raises(DimensionMismatchError):
         mat_vec(a23, vector((1, 2)))
     with pytest.raises(DimensionMismatchError):
@@ -358,7 +399,7 @@ def test_kernel_shape_mismatches_raise():
     ragged = ((F(1), F(2)), (F(3),))
     for call in (lambda: int_matrix(ragged), lambda: mat_mul(ragged, identity(2)),
                  lambda: mat_mul(identity(2), ragged), lambda: mat_vec(ragged, vector((1, 2))),
-                 lambda: vec_mat(vector((1, 2)), ragged), lambda: dot(*ragged)):
+                 lambda: mat_mul((vector((1, 2)),), ragged), lambda: mat_vec(ragged[:1], ragged[1])):
         with pytest.raises(DimensionMismatchError):
             call()
 
@@ -367,11 +408,11 @@ def test_float_operands_raise_type_error():
     a = matrix([[1, 2], [3, 4]])
     bad = ((F(1), 0.5), (F(3), F(4)))
     with pytest.raises(TypeError):
-        dot((F(1), 0.5), (F(1), F(1)))
+        mat_vec(((F(1), 0.5),), (F(1), F(1)))
     with pytest.raises(TypeError):
-        dot((F(1), F(0)), (0.0, F(1)))
+        mat_vec(((F(1), F(0)),), (0.0, F(1)))
     with pytest.raises(TypeError):
-        vec_mat((0.5, F(1)), a)
+        mat_mul(((0.5, F(1)),), a)
     with pytest.raises(TypeError):
         mat_mul(a, bad)
     for fn in (rref, inverse):
@@ -452,7 +493,7 @@ def test_integer_rows_sum_and_intersection_match_fractions(pair):
 
 @st.composite
 def _symmetric_forms(draw, n):
-    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entries = rationals(3, 3)
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -493,12 +534,12 @@ def _generator_pairs(draw):
     second spans the same space as the first, through scaled, reordered
     and recombined copies of its generators."""
     n = draw(st.integers(1, 5))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = rationals(3, 4)
     gens = st.lists(st.tuples(*[entry] * n), max_size=n + 1)
     first = draw(gens)
     if not draw(st.booleans()):
         return n, first, draw(gens)
-    scales = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    scales = rationals(5, 3).filter(bool)
     second = [tuple(draw(scales) * x for x in v) for v in first]
     if len(second) > 1:  # add a multiple of one generator to another
         c = draw(scales)
@@ -552,7 +593,7 @@ def test_contains_and_coefficients_match_fractions(pair, data):
     n = s.ambient_dim
     # vectors inside s, inside t, and arbitrary ones
     combo = data.draw(st.lists(_entries, min_size=s.dim, max_size=s.dim))
-    inside = vec_mat(tuple(combo), s.basis) if s.dim else (F(0),) * n
+    inside = mat_mul((tuple(combo),), s.basis)[0] if s.dim else (F(0),) * n
     other = tuple(data.draw(st.lists(_entries, min_size=n, max_size=n)))
     coordinatizer = Coordinatizer.of_rows(s.basis, n)
     for v in (inside, other) + t.basis:
@@ -591,7 +632,7 @@ def test_quotient_coords_match_solve(pair, others, data):
     q = quotient_coords(w1, w0)
     assert q.dim == w1.dim - w0.dim
     combo = data.draw(st.lists(_entries, min_size=w1.dim, max_size=w1.dim))
-    inside = vec_mat(tuple(combo), w1.basis) if w1.dim else (F(0),) * n
+    inside = mat_mul((tuple(combo),), w1.basis)[0] if w1.dim else (F(0),) * n
     want = _ref_quotient_coords(q, inside)
     assert want is not None and q.coords_rows([inside]) == (want,)
     # S cap W1 for an S of the same ambient space, and W1 itself

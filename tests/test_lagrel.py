@@ -10,7 +10,6 @@ from courantlab.exactlin import (
     DimensionMismatchError,
     ExactSubspace,
     SingularMatrixError,
-    concat_vec,
     identity,
     inverse,
     mat_mul,
@@ -85,8 +84,7 @@ def test_identity_relation():
 
 def test_product_relation_kernel_range():
     # R = L' x L has kernel L and range L'
-    rows = [concat_vec((F(1), F(0)), zero_vector(2)),
-            concat_vec(zero_vector(2), (F(0), F(1)))]
+    rows = [(F(1), F(0)) + zero_vector(2), zero_vector(2) + (F(0), F(1))]
     r = LinearRelation.from_rows(SP2, SP2, rows)
     assert r.kernel() == F2
     assert r.range_() == E2
@@ -165,8 +163,7 @@ def test_composition_lagrangian_random():
 
 def test_backward_image_transversality_error():
     # relation with co-kernel meeting the subspace: L' x L
-    rows = [concat_vec((F(1), F(0)), zero_vector(2)),
-            concat_vec(zero_vector(2), (F(0), F(1)))]
+    rows = [(F(1), F(0)) + zero_vector(2), zero_vector(2) + (F(0), F(1))]
     r = LinearRelation.from_rows(SP2, SP2, rows)
     with pytest.raises(TransversalityError) as exc:
         backward_image(E2, r)
@@ -275,10 +272,10 @@ def _t_relation(space, c_perp_vec):
     c_perp = ExactSubspace.span([c_perp_vec], ambient_dim=space.dim)
     c = space.form.orth_complement(c_perp)
     q = quotient_coords(c, c_perp)
-    rows = [concat_vec(v, v) for v in q.complement]
+    rows = [v + v for v in q.complement]
     for z in c_perp.basis:
-        rows.append(concat_vec(z, zero_vector(space.dim)))
-        rows.append(concat_vec(zero_vector(space.dim), z))
+        rows.append(z + zero_vector(space.dim))
+        rows.append(zero_vector(space.dim) + z)
     return LinearRelation.from_rows(space, space, rows)
 
 
@@ -437,6 +434,6 @@ def test_split_spaces_and_graph_forms_are_built_once():
         hyperbolic_space(2), hyperbolic_space(1))
     # the kept graph form still decides isotropy
     rows = list(random_relation(random.Random(3), 1, 2).graph.basis)
-    rows[0] = concat_vec((F(1),), (F(0),) * 5)
+    rows[0] = (F(1),) + (F(0),) * 5
     with pytest.raises(NotLagrangianError, match="not isotropic"):
         LinearRelation.from_rows(hyperbolic_space(1), hyperbolic_space(2), rows)

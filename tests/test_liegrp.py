@@ -48,7 +48,7 @@ from courantlab.exactlin import (
     Coordinatizer,
     DimensionMismatchError,
     ExactSubspace,
-    concat_vec,
+    block_diag,
     identity,
     inverse,
     mat_mul,
@@ -56,7 +56,6 @@ from courantlab.exactlin import (
     matrix,
     solve,
     transpose,
-    vec_mat,
 )
 from courantlab.lagrel import (
     LinearRelation,
@@ -69,7 +68,6 @@ from courantlab.lagrel import (
 from courantlab.liegrp import (
     ContextError,
     GroupPoint,
-    block_diag,
     dressing_pullback_check,
     g1_poisson_bivector,
     p_phi_fiber,
@@ -89,6 +87,7 @@ from courantlab.quadlie import (
     validate_algebra,
     validate_manin_triple,
 )
+from exact_strategies import rationals
 
 CTX = sl2_context()
 PAIR = sl2_pair_context()
@@ -135,7 +134,7 @@ def test_double_action_stabilizer():
     for p in CTX.points[:6]:
         pt = p.anchor
         adg = p.adjoint
-        rows = [concat_vec(mat_vec(adg, v), v) for v in identity(3)]
+        rows = [mat_vec(adg, v) + v for v in identity(3)]
         assert pt.stabilizer == ExactSubspace.span(rows, ambient_dim=6)
         ok, _ = pt.coisotropy
         assert ok
@@ -263,7 +262,7 @@ def test_q_mult_fiber():
     # unit fiber kernel is the plain anti-diagonal of g1
     q0 = q_mult_fiber(TRIPLE.points[0])
     expect = ExactSubspace.span(
-        [concat_vec(xi, tuple(-x for x in xi)) for xi in TRIPLE.g1.basis],
+        [xi + tuple(-x for x in xi) for xi in TRIPLE.g1.basis],
         ambient_dim=12,
     )
     assert q0.kernel() == expect
@@ -304,7 +303,7 @@ def test_t_psi_fibers():
     # graph of a nontrivial inner automorphism breaks the splitting condition
     adg = GroupPoint(CTX, matrix([[1, 1], [0, 1]])).adjoint
     gtheta = ExactSubspace.span(
-        [concat_vec(v, mat_vec(adg, v)) for v in identity(3)], ambient_dim=6
+        [v + mat_vec(adg, v) for v in identity(3)], ambient_dim=6
     )
     assert TRIPLE.d_algebra.form.is_lagrangian(gtheta)
     assert is_subalgebra(TRIPLE.d_algebra, gtheta)
@@ -458,7 +457,7 @@ def _unit(size, i, j):
     return tuple(tuple(F(1 if (r, c) == (i, j) else 0) for c in range(size)) for r in range(size))
 
 
-_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_RATIONALS = rationals(5, 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +498,7 @@ def test_coordinatizer_matches_gauss_jordan(data):
         return
     coz = Coordinatizer.of_rows(rows, n)
     combos = [tuple(data.draw(st.lists(_RATIONALS, min_size=k, max_size=k))) for _ in range(3)]
-    vs = [vec_mat(c, rows) if rows else (F(0),) * n for c in combos]
+    vs = [mat_mul((c,), rows)[0] if rows else (F(0),) * n for c in combos]
     assert coz.coords_rows(vs) == tuple(combos) == tuple(_gauss_jordan(rows, v) for v in vs)
     assert coz.coords(vs[0]) == combos[0]
     for e in identity(n):
@@ -600,11 +599,26 @@ def test_group_point_keeps_its_data():
         # the FD layer reads the anchor in floats, and the point keeps no float twin
         pair_multiplication_check(np.zeros((3, 6)), p, p, p)
         assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
-    # up and up^-1 are both sample points: Ad_{up^-1} is read off the kept point
+    # up and up^-1 are both sample points: Ad_{up^-1} equals Ad at the kept point of up^-1
     up, up_inv = ctx.points[1], ctx.points[11]
-    assert up.inverse == up_inv.g and up.adjoint_inverse is up_inv.adjoint
+    assert up.inverse == up_inv.g and up.adjoint_inverse == up_inv.adjoint
     other = ctx.point(mat_mul(up.g, up.g))
     assert other not in ctx.points and other.adjoint == mat_mul(up.adjoint, up.adjoint)
+
+
+def test_the_anchor_of_a_point_off_the_samples_inverts_g_once(calls):
+    # Ad_{g^-1} conjugates by g^-1 with g as its inverse, so no point of
+    # g^-1 is built and g^-1 is not inverted back
+    ctx = replace(sl2_context())
+    ctx.coordinatizer  # inverts a block of the basis rows: built before the count
+    up = ctx.points[1].g
+    g = mat_mul(up, up)
+    assert g not in ctx.sample_points and inverse(g) not in ctx.sample_points
+    inversions = calls(exactlin, "inverse")
+    p = ctx.point(g)
+    assert p.anchor.anchor[0][3:] == identity(3)[0]
+    assert inversions == [(g,)]
+    assert p.adjoint_inverse == inverse(p.adjoint)
 
 
 def test_triple_points_keep_phi_and_dressings():
@@ -642,14 +656,15 @@ def _run_on_a_fresh_triple(monkeypatch, suite):
 
 
 def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, calls):
-    # each Ad_g and each dressing pair is built once, and a build makes one
-    # coords_rows call per matrix it coordinatizes: one for Ad_g, one per
-    # side of a dressing pair (a call counts for the build that makes it,
-    # not for the kept builds it reads)
+    # each Ad_g, each Ad_{g^-1} and each dressing pair is built once, and a
+    # build makes one coords_rows call per matrix it coordinatizes: one for
+    # Ad_g, one for Ad_{g^-1}, one per side of a dressing pair (a call
+    # counts for the build that makes it, not for the kept builds it reads)
     coords = calls(Coordinatizer, "coords_rows")
     frames = [[0, 0]]  # per open build: calls made before it, and by the builds it opens
     builds = {}
     for cls, name, key in ((GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g)),
+                           (GroupPoint, "adjoint_inverse", lambda p: (p.ctx.name, p.g)),
                            (liegrp.G1Point, "dressing", lambda x: x.g1.g)):
         made = builds[name] = collections.defaultdict(list)
 
@@ -671,7 +686,10 @@ def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, cal
     adjoints, dressings = builds["adjoint"], builds["dressing"]
     assert max(map(len, adjoints.values())) == 1 and 0 < len(adjoints) <= 33
     assert max(map(len, dressings.values())) == 1 and 0 < len(dressings) <= 10
+    inverses = builds["adjoint_inverse"]
+    assert max(map(len, inverses.values())) == 1 and 0 < len(inverses) <= 33
     assert {n for c in adjoints.values() for n in c} == {1}
+    assert {n for c in inverses.values() for n in c} == {1}
     assert {n for c in dressings.values() for n in c} == {2}
 
 

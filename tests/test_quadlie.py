@@ -6,7 +6,6 @@ import pytest
 from courantlab.contexts import abelian_algebra_split2, sl2_algebra, triangular_complement
 from courantlab.exactlin import (
     ExactSubspace,
-    concat_vec,
     identity,
     inverse,
     matrix,
@@ -81,7 +80,7 @@ def test_courant_tensor_values():
     assert t.values
     # paired frame x~ = (x, -x)/2 gives the structure trivector values
     xt = [
-        tuple(F(1, 2) * v for v in concat_vec(row, scale_vec(-1, row)))
+        tuple(F(1, 2) * v for v in row + scale_vec(-1, row))
         for row in identity(3)
     ]
     assert courant_form(d, xt[0], xt[1], xt[2]) == F(-2)

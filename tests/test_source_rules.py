@@ -7,8 +7,9 @@ integer product sum(map(mul, ...)) outside exactlin.int_products and
 BilinearForm.pairing, no max-norm outside
 diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
-diffnum, no import of diffnum outside suites and no mat_vec call inside a
-list comprehension.
+diffnum, no import of diffnum outside suites, no mat_vec call inside a
+list comprehension, no concat_vec or zero_vector call inside a
+comprehension or loop outside exactlin, and no st.fractions in the tests.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -32,7 +33,12 @@ its own constructor, so no module keeps its cache on another module's
 value; and the float work has one home, diffnum, which only the FD
 suites load, so the exact modules and commands never load numpy; and a
 mat_vec per element of a list is a matrix product taken one vector at a
-time, each putting the whole matrix over its denominators again.
+time, each putting the whole matrix over its denominators again; and a
+block matrix has one home, exactlin (hstack, zeros, block_diag), so a
+row padded by hand in a loop is a second home whose unchecked zip drops
+rows when block heights differ; and st.fractions spends most of a test's
+time in Hypothesis's engine, where tests/exact_strategies.rationals
+draws from the same finite value set.
 """
 
 import ast
@@ -465,3 +471,59 @@ def test_the_mat_vec_comprehension_rule_catches_each_form():
     for src in ("mat_vec(a, v)", "[mat_mul(a, v) for v in vs]", "mat_mul(vs, transpose(a))",
                 "next(w for w in ws if mat_vec(p, w))"):
         assert _mat_vec_in_list_comprehensions(ast.parse(src)) == [], src
+
+
+def _padded_rows(tree: ast.AST) -> list[str]:
+    """The lines of the concat_vec and zero_vector calls inside a
+    comprehension or a loop."""
+    loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.For, ast.While)
+    return sorted({f"line {node.lineno}" for loop in ast.walk(tree) if isinstance(loop, loops)
+                   for node in ast.walk(loop) if _is_call_of(node, {"concat_vec", "zero_vector"})})
+
+
+def test_block_rows_are_laid_out_by_exactlin():
+    assert any(p.name == "exactlin.py" for p in SOURCES)
+    bad = {p.name: v for p in SOURCES if p.name != "exactlin.py"
+           and (v := _padded_rows(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_padded_row_rule_catches_each_form():
+    # the forms the sources held before hstack: a comprehension, a for
+    # loop appending, a padded generator, and a while loop
+    for src in ("rows = [concat_vec(x, x, ax, zero_vector(m)) for x, ax in zip(identity(n), a_cols)]",
+                "for z in identity(n):\n    rows.append(concat_vec(z, z, zero, zero))",
+                "def constant(v, k):\n    return tuple(zero_vector(k) for _ in v)",
+                "while rows:\n    out.append(exactlin.zero_vector(n) + rows.pop())",
+                "{i: zero_vector(i) for i in range(3)}"):
+        assert _padded_rows(ast.parse(src)) == ["line 2" if "\n" in src else "line 1"], src
+    for src in ("zero = zero_vector(n)", "rows = hstack(identity(n), zeros(n, m))",
+                "w if w else zero_vector(n)", "[zeros(k, n) for k in ks]",
+                "for r in rows:\n    pass\nzero_vector(3)"):
+        assert _padded_rows(ast.parse(src)) == [], src
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def _fraction_strategies(tree: ast.AST) -> list[str]:
+    """The lines of the Hypothesis fractions(...) calls, as st.fractions,
+    strategies.fractions or a bare imported name."""
+    return [f"line {node.lineno}" for node in ast.walk(tree) if _is_call_of(node, {"fractions"})]
+
+
+def test_no_fraction_strategies_in_the_tests():
+    assert any(p.name == "test_exactlin.py" for p in TESTS)
+    bad = {p.name: v for p in TESTS if (v := _fraction_strategies(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_fraction_strategy_rule_catches_each_form():
+    for src in ("st.fractions(min_value=-3, max_value=3, max_denominator=3)",
+                "hypothesis.strategies.fractions().filter(bool)",
+                "from hypothesis.strategies import fractions\nfractions(max_denominator=2)",
+                "entries = st.lists(st.fractions(max_value=1), min_size=2)"):
+        assert _fraction_strategies(ast.parse(src)), src
+    for src in ("rationals(3, 3)", "Fraction(1, 2)", "fractions.Fraction(1)",
+                "st.sampled_from(values)", "import fractions"):
+        assert _fraction_strategies(ast.parse(src)) == [], src
