@@ -149,7 +149,7 @@ def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
     a, da = pt._ints
     pi, dp = int_matrix(s.bivector.matrix)
     a_pi = int_products(a, list(zip(*pi)))
-    return Bivector(pt.chart_dim, frac_matrix(int_products(a_pi, a), da * da * dp))
+    return Bivector(frac_matrix(int_products(a_pi, a), da * da * dp))
 
 
 @_kept("lm")
@@ -320,10 +320,8 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     s_dim = len(dphi[0]) if dphi else 0
     if len(dphi) != m:
         raise ValueError("dPhi rows must match the target chart")
-    spans = ExactSubspace.span(
-        [row for row in transpose(dphi)], ambient_dim=m
-    ).sum(
-        ExactSubspace.span([row for row in transpose(a)], ambient_dim=m)
+    spans = ExactSubspace.span(transpose(dphi), ambient_dim=m).sum(
+        ExactSubspace.span(transpose(a), ambient_dim=m)
     )
     if spans.dim != m:
         raise ValueError("dPhi is not transverse to the anchor")

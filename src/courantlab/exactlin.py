@@ -7,17 +7,18 @@ equal subspaces have identical stored rows and subspace equality is
 plain structural equality.  The zero subspace keeps an explicit ambient
 dimension and no rows.
 
-Values are ``Fraction`` at the API and integers inside.  Every exact
-matrix product is one integer product: ``int_matrix`` puts each operand
-over the lcm of its denominators, ``int_products`` multiplies the
-integer rows by the integer columns, and ``frac_matrix`` reads the table
-back, so a result entry is normalised once.  Elimination works on
-primitive integer rows.  The
-subspace operations (sum, intersection, kernels, orthogonal complements,
-isotropy) work on the integer rows alone; the unit-pivot Fraction basis
-is a view, built on first read.  Nonsingularity is decided by rank, and
-``inverse`` is the Fraction view of one integer elimination of [A | I]
-(``_inverse_rows``).
+Values are ``Fraction`` at the API and integers inside.  ``int_matrix``
+is the one way in: it puts a matrix of int, Fraction or 'p/q' entries
+over the lcm of its denominators (a float raises TypeError at every
+entry point), and ``frac_matrix`` is the one way back, normalising each
+entry once.  Every exact matrix product is one ``int_products`` of such
+rows and columns; every elimination (rank, kernels, spans, membership,
+coordinates) and every constructor check (symmetry, antisymmetry) reads
+the same integer rows.  The subspace operations (sum, intersection,
+kernels, orthogonal complements, isotropy) work on the integer rows
+alone; the unit-pivot Fraction basis is a view, built on first read.
+Nonsingularity is decided by rank, and ``inverse`` is the Fraction view
+of one integer elimination of [A | I] (``_inverse_rows``).
 
 Block matrices are laid out here alone: ``hstack`` joins blocks row by
 row, ``zeros`` and ``block_diag`` pad them, and ``mat_add`` and
@@ -139,22 +140,17 @@ _ZERO = Fraction(0)
 
 
 # A Fraction's own numerator and denominator fields, read at C speed; an
-# int, or anything that lacks them, takes the checked path.
+# int, a 'p/q' string, or anything else that lacks them is coerced by frac.
 _FRACTION_PARTS = attrgetter("_numerator", "_denominator")
 
 
-def _parts(x) -> tuple[int, int]:
-    if not isinstance(x, (Fraction, int)):
-        raise TypeError(f"exact arithmetic needs int or Fraction, got {x!r}")
-    return x.as_integer_ratio()
-
-
 def _over_lcm(v: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of v over the lcm of its denominators."""
+    """Integer numerators of v over the lcm of its denominators; raises
+    TypeError on an entry frac refuses, such as a float."""
     try:
         pairs = list(map(_FRACTION_PARTS, v))
     except AttributeError:
-        pairs = list(map(_parts, v))
+        pairs = list(map(_FRACTION_PARTS, map(frac, v)))
     den = lcm(*[d for _, d in pairs])
     if den == 1:
         return [n for n, _ in pairs], 1
@@ -163,8 +159,9 @@ def _over_lcm(v: Sequence) -> tuple[list[int], int]:
 
 def int_matrix(A: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """A as integer rows over the lcm of all its entries' denominators:
-    the one way into an integer product.  Raises DimensionMismatchError
-    on ragged rows."""
+    the one way from exact input (int, Fraction or 'p/q' entries) into
+    integer rows, for every product, elimination and check.  Raises
+    DimensionMismatchError on ragged rows and TypeError on a float."""
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("ragged matrix rows")
@@ -249,26 +246,6 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
     return pivots
 
 
-def _primitive(v: Iterable) -> list[int]:
-    """The primitive integer row on the line of v (all zeros for v = 0)."""
-    if not isinstance(v, (tuple, list)):
-        v = tuple(v)
-    try:
-        nums, _ = _over_lcm(v)
-    except TypeError:
-        nums, _ = _over_lcm(vector(v))
-    content = gcd(*nums)
-    return [x // content for x in nums] if content > 1 else nums
-
-
-def _int_rows(rows: Iterable[Iterable]) -> list[list[int]]:
-    """Rows as primitive integer rows; raises on ragged input."""
-    work = [_primitive(r) for r in rows]
-    if work and any(len(r) != len(work[0]) for r in work):
-        raise DimensionMismatchError("ragged matrix rows")
-    return work
-
-
 def _rref(work: list, ncols: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """The reduced row echelon form of integer rows (consumed) as
     primitive rows with positive pivots, zero rows dropped, and its
@@ -285,14 +262,7 @@ def _rref(work: list, ncols: int) -> tuple[tuple[tuple[int, ...], ...], list[int
 
 def _unit_pivot(rows: Iterable[Sequence[int]]) -> Matrix:
     """Fraction rows of integer echelon rows, each divided by its pivot."""
-    out = []
-    for row in rows:
-        p = next(filter(None, row))
-        if p == 1:
-            out.append(tuple(Fraction(x) if x else _ZERO for x in row))
-        else:
-            out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
-    return tuple(out)
+    return tuple(frac_matrix((row,), next(filter(None, row)))[0] for row in rows)
 
 
 def zero_prefix_rows(work: list, k: int) -> list:
@@ -313,14 +283,14 @@ def zero_prefix_rows(work: list, k: int) -> list:
 
 def rref(rows: Sequence[Sequence]) -> Matrix:
     """Reduced row echelon form with unit pivots; zero rows dropped."""
-    work = _int_rows(rows)
+    work = list(int_matrix(rows)[0])
     if not work:
         return ()
     return _unit_pivot(_rref(work, len(work[0]))[0])
 
 
 def rank(A: Sequence[Sequence]) -> int:
-    work = _int_rows(A)
+    work = list(int_matrix(A)[0])
     if not work:
         return 0
     return len(_eliminate(work, len(work[0]), reduced=False))
@@ -347,7 +317,7 @@ def _kernel_rows(work: list, ncols: int) -> list[list[int]]:
 
 def nullspace(A: Matrix, ncols: int) -> "ExactSubspace":
     """Kernel of x -> A x as a canonical subspace of Q^ncols."""
-    return ExactSubspace.of_rows(ncols, _kernel_rows(_int_rows(A), ncols))
+    return ExactSubspace.of_rows(ncols, _kernel_rows(list(int_matrix(A)[0]), ncols))
 
 
 def solve(A: Matrix, b: Vector) -> Vector | None:
@@ -400,7 +370,7 @@ def inverse(A: Matrix) -> Matrix:
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    ints, den = int_matrix(matrix(A))
+    ints, den = int_matrix(A)
     rows, inv_den = _inverse_rows(ints)
     # (N / den)^-1 = den * N^-1
     return frac_matrix([[den * x for x in row] for row in rows], inv_den)
@@ -426,12 +396,10 @@ class ExactSubspace:
         return cls(ambient_dim, _rref(work, ambient_dim)[0])
 
     @classmethod
-    def span(cls, vectors: Iterable[Iterable], ambient_dim: int | None = None) -> "ExactSubspace":
-        work = [_primitive(v) for v in vectors]
+    def span(cls, vectors: Sequence[Sequence], ambient_dim: int | None = None) -> "ExactSubspace":
+        work = list(int_matrix(vectors)[0])
         if work:
             n = len(work[0])
-            if any(len(r) != n for r in work):
-                raise DimensionMismatchError("span of vectors with mixed dimensions")
             if ambient_dim is not None and ambient_dim != n:
                 raise DimensionMismatchError("ambient_dim disagrees with vectors")
             ambient_dim = n
@@ -458,9 +426,9 @@ class ExactSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: Iterable) -> bool:
-        """Whether v's primitive integer row reduces to zero against ``rows``."""
-        work = _primitive(v)
+    def contains(self, v: Sequence) -> bool:
+        """Whether v's integer row reduces to zero against ``rows``."""
+        (work,), _ = int_matrix((v,))
         if len(work) != self.ambient_dim:
             raise DimensionMismatchError("vector not in ambient space")
         for row in self.rows:
@@ -528,8 +496,9 @@ class Coordinatizer:
     k x k block of the rows is invertible.  The coordinates of v are its
     entries there times the inverse block, and they count only when they
     rebuild v exactly; otherwise v lies outside ``span``, the name the
-    error gives.  Both products read columns kept as ``int_matrix``: those
-    of the inverse block and those of the rows.
+    error gives.  Both products read integer columns over one
+    denominator, kept from one ``int_matrix`` of the rows: those of the
+    inverse block and those of the rows.
     """
 
     ambient_dim: int
@@ -539,42 +508,41 @@ class Coordinatizer:
     span: str = "the span"
 
     @classmethod
-    def of_rows(cls, rows: Iterable[Iterable], ambient_dim: int,
+    def of_rows(cls, rows: Sequence[Sequence], ambient_dim: int,
                 span: str = "the span") -> "Coordinatizer":
         """Raises DimensionMismatchError on rows of the wrong length and
         ValueError on dependent rows."""
-        rows = matrix(rows)
-        if any(len(r) != ambient_dim for r in rows):
+        ints, den = int_matrix(rows)
+        if ints and len(ints[0]) != ambient_dim:
             raise DimensionMismatchError("coordinate rows not in the ambient space")
-        pivots = tuple(_rref(_int_rows(rows), ambient_dim)[1])
-        if len(pivots) != len(rows):
+        pivots = tuple(_rref(list(ints), ambient_dim)[1])
+        if len(pivots) != len(ints):
             raise ValueError("coordinate rows are linearly dependent")
-        block = tuple(tuple(row[p] for p in pivots) for row in rows)
-        # k = 0 rows still have ambient_dim (empty) columns
-        row_columns = transpose(rows) if rows else ((),) * ambient_dim
-        return cls(ambient_dim, pivots, int_matrix(transpose(inverse(block))),
-                   int_matrix(row_columns), span)
+        inv, inv_den = _inverse_rows([[row[p] for p in pivots] for row in ints])
+        # (N / den)^-1 = den * N^-1; k = 0 rows still have ambient_dim (empty) columns
+        inverse_columns = tuple(zip(*[[den * x for x in row] for row in inv]))
+        row_columns = tuple(zip(*ints)) if ints else ((),) * ambient_dim
+        return cls(ambient_dim, pivots, (inverse_columns, inv_den), (row_columns, den), span)
 
-    def coords(self, v: Iterable) -> Vector:
+    def coords(self, v: Sequence) -> Vector:
         """Coordinates of one vector; DimensionMismatchError outside the span."""
         return self.coords_rows((v,))[0]
 
-    def coords_rows(self, vs: Iterable[Iterable]) -> Matrix:
+    def coords_rows(self, vs: Sequence[Sequence]) -> Matrix:
         """Coordinates of each row of vs as one product, then one exact
-        rebuild check; DimensionMismatchError on a row of the wrong
-        length or outside the span."""
-        vs = tuple(map(vector, vs))
-        n = self.ambient_dim
-        if any(len(v) != n for v in vs):
+        rebuild check on integers; DimensionMismatchError on a row of the
+        wrong length or outside the span."""
+        ints, den = int_matrix(vs)
+        if ints and len(ints[0]) != self.ambient_dim:
             raise DimensionMismatchError("vector not in the ambient space")
-        picked, den = int_matrix([[v[p] for p in self.pivots] for v in vs])
         inverse_cols, inverse_den = self.inverse_columns
         row_cols, row_den = self.row_columns
-        coef = int_products(picked, inverse_cols)
-        den *= inverse_den
-        if frac_matrix(int_products(coef, row_cols), den * row_den) != vs:
+        coef = int_products([[v[p] for p in self.pivots] for v in ints], inverse_cols)
+        # coef / (den inverse_den) . row_cols / row_den == ints / den
+        scale = inverse_den * row_den
+        if int_products(coef, row_cols) != [[scale * x for x in v] for v in ints]:
             raise DimensionMismatchError(f"vector not in {self.span}")
-        return frac_matrix(coef, den)
+        return frac_matrix(coef, den * inverse_den)
 
 
 @dataclass(frozen=True)
@@ -598,7 +566,7 @@ class QuotientMap:
         return Coordinatizer.of_rows(self.w0.rows + tuple(self.complement),
                                      self.w1.ambient_dim, "W1")
 
-    def coords_rows(self, vs: Iterable[Iterable]) -> Matrix:
+    def coords_rows(self, vs: Sequence[Sequence]) -> Matrix:
         """Quotient coordinates of each row of vs, as one product;
         DimensionMismatchError on a row outside W1."""
         k = self.w0.dim
@@ -645,9 +613,9 @@ class BilinearForm:
     def __post_init__(self):
         m = matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m != transpose(m):
-            raise ValueError("bilinear form must be symmetric")
         object.__setattr__(self, "_ints", int_matrix(m))
+        if self._ints[0] != transpose(self._ints[0]):
+            raise ValueError("bilinear form must be symmetric")
 
     def __hash__(self) -> int:
         # equal matrices have equal integer rows, which hash faster than
@@ -658,15 +626,13 @@ class BilinearForm:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def pairing(self, u: Iterable, v: Iterable) -> Fraction:
-        u, v = vector(u), vector(v)
-        if len(u) != self.dim or len(v) != self.dim:
+    def pairing(self, u: Sequence, v: Sequence) -> Fraction:
+        (un, vn), uv_den = int_matrix((u, v))
+        if len(un) != self.dim:
             raise DimensionMismatchError("vectors not in the form's space")
         rows, den = self._ints
-        un, ud = _over_lcm(u)
-        vn, vd = _over_lcm(v)
         total = sum(map(mul, un, [sum(map(mul, row, vn)) for row in rows]))
-        return Fraction(total, ud * vd * den) if total else _ZERO
+        return Fraction(total, uv_den * uv_den * den) if total else _ZERO
 
     def is_nondegenerate(self) -> bool:
         # Sylvester: the zeros of the signature count n - rank

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import neg
 
 from .exactlin import (
     BilinearForm,
@@ -25,6 +26,7 @@ from .exactlin import (
     Vector,
     hstack,
     identity,
+    int_matrix,
     inverse,
     mat_add,
     mat_mul,
@@ -275,14 +277,18 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
 class Bivector:
     """Antisymmetric coefficient matrix P: pi = sum_{u<v} P[u][v] d_u ^ d_v."""
 
-    dim: int
     matrix: Matrix
 
     def __post_init__(self):
         m = matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m != mat_scale(-1, transpose(m)):
+        rows, _ = int_matrix(m)
+        if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
             raise ValueError("bivector matrix must be antisymmetric")
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
     @cached_property
     def rank(self) -> int:
@@ -290,9 +296,8 @@ class Bivector:
         return rank(self.matrix)
 
     def sharp_range(self) -> ExactSubspace:
-        return ExactSubspace.span(
-            [row for row in transpose(self.matrix)], ambient_dim=self.dim
-        )
+        # P^T = -P spans the same rows as P
+        return ExactSubspace.span(self.matrix, ambient_dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -351,7 +356,7 @@ def splitting_bivector(s: Splitting) -> Bivector:
     # sum e_i^T f^i - f^i^T e_i as one product of stacked bases
     lhs = transpose(e + duals)
     rhs = duals + mat_scale(-1, e)
-    return Bivector(s.space.dim, mat_scale(Fraction(1, 2), mat_mul(lhs, rhs)))
+    return Bivector(mat_scale(Fraction(1, 2), mat_mul(lhs, rhs)))
 
 
 @dataclass(frozen=True)

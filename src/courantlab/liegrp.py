@@ -11,9 +11,8 @@ element lives on its GroupPoint.  Everything here is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .exactlin import (
@@ -32,7 +31,6 @@ from .exactlin import (
     nullspace,
     rank,
     transpose,
-    vector,
     zeros,
 )
 from .lagrel import (
@@ -98,7 +96,7 @@ class GroupContext:
     @cached_property
     def coordinatizer(self) -> Coordinatizer:
         """Exact coordinates of flattened ambient matrices over the basis."""
-        return Coordinatizer.of_rows((flatten(b) for b in self.algebra_basis),
+        return Coordinatizer.of_rows([flatten(b) for b in self.algebra_basis],
                                      self.ambient_size ** 2, "the algebra span")
 
     def coordinatize(self, elt: Matrix) -> Vector:
@@ -106,15 +104,12 @@ class GroupContext:
         DimensionMismatchError when it is not in the algebra's span."""
         return self.coordinatizer.coords(flatten(elt))
 
-    def from_coords(self, coords: Iterable) -> Matrix:
-        coords = vector(coords)
+    def from_coords(self, coords: Sequence) -> Matrix:
+        """The element sum c_a B_a: one product of the flattened basis
+        columns with the coordinates."""
         n = self.ambient_size
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for c, b in zip(coords, self.algebra_basis, strict=True):
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * b[i][j]
-        return tuple(tuple(r) for r in out)
+        flat = mat_vec(transpose([flatten(b) for b in self.algebra_basis]), coords)
+        return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +130,7 @@ class GroupPoint:
     def _conjugation(self, h: Matrix, h_inv: Matrix) -> Matrix:
         """Ad_h over the algebra basis, exact: column b holds the
         coordinates of h b h^-1, all read by one product."""
-        conj = (flatten(mat_mul(mat_mul(h, b), h_inv)) for b in self.ctx.algebra_basis)
+        conj = [flatten(mat_mul(mat_mul(h, b), h_inv)) for b in self.ctx.algebra_basis]
         return transpose(self.ctx.coordinatizer.coords_rows(conj))
 
     @cached_property

@@ -29,7 +29,6 @@ from .exactlin import (
     int_products,
     mat_scale,
     matrix,
-    vector,
     zero_vector,
 )
 
@@ -94,17 +93,16 @@ class QuadraticLieAlgebra:
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self._table[i][j]
 
-    def bracket_vec(self, x: Iterable, y: Iterable) -> Vector:
+    def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] = sum over stored pairs i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
-        x, y = vector(x), vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError("vectors not in the algebra")
         (xn, yn), den = int_matrix((x, y))
+        if len(xn) != self.dim:
+            raise DimensionMismatchError("vectors not in the algebra")
         wedge = [xn[i] * yn[j] - xn[j] * yn[i] for i, j, _ in self.bracket]
         cols, cols_den = self._columns
         return frac_matrix(int_products((wedge,), cols), den * den * cols_den)[0]
 
-    def pairing(self, x: Iterable, y: Iterable) -> Fraction:
+    def pairing(self, x: Sequence, y: Sequence) -> Fraction:
         return self.form.pairing(x, y)
 
     def full_space(self) -> ExactSubspace:

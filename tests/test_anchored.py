@@ -277,7 +277,7 @@ def test_diagonal_backward_checks_the_kept_bivector():
     # the backward image is compared with the kept pi_m on every call
     pt = AnchoredPoint(AB4, A4, 2)
     pi = bivector_at(pt, S4)
-    pt.kept["pi", S4] = Bivector(2, tuple(tuple(-x for x in row) for row in pi.matrix))
+    pt.kept["pi", S4] = Bivector(tuple(tuple(-x for x in row) for row in pi.matrix))
     with pytest.raises(CourantStructureError, match="disagrees"):
         diagonal_backward(pt, S4)
 

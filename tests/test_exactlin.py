@@ -33,8 +33,8 @@ from courantlab.exactlin import (
     vector,
     zeros,
 )
-from courantlab.contexts import sl2_pair_context
-from courantlab.lagrel import LinearRelation, hyperbolic_space
+from courantlab.contexts import sl2_algebra, sl2_pair_context
+from courantlab.lagrel import Bivector, LinearRelation, hyperbolic_space
 from exact_strategies import rationals
 
 
@@ -422,6 +422,51 @@ def test_float_operands_raise_type_error():
         nullspace(bad, 2)
     with pytest.raises(TypeError):
         solve(bad, (F(1), F(1)))
+    # every entry point whose input reaches integer rows through int_matrix
+    plane = ExactSubspace.span(a)
+    coordinatizer = Coordinatizer.of_rows(a, 2)
+    form = BilinearForm(((F(1), F(0)), (F(0), F(-1))))
+    for call in (lambda: ExactSubspace.span(bad), lambda: plane.contains((F(1), 0.5)),
+                 lambda: Coordinatizer.of_rows(bad, 2),
+                 lambda: coordinatizer.coords_rows(((F(1), 0.5),)),
+                 lambda: BilinearForm(((F(1), 0.5), (0.5, F(1)))),
+                 lambda: form.pairing((F(1), 0.5), (F(1), F(0))),
+                 lambda: Bivector(((F(0), 0.5), (-0.5, F(0)))),
+                 lambda: sl2_algebra().bracket_vec((F(1), 0.5, F(0)), (F(0), F(1), F(0)))):
+        with pytest.raises(TypeError):
+            call()
+
+
+# int, Fraction and 'p/q' entries of the same values (the strings are not
+# in lowest terms, so they are normalised on the way in)
+_ENTRY_KINDS = (lambda x: x, F, lambda x: f"{2 * x}/2")
+_ROWS = ((1, -2, 0), (3, 1, 2))
+_GRAM = ((0, 1, 0), (1, 0, 0), (0, 0, -2))
+
+
+def _as_kind(kind, rows):
+    return tuple(tuple(map(kind, row)) for row in rows)
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda k: ExactSubspace.span(_as_kind(k, _ROWS)),
+    lambda k: ExactSubspace.span(_ROWS).contains(_as_kind(k, ((4, -1, 2),))[0]),
+    lambda k: Coordinatizer.of_rows(_as_kind(k, _ROWS), 3).coords_rows(((4, -1, 2),)),
+    lambda k: Coordinatizer.of_rows(_ROWS, 3).coords_rows(_as_kind(k, ((4, -1, 2),))),
+    lambda k: BilinearForm(_as_kind(k, _GRAM)).matrix,
+    lambda k: BilinearForm(_GRAM).pairing(*_as_kind(k, _ROWS)),
+    lambda k: Bivector(_as_kind(k, ((0, 3), (-3, 0)))).matrix,
+    lambda k: sl2_algebra().bracket_vec(*_as_kind(k, _ROWS)),
+    lambda k: rref(_as_kind(k, _ROWS)),
+    lambda k: nullspace(_as_kind(k, _ROWS), 3),
+    lambda k: inverse(_as_kind(k, _GRAM)),
+    lambda k: mat_mul(_as_kind(k, _ROWS), _GRAM),
+    lambda k: mat_vec(_GRAM, _as_kind(k, _ROWS)[0]),
+], ids=["span", "contains", "of_rows", "coords_rows", "BilinearForm", "pairing", "Bivector",
+        "bracket_vec", "rref", "nullspace", "inverse", "mat_mul", "mat_vec"])
+def test_int_fraction_and_string_entries_agree(entry_point):
+    results = [entry_point(kind) for kind in _ENTRY_KINDS]
+    assert results[0] == results[1] == results[2]
 
 
 def _ref_signature(m):

@@ -20,6 +20,7 @@ from courantlab.exactlin import (
     zero_vector,
 )
 from courantlab.lagrel import (
+    Bivector,
     LinearRelation,
     NotLagrangianError,
     ReductionError,
@@ -437,3 +438,16 @@ def test_split_spaces_and_graph_forms_are_built_once():
     rows[0] = (F(1),) + (F(0),) * 5
     with pytest.raises(NotLagrangianError, match="not isotropic"):
         LinearRelation.from_rows(hyperbolic_space(1), hyperbolic_space(2), rows)
+
+
+def test_bivector_dimension_is_its_matrix_size():
+    # the matrix alone fixes the dimension, so sharp_range always works
+    b = Bivector(((0, 1), (-1, 0)))
+    assert b.dim == 2 and b.sharp_range() == ExactSubspace.full(2)
+    assert Bivector(((0, F(1, 2), 0), (F(-1, 2), 0, 0), (0, 0, 0))).sharp_range().dim == 2
+    with pytest.raises(TypeError):
+        Bivector(3, ((0, 1), (-1, 0)))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        Bivector(((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        Bivector(((0, 1, 0), (-1, 0, 0)))

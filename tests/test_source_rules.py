@@ -9,7 +9,9 @@ diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
 diffnum, no import of diffnum outside suites, no mat_vec call inside a
 list comprehension, no concat_vec or zero_vector call inside a
-comprehension or loop outside exactlin, and no st.fractions in the tests.
+comprehension or loop outside exactlin, no st.fractions in the tests, and
+no read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
+_over_lcm.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -38,7 +40,10 @@ block matrix has one home, exactlin (hstack, zeros, block_diag), so a
 row padded by hand in a loop is a second home whose unchecked zip drops
 rows when block heights differ; and st.fractions spends most of a test's
 time in Hypothesis's engine, where tests/exact_strategies.rationals
-draws from the same finite value set.
+draws from the same finite value set; and int_matrix is the one way from
+exact input into integer rows, so a numerator or denominator read
+anywhere else is a second converter, with its own coercion and its own
+errors.
 """
 
 import ast
@@ -527,3 +532,54 @@ def test_the_fraction_strategy_rule_catches_each_form():
     for src in ("rationals(3, 3)", "Fraction(1, 2)", "fractions.Fraction(1)",
                 "st.sampled_from(values)", "import fractions"):
         assert _fraction_strategies(ast.parse(src)) == [], src
+
+
+# where a Fraction's numerator and denominator may be read: the one
+# attrgetter of its fields, and _over_lcm, under int_matrix
+FRACTION_PART_READERS = {("exactlin.py", "_FRACTION_PARTS"), ("exactlin.py", "_over_lcm")}
+FRACTION_PARTS = {"as_integer_ratio", "numerator", "denominator", "_numerator", "_denominator"}
+
+
+def _fraction_part_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, module-level assignment target or <module>,
+    line) of each attribute access x.numerator and the like, and of each
+    string naming such a field (attrgetter, getattr)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (isinstance(node, ast.Assign) and where == "<module>" and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            where = node.targets[0].id
+        if ((isinstance(node, ast.Attribute) and node.attr in FRACTION_PARTS)
+                or (isinstance(node, ast.Constant) and node.value in FRACTION_PARTS)):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_fraction_parts_are_read_under_int_matrix_alone():
+    found = [(p.name, where, line) for p in SOURCES
+             for where, line in _fraction_part_reads(ast.parse(p.read_text()))]
+    outside = [f"{name} line {line}" for name, where, line in found
+               if (name, where) not in FRACTION_PART_READERS]
+    assert ("exactlin.py", "_FRACTION_PARTS") in {(name, where) for name, where, _ in found}
+    assert outside == []
+
+
+def test_the_fraction_part_rule_catches_each_form():
+    # the second converter exactlin used to hold, and the other spellings
+    for src in ("def _parts(x):\n    return x.as_integer_ratio()", "x.numerator", "f.denominator",
+                "v._numerator * (den // v._denominator)", "attrgetter('_numerator', '_denominator')",
+                "getattr(x, 'denominator')", "[frac(x).numerator for x in row]",
+                "PARTS = operator.attrgetter('numerator')"):
+        assert _fraction_part_reads(ast.parse(src)), src
+    assert _fraction_part_reads(ast.parse("def f(x):\n    return x.denominator")) == [("f", 2)]
+    assert _fraction_part_reads(ast.parse("P = attrgetter('_numerator')")) == [("P", 1)]
+    for src in ("int_matrix(rows)", "Fraction(n, d)", "'the numerator'", "numerator = 1",
+                "den = lcm(*dens)", "def numerator(x):\n    pass", "x.num"):
+        assert _fraction_part_reads(ast.parse(src)) == [], src
