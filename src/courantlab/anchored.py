@@ -81,7 +81,7 @@ class AnchoredPoint:
         if len(rows) != self.chart_dim or any(
             len(r) != self.algebra.dim for r in rows
         ):
-            raise ValueError("anchor must be chart_dim x algebra dim")
+            raise DimensionMismatchError("anchor must be chart_dim x algebra dim")
         object.__setattr__(self, "_ints", int_matrix(rows))
 
     def _keep(self, key, build):
@@ -100,12 +100,10 @@ class AnchoredPoint:
     def coisotropy(self) -> tuple[bool, Vector | None]:
         """(True, None) iff ker(a)-perp is inside ker(a); otherwise
         (False, w) with w in ker(a)-perp outside ker(a)."""
-        ker = self.stabilizer
-        perp = self.algebra.form.orth_complement(ker)
-        for row in perp.basis:
-            if not ker.contains(row):
-                return False, row
-        return True, None
+        ker, perp = self.stabilizer, self.dual_range
+        if ker.contains_subspace(perp):
+            return True, None
+        return False, next(row for row in perp.basis if not ker.contains(row))
 
     @cached_property
     def dual(self) -> Matrix:
@@ -114,8 +112,8 @@ class AnchoredPoint:
 
     @cached_property
     def dual_range(self) -> ExactSubspace:
-        """ran(a*) as a subspace of the algebra."""
-        return ExactSubspace.span(transpose(self.dual), ambient_dim=self.algebra.dim)
+        """ran(a*) = ker(a)-perp, since <B^-1 a^T mu, k> = mu . a k."""
+        return self.algebra.form.orth_complement(self.stabilizer)
 
 
 def require_coisotropic(pt: AnchoredPoint) -> None:
@@ -319,11 +317,8 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     m = pt.chart_dim
     s_dim = len(dphi[0]) if dphi else 0
     if len(dphi) != m:
-        raise ValueError("dPhi rows must match the target chart")
-    spans = ExactSubspace.span(transpose(dphi), ambient_dim=m).sum(
-        ExactSubspace.span(transpose(a), ambient_dim=m)
-    )
-    if spans.dim != m:
+        raise DimensionMismatchError("dPhi rows must match the target chart")
+    if rank(hstack(dphi, a)) != m:
         raise ValueError("dPhi is not transverse to the anchor")
     n = pt.algebra.dim
     ambient_form = pt.algebra.form.direct_sum(

@@ -312,12 +312,7 @@ def sl2c_realified_context() -> GroupContext:
         (3, 4, 0, 2), (3, 5, 1, -1), (4, 5, 2, 2),
     ]
     tform = [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
-    form = [
-        [tform[i][j] if (i < 3 and j < 3) else
-         (-tform[i - 3][j - 3] if (i >= 3 and j >= 3) else 0)
-         for j in range(6)]
-        for i in range(6)
-    ]
+    form = block_diag(tform, mat_scale(-1, tform))
     alg = QuadraticLieAlgebra.from_triples(
         6, triples, form, basis_names=("e", "h", "f", "ie", "ih", "if")
     )

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exactlin import Matrix, Vector
+from .exactlin import DimensionMismatchError, Matrix, Vector
 from .lagrel import Splitting
 from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_value
 from .quadlie import QuadraticLieAlgebra, courant_tensor_on_basis
@@ -39,7 +39,7 @@ class ChartBivectorField:
     def __call__(self, point) -> np.ndarray:
         p = np.asarray(self.sampler(np.asarray(point, dtype=float)), dtype=float)
         if p.shape != (self.chart_dim, self.chart_dim):
-            raise ValueError("sampler returned a wrong shape")
+            raise DimensionMismatchError("sampler returned a wrong shape")
         if max_abs(p + p.T) > ANTISYM_TOL * max(1.0, max_abs(p)):
             raise ValueError("sampler output is not antisymmetric")
         return p

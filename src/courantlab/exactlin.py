@@ -43,7 +43,8 @@ Matrix = tuple[Vector, ...]
 
 
 class DimensionMismatchError(ValueError):
-    """Raised when operands live in different ambient spaces."""
+    """Raised when an input has the wrong shape, or when operands live
+    in different ambient spaces."""
 
 
 class SingularMatrixError(ValueError):
@@ -140,17 +141,17 @@ _ZERO = Fraction(0)
 
 
 # A Fraction's own numerator and denominator fields, read at C speed; an
-# int, a 'p/q' string, or anything else that lacks them is coerced by frac.
+# entry that lacks them is its own numerator (an int) or coerced by frac.
 _FRACTION_PARTS = attrgetter("_numerator", "_denominator")
 
 
 def _over_lcm(v: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of v over the lcm of its denominators; raises
-    TypeError on an entry frac refuses, such as a float."""
+    """Integer numerators of v over the lcm of its denominators; an int is
+    its own numerator, and frac coerces the rest (TypeError on a float)."""
     try:
         pairs = list(map(_FRACTION_PARTS, v))
     except AttributeError:
-        pairs = list(map(_FRACTION_PARTS, map(frac, v)))
+        pairs = [(x, 1) if type(x) is int else _FRACTION_PARTS(frac(x)) for x in v]
     den = lcm(*[d for _, d in pairs])
     if den == 1:
         return [n for n, _ in pairs], 1
@@ -427,22 +428,22 @@ class ExactSubspace:
         return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        """Whether v's integer row reduces to zero against ``rows``."""
-        (work,), _ = int_matrix((v,))
-        if len(work) != self.ambient_dim:
+        """Whether v lies in the subspace; DimensionMismatchError when v
+        has another length."""
+        (row,), _ = int_matrix((v,))
+        if len(row) != self.ambient_dim:
             raise DimensionMismatchError("vector not in ambient space")
-        for row in self.rows:
-            p = next(j for j, x in enumerate(row) if x)
-            b = work[p]
-            if b:
-                g = gcd(row[p], b)
-                a, b = row[p] // g, b // g
-                work = [a * x - b * y for x, y in zip(work, row)]
-        return not any(work)
+        return self._spans((row,))
 
     def contains_subspace(self, other: "ExactSubspace") -> bool:
         self._check(other)
-        return all(self.contains(row) for row in other.rows)
+        return self._spans(other.rows)
+
+    def _spans(self, rows: tuple[tuple[int, ...], ...]) -> bool:
+        """Whether integer rows lie in the span: stacked under ``rows``
+        they add no pivot to one elimination."""
+        work = list(self.rows + rows)
+        return len(_eliminate(work, self.ambient_dim, reduced=False)) == self.dim
 
     def _check(self, other: "ExactSubspace") -> None:
         if self.ambient_dim != other.ambient_dim:

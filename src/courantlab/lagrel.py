@@ -321,12 +321,18 @@ class Splitting:
             raise DimensionMismatchError("splitting subspaces are not in the space")
         if not (form.is_lagrangian(self.e) and form.is_lagrangian(self.f)):
             raise NotLagrangianError("splitting requires two Lagrangian subspaces")
-        if self.e.intersect(self.f).dim != 0:
+        # Lagrangians of a split space have half its dimension, so E and F
+        # meet in zero exactly when they span it
+        if self.e.sum(self.f).dim != self.space.dim:
             raise NotLagrangianError("splitting subspaces are not transverse")
 
     @classmethod
     def of_algebra(cls, alg: QuadraticLieAlgebra, e: ExactSubspace, f: ExactSubspace) -> "Splitting":
         return cls(from_algebra(alg), e, f)
+
+    def splits(self, w: ExactSubspace) -> bool:
+        """Whether W = (W cap E) + (W cap F)."""
+        return w.intersect(self.e).sum(w.intersect(self.f)) == w
 
     @cached_property
     def duals(self) -> Matrix:
@@ -371,25 +377,20 @@ class ReducedBivector:
 def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
     """Descend a splitting's bivector along a coisotropic W1.
 
-    Succeeds exactly when W0 = (E cap W0) (+) (F cap W0) for W0 = W1-perp;
-    on failure raises ReductionError carrying a witness w in W0 whose
-    E-projection leaves W0.
+    Raises ValueError when W1 is not coisotropic, that is when the
+    quotient finds W0 = W1-perp outside W1.  Succeeds exactly when
+    W0 = (E cap W0) (+) (F cap W0); on failure raises ReductionError
+    carrying a witness w in W0 whose E-projection leaves W0.
     """
     form = s.space.form
-    if not form.is_coisotropic(w1):
-        raise ValueError("W1 must be coisotropic")
     w0 = form.orth_complement(w1)
-    if s.e.intersect(w0).sum(s.f.intersect(w0)) != w0:
+    q = quotient_coords(w1, w0)
+    if not s.splits(w0):
         p_e, _ = s.projectors
         witness = next((w for w in w0.basis if not w0.contains(mat_vec(p_e, w))), w0.basis[0])
         raise ReductionError("W0 is not split by the decomposition", witness)
-    q = quotient_coords(w1, w0)
     red_form = q.descended_form(form)
-    e_red = q.map_subspace(s.e)
-    f_red = q.map_subspace(s.f)
-    if e_red.intersect(f_red).dim != 0:
-        raise ReductionError("reduced subspaces are not transverse", w0.basis[0])
-    reduced = Splitting(SplitSpace(q.dim, red_form), e_red, f_red)
+    reduced = Splitting(SplitSpace(q.dim, red_form), q.map_subspace(s.e), q.map_subspace(s.f))
     # iota(w) Pi = -Pi B w, for every complement row w at once the rows of
     # C B Pi (B is symmetric and Pi antisymmetric), and
     # iota(w_red) Pi_red = (iota(w) Pi)_red
@@ -449,17 +450,12 @@ def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> Re
     target; NotLagrangianError when they split other spaces."""
     if s.space != r.source or s_prime.space != r.target:
         raise NotLagrangianError("splittings are not on the relation's spaces")
-    e, f, ep, fp = s.e, s.f, s_prime.e, s_prime.f
-    ker = r.kernel()
-    ran = r.range_()
-    kernel_splits = ker.intersect(e).sum(ker.intersect(f)) == ker
-    range_splits = ran.intersect(ep).sum(ran.intersect(fp)) == ran
     iso = r.reduced_iso
     return RelatednessReport(
-        e_related=_iso_carries(iso, e, ep),
-        f_related=_iso_carries(iso, f, fp),
-        kernel_splits=kernel_splits,
-        range_splits=range_splits,
+        e_related=_iso_carries(iso, s.e, s_prime.e),
+        f_related=_iso_carries(iso, s.f, s_prime.f),
+        kernel_splits=s.splits(r.kernel()),
+        range_splits=s_prime.splits(r.range_()),
     )
 
 

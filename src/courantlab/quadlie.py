@@ -87,7 +87,7 @@ class QuadraticLieAlgebra:
             f"b{i}" for i in range(dim)
         )
         if len(names) != dim:
-            raise ValueError("basis_names length must equal dim")
+            raise DimensionMismatchError("basis_names length must equal dim")
         return cls(dim, packed, BilinearForm(matrix(form_rows)), names)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
@@ -295,8 +295,10 @@ def validate_manin_triple(t: ManinTriple) -> ValidationReport:
         if not is_subalgebra(t.d, sub):
             records.append(ValidationRecord("subalgebra", (label,), "[S,S] not in S"))
     if t.g1.ambient_dim == t.g2.ambient_dim == t.d.dim:
-        if t.g1.intersect(t.g2).dim != 0:
+        # dim(g1 cap g2) = dim g1 + dim g2 - dim(g1 + g2)
+        spanned = t.g1.sum(t.g2).dim
+        if t.g1.dim + t.g2.dim != spanned:
             records.append(ValidationRecord("transverse", ("g1", "g2"), "g1 cap g2 != 0"))
-        if t.g1.sum(t.g2).dim != t.d.dim:
+        if spanned != t.d.dim:
             records.append(ValidationRecord("spanning", ("g1", "g2"), "g1 + g2 != d"))
     return ValidationReport(tuple(records))

@@ -21,12 +21,16 @@ from courantlab.anchored import (
     rank_formula,
 )
 from courantlab.contexts import (
+    GROUP_CONTEXT_NAMES,
     SPLITTING_NAMES,
+    TRIPLE_CONTEXT_NAMES,
     abelian2_desk_point,
     abelian_algebra_split2,
     get_group_context,
+    get_triple_context,
     named_splitting,
 )
+from courantlab.diffnum import ChartBivectorField
 from courantlab.exactlin import (
     DimensionMismatchError,
     ExactSubspace,
@@ -459,3 +463,51 @@ def test_kept_point_data_equals_direct_formulas():
         # computed once: later reads return the same objects
         assert pt.stabilizer is pt.stabilizer
         assert pt.dual is pt.dual
+
+
+def _shipped_points():
+    for name in GROUP_CONTEXT_NAMES:
+        for p in get_group_context(name).points:
+            yield p.anchor
+    for name in TRIPLE_CONTEXT_NAMES:
+        for x in get_triple_context(name).points:
+            yield x.phi.anchor
+            yield from x.dressing
+    yield abelian2_desk_point()
+
+
+def _random_anchors(count):
+    """count seeded coisotropic anchors with a nonzero chart, then as many
+    dense integer anchors, coisotropic or not."""
+    rng = random.Random(41)
+    drawn = 0
+    while drawn < count:
+        k = rng.randint(1, 3)
+        anchor, j = random_coisotropic_anchor(rng, k)
+        if j:
+            drawn += 1
+            yield AnchoredPoint(random_abelian_split_algebra(k), anchor, j)
+    for _ in range(count):
+        k, m = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(2 * k)] for _ in range(m)]
+        yield AnchoredPoint(random_abelian_split_algebra(k), rows, m)
+
+
+def test_dual_range_is_the_range_of_the_metric_dual():
+    # ran(a*) = ker(a)-perp; the span of a* = B^-1 a^T is the reference
+    points = list(_shipped_points()) + list(_random_anchors(50))
+    assert len(points) > 150
+    for pt in points:
+        assert pt.dual_range == ExactSubspace.span(transpose(pt.dual), ambient_dim=pt.algebra.dim)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: AnchoredPoint(AB2, ((1, 0, 0),), 1),
+    lambda: AnchoredPoint(AB2, ((1, 0),), 2),
+    lambda: pullback_point(PT4, ((1,),)),
+    lambda: QuadraticLieAlgebra.from_triples(2, [], [[0, 1], [1, 0]], basis_names=("a",)),
+    lambda: ChartBivectorField(2, lambda t: np.zeros((3, 3)))((0.0, 0.0)),
+], ids=["anchor-row-length", "anchor-row-count", "dphi-rows", "basis-names", "sampler-shape"])
+def test_wrong_shapes_raise_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatchError):
+        call()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import courantlab.exactlin as exactlin
 from courantlab.exactlin import (
     BilinearForm,
     Coordinatizer,
@@ -435,6 +436,31 @@ def test_float_operands_raise_type_error():
                  lambda: sl2_algebra().bracket_vec((F(1), 0.5, F(0)), (F(0), F(1), F(0)))):
         with pytest.raises(TypeError):
             call()
+
+
+def test_int_entries_are_their_own_numerators(calls):
+    # only the entries that are not ints are coerced by frac: kept integer
+    # rows fed back in (a subspace's rows, a quotient's W0 rows) build no
+    # Fraction, and a bool is still coerced and a float still refused
+    seen = calls(exactlin, "frac")
+    ints = ((1, -2, 0), (3, 1, 2))
+    assert int_matrix(ints) == (ints, 1)
+    plane = ExactSubspace.span(ints)
+    line = ExactSubspace.span([(4, -1, 2)])
+    assert plane.contains_subspace(line) and plane.contains((4, -1, 2))
+    assert seen == []
+    assert int_matrix(((1, F(1, 2)), (2, 3))) == (((2, 1), (4, 6)), 2)
+    assert seen == [(F(1, 2),)]
+    seen.clear()
+    q = quotient_coords(ExactSubspace.full(3), line)
+    q.coords_rows(ints)
+    # the coordinatizer's rows: W0's integer rows, then the Fraction complement
+    assert len(seen) == 3 * q.dim
+    seen.clear()
+    assert q.map_subspace(plane).dim == 1 and seen == []
+    assert int_matrix(((True, 2),)) == (((1, 2),), 1) and seen == [(True,)]
+    with pytest.raises(TypeError):
+        int_matrix(((1, 0.5),))
 
 
 # int, Fraction and 'p/q' entries of the same values (the strings are not

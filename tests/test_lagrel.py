@@ -39,6 +39,7 @@ from courantlab.lagrel import (
 from courantlab.quadlie import build_double, courant_form, diagonal_subspace
 from courantlab.randgen import (
     random_coisotropic_anchor,
+    random_lagrangian_splitting,
     random_relation,
     random_split_transform,
 )
@@ -225,6 +226,59 @@ def test_reduce_bivector_witness():
     with pytest.raises(ReductionError) as exc:
         reduce_bivector(Splitting(sp4, e, f), w1)
     assert exc.value.witness == (F(1), F(0), F(0), F(1))
+
+
+def test_reduce_bivector_refuses_a_non_coisotropic_w1_first():
+    # W0 = W1-perp is neither inside W1 nor split along (E, F); the
+    # containment check of the quotient decides first
+    sp4 = hyperbolic_space(2)
+    e = ExactSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0)])
+    f = ExactSubspace.span([(0, 0, 1, 0), (0, 0, 0, 1)])
+    w1 = ExactSubspace.span([(1, 0, 0, 1)])
+    assert not sp4.form.is_coisotropic(w1)
+    with pytest.raises(ValueError, match="W0 is not contained in W1") as exc:
+        reduce_bivector(Splitting(sp4, e, f), w1)
+    assert not isinstance(exc.value, ReductionError)
+
+
+def test_splits_matches_the_sum_of_intersections():
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        s = random_lagrangian_splitting(rng, k)
+        n = 2 * k
+        drawn = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        parts = list(s.e.rows[:rng.randint(0, k)] + s.f.rows[:rng.randint(0, k)])
+        for w in (ExactSubspace.span(drawn), ExactSubspace.span(parts, ambient_dim=n),
+                  ExactSubspace.zero(n), ExactSubspace.full(n)):
+            want = w.intersect(s.e).sum(w.intersect(s.f)) == w
+            assert s.splits(w) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    with pytest.raises(DimensionMismatchError):
+        Splitting(SP2, E2, F2).splits(ExactSubspace.full(3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LinearRelation(SP2, SP2, ExactSubspace.span([(1, 0, 0)])),
+     DimensionMismatchError, "graph not in target"),
+    (lambda: LinearRelation(SP2, SP2, ExactSubspace.span([(1, 0, 0, 0)])),
+     NotLagrangianError, "graph has dim 1, expected 2"),
+    (lambda: LinearRelation.identity_relation(SP2).compose(
+        LinearRelation.identity_relation(hyperbolic_space(2))),
+     DimensionMismatchError, "composition spaces"),
+    (lambda: related_splitting(Splitting(SP2, E2, F2), Splitting(SP2, E2, F2),
+                               LinearRelation.identity_relation(hyperbolic_space(2))),
+     NotLagrangianError, "not on the relation's spaces"),
+    (lambda: backward_image_subspace(ExactSubspace.full(2), LinearRelation.identity_relation(SP2)),
+     NotLagrangianError, "needs a Lagrangian subspace"),
+    (lambda: BilinearForm(((0, 1), (0, 0))), ValueError, "must be symmetric"),
+], ids=["graph-ambient", "graph-dim", "compose-spaces", "related-spaces", "backward-non-lagrangian",
+        "form-not-symmetric"])
+def test_relation_and_form_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_related_splitting_identity():

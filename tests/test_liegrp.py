@@ -45,6 +45,7 @@ from courantlab.diffnum import (
     worst,
 )
 from courantlab.exactlin import (
+    BilinearForm,
     Coordinatizer,
     DimensionMismatchError,
     ExactSubspace,
@@ -52,6 +53,7 @@ from courantlab.exactlin import (
     identity,
     inverse,
     mat_mul,
+    mat_scale,
     mat_vec,
     matrix,
     solve,
@@ -114,6 +116,27 @@ def test_membership_predicates_reject_points_off_the_group():
         for g in samples:
             with pytest.raises(ContextError, match="membership"):
                 validate_context(replace(ctx, sample_points=ctx.sample_points + (g,)))
+
+
+def test_a_wrong_structure_constant_fails_validation():
+    ctx = get_group_context("sl2-double")
+    alg = ctx.algebra
+    flipped = replace(alg, bracket=tuple((i, j, tuple(-x for x in v)) for i, j, v in alg.bracket))
+    with pytest.raises(ContextError, match="structure constants"):
+        validate_context(replace(ctx, algebra=flipped))
+
+
+def test_every_g1_context_validates():
+    # verify all validates the group contexts; the G1 contexts of the
+    # triples (abelian-2-line among them) are validated here
+    for name in TRIPLE_CONTEXT_NAMES:
+        g1_ctx = get_triple_context(name).g1_ctx
+        validate_context(g1_ctx)
+        assert validate_algebra(g1_ctx.algebra).passed
+    line = abelian2_triple().g1_ctx
+    off_line = matrix([[2, 0], [0, 2]])
+    with pytest.raises(ContextError, match="membership"):
+        validate_context(replace(line, sample_points=line.sample_points + (off_line,)))
 
 
 def test_group_point_chart_derivative():
@@ -237,6 +260,34 @@ def test_dressing_pullback_check_rejects_a_lift_outside_c(monkeypatch):
     assert raised == []
     assert dressing_pullback_check(fresh) is False
     assert len(raised) == 1
+
+
+def test_dressing_pullback_check_rejects_a_wrong_rank_or_gram(monkeypatch):
+    # the lifts stay in C, so the check reaches its rank and Gram tests:
+    # quotient coordinates with the last copied from the first have a
+    # dependent row, and a doubled reduced form has the wrong Gram matrix
+    x = TRIPLE.points[2]
+    original = liegrp.pullback_point
+
+    class CopiedCoordinate:
+        def __init__(self, quotient):
+            self.quotient = quotient
+
+        def coords_rows(self, vs):
+            return tuple(c[:-1] + c[:1] for c in self.quotient.coords_rows(vs))
+
+    def dependent(pt, dphi):
+        pb = original(pt, dphi)
+        return replace(pb, quotient=CopiedCoordinate(pb.quotient))
+
+    def doubled(pt, dphi):
+        pb = original(pt, dphi)
+        return replace(pb, reduced_form=BilinearForm(mat_scale(2, pb.reduced_form.matrix)))
+
+    assert dressing_pullback_check(x)
+    for patched in (dependent, doubled):
+        monkeypatch.setattr(liegrp, "pullback_point", patched)
+        assert dressing_pullback_check(x) is False, patched.__name__
 
 
 def test_p_phi_backward_images():

@@ -48,6 +48,17 @@ def test_perturbed_form_fails_invariance_at_ehf():
     )
 
 
+def test_failing_algebra_records_and_description():
+    # [b0, b1] = b2 and [b1, b2] = b1 break Jacobi; the zero form is
+    # invariant but degenerate
+    bad = QuadraticLieAlgebra.from_triples(3, [(0, 1, 2, 1), (1, 2, 1, 1)], [[0] * 3] * 3)
+    rep = validate_algebra(bad)
+    assert [(r.kind, r.where) for r in rep.records] == [
+        ("jacobi", ("b0", "b1", "b2")), ("degenerate_form", ())]
+    assert rep.describe() == ("jacobi at ('b0', 'b1', 'b2'): [[x,y],z] cyclic sum is nonzero; "
+                              "degenerate_form at (): det = 0")
+
+
 def test_double_structure():
     d = build_double(sl2_algebra())
     assert d.dim == 6
@@ -116,6 +127,24 @@ def test_manin_triples():
     assert validate_manin_triple(
         ManinTriple(ab, ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)]))
     ).passed
+
+
+def test_manin_triple_failure_records():
+    ab = abelian_algebra_split2()
+    line, other = ExactSubspace.span([(1, 0)]), ExactSubspace.span([(0, 1)])
+    full, zero = ExactSubspace.full(2), ExactSubspace.zero(2)
+
+    def kinds(g1, g2):
+        return [(r.kind, r.where) for r in validate_manin_triple(ManinTriple(ab, g1, g2)).records]
+
+    assert kinds(line, other) == []
+    # g1 = g2 meets itself and spans a line
+    assert kinds(line, line) == [("transverse", ("g1", "g2")), ("spanning", ("g1", "g2"))]
+    # a pair that spans but meets, and one that meets in zero but spans a line
+    assert kinds(full, line) == [("lagrangian", ("g1",)), ("transverse", ("g1", "g2"))]
+    assert kinds(line, zero) == [("lagrangian", ("g2",)), ("spanning", ("g1", "g2"))]
+    # a subspace of another space is reported and skips the pair records
+    assert kinds(ExactSubspace.span([(1, 0, 0)]), line) == [("ambient", ("g1",))]
 
 
 def test_manin_pairing_gram_invertible():

@@ -9,9 +9,10 @@ diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
 diffnum, no import of diffnum outside suites, no mat_vec call inside a
 list comprehension, no concat_vec or zero_vector call inside a
-comprehension or loop outside exactlin, no st.fractions in the tests, and
-no read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
-_over_lcm.
+comprehension or loop outside exactlin, no st.fractions in the tests, no
+read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
+_over_lcm, and no .sum(...) of an .intersect(...) outside
+lagrel.Splitting.splits.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -43,7 +44,10 @@ time in Hypothesis's engine, where tests/exact_strategies.rationals
 draws from the same finite value set; and int_matrix is the one way from
 exact input into integer rows, so a numerator or denominator read
 anywhere else is a second converter, with its own coercion and its own
-errors.
+errors; and "W = (W cap E) + (W cap F)" has one home, Splitting.splits,
+so a sum of intersections written in place is a second copy of that test
+(a sum whose receiver is not an intersection, such as leaf_condition's
+L_m + (ker cap E), is a different statement and stays legal).
 """
 
 import ast
@@ -583,3 +587,35 @@ def test_the_fraction_part_rule_catches_each_form():
     for src in ("int_matrix(rows)", "Fraction(n, d)", "'the numerator'", "numerator = 1",
                 "den = lcm(*dens)", "def numerator(x):\n    pass", "x.num"):
         assert _fraction_part_reads(ast.parse(src)) == [], src
+
+
+# the one home of "W = (W cap E) + (W cap F)"
+SPLIT_TESTERS = {("lagrel.py", "splits")}
+
+
+def _sums_of_intersections(tree: ast.AST) -> list[str]:
+    """The functions (or <module>) holding an x.sum(...) call whose
+    receiver x is an .intersect(...) call."""
+    return _holders(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sum" and _is_call_of(node.func.value, {"intersect"})))
+
+
+def test_splitting_verdicts_live_in_splits():
+    found = {(p.name, where) for p in SOURCES
+             for where in _sums_of_intersections(ast.parse(p.read_text()))}
+    assert found == SPLIT_TESTERS
+
+
+def test_the_sum_of_intersections_rule_catches_each_form():
+    # the three inline tests the sources used to hold, and the bare form
+    for src in ("w.intersect(e).sum(w.intersect(f))",
+                "kernel_splits = ker.intersect(e).sum(ker.intersect(f)) == ker",
+                "def reduce(s, w0):\n    return s.e.intersect(w0).sum(s.f.intersect(w0)) != w0",
+                "exactlin.ExactSubspace.zero(2).intersect(a).sum(b)"):
+        assert _sums_of_intersections(ast.parse(src)), src
+    assert _sums_of_intersections(ast.parse("def f(w):\n    w.intersect(e).sum(x)")) == ["f"]
+    for src in ("a.sum(b.intersect(c))", "drinfeld_lagrangian(pt, f).sum(ker.intersect(s.e))",
+                "sum(w.intersect(e))", "a.intersect(b).dim", "a.sum(b).intersect(c)",
+                "a.intersect(b).basis.sum()"):
+        assert _sums_of_intersections(ast.parse(src)) == [], src
