@@ -21,12 +21,10 @@ from .exactlin import (
     QuotientMap,
     Vector,
     add_vec,
-    frac_matrix,
     hstack,
     identity,
     int_matrix,
     int_products,
-    inverse,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -145,9 +143,9 @@ def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
     as integer products of the kept anchor rows with Pi's columns and
     then with the anchor rows (the columns of a^T)."""
     a, da = pt._ints
-    pi, dp = int_matrix(s.bivector.matrix)
+    pi, dp = s.bivector._ints
     a_pi = int_products(a, list(zip(*pi)))
-    return Bivector(frac_matrix(int_products(a_pi, a), da * da * dp))
+    return Bivector.of_ints(int_products(a_pi, a), da * da * dp)
 
 
 @_kept("lm")
@@ -213,18 +211,21 @@ def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
 def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     """Recover the splitting bivector as a backward image of E x F.
 
-    Independent code path from bivector_at: it must equal the kept value
-    exactly, and returns it.
+    Independent code path from bivector_at: the image must be the graph
+    {(P mu, mu)} of the kept value P, which is returned.
     """
     rel = diagonal_relation(pt)
     image, _alpha = backward_image(product_subspace(s.e, s.f), rel)
     m = pt.chart_dim
-    v_block = tuple(row[:m] for row in image.basis)
-    mu_block = tuple(row[m:] for row in image.basis)
-    # image = Gr_{-pi} = {(P mu, mu)}; mu-block must be invertible
-    p = transpose(mat_mul(inverse(mu_block), v_block))
+    v_block = [row[:m] for row in image.rows]
+    mu_block = [row[m:] for row in image.rows]
+    # a graph over the covectors: m rows whose mu-block has rank m
+    if rank(mu_block) != m:
+        raise CourantStructureError("diagonal backward image is not a graph over the covectors")
+    # each row (v, mu) has v = P mu: V = M P^T, with P = rows / den
     direct = bivector_at(pt, s)
-    if p != direct.matrix:
+    rows, den = direct._ints
+    if int_products(mu_block, rows) != [[den * x for x in v] for v in v_block]:
         raise CourantStructureError("diagonal backward image disagrees with formula")
     return direct
 
@@ -340,7 +341,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
             f"reduced rank {q.dim} != expected {expected}"
         )
     # every point builds a new form: read its rank, keep no signature
-    if rank(reduced_form.matrix) < q.dim:
+    if rank(reduced_form._ints[0]) < q.dim:
         raise CourantStructureError("reduced form is degenerate")
     anchor_rows = tuple(
         tuple(q.complement[k][n + j] for k in range(q.dim)) for j in range(s_dim)

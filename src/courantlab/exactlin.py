@@ -371,10 +371,15 @@ def inverse(A: Matrix) -> Matrix:
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    ints, den = int_matrix(A)
-    rows, inv_den = _inverse_rows(ints)
-    # (N / den)^-1 = den * N^-1
-    return frac_matrix([[den * x for x in row] for row in rows], inv_den)
+    return _inverse_of(int_matrix(A))
+
+
+def _inverse_of(ints: tuple[Sequence[Sequence[int]], int]) -> Matrix:
+    """(N / den)^-1 = den * N^-1 as Fractions, for integer rows N over den;
+    raises SingularMatrixError."""
+    rows, den = ints
+    inv, inv_den = _inverse_rows(rows)
+    return frac_matrix([[den * x for x in row] for row in inv], inv_den)
 
 
 @dataclass(frozen=True)
@@ -641,8 +646,9 @@ class BilinearForm:
 
     @cached_property
     def inverse_matrix(self) -> Matrix:
-        """B^-1, computed on first use; raises SingularMatrixError."""
-        return inverse(self.matrix)
+        """B^-1, one elimination of the kept integer rows on first use;
+        raises SingularMatrixError."""
+        return _inverse_of(self._ints)
 
     def signature(self) -> tuple[int, int, int]:
         """(positives, negatives, zeros) via exact congruence diagonalization,

@@ -10,9 +10,9 @@ here.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import neg
 
 from .exactlin import (
@@ -24,10 +24,13 @@ from .exactlin import (
     NotLagrangianError,
     QuotientMap,
     Vector,
+    _eliminate,
+    _inverse_rows,
+    frac_matrix,
     hstack,
     identity,
     int_matrix,
-    inverse,
+    int_products,
     mat_add,
     mat_mul,
     mat_scale,
@@ -275,16 +278,29 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
 
 @dataclass(frozen=True)
 class Bivector:
-    """Antisymmetric coefficient matrix P: pi = sum_{u<v} P[u][v] d_u ^ d_v."""
+    """Antisymmetric coefficient matrix P: pi = sum_{u<v} P[u][v] d_u ^ d_v,
+    kept as the integer rows its antisymmetry check reads, which its rank
+    and sharp range eliminate."""
 
     matrix: Matrix
+    _ints: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        m = matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        rows, _ = int_matrix(m)
+        if self._ints is None:
+            m = matrix(self.matrix)
+            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "_ints", int_matrix(m))
+        rows = self._ints[0]
         if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
             raise ValueError("bivector matrix must be antisymmetric")
+
+    @classmethod
+    def of_ints(cls, table: list[list[int]], den: int) -> "Bivector":
+        """The bivector table / den (den > 0), keeping the table over the
+        lcm of the entries' denominators, den / gcd(den, entries)."""
+        g = gcd(den, *(x for row in table for x in row))
+        rows = tuple(tuple(x // g for x in row) for row in table)
+        return cls(frac_matrix(rows, den // g), (rows, den // g))
 
     @property
     def dim(self) -> int:
@@ -292,12 +308,12 @@ class Bivector:
 
     @cached_property
     def rank(self) -> int:
-        """The matrix rank, eliminated once per bivector."""
-        return rank(self.matrix)
+        """The matrix rank, one elimination of the kept rows."""
+        return len(_eliminate(list(self._ints[0]), self.dim, reduced=False))
 
     def sharp_range(self) -> ExactSubspace:
         # P^T = -P spans the same rows as P
-        return ExactSubspace.span(self.matrix, ambient_dim=self.dim)
+        return ExactSubspace.of_rows(self.dim, list(self._ints[0]))
 
 
 @dataclass(frozen=True)
@@ -306,9 +322,10 @@ class Splitting:
 
     Construction checks that E and F lie in W and are transverse
     Lagrangians (raising DimensionMismatchError or NotLagrangianError
-    otherwise).  The dual frame f^i of F, Pi = (1/2) sum e_i ^ f^i and
-    the projector pair are built on first use and kept, so pointwise
-    bivectors a(Pi) reuse one Pi.
+    otherwise).  The dual frame of F, kept as integer rows over one
+    denominator from one elimination, is built on first use; the duals
+    f^i, Pi = (1/2) sum e_i ^ f^i and the projector pair read it and are
+    kept, so pointwise bivectors a(Pi) reuse one Pi.
     """
 
     space: SplitSpace
@@ -335,11 +352,24 @@ class Splitting:
         return w.intersect(self.e).sum(w.intersect(self.f)) == w
 
     @cached_property
+    def _dual_frame(self) -> tuple[list[list[int]], int]:
+        """The frame D of F with <e.rows[i], D[j]> = delta, as integer rows
+        over one denominator: D = (G / n)^-T F = n G^-T F for the Gram
+        matrix G = E N F^T of the rows and the form N / n."""
+        form_rows, form_den = self.space.form._ints
+        gram = int_products(int_products(self.e.rows, form_rows), self.f.rows)
+        inv, den = _inverse_rows(gram)
+        # row j of G^-T F is column j of G^-1 against F's columns
+        d = int_products(list(zip(*inv)), list(zip(*self.f.rows)))
+        return [[form_den * x for x in row] for row in d], den
+
+    @cached_property
     def duals(self) -> Matrix:
-        """Basis f^i of F with <e_i, f^j> = delta over E's stored basis:
-        the rows of G^-T F for the Gram matrix G of E against F."""
-        gram = mat_mul(mat_mul(self.e.basis, self.space.form.matrix), transpose(self.f.basis))
-        return mat_mul(transpose(inverse(gram)), self.f.basis)
+        """Basis f^i of F with <e_i, f^j> = delta over E's stored basis,
+        which is e.rows over their pivots: the dual frame times them."""
+        d, den = self._dual_frame
+        pivots = [next(filter(None, row)) for row in self.e.rows]
+        return frac_matrix([[p * x for x in row] for p, row in zip(pivots, d)], den)
 
     @cached_property
     def bivector(self) -> Bivector:
@@ -352,17 +382,23 @@ class Splitting:
         pr_E(w) = sum <w, f^i> e_i, so P_E = E^T D B for the dual frame D
         and the Gram matrix B; P_F = I - P_E.
         """
-        p_e = mat_mul(mat_mul(transpose(self.e.basis), self.duals), self.space.form.matrix)
+        d, den = self._dual_frame
+        form_rows, form_den = self.space.form._ints
+        # B = N / n is symmetric: its columns are N's rows
+        d_b = int_products(d, form_rows)
+        p_e = frac_matrix(int_products(list(zip(*self.e.rows)), list(zip(*d_b))), den * form_den)
         return p_e, mat_add(identity(self.space.dim), mat_scale(-1, p_e))
 
 
 def splitting_bivector(s: Splitting) -> Bivector:
-    """Pi = (1/2) sum e_i ^ f^i over the dual frames of a splitting."""
-    e, duals = s.e.basis, s.duals
-    # sum e_i^T f^i - f^i^T e_i as one product of stacked bases
-    lhs = transpose(e + duals)
-    rhs = duals + mat_scale(-1, e)
-    return Bivector(mat_scale(Fraction(1, 2), mat_mul(lhs, rhs)))
+    """Pi = (1/2) sum e_i ^ f^i over the dual frames of a splitting:
+    (1/2)(E^T D - D^T E) over E's integer rows and their dual frame D."""
+    e = s.e.rows
+    d, den = s._dual_frame
+    # sum e_i^T d_i - d_i^T e_i as one product of stacked columns
+    lhs = list(zip(*(e + tuple(d))))
+    rhs = list(zip(*(d + [tuple(map(neg, row)) for row in e])))
+    return Bivector.of_ints(int_products(lhs, rhs), 2 * den)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from courantlab import anchored, exactlin, suites
 from courantlab.anchored import (
     AnchoredPoint,
     CourantStructureError,
@@ -284,6 +285,37 @@ def test_diagonal_backward_checks_the_kept_bivector():
     pt.kept["pi", S4] = Bivector(tuple(tuple(-x for x in row) for row in pi.matrix))
     with pytest.raises(CourantStructureError, match="disagrees"):
         diagonal_backward(pt, S4)
+
+
+def _tangent_image(eprime, rel):
+    """A Lagrangian backward image that is no graph over the covectors:
+    the tangent vectors {(v, 0)}."""
+    m = rel.source.dim // 2
+    return ExactSubspace.span(identity(2 * m)[:m]), ()
+
+
+def test_diagonal_backward_refuses_a_non_graph_image(monkeypatch):
+    monkeypatch.setattr(anchored, "backward_image", _tangent_image)
+    with pytest.raises(CourantStructureError, match="not a graph"):
+        diagonal_backward(AnchoredPoint(AB4, A4, 2), S4)
+    # the rank suite records each such instance by number and keeps going
+    rank_rec, diag_rec = suites.suite_rank(samples=6, seed=1)
+    assert rank_rec["status"] == "pass"
+    assert diag_rec["status"] == "fail"
+    assert diag_rec["detail"].startswith("#") and "not a graph" in diag_rec["detail"]
+
+
+def test_pointwise_bivectors_read_the_kept_integer_rows(calls):
+    # pi_m is built from Pi's kept rows and kept as the rows of its
+    # product; its rank and sharp range eliminate those rows
+    s = random_lagrangian_splitting(random.Random(8), 2)
+    s.bivector
+    pt = AnchoredPoint(AB4, A4, 2)
+    conversions = calls(exactlin, "int_matrix")
+    pi = bivector_at(pt, s)
+    assert pi.rank == 2 and pi.sharp_range() == ExactSubspace.full(2)
+    assert conversions == []
+    assert pi._ints == exactlin.int_matrix(pi.matrix)
 
 
 def test_float_anchor_guards():

@@ -3,16 +3,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from courantlab import lagrel, quadlie
-from courantlab.contexts import sl2_algebra
+from courantlab import exactlin, lagrel, quadlie
+from courantlab.contexts import (
+    SPLITTING_NAMES,
+    TRIPLE_CONTEXT_NAMES,
+    get_triple_context,
+    named_splitting,
+    sl2_algebra,
+)
 from courantlab.exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
     SingularMatrixError,
     identity,
+    int_matrix,
     inverse,
+    mat_add,
     mat_mul,
+    mat_scale,
     mat_vec,
     matrix,
     quotient_coords,
@@ -37,6 +46,7 @@ from courantlab.lagrel import (
     splitting_bivector,
 )
 from courantlab.quadlie import build_double, courant_form, diagonal_subspace
+from courantlab.suites import _sheared_quasi_splitting
 from courantlab.randgen import (
     random_coisotropic_anchor,
     random_lagrangian_splitting,
@@ -376,6 +386,60 @@ def test_splitting_keeps_checked_bivector_and_duals():
         zero = zero_vector(4)
         assert all(mat_vec(p_e, v) == v and mat_vec(p_f, v) == zero for v in e.basis)
         assert all(mat_vec(p_f, v) == v and mat_vec(p_e, v) == zero for v in f.basis)
+
+
+def _fraction_frame(s):
+    """The Fraction formulas of the dual frame: G over E's basis, the duals
+    G^-T F, Pi = (1/2)(E + D)^T (D - E) over the stacked bases, and
+    P_E = E^T D B with P_F = I - P_E."""
+    e, f, b = s.e.basis, s.f.basis, s.space.form.matrix
+    gram = mat_mul(mat_mul(e, b), transpose(f))
+    duals = mat_mul(transpose(inverse(gram)), f)
+    pi = mat_scale(F(1, 2), mat_mul(transpose(e + duals), duals + mat_scale(-1, e)))
+    p_e = mat_mul(mat_mul(transpose(e), duals), b)
+    return duals, pi, (p_e, mat_add(identity(s.space.dim), mat_scale(-1, p_e)))
+
+
+def _scaled(s, c):
+    """The splitting s over its form scaled by c: E and F stay Lagrangian."""
+    space = SplitSpace(s.space.dim, BilinearForm(mat_scale(c, s.space.form.matrix)))
+    return Splitting(space, s.e, s.f)
+
+
+def test_the_integer_dual_frame_matches_the_fraction_formulas():
+    # every shipped splitting, every triple's, the sheared quasi-splitting,
+    # and seeded random splittings over the hyperbolic form and over it
+    # scaled by rationals with denominators (every shipped Gram matrix is
+    # integral, so only these put the form's denominator in the frame)
+    shipped = [named_splitting(ctx, name) for ctx, names in SPLITTING_NAMES.items() for name in names]
+    shipped += [get_triple_context(name).splitting for name in TRIPLE_CONTEXT_NAMES]
+    shipped.append(_sheared_quasi_splitting()[2])
+    randoms = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        randoms.append(random_lagrangian_splitting(rng, 1 + seed % 4))
+    scaled = [_scaled(s, c) for s in randoms for c in (F(2, 3), F(3, 4), F(5, 7))]
+    assert {s.space.form._ints[1] for s in scaled} == {3, 4, 7}
+    for s in shipped + randoms + scaled:
+        # a copy keeps nothing the shipped value may have built already
+        s = Splitting(s.space, s.e, s.f)
+        duals, pi, projectors = _fraction_frame(s)
+        assert s.duals == duals
+        assert s.bivector.matrix == pi
+        assert s.bivector._ints == int_matrix(pi)
+        assert s.projectors == projectors
+
+
+def test_a_splitting_frame_is_one_integer_elimination(calls):
+    s = random_lagrangian_splitting(random.Random(5), 3)
+    inversions = calls(exactlin, "_inverse_rows")
+    products, inverses = calls(exactlin, "mat_mul"), calls(exactlin, "inverse")
+    conversions = calls(exactlin, "int_matrix")
+    s.bivector, s.duals, s.projectors
+    assert len(inversions) == 1
+    assert products == inverses == []
+    # Pi is kept as the rows its product made, with no conversion back
+    assert conversions == []
 
 
 def test_splitting_rejects_non_splittings():

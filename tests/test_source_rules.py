@@ -11,8 +11,9 @@ diffnum, no import of diffnum outside suites, no mat_vec call inside a
 list comprehension, no concat_vec or zero_vector call inside a
 comprehension or loop outside exactlin, no st.fractions in the tests, no
 read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
-_over_lcm, and no .sum(...) of an .intersect(...) outside
-lagrel.Splitting.splits.
+_over_lcm, no .sum(...) of an .intersect(...) outside
+lagrel.Splitting.splits, and no int_matrix, rank, inverse or
+ExactSubspace.span call on a .matrix attribute.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -47,7 +48,10 @@ anywhere else is a second converter, with its own coercion and its own
 errors; and "W = (W cap E) + (W cap F)" has one home, Splitting.splits,
 so a sum of intersections written in place is a second copy of that test
 (a sum whose receiver is not an intersection, such as leaf_condition's
-L_m + (ker cap E), is a different statement and stays legal).
+L_m + (ker cap E), is a different statement and stays legal); and a
+form, a bivector and a point keep their matrix as integer rows, so an
+elimination or conversion that starts again from the .matrix of one is
+a second conversion of rows already kept.
 """
 
 import ast
@@ -619,3 +623,42 @@ def test_the_sum_of_intersections_rule_catches_each_form():
                 "sum(w.intersect(e))", "a.intersect(b).dim", "a.sum(b).intersect(c)",
                 "a.intersect(b).basis.sum()"):
         assert _sums_of_intersections(ast.parse(src)) == [], src
+
+
+# the exactlin calls that put their argument into integer rows
+RECONVERTERS = {"int_matrix", "rank", "inverse"}
+
+
+def _matrix_reconversions(tree: ast.AST) -> list[str]:
+    """The lines of the int_matrix, rank, inverse and ExactSubspace.span
+    calls, by bare name or as an attribute, with an argument that is a
+    .matrix attribute."""
+    def reconverts(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        is_span = name == "span" and _is_name_or_attr(getattr(func, "value", None), "ExactSubspace")
+        args = node.args + [k.value for k in node.keywords]
+        return (name in RECONVERTERS or is_span) and any(
+            isinstance(a, ast.Attribute) and a.attr == "matrix" for a in args)
+
+    return [f"line {node.lineno}" for node in ast.walk(tree) if reconverts(node)]
+
+
+def test_kept_integer_rows_are_not_converted_again():
+    bad = {p.name: v for p in SOURCES if (v := _matrix_reconversions(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_matrix_reconversion_rule_catches_each_form():
+    # the five calls the sources used to hold, and the other spellings
+    for src in ("pi, dp = int_matrix(s.bivector.matrix)", "rank(reduced_form.matrix) < q.dim",
+                "def inverse_matrix(self):\n    return inverse(self.matrix)",
+                "ExactSubspace.span(self.matrix, ambient_dim=self.dim)",
+                "exactlin.rank(b.matrix)", "exactlin.ExactSubspace.span(vectors=pi.matrix)"):
+        assert _matrix_reconversions(ast.parse(src)) == ["line 2" if "\n" in src else "line 1"], src
+    for src in ("int_matrix(m)", "rank(reduced_form._ints[0])", "inverse(gram)",
+                "ExactSubspace.span(rows)", "mat_mul(b.matrix, a)", "matrix(self.matrix)",
+                "s.span(x.matrix)", "rank(self.matrix_rows)"):
+        assert _matrix_reconversions(ast.parse(src)) == [], src
