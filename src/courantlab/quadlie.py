@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -20,7 +21,6 @@ from .exactlin import (
     Matrix,
     NotLagrangianError,
     Vector,
-    add_vec,
     frac,
     frac_matrix,
     hstack,
@@ -54,6 +54,15 @@ class QuadraticLieAlgebra:
         n = self.dim
         if self.form.dim != n:
             raise DimensionMismatchError("the form must be dim x dim")
+        seen = set()
+        for i, j, v in self.bracket:
+            if not 0 <= i < j < n:
+                raise ValueError(f"bracket entry ({i},{j}) must satisfy 0 <= i < j < dim")
+            if (i, j) in seen:
+                raise ValueError(f"bracket entry ({i},{j}) is given twice")
+            if len(v) != n:
+                raise DimensionMismatchError("each bracket vector must have length dim")
+            seen.add((i, j))
         zero = zero_vector(n)
         table = [[zero] * n for _ in range(n)]
         for i, j, v in self.bracket:
@@ -74,10 +83,8 @@ class QuadraticLieAlgebra:
     ) -> "QuadraticLieAlgebra":
         table: dict[tuple[int, int], list[Fraction]] = {}
         for (i, j, k, val) in triples:
-            if not (0 <= i < j < dim and 0 <= k < dim):
-                raise ValueError(
-                    f"bracket entry ({i},{j},{k}) must satisfy 0 <= i < j < dim"
-                )
+            if not 0 <= k < dim:
+                raise ValueError(f"bracket entry ({i},{j},{k}) must satisfy 0 <= k < dim")
             row = table.setdefault((i, j), [Fraction(0)] * dim)
             row[k] += frac(val)
         packed = tuple(
@@ -92,6 +99,21 @@ class QuadraticLieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self._table[i][j]
+
+    @cached_property
+    def _sparse(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """[b_i, b_j] as the sparse row ((l, c), ...) of its nonzero
+        integer coordinates over the denominator of ``_columns``, for
+        every i, j; the (j, i) rows hold the negated values.  Built on
+        first use from the kept columns."""
+        n = self.dim
+        cols = self._columns[0]
+        table = [[()] * n for _ in range(n)]
+        for p, (i, j, _) in enumerate(self.bracket):
+            row = tuple((l, col[p]) for l, col in enumerate(cols) if col[p])
+            table[i][j] = row
+            table[j][i] = tuple((l, -c) for l, c in row)
+        return tuple(map(tuple, table))
 
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] = sum over stored pairs i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
@@ -158,32 +180,48 @@ class ValidationReport:
         return "; ".join(f"{r.kind} at {r.where}: {r.detail}" for r in self.records)
 
 
+def _combine(acc: dict, terms, rows) -> dict:
+    """acc += sum of c * rows[l] over the sparse terms ((l, c), ...),
+    where each rows[l] is itself a sparse row."""
+    for l, c in terms:
+        for m, d in rows[l]:
+            acc[m] = acc.get(m, 0) + c * d
+    return acc
+
+
 def validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
     """Check Jacobi, ad-invariance of the form, and nondegeneracy.
 
-    Violations are report entries, not exceptions.
+    Both identities are read off the sparse integer bracket table, so
+    their cost follows the nonzero structure constants; every zero test
+    is homogeneous in the common denominators.  Violations are report
+    entries, not exceptions.
     """
     records: list[ValidationRecord] = []
     n = alg.dim
-    basis = identity(n)
     names = alg.basis_names
+    s = alg._sparse
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                jac = alg.bracket_vec(alg.bracket_basis(i, j), basis[k])
-                jac = add_vec(jac, alg.bracket_vec(alg.bracket_basis(j, k), basis[i]))
-                jac = add_vec(jac, alg.bracket_vec(alg.bracket_basis(k, i), basis[j]))
-                if any(x != 0 for x in jac):
+                # [b_k, [b_i, b_j]] + [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]]
+                jac = _combine({}, s[i][j], s[k])
+                _combine(jac, s[j][k], s[i])
+                _combine(jac, s[k][i], s[j])
+                if any(jac.values()):
                     records.append(ValidationRecord(
                         "jacobi", (names[i], names[j], names[k]),
                         "[[x,y],z] cyclic sum is nonzero",
                     ))
+    # the form's integer Gram rows N as sparse rows; <[b_i, b_j], b_k> is
+    # M_i[j][k] with M_i[j] = sum of c * N[l] over [b_i, b_j] = sum c b_l,
+    # and <b_j, [b_i, b_k]> is M_i[k][j] since N is symmetric
+    gram = [tuple((k, x) for k, x in enumerate(row) if x) for row in alg.form._ints[0]]
     for i in range(n):
+        m = [_combine({}, s[i][j], gram) for j in range(n)]
         for j in range(n):
             for k in range(n):
-                lhs = alg.pairing(alg.bracket_basis(i, j), basis[k])
-                rhs = alg.pairing(basis[j], alg.bracket_basis(i, k))
-                if lhs + rhs != 0:
+                if m[j].get(k, 0) + m[k].get(j, 0):
                     records.append(ValidationRecord(
                         "invariance", (names[i], names[j], names[k]),
                         "<[x,y],z> + <y,[x,z]> is nonzero",

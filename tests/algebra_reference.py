@@ -1,0 +1,139 @@
+"""Reference algebras and the dense reference of ``validate_algebra``.
+
+``dense_validate_algebra`` is the triple loop over basis vectors that
+``quadlie.validate_algebra`` replaced: Jacobi through ``bracket_vec`` and
+invariance through ``pairing``, one dense call per index triple.  The
+sparse path must give the same records in the same order.
+
+``sl_double(n)`` is sl_n (+) sl_n-bar with the trace form, of dimension
+2(n^2 - 1).  Run as a script it writes the double as ``validate`` input:
+
+    PYTHONPATH=src python tests/algebra_reference.py 4 > sl4-double.json
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+from courantlab.exactlin import add_vec, identity
+from courantlab.quadlie import (
+    QuadraticLieAlgebra,
+    ValidationRecord,
+    ValidationReport,
+    build_double,
+)
+
+
+def dense_validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
+    records: list[ValidationRecord] = []
+    n = alg.dim
+    basis = identity(n)
+    names = alg.basis_names
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                jac = alg.bracket_vec(alg.bracket_basis(i, j), basis[k])
+                jac = add_vec(jac, alg.bracket_vec(alg.bracket_basis(j, k), basis[i]))
+                jac = add_vec(jac, alg.bracket_vec(alg.bracket_basis(k, i), basis[j]))
+                if any(x != 0 for x in jac):
+                    records.append(ValidationRecord(
+                        "jacobi", (names[i], names[j], names[k]),
+                        "[[x,y],z] cyclic sum is nonzero",
+                    ))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.pairing(alg.bracket_basis(i, j), basis[k])
+                rhs = alg.pairing(basis[j], alg.bracket_basis(i, k))
+                if lhs + rhs != 0:
+                    records.append(ValidationRecord(
+                        "invariance", (names[i], names[j], names[k]),
+                        "<[x,y],z> + <y,[x,z]> is nonzero",
+                    ))
+    if not alg.form.is_nondegenerate():
+        records.append(ValidationRecord("degenerate_form", (), "det = 0"))
+    return ValidationReport(tuple(records))
+
+
+def _sl_basis(n: int) -> list[tuple[str, list[list[int]]]]:
+    """E_ab (a != b), then H_a = E_aa - E_(a+1)(a+1), as n x n matrices."""
+    def unit(a, b):
+        m = [[0] * n for _ in range(n)]
+        m[a][b] = 1
+        return m
+
+    basis = [(f"E{a + 1}{b + 1}", unit(a, b)) for a in range(n) for b in range(n) if a != b]
+    for a in range(n - 1):
+        h = unit(a, a)
+        h[a + 1][a + 1] = -1
+        basis.append((f"H{a + 1}", h))
+    return basis
+
+
+def _coords(m: list[list[int]], n: int) -> list[int]:
+    """Coordinates of a trace-free matrix in the basis of _sl_basis: the
+    off-diagonal entries, then the partial sums of the diagonal."""
+    off = [m[a][b] for a in range(n) for b in range(n) if a != b]
+    partial = [sum(m[c][c] for c in range(a + 1)) for a in range(n - 1)]
+    return off + partial
+
+
+def sl_algebra(n: int) -> QuadraticLieAlgebra:
+    """sl_n with the trace form tr(XY)."""
+    basis = _sl_basis(n)
+
+    def mul(x, y):
+        return [[sum(x[a][c] * y[c][b] for c in range(n)) for b in range(n)] for a in range(n)]
+
+    triples = []
+    for i, (_, x) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            y = basis[j][1]
+            xy, yx = mul(x, y), mul(y, x)
+            diff = [[p - q for p, q in zip(r, s)] for r, s in zip(xy, yx)]
+            triples += [(i, j, k, c) for k, c in enumerate(_coords(diff, n)) if c]
+    form = [[sum(mul(x, y)[a][a] for a in range(n)) for _, y in basis] for _, x in basis]
+    return QuadraticLieAlgebra.from_triples(len(basis), triples, form, [nm for nm, _ in basis])
+
+
+def sl_double(n: int) -> QuadraticLieAlgebra:
+    """sl_n (+) sl_n-bar with the trace form and its negative."""
+    return build_double(sl_algebra(n))
+
+
+def scaled(alg: QuadraticLieAlgebra, bracket, form) -> QuadraticLieAlgebra:
+    """alg with every structure constant times bracket and the form times form."""
+    data = alg.to_json()
+    data["brackets"] = [[i, j, k, str(Fraction(v) * bracket)] for i, j, k, v in data["brackets"]]
+    data["form"] = [[str(Fraction(x) * form) for x in row] for row in data["form"]]
+    return QuadraticLieAlgebra.from_json(data)
+
+
+def perturbed(alg: QuadraticLieAlgebra, seed: int, degenerate: bool = False) -> QuadraticLieAlgebra:
+    """alg with one structure constant and one symmetric pair of form
+    entries moved by a seeded nonzero amount; with degenerate, one row
+    and column of the form are zeroed as well."""
+    rng = random.Random(seed)
+    n = alg.dim
+    data = alg.to_json()
+    i, j = sorted(rng.sample(range(n), 2))
+    # from_triples adds repeated (i, j, k) entries, so this shifts one constant
+    data["brackets"].append([i, j, rng.randrange(n), str(Fraction(rng.choice([-2, -1, 1, 3]), 2))])
+    form = [[Fraction(x) for x in row] for row in data["form"]]
+    a, b = rng.randrange(n), rng.randrange(n)
+    form[a][b] += 1
+    if a != b:
+        form[b][a] += 1
+    if degenerate:
+        z = rng.randrange(n)
+        for c in range(n):
+            form[z][c] = form[c][z] = Fraction(0)
+    data["form"] = [[str(x) for x in row] for row in form]
+    return QuadraticLieAlgebra.from_json(data)
+
+
+if __name__ == "__main__":
+    json.dump(sl_double(int(sys.argv[1])).to_json(), sys.stdout)

@@ -3,8 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from courantlab.contexts import abelian_algebra_split2, sl2_algebra, triangular_complement
+from algebra_reference import dense_validate_algebra, perturbed, scaled, sl_double
+from courantlab.contexts import (
+    GROUP_CONTEXT_NAMES,
+    TRIPLE_CONTEXT_NAMES,
+    abelian_algebra_split2,
+    get_group_context,
+    get_triple_context,
+    sl2_algebra,
+    triangular_complement,
+)
 from courantlab.exactlin import (
+    BilinearForm,
+    DimensionMismatchError,
     ExactSubspace,
     identity,
     inverse,
@@ -191,6 +202,100 @@ def test_bracket_input_validation():
         QuadraticLieAlgebra.from_triples(2, [(1, 0, 0, 1)], [[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         QuadraticLieAlgebra.from_triples(2, [(0, 0, 1, 1)], [[0, 1], [1, 0]])
+    for k in (2, -1):
+        with pytest.raises(ValueError, match="0 <= k < dim"):
+            QuadraticLieAlgebra.from_triples(2, [(0, 1, k, 1)], [[0, 1], [1, 0]])
+
+
+def _algebra(bracket) -> QuadraticLieAlgebra:
+    return QuadraticLieAlgebra(2, bracket, BilinearForm(identity(2)), ("a", "b"))
+
+
+def test_constructor_rejects_a_pair_out_of_order_or_range():
+    for i, j in ((1, 0), (0, 0), (0, 2), (-1, 1)):
+        with pytest.raises(ValueError, match=r"must satisfy 0 <= i < j < dim"):
+            _algebra(((i, j, (F(1), F(0))),))
+
+
+def test_constructor_rejects_a_repeated_pair():
+    # one copy would read [a, b] = a from the table and 2a from bracket_vec
+    z = (F(1), F(0))
+    with pytest.raises(ValueError, match="given twice"):
+        _algebra(((0, 1, z), (0, 1, z)))
+
+
+def test_constructor_rejects_a_bracket_vector_of_the_wrong_length():
+    for v in ((F(1),), (F(1), F(0), F(0))):
+        with pytest.raises(DimensionMismatchError):
+            _algebra(((0, 1, v),))
+
+
+def _shipped_algebras() -> dict:
+    algebras = {"sl2": sl2_algebra(), "abelian-split2": abelian_algebra_split2()}
+    algebras.update({name: get_group_context(name).algebra for name in GROUP_CONTEXT_NAMES})
+    algebras.update({f"{name} d": get_triple_context(name).d_ctx.algebra
+                     for name in TRIPLE_CONTEXT_NAMES})
+    return algebras
+
+
+# seeded perturbations of one structure constant and one form entry; the
+# degenerate ones also zero a row and column of the form
+PERTURBED = {
+    **{f"sl2-pair #{seed}": ("sl2-pair", seed) for seed in range(4)},
+    **{f"sl2c-real #{seed}": ("sl2c-real", seed) for seed in range(4)},
+}
+
+
+def _perturbed(name: str) -> QuadraticLieAlgebra:
+    ctx, seed = PERTURBED[name]
+    return perturbed(get_group_context(ctx).algebra, seed, degenerate=seed % 2 == 1)
+
+
+@pytest.mark.parametrize("name", sorted(_shipped_algebras()))
+def test_validate_matches_the_dense_reference_on_shipped_algebras(name):
+    alg = _shipped_algebras()[name]
+    assert validate_algebra(alg) == dense_validate_algebra(alg)
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED))
+def test_validate_matches_the_dense_reference_on_perturbed_algebras(name):
+    alg = _perturbed(name)
+    rep = validate_algebra(alg)
+    assert not rep.passed
+    assert rep == dense_validate_algebra(alg)
+
+
+def test_the_perturbed_algebras_record_every_kind():
+    kinds = {r.kind for name in PERTURBED for r in validate_algebra(_perturbed(name)).records}
+    assert kinds == {"jacobi", "invariance", "degenerate_form"}
+
+
+def test_validate_matches_the_dense_reference_on_the_sl3_double():
+    d = sl_double(3)
+    assert d.dim == 16
+    rep = validate_algebra(d)
+    assert rep.passed and rep == dense_validate_algebra(d)
+    bad = perturbed(d, 2, degenerate=True)
+    rep = validate_algebra(bad)
+    assert {r.kind for r in rep.records} == {"jacobi", "invariance", "degenerate_form"}
+    assert rep == dense_validate_algebra(bad)
+
+
+def test_validate_reads_both_denominators():
+    # scaling the bracket and the form moves no zero test, so the records
+    # of a scaled algebra are those of the unscaled one
+    base = perturbed(sl_double(3), 5)
+    alg = scaled(base, F(2, 3), F(3, 5))
+    assert alg._columns[1] > 1 and alg.form._ints[1] > 1
+    rep = validate_algebra(alg)
+    assert not rep.passed
+    assert rep == dense_validate_algebra(alg) == validate_algebra(base)
+
+
+def test_validate_passes_the_sl4_double():
+    d = sl_double(4)
+    assert d.dim == 30
+    assert validate_algebra(d).passed
 
 
 def test_json_roundtrip():

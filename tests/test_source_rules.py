@@ -30,7 +30,7 @@ returns (random_split_transform, random_coisotropic_anchor) is a
 normalisation the integer path exists to avoid; and every exact matrix
 product is one exactlin.int_products, so a product written in place is
 a second home that a call count cannot see (pairing, the one scalar
-u^T G v, stays inline: validate calls it n^3 times); and one conversion
+u^T G v, stays inline: courant_form calls it once per index triple); and one conversion
 (diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
 residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
