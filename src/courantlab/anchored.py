@@ -10,7 +10,7 @@ diagonal relation); the numeric layer keeps its own float anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable
 
 from .exactlin import (
@@ -307,6 +307,12 @@ class PointPullback:
     reduced_anchor: Matrix  # source chart dim x reduced dim
 
 
+@lru_cache(maxsize=64)
+def _pullback_form(form: BilinearForm, s_dim: int) -> BilinearForm:
+    """B (+) the hyperbolic form of Q^2s, built once per (form, s)."""
+    return form.direct_sum(hyperbolic_space(s_dim).form)
+
+
 def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     """Pull the anchored fiber back along d(Phi): T_s S -> T_m M.
 
@@ -322,9 +328,7 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     if rank(hstack(dphi, a)) != m:
         raise ValueError("dPhi is not transverse to the anchor")
     n = pt.algebra.dim
-    ambient_form = pt.algebra.form.direct_sum(
-        hyperbolic_space(s_dim).form
-    )
+    ambient_form = _pullback_form(pt.algebra.form, s_dim)
     constraint = hstack(mat_scale(-1, a), dphi, zeros(m, s_dim))
     c = nullspace(constraint, n + 2 * s_dim)
     c_perp = ambient_form.orth_complement(c)

@@ -71,7 +71,7 @@ def sl2_samples() -> tuple[Matrix, ...]:
         mat_mul(lo, up_half),
         mat_mul(up_half, dg),
         mat_mul(dg, lo_half),
-        mat_mul(mat_mul(up, lo), dg),
+        mat_mul(up, lo, dg),
         matrix([[1, -1], [0, 1]]),
     )
 

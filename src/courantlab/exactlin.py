@@ -186,14 +186,17 @@ def frac_matrix(table: Iterable[Iterable[int]], den: int) -> Matrix:
 # matrix), so a product with an empty right factor has no columns.
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    a, da = int_matrix(A)
-    b, db = int_matrix(B)
-    if not b:
-        return tuple(() for _ in a)
-    if a and len(a[0]) != len(b):
-        raise DimensionMismatchError("matrix shapes disagree")
-    return frac_matrix(int_products(a, list(zip(*b))), da * db)
+def mat_mul(*factors: Matrix) -> Matrix:
+    """The product of a chain of factors: each is put into integer rows
+    once, the table is carried through ``int_products`` and read back once.
+    Raises DimensionMismatchError when two neighbours' shapes disagree."""
+    table, den = int_matrix(factors[0])
+    for factor in factors[1:]:
+        b, db = int_matrix(factor)
+        if b and table and len(table[0]) != len(b):
+            raise DimensionMismatchError("matrix shapes disagree")
+        table, den = int_products(table, list(zip(*b))) if b else [() for _ in table], den * db
+    return frac_matrix(table, den)
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
@@ -535,10 +538,13 @@ class Coordinatizer:
         return self.coords_rows((v,))[0]
 
     def coords_rows(self, vs: Sequence[Sequence]) -> Matrix:
-        """Coordinates of each row of vs as one product, then one exact
-        rebuild check on integers; DimensionMismatchError on a row of the
-        wrong length or outside the span."""
-        ints, den = int_matrix(vs)
+        """Coordinates of each row of vs as Fraction rows; see coords_ints."""
+        return frac_matrix(*self.coords_ints(*int_matrix(vs)))
+
+    def coords_ints(self, ints: Sequence[Sequence[int]], den: int) -> tuple[list[list[int]], int]:
+        """Coordinates of integer rows over den as an integer table over one
+        denominator: one product, then one exact rebuild check on integers;
+        DimensionMismatchError on a row of the wrong length or outside the span."""
         if ints and len(ints[0]) != self.ambient_dim:
             raise DimensionMismatchError("vector not in the ambient space")
         inverse_cols, inverse_den = self.inverse_columns
@@ -548,7 +554,7 @@ class Coordinatizer:
         scale = inverse_den * row_den
         if int_products(coef, row_cols) != [[scale * x for x in v] for v in ints]:
             raise DimensionMismatchError(f"vector not in {self.span}")
-        return frac_matrix(coef, den * inverse_den)
+        return coef, den * inverse_den
 
 
 @dataclass(frozen=True)
@@ -584,11 +590,14 @@ class QuotientMap:
         return ExactSubspace.span(rows, ambient_dim=self.dim)
 
     def descended_form(self, form: BilinearForm) -> BilinearForm:
-        """The form on W1/W0 read on the complement basis; well defined
-        when W0 pairs to zero with W1."""
-        return BilinearForm(
-            tuple(tuple(form.pairing(a, b) for b in self.complement) for a in self.complement)
-        )
+        """The form on W1/W0 read on the complement basis C: C G C^T, one
+        integer product over the form's kept rows G (symmetric, so also its
+        columns); well defined when W0 pairs to zero with W1."""
+        c, dc = int_matrix(self.complement)
+        if c and len(c[0]) != form.dim:
+            raise DimensionMismatchError("complement not in the form's space")
+        gram, dg = form._ints
+        return BilinearForm(frac_matrix(int_products(int_products(c, gram), c), dc * dc * dg))
 
 
 def quotient_coords(w1: ExactSubspace, w0: ExactSubspace) -> QuotientMap:

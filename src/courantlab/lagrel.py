@@ -430,7 +430,7 @@ def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
     # iota(w) Pi = -Pi B w, for every complement row w at once the rows of
     # C B Pi (B is symmetric and Pi antisymmetric), and
     # iota(w_red) Pi_red = (iota(w) Pi)_red
-    red_pi_cols = q.coords_rows(mat_mul(mat_mul(q.complement, form.matrix), s.bivector.matrix))
+    red_pi_cols = q.coords_rows(mat_mul(q.complement, form.matrix, s.bivector.matrix))
     bred = mat_mul(mat_scale(-1, transpose(red_pi_cols)), red_form.inverse_matrix)
     if bred != reduced.bivector.matrix:
         raise ReductionError("descended bivector disagrees with reduced splitting",

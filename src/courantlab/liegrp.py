@@ -21,8 +21,11 @@ from .exactlin import (
     ExactSubspace,
     Matrix,
     Vector,
+    frac_matrix,
     hstack,
     identity,
+    int_matrix,
+    int_products,
     inverse,
     mat_add,
     mat_mul,
@@ -94,6 +97,11 @@ class GroupContext:
             return GroupPoint(self, g)
 
     @cached_property
+    def basis_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The flattened basis as integer rows over one denominator."""
+        return int_matrix([flatten(b) for b in self.algebra_basis])
+
+    @cached_property
     def coordinatizer(self) -> Coordinatizer:
         """Exact coordinates of flattened ambient matrices over the basis."""
         return Coordinatizer.of_rows([flatten(b) for b in self.algebra_basis],
@@ -128,10 +136,16 @@ class GroupPoint:
         return inverse(self.g)
 
     def _conjugation(self, h: Matrix, h_inv: Matrix) -> Matrix:
-        """Ad_h over the algebra basis, exact: column b holds the
-        coordinates of h b h^-1, all read by one product."""
-        conj = [flatten(mat_mul(mat_mul(h, b), h_inv)) for b in self.ctx.algebra_basis]
-        return transpose(self.ctx.coordinatizer.coords_rows(conj))
+        """Ad_h over the algebra basis, exact: column b holds the coordinates
+        of h b h^-1, two integer products with the kept basis rows, and all
+        are coordinatized by one product."""
+        n, (basis, db) = self.ctx.ambient_size, self.ctx.basis_ints
+        (h_rows, dh), (inv_rows, di) = int_matrix(h), int_matrix(h_inv)
+        inv_cols = list(zip(*inv_rows))
+        conj = [[x for row in int_products(int_products(h_rows, [b[j::n] for j in range(n)]), inv_cols)
+                 for x in row] for b in basis]
+        coef, den = self.ctx.coordinatizer.coords_ints(conj, dh * db * di)
+        return frac_matrix(zip(*coef), den)
 
     @cached_property
     def adjoint(self) -> Matrix:
@@ -216,10 +230,14 @@ class TripleContext:
         return Splitting.of_algebra(self.d_algebra, self.g1, self.g2)
 
     @cached_property
+    def d_bar(self) -> QuadraticLieAlgebra:
+        """d-bar, d with the negated form: the dressing actions' algebra."""
+        return self.d_algebra.opposite()
+
+    @cached_property
     def splitting_bar(self) -> Splitting:
-        """(g1, g2) as a splitting of d-bar, the dressing actions' algebra."""
-        n = self.d_algebra.dim
-        return Splitting(SplitSpace(n, self.d_algebra.form.negate()), self.g1, self.g2)
+        """(g1, g2) as a splitting of d-bar."""
+        return Splitting.of_algebra(self.d_bar, self.g1, self.g2)
 
     @cached_property
     def plus(self) -> Splitting:
@@ -281,7 +299,7 @@ class G1Point:
 
         right = mat_mul(self.g1.adjoint_inverse, g1_columns(mat_mul(p1, self.phi.adjoint)))
         left = g1_columns(mat_mul(p1, self.phi.adjoint_inverse))
-        return (AnchoredPoint(t.d_algebra.opposite(), right, t.g1.dim),
+        return (AnchoredPoint(t.d_bar, right, t.g1.dim),
                 AnchoredPoint(t.d_algebra, mat_scale(-1, left), t.g1.dim))
 
 
@@ -302,7 +320,7 @@ def pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Matrix, Ma
     """r^R +/- r^L at d in the left-trivialized chart, exact."""
     r = t.splitting.bivector.matrix
     c = d.adjoint_inverse
-    r_right = mat_mul(mat_mul(c, r), transpose(c))
+    r_right = mat_mul(c, r, transpose(c))
     return mat_add(r_right, r), mat_add(r_right, mat_scale(-1, r))
 
 
@@ -389,9 +407,8 @@ def dressing_pullback_check(x: G1Point) -> bool:
         return False
     if rank(z) < len(z):
         return False
-    gram = mat_mul(mat_mul(transpose(z), pb.reduced_form.matrix), z)
-    minus_b = t.d_algebra.form.negate().matrix
-    if gram != minus_b:
+    gram = mat_mul(transpose(z), pb.reduced_form.matrix, z)
+    if gram != t.d_bar.form.matrix:
         return False
     return mat_mul(pb.reduced_anchor, z) == ra
 

@@ -33,12 +33,14 @@ from courantlab.contexts import (
 )
 from courantlab.diffnum import ChartBivectorField
 from courantlab.exactlin import (
+    BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
     add_vec,
     identity,
     inverse,
     mat_mul,
+    mat_scale,
     mat_vec,
     matrix,
     nullspace,
@@ -46,7 +48,7 @@ from courantlab.exactlin import (
     transpose,
     vector,
 )
-from courantlab.lagrel import Bivector, Splitting
+from courantlab.lagrel import Bivector, Splitting, hyperbolic_space
 from courantlab.contexts import sl2_context
 from courantlab.quadlie import QuadraticLieAlgebra, diagonal_subspace
 from courantlab.randgen import (
@@ -460,6 +462,40 @@ def test_pullback_point_rank_and_restriction():
     pt0 = AnchoredPoint(AB4, ((0,) * 4, (0,) * 4), 2)
     with pytest.raises(ValueError):
         pullback_point(pt0, dphi)
+
+
+def _scaled_form(alg, c):
+    """alg with its form scaled by c: the same bracket, still invariant."""
+    return QuadraticLieAlgebra(alg.dim, alg.bracket, BilinearForm(mat_scale(c, alg.form.matrix)),
+                               alg.basis_names)
+
+
+def test_pullback_ambient_form_is_kept_per_form_and_chart_dimension():
+    # the same dPhi (the identity of G1's chart, s = 3) pulls back the left
+    # dressing anchor over d and over d with its form scaled by 2: the two
+    # share s but not their ambient form B (+) H
+    t = get_triple_context("sl2-triangular-triple")
+    _, left = t.points[3].dressing
+    reduced = []
+    for c in (1, 2):
+        alg = _scaled_form(t.d_algebra, c)
+        pb = pullback_point(AnchoredPoint(alg, left.anchor, left.chart_dim), identity(3))
+        ambient = alg.form.direct_sum(hyperbolic_space(3).form)
+        assert pb.quotient.w0 == ambient.orth_complement(pb.quotient.w1)
+        assert pb.reduced_form == pb.quotient.descended_form(ambient)
+        reduced.append(pb.reduced_form)
+    assert reduced[1] == BilinearForm(mat_scale(2, reduced[0].matrix))
+
+
+def test_pullback_builds_its_ambient_form_once(calls):
+    # ten points of one triple pull back along one inclusion: one ambient form
+    t = get_triple_context("sl2-triangular-triple")
+    points = [x.phi.anchor for x in t.points[:10]]
+    anchored._pullback_form.cache_clear()
+    sums = calls(BilinearForm, "direct_sum")
+    for pt in points:
+        pullback_point(pt, t.inclusion)
+    assert len(sums) == 1
 
 
 # --- point data kept on the AnchoredPoint --------------------------------

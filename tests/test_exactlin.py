@@ -103,6 +103,37 @@ def test_descended_form_reads_the_complement_gram_matrix():
     assert shifted.descended_form(form) == q.descended_form(form)
 
 
+def _pairing_gram(q, form):
+    """The descended Gram matrix as k^2 pairings: the reference."""
+    return BilinearForm(tuple(tuple(form.pairing(a, b) for b in q.complement) for a in q.complement))
+
+
+def test_descended_form_matches_the_pairing_loop():
+    rng = random.Random(27)
+    dens = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        sym = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = F(rng.randint(-6, 6), rng.randint(1, 4))
+        form = BilinearForm(sym)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(1, n))]
+        w1 = ExactSubspace.span(rows)
+        w0 = ExactSubspace.span(w1.basis[:rng.randint(0, w1.dim)], ambient_dim=n)
+        fractional = tuple(tuple(x * F(3, 2) for x in row) for row in w1.basis[w0.dim:])
+        for q in (quotient_coords(w1, w0), QuotientMap(w1, w0, fractional)):
+            dens |= {x.denominator for row in q.complement for x in row}
+            for f in (form, BilinearForm(mat_scale(F(3, 5), form.matrix))):
+                assert q.descended_form(f) == _pairing_gram(q, f)
+    assert max(dens) > 1
+    q = QuotientMap(w1, w0, ())
+    assert q.descended_form(form) == _pairing_gram(q, form) == BilinearForm(())
+    with pytest.raises(DimensionMismatchError):
+        QuotientMap(w1, w0, ((1,) * (n + 1),)).descended_form(form)
+
+
 def test_orth_complement_examples():
     b = BilinearForm(matrix([[1, 0], [0, -1]]))
     assert b.orth_complement(ExactSubspace.span([(1, 1)])).basis == ((F(1), F(1)),)
@@ -295,6 +326,68 @@ def test_products_match_reference(a, data):
     for row in a:
         assert mat_vec((row,), row) == (_ref_dot(row, row),)
         assert all(type(x) is F for x in mat_mul((row,), transpose((row,)))[0])
+
+
+def _factor(data, rows, cols):
+    """A rows x cols matrix of small rationals; 0 rows is (), 0 columns
+    is rows of ()."""
+    return tuple(tuple(data.draw(rationals(3, 4)) for _ in range(cols)) for _ in range(rows))
+
+
+def _outcome(product, factors):
+    try:
+        return product(*factors)
+    except DimensionMismatchError:
+        return DimensionMismatchError
+
+
+def _nested(*factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = mat_mul(out, f)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_chained_product_matches_nested_binary_products(data):
+    # chains of 2 to 4 factors, some with no rows or no columns, and with
+    # a neighbour of the wrong height now and then: the chain raises where
+    # the nested calls raise, and equals them otherwise
+    dims = data.draw(st.lists(st.integers(0, 3), min_size=3, max_size=5))
+    factors = [_factor(data, r, c) for r, c in zip(dims, dims[1:])]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(1, len(factors) - 1))
+        factors[i] = _factor(data, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+    assert _outcome(mat_mul, factors) == _outcome(_nested, factors)
+
+
+def test_a_chained_product_reads_every_denominator():
+    a, b, c = matrix([[F(1, 2), 1]]), matrix([[F(1, 3)], [2]]), matrix([[F(1, 5), F(2, 7)]])
+    assert mat_mul(a, b, c) == matrix([[F(13, 30), F(13, 21)]]) == _nested(a, b, c)
+    assert mat_mul(transpose(c), c, b, a) == _nested(transpose(c), c, b, a)
+    # (13/6) c c^T with c c^T = 1/25 + 4/49
+    assert mat_mul(a, b, c, transpose(c)) == matrix([[F(13, 6) * F(149, 1225)]])
+
+
+def test_a_chained_product_with_an_empty_factor():
+    # an n x 0 factor (rows of ()) leaves no columns, and () stands for one
+    a = matrix([[1, F(1, 2)], [3, 4], [5, 6]])
+    assert mat_mul(a, identity(2), zeros(2, 0)) == ((), (), ()) == _nested(a, identity(2), zeros(2, 0))
+    assert mat_mul(a, zeros(2, 0), ()) == ((), (), ())
+    assert mat_mul((), a, identity(2)) == ()
+    with pytest.raises(DimensionMismatchError):
+        mat_mul(a, zeros(2, 0), identity(2))
+
+
+def test_a_chained_product_rejects_a_shape_mismatch_anywhere():
+    a23, i2, i3 = matrix([[1, 2, 3], [4, 5, 6]]), identity(2), identity(3)
+    assert mat_mul(i2, a23, i3) == a23
+    for factors in ((a23, i2, i3), (i2, a23, i2), (i2, i2, a23, a23), (i2, a23, i3, i2)):
+        with pytest.raises(DimensionMismatchError):
+            mat_mul(*factors)
+    with pytest.raises(TypeError):
+        mat_mul(i2, i2, ((0.5, F(1)), (F(0), F(1))))
 
 
 @given(_squares(), st.data())

@@ -2,16 +2,24 @@
 
 The sha256 of each report file is fixed, so any change to the exact
 kernel or the calculus that moves a single byte of these reports fails
-here, long before the full ``verify all`` determinism check runs.  A
-deliberate change of a report must update its digest and say why in
-CHANGES.md.
+here, long before the full ``verify all`` determinism check runs.  Each
+pinned report is also kept as bytes, in ``tests/golden/<name>.json``,
+which must hash to its digest; when a report differs, the failure names
+the records added, removed and changed before the digest check fails.
+A deliberate change of a report must update its digest and its stored
+file, and say why in CHANGES.md.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from courantlab import liegrp
 from courantlab.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN = {
     "mult": (
@@ -65,10 +73,80 @@ GOLDEN = {
 }
 
 
+def _keyed_records(report: dict) -> dict:
+    """The report's records by name; a name's later occurrences get
+    " (#k)" appended, so repeated names stay apart."""
+    keyed, seen = {}, {}
+    for record in report.get("records", []):
+        name = record.get("name")
+        seen[name] = seen.get(name, 0) + 1
+        keyed[name if seen[name] == 1 else f"{name} (#{seen[name]})"] = record
+    return keyed
+
+
+def report_diff(want: bytes, got: bytes) -> list[str]:
+    """One line per record added, removed or changed between two reports,
+    by name, and per other top-level field that differs."""
+    old, new = json.loads(want), json.loads(got)
+    lines = [f"field {key!r} changed" for key in sorted(set(old) | set(new))
+             if key != "records" and old.get(key) != new.get(key)]
+    before, after = _keyed_records(old), _keyed_records(new)
+    lines += [f"added record {name!r}" for name in after if name not in before]
+    lines += [f"removed record {name!r}" for name in before if name not in after]
+    lines += [f"changed record {name!r}: {before[name]} -> {after[name]}"
+              for name in before if name in after and before[name] != after[name]]
+    return lines
+
+
+def check_report(name: str, out: Path) -> None:
+    """Write the report ``name`` to ``out`` and compare it with the stored
+    bytes, record by record, then by digest."""
+    argv, digest = GOLDEN[name]
+    code = main(argv + ["--out", str(out)])
+    got, want = out.read_bytes(), (GOLDEN_DIR / f"{name}.json").read_bytes()
+    diff = report_diff(want, got)
+    assert not diff, f"report {name} differs from tests/golden/{name}.json:\n" + "\n".join(diff)
+    assert code == 0
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stored_report_hashes_to_its_digest(name):
+    stored = (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == GOLDEN[name][1]
+
+
+def test_every_stored_report_is_pinned():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(GOLDEN)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_digest(name, tmp_path, capsys):
-    argv, digest = GOLDEN[name]
-    out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 0
+    check_report(name, tmp_path / "report.json")
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_a_changed_record_is_named_before_the_digest(monkeypatch, tmp_path, capsys):
+    # a pull-back check that fails turns one record of the dressing report
+    # from pass to fail, and the report's verdict with it
+    monkeypatch.setattr(liegrp, "dressing_pullback_check", lambda x: False)
+    with pytest.raises(AssertionError) as failure:
+        check_report("dressing-abelian-2", tmp_path / "report.json")
+    capsys.readouterr()
+    message = str(failure.value)
+    assert "changed record 'pull-back reduction == dressing anchor through phi^R'" in message
+    assert "field 'pass' changed" in message
+    assert "added record" not in message and "removed record" not in message
+
+
+def test_report_diff_names_added_removed_and_repeated_records():
+    old = {"pass": True, "records": [{"name": "a", "status": "pass"}, {"name": "b"},
+                                     {"name": "a", "status": "pass"}]}
+    new = {"pass": True, "records": [{"name": "a", "status": "pass"}, {"name": "c"},
+                                     {"name": "a", "status": "fail"}]}
+    as_bytes = [json.dumps(r).encode() for r in (old, new)]
+    assert report_diff(*as_bytes) == [
+        "added record 'c'", "removed record 'b'",
+        "changed record 'a (#2)': {'name': 'a', 'status': 'pass'} -> {'name': 'a', 'status': 'fail'}",
+    ]
+    assert report_diff(as_bytes[0], as_bytes[0]) == []

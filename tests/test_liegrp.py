@@ -657,6 +657,52 @@ def test_group_point_keeps_its_data():
     assert other not in ctx.points and other.adjoint == mat_mul(up.adjoint, up.adjoint)
 
 
+def fraction_conjugation(ctx, h, h_inv):
+    """Ad_h as the group layer once computed it, on Fractions: two nested
+    products per basis element, each converting h and h^-1 again, then
+    one coordinatization.  The reference for GroupPoint._conjugation."""
+    conj = [liegrp.flatten(mat_mul(mat_mul(h, b), h_inv)) for b in ctx.algebra_basis]
+    return transpose(ctx.coordinatizer.coords_rows(conj))
+
+
+def _shipped_group_contexts():
+    """Every shipped group context once: the named ones and the D and G1
+    contexts of each triple."""
+    ctxs = [get_group_context(name) for name in GROUP_CONTEXT_NAMES]
+    for name in TRIPLE_CONTEXT_NAMES:
+        t = get_triple_context(name)
+        ctxs += [t.d_ctx, t.g1_ctx]
+    return list({c.name: c for c in ctxs}.values())
+
+
+@pytest.mark.parametrize("ctx", _shipped_group_contexts(), ids=lambda c: c.name)
+def test_adjoints_match_the_fraction_reference(ctx):
+    ctx = replace(ctx)  # fresh, so no kept point is read
+    for p in ctx.points:
+        assert p.adjoint == fraction_conjugation(ctx, p.g, p.inverse)
+        assert p.adjoint_inverse == fraction_conjugation(ctx, p.inverse, p.g)
+        assert mat_mul(p.adjoint, p.adjoint_inverse) == identity(ctx.dim)
+
+
+def test_the_sl2_samples_carry_denominators():
+    # the reference comparison above sees g and g^-1 with entries 1/2 and 1/4
+    assert {x.denominator for g in CTX.sample_points for row in g for x in row} == {1, 2, 4}
+
+
+def test_adjoints_read_the_basis_denominator():
+    # every shipped basis is integral; scaling its elements by c = (1/2, 2/3, 3)
+    # puts the basis over the denominator 6, and Ad over the basis c_b B_b
+    # is S^-1 Ad S with S = diag(c)
+    scales = (F(1, 2), F(2, 3), F(3))
+    scaled = replace(CTX, algebra_basis=tuple(mat_scale(c, b) for c, b in zip(scales, CTX.algebra_basis)))
+    assert scaled.basis_ints[1] == 6
+    s = matrix([[c if i == j else 0 for j, c in enumerate(scales)] for i in range(3)])
+    for p, q in zip(replace(CTX).points, scaled.points):
+        assert q.adjoint == fraction_conjugation(scaled, q.g, q.inverse)
+        assert q.adjoint_inverse == fraction_conjugation(scaled, q.inverse, q.g)
+        assert q.adjoint == mat_mul(inverse(s), p.adjoint, s)
+
+
 def test_the_anchor_of_a_point_off_the_samples_inverts_g_once(calls):
     # Ad_{g^-1} conjugates by g^-1 with g as its inverse, so no point of
     # g^-1 is built and g^-1 is not inverted back
@@ -708,10 +754,11 @@ def _run_on_a_fresh_triple(monkeypatch, suite):
 
 def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, calls):
     # each Ad_g, each Ad_{g^-1} and each dressing pair is built once, and a
-    # build makes one coords_rows call per matrix it coordinatizes: one for
-    # Ad_g, one for Ad_{g^-1}, one per side of a dressing pair (a call
-    # counts for the build that makes it, not for the kept builds it reads)
-    coords = calls(Coordinatizer, "coords_rows")
+    # build makes one coords_ints call (coords_rows makes one too) per
+    # matrix it coordinatizes: one for Ad_g, one for Ad_{g^-1}, one per side
+    # of a dressing pair (a call counts for the build that makes it, not
+    # for the kept builds it reads)
+    coords = calls(Coordinatizer, "coords_ints")
     frames = [[0, 0]]  # per open build: calls made before it, and by the builds it opens
     builds = {}
     for cls, name, key in ((GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g)),

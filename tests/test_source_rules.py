@@ -12,8 +12,9 @@ list comprehension, no concat_vec or zero_vector call inside a
 comprehension or loop outside exactlin, no st.fractions in the tests, no
 read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
 _over_lcm, no .sum(...) of an .intersect(...) outside
-lagrel.Splitting.splits, and no int_matrix, rank, inverse or
-ExactSubspace.span call on a .matrix attribute.
+lagrel.Splitting.splits, no int_matrix, rank, inverse or
+ExactSubspace.span call on a .matrix attribute, and no mat_mul call
+directly inside another mat_mul call.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -51,7 +52,10 @@ so a sum of intersections written in place is a second copy of that test
 L_m + (ker cap E), is a different statement and stays legal); and a
 form, a bivector and a point keep their matrix as integer rows, so an
 elimination or conversion that starts again from the .matrix of one is
-a second conversion of rows already kept.
+a second conversion of rows already kept; and a chain is one call:
+mat_mul(A, B, C) puts each factor into integer rows once and reads the
+product back once, where mat_mul(mat_mul(A, B), C) reads A B back to
+Fractions and puts it into integer rows again.
 """
 
 import ast
@@ -484,6 +488,33 @@ def test_the_mat_vec_comprehension_rule_catches_each_form():
     for src in ("mat_vec(a, v)", "[mat_mul(a, v) for v in vs]", "mat_mul(vs, transpose(a))",
                 "next(w for w in ws if mat_vec(p, w))"):
         assert _mat_vec_in_list_comprehensions(ast.parse(src)) == [], src
+
+
+def _nested_products(tree: ast.AST) -> list[str]:
+    """The lines of the mat_mul calls, by bare name or as an attribute,
+    with an argument that is itself a mat_mul call."""
+    return [f"line {node.lineno}" for node in ast.walk(tree) if _is_call_of(node, {"mat_mul"})
+            and any(_is_call_of(arg, {"mat_mul"}) for arg in node.args)]
+
+
+def test_a_product_chain_is_one_mat_mul_call():
+    bad = {p.name: v for p in SOURCES if (v := _nested_products(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_nested_product_rule_catches_each_form():
+    # the four nested calls the sources used to hold, and an attribute form
+    for src in ("conj = [flatten(mat_mul(mat_mul(h, b), h_inv)) for b in basis]",
+                "r_right = mat_mul(mat_mul(c, r), transpose(c))",
+                "gram = mat_mul(mat_mul(transpose(z), pb.reduced_form.matrix), z)",
+                "q.coords_rows(mat_mul(mat_mul(q.complement, form.matrix), s.bivector.matrix))",
+                "exactlin.mat_mul(a, exactlin.mat_mul(b, c))"):
+        assert _nested_products(ast.parse(src)) == ["line 1"], src
+    assert _nested_products(ast.parse("x = 1\nmat_mul(\n    mat_mul(up, lo), dg)")) == ["line 2"]
+    for src in ("mat_mul(a, b, c)", "mat_mul(a, transpose(mat_mul(b, c)))",
+                "mat_add(mat_mul(a, b), mat_scale(-1, mat_mul(b, a)))",
+                "mat_mul(g1_columns(mat_mul(p1, ad)), b)", "mat_vec(mat_mul(a, b), v)"):
+        assert _nested_products(ast.parse(src)) == [], src
 
 
 def _padded_rows(tree: ast.AST) -> list[str]:
