@@ -325,12 +325,12 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
     s_dim = len(dphi[0]) if dphi else 0
     if len(dphi) != m:
         raise DimensionMismatchError("dPhi rows must match the target chart")
-    if rank(hstack(dphi, a)) != m:
-        raise ValueError("dPhi is not transverse to the anchor")
     n = pt.algebra.dim
+    c = nullspace(hstack(mat_scale(-1, a), dphi, zeros(m, s_dim)), n + 2 * s_dim)
+    # the constraint [-a | dPhi | 0] has the rank of [dPhi | a]
+    if c.dim != n + 2 * s_dim - m:
+        raise ValueError("dPhi is not transverse to the anchor")
     ambient_form = _pullback_form(pt.algebra.form, s_dim)
-    constraint = hstack(mat_scale(-1, a), dphi, zeros(m, s_dim))
-    c = nullspace(constraint, n + 2 * s_dim)
     c_perp = ambient_form.orth_complement(c)
     if not c.contains_subspace(c_perp):
         raise CourantStructureError("pull-back constraint is not coisotropic")

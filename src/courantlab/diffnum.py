@@ -229,10 +229,14 @@ def relatedness_check(dphi, pi_source, pi_target) -> float:
 
 
 def structure_tensor_np(alg: QuadraticLieAlgebra) -> np.ndarray:
-    """c[i, j, :] = coordinates of [b_i, b_j]."""
+    """c[i, j, :] = coordinates of [b_i, b_j], placed from the structure
+    constants: each one converted once by float()."""
     n = alg.dim
-    table = [[alg.bracket_basis(i, j) for j in range(n)] for i in range(n)]
-    return np_matrix(table).reshape(n, n, n)
+    table = np.zeros((n, n, n))
+    for i, j, k, c in alg.bracket:
+        table[i, j, k] = float(c)
+        table[j, i, k] = -float(c)
+    return table
 
 
 def courant_bracket_jets_np(

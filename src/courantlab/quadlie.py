@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -26,10 +25,8 @@ from .exactlin import (
     hstack,
     identity,
     int_matrix,
-    int_products,
     mat_scale,
     matrix,
-    zero_vector,
 )
 
 
@@ -37,41 +34,44 @@ from .exactlin import (
 class QuadraticLieAlgebra:
     """Lie algebra with an invariant symmetric bilinear form.
 
-    ``bracket`` maps (i, j) with i < j to the coordinate vector of
-    [b_i, b_j]; missing pairs bracket to zero.  The dense antisymmetric
-    table of all [b_i, b_j], and its columns as one ``int_matrix``, are
-    built once at construction.
+    ``bracket`` is the sorted tuple of nonzero structure constants
+    (i, j, k, c) with i < j, meaning [b_i, b_j] has coordinate c at b_k;
+    missing entries are zero.  The one derived table, built at
+    construction, is ``_sparse``: [b_i, b_j] for every i, j as the
+    sparse row ((k, c), ...) of integer coordinates over ``_den``, the
+    (j, i) rows holding the negated values.
     """
 
     dim: int
-    bracket: tuple[tuple[int, int, Vector], ...]
+    bracket: tuple[tuple[int, int, int, Fraction], ...]
     form: BilinearForm
     basis_names: tuple[str, ...]
-    _table: tuple[tuple[Vector, ...], ...] = field(init=False, repr=False, compare=False)
-    _columns: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
+    _sparse: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = field(
+        init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
         if self.form.dim != n:
             raise DimensionMismatchError("the form must be dim x dim")
         seen = set()
-        for i, j, v in self.bracket:
+        for i, j, k, _ in self.bracket:
             if not 0 <= i < j < n:
                 raise ValueError(f"bracket entry ({i},{j}) must satisfy 0 <= i < j < dim")
-            if (i, j) in seen:
-                raise ValueError(f"bracket entry ({i},{j}) is given twice")
-            if len(v) != n:
-                raise DimensionMismatchError("each bracket vector must have length dim")
-            seen.add((i, j))
-        zero = zero_vector(n)
-        table = [[zero] * n for _ in range(n)]
-        for i, j, v in self.bracket:
-            table[i][j] = v
-            table[j][i] = tuple(-x for x in v)
-        # column k holds the k-th coordinate of [b_i, b_j] for each stored pair
-        columns = int_matrix([[v[k] for _, _, v in self.bracket] for k in range(n)])
-        object.__setattr__(self, "_table", tuple(map(tuple, table)))
-        object.__setattr__(self, "_columns", columns)
+            if not 0 <= k < n:
+                raise ValueError(f"bracket entry ({i},{j},{k}) must satisfy 0 <= k < dim")
+            if (i, j, k) in seen:
+                raise ValueError(f"bracket entry ({i},{j},{k}) is given twice")
+            seen.add((i, j, k))
+        bracket = tuple(sorted(e for e in self.bracket if e[3]))
+        (nums,), den = int_matrix((tuple(c for *_, c in bracket),))
+        rows = [[[] for _ in range(n)] for _ in range(n)]
+        for (i, j, k, _), c in zip(bracket, nums):
+            rows[i][j].append((k, c))
+            rows[j][i].append((k, -c))
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "_sparse", tuple(tuple(map(tuple, r)) for r in rows))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def from_triples(
@@ -81,48 +81,39 @@ class QuadraticLieAlgebra:
         form_rows: Iterable[Iterable],
         basis_names: Sequence[str] | None = None,
     ) -> "QuadraticLieAlgebra":
-        table: dict[tuple[int, int], list[Fraction]] = {}
+        """Repeated (i, j, k) entries add up; the constructor drops the
+        constants that sum to 0."""
+        constants: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k, val) in triples:
-            if not 0 <= k < dim:
-                raise ValueError(f"bracket entry ({i},{j},{k}) must satisfy 0 <= k < dim")
-            row = table.setdefault((i, j), [Fraction(0)] * dim)
-            row[k] += frac(val)
-        packed = tuple(
-            (i, j, tuple(row)) for (i, j), row in sorted(table.items())
-        )
+            constants[i, j, k] = constants.get((i, j, k), 0) + frac(val)
         names = tuple(basis_names) if basis_names else tuple(
             f"b{i}" for i in range(dim)
         )
         if len(names) != dim:
             raise DimensionMismatchError("basis_names length must equal dim")
-        return cls(dim, packed, BilinearForm(matrix(form_rows)), names)
+        return cls(dim, tuple(key + (c,) for key, c in constants.items()),
+                   BilinearForm(matrix(form_rows)), names)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return self._table[i][j]
-
-    @cached_property
-    def _sparse(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """[b_i, b_j] as the sparse row ((l, c), ...) of its nonzero
-        integer coordinates over the denominator of ``_columns``, for
-        every i, j; the (j, i) rows hold the negated values.  Built on
-        first use from the kept columns."""
-        n = self.dim
-        cols = self._columns[0]
-        table = [[()] * n for _ in range(n)]
-        for p, (i, j, _) in enumerate(self.bracket):
-            row = tuple((l, col[p]) for l, col in enumerate(cols) if col[p])
-            table[i][j] = row
-            table[j][i] = tuple((l, -c) for l, c in row)
-        return tuple(map(tuple, table))
+        """[b_i, b_j] as a dense Fraction row, built from its sparse row."""
+        row = dict(self._sparse[i][j])
+        return frac_matrix(([row.get(k, 0) for k in range(self.dim)],), self._den)[0]
 
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] = sum over stored pairs i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
         (xn, yn), den = int_matrix((x, y))
         if len(xn) != self.dim:
             raise DimensionMismatchError("vectors not in the algebra")
-        wedge = [xn[i] * yn[j] - xn[j] * yn[i] for i, j, _ in self.bracket]
-        cols, cols_den = self._columns
-        return frac_matrix(int_products((wedge,), cols), den * den * cols_den)[0]
+        acc = [0] * self.dim
+        s, pair = self._sparse, None
+        # bracket is sorted, so the constants of one pair are adjacent
+        for i, j, _, _ in self.bracket:
+            if (i, j) != pair:
+                pair = i, j
+                w = xn[i] * yn[j] - xn[j] * yn[i]
+                for k, c in s[i][j]:
+                    acc[k] += w * c
+        return frac_matrix((acc,), den * den * self._den)[0]
 
     def pairing(self, x: Sequence, y: Sequence) -> Fraction:
         return self.form.pairing(x, y)
@@ -137,15 +128,10 @@ class QuadraticLieAlgebra:
         )
 
     def to_json(self) -> dict:
-        brackets = []
-        for (i, j, row) in self.bracket:
-            for k, val in enumerate(row):
-                if val != 0:
-                    brackets.append([i, j, k, str(val)])
         return {
             "dim": self.dim,
             "basis_names": list(self.basis_names),
-            "brackets": brackets,
+            "brackets": [[i, j, k, str(c)] for i, j, k, c in self.bracket],
             "form": [[str(x) for x in row] for row in self.form.matrix],
         }
 
@@ -232,12 +218,11 @@ def validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
 
 
 def is_subalgebra(alg: QuadraticLieAlgebra, s: ExactSubspace) -> bool:
+    """Whether [s, s] lies in s: the brackets of all pairs of rows,
+    decided by one containment."""
     rows = s.rows
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if not s.contains(alg.bracket_vec(rows[a], rows[b])):
-                return False
-    return True
+    brackets = [alg.bracket_vec(x, y) for a, x in enumerate(rows) for y in rows[a + 1:]]
+    return s.contains_subspace(ExactSubspace.span(brackets, ambient_dim=alg.dim))
 
 
 def courant_form(alg: QuadraticLieAlgebra, u1, u2, u3) -> Fraction:
@@ -296,12 +281,7 @@ def cartan_trivector(alg: QuadraticLieAlgebra) -> CourantTensor3:
 def build_double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
     """The double g (+) g-bar: componentwise bracket, form B (+) (-B)."""
     n = g.dim
-    triples = []
-    for (i, j, row) in g.bracket:
-        for k, val in enumerate(row):
-            if val != 0:
-                triples.append((i, j, k, val))
-                triples.append((i + n, j + n, k + n, val))
+    triples = [(i + s, j + s, k + s, c) for s in (0, n) for i, j, k, c in g.bracket]
     names = tuple(f"{nm}+" for nm in g.basis_names) + tuple(
         f"{nm}-" for nm in g.basis_names
     )

@@ -458,10 +458,11 @@ def test_pullback_point_rank_and_restriction():
     assert pb.reduced_form.is_nondegenerate()
     # anchor descends: complement lifts carry the chart vector
     assert len(pb.reduced_anchor) == 1
-    # failing transversality: zero anchor and a non-surjective dphi
-    pt0 = AnchoredPoint(AB4, ((0,) * 4, (0,) * 4), 2)
-    with pytest.raises(ValueError):
-        pullback_point(pt0, dphi)
+    # failing transversality: zero anchor and a non-surjective dphi, and
+    # a nonzero anchor whose range is the range of dphi ([dPhi | a] has rank 1)
+    for anchor in (((0,) * 4, (0,) * 4), ((1, 0, 0, 0), (0,) * 4)):
+        with pytest.raises(ValueError, match="not transverse"):
+            pullback_point(AnchoredPoint(AB4, anchor, 2), dphi)
 
 
 def _scaled_form(alg, c):

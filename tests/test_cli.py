@@ -229,8 +229,7 @@ def _broken_triple():
     t = sl2_triangular_triple()
     bad_alg = QuadraticLieAlgebra.from_triples(
         6,
-        [(i, j, k, v) for (i, j, row) in t.d_algebra.bracket
-         for k, v in enumerate(row) if v != 0],
+        t.d_algebra.bracket,
         [[(9 if (i == j == 1) else x) for j, x in enumerate(row)]
          for i, row in enumerate(t.d_algebra.form.matrix)],
     )

@@ -194,12 +194,7 @@ def test_courant_tensor_pullback_through_morphism():
     eprime = diagonal_subspace(sl2, -1)  # the anti-diagonal inside d
     img, alpha = backward_image(eprime, r)
     # source of r is the direct product algebra d (+) d (componentwise)
-    triples = []
-    for (i, j, row) in d.bracket:
-        for k, val in enumerate(row):
-            if val != 0:
-                triples.append((i, j, k, val))
-                triples.append((i + 6, j + 6, k + 6, val))
+    triples = [(i + s, j + s, k + s, c) for s in (0, 6) for i, j, k, c in d.bracket]
     form = d.form.direct_sum(d.form)
     from courantlab.quadlie import QuadraticLieAlgebra
 

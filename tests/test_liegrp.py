@@ -121,7 +121,7 @@ def test_membership_predicates_reject_points_off_the_group():
 def test_a_wrong_structure_constant_fails_validation():
     ctx = get_group_context("sl2-double")
     alg = ctx.algebra
-    flipped = replace(alg, bracket=tuple((i, j, tuple(-x for x in v)) for i, j, v in alg.bracket))
+    flipped = replace(alg, bracket=tuple((i, j, k, -c) for i, j, k, c in alg.bracket))
     with pytest.raises(ContextError, match="structure constants"):
         validate_context(replace(ctx, algebra=flipped))
 

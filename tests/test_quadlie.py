@@ -1,9 +1,13 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from algebra_reference import dense_validate_algebra, perturbed, scaled, sl_double
+from exact_strategies import rationals
 from courantlab.contexts import (
     GROUP_CONTEXT_NAMES,
     TRIPLE_CONTEXT_NAMES,
@@ -13,9 +17,9 @@ from courantlab.contexts import (
     sl2_algebra,
     triangular_complement,
 )
+from courantlab.diffnum import np_matrix, structure_tensor_np
 from courantlab.exactlin import (
     BilinearForm,
-    DimensionMismatchError,
     ExactSubspace,
     identity,
     inverse,
@@ -214,20 +218,18 @@ def _algebra(bracket) -> QuadraticLieAlgebra:
 def test_constructor_rejects_a_pair_out_of_order_or_range():
     for i, j in ((1, 0), (0, 0), (0, 2), (-1, 1)):
         with pytest.raises(ValueError, match=r"must satisfy 0 <= i < j < dim"):
-            _algebra(((i, j, (F(1), F(0))),))
+            _algebra(((i, j, 0, F(1)),))
 
 
 def test_constructor_rejects_a_repeated_pair():
-    # one copy would read [a, b] = a from the table and 2a from bracket_vec
-    z = (F(1), F(0))
     with pytest.raises(ValueError, match="given twice"):
-        _algebra(((0, 1, z), (0, 1, z)))
+        _algebra(((0, 1, 0, F(1)), (0, 1, 0, F(1))))
 
 
-def test_constructor_rejects_a_bracket_vector_of_the_wrong_length():
-    for v in ((F(1),), (F(1), F(0), F(0))):
-        with pytest.raises(DimensionMismatchError):
-            _algebra(((0, 1, v),))
+def test_constructor_rejects_k_out_of_range():
+    for k in (2, -1):
+        with pytest.raises(ValueError, match="0 <= k < dim"):
+            _algebra(((0, 1, k, F(1)),))
 
 
 def _shipped_algebras() -> dict:
@@ -286,7 +288,7 @@ def test_validate_reads_both_denominators():
     # of a scaled algebra are those of the unscaled one
     base = perturbed(sl_double(3), 5)
     alg = scaled(base, F(2, 3), F(3, 5))
-    assert alg._columns[1] > 1 and alg.form._ints[1] > 1
+    assert alg._den > 1 and alg.form._ints[1] > 1
     rep = validate_algebra(alg)
     assert not rep.passed
     assert rep == dense_validate_algebra(alg) == validate_algebra(base)
@@ -302,3 +304,116 @@ def test_json_roundtrip():
     sl2 = sl2_algebra()
     again = QuadraticLieAlgebra.from_json(sl2.to_json())
     assert again == sl2
+
+
+# the one bracket table against Fraction formulas read off the public
+# quadruples alone: every shipped algebra, the sl3 double, and the sl3
+# double scaled by 2/3 (bracket) and 3/5 (form), whose table has _den > 1
+@functools.cache
+def _table_algebras() -> dict:
+    algebras = dict(_shipped_algebras())
+    algebras["sl3 double"] = sl_double(3)
+    algebras["sl3 double scaled"] = scaled(sl_double(3), F(2, 3), F(3, 5))
+    return algebras
+
+
+def _reference_bracket_basis(alg, i, j):
+    v = [F(0)] * alg.dim
+    for a, b, k, c in alg.bracket:
+        if (a, b) == (i, j):
+            v[k] = F(c)
+        elif (a, b) == (j, i):
+            v[k] = -F(c)
+    return tuple(v)
+
+
+def _reference_bracket_vec(alg, x, y):
+    v = [F(0)] * alg.dim
+    for i, j, k, c in alg.bracket:
+        v[k] += (x[i] * y[j] - x[j] * y[i]) * c
+    return tuple(v)
+
+
+def test_the_scaled_table_has_a_denominator():
+    assert _table_algebras()["sl3 double scaled"]._den > 1
+
+
+@pytest.mark.parametrize("name", sorted(_table_algebras()))
+def test_bracket_basis_matches_the_quadruples(name):
+    alg = _table_algebras()[name]
+    assert all(i < j and c != 0 for i, j, _, c in alg.bracket)
+    assert list(alg.bracket) == sorted(alg.bracket)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert alg.bracket_basis(i, j) == _reference_bracket_basis(alg, i, j)
+
+
+@pytest.mark.parametrize("name", sorted(_table_algebras()))
+@seed(2)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_bracket_vec_matches_the_quadruples(name, data):
+    alg = _table_algebras()[name]
+    vec = st.lists(rationals(3, 4), min_size=alg.dim, max_size=alg.dim).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    assert alg.bracket_vec(x, y) == _reference_bracket_vec(alg, x, y)
+
+
+@pytest.mark.parametrize("name", sorted(_table_algebras()))
+def test_structure_tensor_np_matches_the_dense_table(name):
+    alg = _table_algebras()[name]
+    n = alg.dim
+    dense = np_matrix([[alg.bracket_basis(i, j) for j in range(n)] for i in range(n)])
+    assert structure_tensor_np(alg).tobytes() == dense.reshape(n, n, n).tobytes()
+
+
+def test_from_triples_sorts_adds_and_drops_zero_constants():
+    triples = [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)]
+    form = [[0, 0, 4], [0, 8, 0], [4, 0, 0]]
+    sl2 = QuadraticLieAlgebra.from_triples(3, triples, form)
+    for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+        again = QuadraticLieAlgebra.from_triples(3, [triples[p] for p in order], form)
+        assert again == sl2 and hash(again) == hash(sl2)
+    # repeated (i, j, k) entries add up
+    split = [(0, 1, 0, -1), (0, 2, 1, F(1, 3)), (1, 2, 2, -2), (0, 1, 0, -1), (0, 2, 1, F(2, 3))]
+    assert QuadraticLieAlgebra.from_triples(3, split, form) == sl2
+    # a constant that sums to 0 is not kept
+    cancelled = triples + [(0, 1, 2, 5), (0, 1, 2, -5), (1, 2, 0, F(1, 2)), (1, 2, 0, F(-1, 2))]
+    again = QuadraticLieAlgebra.from_triples(3, cancelled, form)
+    assert again == sl2 and hash(again) == hash(sl2)
+    assert again.bracket == sl2.bracket == tuple((i, j, k, F(c)) for i, j, k, c in triples)
+    assert again.bracket_basis(0, 1) == (F(-2), F(0), F(0))
+
+
+def test_the_sl3_double_round_trips_through_json():
+    d = sl_double(3)
+    assert QuadraticLieAlgebra.from_json(d.to_json()) == d
+
+
+def _pairwise_is_subalgebra(alg, s):
+    """One containment per pair of rows, stopping at the first miss."""
+    return all(s.contains(alg.bracket_vec(x, y)) for a, x in enumerate(s.rows) for y in s.rows[a + 1:])
+
+
+def test_is_subalgebra_reads_every_pair():
+    pair = get_group_context("sl2-pair").algebra
+    unit = identity(pair.dim)
+    # rows e+, h+, e-, f-: [e+, h+] = -2 e+ lies in s, but the last pair's
+    # [e-, f-] = h- does not
+    s = ExactSubspace.span([unit[0], unit[1], unit[3], unit[5]])
+    assert _pairwise_is_subalgebra(pair, ExactSubspace.span(s.rows[:2]))
+    assert not is_subalgebra(pair, s)
+    assert is_subalgebra(pair, ExactSubspace.span([unit[0], unit[1], unit[3], unit[4]]))
+    rng = random.Random(3)
+    verdicts = []
+    for alg in (pair, get_group_context("sl2c-real").algebra, sl_double(3)):
+        unit = identity(alg.dim)
+        for _ in range(40):
+            k = rng.randrange(2, alg.dim)
+            rows = [unit[i] for i in rng.sample(range(alg.dim), k)]
+            if rng.random() < 0.3:  # a random combination of the first row
+                rows[0] = tuple(x + rng.randint(-2, 2) * y for x, y in zip(rows[0], rows[-1]))
+            s = ExactSubspace.span(rows)
+            verdicts.append(is_subalgebra(alg, s))
+            assert verdicts[-1] == _pairwise_is_subalgebra(alg, s)
+    assert set(verdicts) == {True, False}

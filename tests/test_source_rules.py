@@ -13,8 +13,9 @@ comprehension or loop outside exactlin, no st.fractions in the tests, no
 read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
 _over_lcm, no .sum(...) of an .intersect(...) outside
 lagrel.Splitting.splits, no int_matrix, rank, inverse or
-ExactSubspace.span call on a .matrix attribute, and no mat_mul call
-directly inside another mat_mul call.
+ExactSubspace.span call on a .matrix attribute, no mat_mul call
+directly inside another mat_mul call, and no read of the kept bracket
+table (_sparse, _den) outside quadlie.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -55,7 +56,12 @@ elimination or conversion that starts again from the .matrix of one is
 a second conversion of rows already kept; and a chain is one call:
 mat_mul(A, B, C) puts each factor into integer rows once and reads the
 product back once, where mat_mul(mat_mul(A, B), C) reads A B back to
-Fractions and puts it into integer rows again.
+Fractions and puts it into integer rows again; and the structure
+constants have one public form, QuadraticLieAlgebra.bracket, and one
+derived table, the sparse integer rows _sparse over _den that the
+constructor builds from it, so a module that reads that table depends on
+a private layout that only quadlie keeps in step with bracket (bracket,
+bracket_basis and bracket_vec are the readers the other modules have).
 """
 
 import ast
@@ -693,3 +699,33 @@ def test_the_matrix_reconversion_rule_catches_each_form():
                 "ExactSubspace.span(rows)", "mat_mul(b.matrix, a)", "matrix(self.matrix)",
                 "s.span(x.matrix)", "rank(self.matrix_rows)"):
         assert _matrix_reconversions(ast.parse(src)) == [], src
+
+
+# the one derived table of QuadraticLieAlgebra, read by quadlie alone
+BRACKET_TABLE = {"_sparse", "_den"}
+
+
+def _bracket_table_reads(tree: ast.AST) -> list[str]:
+    """The lines of each attribute access x._sparse or x._den, and of
+    each string naming one of them (getattr, attrgetter)."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in BRACKET_TABLE)
+            or (isinstance(node, ast.Constant) and node.value in BRACKET_TABLE)]
+
+
+def test_the_bracket_table_is_read_in_quadlie_alone():
+    assert _bracket_table_reads(ast.parse((SOURCES[0].parent / "quadlie.py").read_text()))
+    bad = {p.name: v for p in SOURCES if p.name != "quadlie.py"
+           and (v := _bracket_table_reads(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_bracket_table_rule_catches_each_form():
+    for src in ("s = alg._sparse", "alg._sparse[i][j]", "frac_matrix(rows, ctx.algebra._den)",
+                "getattr(alg, '_den')", "attrgetter('_sparse', '_den')",
+                "for k, c in self._sparse[i][j]:\n    pass"):
+        assert set(_bracket_table_reads(ast.parse(src))) == {"line 1"}, src
+    assert _bracket_table_reads(ast.parse("def f(a):\n    return a._den")) == ["line 2"]
+    for src in ("alg.bracket", "alg.bracket_basis(i, j)", "form._ints[1]", "row_den = den",
+                "sparse = 1", "x.sparse", "'_dense'"):
+        assert _bracket_table_reads(ast.parse(src)) == [], src
