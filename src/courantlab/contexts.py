@@ -159,7 +159,6 @@ def sl2_triangular_triple() -> TripleContext:
 
     G1 is SL2 embedded diagonally; the inclusion of its algebra sends
     x to (x, x)."""
-    d_alg = build_double(sl2_algebra())
     inclusion = matrix(
         [
             (1, 0, 0),

@@ -209,14 +209,17 @@ def action_axiom_check(
     vals = np.asarray(fields(x), dtype=float)
     jacs = central_difference(fields, x, h)  # jacs[i] = D rho(b_i)
     n = alg.dim
+    # [b_i, b_j] as (k, c) pairs in k order, read off the sorted constants
+    pairs: dict[tuple[int, int], list] = {}
+    for i, j, k, c in alg.bracket:
+        pairs.setdefault((i, j), []).append((k, float(c)))
     residuals = []
     for i in range(n):
         for j in range(i + 1, n):
             lhs = jacs[j] @ vals[i] - jacs[i] @ vals[j]
             rhs = np.zeros_like(lhs)
-            for k, c in enumerate(alg.bracket_basis(i, j)):
-                if c != 0:
-                    rhs += float(c) * vals[k]
+            for k, c in pairs.get((i, j), ()):
+                rhs += c * vals[k]
             residuals.append(max_abs(lhs - rhs))
     return worst(residuals)
 

@@ -440,45 +440,25 @@ def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
 
 @dataclass(frozen=True)
 class RelatednessReport:
-    e_related: bool
-    f_related: bool
-    kernel_splits: bool
-    range_splits: bool
+    """The names of the conditions a relatedness check failed, in the
+    order E, F, kernel, range; related when there are none."""
+
+    reasons: tuple[str, ...]
 
     @property
     def related(self) -> bool:
-        return (
-            self.e_related
-            and self.f_related
-            and self.kernel_splits
-            and self.range_splits
-        )
-
-    @property
-    def reasons(self) -> tuple[str, ...]:
-        out = []
-        if not self.e_related:
-            out.append("e_not_related")
-        if not self.f_related:
-            out.append("f_not_related")
-        if not self.kernel_splits:
-            out.append("kernel_not_split")
-        if not self.range_splits:
-            out.append("range_not_split")
-        return tuple(out)
+        return not self.reasons
 
 
-def _iso_carries(iso: ReducedIso, e: ExactSubspace, eprime: ExactSubspace) -> bool:
-    e_red = iso.source_quotient.map_subspace(e)
-    ep_red = iso.target_quotient.map_subspace(eprime)
-    return iso.map_subspace(e_red) == ep_red
-
-
-def related_lagrangian(
-    e: ExactSubspace, eprime: ExactSubspace, r: LinearRelation
-) -> bool:
-    """True when the reduced isomorphism carries E_red onto E'_red."""
-    return _iso_carries(r.reduced_iso, e, eprime)
+def related_lagrangian(e: ExactSubspace, eprime: ExactSubspace, r: LinearRelation) -> bool:
+    """True when the reduced isomorphism carries E_red onto E'_red, that
+    is when R(E) = ker(R^t) + (E' cap ran R): it carries E_red onto
+    R(E)/ker(R^t), as R(E) contains R(0) = ker(R^t).  R(E) is the target
+    parts of R cap (W' x E)."""
+    nt = r.target.dim
+    over_e = r.graph.intersect(product_subspace(ExactSubspace.full(nt), e))
+    image = ExactSubspace.of_rows(nt, [row[:nt] for row in over_e.rows])
+    return image == r.cokernel.sum(eprime.intersect(r.range_()))
 
 
 def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> RelatednessReport:
@@ -486,13 +466,11 @@ def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> Re
     target; NotLagrangianError when they split other spaces."""
     if s.space != r.source or s_prime.space != r.target:
         raise NotLagrangianError("splittings are not on the relation's spaces")
-    iso = r.reduced_iso
-    return RelatednessReport(
-        e_related=_iso_carries(iso, s.e, s_prime.e),
-        f_related=_iso_carries(iso, s.f, s_prime.f),
-        kernel_splits=s.splits(r.kernel()),
-        range_splits=s_prime.splits(r.range_()),
-    )
+    checks = {"e_not_related": related_lagrangian(s.e, s_prime.e, r),
+              "f_not_related": related_lagrangian(s.f, s_prime.f, r),
+              "kernel_not_split": s.splits(r.kernel()),
+              "range_not_split": s_prime.splits(r.range_())}
+    return RelatednessReport(tuple(name for name, holds in checks.items() if not holds))
 
 
 def pair_groupoid_relation(dd: QuadraticLieAlgebra) -> LinearRelation:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .exactlin import (
@@ -111,13 +111,6 @@ class GroupContext:
         """Exact coordinates of an ambient algebra element over the basis;
         DimensionMismatchError when it is not in the algebra's span."""
         return self.coordinatizer.coords(flatten(elt))
-
-    def from_coords(self, coords: Sequence) -> Matrix:
-        """The element sum c_a B_a: one product of the flattened basis
-        columns with the coordinates."""
-        n = self.ambient_size
-        flat = mat_vec(transpose([flatten(b) for b in self.algebra_basis]), coords)
-        return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,12 +137,16 @@ class QuadraticLieAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadraticLieAlgebra":
+        """ValueError unless dim and the bracket indices are integers (a
+        bool is not) and the basis names, when given, are strings."""
+        brackets = [(i, j, k, frac(v)) for i, j, k, v in data["brackets"]]
+        if any(type(x) is not int for x in (data["dim"], *(x for e in brackets for x in e[:3]))):
+            raise ValueError("dim and the bracket indices must be integers")
+        names = data.get("basis_names")
+        if names is not None and not (isinstance(names, list) and all(type(x) is str for x in names)):
+            raise ValueError("basis_names must be a list of strings")
         return cls.from_triples(
-            data["dim"],
-            [(int(i), int(j), int(k), frac(v)) for i, j, k, v in data["brackets"]],
-            [[frac(x) for x in row] for row in data["form"]],
-            data.get("basis_names"),
-        )
+            data["dim"], brackets, [[frac(x) for x in row] for row in data["form"]], names)
 
 
 @dataclass(frozen=True)

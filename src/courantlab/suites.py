@@ -17,6 +17,7 @@ import random
 
 from . import anchored, lagrel, liegrp, quadlie, randgen
 from .contexts import (
+    GROUP_CONTEXT_NAMES,
     get_group_context,
     get_triple_context,
     named_splitting,
@@ -401,7 +402,7 @@ def suite_all(h: float = DEFAULT_H, tol: float = DEFAULT_TOL, seed: int = 0,
               samples: int | None = None) -> list[dict]:
     records: list[dict] = []
     # fail-fast validation of the shipped data
-    for name in ("sl2-double", "sl2-pair", "abelian-2", "sl2c-real"):
+    for name in GROUP_CONTEXT_NAMES:
         ctx = get_group_context(name)
         liegrp.validate_context(ctx)
         rep = quadlie.validate_algebra(ctx.algebra)

@@ -149,7 +149,29 @@ def _form_too_small(data):
     data["form"] = [row[:2] for row in data["form"][:2]]
 
 
-@pytest.mark.parametrize("corrupt", [_zero_denominator, _form_too_small])
+def _float_indices(data):
+    data["brackets"][0] = [0.9, 1.2, 0, "-2"]
+
+
+def _string_indices(data):
+    data["brackets"][0] = ["0", "1", 0, -2]
+
+
+def _bool_index(data):
+    data["brackets"][0][2] = True
+
+
+def _bool_dim(data):
+    data.clear()
+    data.update(dim=True, brackets=[], form=[[1]])
+
+
+def _number_names(data):
+    data["basis_names"] = [1, 2, 3]
+
+
+@pytest.mark.parametrize("corrupt", [_zero_denominator, _form_too_small, _float_indices,
+                                     _string_indices, _bool_index, _bool_dim, _number_names])
 def test_validate_malformed_algebra_is_usage_error(corrupt, tmp_path, capsys):
     data = sl2_algebra().to_json()
     corrupt(data)
@@ -583,6 +605,7 @@ def _write(path, data):
 
 
 @settings(max_examples=60, deadline=None)
+@example(alg={**sl2_algebra().to_json(), "brackets": [[0.9, 1.2, 0, "-2"]]}, g=None)
 @given(alg=_algebra_json(), g=st.none() | st.tuples(_subspace_json(), _subspace_json()))
 def test_fuzzed_validate_inputs_end_in_an_exit_code(tmp_path_factory, alg, g):
     d = tmp_path_factory.getbasetemp()

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction as F
 
@@ -293,7 +294,51 @@ def test_related_splitting_identity():
     assert rep.related and rep.reasons == ()
     swapped = related_splitting(s, Splitting(SP2, F2, E2), r)
     assert not swapped.related
-    assert "e_not_related" in swapped.reasons
+    assert swapped.reasons == ("e_not_related", "f_not_related")
+
+
+def _iso_carries(iso, e, eprime):
+    """The reference verdict of the isomorphism lemma: the reduced
+    isomorphism carries E_red onto E'_red."""
+    e_red = iso.source_quotient.map_subspace(e)
+    ep_red = iso.target_quotient.map_subspace(eprime)
+    return iso.map_subspace(e_red) == ep_red
+
+
+def test_related_lagrangian_matches_the_reduced_iso():
+    # the identity R(E) = ker(R^t) + (E' cap ran R) against the quotient
+    # verdict, on random pairs and on three related by construction: E' the
+    # forward image R(E) (the backward image through R^t); E the backward
+    # image of F' and E' = F'; and that E with E' = ker(R^t) + (F' cap ran R)
+    rng = random.Random(30)
+    outcomes = collections.Counter()
+    for _ in range(200):
+        ks, kt = rng.randint(1, 4), rng.randint(1, 4)
+        r = random_relation(rng, ks, kt)
+        e = random_lagrangian_splitting(rng, ks).e
+        fp = random_lagrangian_splitting(rng, kt).e
+        back = backward_image_subspace(fp, r)
+        related = [(e, backward_image_subspace(e, r.transpose())), (back, fp),
+                   (back, r.cokernel.sum(fp.intersect(r.range_())))]
+        for src, tgt in [(e, fp)] + related:
+            verdict = related_lagrangian(src, tgt, r)
+            assert verdict == _iso_carries(r.reduced_iso, src, tgt)
+            outcomes[verdict] += 1
+        assert all(related_lagrangian(src, tgt, r) for src, tgt in related)
+    assert outcomes[True] > 600 and outcomes[False] > 0
+
+
+def test_relatedness_builds_no_quotient(calls):
+    # the verdict is a subspace identity: no quotient coordinates, no
+    # coordinatizer and no reduced isomorphism
+    quotients = calls(exactlin, "quotient_coords")
+    coordinatizers = calls(exactlin.Coordinatizer, "of_rows")
+    rng = random.Random(4)
+    for _ in range(5):
+        r = random_relation(rng, 2, 3)
+        related_splitting(random_lagrangian_splitting(rng, 2), random_lagrangian_splitting(rng, 3), r)
+        assert "reduced_iso" not in vars(r)
+    assert quotients == [] and coordinatizers == []
 
 
 def test_reduced_pi_transported_by_related_splittings():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import courantlab.exactlin as exactlin
 import courantlab.liegrp as liegrp
-from courantlab import anchored, suites
+from courantlab import anchored, lagrel, suites
 from courantlab.cli import main
 
 from courantlab.contexts import (
@@ -516,10 +516,11 @@ _RATIONALS = rationals(5, 7)
 def test_coordinatize_matches_naive_solve(name, data):
     ctx = get_group_context(name)
     coords = tuple(data.draw(st.lists(_RATIONALS, min_size=ctx.dim, max_size=ctx.dim)))
-    elt = ctx.from_coords(coords)
+    size = ctx.ambient_size
+    elt = tuple(tuple(sum(c * b[r][col] for c, b in zip(coords, ctx.algebra_basis))
+                      for col in range(size)) for r in range(size))
     assert ctx.coordinatize(elt) == _naive_coords(ctx, elt) == coords
     # a matrix unit outside the span moves the element off the algebra
-    size = ctx.ambient_size
     outside = [
         (i, j) for i in range(size) for j in range(size)
         if _naive_coords(ctx, _unit(size, i, j)) is None
@@ -817,14 +818,17 @@ def test_dressing_builds_pi_minus_only(capsys, calls):
     assert TRIPLE.plus not in [s for _, s in bivectors]
 
 
-def test_mult_builds_the_reduced_iso_once(monkeypatch, capsys, calls):
-    # the four relatedness lines share one pair-groupoid relation, whose
-    # reduced isomorphism is built once; no quotient coordinate runs solve
+def test_mult_decides_relatedness_without_quotients(monkeypatch, capsys, calls):
+    # the four relatedness lines compare subspaces: they build no reduced
+    # isomorphism and lagrel takes no quotient coordinates
     isos = _count_builds(monkeypatch, LinearRelation, "reduced_iso", lambda r: r.graph)
+    quotients = []
+    monkeypatch.setattr(lagrel, "quotient_coords",
+                        lambda *args: quotients.append(args) or exactlin.quotient_coords(*args))
     solves = calls(exactlin, "solve")
     _run_on_a_fresh_triple(monkeypatch, "mult")
     capsys.readouterr()
-    assert list(isos.values()) == [1]
+    assert not isos and quotients == []
     assert len(solves) <= 12
 
 
