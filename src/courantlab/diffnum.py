@@ -10,10 +10,16 @@ Conventions: a bivector field is sampled as its antisymmetric component
 matrix P with pi = sum_{u<v} P[u,v] d_u ^ d_v, and a trivector is a
 fully antisymmetric 3-index array T with T[i,j,k] the coefficient
 against d_i ^ d_j ^ d_k for i < j < k.
+
+A sampler maps a (S, d) stack of chart points to the stack of its
+values, one call per stencil.  A stacked product makes the product at
+one point once per slice, so each slice keeps its bits; products are
+never folded across slices into one GEMM, which rounds differently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -21,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exactlin import DimensionMismatchError, Matrix, Vector
+from .exactlin import DimensionMismatchError, Vector
 from .lagrel import Splitting
 from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_value
 from .quadlie import QuadraticLieAlgebra, courant_tensor_on_basis
@@ -31,27 +37,24 @@ ANTISYM_TOL = 1e-12
 
 @dataclass
 class ChartBivectorField:
-    """Pointwise sampler of an antisymmetric matrix over one chart."""
+    """Sampler of an antisymmetric matrix over one chart: a (S, d) stack
+    of chart points to the (S, d, d) stack of their matrices."""
 
     chart_dim: int
     sampler: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, point) -> np.ndarray:
-        p = np.asarray(self.sampler(np.asarray(point, dtype=float)), dtype=float)
-        if p.shape != (self.chart_dim, self.chart_dim):
+    def __call__(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=float)
+        d = self.chart_dim
+        if x.shape[1:] != (d,):
+            raise DimensionMismatchError("chart points are not a (S, d) stack")
+        p = np.asarray(self.sampler(x), dtype=float)
+        if p.shape != (len(x), d, d):
             raise DimensionMismatchError("sampler returned a wrong shape")
-        if max_abs(p + p.T) > ANTISYM_TOL * max(1.0, max_abs(p)):
+        tol = ANTISYM_TOL * np.maximum(1.0, max_abs(p, axis=(1, 2)))
+        if np.any(max_abs(p + p.swapaxes(1, 2), axis=(1, 2)) > tol):
             raise ValueError("sampler output is not antisymmetric")
         return p
-
-
-def _set_antisym(T: np.ndarray, i: int, j: int, k: int, val: float) -> None:
-    T[i, j, k] = val
-    T[j, k, i] = val
-    T[k, i, j] = val
-    T[j, i, k] = -val
-    T[i, k, j] = -val
-    T[k, j, i] = -val
 
 
 def np_matrix(m) -> np.ndarray:
@@ -60,10 +63,12 @@ def np_matrix(m) -> np.ndarray:
     return np.array(m, dtype=float)
 
 
-def max_abs(a: np.ndarray) -> float:
+def max_abs(a: np.ndarray, axis: tuple[int, ...] | None = None):
     """The max-norm of an array, 0.0 for an empty one; a NaN entry is
-    the result."""
-    return float(np.abs(a).max(initial=0.0))
+    the result.  Over ``axis`` it is the array of the norms of the
+    slices: max_abs(stack, axis=(-2, -1)) is the norm of each matrix."""
+    norm = np.abs(a).max(axis=axis, initial=0.0)
+    return float(norm) if axis is None else norm
 
 
 def float_warnings_off() -> np.errstate:
@@ -84,52 +89,58 @@ def worst(residuals: Iterable[float]) -> float:
     return max(values, default=0.0)
 
 
-def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                       h: float) -> np.ndarray:
-    """Jacobian of f at x by central differences, O(h^2).
+def stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The central difference's points at x: x + h e_l for each l, then
+    x - h e_l, as one (2d, d) stack."""
+    steps = h * np.eye(len(x))
+    return np.concatenate([x + steps, x - steps])
+
+
+def central_difference(values: np.ndarray, h: float) -> np.ndarray:
+    """Jacobian of f at x by central differences, O(h^2), from the stack
+    values = f(stencil(x, h)).
 
     out[..., l] = (f(x + h e_l) - f(x - h e_l)) / 2h, a new C-contiguous
     array with the derivative index last.
     """
-    cols = [(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h) for e in h * np.eye(len(x))]
-    return np.stack(cols, axis=-1)
+    plus, minus = np.split(values, 2)
+    return np.ascontiguousarray(np.moveaxis((plus - minus) / (2 * h), 0, -1))
 
 
 def schouten_fd(field: ChartBivectorField, point, h: float) -> np.ndarray:
     """Schouten bracket [pi, pi] by central differences of step h, O(h^2).
 
     Components are twice the coordinate Jacobiator:
-    T^ijk = 2 sum_l (P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij).
+    T^ijk = 2 sum_l (P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij),
+    summed over l in order for all triples i < j < k at once.
     """
     d = field.chart_dim
     x = np.asarray(point, dtype=float)
-    P = field(x)
-    dP = central_difference(field, x, h)  # dP[j, k, l] = d_l P^jk
+    values = field(np.concatenate([x[None], stencil(x, h)]))
+    P, dP = values[0], central_difference(values[1:], h)  # dP[j, k, l] = d_l P^jk
+    i, j, k = np.array(list(itertools.combinations(range(d), 3)), dtype=int).reshape(-1, 3).T
+    Pi, Pj, Pk, Djk, Dki, Dij = P[i], P[j], P[k], dP[j, k], dP[k, i], dP[i, j]
+    val = np.zeros(len(i))
+    for l in range(d):
+        val = val + (Pi[:, l] * Djk[:, l] + Pj[:, l] * Dki[:, l] + Pk[:, l] * Dij[:, l])
+    val = 2.0 * val
     T = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                val = 0.0
-                for l in range(d):
-                    val += (
-                        P[i, l] * dP[j, k, l]
-                        + P[j, l] * dP[k, i, l]
-                        + P[k, l] * dP[i, j, l]
-                    )
-                _set_antisym(T, i, j, k, 2.0 * val)
+    T[i, j, k] = T[j, k, i] = T[k, i, j] = val
+    T[j, i, k] = T[i, k, j] = T[k, j, i] = -val
     return T
 
 
 def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Component table of u ^ v ^ w: T[p,q,r] = det [[u_p,v_p,w_p],...]."""
-    outer = np.einsum("p,q,r->pqr", u, v, w)
+    """Component table of u ^ v ^ w, for vectors or stacks of them:
+    T[..., p, q, r] = det [[u_p, v_p, w_p], ...]."""
+    outer = np.einsum("...p,...q,...r->...pqr", u, v, w)
     return (
         outer
-        + np.einsum("q,r,p->pqr", u, v, w)
-        + np.einsum("r,p,q->pqr", u, v, w)
-        - np.einsum("p,r,q->pqr", u, v, w)
-        - np.einsum("q,p,r->pqr", u, v, w)
-        - np.einsum("r,q,p->pqr", u, v, w)
+        + np.einsum("...q,...r,...p->...pqr", u, v, w)
+        + np.einsum("...r,...p,...q->...pqr", u, v, w)
+        - np.einsum("...p,...r,...q->...pqr", u, v, w)
+        - np.einsum("...q,...p,...r->...pqr", u, v, w)
+        - np.einsum("...r,...q,...p->...pqr", u, v, w)
     )
 
 
@@ -142,15 +153,18 @@ def push_trivector(
 
     ``wedge_vectors`` are the algebra vectors attached to the value table
     (the dual frame fixed by <e_i, f^j> = delta); each is mapped by the
-    anchor before wedging.
+    anchor before wedging.  Every wedge is built in one pass, and they
+    are summed in the order of ``values``.
     """
     a = np.asarray(anchor, dtype=float)
     m = a.shape[0]
-    pushed = [a @ np_matrix(vec) for vec in wedge_vectors]
-    T = np.zeros((m, m, m))
-    for (i, j, k), val in values:
-        T += float(val) * wedge3(pushed[i], pushed[j], pushed[k])
-    return T
+    if not values:
+        return np.zeros((m, m, m))
+    pushed = (a @ np_matrix(wedge_vectors)[..., None])[..., 0]
+    i, j, k = np.array([ijk for ijk, _ in values]).T
+    coefs = np.array([float(c) for _, c in values])
+    wedges = coefs[:, None, None, None] * wedge3(pushed[i], pushed[j], pushed[k])
+    return np.add.reduce(wedges, axis=0, initial=0.0)
 
 
 def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
@@ -170,8 +184,9 @@ def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
 
 @lru_cache(maxsize=64)
 def _kept_tables(alg: QuadraticLieAlgebra, s: Splitting):
-    """splitting_tensor_tables(alg, s), built once per (algebra, splitting)."""
-    return splitting_tensor_tables(alg, s)
+    """splitting_tensor_tables(alg, s) with float wedge frames, built once
+    per (algebra, splitting)."""
+    return tuple((values, np_matrix(frame)) for values, frame in splitting_tensor_tables(alg, s))
 
 
 def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> np.ndarray:
@@ -181,17 +196,11 @@ def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> np.nda
     return push_trivector(a, vals_e, wedge_e) + push_trivector(a, vals_f, wedge_f)
 
 
-def main_identity_residual(
-    field: ChartBivectorField,
-    anchor0: Matrix,
-    s: Splitting,
-    alg: QuadraticLieAlgebra,
-    h: float,
-) -> float:
+def main_identity_residual(field: ChartBivectorField, rhs: np.ndarray, h: float) -> float:
     """max |(1/2)[pi, pi] - a(Y^E) - a(Y^F)| at the center of the chart of
-    ``field``, where the exact anchor is ``anchor0``; FD step h."""
+    ``field``, where rhs = main_identity_rhs at that point; FD step h."""
     lhs = 0.5 * schouten_fd(field, np.zeros(field.chart_dim), h)
-    return max_abs(lhs - main_identity_rhs(alg, s, anchor0))
+    return max_abs(lhs - rhs)
 
 
 def action_axiom_check(
@@ -203,11 +212,12 @@ def action_axiom_check(
     """Worst max-abs residual of [rho(b_i), rho(b_j)] = rho([b_i, b_j])
     over the basis pairs, at one point, where [v, w] = Dw(v) - Dv(w).
 
-    ``fields(q)`` is the (n, k) table whose row i is rho(b_i) at q; one
-    stencil gives every Jacobian."""
+    ``fields`` maps a stack of points q to the stack of (n, k) tables
+    whose row i is rho(b_i) at q; one call on the point and its stencil
+    gives the values and every Jacobian."""
     x = np.asarray(point, dtype=float)
-    vals = np.asarray(fields(x), dtype=float)
-    jacs = central_difference(fields, x, h)  # jacs[i] = D rho(b_i)
+    values = np.asarray(fields(np.concatenate([x[None], stencil(x, h)])), dtype=float)
+    vals, jacs = values[0], central_difference(values[1:], h)  # jacs[i] = D rho(b_i)
     n = alg.dim
     # [b_i, b_j] as (k, c) pairs in k order, read off the sorted constants
     pairs: dict[tuple[int, int], list] = {}
@@ -270,53 +280,71 @@ def flat_poisson_field() -> ChartBivectorField:
     exactly-order-2 FD ladder."""
 
     def sampler(y):
-        y1, y2, y3 = y
+        y1, y2 = y[:, 0], y[:, 1]
         w = y2 - y1 * y1
         p13 = 2.0 * y1 * w
         p23 = 4.0 * y1 * y1 * w - w * w
-        return np.array([[0.0, 1.0, p13], [-1.0, 0.0, p23], [-p13, -p23, 0.0]])
+        out = np.zeros((len(y), 3, 3))
+        out[:, 0, 1], out[:, 0, 2], out[:, 1, 2] = 1.0, p13, p23
+        out[:, 1, 0], out[:, 2, 0], out[:, 2, 1] = -1.0, -p13, -p23
+        return out
 
     return ChartBivectorField(3, sampler)
 
 
 # ---------------------------------------------------------------------------
-# the float group layer: exponential charts of the liegrp contexts
+# the float group layer: exponential charts of the liegrp contexts.  Each
+# function works on the trailing two axes of a stack of matrices, and each
+# slice stops its series and squares on its own count, as it would alone.
+
+def _combine(t: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """sum_a t[..., a] tensors[a] for each row of the stack t, one
+    vector-matrix product per row."""
+    k, *shape = tensors.shape
+    return (t[..., None, :] @ tensors.reshape(k, -1)).reshape(*t.shape[:-1], *shape)
+
 
 def _exp_series(x: np.ndarray, shift: int) -> np.ndarray:
-    """sum_j x^j / (j + shift)!: exp x for shift 0, (exp x - 1) / x for shift 1."""
-    out = np.eye(len(x))
-    term = np.eye(len(x))
+    """sum_j x^j / (j + shift)!: exp x for shift 0, (exp x - 1) / x for
+    shift 1; a slice keeps its sum from its first term below 1e-18 on."""
+    out = term = np.broadcast_to(np.eye(x.shape[-1]), x.shape)
+    active = np.ones(x.shape[:-2], dtype=bool)
     for j in range(1, 40):
         term = term @ x / (j + shift)
-        out = out + term
-        if max_abs(term) < 1e-18:
+        out = np.where(active[..., None, None], out + term, out)
+        active = active & ~(max_abs(term, axis=(-2, -1)) < 1e-18)
+        if not active.any():
             break
     return out
 
 
 def expm_np(a: np.ndarray) -> np.ndarray:
-    norm = max_abs(a)
-    s = 0
-    while norm > 0.5:
-        norm /= 2.0
-        s += 1
-    out = _exp_series(a / (2.0 ** s), 0)
-    for _ in range(s):
-        out = out @ out
+    """exp by scaling each slice into max-norm 0.5 and squaring it back."""
+    norm = max_abs(a, axis=(-2, -1))
+    s = np.zeros(norm.shape, dtype=int)
+    while np.any(big := norm > 0.5):
+        norm = np.where(big, norm / 2.0, norm)
+        s = s + big
+    out = _exp_series(a / (2.0 ** s)[..., None, None], 0)
+    for r in range(s.max(initial=0)):
+        out = np.where((s > r)[..., None, None], out @ out, out)
     return out
 
 
 def logm_np(m: np.ndarray) -> np.ndarray:
-    """Principal log near the identity (series in m - I)."""
-    z = m - np.eye(m.shape[0])
-    if max_abs(z) > 0.4:
+    """Principal log near the identity (series in m - I); ValueError when
+    any slice is too far from it."""
+    z = m - np.eye(m.shape[-1])
+    if np.any(max_abs(z, axis=(-2, -1)) > 0.4):
         raise ValueError("matrix too far from the identity for the log series")
     out = np.zeros_like(z)
-    term = np.eye(m.shape[0])
+    term = np.broadcast_to(np.eye(m.shape[-1]), z.shape)
+    active = np.ones(z.shape[:-2], dtype=bool)
     for k in range(1, 60):
         term = term @ z
-        out = out + ((-1) ** (k + 1)) * term / k
-        if max_abs(term) < 1e-18:
+        out = np.where(active[..., None, None], out + ((-1) ** (k + 1)) * term / k, out)
+        active = active & ~(max_abs(term, axis=(-2, -1)) < 1e-18)
+        if not active.any():
             break
     return out
 
@@ -350,21 +378,24 @@ class GroupChart:
         return structure_tensor_np(d), np_matrix(d.form.matrix)
 
     def coords(self, elt: np.ndarray) -> np.ndarray:
-        """Float coordinates of an ambient algebra element over the basis."""
-        return self.coordinatizer @ elt.reshape(-1)
+        """Float coordinates over the basis of each ambient algebra element
+        of the stack elt, one matrix-vector product per element."""
+        return (self.coordinatizer @ elt.reshape(*elt.shape[:-2], -1, 1))[..., 0]
 
     def adjoint(self, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-        """Ad_g over the basis in floats; the caller passes g^-1 too, since
-        inverting an inverse does not give g back bit for bit."""
-        return np.stack([self.coords(g @ b @ ginv) for b in self.basis], axis=1)
+        """Ad_g over the basis for each g of the stack, every basis element
+        at once; the caller passes g^-1 too, since inverting an inverse
+        does not give g back bit for bit."""
+        images = g[..., None, :, :] @ self.basis @ ginv[..., None, :, :]
+        return np.ascontiguousarray(self.coords(images).swapaxes(-1, -2))
 
     def dexp(self, t: np.ndarray) -> np.ndarray:
         """T with d/dt_a (g0 exp X(t)) = g0 exp X(t) . (basis T[:, a]), for any g0."""
-        return _exp_series(-np.tensordot(t, self.ad, axes=1), 1)
+        return _exp_series(-_combine(t, self.ad), 1)
 
     def point(self, g0: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The exponential chart t -> g0 exp(sum t_a X_a) at the float matrix g0."""
-        return g0 @ expm_np(np.tensordot(t, self.basis, axes=1))
+        return g0 @ expm_np(_combine(t, self.basis))
 
 
 @lru_cache(maxsize=64)
@@ -392,30 +423,42 @@ def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
     def sampler(t: np.ndarray) -> np.ndarray:
         g = chart.point(g0, t)
         adg_inv = chart.adjoint(np.linalg.inv(g), g)
-        tmat = chart.dexp(t)
-        anchor = np.linalg.solve(tmat, np.hstack([-adg_inv, np.eye(k)]))
-        return anchor @ pi_np @ anchor.T
+        rhs = np.concatenate([-adg_inv, np.broadcast_to(np.eye(k), adg_inv.shape)], axis=-1)
+        anchor = np.linalg.solve(chart.dexp(t), rhs)
+        return anchor @ pi_np @ anchor.swapaxes(-1, -2)
 
     return ChartBivectorField(k, sampler)
 
 
 # multiplication -----------------------------------------------------------
 
-def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
-    """FD Jacobian of multiplication in product exponential charts; pab is
-    the point of the product ga gb."""
+def product_coords_sampler(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint):
+    """coords(st), the chart coordinates at pab of the products a b for
+    a stack of points st = (s_a, s_b) of the product chart at (pa, pb);
+    pab is the point of the product ga gb."""
     chart = group_chart(pa.ctx)
     k = pa.ctx.dim
     ga, gb = np_matrix(pa.g), np_matrix(pb.g)
     base_inv = np.linalg.inv(np_matrix(pab.g))
 
-    def prod_coords(st: np.ndarray) -> np.ndarray:
-        # every stencil point moves one factor only: the other is at its base
-        a = chart.point(ga, st[:k]) if st[:k].any() else ga
-        b = chart.point(gb, st[k:]) if st[k:].any() else gb
-        return chart.coords(logm_np(base_inv @ (a @ b)))
+    def factor(g0: np.ndarray, st: np.ndarray) -> np.ndarray:
+        # a slice whose block is zero keeps the base point itself
+        moved = st.any(axis=1)
+        out = np.repeat(g0[None], len(st), axis=0)
+        out[moved] = chart.point(g0, st[moved])
+        return out
 
-    return central_difference(prod_coords, np.zeros(2 * k), h)
+    def coords(st: np.ndarray) -> np.ndarray:
+        return chart.coords(logm_np(base_inv @ (factor(ga, st[:, :k]) @ factor(gb, st[:, k:]))))
+
+    return coords
+
+
+def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
+    """FD Jacobian of multiplication in product exponential charts; pab is
+    the point of the product ga gb."""
+    sampler = product_coords_sampler(pa, pb, pab)
+    return central_difference(sampler(stencil(np.zeros(2 * pa.ctx.dim), h)), h)
 
 
 def pair_multiplication_check(
@@ -450,47 +493,51 @@ def multiplicativity_residual(dmult: np.ndarray, pi_a: np.ndarray, pi_b: np.ndar
 # dressing and phi^R sections ----------------------------------------------
 
 def dressing_field_sampler(x: G1Point):
-    """fields(t), the (n, k) table whose row i is rho(b_i) at t, for the
-    right dressing action in the chart at x; the group data at t is built
-    once, and each row keeps its own matrix-vector products."""
+    """fields(t), the (n, k) tables whose row i is rho(b_i) at each point
+    of the stack t, for the right dressing action in the chart at x; the
+    group data at t is built once, and each row keeps its own
+    matrix-vector products."""
     t = x.triple
     p1_np, _, inclusion_pinv = triple_floats(t)
     g1_chart, d_chart = group_chart(t.g1_ctx), group_chart(t.d_ctx)
     g0 = np_matrix(x.g1.g)
-    n = t.d_algebra.dim
+    zetas = np.eye(t.d_algebra.dim)[..., None]
 
     def fields(tvec: np.ndarray) -> np.ndarray:
         g = g1_chart.point(g0, tvec)
-        phi_g = np_matrix(t.embed(g))
-        ad = d_chart.adjoint(phi_g, np.linalg.inv(phi_g))
-        ginv = np.linalg.inv(g)
-        dexp = g1_chart.dexp(tvec)
-        rows = []
-        for zeta in np.eye(n):
-            xv = inclusion_pinv @ (p1_np @ (ad @ zeta))
-            amb_t = np.tensordot(xv, g1_chart.basis, axes=1) @ g  # right-invariant: xv . g
-            xi = g1_chart.coords(ginv @ amb_t)
-            rows.append(np.linalg.solve(dexp, xi))
-        return np.array(rows)
+        phi_g = np_matrix([t.embed(gs) for gs in g])
+        ad = d_chart.adjoint(phi_g, np.linalg.inv(phi_g))[:, None]
+        xv = (inclusion_pinv @ (p1_np @ (ad @ zetas)))[..., 0]
+        amb_t = _combine(xv, g1_chart.basis) @ g[:, None]  # right-invariant: xv . g
+        xi = g1_chart.coords(np.linalg.inv(g)[:, None] @ amb_t)
+        return np.linalg.solve(g1_chart.dexp(tvec)[:, None], xi[..., None])[..., 0]
 
     return fields
+
+
+def phi_r_sections(t: TripleContext, d0: GroupPoint, zetas):
+    """sections(t), the (len(zetas), 2n) tables of the sections
+    phi^R(zeta) at each point of the stack t, in the chart at d0."""
+    _, p2_np, _ = triple_floats(t)
+    chart = group_chart(t.d_ctx)
+    g0 = np_matrix(d0.g)
+    zs = np_matrix(zetas)
+
+    def sections(tvec: np.ndarray) -> np.ndarray:
+        g = chart.point(g0, tvec)
+        ad = chart.adjoint(g, np.linalg.inv(g))[:, None]
+        moved = (p2_np @ (ad @ zs[..., None]))[..., 0]
+        return np.concatenate([moved, np.broadcast_to(zs, (len(tvec), *zs.shape))], axis=-1)
+
+    return sections
 
 
 def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
     """(values, FD jacobians) of the sections phi^R(zeta), zeta in
     ``zetas``, in the chart at d0; one stencil serves every section."""
-    _, p2_np, _ = triple_floats(t)
-    chart = group_chart(t.d_ctx)
-    g0 = np_matrix(d0.g)
-    zs = [np_matrix(zeta) for zeta in zetas]
-
-    def sections(tvec: np.ndarray) -> np.ndarray:
-        g = chart.point(g0, tvec)
-        ad = chart.adjoint(g, np.linalg.inv(g))
-        return np.array([np.concatenate([p2_np @ (ad @ z), z]) for z in zs])
-
     values = [np_matrix(phi_r_value(t, d0, zeta)) for zeta in zetas]
-    return values, central_difference(sections, np.zeros(t.d_algebra.dim), h)
+    sections = phi_r_sections(t, d0, zetas)
+    return values, central_difference(sections(stencil(np.zeros(t.d_algebra.dim), h)), h)
 
 
 def phi_r_homomorphism_residual(

@@ -151,7 +151,9 @@ class LinearRelation:
             self.source.dim, [r[nt:] for r in self.graph.rows if not any(r[:nt])]
         )
 
+    @cached_property
     def range_(self) -> ExactSubspace:
+        """{w' : w ~ w' for some w}, the graph's target parts, built once."""
         nt = self.target.dim
         return ExactSubspace.of_rows(nt, [r[:nt] for r in self.graph.rows])
 
@@ -200,7 +202,7 @@ class LinearRelation:
         with_image = [r for r in self.flipped.rows if any(r[:ns])]
         sources = [r[:ns] for r in with_image]
         qs = quotient_coords(ExactSubspace.of_rows(ns, list(sources)), self.kernel())
-        qt = quotient_coords(self.range_(), self.cokernel)
+        qt = quotient_coords(self.range_, self.cokernel)
         # an image of each complement vector: its coordinates over the
         # source parts applied to the target parts
         coef = Coordinatizer.of_rows(sources, ns, "ran(R^t)").coords_rows(qs.complement)
@@ -458,7 +460,7 @@ def related_lagrangian(e: ExactSubspace, eprime: ExactSubspace, r: LinearRelatio
     nt = r.target.dim
     over_e = r.graph.intersect(product_subspace(ExactSubspace.full(nt), e))
     image = ExactSubspace.of_rows(nt, [row[:nt] for row in over_e.rows])
-    return image == r.cokernel.sum(eprime.intersect(r.range_()))
+    return image == r.cokernel.sum(eprime.intersect(r.range_))
 
 
 def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> RelatednessReport:
@@ -469,7 +471,7 @@ def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> Re
     checks = {"e_not_related": related_lagrangian(s.e, s_prime.e, r),
               "f_not_related": related_lagrangian(s.f, s_prime.f, r),
               "kernel_not_split": s.splits(r.kernel()),
-              "range_not_split": s_prime.splits(r.range_())}
+              "range_not_split": s_prime.splits(r.range_)}
     return RelatednessReport(tuple(name for name, holds in checks.items() if not holds))
 
 

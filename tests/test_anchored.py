@@ -575,7 +575,7 @@ def test_dual_range_is_the_range_of_the_metric_dual():
     lambda: AnchoredPoint(AB2, ((1, 0),), 2),
     lambda: pullback_point(PT4, ((1,),)),
     lambda: QuadraticLieAlgebra.from_triples(2, [], [[0, 1], [1, 0]], basis_names=("a",)),
-    lambda: ChartBivectorField(2, lambda t: np.zeros((3, 3)))((0.0, 0.0)),
+    lambda: ChartBivectorField(2, lambda t: np.zeros((len(t), 3, 3)))(((0.0, 0.0),)),
 ], ids=["anchor-row-length", "anchor-row-count", "dphi-rows", "basis-names", "sampler-shape"])
 def test_wrong_shapes_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatchError):

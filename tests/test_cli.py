@@ -472,19 +472,20 @@ def test_verify_rank_builds_one_chart_bivector_per_instance(capsys, point_builds
 
 def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys, calls):
     # 3 action-axiom points and 3 phi^R points, one central difference
-    # each; an action-axiom stencil reads the dressing fields 2k + 1 times
+    # each; an action-axiom point reads the dressing fields once, on the
+    # stack of the point and its 2k = 6 stencil points
     from courantlab import diffnum
 
     stencils = calls(diffnum, "central_difference")
-    evals = []
+    stacks = []
     sampler = diffnum.dressing_field_sampler
 
     def counting_sampler(x):
         fields = sampler(x)
-        evals.append(0)
+        stacks.append([])
 
         def counted(t):
-            evals[-1] += 1
+            stacks[-1].append(t.shape)
             return fields(t)
 
         return counted
@@ -493,7 +494,44 @@ def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys, calls):
     assert main(["verify", "dressing", "--seed", "1", "--json"]) == 0
     capsys.readouterr()
     assert len(stencils) == 6
-    assert evals == [2 * 3 + 1] * 3
+    assert stacks == [[(2 * 3 + 1, 3)]] * 3
+
+
+def test_schouten_makes_one_field_call_per_stencil(capsys, calls):
+    # 43 stencils: the flat field at 3 steps, and the manin and quasi
+    # splittings at 10 points with the manin h-ladder at 2 more steps;
+    # each point's a(Y^E) + a(Y^F) is pushed once per splitting
+    from courantlab import diffnum
+
+    fields = calls(diffnum.ChartBivectorField, "__call__")
+    rhs = calls(diffnum, "main_identity_rhs")
+    assert main(["verify", "schouten", "--json"]) == 0
+    capsys.readouterr()
+    assert len(fields) == 3 + 4 * 10
+    assert {points.shape for _, points in fields} == {(2 * 3 + 1, 3)}
+    assert len(rhs) == 2 * 10
+
+
+def test_sheared_schouten_pushes_each_point_once(capsys, calls):
+    # the sheared case's defect and residual read the same push
+    from courantlab import diffnum
+
+    rhs = calls(diffnum, "main_identity_rhs")
+    assert main(["verify", "schouten", "--ctx", "sl2c-real", "--samples", "4", "--json"]) == 0
+    capsys.readouterr()
+    assert len(rhs) == 4
+
+
+def test_mult_makes_one_product_call_per_jacobian(capsys, calls):
+    # 10 pairs, each one dMult stencil of 2 * 2k points in the product
+    # chart of D x D, with k = 6: the product sampler takes one log of
+    # the whole stack
+    from courantlab import diffnum
+
+    logs = calls(diffnum, "logm_np")
+    assert main(["verify", "mult", "--seed", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert [len(stack) for stack, in logs] == [4 * 6] * 10
 
 
 def test_bivector_reads_the_kept_named_splittings(monkeypatch, capsys):

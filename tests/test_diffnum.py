@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from courantlab.diffnum import (
     wedge3,
     worst,
 )
+from courantlab.exactlin import mat_mul
 from courantlab.lagrel import Splitting
 from courantlab.quadlie import build_double, diagonal_subspace
 from courantlab.randgen import random_abelian_split_algebra
@@ -35,15 +38,15 @@ def field(fn, dim=3):
 
 def test_constant_field_zero_bracket():
     p = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
-    tri = schouten_fd(field(lambda x: p), np.zeros(3), H)
+    tri = schouten_fd(field(lambda x: np.broadcast_to(p, (len(x), 3, 3))), np.zeros(3), H)
     assert max_abs(tri) < 1e-14
 
 
 def test_rank_two_linear_field_zero():
     def sampler(x):
-        out = np.zeros((3, 3))
-        out[1, 2] = x[0]
-        out[2, 1] = -x[0]
+        out = np.zeros((len(x), 3, 3))
+        out[:, 1, 2] = x[:, 0]
+        out[:, 2, 1] = -x[:, 0]
         return out
 
     tri = schouten_fd(field(sampler), np.array([0.4, -0.2, 1.1]), H)
@@ -53,11 +56,11 @@ def test_rank_two_linear_field_zero():
 def test_regression_nonzero_bracket():
     # pi = x2 d1^d2 + d2^d3: the bracket is the constant -2 d1^d2^d3
     def sampler(x):
-        out = np.zeros((3, 3))
-        out[0, 1] = x[1]
-        out[1, 0] = -x[1]
-        out[1, 2] = 1.0
-        out[2, 1] = -1.0
+        out = np.zeros((len(x), 3, 3))
+        out[:, 0, 1] = x[:, 1]
+        out[:, 1, 0] = -x[:, 1]
+        out[:, 1, 2] = 1.0
+        out[:, 2, 1] = -1.0
         return out
 
     tri = schouten_fd(field(sampler), np.array([0.3, -0.7, 0.25]), H)
@@ -80,12 +83,22 @@ def test_second_order_ladder():
 
 
 def test_sampler_shape_and_antisymmetry_guard():
-    bad = ChartBivectorField(2, lambda x: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    bad = ChartBivectorField(2, lambda x: np.array([[[0.0, 1.0], [1.0, 0.0]]] * len(x)))
     with pytest.raises(ValueError):
-        bad(np.zeros(2))
-    wrong = ChartBivectorField(2, lambda x: np.zeros((3, 3)))
+        bad(np.zeros((1, 2)))
+    wrong = ChartBivectorField(2, lambda x: np.zeros((len(x), 3, 3)))
     with pytest.raises(ValueError):
-        wrong(np.zeros(2))
+        wrong(np.zeros((1, 2)))
+    # one point, not a stack of them
+    with pytest.raises(ValueError):
+        ChartBivectorField(2, lambda x: np.zeros((len(x), 2, 2)))(np.zeros(2))
+    # each slice is held to its own scale: a large antisymmetric slice
+    # does not excuse a small defect in another
+    big = np.array([[0.0, 1e8], [-1e8, 0.0]])
+    small = np.array([[0.0, 1e-6], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        ChartBivectorField(2, lambda x: np.array([big, small]))(np.zeros((2, 2)))
+    assert ChartBivectorField(2, lambda x: np.array([big, -big]))(np.zeros((2, 2))).shape == (2, 2, 2)
 
 
 def test_wedge3_convention():
@@ -112,10 +125,11 @@ def test_vf_bracket_examples():
     # tabulated fields itself
     abelian = random_abelian_split_algebra(1)
     # coordinate fields commute
-    coords = lambda x: np.array([[1.0, 0.0], [0.0, 1.0]])
+    coords = lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2))
     assert action_axiom_check(coords, abelian, np.array([0.2, 0.4]), H) < 1e-12
     # rotation and scaling commute
-    rot_scale = lambda x: np.array([[-x[1], x[0]], [x[0], x[1]]])
+    rot_scale = lambda x: np.stack([np.stack([-x[:, 1], x[:, 0]], axis=-1),
+                                    np.stack([x[:, 0], x[:, 1]], axis=-1)], axis=1)
     assert action_axiom_check(rot_scale, abelian, np.array([0.7, -0.3]), H) < 1e-10
 
 
@@ -127,10 +141,9 @@ def test_action_axiom_check_sl2_fields():
     chart, g0 = diffnum.group_chart(ctx), np_matrix(ctx.points[1].g)
 
     def fields(t):
-        g = chart.point(g0, t)
-        dexp = chart.dexp(t)
-        return np.array([np.linalg.solve(dexp, chart.coords(np.linalg.solve(g, g @ u)))
-                         for u in chart.basis])
+        g = chart.point(g0, t)[:, None]
+        xi = chart.coords(np.linalg.solve(g, g @ chart.basis))
+        return np.linalg.solve(chart.dexp(t)[:, None], xi[..., None])[..., 0]
 
     residual = action_axiom_check(fields, ctx.algebra, np.zeros(3), H)
     assert residual <= 1e-7, residual
@@ -250,3 +263,221 @@ def test_tensor_tables_are_built_once_per_algebra_and_splitting(capsys, calls):
     capsys.readouterr()
     # the Manin and quasi splittings of sl2-double, and the sheared one
     assert list(collections.Counter(tables).values()) == [1, 1, 1]
+
+
+# --- the stacked FD layer against its per-point form --------------------
+# Each stacked function must give every slice the bits the per-point
+# form gives it alone: the same product per slice, never one folded GEMM,
+# and each slice's own series length and squaring count.
+
+def _ref_exp_series(x, shift):
+    out = np.eye(len(x))
+    term = np.eye(len(x))
+    for j in range(1, 40):
+        term = term @ x / (j + shift)
+        out = out + term
+        if max_abs(term) < 1e-18:
+            break
+    return out
+
+
+def _ref_squarings(a):
+    norm, s = max_abs(a), 0
+    while norm > 0.5:
+        norm /= 2.0
+        s += 1
+    return s
+
+
+def _ref_expm(a):
+    s = _ref_squarings(a)
+    out = _ref_exp_series(a / (2.0 ** s), 0)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _ref_logm(m):
+    z = m - np.eye(m.shape[0])
+    if max_abs(z) > 0.4:
+        raise ValueError("matrix too far from the identity for the log series")
+    out = np.zeros_like(z)
+    term = np.eye(m.shape[0])
+    for k in range(1, 60):
+        term = term @ z
+        out = out + ((-1) ** (k + 1)) * term / k
+        if max_abs(term) < 1e-18:
+            break
+    return out
+
+
+def _ref_point(chart, g0, t):
+    return g0 @ _ref_expm(np.tensordot(t, chart.basis, axes=1))
+
+
+def _ref_adjoint(chart, g, ginv):
+    return np.stack([chart.coordinatizer @ (g @ b @ ginv).reshape(-1) for b in chart.basis], axis=1)
+
+
+def _ref_dexp(chart, t):
+    return _ref_exp_series(-np.tensordot(t, chart.ad, axes=1), 1)
+
+
+def _ref_schouten(field, x, h):
+    d = field.chart_dim
+    P = field(x[None])[0]
+    dP = np.stack([(field((x + e)[None])[0] - field((x - e)[None])[0]) / (2 * h)
+                   for e in h * np.eye(d)], axis=-1)
+    T = np.zeros((d, d, d))
+    for i, j, k in itertools.combinations(range(d), 3):
+        val = 0.0
+        for l in range(d):
+            val += P[i, l] * dP[j, k, l] + P[j, l] * dP[k, i, l] + P[k, l] * dP[i, j, l]
+        for p, q, r, sign in ((i, j, k, 1), (j, k, i, 1), (k, i, j, 1),
+                              (j, i, k, -1), (i, k, j, -1), (k, j, i, -1)):
+            T[p, q, r] = sign * 2.0 * val
+    return T
+
+
+def _ref_push_trivector(anchor, values, wedge_vectors):
+    pushed = [anchor @ np_matrix(vec) for vec in wedge_vectors]
+    m = anchor.shape[0]
+    T = np.zeros((m, m, m))
+    for (i, j, k), val in values:
+        T += float(val) * wedge3(pushed[i], pushed[j], pushed[k])
+    return T
+
+
+def _shipped_charts():
+    from courantlab.contexts import (
+        GROUP_CONTEXT_NAMES, TRIPLE_CONTEXT_NAMES, get_group_context, get_triple_context,
+    )
+
+    ctxs = [get_group_context(name) for name in GROUP_CONTEXT_NAMES]
+    ctxs += [get_triple_context(name).g1_ctx for name in TRIPLE_CONTEXT_NAMES]
+    # and sl2 in a conjugate basis with no zero entry, the same algebra:
+    # an entry of sum t_a X_a has three terms, so a product folded across
+    # points rounds apart from one product per point
+    sl2 = get_group_context("sl2-double")
+    p, p_inv = ((2, 1), (1, 1)), ((1, -1), (-1, 2))
+    ctxs.append(replace(sl2, name="sl2-dense",
+                        algebra_basis=tuple(mat_mul(p, b, p_inv) for b in sl2.algebra_basis)))
+    return {ctx.name: ctx for ctx in ctxs}
+
+
+CHARTS = _shipped_charts()
+# chart points at three scales: series of different lengths, and no,
+# some and many squarings in one stack
+SCALES = (1e-4, 0.3, 3.0)
+
+
+def _mixed_points(dim, scales=SCALES, seed=5):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([scale * rng.standard_normal((3, dim)) for scale in scales])
+
+
+def _assert_slices_equal(stacked, per_point):
+    assert np.array_equal(stacked, np.array(list(per_point))), np.abs(stacked - per_point).max()
+
+
+def _assert_sampler_slices(sampler, points):
+    """The sampler on the stack gives each slice the bits it gives that
+    slice alone."""
+    _assert_slices_equal(sampler(points), [sampler(points[i:i + 1])[0] for i in range(len(points))])
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_stacked_group_layer_matches_the_per_point_form(name):
+    ctx = CHARTS[name]
+    chart, g0 = diffnum.group_chart(ctx), np_matrix(ctx.points[1].g)
+    t = _mixed_points(ctx.dim)
+    xs = np.array([np.tensordot(row, chart.basis, axes=1) for row in t])
+    assert len({_ref_squarings(x) for x in xs}) >= 2
+    for shift in (0, 1):
+        _assert_slices_equal(diffnum._exp_series(xs, shift), [_ref_exp_series(x, shift) for x in xs])
+    _assert_slices_equal(diffnum.expm_np(xs), [_ref_expm(x) for x in xs])
+    g = chart.point(g0, t)
+    _assert_slices_equal(g, [_ref_point(chart, g0, row) for row in t])
+    ginv = np.linalg.inv(g)
+    _assert_slices_equal(chart.adjoint(g, ginv), [_ref_adjoint(chart, *pair) for pair in zip(g, ginv)])
+    _assert_slices_equal(chart.dexp(t), [_ref_dexp(chart, row) for row in t])
+    near = np.eye(len(g0)) + np.array([x / max_abs(x) * r for x, r in zip(xs, (1e-9, 1e-3, 0.35) * 3)])
+    _assert_slices_equal(diffnum.logm_np(near), [_ref_logm(m) for m in near])
+
+
+def test_each_slice_stops_its_own_series():
+    # a small nilpotent shift's series stops at its 5th term, while the
+    # dense slice beside it runs on: the shift's exp and log have no
+    # entry from its 6th or 7th power, which a sum that ran on would add
+    shift = np.eye(8, k=1)
+    dense = np.random.default_rng(2).standard_normal((8, 8))
+    xs = np.stack([1e-4 * shift, 0.45 * dense / max_abs(dense)])
+    for shift_by in (0, 1):
+        got = diffnum._exp_series(xs, shift_by)
+        _assert_slices_equal(got, [_ref_exp_series(x, shift_by) for x in xs])
+        assert got[0, 0, 6] == got[0, 0, 7] == 0.0
+    _assert_slices_equal(diffnum.expm_np(xs), [_ref_expm(x) for x in xs])
+    near = np.eye(8) + 0.8 * xs
+    logs = diffnum.logm_np(near)
+    _assert_slices_equal(logs, [_ref_logm(m) for m in near])
+    assert logs[0, 0, 6] == logs[0, 0, 7] == 0.0
+
+
+def test_logm_refuses_a_stack_with_one_far_slice():
+    near = np.stack([np.eye(2), np.eye(2) + 0.1, np.eye(2) + 0.5])
+    with pytest.raises(ValueError):
+        diffnum.logm_np(near)
+    assert diffnum.logm_np(near[:2]).shape == (2, 2, 2)
+
+
+def _shipped_fields():
+    from courantlab.contexts import SPLITTING_NAMES
+
+    # abelian-2 names a splitting of its algebra, not of its double; the
+    # sheared splitting's tensors of E and F are both nonzero
+    return [(ctx_name, name) for ctx_name, names in SPLITTING_NAMES.items()
+            if ctx_name != "abelian-2" for name in names] + [("sl2c-real", "sheared")]
+
+
+@pytest.mark.parametrize("ctx_name,name", _shipped_fields())
+def test_stacked_schouten_path_matches_the_per_point_form(ctx_name, name):
+    from courantlab.contexts import get_group_context, named_splitting
+    from courantlab.suites import _sheared_quasi_splitting
+
+    ctx = get_group_context(ctx_name)
+    s = _sheared_quasi_splitting()[2] if name == "sheared" else named_splitting(ctx_name, name)
+    p = ctx.points[2]
+    field = diffnum.double_bivector_field(p, s)
+    _assert_sampler_slices(field, _mixed_points(field.chart_dim))
+    x = _mixed_points(field.chart_dim, scales=(0.1,))[0]
+    for h in (1e-4, 1e-3):
+        assert np.array_equal(schouten_fd(field, x, h), _ref_schouten(field, x, h))
+    anchor = np_matrix(p.anchor.anchor)
+    for vals, wedge in diffnum.splitting_tensor_tables(ctx.double_algebra, s):
+        assert np.array_equal(push_trivector(anchor, vals, wedge),
+                              _ref_push_trivector(anchor, vals, wedge))
+
+
+def test_stacked_wedges_match_one_at_a_time():
+    rng = np.random.default_rng(3)
+    u, v, w = rng.standard_normal((3, 5, 4))
+    _assert_slices_equal(wedge3(u, v, w), [wedge3(*row) for row in zip(u, v, w)])
+
+
+@pytest.mark.parametrize("name", ["sl2-triangular-triple", "abelian-2"])
+def test_stacked_triple_samplers_match_a_loop_over_slices(name):
+    from courantlab.contexts import get_triple_context
+    from courantlab.exactlin import identity, mat_mul
+
+    t = get_triple_context(name)
+    k, n = t.g1_ctx.dim, t.d_algebra.dim
+    _assert_sampler_slices(diffnum.dressing_field_sampler(t.points[2]), _mixed_points(k))
+    d0 = t.d_ctx.points[2]
+    sections = diffnum.phi_r_sections(t, d0, identity(n)[:3])
+    _assert_sampler_slices(sections, _mixed_points(n))
+    # the product chart near (pa, pb): stencil points move one factor only
+    pa, pb = t.d_ctx.points[1], t.d_ctx.points[2]
+    coords = diffnum.product_coords_sampler(pa, pb, t.d_ctx.point(mat_mul(pa.g, pb.g)))
+    st = np.concatenate([diffnum.stencil(np.zeros(2 * n), 0.01),
+                         _mixed_points(2 * n, scales=(1e-4, 1e-2))])
+    _assert_sampler_slices(coords, st)

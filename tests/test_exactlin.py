@@ -732,7 +732,7 @@ def test_the_fraction_basis_is_built_on_first_read():
     built = {
         "sum": s.sum(t), "intersect": s.intersect(t),
         "product_subspace": product_subspace(s, t),
-        "kernel": r.kernel(), "range_": r.range_(), "compose": r.compose(r).graph,
+        "kernel": r.kernel(), "range_": r.range_, "compose": r.compose(r).graph,
     }
     for name, sub in built.items():
         assert "basis" not in sub.__dict__, name

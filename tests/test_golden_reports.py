@@ -70,7 +70,25 @@ GOLDEN = {
         ["bivector", "--ctx", "sl2c-real", "--point", "1"],
         "0c0f1d5227a92e0e3bd80f017fe1f57489891b13429617b93081f4b630a56006",
     ),
+    # the FD stencils at a step and at seeds the pins above do not reach
+    "schouten-h-0.001": (
+        ["verify", "schouten", "--h", "0.001"],
+        "598e6bb75e8224dd503b0b3014f5ac6403767b4da41afb40b050d88409d65234",
+    ),
+    "mult-seed-2": (
+        ["verify", "mult", "--seed", "2"],
+        "12f7a05442d9f9fd09af92e0eb93c7b1cb564f2acf8dca095fae8d1ab7638caf",
+    ),
+    "dressing-seed-7": (
+        ["verify", "dressing", "--seed", "7"],
+        "2fa0bbcf5ea2d92b2c1287b26a3a177549ef102f4f32378e5d4262331a96576d",
+    ),
 }
+
+# the exit code of a pinned report that fails a check; every other one
+# passes.  At h = 1e-3 the flat chart's O(h^2) residual is 4e-6, above
+# the default tolerance.
+FAILING = {"schouten-h-0.001": 2}
 
 
 def _keyed_records(report: dict) -> dict:
@@ -106,7 +124,7 @@ def check_report(name: str, out: Path) -> None:
     got, want = out.read_bytes(), (GOLDEN_DIR / f"{name}.json").read_bytes()
     diff = report_diff(want, got)
     assert not diff, f"report {name} differs from tests/golden/{name}.json:\n" + "\n".join(diff)
-    assert code == 0
+    assert code == FAILING.get(name, 0)
     assert hashlib.sha256(got).hexdigest() == digest
 
 

@@ -89,7 +89,7 @@ def test_splitting_bivector_rejects_bad_input():
 def test_identity_relation():
     r = LinearRelation.identity_relation(SP2)
     assert r.kernel().dim == 0
-    assert r.range_() == ExactSubspace.full(2)
+    assert r.range_ == ExactSubspace.full(2)
     assert (r * r).graph == r.graph
     img, alpha = backward_image(E2, r)
     assert img == E2 and alpha == E2.basis
@@ -100,7 +100,7 @@ def test_product_relation_kernel_range():
     rows = [(F(1), F(0)) + zero_vector(2), zero_vector(2) + (F(0), F(1))]
     r = LinearRelation.from_rows(SP2, SP2, rows)
     assert r.kernel() == F2
-    assert r.range_() == E2
+    assert r.range_ == E2
 
 
 def test_graph_of_form_preserving_map():
@@ -117,7 +117,7 @@ def test_pair_groupoid_relation_dims():
     r = pair_groupoid_relation(build_double(sl2_algebra()))
     assert 2 * r.graph.dim == r.source.dim + r.target.dim
     assert r.kernel().dim == 3
-    assert r.range_() == ExactSubspace.full(6)
+    assert r.range_ == ExactSubspace.full(6)
     line = quadlie.QuadraticLieAlgebra.from_triples(1, [], [[1]], basis_names=("a",))
     tiny = pair_groupoid_relation(build_double(line))
     assert tiny.kernel().dim == 1
@@ -149,7 +149,7 @@ def test_transpose_compose_reduced_identity():
         assert iso.matrix == identity(iso.dim) if iso.dim else iso.matrix == ()
         # and the quotients are ran(R^t)/ker(R) on both sides
         assert t.kernel() == r.kernel()
-        assert t.range_() == r.transpose().range_()
+        assert t.range_ == r.transpose().range_
 
 
 def test_isom_lemma_identities_random():
@@ -157,11 +157,11 @@ def test_isom_lemma_identities_random():
     for _ in range(30):
         r = random_relation(rng, rng.randint(1, 4), rng.randint(1, 4))
         rt = r.transpose()
-        assert r.kernel() == r.source.form.orth_complement(rt.range_())
-        assert r.range_() == r.target.form.orth_complement(rt.kernel())
-        assert r.kernel().dim + r.range_().dim == r.graph.dim
+        assert r.kernel() == r.source.form.orth_complement(rt.range_)
+        assert r.range_ == r.target.form.orth_complement(rt.kernel())
+        assert r.kernel().dim + r.range_.dim == r.graph.dim
         iso = r.reduced_iso
-        assert iso.dim == rt.range_().dim - r.kernel().dim
+        assert iso.dim == rt.range_.dim - r.kernel().dim
 
 
 def test_composition_lagrangian_random():
@@ -319,7 +319,7 @@ def test_related_lagrangian_matches_the_reduced_iso():
         fp = random_lagrangian_splitting(rng, kt).e
         back = backward_image_subspace(fp, r)
         related = [(e, backward_image_subspace(e, r.transpose())), (back, fp),
-                   (back, r.cokernel.sum(fp.intersect(r.range_())))]
+                   (back, r.cokernel.sum(fp.intersect(r.range_)))]
         for src, tgt in [(e, fp)] + related:
             verdict = related_lagrangian(src, tgt, r)
             assert verdict == _iso_carries(r.reduced_iso, src, tgt)
