@@ -83,6 +83,15 @@ GOLDEN = {
         ["verify", "dressing", "--seed", "7"],
         "2fa0bbcf5ea2d92b2c1287b26a3a177549ef102f4f32378e5d4262331a96576d",
     ),
+    # the random generator at a second seed, and rank at the benchmark's size
+    "all-seed-3": (
+        ["verify", "all", "--seed", "3"],
+        "667e6245fbb17d2384808ce0ed356348dd6b00926dadbf66658fb4a0b64fca30",
+    ),
+    "rank-seed-3": (
+        ["verify", "rank", "--seed", "3", "--samples", "50"],
+        "c48f0c708432c7c7a09bd28b3ae2ac4b066c2aeb1b31f77c7115dde3530b8bd5",
+    ),
 }
 
 # the exit code of a pinned report that fails a check; every other one
