@@ -18,11 +18,11 @@ from .exactlin import (
     DimensionMismatchError,
     ExactSubspace,
     Matrix,
+    NotLagrangianError,
     QuotientMap,
     Vector,
     add_vec,
     hstack,
-    identity,
     int_matrix,
     int_products,
     mat_mul,
@@ -30,6 +30,7 @@ from .exactlin import (
     mat_vec,
     matrix,
     nullspace,
+    product_subspace,
     quotient_coords,
     rank,
     scale_vec,
@@ -42,11 +43,10 @@ from .lagrel import (
     LinearRelation,
     SplitSpace,
     Splitting,
-    backward_image,
+    backward_image_subspace,
     from_algebra,
     graph_form,
     hyperbolic_space,
-    product_subspace,
 )
 from .quadlie import QuadraticLieAlgebra
 
@@ -96,10 +96,10 @@ class AnchoredPoint:
 
     @cached_property
     def coisotropy(self) -> tuple[bool, Vector | None]:
-        """(True, None) iff ker(a)-perp is inside ker(a); otherwise
-        (False, w) with w in ker(a)-perp outside ker(a)."""
-        ker, perp = self.stabilizer, self.dual_range
-        if ker.contains_subspace(perp):
+        """(True, None) iff ker(a)-perp is inside ker(a), on a nondegenerate form iff
+        it is isotropic; otherwise (False, w) with w in ker(a)-perp outside ker(a)."""
+        ker, perp, form = self.stabilizer, self.dual_range, self.algebra.form
+        if form.is_isotropic(perp) if form.is_nondegenerate() else ker.contains_subspace(perp):
             return True, None
         return False, next(row for row in perp.basis if not ker.contains(row))
 
@@ -148,10 +148,17 @@ def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
     return Bivector.of_ints(int_products(a_pi, a), da * da * dp)
 
 
+def _stabilizer_meet(pt: AnchoredPoint, lag: ExactSubspace) -> ExactSubspace:
+    """ker(a) cap L for a Lagrangian L; NotLagrangianError otherwise."""
+    if not pt.algebra.form.is_lagrangian(lag):
+        raise NotLagrangianError("the subspace is not Lagrangian")
+    return ExactSubspace.of_rows(pt.algebra.dim, pt.algebra.form.meet(pt.stabilizer.rows, lag))
+
+
 @_kept("lm")
 def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:
-    """L_m = ran(a*) + (ker(a) cap F); Lagrangian at valid points."""
-    return pt.dual_range.sum(pt.stabilizer.intersect(f))
+    """L_m = ran(a*) + (ker(a) cap F) for a Lagrangian F; Lagrangian at valid points."""
+    return pt.dual_range.sum(_stabilizer_meet(pt, f))
 
 
 @_kept("rank")
@@ -161,7 +168,7 @@ def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     lm = drinfeld_lagrangian(pt, s.f)
     if not pt.algebra.form.is_lagrangian(lm):
         raise CourantStructureError("L_m failed to be Lagrangian")
-    value = anchor_image(pt, s.f).dim - lm.intersect(s.e).dim
+    value = anchor_image(pt, s.f).dim - (lm.dim + s.e.dim - lm.sum(s.e).dim)
     actual = bivector_at(pt, s).rank
     if value != actual:
         raise CourantStructureError(
@@ -180,7 +187,7 @@ def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
     """
     require_coisotropic(pt)
     ker = pt.stabilizer
-    holds = drinfeld_lagrangian(pt, s.f).sum(ker.intersect(s.e)) == ker
+    holds = drinfeld_lagrangian(pt, s.f).sum(_stabilizer_meet(pt, s.e)) == ker
     sharp = bivector_at(pt, s).sharp_range()
     cap = anchor_image(pt, s.e).intersect(anchor_image(pt, s.f))
     if holds and sharp != cap:
@@ -191,31 +198,33 @@ def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
 
 
 def diagonal_relation(pt: AnchoredPoint) -> LinearRelation:
-    """The relation T(+)T* -> A x A-bar spanned by ((x, x - a* mu), (a x, mu))."""
+    """The relation T(+)T* -> A x A-bar spanned by ((x, x - a* mu), (a x, mu)),
+    on the integer anchor rows a over da and the form's integer inverse."""
     require_coisotropic(pt)
     n, m = pt.algebra.dim, pt.chart_dim
-    a = pt.anchor
-    astar = pt.dual
+    a, da = pt._ints
+    inv, di = pt.algebra.form._inverse
     # T (+) T* with the contraction pairing, coordinates (v; mu)
     source = hyperbolic_space(m)
     alg_space = from_algebra(pt.algebra)
     target = SplitSpace(2 * n, graph_form(alg_space, alg_space))
-    # column x of the anchor is row x of its transpose; an n x 0 anchor
-    # (chart dimension 0) has n empty columns, which transpose(()) drops
-    a_cols = transpose(a) if m else zeros(n, 0)
-    rows = hstack(identity(n), identity(n), a_cols, zeros(n, m))
-    rows += hstack(zeros(m, n), mat_scale(-1, transpose(astar)), zeros(m, m), identity(m))
-    return LinearRelation.from_rows(source, target, rows)
+    # da (x, x, a x, 0) for the unit vectors x: a x is column x of a
+    rows = [[da * (c == x) for c in range(n)] * 2 + [row[x] for row in a] + [0] * m for x in range(n)]
+    # da di (0, -a* mu, 0, mu) for the unit covectors mu: a* mu = B^-1 a^T mu
+    rows += [[0] * n + [-y for y in astar] + [0] * m + [da * di * (c == mu) for c in range(m)]
+             for mu, astar in enumerate(int_products(a, inv))]
+    return LinearRelation(source, target, ExactSubspace.of_rows(2 * (n + m), rows))
 
 
 def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     """Recover the splitting bivector as a backward image of E x F.
 
     Independent code path from bivector_at: the image must be the graph
-    {(P mu, mu)} of the kept value P, which is returned.
+    {(P mu, mu)} of the kept value P, which is returned.  ker(R^t) = {(x, x)
+    : x in ker a} meets E x F in E cap F = 0: no transversality test is due.
     """
     rel = diagonal_relation(pt)
-    image, _alpha = backward_image(product_subspace(s.e, s.f), rel)
+    image = backward_image_subspace(product_subspace(s.e, s.f), rel)
     m = pt.chart_dim
     v_block = [row[:m] for row in image.rows]
     mu_block = [row[m:] for row in image.rows]

@@ -413,9 +413,15 @@ def triple_floats(t: TripleContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # the double action on a group: a(u, v) = v^L - u^R ------------------------
 
+@lru_cache(maxsize=64)
+def _float_bivector(s: Splitting) -> np.ndarray:
+    """The splitting's Pi in floats, converted once per splitting."""
+    return np_matrix(s.bivector.matrix)
+
+
 def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
     """pi(t) for a splitting (E, F) of the double, in the chart at p."""
-    pi_np = np_matrix(s.bivector.matrix)
+    pi_np = _float_bivector(s)
     chart = group_chart(p.ctx)
     g0 = np_matrix(p.g)
     k = p.ctx.dim

@@ -11,12 +11,13 @@ Values are ``Fraction`` at the API and integers inside.  ``int_matrix``
 is the one way in: it puts a matrix of int, Fraction or 'p/q' entries
 over the lcm of its denominators (a float raises TypeError at every
 entry point), and ``frac_matrix`` is the one way back, normalising each
-entry once.  Every exact matrix product is one ``int_products`` of such
-rows and columns; every elimination (rank, kernels, spans, membership,
-coordinates) and every constructor check (symmetry, antisymmetry) reads
-the same integer rows.  The subspace operations (sum, intersection,
-kernels, orthogonal complements, isotropy) work on the integer rows
-alone; the unit-pivot Fraction basis is a view, built on first read.
+entry once.  Every dense exact product is one ``int_products``, and a
+sparse factor (a Gram matrix, a kernel basis) is read by its nonzeros;
+every elimination (rank, kernels, spans, membership, coordinates) and
+every constructor check (symmetry, antisymmetry) reads the same rows.
+The subspace operations (sum, intersection, kernels, orthogonal
+complements, isotropy, meets) work on the integer rows alone; the
+unit-pivot Fraction basis is a view, built on first read.
 Nonsingularity is decided by rank, and ``inverse`` is the Fraction view
 of one integer elimination of [A | I] (``_inverse_rows``).
 
@@ -176,6 +177,26 @@ def int_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
+def _nonzeros(rows: Iterable[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
+    """Each integer row as its nonzeros ((i, x_i), ...)."""
+    return [tuple((i, x) for i, x in enumerate(row) if x) for row in rows]
+
+
+def _sparse_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[tuple]]) -> list[list[int]]:
+    """The table r . c over integer rows r and columns c given by their
+    nonzeros: a product whose second factor is sparse, read by its nonzeros."""
+    out = []
+    for r in rows:
+        row = []
+        for col in cols:
+            total = 0
+            for i, x in col:
+                total += r[i] * x
+            row.append(total)
+        out.append(row)
+    return out
+
+
 def frac_matrix(table: Iterable[Iterable[int]], den: int) -> Matrix:
     """An integer table over den as Fraction rows: the one way back from
     an integer product, normalising each entry once."""
@@ -224,8 +245,10 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
+        for piv in range(r, len(work)):
+            if work[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
@@ -374,15 +397,15 @@ def inverse(A: Matrix) -> Matrix:
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatchError("inverse needs a square matrix")
-    return _inverse_of(int_matrix(A))
+    return frac_matrix(*_inverse_of(int_matrix(A)))
 
 
-def _inverse_of(ints: tuple[Sequence[Sequence[int]], int]) -> Matrix:
-    """(N / den)^-1 = den * N^-1 as Fractions, for integer rows N over den;
-    raises SingularMatrixError."""
+def _inverse_of(ints: tuple[Sequence[Sequence[int]], int]) -> tuple[list[list[int]], int]:
+    """(N / den)^-1 = den * N^-1 as integer rows over one denominator, for
+    integer rows N over den; raises SingularMatrixError."""
     rows, den = ints
     inv, inv_den = _inverse_rows(rows)
-    return frac_matrix([[den * x for x in row] for row in inv], inv_den)
+    return [[den * x for x in row] for row in inv], inv_den
 
 
 @dataclass(frozen=True)
@@ -622,8 +645,9 @@ class BilinearForm:
     """A symmetric bilinear form given by its Gram matrix."""
 
     matrix: Matrix
-    # the Gram matrix as integer rows over one common denominator
+    # the Gram matrix as integer rows over one common denominator, and its columns' nonzeros
     _ints: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
+    _columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = matrix(self.matrix)
@@ -631,6 +655,7 @@ class BilinearForm:
         object.__setattr__(self, "_ints", int_matrix(m))
         if self._ints[0] != transpose(self._ints[0]):
             raise ValueError("bilinear form must be symmetric")
+        object.__setattr__(self, "_columns", tuple(_nonzeros(self._ints[0])))
 
     def __hash__(self) -> int:
         # equal matrices have equal integer rows, which hash faster than
@@ -654,10 +679,14 @@ class BilinearForm:
         return self._signature[2] == 0
 
     @cached_property
-    def inverse_matrix(self) -> Matrix:
-        """B^-1, one elimination of the kept integer rows on first use;
-        raises SingularMatrixError."""
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        """B^-1 as integer rows over one denominator, built on first use; SingularMatrixError."""
         return _inverse_of(self._ints)
+
+    @cached_property
+    def inverse_matrix(self) -> Matrix:
+        """B^-1 as Fractions, read back from ``_inverse``."""
+        return frac_matrix(*self._inverse)
 
     def signature(self) -> tuple[int, int, int]:
         """(positives, negatives, zeros) via exact congruence diagonalization,
@@ -712,17 +741,28 @@ class BilinearForm:
             raise DimensionMismatchError("subspace not in the form's space")
         if not s.rows:
             return ExactSubspace.full(self.dim)
-        return ExactSubspace.of_rows(self.dim, _kernel_rows(self._applied(s), self.dim))
+        return ExactSubspace.of_rows(self.dim, _kernel_rows(self._applied(s.rows), self.dim))
 
-    def _applied(self, s: ExactSubspace) -> list[list[int]]:
-        """G applied to each integer row of S (G is symmetric, so these
-        are the rows of S G), up to the Gram denominator."""
-        return int_products(s.rows, self._ints[0])
+    def _applied(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """G applied to each integer row (the rows of S G, as G is symmetric)
+        up to the Gram denominator, by the nonzeros of each Gram column."""
+        return _sparse_products(rows, self._columns)
 
     def is_isotropic(self, s: ExactSubspace) -> bool:
         if s.ambient_dim != self.dim:
             raise DimensionMismatchError("subspace not in the form's space")
-        return not any(map(any, int_products(self._applied(s), s.rows)))
+        return not any(map(any, _sparse_products(s.rows, _nonzeros(self._applied(s.rows)))))
+
+    def meet(self, rows: Sequence[Sequence[int]], lag: ExactSubspace) -> list[list[int]]:
+        """The combinations of integer rows whose parts P = row[:dim] pair to
+        zero with L, the kernel of L G P^T: when L = L-perp, which the caller
+        decides first, S cap L with no Zassenhaus stack over 2 dim columns.
+        DimensionMismatchError when L is not in the form's space."""
+        if lag.ambient_dim != self.dim:
+            raise DimensionMismatchError("subspace not in the form's space")
+        table = _sparse_products([r[:self.dim] for r in rows], _nonzeros(self._applied(lag.rows)))
+        kernel = _kernel_rows(list(zip(*table)), len(rows))
+        return [list(c) for c in zip(*_sparse_products(list(zip(*rows)), _nonzeros(kernel)))]
 
     def is_coisotropic(self, s: ExactSubspace) -> bool:
         return s.contains_subspace(self.orth_complement(s))

@@ -10,7 +10,7 @@ here.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import neg
@@ -36,7 +36,6 @@ from .exactlin import (
     mat_scale,
     mat_vec,
     matrix,
-    product_subspace,
     quotient_coords,
     rank,
     transpose,
@@ -237,11 +236,11 @@ class ReducedIso:
         return ExactSubspace.span(rows, ambient_dim=self.dim)
 
 
-def _graph_over(eprime: ExactSubspace, r: LinearRelation) -> ExactSubspace:
-    """The part R cap (E' x W) of the graph over a Lagrangian E'."""
+def _graph_over(eprime: ExactSubspace, r: LinearRelation) -> list[list[int]]:
+    """Integer rows spanning R cap (E' x W): the graph rows meeting a Lagrangian E'."""
     if not r.target.form.is_lagrangian(eprime):
         raise NotLagrangianError("backward image needs a Lagrangian subspace")
-    return r.graph.intersect(product_subspace(eprime, ExactSubspace.full(r.source.dim)))
+    return r.target.form.meet(r.graph.rows, eprime)
 
 
 def backward_image_subspace(eprime: ExactSubspace, r: LinearRelation) -> ExactSubspace:
@@ -251,7 +250,7 @@ def backward_image_subspace(eprime: ExactSubspace, r: LinearRelation) -> ExactSu
     map to E' is not unique (use backward_image for that).
     """
     nt = r.target.dim
-    return ExactSubspace.of_rows(r.source.dim, [row[nt:] for row in _graph_over(eprime, r).rows])
+    return ExactSubspace.of_rows(r.source.dim, [row[nt:] for row in _graph_over(eprime, r)])
 
 
 def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubspace, Matrix]:
@@ -273,7 +272,7 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
     # its echelon basis in (source, target) order has every pivot in the
     # source block: the source parts are E's canonical basis, and the
     # target parts their images alpha(x).
-    pairs = ExactSubspace.of_rows(nt + ns, [row[nt:] + row[:nt] for row in inter.rows])
+    pairs = ExactSubspace.of_rows(nt + ns, [row[nt:] + row[:nt] for row in inter])
     e = ExactSubspace.of_rows(ns, [row[:ns] for row in pairs.rows])
     return e, tuple(row[ns:] for row in pairs.basis)
 
@@ -281,17 +280,16 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
 @dataclass(frozen=True)
 class Bivector:
     """Antisymmetric coefficient matrix P: pi = sum_{u<v} P[u][v] d_u ^ d_v,
-    kept as the integer rows its antisymmetry check reads, which its rank
-    and sharp range eliminate."""
+    kept as integer rows over the lcm of its denominators, which its checks
+    eliminate and which decide equality; ``Bivector(entries)`` takes the
+    matrix, and the Fraction ``matrix`` is built on first read."""
 
-    matrix: Matrix
-    _ints: tuple = field(default=None, repr=False, compare=False)
+    entries: InitVar[Matrix | None]
+    _ints: tuple = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, entries):
         if self._ints is None:
-            m = matrix(self.matrix)
-            object.__setattr__(self, "matrix", m)
-            object.__setattr__(self, "_ints", int_matrix(m))
+            object.__setattr__(self, "_ints", int_matrix(matrix(entries)))
         rows = self._ints[0]
         if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
             raise ValueError("bivector matrix must be antisymmetric")
@@ -301,12 +299,15 @@ class Bivector:
         """The bivector table / den (den > 0), keeping the table over the
         lcm of the entries' denominators, den / gcd(den, entries)."""
         g = gcd(den, *(x for row in table for x in row))
-        rows = tuple(tuple(x // g for x in row) for row in table)
-        return cls(frac_matrix(rows, den // g), (rows, den // g))
+        return cls(None, _ints=(tuple(tuple(x // g for x in row) for row in table), den // g))
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return frac_matrix(*self._ints)
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._ints[0])
 
     @cached_property
     def rank(self) -> int:
@@ -350,8 +351,9 @@ class Splitting:
         return cls(from_algebra(alg), e, f)
 
     def splits(self, w: ExactSubspace) -> bool:
-        """Whether W = (W cap E) + (W cap F)."""
-        return w.intersect(self.e).sum(w.intersect(self.f)) == w
+        """Whether W = (W cap E) + (W cap F): its two meets have dim W rows, as E cap F = 0."""
+        self.e._check(w)
+        return sum(len(self.space.form.meet(w.rows, half)) for half in (self.e, self.f)) == w.dim
 
     @cached_property
     def _dual_frame(self) -> tuple[list[list[int]], int]:
@@ -456,11 +458,12 @@ def related_lagrangian(e: ExactSubspace, eprime: ExactSubspace, r: LinearRelatio
     """True when the reduced isomorphism carries E_red onto E'_red, that
     is when R(E) = ker(R^t) + (E' cap ran R): it carries E_red onto
     R(E)/ker(R^t), as R(E) contains R(0) = ker(R^t).  R(E) is the target
-    parts of R cap (W' x E)."""
-    nt = r.target.dim
-    over_e = r.graph.intersect(product_subspace(ExactSubspace.full(nt), e))
-    image = ExactSubspace.of_rows(nt, [row[:nt] for row in over_e.rows])
-    return image == r.cokernel.sum(eprime.intersect(r.range_))
+    parts of the flipped graph's meet with E; NotLagrangianError unless E, E' are Lagrangian."""
+    if not (r.source.form.is_lagrangian(e) and r.target.form.is_lagrangian(eprime)):
+        raise NotLagrangianError("relatedness needs Lagrangian subspaces")
+    nt, ns = r.target.dim, r.source.dim
+    image = ExactSubspace.of_rows(nt, [row[ns:] for row in r.source.form.meet(r.flipped.rows, e)])
+    return image == r.cokernel.sum(ExactSubspace.of_rows(nt, r.target.form.meet(r.range_.rows, eprime)))
 
 
 def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> RelatednessReport:

@@ -32,6 +32,7 @@ from .exactlin import (
     mat_scale,
     mat_vec,
     nullspace,
+    product_subspace,
     rank,
     transpose,
     zeros,
@@ -42,7 +43,6 @@ from .lagrel import (
     SplitSpace,
     Splitting,
     from_algebra,
-    product_subspace,
 )
 from .quadlie import QuadraticLieAlgebra, build_double
 

@@ -82,7 +82,10 @@ class QuadraticLieAlgebra:
         basis_names: Sequence[str] | None = None,
     ) -> "QuadraticLieAlgebra":
         """Repeated (i, j, k) entries add up; the constructor drops the
-        constants that sum to 0."""
+        constants that sum to 0.  dim must count the form's rows first."""
+        form = matrix(form_rows)
+        if len(form) != dim:
+            raise DimensionMismatchError("the form must be dim x dim")
         constants: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k, val) in triples:
             constants[i, j, k] = constants.get((i, j, k), 0) + frac(val)
@@ -92,7 +95,7 @@ class QuadraticLieAlgebra:
         if len(names) != dim:
             raise DimensionMismatchError("basis_names length must equal dim")
         return cls(dim, tuple(key + (c,) for key, c in constants.items()),
-                   BilinearForm(matrix(form_rows)), names)
+                   BilinearForm(form), names)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[b_i, b_j] as a dense Fraction row, built from its sparse row."""

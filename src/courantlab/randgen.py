@@ -71,39 +71,37 @@ def random_invertible(rng: random.Random, k: int) -> tuple[tuple[IntRows, int], 
         return (a, den), ([[den * x for x in row] for row in inv], inv_den)
 
 
-def _split_transform_ints(rng: random.Random, k: int) -> tuple[IntRows, int]:
-    """random_split_transform as integer rows over one denominator,
-    divided by their common content after each word.
-
-    With g = [G1 | G2] in k-column blocks, the factors act by block
-    updates: block_diag(a, a^-T) sends g to [G1 a | G2 a^-T],
-    [[I, N], [0, I]] to [G1 | G1 N + G2] and [[I, 0], [N, I]] to
-    [G1 + G2 N | G2].
-    """
-    n = 2 * k
-    g = [[int(i == j) for j in range(n)] for i in range(n)]
-    den = 1
+def _split_transform_cols(rng: random.Random, k: int, j: int) -> tuple[IntRows, int]:
+    """The first j columns of random_split_transform (j = 2k: all of it) as
+    integer rows over one denominator, divided by their content after each
+    word.  The WORDS factors are drawn in order, then applied right to left
+    to [I_j; 0]: with x = [X1; X2] in k-row blocks, block_diag(a, a^-T)
+    sends x to [a X1; a^-T X2], [[I, N], [0, I]] to [X1 + N X2; X2] and
+    [[I, 0], [N, I]] to [X1; N X1 + X2]."""
+    words = []
     for _ in range(WORDS):
         kind = rng.randrange(3)
-        left = [row[:k] for row in g]
-        right = [row[k:] for row in g]
+        words.append((kind, (random_invertible if kind == 0 else random_antisym)(rng, k)))
+    g = [[int(i == c) for c in range(j)] for i in range(2 * k)]
+    den = 1
+    for kind, word in reversed(words):
+        top, bottom = g[:k], g[k:]
         if kind == 0:
-            (a, da), (b, db) = random_invertible(rng, k)
-            left = [[x * db for x in row] for row in int_products(left, list(zip(*a)))]
-            # the columns of b^T are the rows of b
-            right = [[x * da for x in row] for row in int_products(right, b)]
+            (a, da), (b, db) = word
+            top = [[x * db for x in row] for row in int_products(a, list(zip(*top)))]
+            # the rows of a^-T are the columns of b
+            bottom = [[x * da for x in row] for row in int_products(list(zip(*b)), list(zip(*bottom)))]
             den *= da * db
         else:
-            nm, dn = random_antisym(rng, k)
-            nm_cols = list(zip(*nm))
+            nm, dn = word
             if kind == 1:
-                right = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(right, int_products(left, nm_cols))]
-                left = [[dn * x for x in row] for row in left]
+                top = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(top, int_products(nm, list(zip(*bottom))))]
+                bottom = [[dn * x for x in row] for row in bottom]
             else:
-                left = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(left, int_products(right, nm_cols))]
-                right = [[dn * x for x in row] for row in right]
+                bottom = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(bottom, int_products(nm, list(zip(*top))))]
+                top = [[dn * x for x in row] for row in top]
             den *= dn
-        g = [lr + rr for lr, rr in zip(left, right)]
+        g = top + bottom
         content = gcd(den, *[x for row in g for x in row])
         if content > 1:
             g = [[x // content for x in row] for row in g]
@@ -114,13 +112,13 @@ def _split_transform_ints(rng: random.Random, k: int) -> tuple[IntRows, int]:
 def random_split_transform(rng: random.Random, k: int) -> Matrix:
     """A word of elementary transformations preserving the hyperbolic form
     [[0, I], [I, 0]] on Q^2k."""
-    g, den = _split_transform_ints(rng, k)
+    g, den = _split_transform_cols(rng, k, 2 * k)
     return frac_matrix(g, den)
 
 
 def random_lagrangian_splitting(rng: random.Random, k: int) -> Splitting:
     """A random splitting of the hyperbolic space Q^2k."""
-    g, _ = _split_transform_ints(rng, k)
+    g, _ = _split_transform_cols(rng, k, 2 * k)
     cols = [list(c) for c in zip(*g)]
     e = ExactSubspace.of_rows(2 * k, cols[:k])
     f = ExactSubspace.of_rows(2 * k, cols[k:])
@@ -136,7 +134,7 @@ def random_coisotropic_anchor(
     dimension j <= k; the chart dimension equals j.
     """
     j = rng.randint(0, k)
-    g, den = _split_transform_ints(rng, k)
+    g, den = _split_transform_cols(rng, k, j)
     if not j:
         return (), 0
     (tmix, dt), _ = random_invertible(rng, j)
@@ -144,8 +142,8 @@ def random_coisotropic_anchor(
     # orthogonal of the first j isotropic e-directions).  g preserves the
     # form J = [[0, I], [I, 0]], so g^-1 = J g^T J and row k + r of g^-1
     # is column r of g with its two halves swapped, so column c of those
-    # j rows is the first j entries of row c + k (mod 2k) of g.
-    cols = [g[(c + k) % (2 * k)][:j] for c in range(2 * k)]
+    # j rows is row c + k (mod 2k) of the first j columns of g.
+    cols = [g[(c + k) % (2 * k)] for c in range(2 * k)]
     return frac_matrix(int_products(tmix, cols), dt * den), j
 
 
@@ -175,7 +173,7 @@ def random_relation(
              + [(nt + i, 1) for i in range(k_source)]
              + [(k_target + i, 1) for i in range(k_target)]
              + [(nt + k_source + i, -1) for i in range(k_source)])
-    g, _ = _split_transform_ints(rng, kk)
+    g, _ = _split_transform_cols(rng, kk, kk)
     # the first kk columns of frame * g: row c of g lands at its frame index
     rows = [[0] * (2 * kk) for _ in range(kk)]
     for (index, sign), grow in zip(frame, g):

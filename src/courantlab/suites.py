@@ -25,8 +25,8 @@ from .contexts import (
     sl2_triangular_triple,
     sl2c_realified_context,
 )
-from .exactlin import ExactSubspace, hstack, identity, mat_mul, mat_vec
-from .lagrel import Splitting, product_subspace, related_splitting
+from .exactlin import ExactSubspace, hstack, identity, mat_mul, mat_vec, product_subspace
+from .lagrel import Splitting, related_splitting
 from .liegrp import TripleContext
 
 DEFAULT_H = 1e-4

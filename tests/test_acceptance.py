@@ -18,8 +18,8 @@ from courantlab.contexts import (
     sl2_triangular_triple,
     triangular_complement,
 )
-from courantlab.exactlin import mat_mul
-from courantlab.lagrel import Splitting, product_subspace, related_splitting
+from courantlab.exactlin import mat_mul, product_subspace
+from courantlab.lagrel import Splitting, related_splitting
 from courantlab.diffnum import np_matrix
 from courantlab.quadlie import ManinTriple, build_double, diagonal_subspace
 

@@ -36,6 +36,7 @@ from courantlab.exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    NotLagrangianError,
     add_vec,
     identity,
     inverse,
@@ -112,15 +113,40 @@ def test_bivector_formula_and_diagonal_backward():
     assert rank_formula(PT4, S4) == 2
     lm = drinfeld_lagrangian(PT4, F4)
     assert AB4.form.is_lagrangian(lm)
+    # ker(a) cap F is a meet, which needs a Lagrangian F
+    with pytest.raises(NotLagrangianError, match="not Lagrangian"):
+        drinfeld_lagrangian(PT4, ExactSubspace.full(4))
     assert leaf_condition(PT4, S4)
 
 
-def test_diagonal_backward_intersects_twice(calls):
-    # once for transversality (E x F against ker R^t) and once for the part
-    # of the graph over E x F, which builds both E and the comparison map
+def test_diagonal_backward_meets_once(calls):
+    # the part of the graph over E x F is one meet with the Lagrangian
+    # E x F, and no Zassenhaus intersection runs: ker R^t meets E x F in 0
+    # by construction, so there is no transversality test to make
     intersects = calls(ExactSubspace, "intersect")
-    assert diagonal_backward(PT4, S4).matrix == matrix([[0, -1], [1, 0]])
-    assert len(intersects) == 2
+    meets = calls(BilinearForm, "meet")
+    pt = AnchoredPoint(AB4, A4, 2)
+    for calls_made in (1, 2):
+        assert diagonal_backward(pt, S4).matrix == matrix([[0, -1], [1, 0]])
+        assert len(meets) == calls_made
+    assert intersects == []
+
+
+def test_diagonal_relation_cokernel_meets_e_x_f_in_zero():
+    # ker R^t = {(x, x) : x in ker a}, which meets E x F only in E cap F = 0
+    # on the seeded rank instances; diagonal_backward skips
+    # backward_image's transversality test on this fact
+    checked = 0
+    for i in range(60):
+        pt, s, j = suites._random_anchored_instance(f"rank:1:{i}")
+        if not j:
+            continue
+        rel = diagonal_relation(pt)
+        ker = pt.stabilizer
+        assert rel.cokernel == ExactSubspace.span([r + r for r in ker.basis], ambient_dim=2 * ker.ambient_dim)
+        assert rel.cokernel.intersect(exactlin.product_subspace(s.e, s.f)).dim == 0
+        checked += 1
+    assert checked > 30
 
 
 def test_integer_bivector_matches_fraction_products():
@@ -237,6 +263,8 @@ def test_diagonal_relation_matches_the_per_column_construction():
         anchor, j = random_coisotropic_anchor(rng, k)
         points.append(AnchoredPoint(random_abelian_split_algebra(k), anchor if j else (), j))
     assert any(pt.chart_dim == 0 for pt in points[3:]) and any(pt.chart_dim for pt in points)
+    # the shipped forms' integer inverses have denominators 8 and 2
+    points += [get_group_context(name).points[1].anchor for name in ("sl2-double", "sl2c-real")]
     for pt in points:
         rel = diagonal_relation(pt)
         assert rel.graph == _diagonal_graph_by_columns(pt)
@@ -293,11 +321,11 @@ def _tangent_image(eprime, rel):
     """A Lagrangian backward image that is no graph over the covectors:
     the tangent vectors {(v, 0)}."""
     m = rel.source.dim // 2
-    return ExactSubspace.span(identity(2 * m)[:m]), ()
+    return ExactSubspace.span(identity(2 * m)[:m])
 
 
 def test_diagonal_backward_refuses_a_non_graph_image(monkeypatch):
-    monkeypatch.setattr(anchored, "backward_image", _tangent_image)
+    monkeypatch.setattr(anchored, "backward_image_subspace", _tangent_image)
     with pytest.raises(CourantStructureError, match="not a graph"):
         diagonal_backward(AnchoredPoint(AB4, A4, 2), S4)
     # the rank suite records each such instance by number and keeps going

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import courantlab
 from courantlab.cli import main
 from courantlab.contexts import sl2_algebra, triangular_complement
-from courantlab.quadlie import build_double, diagonal_subspace
+from courantlab.quadlie import QuadraticLieAlgebra, build_double, diagonal_subspace
 
 
 @pytest.fixture()
@@ -246,7 +247,6 @@ def _broken_triple():
     from dataclasses import replace
 
     from courantlab.contexts import sl2_triangular_triple
-    from courantlab.quadlie import QuadraticLieAlgebra
 
     t = sl2_triangular_triple()
     bad_alg = QuadraticLieAlgebra.from_triples(
@@ -726,3 +726,21 @@ def test_an_overflowing_step_fails_without_float_warnings(suite):
                               f"sys.exit(main(['verify', {suite!r}, '--h', '1e300', '--json']))")
     assert proc.returncode == 2 and proc.stderr == ""
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == OVERFLOW_DIGESTS[suite]
+
+
+def test_a_large_stated_dim_is_refused_before_anything_is_built(tmp_path, capsys):
+    # dim 10^5 with a 1 x 1 form: dim is checked against the form's rows
+    # first, so nothing is built per stated index (no basis name, no row)
+    path = _write(tmp_path / "large-dim.json", {"dim": 10**5, "brackets": [], "form": [[1]]})
+    tracemalloc.start()
+    try:
+        code = main(["validate", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bad algebra description: the form must be dim x dim")
+    assert peak < 1_000_000
+    # the library entry point refuses it the same way, also at a size no memory holds
+    with pytest.raises(ValueError, match="dim x dim"):
+        QuadraticLieAlgebra.from_triples(10**30, [], [[1]])

@@ -265,6 +265,21 @@ def test_tensor_tables_are_built_once_per_algebra_and_splitting(capsys, calls):
     assert list(collections.Counter(tables).values()) == [1, 1, 1]
 
 
+def test_float_pi_is_converted_once_per_splitting(calls):
+    # every point's field reads the one float Pi its splitting keeps
+    from courantlab.contexts import get_group_context, named_splitting
+
+    diffnum._float_bivector.cache_clear()
+    conversions = calls(diffnum, "np_matrix")
+    ctx = get_group_context("sl2-double")
+    s = named_splitting("sl2-double", "delta-triangular")
+    fields = [diffnum.double_bivector_field(p, s) for p in ctx.points[:4]]
+    for field in fields:
+        field(np.zeros((1, ctx.dim)))
+    assert sum(args[0] is s.bivector.matrix for args in conversions) == 1
+    assert np.array_equal(diffnum._float_bivector(s), np_matrix(s.bivector.matrix))
+
+
 # --- the stacked FD layer against its per-point form --------------------
 # Each stacked function must give every slice the bits the per-point
 # form gives it alone: the same product per slice, never one folded GEMM,

@@ -858,3 +858,98 @@ def test_from_json_keeps_the_callers_ambient_dim():
             ExactSubspace.from_json(data, ambient_dim=dim)
     with pytest.raises(DimensionMismatchError):
         ExactSubspace.from_json({"basis": [[0], [-1]], "ambient_dim": 1}, ambient_dim=2)
+
+
+# --- meet and the sparse Gram columns against the dense references -----------
+
+def _dense_split_form(rng, k):
+    """M^T H M for the hyperbolic Gram matrix H of Q^2k and an invertible
+    integer M, redrawn until no Gram entry is zero; returns the form and
+    M^-T, which carries H's Lagrangians to the form's (L -> L M^-T)."""
+    h = hyperbolic_space(k).form.matrix
+    while True:
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(2 * k)) for _ in range(2 * k))
+        try:
+            m_inv_t = transpose(inverse(m))
+        except SingularMatrixError:
+            continue
+        gram = mat_mul(transpose(m), h, m)
+        if all(x for row in gram for x in row):
+            return BilinearForm(gram), m_inv_t
+
+
+def _meet_cases(count=200):
+    """Seeded (form, S, L, p, T) with L a Lagrangian of the form, S a span
+    in its space (zero and full among them), and T rows of Q^(n + p)
+    whose first n entries are their parts in the form's space."""
+    from courantlab.randgen import random_lagrangian_splitting
+
+    rng = random.Random(36)
+    for i in range(count):
+        k = rng.randint(1, 4)
+        n = 2 * k
+        halves = random_lagrangian_splitting(rng, k)
+        lag = rng.choice((halves.e, halves.f))
+        if i % 2:
+            form = hyperbolic_space(k).form
+        else:
+            form, m_inv_t = _dense_split_form(rng, k)
+            lag = ExactSubspace.span(mat_mul(lag.basis, m_inv_t), ambient_dim=n)
+        drawn = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        # halves of drawn rows and of L, so that S cap L is often nonzero
+        drawn += [list(r) for r in lag.rows[:rng.randint(0, k)]]
+        s = {0: ExactSubspace.zero(n), 1: ExactSubspace.full(n)}.get(i % 10, None)
+        s = s or ExactSubspace.span(drawn, ambient_dim=n)
+        p = rng.randint(0, 3)
+        t = [tuple(r) + tuple(rng.randint(-2, 2) for _ in range(p)) for r in drawn]
+        yield form, s, lag, p, t
+
+
+def test_meet_matches_the_zassenhaus_intersection():
+    seen = {"zero": 0, "full": 0, "dense": 0, "nonzero meet": 0}
+    for form, s, lag, p, t in _meet_cases():
+        n = form.dim
+        assert form.is_lagrangian(lag)
+        got = ExactSubspace.of_rows(n, form.meet(s.rows, lag))
+        assert got == s.intersect(lag)
+        # the parts of T against L: T's span cut by L x Q^p
+        big = n + p
+        cut = ExactSubspace.of_rows(big, form.meet(t, lag))
+        ref = ExactSubspace.span(t, ambient_dim=big).intersect(
+            product_subspace(lag, ExactSubspace.full(p)))
+        assert cut == ref
+        seen["zero"] += s.dim == 0
+        seen["full"] += s.dim == n
+        seen["dense"] += all(x for row in form.matrix for x in row)
+        seen["nonzero meet"] += got.dim > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_meet_checks_the_subspace_is_in_the_forms_space():
+    with pytest.raises(DimensionMismatchError):
+        hyperbolic_space(1).form.meet([(1, 0)], ExactSubspace.full(4))
+
+
+def _dense_gram_product(rows, gram):
+    """The dense reference of S G: every Gram entry, zero or not."""
+    return [[sum(r[i] * gram[i][j] for i in range(len(gram))) for j in range(len(gram))]
+            for r in rows]
+
+
+def test_sparse_gram_columns_match_the_dense_product():
+    rng = random.Random(37)
+    forms = [hyperbolic_space(k).form for k in range(1, 4)] + [sl2_algebra().form]
+    forms += [_dense_split_form(rng, k)[0] for k in (1, 2)]
+    forms += [BilinearForm(((0, 0), (0, 0))), BilinearForm(((F(1, 2), 3, 0), (3, 0, -1), (0, -1, 0))),
+              BilinearForm(())]
+    for form in forms:
+        gram = form._ints[0]
+        assert form._columns == tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*gram))
+        n = form.dim
+        for count in range(n + 2):
+            rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(count)]
+            assert form._applied(rows) == _dense_gram_product(rows, gram)
+        # the empty subspace applies to no rows, and is isotropic
+        assert form._applied(ExactSubspace.zero(n).rows) == []
+        assert form.is_isotropic(ExactSubspace.zero(n))
+        assert form.orth_complement(ExactSubspace.zero(n)) == ExactSubspace.full(n)

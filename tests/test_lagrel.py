@@ -1,6 +1,7 @@
 import collections
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -280,8 +281,10 @@ def test_splits_matches_the_sum_of_intersections():
     (lambda: backward_image_subspace(ExactSubspace.full(2), LinearRelation.identity_relation(SP2)),
      NotLagrangianError, "needs a Lagrangian subspace"),
     (lambda: BilinearForm(((0, 1), (0, 0))), ValueError, "must be symmetric"),
+    (lambda: related_lagrangian(ExactSubspace.full(2), E2, LinearRelation.identity_relation(SP2)),
+     NotLagrangianError, "needs Lagrangian subspaces"),
 ], ids=["graph-ambient", "graph-dim", "compose-spaces", "related-spaces", "backward-non-lagrangian",
-        "form-not-symmetric"])
+        "form-not-symmetric", "related-non-lagrangian"])
 def test_relation_and_form_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -561,6 +564,61 @@ def test_block_updates_match_the_dense_split_transform():
             assert rng.random() == ref_rng.random()
 
 
+def _left_to_right_transform(rng, k):
+    """The whole split transform the way it was first built, as the
+    reference of the column path: each word is drawn and multiplied on
+    the right of g in turn, g divided by its content after each word."""
+    from courantlab.randgen import WORDS, random_antisym, random_invertible
+
+    g = [[int(i == j) for j in range(2 * k)] for i in range(2 * k)]
+    den = 1
+    for _ in range(WORDS):
+        kind = rng.randrange(3)
+        left, right = [row[:k] for row in g], [row[k:] for row in g]
+        if kind == 0:
+            (a, da), (b, db) = random_invertible(rng, k)
+            left = [[x * db for x in row] for row in exactlin.int_products(left, list(zip(*a)))]
+            right = [[x * da for x in row] for row in exactlin.int_products(right, b)]
+            den *= da * db
+        else:
+            nm, dn = random_antisym(rng, k)
+            if kind == 1:
+                update = exactlin.int_products(left, list(zip(*nm)))
+                right = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(right, update)]
+                left = [[dn * x for x in row] for row in left]
+            else:
+                update = exactlin.int_products(right, list(zip(*nm)))
+                left = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(left, update)]
+                right = [[dn * x for x in row] for row in right]
+            den *= dn
+        g = [lr + rr for lr, rr in zip(left, right)]
+        content = gcd(den, *[x for row in g for x in row])
+        g, den = [[x // content for x in row] for row in g], den // content
+    return g, den
+
+
+def test_column_path_matches_the_left_to_right_transform():
+    # the first j columns drawn and applied right to left equal the first j
+    # columns of the whole transform, and leave the generator where it
+    # leaves it; the whole transform (j = 2k) keeps its exact rows and den
+    from courantlab.randgen import _split_transform_cols
+
+    rng = random.Random(36)
+    cases = [(rng.randint(1, 5), rng.random(), rng.randrange(10**6)) for _ in range(200)]
+    widths = set()
+    for k, where, seed in cases:
+        j = min(2 * k, int(where * (2 * k + 1)))
+        ref_rng, col_rng = random.Random(seed), random.Random(seed)
+        g, den = _left_to_right_transform(ref_rng, k)
+        cols, cols_den = _split_transform_cols(col_rng, k, j)
+        assert exactlin.frac_matrix(cols, cols_den) == exactlin.frac_matrix([row[:j] for row in g], den)
+        if j == 2 * k:
+            assert (cols, cols_den) == (g, den)
+        assert col_rng.getstate() == ref_rng.getstate()
+        widths.add(0 if j == 0 else 2 if j == 2 * k else 1)
+    assert widths == {0, 1, 2}
+
+
 def _dense_coisotropic_anchor(rng, k):
     """The Fraction reference of random_coisotropic_anchor: the first j
     f-coordinates of g^-1 = J g^T J, mixed by a Fraction draw."""
@@ -596,6 +654,19 @@ def test_split_spaces_and_graph_forms_are_built_once():
     rows[0] = (F(1),) + (F(0),) * 5
     with pytest.raises(NotLagrangianError, match="not isotropic"):
         LinearRelation.from_rows(hyperbolic_space(1), hyperbolic_space(2), rows)
+
+
+def test_bivector_keeps_integer_rows_and_builds_its_matrix_on_first_read():
+    # of_ints keeps the reduced table; the Fraction matrix waits for a read,
+    # and equality and hashing read the rows, the same for either way in
+    pi = Bivector.of_ints([[0, 6], [-6, 0]], 4)
+    assert pi._ints == (((0, 3), (-3, 0)), 2) and pi.dim == 2 and "matrix" not in vars(pi)
+    assert pi.rank == 2 and "matrix" not in vars(pi)
+    assert pi.matrix == ((F(0), F(3, 2)), (F(-3, 2), F(0))) and pi.matrix is pi.matrix
+    same = Bivector(((0, "3/2"), (F(-3, 2), 0)))
+    assert same == pi and hash(same) == hash(pi) and same._ints == pi._ints
+    assert Bivector.of_ints([[0, 0], [0, 0]], 5) == Bivector(((0, 0), (0, 0)))
+    assert Bivector.of_ints([], 3).dim == 0
 
 
 def test_bivector_dimension_is_its_matrix_size():

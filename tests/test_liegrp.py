@@ -56,6 +56,7 @@ from courantlab.exactlin import (
     mat_scale,
     mat_vec,
     matrix,
+    product_subspace,
     solve,
     transpose,
 )
@@ -64,7 +65,6 @@ from courantlab.lagrel import (
     Splitting,
     backward_image,
     backward_image_subspace,
-    product_subspace,
     related_splitting,
 )
 from courantlab.liegrp import (

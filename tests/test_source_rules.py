@@ -11,8 +11,8 @@ diffnum, no import of diffnum outside suites, no mat_vec call inside a
 list comprehension, no concat_vec or zero_vector call inside a
 comprehension or loop outside exactlin, no st.fractions in the tests, no
 read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
-_over_lcm, no .sum(...) of an .intersect(...) outside
-lagrel.Splitting.splits, no int_matrix, rank, inverse or
+_over_lcm, no .sum(...) of an .intersect(...) (lagrel.Splitting.splits
+decides that statement by two meets), no int_matrix, rank, inverse or
 ExactSubspace.span call on a .matrix attribute, no mat_mul call
 directly inside another mat_mul call, and no read of the kept bracket
 table (_sparse, _den) outside quadlie.
@@ -48,7 +48,7 @@ draws from the same finite value set; and int_matrix is the one way from
 exact input into integer rows, so a numerator or denominator read
 anywhere else is a second converter, with its own coercion and its own
 errors; and "W = (W cap E) + (W cap F)" has one home, Splitting.splits,
-so a sum of intersections written in place is a second copy of that test
+which counts two meets, so a sum of intersections is a second copy of that test
 (a sum whose receiver is not an intersection, such as leaf_condition's
 L_m + (ker cap E), is a different statement and stays legal); and a
 form, a bivector and a point keep their matrix as integer rows, so an
@@ -630,10 +630,6 @@ def test_the_fraction_part_rule_catches_each_form():
         assert _fraction_part_reads(ast.parse(src)) == [], src
 
 
-# the one home of "W = (W cap E) + (W cap F)"
-SPLIT_TESTERS = {("lagrel.py", "splits")}
-
-
 def _sums_of_intersections(tree: ast.AST) -> list[str]:
     """The functions (or <module>) holding an x.sum(...) call whose
     receiver x is an .intersect(...) call."""
@@ -643,9 +639,11 @@ def _sums_of_intersections(tree: ast.AST) -> list[str]:
 
 
 def test_splitting_verdicts_live_in_splits():
+    # Splitting.splits, the one home of "W = (W cap E) + (W cap F)", counts
+    # two meets, so a sum of intersections anywhere is a second copy
     found = {(p.name, where) for p in SOURCES
              for where in _sums_of_intersections(ast.parse(p.read_text()))}
-    assert found == SPLIT_TESTERS
+    assert found == set()
 
 
 def test_the_sum_of_intersections_rule_catches_each_form():
