@@ -245,6 +245,8 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        if r == len(work):
+            break
         for piv in range(r, len(work)):
             if work[piv][c]:
                 break
@@ -268,8 +270,6 @@ def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
             work[i] = row
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
     return pivots
 
 

@@ -455,12 +455,18 @@ class RelatednessReport:
 
 
 def related_lagrangian(e: ExactSubspace, eprime: ExactSubspace, r: LinearRelation) -> bool:
-    """True when the reduced isomorphism carries E_red onto E'_red, that
-    is when R(E) = ker(R^t) + (E' cap ran R): it carries E_red onto
-    R(E)/ker(R^t), as R(E) contains R(0) = ker(R^t).  R(E) is the target
-    parts of the flipped graph's meet with E; NotLagrangianError unless E, E' are Lagrangian."""
+    """True when the reduced isomorphism carries E_red onto E'_red;
+    NotLagrangianError unless E, E' are Lagrangian."""
     if not (r.source.form.is_lagrangian(e) and r.target.form.is_lagrangian(eprime)):
         raise NotLagrangianError("relatedness needs Lagrangian subspaces")
+    return _carries(e, eprime, r)
+
+
+def _carries(e: ExactSubspace, eprime: ExactSubspace, r: LinearRelation) -> bool:
+    """R(E) = ker(R^t) + (E' cap ran R) for Lagrangian E, E' (decided by
+    the caller): the reduced isomorphism carries E_red onto R(E)/ker(R^t),
+    as R(E) contains R(0) = ker(R^t).  R(E) is the target parts of the
+    flipped graph's meet with E."""
     nt, ns = r.target.dim, r.source.dim
     image = ExactSubspace.of_rows(nt, [row[ns:] for row in r.source.form.meet(r.flipped.rows, e)])
     return image == r.cokernel.sum(ExactSubspace.of_rows(nt, r.target.form.meet(r.range_.rows, eprime)))
@@ -471,8 +477,8 @@ def related_splitting(s: Splitting, s_prime: Splitting, r: LinearRelation) -> Re
     target; NotLagrangianError when they split other spaces."""
     if s.space != r.source or s_prime.space != r.target:
         raise NotLagrangianError("splittings are not on the relation's spaces")
-    checks = {"e_not_related": related_lagrangian(s.e, s_prime.e, r),
-              "f_not_related": related_lagrangian(s.f, s_prime.f, r),
+    checks = {"e_not_related": _carries(s.e, s_prime.e, r),
+              "f_not_related": _carries(s.f, s_prime.f, r),
               "kernel_not_split": s.splits(r.kernel()),
               "range_not_split": s_prime.splits(r.range_)}
     return RelatednessReport(tuple(name for name, holds in checks.items() if not holds))

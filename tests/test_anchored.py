@@ -329,7 +329,7 @@ def test_diagonal_backward_refuses_a_non_graph_image(monkeypatch):
     with pytest.raises(CourantStructureError, match="not a graph"):
         diagonal_backward(AnchoredPoint(AB4, A4, 2), S4)
     # the rank suite records each such instance by number and keeps going
-    rank_rec, diag_rec = suites.suite_rank(samples=6, seed=1)
+    rank_rec, diag_rec = suites.run_suite("rank", samples=6, seed=1)
     assert rank_rec["status"] == "pass"
     assert diag_rec["status"] == "fail"
     assert diag_rec["detail"].startswith("#") and "not a graph" in diag_rec["detail"]

@@ -267,7 +267,7 @@ def test_broken_triple_stops_mult_before_fd_work(monkeypatch, capsys):
     monkeypatch.setattr(diffnum, "dmult_fd", lambda *a, **k: calls.append(a) or original(*a, **k))
     bad = _broken_triple()
     with pytest.raises(NotLagrangianError):
-        suites.suite_mult(bad, samples=2)
+        next(suites.suite_mult(bad, samples=2))
     # through the command line it is one failed record, exit 2
     monkeypatch.setattr(suites, "get_triple_context", lambda name: bad)
     assert main(["verify", "mult", "--json"]) == 2
@@ -311,14 +311,62 @@ def test_non_splitting_files_are_usage_error(tmp_path, capsys):
 
 
 def test_numeric_breakdown_in_a_suite_is_a_failed_record(capsys):
-    # at h = 0.5 the chart products leave the range of the log series
+    # at h = 0.5 the chart products leave the range of the log series: the
+    # two records that read the FD Jacobians fail with the exception text,
+    # and the exact records of the suite still run and pass
     assert main(["verify", "mult", "--h", "0.5", "--json"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     report = json.loads(captured.out)
     assert report["pass"] is False
-    (rec,) = report["records"]
-    assert rec["status"] == "fail" and "ValueError" in rec["detail"]
+    records = report["records"]
+    assert len(records) == 8
+    # 4 relatedness records, the 2 FD records, then the 2 exact pi+- records
+    assert [r["name"].split()[0] for r in records] == ["algebraic"] * 4 + ["anchor", "pi", "pi+-", "pi-"]
+    broken = "ValueError: matrix too far from the identity for the log series"
+    assert records[4:6] == [{"name": "anchor equivariance of multiplication", "status": "fail", "detail": broken},
+                            {"name": "pi multiplicativity (4 relations) under dMult", "status": "fail",
+                             "detail": broken}]
+    assert all(r["status"] == "pass" for r in records[:4] + records[6:])
+
+
+# the records of `verify all --seed 1`, which tests/test_golden_reports.py
+# pins to the bytes the program writes
+ALL_SEED_1 = Path(__file__).parent / "golden" / "all.json"
+
+
+def _records_but(records, suites):
+    """The records, as bytes, but those of the named suites."""
+    return [json.dumps(r, sort_keys=True) for r in records
+            if not r["name"].startswith(tuple(f"{s}: " for s in suites))]
+
+
+def test_a_breakdown_leaves_the_records_that_do_not_read_the_step(capsys):
+    # at h = 0.3 the mult FD records break down; the records of validate
+    # and of the exact suites, which never read --h, keep their bytes
+    default = json.loads(ALL_SEED_1.read_text())["records"]
+    assert main(["verify", "all", "--seed", "1", "--h", "0.3", "--json"]) == 2
+    broken = json.loads(capsys.readouterr().out)["records"]
+    assert len(broken) == len(default) == 58
+    step_free = _records_but(default, ("schouten", "mult", "dressing"))
+    assert len(step_free) == 5 + 2 + 3 + 2
+    assert _records_but(broken, ("schouten", "mult", "dressing")) == step_free
+    assert "mult: anchor equivariance of multiplication" in [
+        r["name"] for r in broken if r["status"] == "fail"]
+
+
+def test_a_stopped_suite_under_all_costs_only_its_own_records(monkeypatch, capsys):
+    # a broken triple stops mult in its set-up, and fails each dressing
+    # record that reads it; every other suite keeps its bytes
+    from courantlab import suites
+
+    monkeypatch.setattr(suites, "get_triple_context", lambda name: _broken_triple())
+    assert main(["verify", "all", "--seed", "1", "--json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    (stopped,) = [r for r in records if r["name"].startswith("mult: ")]
+    assert stopped["name"] == "mult: mult suite stopped" and "NotLagrangianError" in stopped["detail"]
+    default = json.loads(ALL_SEED_1.read_text())["records"]
+    assert _records_but(records, ("mult", "dressing")) == _records_but(default, ("mult", "dressing"))
 
 
 def _strict_json(text):
@@ -337,12 +385,12 @@ def test_schouten_ladder_with_zero_rungs_passes(samples, capsys):
 
 
 def test_ladder_record_never_writes_a_non_finite_residual():
-    from courantlab.suites import _ladder_rec
+    from courantlab.suites import _ladder, _rec
 
-    assert _ladder_rec("r", 8.0, 2.0) == {"name": "r", "status": "pass", "residual": 4.0}
-    assert _ladder_rec("r", 0.0, 0.0)["status"] == "pass"
+    assert _rec("r", *_ladder(8.0, 2.0)) == {"name": "r", "status": "pass", "residual": 4.0}
+    assert _rec("r", *_ladder(0.0, 0.0))["status"] == "pass"
     for coarse, fine in ((1e-8, 0.0), (float("inf"), 1e-8), (float("nan"), 1e-8)):
-        rec = _ladder_rec("r", coarse, fine)
+        rec = _rec("r", *_ladder(coarse, fine))
         assert rec["status"] == "fail" and "residual" not in rec and rec["detail"]
 
 
@@ -560,7 +608,7 @@ def test_mult_suite_builds_no_pi_for_its_product_splittings(calls):
 
     bivectors = calls(lagrel, "splitting_bivector")
     t = sl2_triangular_triple()
-    records = suites.suite_mult(t, samples=2)
+    records = suites.run_suite("mult", samples=2)
     assert all(r["status"] == "pass" for r in records)
     # the source splittings live on (d (+) d-bar)^2; pi+- on d (+) d-bar
     assert 2 * t.d_ctx.double_algebra.dim not in [s.space.dim for s, in bivectors]
@@ -713,15 +761,16 @@ def test_exact_paths_never_load_numpy(argv, double_json):
 # the report digests of `verify SUITE --h 1e300 --json`, as before the
 # float warnings were silenced
 OVERFLOW_DIGESTS = {
-    "schouten": "f85762d900c432cb8d52333a82c479597f2d839f31cb9d2b165c71fba975c138",
-    "dressing": "27206a39b311e6731d107a3692ccdc7a81c514b1148ceb85dfc7af52d20798b7",
+    "schouten": "36ca69bc67f02ece9b649b656095c1fa26a07c224a5fc20f088ff9cec7f0ba05",
+    "dressing": "41ca112eacae7cfda8e85df9a74d7b2e6b91e140b9ebdec2527639ee54c9c7db",
 }
 
 
 @pytest.mark.parametrize("suite", sorted(OVERFLOW_DIGESTS))
 def test_an_overflowing_step_fails_without_float_warnings(suite):
-    # a step of 1e300 overflows the FD work: its non-finite residuals fail
-    # their records, and numpy's float warnings stay off stderr
+    # a step of 1e300 overflows the FD work: each FD record fails, on a
+    # non-finite residual or on the text of its breakdown (a singular chart
+    # solve), and numpy's float warnings stay off stderr while checks run
     proc = _fresh_interpreter("from courantlab.cli import main\n"
                               f"sys.exit(main(['verify', {suite!r}, '--h', '1e300', '--json']))")
     assert proc.returncode == 2 and proc.stderr == ""

@@ -860,6 +860,15 @@ def test_from_json_keeps_the_callers_ambient_dim():
         ExactSubspace.from_json({"basis": [[0], [-1]], "ambient_dim": 1}, ambient_dim=2)
 
 
+def test_an_empty_basis_is_not_eliminated_column_by_column():
+    # the elimination stops once every row has a pivot, so no rows stop it
+    # at once, at a stated ambient_dim no loop over the columns could reach
+    empty = ExactSubspace.from_json({"basis": [], "ambient_dim": 10**12})
+    assert empty.dim == 0 and empty.ambient_dim == 10**12
+    assert exactlin._eliminate([], 10**12, reduced=True) == []
+    assert exactlin._eliminate([[0, 2, 0]], 10**12, reduced=True) == [1]
+
+
 # --- meet and the sparse Gram columns against the dense references -----------
 
 def _dense_split_form(rng, k):

@@ -331,6 +331,19 @@ def test_related_lagrangian_matches_the_reduced_iso():
     assert outcomes[True] > 600 and outcomes[False] > 0
 
 
+def test_related_splitting_decides_no_lagrangian_again(calls):
+    # each Splitting decided its halves Lagrangian when it was built; the
+    # public related_lagrangian keeps its check for outside callers
+    rng = random.Random(5)
+    r = random_relation(rng, 2, 3)
+    s, s_prime = random_lagrangian_splitting(rng, 2), random_lagrangian_splitting(rng, 3)
+    decided = calls(BilinearForm, "is_lagrangian")
+    related_splitting(s, s_prime, r)
+    assert decided == []
+    related_lagrangian(s.e, s_prime.e, r)
+    assert [sub for _, sub in decided] == [s.e, s_prime.e]
+
+
 def test_relatedness_builds_no_quotient(calls):
     # the verdict is a subspace identity: no quotient coordinates, no
     # coordinatizer and no reduced isomorphism

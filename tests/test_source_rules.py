@@ -14,8 +14,9 @@ read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
 _over_lcm, no .sum(...) of an .intersect(...) (lagrel.Splitting.splits
 decides that statement by two meets), no int_matrix, rank, inverse or
 ExactSubspace.span call on a .matrix attribute, no mat_mul call
-directly inside another mat_mul call, and no read of the kept bracket
-table (_sparse, _den) outside quadlie.
+directly inside another mat_mul call, no read of the kept bracket
+table (_sparse, _den) outside quadlie, and no except naming
+ArithmeticError or ValueError in a suite_* function or cli.cmd_verify.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -61,7 +62,10 @@ constants have one public form, QuadraticLieAlgebra.bracket, and one
 derived table, the sparse integer rows _sparse over _den that the
 constructor builds from it, so a module that reads that table depends on
 a private layout that only quadlie keeps in step with bracket (bracket,
-bracket_basis and bracket_vec are the readers the other modules have).
+bracket_basis and bracket_vec are the readers the other modules have);
+and a numeric breakdown has one handler, the runner suites._run, which
+fails only the record whose check broke down, where a handler in a suite
+or around it ends the suite, or every suite, at the first breakdown.
 """
 
 import ast
@@ -727,3 +731,51 @@ def test_the_bracket_table_rule_catches_each_form():
     for src in ("alg.bracket", "alg.bracket_basis(i, j)", "form._ints[1]", "row_den = den",
                 "sparse = 1", "x.sparse", "'_dense'"):
         assert _bracket_table_reads(ast.parse(src)) == [], src
+
+
+BREAKDOWNS = {"ArithmeticError", "ValueError"}
+
+
+def _breakdown_lines(fn: ast.AST) -> list[int]:
+    """The lines of the except clauses under fn that name ArithmeticError
+    or ValueError."""
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and BREAKDOWNS & {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                              if isinstance(n, (ast.Name, ast.Attribute))}]
+
+
+def _breakdown_handlers(tree: ast.AST, module: str) -> list[str]:
+    """The breakdown handlers inside a suite_* function (its checks
+    included) or, in cli.py, cmd_verify."""
+    return [f"{fn.name} line {line}" for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and (fn.name.startswith("suite_") or (module, fn.name) == ("cli.py", "cmd_verify"))
+            for line in _breakdown_lines(fn)]
+
+
+def test_a_breakdown_is_handled_by_the_runner_alone():
+    tree = ast.parse((SOURCES[0].parent / "suites.py").read_text())
+    (runner,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_run"]
+    assert _breakdown_lines(runner)
+    bad = {p.name: v for p in SOURCES if (v := _breakdown_handlers(ast.parse(p.read_text()), p.name))}
+    assert bad == {}
+
+
+def test_the_breakdown_handler_rule_catches_each_form():
+    body = "    try:\n        x = 1\n    except {}:\n        pass\n"
+    for handler in ("ValueError", "ValueError as exc", "(ArithmeticError, KeyError)",
+                    "builtins.ValueError", "ZeroDivisionError | ValueError"):
+        src = "def suite_x():\n" + body.format(handler)
+        assert _breakdown_handlers(ast.parse(src), "suites.py") == ["suite_x line 4"], src
+    nested = "def suite_x():\n    def check():\n    " + body.format("ValueError").replace("\n    ", "\n        ")
+    assert _breakdown_handlers(ast.parse(nested), "suites.py") == ["suite_x line 5"]
+    cli = "def cmd_verify(args):\n" + body.format("(ArithmeticError, ValueError) as exc")
+    assert _breakdown_handlers(ast.parse(cli), "cli.py") == ["cmd_verify line 4"]
+    for module, name, handler in (("suites.py", "suite_x", "KeyError"),
+                                  ("suites.py", "suite_x", "anchored.CourantStructureError"),
+                                  ("suites.py", "_run", "ValueError"),
+                                  ("cli.py", "cmd_validate", "ValueError"),
+                                  ("suites.py", "cmd_verify", "ValueError")):
+        src = f"def {name}():\n" + body.format(handler)
+        assert _breakdown_handlers(ast.parse(src), module) == [], (module, name, handler)
