@@ -19,19 +19,19 @@ from .exactlin import (
     ExactSubspace,
     Matrix,
     NotLagrangianError,
-    QuotientMap,
+    SingularMatrixError,
     Vector,
+    _eliminate,
     add_vec,
+    frac_matrix,
     hstack,
     int_matrix,
     int_products,
     mat_mul,
-    mat_scale,
     mat_vec,
     matrix,
     nullspace,
     product_subspace,
-    quotient_coords,
     rank,
     scale_vec,
     transpose,
@@ -308,12 +308,33 @@ def courant_bracket_jet_closed(
 
 @dataclass(frozen=True)
 class PointPullback:
-    """Pointwise pull-back data along a chart map differential; the
-    quotient's W1 and W0 are the constraint C and its orthogonal."""
+    """Pointwise pull-back data along a chart map differential dPhi, on
+    algebra (+) Q^s (+) Q^s* with the nondegenerate form G = B (+) H_s.
+    The constraint C = ker K is {(x, v, mu) : a x = dPhi v}, for the integer
+    rows K = [-a | dPhi | 0], and C-perp is spanned by the rows of K G^-1.
+    C / C-perp has dimension n + 2s - 2m and carries the form G descends
+    to and the anchor that reads the v-block."""
 
-    quotient: QuotientMap
-    reduced_form: BilinearForm
-    reduced_anchor: Matrix  # source chart dim x reduced dim
+    form: BilinearForm
+    constraint: tuple  # K, m integer rows
+    perp: list  # K G^-1 up to one scale: a basis of C-perp
+    algebra_dim: int
+
+    def descend(self, rows: Matrix) -> tuple[Matrix, Matrix] | None:
+        """The Gram matrix L G L^T of the classes of the rows L in C / C-perp
+        and their reduced anchor (column i the v-block of row i), when the
+        classes are a basis; None when a row is outside C (K L^T != 0) or
+        they are not a basis (rank [C-perp; L] != dim C, or a wrong count)."""
+        lifts, den = int_matrix(rows)
+        dim_c, m = self.form.dim - len(self.perp), len(self.perp)
+        if len(lifts) != dim_c - m or any(map(any, int_products(lifts, self.constraint))):
+            return None
+        if len(_eliminate(self.perp + list(lifts), self.form.dim, reduced=False)) < dim_c:
+            return None
+        n, (_, dg) = self.algebra_dim, self.form._ints
+        v_blocks = zip(*[row[n:(n + self.form.dim) // 2] for row in lifts])
+        return (frac_matrix(int_products(self.form._applied(lifts), lifts), den * den * dg),
+                frac_matrix(v_blocks, den))
 
 
 @lru_cache(maxsize=64)
@@ -323,40 +344,27 @@ def _pullback_form(form: BilinearForm, s_dim: int) -> BilinearForm:
 
 
 def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
-    """Pull the anchored fiber back along d(Phi): T_s S -> T_m M.
-
-    Requires ran(dPhi) + ran(a) to fill the chart.  The reduced rank is
-    asserted to be dim(algebra) - 2 (dim M - dim S).
-    """
-    dphi = matrix(dphi)
-    a = pt.anchor
-    m = pt.chart_dim
-    s_dim = len(dphi[0]) if dphi else 0
-    if len(dphi) != m:
+    """Pull the anchored fiber back along d(Phi): T_s S -> T_m M by integer
+    products over K.  dPhi must be transverse to a (rank K = m, one
+    elimination) and C coisotropic (K G^-1 K^T = 0); the anchor descends
+    when C-perp has a zero v-block.  A degenerate B is a ValueError."""
+    (a, da), (d, dd) = pt._ints, int_matrix(dphi)
+    m, n = pt.chart_dim, pt.algebra.dim
+    if len(d) != m:
         raise DimensionMismatchError("dPhi rows must match the target chart")
-    n = pt.algebra.dim
-    c = nullspace(hstack(mat_scale(-1, a), dphi, zeros(m, s_dim)), n + 2 * s_dim)
-    # the constraint [-a | dPhi | 0] has the rank of [dPhi | a]
-    if c.dim != n + 2 * s_dim - m:
+    s_dim = len(d[0]) if d else 0
+    k = hstack([[-dd * x for x in row] for row in a], [[da * y for y in row] for row in d], [(0,) * s_dim] * m)
+    if len(_eliminate(list(k), n + 2 * s_dim, reduced=False)) < m:
         raise ValueError("dPhi is not transverse to the anchor")
-    ambient_form = _pullback_form(pt.algebra.form, s_dim)
-    c_perp = ambient_form.orth_complement(c)
-    if not c.contains_subspace(c_perp):
+    form = _pullback_form(pt.algebra.form, s_dim)
+    try:
+        inverse, _ = form._inverse
+    except SingularMatrixError:
+        raise ValueError("the algebra's form B is degenerate, so B (+) H has no inverse") from None
+    # G^-1 is symmetric: its rows are its columns
+    perp = int_products(k, inverse)
+    if any(map(any, int_products(k, perp))):
         raise CourantStructureError("pull-back constraint is not coisotropic")
-    for row in c_perp.basis:
-        if any(x != 0 for x in row[n:n + s_dim]):
-            raise CourantStructureError("quotient anchor is not well-defined")
-    q = quotient_coords(c, c_perp)
-    reduced_form = q.descended_form(ambient_form)
-    expected = n - 2 * (m - s_dim)
-    if q.dim != expected:
-        raise CourantStructureError(
-            f"reduced rank {q.dim} != expected {expected}"
-        )
-    # every point builds a new form: read its rank, keep no signature
-    if rank(reduced_form._ints[0]) < q.dim:
-        raise CourantStructureError("reduced form is degenerate")
-    anchor_rows = tuple(
-        tuple(q.complement[k][n + j] for k in range(q.dim)) for j in range(s_dim)
-    )
-    return PointPullback(q, reduced_form, anchor_rows)
+    if any(x for row in perp for x in row[n:n + s_dim]):
+        raise CourantStructureError("quotient anchor is not well-defined")
+    return PointPullback(form, k, perp, n)

@@ -477,13 +477,14 @@ def pair_multiplication_check(
     a(z)|_{ga gb}; returns the max-abs residual over a parameter basis.
     """
     k = pa.ctx.dim
-    a_ga, a_gb, a_prod = (np_matrix(p.anchor.anchor) for p in (pa, pb, pab))
-    # e = (a, b, c) runs over a basis: z' = (a, b), z'' = (b, c), z = (a, c)
-    return worst(
-        max_abs(dmult @ np.concatenate([a_ga @ e[:2 * k], a_gb @ e[k:]])
-                - a_prod @ np.concatenate([e[:k], e[2 * k:]]))
-        for e in np.eye(3 * k)
-    )
+    a_ga, a_gb, a_prod = (np_matrix(p.anchor.anchor).T for p in (pa, pb, pab))
+    # e = (a, b, c) runs over a basis: z' = (a, b), z'' = (b, c), z = (a, c).
+    # An anchor applied to a unit vector is exactly the column it selects
+    # (finite floats), and dMult takes one matrix-vector product per e.
+    zero = np.zeros((k, k))
+    pushed = np.hstack([np.vstack([a_ga, zero]), np.vstack([zero, a_gb])])
+    direct = np.vstack([a_prod[:k], zero, a_prod[k:]])
+    return worst(max_abs(np.matmul(dmult, pushed[:, :, None])[:, :, 0] - direct, axis=(1,)))
 
 
 def multiplicativity_residual(dmult: np.ndarray, pi_a: np.ndarray, pi_b: np.ndarray,

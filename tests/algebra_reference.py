@@ -5,6 +5,11 @@
 invariance through ``pairing``, one dense call per index triple.  The
 sparse path must give the same records in the same order.
 
+``reference_pullback`` is the elimination path that
+``anchored.pullback_point`` replaced: C as the kernel of [-a | dPhi | 0],
+its orthogonal complement, quotient coordinates on C / C-perp, the
+descended form and the anchor read off the complement's v-block.
+
 ``sl_double(n)`` is sl_n (+) sl_n-bar with the trace form, of dimension
 2(n^2 - 1).  Run as a script it writes the double as ``validate`` input:
 
@@ -17,8 +22,24 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
-from courantlab.exactlin import add_vec, identity
+from courantlab.anchored import AnchoredPoint
+from courantlab.exactlin import (
+    BilinearForm,
+    ExactSubspace,
+    Matrix,
+    QuotientMap,
+    add_vec,
+    hstack,
+    identity,
+    mat_scale,
+    matrix,
+    nullspace,
+    quotient_coords,
+    zeros,
+)
+from courantlab.lagrel import hyperbolic_space
 from courantlab.quadlie import (
     QuadraticLieAlgebra,
     ValidationRecord,
@@ -56,6 +77,28 @@ def dense_validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
     if not alg.form.is_nondegenerate():
         records.append(ValidationRecord("degenerate_form", (), "det = 0"))
     return ValidationReport(tuple(records))
+
+
+class ReferencePullback(NamedTuple):
+    """The pull-back's C, the quotient C / C-perp (its W1 and W0), the
+    descended form and the reduced anchor (source chart dim x quotient dim)."""
+
+    c: ExactSubspace
+    quotient: QuotientMap
+    reduced_form: BilinearForm
+    reduced_anchor: Matrix
+
+
+def reference_pullback(pt: AnchoredPoint, dphi) -> ReferencePullback:
+    """The pull-back along dPhi by kernels and quotient coordinates, with
+    G = B (+) H_s; ValueError when C-perp is not inside C."""
+    dphi = matrix(dphi)
+    n, m, s = pt.algebra.dim, pt.chart_dim, len(dphi[0])
+    ambient = pt.algebra.form.direct_sum(hyperbolic_space(s).form)
+    c = nullspace(hstack(mat_scale(-1, pt.anchor), dphi, zeros(m, s)), n + 2 * s)
+    q = quotient_coords(c, ambient.orth_complement(c))
+    anchor = tuple(tuple(row[n + j] for row in q.complement) for j in range(s))
+    return ReferencePullback(c, q, q.descended_form(ambient), anchor)
 
 
 def _sl_basis(n: int) -> list[tuple[str, list[list[int]]]]:

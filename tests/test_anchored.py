@@ -37,6 +37,7 @@ from courantlab.exactlin import (
     DimensionMismatchError,
     ExactSubspace,
     NotLagrangianError,
+    SingularMatrixError,
     add_vec,
     identity,
     inverse,
@@ -57,6 +58,7 @@ from courantlab.randgen import (
     random_coisotropic_anchor,
     random_lagrangian_splitting,
 )
+from algebra_reference import reference_pullback
 
 AB2 = abelian_algebra_split2()
 AB4 = random_abelian_split_algebra(2)
@@ -482,15 +484,74 @@ def test_pullback_point_rank_and_restriction():
     # pull the Q^4 point back along the inclusion of a line
     dphi = matrix([(1,), (0,)])
     pb = pullback_point(PT4, dphi)
-    assert pb.quotient.dim == 4 - 2 * (2 - 1)
-    assert pb.reduced_form.is_nondegenerate()
+    ref = reference_pullback(PT4, dphi)
+    assert ref.quotient.dim == 4 - 2 * (2 - 1) == pb.form.dim - 2 * len(pb.perp)
+    assert ref.reduced_form.is_nondegenerate()
     # anchor descends: complement lifts carry the chart vector
-    assert len(pb.reduced_anchor) == 1
+    assert len(ref.reduced_anchor) == 1
+    # the complement is a basis of C / C-perp that descends to the reference
+    assert pb.descend(ref.quotient.complement) == (ref.reduced_form.matrix, ref.reduced_anchor)
     # failing transversality: zero anchor and a non-surjective dphi, and
     # a nonzero anchor whose range is the range of dphi ([dPhi | a] has rank 1)
     for anchor in (((0,) * 4, (0,) * 4), ((1, 0, 0, 0), (0,) * 4)):
         with pytest.raises(ValueError, match="not transverse"):
             pullback_point(AnchoredPoint(AB4, anchor, 2), dphi)
+
+
+def _pullback_cases():
+    """(point, dPhi): the D-point of Phi(g) along the inclusion at every
+    point of both shipped triples, then seeded coisotropic anchors with
+    dPhi = I."""
+    for name in TRIPLE_CONTEXT_NAMES:
+        t = get_triple_context(name)
+        for x in t.points:
+            yield x.phi.anchor, t.inclusion
+    rng = random.Random(43)
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        anchor, j = random_coisotropic_anchor(rng, k)
+        if j:
+            yield AnchoredPoint(random_abelian_split_algebra(k), anchor, j), identity(j)
+
+
+def test_pullback_perp_is_the_orthogonal_complement_of_the_constraint():
+    # the reference: C = ker K by elimination, C-perp as its orthogonal complement
+    cases = list(_pullback_cases())
+    assert len(cases) > 30
+    for pt, dphi in cases:
+        pb = pullback_point(pt, dphi)
+        ref = reference_pullback(pt, dphi)
+        n, m, s = pt.algebra.dim, pt.chart_dim, len(dphi[0])
+        assert pb.form == pt.algebra.form.direct_sum(hyperbolic_space(s).form)
+        assert ExactSubspace.span(pb.constraint).dim == m
+        assert nullspace(pb.constraint, n + 2 * s) == ref.c
+        assert ExactSubspace.span(pb.perp) == ref.quotient.w0 == pb.form.orth_complement(ref.c)
+        assert ref.quotient.dim == n + 2 * s - 2 * m
+        assert ref.reduced_form.is_nondegenerate()
+        assert pb.descend(ref.quotient.complement) == (ref.reduced_form.matrix, ref.reduced_anchor)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pullback_point(AnchoredPoint(AB2, identity(2), 2), identity(2)),
+     CourantStructureError, "not coisotropic"),
+    (lambda: pullback_point(AnchoredPoint(
+        QuadraticLieAlgebra.from_triples(2, [], [[1, 0], [0, 0]]), ((0, 1),), 1), ((1,),)),
+     ValueError, "form B is degenerate"),
+], ids=["not-coisotropic", "degenerate-form"])
+def test_pullback_refusals(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert not isinstance(raised.value, SingularMatrixError)
+
+
+def test_pullback_refuses_an_anchor_that_does_not_descend(monkeypatch):
+    # with the hyperbolic H_s, C-perp = [-a B^-1 | 0 | dPhi] never has a
+    # v-block; a form that pairs v with v gives one: over B = (-1), a = dPhi = 1
+    # and G = diag(-1, 1, 1), C-perp = (1, 1, 0) lies in C = ker(-1, 1, 0)
+    monkeypatch.setattr(anchored, "_pullback_form",
+                        lambda form, s: form.direct_sum(BilinearForm(identity(2 * s))))
+    with pytest.raises(CourantStructureError, match="not well-defined"):
+        pullback_point(AnchoredPoint(QuadraticLieAlgebra.from_triples(1, [], [[-1]]), ((1,),), 1), ((1,),))
 
 
 def _scaled_form(alg, c):
@@ -508,11 +569,14 @@ def test_pullback_ambient_form_is_kept_per_form_and_chart_dimension():
     reduced = []
     for c in (1, 2):
         alg = _scaled_form(t.d_algebra, c)
-        pb = pullback_point(AnchoredPoint(alg, left.anchor, left.chart_dim), identity(3))
+        pt = AnchoredPoint(alg, left.anchor, left.chart_dim)
+        pb = pullback_point(pt, identity(3))
         ambient = alg.form.direct_sum(hyperbolic_space(3).form)
-        assert pb.quotient.w0 == ambient.orth_complement(pb.quotient.w1)
-        assert pb.reduced_form == pb.quotient.descended_form(ambient)
-        reduced.append(pb.reduced_form)
+        assert pb.form == ambient
+        ref = reference_pullback(pt, identity(3))
+        assert ref.quotient.w0 == ambient.orth_complement(ref.quotient.w1)
+        assert ref.reduced_form == ref.quotient.descended_form(ambient)
+        reduced.append(ref.reduced_form)
     assert reduced[1] == BilinearForm(mat_scale(2, reduced[0].matrix))
 
 

@@ -45,7 +45,6 @@ from courantlab.diffnum import (
     worst,
 )
 from courantlab.exactlin import (
-    BilinearForm,
     Coordinatizer,
     DimensionMismatchError,
     ExactSubspace,
@@ -89,6 +88,7 @@ from courantlab.quadlie import (
     validate_algebra,
     validate_manin_triple,
 )
+from algebra_reference import reference_pullback
 from exact_strategies import rationals
 
 CTX = sl2_context()
@@ -232,10 +232,39 @@ def test_dressing_pullback_identification():
         assert dressing_pullback_check(x)
 
 
+DESCEND = anchored.PointPullback.descend
+
+
+def _descending(monkeypatch, mutate):
+    """Make PointPullback.descend descend mutate(pb, rows) in place of the
+    rows it is given; returns the (pb, rows) it descended."""
+    seen = []
+
+    def descend(pb, rows):
+        seen.append((pb, mutate(pb, rows)))
+        return DESCEND(pb, seen[-1][1])
+
+    monkeypatch.setattr(anchored.PointPullback, "descend", descend)
+    return seen
+
+
+def _plus(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def _reference_steps(x, pb, lifts):
+    """(lifts in C, their classes a basis of C / C-perp, their Gram matrix
+    the d-bar form), by the reference pull-back's kernels and quotient."""
+    ref = reference_pullback(x.phi.anchor, TRIPLE.inclusion)
+    in_c = all(ref.c.contains(row) for row in lifts)
+    basis = len(lifts) == ref.quotient.dim and ExactSubspace.span(ref.quotient.w0.basis + lifts) == ref.c
+    return in_c, basis, mat_mul(lifts, pb.form.matrix, transpose(lifts)) == TRIPLE.d_bar.form.matrix
+
+
 def test_dressing_pullback_check_rejects_a_lift_outside_c(monkeypatch):
     # a sign-flipped nonzero column of the kept right anchor moves that
-    # phi^R lift off C: the quotient's rebuild check raises, the check
-    # returns False
+    # phi^R lift off C, and so does adding a v-direction to a lift: the
+    # check returns False where the reference finds a lift outside C
     x = TRIPLE.points[2]
     right, left = x.dressing
     b = next(b for b, col in enumerate(transpose(right.anchor)) if any(col))
@@ -245,49 +274,46 @@ def test_dressing_pullback_check_rejects_a_lift_outside_c(monkeypatch):
     )
     fresh = liegrp.G1Point(TRIPLE, x.g1, x.phi)
     vars(fresh)["dressing"] = (replace(right, anchor=flipped), left)
-    raised = []
-    original = exactlin.QuotientMap.coords_rows
-
-    def spy(self, vs):
-        try:
-            return original(self, vs)
-        except DimensionMismatchError as err:
-            raised.append(err)
-            raise
-
-    monkeypatch.setattr(exactlin.QuotientMap, "coords_rows", spy)
+    seen = _descending(monkeypatch, lambda pb, rows: rows)
     assert dressing_pullback_check(x)
-    assert raised == []
+    assert _reference_steps(x, *seen.pop()) == (True, True, True)
     assert dressing_pullback_check(fresh) is False
-    assert len(raised) == 1
+    assert _reference_steps(x, *seen.pop())[0] is False
+    seen = _descending(monkeypatch, lambda pb, rows: (
+        _plus(rows[0], identity(pb.form.dim)[pb.algebra_dim]),) + rows[1:])
+    assert dressing_pullback_check(x) is False
+    assert _reference_steps(x, *seen.pop())[0] is False
 
 
 def test_dressing_pullback_check_rejects_a_wrong_rank_or_gram(monkeypatch):
-    # the lifts stay in C, so the check reaches its rank and Gram tests:
-    # quotient coordinates with the last copied from the first have a
-    # dependent row, and a doubled reduced form has the wrong Gram matrix
+    # the mutated lifts stay in C, so the check reaches its later steps:
+    # the last lift replaced by the first plus a C-perp row depends on the
+    # others modulo C-perp, and a doubled lift has the wrong Gram matrix;
+    # a C-perp row added to a lift changes no class, and the check holds
     x = TRIPLE.points[2]
-    original = liegrp.pullback_point
+    mutants = {
+        "shifted": (lambda pb, rows: (_plus(rows[0], pb.perp[0]),) + rows[1:], (True, True, True)),
+        "dependent": (lambda pb, rows: rows[:-1] + (_plus(rows[0], pb.perp[0]),), (True, False, False)),
+        "doubled": (lambda pb, rows: mat_scale(2, rows[:1]) + rows[1:], (True, True, False)),
+    }
+    for name, (mutate, steps) in mutants.items():
+        seen = _descending(monkeypatch, mutate)
+        assert dressing_pullback_check(x) is all(steps), name
+        assert _reference_steps(x, *seen.pop()) == steps, name
 
-    class CopiedCoordinate:
-        def __init__(self, quotient):
-            self.quotient = quotient
 
-        def coords_rows(self, vs):
-            return tuple(c[:-1] + c[:1] for c in self.quotient.coords_rows(vs))
-
-    def dependent(pt, dphi):
-        pb = original(pt, dphi)
-        return replace(pb, quotient=CopiedCoordinate(pb.quotient))
-
-    def doubled(pt, dphi):
-        pb = original(pt, dphi)
-        return replace(pb, reduced_form=BilinearForm(mat_scale(2, pb.reduced_form.matrix)))
-
-    assert dressing_pullback_check(x)
-    for patched in (dependent, doubled):
-        monkeypatch.setattr(liegrp, "pullback_point", patched)
-        assert dressing_pullback_check(x) is False, patched.__name__
+def test_dressing_pullback_check_eliminates_twice_per_point(calls):
+    # no quotient coordinates and no coordinatizer: one elimination for
+    # transversality and one for the basis, plus the new ambient form's inverse
+    points = TRIPLE.points[:10]
+    assert all(dressing_pullback_check(x) for x in points)
+    anchored._pullback_form.cache_clear()
+    quotients = calls(exactlin, "quotient_coords")
+    coordinatizers = calls(exactlin.Coordinatizer, "of_rows")
+    eliminations = calls(exactlin, "_eliminate")
+    assert all(dressing_pullback_check(x) for x in points)
+    assert quotients == [] and coordinatizers == []
+    assert len(eliminations) <= 2 * len(points) + 1
 
 
 def test_p_phi_backward_images():
