@@ -9,9 +9,9 @@ diagonal relation); the numeric layer keeps its own float anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache, wraps
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exactlin import (
     BilinearForm,
@@ -22,15 +22,16 @@ from .exactlin import (
     SingularMatrixError,
     Vector,
     _eliminate,
+    _kernel_rows,
+    _sparse_products,
     add_vec,
     frac_matrix,
     hstack,
     int_matrix,
     int_products,
-    mat_mul,
+    lowest_terms,
     mat_vec,
     matrix,
-    nullspace,
     product_subspace,
     rank,
     scale_vec,
@@ -59,28 +60,38 @@ class CourantStructureError(ValueError):
 class AnchoredPoint:
     """Action matrix of a quadratic Lie algebra at one chart point.
 
-    The anchor is an exact matrix, also kept as integer rows over one
-    denominator; a float entry raises TypeError at construction.  The
-    point builds its exact data on first use and keeps it: stabilizer,
-    coisotropy verdict, metric-dual anchor, and in ``kept`` by (kind,
-    value) a(S) ("image", S), L_m ("lm", F), and pi_m, the rank formula
-    and the leaf verdict ("pi", "rank", "leaf", by the splitting).
+    The anchor is kept as integer rows over one denominator in lowest
+    terms, which decide equality; an exact matrix (a float entry raises
+    TypeError) or ``of_ints`` gives them, and the Fraction ``anchor`` is
+    built on first read.  The point builds its exact data on first use
+    and keeps it: stabilizer, coisotropy verdict, metric-dual anchor, and
+    in ``kept`` by (kind, value) a(S) ("image", S), L_m ("lm", F), and
+    pi_m, the rank formula and the leaf verdict ("pi", "rank", "leaf", by
+    the splitting).
     """
 
     algebra: QuadraticLieAlgebra
-    anchor: tuple
+    entries: InitVar[Matrix | None]
     chart_dim: int
-    _ints: tuple = field(init=False, repr=False, compare=False)
+    _ints: tuple = field(default=None, kw_only=True, repr=False)
     kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        rows = matrix(self.anchor)
-        object.__setattr__(self, "anchor", rows)
-        if len(rows) != self.chart_dim or any(
-            len(r) != self.algebra.dim for r in rows
-        ):
+    def __post_init__(self, entries):
+        if self._ints is None:
+            object.__setattr__(self, "_ints", int_matrix(matrix(entries)))
+        rows = self._ints[0]
+        if len(rows) != self.chart_dim or any(len(r) != self.algebra.dim for r in rows):
             raise DimensionMismatchError("anchor must be chart_dim x algebra dim")
-        object.__setattr__(self, "_ints", int_matrix(rows))
+
+    @classmethod
+    def of_ints(cls, algebra: QuadraticLieAlgebra, table, den: int, chart_dim: int) -> "AnchoredPoint":
+        """The point of the anchor table / den (den > 0), kept in lowest terms."""
+        return cls(algebra, None, chart_dim, _ints=lowest_terms(table, den))
+
+    @cached_property
+    def anchor(self) -> Matrix:
+        """The anchor as Fractions, read back from the kept integer rows."""
+        return frac_matrix(*self._ints)
 
     def _keep(self, key, build):
         """The kept value for ``key``; ``build()`` makes it on a miss only."""
@@ -92,7 +103,7 @@ class AnchoredPoint:
     @cached_property
     def stabilizer(self) -> ExactSubspace:
         """ker(a_m) as a subspace of the algebra."""
-        return nullspace(self.anchor, self.algebra.dim)
+        return ExactSubspace.of_rows(self.algebra.dim, _kernel_rows(list(self._ints[0]), self.algebra.dim))
 
     @cached_property
     def coisotropy(self) -> tuple[bool, Vector | None]:
@@ -105,8 +116,10 @@ class AnchoredPoint:
 
     @cached_property
     def dual(self) -> Matrix:
-        """a* = B^-1 a^T, the metric-dual map from chart covectors."""
-        return mat_mul(self.algebra.form.inverse_matrix, transpose(self.anchor))
+        """a* = B^-1 a^T, the metric-dual map from chart covectors: the
+        form's integer inverse against the anchor rows (the columns of a^T)."""
+        (inv, di), (a, da) = self.algebra.form._inverse, self._ints
+        return frac_matrix(int_products(inv, a), di * da)
 
     @cached_property
     def dual_range(self) -> ExactSubspace:
@@ -149,23 +162,29 @@ def bivector_at(pt: AnchoredPoint, s: Splitting) -> Bivector:
 
 
 def _stabilizer_meet(pt: AnchoredPoint, lag: ExactSubspace) -> ExactSubspace:
-    """ker(a) cap L for a Lagrangian L; NotLagrangianError otherwise."""
-    if not pt.algebra.form.is_lagrangian(lag):
-        raise NotLagrangianError("the subspace is not Lagrangian")
+    """ker(a) cap L for an L the caller decided Lagrangian."""
     return ExactSubspace.of_rows(pt.algebra.dim, pt.algebra.form.meet(pt.stabilizer.rows, lag))
 
 
 @_kept("lm")
 def drinfeld_lagrangian(pt: AnchoredPoint, f: ExactSubspace) -> ExactSubspace:
-    """L_m = ran(a*) + (ker(a) cap F) for a Lagrangian F; Lagrangian at valid points."""
+    """L_m = ran(a*) + (ker(a) cap F) for a Lagrangian F, NotLagrangianError
+    otherwise; Lagrangian at valid points."""
+    if not pt.algebra.form.is_lagrangian(f):
+        raise NotLagrangianError("the subspace is not Lagrangian")
     return pt.dual_range.sum(_stabilizer_meet(pt, f))
+
+
+def splitting_drinfeld(pt: AnchoredPoint, s: Splitting) -> ExactSubspace:
+    """drinfeld_lagrangian at the F of a splitting, which decided F Lagrangian."""
+    return pt._keep(("lm", s.f), lambda: pt.dual_range.sum(_stabilizer_meet(pt, s.f)))
 
 
 @_kept("rank")
 def rank_formula(pt: AnchoredPoint, s: Splitting) -> int:
     """dim a(F) - dim(L_m cap E); cross-checked against the matrix rank."""
     require_coisotropic(pt)
-    lm = drinfeld_lagrangian(pt, s.f)
+    lm = splitting_drinfeld(pt, s)
     if not pt.algebra.form.is_lagrangian(lm):
         raise CourantStructureError("L_m failed to be Lagrangian")
     value = anchor_image(pt, s.f).dim - (lm.dim + s.e.dim - lm.sum(s.e).dim)
@@ -187,7 +206,7 @@ def leaf_condition(pt: AnchoredPoint, s: Splitting) -> bool:
     """
     require_coisotropic(pt)
     ker = pt.stabilizer
-    holds = drinfeld_lagrangian(pt, s.f).sum(_stabilizer_meet(pt, s.e)) == ker
+    holds = splitting_drinfeld(pt, s).sum(_stabilizer_meet(pt, s.e)) == ker
     sharp = bivector_at(pt, s).sharp_range()
     cap = anchor_image(pt, s.e).intersect(anchor_image(pt, s.f))
     if holds and sharp != cap:
@@ -320,12 +339,12 @@ class PointPullback:
     perp: list  # K G^-1 up to one scale: a basis of C-perp
     algebra_dim: int
 
-    def descend(self, rows: Matrix) -> tuple[Matrix, Matrix] | None:
-        """The Gram matrix L G L^T of the classes of the rows L in C / C-perp
-        and their reduced anchor (column i the v-block of row i), when the
-        classes are a basis; None when a row is outside C (K L^T != 0) or
-        they are not a basis (rank [C-perp; L] != dim C, or a wrong count)."""
-        lifts, den = int_matrix(rows)
+    def descend(self, lifts: Sequence[Sequence[int]], den: int) -> tuple[tuple, tuple] | None:
+        """The Gram matrix L G L^T of the classes of the rows L = lifts / den
+        in C / C-perp and their reduced anchor (column i the v-block of row
+        i), as integer tables in lowest terms, when the classes are a basis;
+        None when a row is outside C (K L^T != 0) or they are not a basis
+        (rank [C-perp; L] != dim C, or a wrong count)."""
         dim_c, m = self.form.dim - len(self.perp), len(self.perp)
         if len(lifts) != dim_c - m or any(map(any, int_products(lifts, self.constraint))):
             return None
@@ -333,8 +352,8 @@ class PointPullback:
             return None
         n, (_, dg) = self.algebra_dim, self.form._ints
         v_blocks = zip(*[row[n:(n + self.form.dim) // 2] for row in lifts])
-        return (frac_matrix(int_products(self.form._applied(lifts), lifts), den * den * dg),
-                frac_matrix(v_blocks, den))
+        return (lowest_terms(int_products(self.form._applied(lifts), lifts), den * den * dg),
+                lowest_terms(v_blocks, den))
 
 
 @lru_cache(maxsize=64)
@@ -343,12 +362,13 @@ def _pullback_form(form: BilinearForm, s_dim: int) -> BilinearForm:
     return form.direct_sum(hyperbolic_space(s_dim).form)
 
 
-def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
-    """Pull the anchored fiber back along d(Phi): T_s S -> T_m M by integer
-    products over K.  dPhi must be transverse to a (rank K = m, one
-    elimination) and C coisotropic (K G^-1 K^T = 0); the anchor descends
+def pullback_point(pt: AnchoredPoint, dphi: tuple[Sequence[Sequence[int]], int]) -> PointPullback:
+    """Pull the anchored fiber back along d(Phi): T_s S -> T_m M, integer
+    rows over one denominator, by integer products over K.  dPhi must be
+    transverse to a (rank K = m, one elimination) and C coisotropic
+    (K G^-1 K^T = 0, G^-1 read by its kept nonzeros); the anchor descends
     when C-perp has a zero v-block.  A degenerate B is a ValueError."""
-    (a, da), (d, dd) = pt._ints, int_matrix(dphi)
+    (a, da), (d, dd) = pt._ints, dphi
     m, n = pt.chart_dim, pt.algebra.dim
     if len(d) != m:
         raise DimensionMismatchError("dPhi rows must match the target chart")
@@ -358,11 +378,11 @@ def pullback_point(pt: AnchoredPoint, dphi: Matrix) -> PointPullback:
         raise ValueError("dPhi is not transverse to the anchor")
     form = _pullback_form(pt.algebra.form, s_dim)
     try:
-        inverse, _ = form._inverse
+        inverse_columns = form._inverse_columns
     except SingularMatrixError:
         raise ValueError("the algebra's form B is degenerate, so B (+) H has no inverse") from None
     # G^-1 is symmetric: its rows are its columns
-    perp = int_products(k, inverse)
+    perp = _sparse_products(k, inverse_columns)
     if any(map(any, int_products(k, perp))):
         raise CourantStructureError("pull-back constraint is not coisotropic")
     if any(x for row in perp for x in row[n:n + s_dim]):

@@ -224,7 +224,7 @@ def cmd_bivector(args) -> tuple[dict, int]:
         "coisotropic_stabilizer": cois,
     }
     if cois:
-        lm = anchored.drinfeld_lagrangian(pt, s.f)
+        lm = anchored.splitting_drinfeld(pt, s)
         report["formula_rank"] = anchored.rank_formula(pt, s)
         report["drinfeld_lagrangian"] = [[str(x) for x in row] for row in lm.basis]
         report["leaf_condition"] = anchored.leaf_condition(pt, s)

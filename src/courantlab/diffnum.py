@@ -29,7 +29,7 @@ import numpy as np
 
 from .exactlin import DimensionMismatchError, Vector
 from .lagrel import Splitting
-from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_value
+from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_values
 from .quadlie import QuadraticLieAlgebra, courant_tensor_on_basis
 
 ANTISYM_TOL = 1e-12
@@ -57,9 +57,12 @@ class ChartBivectorField:
         return p
 
 
-def np_matrix(m) -> np.ndarray:
-    """The float array of an exact vector, matrix or stack of matrices:
-    each entry converted once by float()."""
+def np_matrix(m, den: int = 1) -> np.ndarray:
+    """The float array of an exact vector, matrix or stack of matrices, each
+    entry converted once by float(); integer rows over den > 0 are read as
+    x / den, which rounds correctly: float(Fraction(x, den)) bit for bit."""
+    if den != 1:
+        m = [[x / den for x in row] for row in m]
     return np.array(m, dtype=float)
 
 
@@ -189,10 +192,10 @@ def _kept_tables(alg: QuadraticLieAlgebra, s: Splitting):
     return tuple((values, np_matrix(frame)) for values, frame in splitting_tensor_tables(alg, s))
 
 
-def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0) -> np.ndarray:
-    """a(Y^E) + a(Y^F) for a Lagrangian splitting, pushed to the chart."""
+def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0: tuple) -> np.ndarray:
+    """a(Y^E) + a(Y^F) for a Lagrangian splitting, pushed by the anchor's integer table."""
     (vals_e, wedge_e), (vals_f, wedge_f) = _kept_tables(alg, s)
-    a = np_matrix(anchor0)
+    a = np_matrix(*anchor0)
     return push_trivector(a, vals_e, wedge_e) + push_trivector(a, vals_f, wedge_f)
 
 
@@ -235,9 +238,9 @@ def action_axiom_check(
 
 
 def relatedness_check(dphi, pi_source, pi_target) -> float:
-    """max-norm residual of dPhi pi dPhi^T - pi', from exact or float
-    matrices."""
-    dphi, pi_source, pi_target = (np_matrix(m) for m in (dphi, pi_source, pi_target))
+    """max-norm residual of dPhi pi dPhi^T - pi', from integer tables
+    (rows, den) or float matrices over den 1."""
+    dphi, pi_source, pi_target = (np_matrix(*m) for m in (dphi, pi_source, pi_target))
     return max_abs(dphi @ pi_source @ dphi.T - pi_target)
 
 
@@ -358,8 +361,8 @@ class GroupChart:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """The basis as a (k, n, n) float array."""
-        return np_matrix(self.ctx.algebra_basis)
+        """The basis as a (k, n, n) float array, read off its integer rows."""
+        return np_matrix(*self.ctx.basis_ints).reshape(self.ctx.dim, *(self.ctx.ambient_size,) * 2)
 
     @cached_property
     def coordinatizer(self) -> np.ndarray:
@@ -375,7 +378,7 @@ class GroupChart:
     def double(self) -> tuple[np.ndarray, np.ndarray]:
         """(structure tensor, Gram matrix) of the double algebra in floats."""
         d = self.ctx.double_algebra
-        return structure_tensor_np(d), np_matrix(d.form.matrix)
+        return structure_tensor_np(d), np_matrix(*d.form._ints)
 
     def coords(self, elt: np.ndarray) -> np.ndarray:
         """Float coordinates over the basis of each ambient algebra element
@@ -407,8 +410,8 @@ def group_chart(ctx: GroupContext) -> GroupChart:
 @lru_cache(maxsize=64)
 def triple_floats(t: TripleContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p1, p2 and the pseudo-inverse of the inclusion of t, in floats."""
-    p1, p2 = t.splitting.projectors
-    return np_matrix(p1), np_matrix(p2), np.linalg.pinv(np_matrix(t.inclusion))
+    (p1, p2), den = t.splitting.projector_ints
+    return np_matrix(p1, den), np_matrix(p2, den), np.linalg.pinv(np_matrix(*t.inclusion_ints))
 
 
 # the double action on a group: a(u, v) = v^L - u^R ------------------------
@@ -416,7 +419,7 @@ def triple_floats(t: TripleContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 @lru_cache(maxsize=64)
 def _float_bivector(s: Splitting) -> np.ndarray:
     """The splitting's Pi in floats, converted once per splitting."""
-    return np_matrix(s.bivector.matrix)
+    return np_matrix(*s.bivector._ints)
 
 
 def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
@@ -477,7 +480,7 @@ def pair_multiplication_check(
     a(z)|_{ga gb}; returns the max-abs residual over a parameter basis.
     """
     k = pa.ctx.dim
-    a_ga, a_gb, a_prod = (np_matrix(p.anchor.anchor).T for p in (pa, pb, pab))
+    a_ga, a_gb, a_prod = (np_matrix(*p.anchor._ints).T for p in (pa, pb, pab))
     # e = (a, b, c) runs over a basis: z' = (a, b), z'' = (b, c), z = (a, c).
     # An anchor applied to a unit vector is exactly the column it selects
     # (finite floats), and dMult takes one matrix-vector product per e.
@@ -542,7 +545,7 @@ def phi_r_sections(t: TripleContext, d0: GroupPoint, zetas):
 def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
     """(values, FD jacobians) of the sections phi^R(zeta), zeta in
     ``zetas``, in the chart at d0; one stencil serves every section."""
-    values = [np_matrix(phi_r_value(t, d0, zeta)) for zeta in zetas]
+    values = np_matrix(*phi_r_values(t, d0, zetas))
     sections = phi_r_sections(t, d0, zetas)
     return values, central_difference(sections(stencil(np.zeros(t.d_algebra.dim), h)), h)
 
@@ -553,7 +556,7 @@ def phi_r_homomorphism_residual(
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
     structure, form = group_chart(t.d_ctx).double
     (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
-    got = courant_bracket_jets_np(structure, form, np_matrix(d0.anchor.anchor),
+    got = courant_bracket_jets_np(structure, form, np_matrix(*d0.anchor._ints),
                                   np_matrix(d0.anchor.dual), xv, xj, yv, yj)
-    want = np_matrix(phi_r_value(t, d0, t.d_algebra.bracket_vec(zeta, zeta2)))
+    (want,) = np_matrix(*phi_r_values(t, d0, (t.d_algebra.bracket_vec(zeta, zeta2),)))
     return max_abs(got - want)

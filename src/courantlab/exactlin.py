@@ -197,6 +197,14 @@ def _sparse_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[tupl
     return out
 
 
+def lowest_terms(table: Iterable[Iterable[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """An integer table over den > 0 with the gcd of den and every entry
+    divided out: equal matrices give equal pairs, the pair int_matrix gives."""
+    rows = tuple(map(tuple, table))
+    g = gcd(den, *chain.from_iterable(rows))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
 def frac_matrix(table: Iterable[Iterable[int]], den: int) -> Matrix:
     """An integer table over den as Fraction rows: the one way back from
     an integer product, normalising each entry once."""
@@ -207,17 +215,21 @@ def frac_matrix(table: Iterable[Iterable[int]], den: int) -> Matrix:
 # matrix), so a product with an empty right factor has no columns.
 
 
-def mat_mul(*factors: Matrix) -> Matrix:
-    """The product of a chain of factors: each is put into integer rows
-    once, the table is carried through ``int_products`` and read back once.
-    Raises DimensionMismatchError when two neighbours' shapes disagree."""
-    table, den = int_matrix(factors[0])
-    for factor in factors[1:]:
-        b, db = int_matrix(factor)
+def table_product(*tables: tuple[Sequence[Sequence[int]], int]) -> tuple[list, int]:
+    """The product of a chain of integer tables (rows, den) as one table by
+    ``int_products``; DimensionMismatchError when neighbours' shapes disagree."""
+    table, den = tables[0]
+    for b, db in tables[1:]:
         if b and table and len(table[0]) != len(b):
             raise DimensionMismatchError("matrix shapes disagree")
         table, den = int_products(table, list(zip(*b))) if b else [() for _ in table], den * db
-    return frac_matrix(table, den)
+    return table, den
+
+
+def mat_mul(*factors: Matrix) -> Matrix:
+    """The product of a chain of factors: each is put into integer rows
+    once, and the table product is read back once."""
+    return frac_matrix(*table_product(*map(int_matrix, factors)))
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
@@ -682,6 +694,11 @@ class BilinearForm:
     def _inverse(self) -> tuple[list[list[int]], int]:
         """B^-1 as integer rows over one denominator, built on first use; SingularMatrixError."""
         return _inverse_of(self._ints)
+
+    @cached_property
+    def _inverse_columns(self) -> list[tuple[tuple[int, int], ...]]:
+        """The nonzeros of each column (row) of B^-1, built on first use; SingularMatrixError."""
+        return _nonzeros(self._inverse[0])
 
     @cached_property
     def inverse_matrix(self) -> Matrix:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd
 from operator import neg
 
 from .exactlin import (
@@ -31,7 +30,7 @@ from .exactlin import (
     identity,
     int_matrix,
     int_products,
-    mat_add,
+    lowest_terms,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -298,8 +297,7 @@ class Bivector:
     def of_ints(cls, table: list[list[int]], den: int) -> "Bivector":
         """The bivector table / den (den > 0), keeping the table over the
         lcm of the entries' denominators, den / gcd(den, entries)."""
-        g = gcd(den, *(x for row in table for x in row))
-        return cls(None, _ints=(tuple(tuple(x // g for x in row) for row in table), den // g))
+        return cls(None, _ints=lowest_terms(table, den))
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -380,8 +378,9 @@ class Splitting:
         return splitting_bivector(self)
 
     @cached_property
-    def projectors(self) -> tuple[Matrix, Matrix]:
-        """(P_E, P_F): projections onto E along F and onto F along E.
+    def projector_ints(self) -> tuple[tuple[list[list[int]], list[list[int]]], int]:
+        """(P_E, P_F) as integer rows over one denominator: the projections
+        onto E along F and onto F along E.
 
         pr_E(w) = sum <w, f^i> e_i, so P_E = E^T D B for the dual frame D
         and the Gram matrix B; P_F = I - P_E.
@@ -390,8 +389,16 @@ class Splitting:
         form_rows, form_den = self.space.form._ints
         # B = N / n is symmetric: its columns are N's rows
         d_b = int_products(d, form_rows)
-        p_e = frac_matrix(int_products(list(zip(*self.e.rows)), list(zip(*d_b))), den * form_den)
-        return p_e, mat_add(identity(self.space.dim), mat_scale(-1, p_e))
+        p_e = int_products(list(zip(*self.e.rows)), list(zip(*d_b)))
+        den *= form_den
+        p_f = [[den * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(p_e)]
+        return (p_e, p_f), den
+
+    @cached_property
+    def projectors(self) -> tuple[Matrix, Matrix]:
+        """(P_E, P_F) as Fractions, read back from ``projector_ints``."""
+        (p_e, p_f), den = self.projector_ints
+        return frac_matrix(p_e, den), frac_matrix(p_f, den)
 
 
 def splitting_bivector(s: Splitting) -> Bivector:

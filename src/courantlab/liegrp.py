@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .exactlin import (
@@ -20,18 +20,18 @@ from .exactlin import (
     ExactSubspace,
     Matrix,
     Vector,
-    frac_matrix,
+    _kernel_rows,
     hstack,
     identity,
     int_matrix,
     int_products,
     inverse,
+    lowest_terms,
     mat_add,
     mat_mul,
     mat_scale,
-    mat_vec,
-    nullspace,
     product_subspace,
+    table_product,
     transpose,
     zeros,
 )
@@ -115,8 +115,9 @@ class GroupContext:
 class GroupPoint:
     """One element g of a context's group.
 
-    g^-1, Ad_g, Ad_{g^-1} and the anchor of the two-sided action at g
-    are built on first use and kept; g is inverted once.
+    g^-1, Ad_g and Ad_{g^-1} as integer tables and the anchor of the
+    two-sided action at g are built on first use and kept; g is inverted
+    once.
     """
 
     ctx: GroupContext
@@ -126,25 +127,26 @@ class GroupPoint:
     def inverse(self) -> Matrix:
         return inverse(self.g)
 
-    def _conjugation(self, h: Matrix, h_inv: Matrix) -> Matrix:
-        """Ad_h over the algebra basis, exact: column b holds the coordinates
-        of h b h^-1, two integer products with the kept basis rows, and all
-        are coordinatized by one product."""
+    def _conjugation(self, h: Matrix, h_inv: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Ad_h over the algebra basis as integer rows over one denominator,
+        in lowest terms: column b holds the coordinates of h b h^-1, two
+        integer products with the kept basis rows, and all are
+        coordinatized by one product."""
         n, (basis, db) = self.ctx.ambient_size, self.ctx.basis_ints
         (h_rows, dh), (inv_rows, di) = int_matrix(h), int_matrix(h_inv)
         inv_cols = list(zip(*inv_rows))
         conj = [[x for row in int_products(int_products(h_rows, [b[j::n] for j in range(n)]), inv_cols)
                  for x in row] for b in basis]
         coef, den = self.ctx.coordinatizer.coords_ints(conj, dh * db * di)
-        return frac_matrix(zip(*coef), den)
+        return lowest_terms(zip(*coef), den)
 
     @cached_property
-    def adjoint(self) -> Matrix:
+    def adjoint_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Ad_g."""
         return self._conjugation(self.g, self.inverse)
 
     @cached_property
-    def adjoint_inverse(self) -> Matrix:
+    def adjoint_inverse_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Ad_{g^-1}, conjugating by g^-1 with g as its inverse."""
         return self._conjugation(self.inverse, self.g)
 
@@ -157,8 +159,9 @@ class GroupPoint:
         The stabilizer {(u, Ad_{g^-1} u)} is Lagrangian, hence coisotropic.
         """
         k = self.ctx.dim
-        rows = hstack(mat_scale(-1, self.adjoint_inverse), identity(k))
-        return AnchoredPoint(self.ctx.double_algebra, rows, k)
+        c, den = self.adjoint_inverse_ints
+        rows = [[-x for x in row] + [den * (i == j) for j in range(k)] for i, row in enumerate(c)]
+        return AnchoredPoint.of_ints(self.ctx.double_algebra, rows, den, k)
 
 class ContextError(ValueError):
     pass
@@ -255,6 +258,11 @@ class TripleContext:
         return dbar.direct_sum(dbar)
 
     @cached_property
+    def inclusion_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The inclusion as integer rows over one denominator."""
+        return int_matrix(self.inclusion)
+
+    @cached_property
     def g1_coordinatizer(self) -> Coordinatizer:
         """Coordinates over the columns of the inclusion, i.e. over G1's
         own basis."""
@@ -265,8 +273,8 @@ class TripleContext:
 class G1Point:
     """A point g of G1 in a Manin triple, with the D-point of Phi(g).
 
-    The (right, left) pair of dressing actions at g is built on first use
-    and kept.
+    The (right, left) pair of dressing actions at g and the multiplication
+    fiber over g are built on first use and kept.
     """
 
     triple: TripleContext
@@ -282,16 +290,35 @@ class G1Point:
         zeta -> -p1(Ad_{Phi(g^-1)} zeta) as a left-invariant field.
         """
         t = self.triple
-        p1, _ = t.splitting.projectors
+        (p1, _), dp = t.splitting.projector_ints
 
-        def g1_columns(m: Matrix) -> Matrix:
-            # the columns of m lie in g1: their coordinates over G1's basis
-            return transpose(t.g1_coordinatizer.coords_rows(transpose(m)))
+        def g1_columns(ad: tuple) -> tuple[list[list[int]], int]:
+            # the columns of p1 Ad lie in g1: their coordinates over G1's
+            # basis, one row per column (the rows of (p1 Ad)^T)
+            rows, den = ad
+            return t.g1_coordinatizer.coords_ints(int_products(list(zip(*rows)), p1), den * dp)
 
-        right = mat_mul(self.g1.adjoint_inverse, g1_columns(mat_mul(p1, self.phi.adjoint)))
-        left = g1_columns(mat_mul(p1, self.phi.adjoint_inverse))
-        return (AnchoredPoint(t.d_bar, right, t.g1.dim),
-                AnchoredPoint(t.d_algebra, mat_scale(-1, left), t.g1.dim))
+        (right, dr), (left, dl) = map(g1_columns, (self.phi.adjoint_ints, self.phi.adjoint_inverse_ints))
+        c, dc = self.g1.adjoint_inverse_ints
+        return (AnchoredPoint.of_ints(t.d_bar, int_products(c, right), dc * dr, t.g1.dim),
+                AnchoredPoint.of_ints(t.d_algebra, [[-x for x in col] for col in zip(*left)], dl, t.g1.dim))
+
+    @cached_property
+    def mult_fiber(self) -> LinearRelation:
+        """Multiplication morphism fiber over (g' g'', g', g'') for G1 at
+        g'' this point; in the left-trivialized chart it depends on g'' only."""
+        t = self.triple
+        n = t.d_algebra.dim
+        (p1, p2), dp = t.splitting.projector_ints
+        ad, da = self.phi.adjoint_ints
+        # parameters (z', z'') with p2 z' = p2 Ad_{Phi(g'')} z''
+        constraint = [[-da * x for x in row] + col for row, col in zip(p2, int_products(p2, list(zip(*ad))))]
+        params = _kernel_rows(constraint, 2 * n)
+        # zeta = Ad_{Phi(g'')^-1} p1 z' + z'', for every parameter row at once
+        moved, dm = table_product(self.phi.adjoint_inverse_ints, (p1, dp))
+        rows = [[x + dm * z for x, z in zip(mv, p[n:])] + [dm * y for y in p]
+                for mv, p in zip(int_products([p[:n] for p in params], moved), params)]
+        return LinearRelation(t.dbar_pair, t.splitting_bar.space, ExactSubspace.of_rows(3 * n, rows))
 
 
 def g1_poisson_bivector(x: G1Point) -> Bivector:
@@ -307,52 +334,37 @@ def pi_plus_minus(t: TripleContext, d: GroupPoint) -> tuple[Bivector, Bivector]:
     return bivector_at(d.anchor, t.plus), bivector_at(d.anchor, t.minus)
 
 
-def pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Matrix, Matrix]:
-    """r^R +/- r^L at d in the left-trivialized chart, exact."""
-    r = t.splitting.bivector.matrix
-    c = d.adjoint_inverse
-    r_right = mat_mul(c, r, transpose(c))
-    return mat_add(r_right, r), mat_add(r_right, mat_scale(-1, r))
+def pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Bivector, Bivector]:
+    """r^R +/- r^L at d in the left-trivialized chart, exact: r^R is
+    Ad_{d^-1} r Ad_{d^-1}^T, over the integer rows of r and Ad_{d^-1}."""
+    r, dr = t.splitting.bivector._ints
+    c, dc = d.adjoint_inverse_ints
+    r_right, scale = int_products(int_products(c, list(zip(*r))), c), dc * dc
+    return tuple(Bivector.of_ints([[x + sign * scale * y for x, y in zip(row, r_row)]
+                                   for row, r_row in zip(r_right, r)], scale * dr) for sign in (1, -1))
 
 
 # morphism fibers -----------------------------------------------------------
 
-def q_mult_fiber(xpp: G1Point) -> LinearRelation:
-    """Multiplication morphism fiber over (g' g'', g', g'') for G1.
-
-    In the left-trivialized chart it depends on g'' only.
-    """
-    t = xpp.triple
-    n = t.d_algebra.dim
-    p1, p2 = t.splitting.projectors
-    # parameters (z', z'') with p2 z' = p2 Ad_{Phi(g'')} z''
-    constraint = hstack(mat_scale(-1, p2), mat_mul(p2, xpp.phi.adjoint))
-    params = nullspace(constraint, 2 * n).basis
-    # zeta = Ad_{Phi(g'')^-1} p1 z' + z'', for every parameter row at once
-    moved = mat_mul(tuple(p[:n] for p in params), transpose(mat_mul(xpp.phi.adjoint_inverse, p1)))
-    zeta = mat_add(moved, tuple(p[n:] for p in params))
-    return LinearRelation.from_rows(t.dbar_pair, t.splitting_bar.space, hstack(zeta, params))
-
-
 def q_mult_kernel_expected(xpp: G1Point) -> ExactSubspace:
     """{(xi, -Ad_{Phi(g''^-1)} xi) : xi in g1} from solving the fiber."""
-    t = xpp.triple
-    n = t.d_algebra.dim
-    moved = mat_mul(t.g1.basis, transpose(xpp.phi.adjoint_inverse))
-    return ExactSubspace.span(hstack(t.g1.basis, mat_scale(-1, moved)), ambient_dim=2 * n)
+    xis, (c, dc) = xpp.triple.g1.rows, xpp.phi.adjoint_inverse_ints
+    return ExactSubspace.of_rows(2 * xpp.triple.d_algebra.dim, [
+        [dc * v for v in xi] + [-y for y in mv] for xi, mv in zip(xis, int_products(xis, c))])
 
 
 def p_phi_fiber(x: G1Point) -> LinearRelation:
     """Fiber of the lift of the embedding G1 -> D over (Phi(g), g)."""
     t = x.triple
     n = t.d_algebra.dim
-    _, p2 = t.splitting.projectors
-    # (-xi, -Ad_{Phi(g)^-1} xi, 0) for xi in g1, and (p2 Ad_{Phi(g)} e_i, e_i, e_i)
-    moved = mat_mul(t.g1.basis, transpose(x.phi.adjoint_inverse))
-    p2_ad = mat_mul(p2, x.phi.adjoint)
-    rows = hstack(mat_scale(-1, t.g1.basis), mat_scale(-1, moved), zeros(t.g1.dim, n))
-    rows += hstack(transpose(p2_ad), identity(n), identity(n))
-    return LinearRelation.from_rows(t.splitting_bar.space, from_algebra(t.d_ctx.double_algebra), rows)
+    (_, p2), dp = t.splitting.projector_ints
+    xis, (ad, da), (c, dc) = t.g1.rows, x.phi.adjoint_ints, x.phi.adjoint_inverse_ints
+    # dc (-xi, -Ad_{Phi(g)^-1} xi, 0) for xi in g1, and dp da (p2 Ad_{Phi(g)} e_i, e_i, e_i)
+    rows = [[-dc * v for v in xi] + [-y for y in mv] + [0] * n for xi, mv in zip(xis, int_products(xis, c))]
+    rows += [col + [dp * da * (i == j) for j in range(n)] * 2
+             for i, col in enumerate(int_products(list(zip(*ad)), p2))]
+    return LinearRelation(t.splitting_bar.space, from_algebra(t.d_ctx.double_algebra),
+                          ExactSubspace.of_rows(3 * n, rows))
 
 
 def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> LinearRelation:
@@ -366,10 +378,12 @@ def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> Linea
 
 # phi^R sections ------------------------------------------------------------
 
-def phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
-    """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d."""
-    _, p2 = t.splitting.projectors
-    return mat_vec(p2, mat_vec(d.adjoint, zeta)) + tuple(zeta)
+def phi_r_values(t: TripleContext, d: GroupPoint, zetas: Sequence[Vector]) -> tuple[list[list[int]], int]:
+    """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d for each
+    zeta, as integer rows over one denominator."""
+    (_, p2), dp = t.splitting.projector_ints
+    (z, dz), (p2_ad, scale) = int_matrix(zetas), table_product((p2, dp), d.adjoint_ints)
+    return [mv + [scale * x for x in row] for mv, row in zip(int_products(z, p2_ad), z)], scale * dz
 
 
 def dressing_pullback_check(x: G1Point) -> bool:
@@ -383,13 +397,15 @@ def dressing_pullback_check(x: G1Point) -> bool:
     """
     t = x.triple
     n, k = t.d_algebra.dim, t.g1.dim
-    pb = pullback_point(x.phi.anchor, t.inclusion)
-    ra = x.dressing[0].anchor
+    pb = pullback_point(x.phi.anchor, t.inclusion_ints)
+    right = x.dressing[0]
+    (ra, dr), ((_, p2), dp), (ad, da) = right._ints, t.splitting.projector_ints, x.phi.adjoint_ints
     # the lift of phi^R(e_b) = (p2(Ad_{Phi(g)} e_b), e_b) with the dressing
-    # chart vector is row b of [(p2 Ad_{Phi(g)})^T | I | ra^T | 0]
-    p2_ad = mat_mul(t.splitting.projectors[1], x.phi.adjoint)
-    lifts = hstack(transpose(p2_ad), identity(n), transpose(ra), zeros(n, k))
-    return pb.descend(lifts) == (t.d_bar.form.matrix, ra)
+    # chart vector is row b of [(p2 Ad_{Phi(g)})^T | I | ra^T | 0], over dp da dr
+    unit = dp * da
+    lifts = [[dr * y for y in col] + [unit * dr * (b == c) for c in range(n)] + [unit * v for v in ra_col] + [0] * k
+             for b, (col, ra_col) in enumerate(zip(int_products(list(zip(*ad)), p2), zip(*ra)))]
+    return pb.descend(lifts, unit * dr) == (t.d_bar.form._ints, right._ints)
 
 
 def s_phi_fiber(ctx: GroupContext) -> LinearRelation:

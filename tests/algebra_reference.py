@@ -10,6 +10,14 @@ sparse path must give the same records in the same order.
 its orthogonal complement, quotient coordinates on C / C-perp, the
 descended form and the anchor read off the complement's v-block.
 
+The ``fraction_*`` functions are the Fraction formulas the group layer's
+integer builders replaced, Ad_g conjugated and coordinatized on
+Fractions included: the anchor of the two-sided action, the dressing
+pair, the multiplication fiber and its expected kernel, the fiber of the
+embedding, phi^R, the invariant-frame pi+- and the pull-back's phi^R
+lifts.  ``ad`` and ``ad_inverse`` read a point's integer Ad tables back
+as Fractions.
+
 ``sl_double(n)`` is sl_n (+) sl_n-bar with the trace form, of dimension
 2(n^2 - 1).  Run as a script it writes the double as ``validate`` input:
 
@@ -30,16 +38,23 @@ from courantlab.exactlin import (
     ExactSubspace,
     Matrix,
     QuotientMap,
+    Vector,
     add_vec,
+    frac_matrix,
     hstack,
     identity,
+    mat_add,
+    mat_mul,
     mat_scale,
+    mat_vec,
     matrix,
     nullspace,
     quotient_coords,
+    transpose,
     zeros,
 )
-from courantlab.lagrel import hyperbolic_space
+from courantlab.lagrel import LinearRelation, from_algebra, hyperbolic_space
+from courantlab.liegrp import G1Point, GroupPoint, TripleContext, flatten
 from courantlab.quadlie import (
     QuadraticLieAlgebra,
     ValidationRecord,
@@ -99,6 +114,102 @@ def reference_pullback(pt: AnchoredPoint, dphi) -> ReferencePullback:
     q = quotient_coords(c, ambient.orth_complement(c))
     anchor = tuple(tuple(row[n + j] for row in q.complement) for j in range(s))
     return ReferencePullback(c, q, q.descended_form(ambient), anchor)
+
+
+def ad(p: GroupPoint) -> Matrix:
+    """Ad_g of a point as Fractions, read back from its integer table."""
+    return frac_matrix(*p.adjoint_ints)
+
+
+def ad_inverse(p: GroupPoint) -> Matrix:
+    return frac_matrix(*p.adjoint_inverse_ints)
+
+
+def fraction_conjugation(ctx, h: Matrix, h_inv: Matrix) -> Matrix:
+    """Ad_h as the group layer once computed it, on Fractions: one product
+    chain per basis element, each converting h and h^-1 again, then one
+    coordinatization.  The reference for GroupPoint._conjugation."""
+    conj = [flatten(mat_mul(h, b, h_inv)) for b in ctx.algebra_basis]
+    return transpose(ctx.coordinatizer.coords_rows(conj))
+
+
+def _fraction_ads(p: GroupPoint) -> tuple[Matrix, Matrix]:
+    """(Ad_g, Ad_{g^-1}) by the Fraction conjugation."""
+    return fraction_conjugation(p.ctx, p.g, p.inverse), fraction_conjugation(p.ctx, p.inverse, p.g)
+
+
+def fraction_anchor(p: GroupPoint) -> Matrix:
+    """The two-sided action's anchor [-Ad_{g^-1} | I] at g."""
+    return hstack(mat_scale(-1, _fraction_ads(p)[1]), identity(p.ctx.dim))
+
+
+def fraction_dressing(x: G1Point) -> tuple[Matrix, Matrix]:
+    """The right and left dressing anchors Ad_{g^-1} p1 Ad_{Phi(g)} and
+    -p1 Ad_{Phi(g)^-1}, their columns read in G1's coordinates."""
+    t = x.triple
+    p1, _ = t.splitting.projectors
+
+    def g1_columns(m: Matrix) -> Matrix:
+        return transpose(t.g1_coordinatizer.coords_rows(transpose(m)))
+
+    ad_phi, ad_phi_inv = _fraction_ads(x.phi)
+    right = mat_mul(_fraction_ads(x.g1)[1], g1_columns(mat_mul(p1, ad_phi)))
+    return right, mat_scale(-1, g1_columns(mat_mul(p1, ad_phi_inv)))
+
+
+def fraction_mult_fiber(xpp: G1Point) -> LinearRelation:
+    """The multiplication fiber over (g' g'', g', g''): the parameters
+    (z', z'') with p2 z' = p2 Ad_{Phi(g'')} z'' as a Fraction kernel basis,
+    and zeta = Ad_{Phi(g'')^-1} p1 z' + z''."""
+    t = xpp.triple
+    n = t.d_algebra.dim
+    p1, p2 = t.splitting.projectors
+    ad_phi, ad_phi_inv = _fraction_ads(xpp.phi)
+    params = nullspace(hstack(mat_scale(-1, p2), mat_mul(p2, ad_phi)), 2 * n).basis
+    moved = mat_mul(tuple(p[:n] for p in params), transpose(mat_mul(ad_phi_inv, p1)))
+    zeta = mat_add(moved, tuple(p[n:] for p in params))
+    return LinearRelation.from_rows(t.dbar_pair, t.splitting_bar.space, hstack(zeta, params))
+
+
+def fraction_kernel_expected(xpp: G1Point) -> ExactSubspace:
+    """{(xi, -Ad_{Phi(g''^-1)} xi) : xi in g1} over g1's unit-pivot basis."""
+    t = xpp.triple
+    moved = mat_mul(t.g1.basis, transpose(_fraction_ads(xpp.phi)[1]))
+    return ExactSubspace.span(hstack(t.g1.basis, mat_scale(-1, moved)), ambient_dim=2 * t.d_algebra.dim)
+
+
+def fraction_p_phi_fiber(x: G1Point) -> LinearRelation:
+    """The embedding's fiber: (-xi, -Ad_{Phi(g)^-1} xi, 0) for xi in g1 and
+    (p2 Ad_{Phi(g)} e_i, e_i, e_i)."""
+    t = x.triple
+    n = t.d_algebra.dim
+    _, p2 = t.splitting.projectors
+    ad_phi, ad_phi_inv = _fraction_ads(x.phi)
+    moved = mat_mul(t.g1.basis, transpose(ad_phi_inv))
+    rows = hstack(mat_scale(-1, t.g1.basis), mat_scale(-1, moved), zeros(t.g1.dim, n))
+    rows += hstack(transpose(mat_mul(p2, ad_phi)), identity(n), identity(n))
+    return LinearRelation.from_rows(t.splitting_bar.space, from_algebra(t.d_ctx.double_algebra), rows)
+
+
+def fraction_phi_r_value(t: TripleContext, d: GroupPoint, zeta: Vector) -> Vector:
+    """phi^R(zeta) = (p2(Ad_d zeta), zeta)."""
+    return mat_vec(t.splitting.projectors[1], mat_vec(_fraction_ads(d)[0], zeta)) + tuple(zeta)
+
+
+def fraction_pi_plus_minus_invariant(t: TripleContext, d: GroupPoint) -> tuple[Matrix, Matrix]:
+    """r^R +/- r^L at d, with r^R = Ad_{d^-1} r Ad_{d^-1}^T."""
+    r, c = t.splitting.bivector.matrix, _fraction_ads(d)[1]
+    r_right = mat_mul(c, r, transpose(c))
+    return mat_add(r_right, r), mat_add(r_right, mat_scale(-1, r))
+
+
+def fraction_lifts(x: G1Point) -> Matrix:
+    """The phi^R lifts of the pull-back check: row b of
+    [(p2 Ad_{Phi(g)})^T | I | ra^T | 0] for the right dressing anchor ra."""
+    t = x.triple
+    n, k = t.d_algebra.dim, t.g1.dim
+    p2_ad = mat_mul(t.splitting.projectors[1], _fraction_ads(x.phi)[0])
+    return hstack(transpose(p2_ad), identity(n), transpose(fraction_dressing(x)[0]), zeros(n, k))
 
 
 def _sl_basis(n: int) -> list[tuple[str, list[list[int]]]]:

@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from courantlab import anchored, exactlin, suites
+from courantlab import anchored, cli, exactlin, suites
 from courantlab.anchored import (
     AnchoredPoint,
     CourantStructureError,
@@ -31,6 +32,7 @@ from courantlab.contexts import (
     get_triple_context,
     named_splitting,
 )
+from courantlab.cli import main
 from courantlab.diffnum import ChartBivectorField
 from courantlab.exactlin import (
     BilinearForm,
@@ -39,7 +41,9 @@ from courantlab.exactlin import (
     NotLagrangianError,
     SingularMatrixError,
     add_vec,
+    frac_matrix,
     identity,
+    int_matrix,
     inverse,
     mat_mul,
     mat_scale,
@@ -483,19 +487,20 @@ def test_coisotropic_reduce_point():
 def test_pullback_point_rank_and_restriction():
     # pull the Q^4 point back along the inclusion of a line
     dphi = matrix([(1,), (0,)])
-    pb = pullback_point(PT4, dphi)
+    pb = pullback_point(PT4, int_matrix(dphi))
     ref = reference_pullback(PT4, dphi)
     assert ref.quotient.dim == 4 - 2 * (2 - 1) == pb.form.dim - 2 * len(pb.perp)
     assert ref.reduced_form.is_nondegenerate()
     # anchor descends: complement lifts carry the chart vector
     assert len(ref.reduced_anchor) == 1
     # the complement is a basis of C / C-perp that descends to the reference
-    assert pb.descend(ref.quotient.complement) == (ref.reduced_form.matrix, ref.reduced_anchor)
+    assert pb.descend(*int_matrix(ref.quotient.complement)) == tuple(
+        map(int_matrix, (ref.reduced_form.matrix, ref.reduced_anchor)))
     # failing transversality: zero anchor and a non-surjective dphi, and
     # a nonzero anchor whose range is the range of dphi ([dPhi | a] has rank 1)
     for anchor in (((0,) * 4, (0,) * 4), ((1, 0, 0, 0), (0,) * 4)):
         with pytest.raises(ValueError, match="not transverse"):
-            pullback_point(AnchoredPoint(AB4, anchor, 2), dphi)
+            pullback_point(AnchoredPoint(AB4, anchor, 2), int_matrix(dphi))
 
 
 def _pullback_cases():
@@ -519,7 +524,7 @@ def test_pullback_perp_is_the_orthogonal_complement_of_the_constraint():
     cases = list(_pullback_cases())
     assert len(cases) > 30
     for pt, dphi in cases:
-        pb = pullback_point(pt, dphi)
+        pb = pullback_point(pt, int_matrix(dphi))
         ref = reference_pullback(pt, dphi)
         n, m, s = pt.algebra.dim, pt.chart_dim, len(dphi[0])
         assert pb.form == pt.algebra.form.direct_sum(hyperbolic_space(s).form)
@@ -528,14 +533,15 @@ def test_pullback_perp_is_the_orthogonal_complement_of_the_constraint():
         assert ExactSubspace.span(pb.perp) == ref.quotient.w0 == pb.form.orth_complement(ref.c)
         assert ref.quotient.dim == n + 2 * s - 2 * m
         assert ref.reduced_form.is_nondegenerate()
-        assert pb.descend(ref.quotient.complement) == (ref.reduced_form.matrix, ref.reduced_anchor)
+        assert pb.descend(*int_matrix(ref.quotient.complement)) == tuple(
+            map(int_matrix, (ref.reduced_form.matrix, ref.reduced_anchor)))
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: pullback_point(AnchoredPoint(AB2, identity(2), 2), identity(2)),
+    (lambda: pullback_point(AnchoredPoint(AB2, identity(2), 2), int_matrix(identity(2))),
      CourantStructureError, "not coisotropic"),
     (lambda: pullback_point(AnchoredPoint(
-        QuadraticLieAlgebra.from_triples(2, [], [[1, 0], [0, 0]]), ((0, 1),), 1), ((1,),)),
+        QuadraticLieAlgebra.from_triples(2, [], [[1, 0], [0, 0]]), ((0, 1),), 1), (((1,),), 1)),
      ValueError, "form B is degenerate"),
 ], ids=["not-coisotropic", "degenerate-form"])
 def test_pullback_refusals(call, error, message):
@@ -551,7 +557,7 @@ def test_pullback_refuses_an_anchor_that_does_not_descend(monkeypatch):
     monkeypatch.setattr(anchored, "_pullback_form",
                         lambda form, s: form.direct_sum(BilinearForm(identity(2 * s))))
     with pytest.raises(CourantStructureError, match="not well-defined"):
-        pullback_point(AnchoredPoint(QuadraticLieAlgebra.from_triples(1, [], [[-1]]), ((1,),), 1), ((1,),))
+        pullback_point(AnchoredPoint(QuadraticLieAlgebra.from_triples(1, [], [[-1]]), ((1,),), 1), (((1,),), 1))
 
 
 def _scaled_form(alg, c):
@@ -570,7 +576,7 @@ def test_pullback_ambient_form_is_kept_per_form_and_chart_dimension():
     for c in (1, 2):
         alg = _scaled_form(t.d_algebra, c)
         pt = AnchoredPoint(alg, left.anchor, left.chart_dim)
-        pb = pullback_point(pt, identity(3))
+        pb = pullback_point(pt, int_matrix(identity(3)))
         ambient = alg.form.direct_sum(hyperbolic_space(3).form)
         assert pb.form == ambient
         ref = reference_pullback(pt, identity(3))
@@ -587,7 +593,7 @@ def test_pullback_builds_its_ambient_form_once(calls):
     anchored._pullback_form.cache_clear()
     sums = calls(BilinearForm, "direct_sum")
     for pt in points:
-        pullback_point(pt, t.inclusion)
+        pullback_point(pt, t.inclusion_ints)
     assert len(sums) == 1
 
 
@@ -665,10 +671,43 @@ def test_dual_range_is_the_range_of_the_metric_dual():
 @pytest.mark.parametrize("call", [
     lambda: AnchoredPoint(AB2, ((1, 0, 0),), 1),
     lambda: AnchoredPoint(AB2, ((1, 0),), 2),
-    lambda: pullback_point(PT4, ((1,),)),
+    lambda: pullback_point(PT4, (((1,),), 1)),
     lambda: QuadraticLieAlgebra.from_triples(2, [], [[0, 1], [1, 0]], basis_names=("a",)),
     lambda: ChartBivectorField(2, lambda t: np.zeros((len(t), 3, 3)))(((0.0, 0.0),)),
 ], ids=["anchor-row-length", "anchor-row-count", "dphi-rows", "basis-names", "sampler-shape"])
 def test_wrong_shapes_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatchError):
         call()
+
+
+def test_of_ints_equals_and_hashes_like_the_matrix_constructor():
+    # an integer table over any multiple of its denominator keys the point
+    # as the Fraction matrix it stands for does
+    rng = random.Random(44)
+    points = list(_shipped_points()) + list(_random_anchors(20)) + [AnchoredPoint(AB2, (), 0)]
+    for pt in points:
+        rows, den = pt._ints
+        direct = AnchoredPoint(pt.algebra, frac_matrix(rows, den), pt.chart_dim)
+        for c in (1, 2, 6, rng.randint(2, 10 ** 6)):
+            scaled = AnchoredPoint.of_ints(pt.algebra, [[c * x for x in row] for row in rows], c * den, pt.chart_dim)
+            assert scaled == direct and hash(scaled) == hash(direct)
+            assert scaled._ints == direct._ints and scaled.anchor == direct.anchor
+    with pytest.raises(TypeError):
+        AnchoredPoint(AB2, ((0.5, 0),), 1)
+
+
+def test_a_first_bivector_query_decides_one_lagrangian(monkeypatch, capsys, calls):
+    # the splitting decided E and F Lagrangian when it was built, so the
+    # query meets them with the stabilizer without deciding it again: the
+    # one decision left is rank_formula's check of L_m
+    ctx = replace(get_group_context("sl2-double"))  # fresh, so no point keeps a value
+    s = named_splitting("sl2-double", "delta-triangular")
+    monkeypatch.setattr(cli, "get_group_context", lambda name: ctx)
+    decided = calls(BilinearForm, "is_lagrangian")
+    assert main(["bivector", "--ctx", "sl2-double", "--point", "3", "--splitting", "delta-triangular"]) == 0
+    capsys.readouterr()
+    pt = ctx.points[3].anchor
+    assert [args[1:] for args in decided] == [(drinfeld_lagrangian(pt, s.f),)]
+    # the public drinfeld_lagrangian still decides its F first
+    with pytest.raises(NotLagrangianError):
+        drinfeld_lagrangian(pt, s.e.sum(ExactSubspace.span([s.f.basis[0]], ambient_dim=s.space.dim)))

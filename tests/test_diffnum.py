@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,9 @@ from courantlab.diffnum import (
     wedge3,
     worst,
 )
-from courantlab.exactlin import mat_mul
+from courantlab.contexts import GROUP_CONTEXT_NAMES, TRIPLE_CONTEXT_NAMES, get_group_context, get_triple_context
+from courantlab.exactlin import frac_matrix, mat_mul
+from courantlab.liegrp import pi_plus_minus
 from courantlab.lagrel import Splitting
 from courantlab.quadlie import build_double, diagonal_subspace
 from courantlab.randgen import random_abelian_split_algebra
@@ -150,10 +153,13 @@ def test_action_axiom_check_sl2_fields():
 
 
 def test_relatedness_check():
-    pi = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert relatedness_check(np.eye(2), pi, pi) == 0.0
-    assert relatedness_check(np.zeros((2, 2)), pi, np.zeros((2, 2))) == 0.0
-    assert relatedness_check(np.zeros((2, 2)), pi, pi) == 1.0
+    pi = (np.array([[0.0, 1.0], [-1.0, 0.0]]), 1)
+    eye, zero = (np.eye(2), 1), (np.zeros((2, 2)), 1)
+    assert relatedness_check(eye, pi, pi) == 0.0
+    assert relatedness_check(zero, pi, zero) == 0.0
+    assert relatedness_check(zero, pi, pi) == 1.0
+    # integer tables are read over their denominators
+    assert relatedness_check((((2, 0), (0, 2)), 2), (((0, 1), (-1, 0)), 2), (((0, 3), (-3, 0)), 6)) == 0.0
 
 
 @pytest.mark.parametrize("residuals,expected", [
@@ -213,7 +219,7 @@ def test_main_identity_rhs_vanishes_for_subalgebra_pairs():
     d = build_double(ctx.algebra)
     pt = ctx.points[3].anchor
     manin = Splitting.of_algebra(d, diagonal_subspace(ctx.algebra, 1), triangular_complement())
-    rhs = main_identity_rhs(d, manin, pt.anchor)
+    rhs = main_identity_rhs(d, manin, pt._ints)
     assert rhs.shape == (pt.chart_dim,) * 3
     assert max_abs(rhs) == 0.0
 
@@ -276,7 +282,7 @@ def test_float_pi_is_converted_once_per_splitting(calls):
     fields = [diffnum.double_bivector_field(p, s) for p in ctx.points[:4]]
     for field in fields:
         field(np.zeros((1, ctx.dim)))
-    assert sum(args[0] is s.bivector.matrix for args in conversions) == 1
+    assert sum(args[0] is s.bivector._ints[0] for args in conversions) == 1
     assert np.array_equal(diffnum._float_bivector(s), np_matrix(s.bivector.matrix))
 
 
@@ -496,3 +502,44 @@ def test_stacked_triple_samplers_match_a_loop_over_slices(name):
     st = np.concatenate([diffnum.stencil(np.zeros(2 * n), 0.01),
                          _mixed_points(2 * n, scales=(1e-4, 1e-2))])
     _assert_sampler_slices(coords, st)
+
+
+# --- the float conversion of integer tables ----------------------------
+
+
+def _same_bits(rows, den):
+    """np_matrix(rows, den) has the bytes of the Fraction entries' floats."""
+    return np_matrix(rows, den).tobytes() == np.array(frac_matrix(rows, den), dtype=float).tobytes()
+
+
+def test_np_matrix_reads_integer_rows_bit_for_bit():
+    # x / den is correctly rounded, as float(Fraction(x, den)) is, for
+    # entries and denominators up to 2^80, negatives and zeros among them
+    rng = random.Random(40)
+    for _ in range(400):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.choice((0, 1, -1)) * rng.randint(0, 2 ** rng.randint(1, 80)) for _ in range(c)]
+                for _ in range(r)]
+        den = rng.choice((1, rng.randint(1, 2 ** rng.randint(1, 80))))
+        assert _same_bits(rows, den), (rows, den)
+
+
+def _shipped_tables():
+    """The integer tables of every shipped Ad_g, Ad_{g^-1} and anchor, of
+    every dressing anchor and of pi+- at every D-point of both triples."""
+    ctxs = [get_group_context(name) for name in GROUP_CONTEXT_NAMES]
+    triples = [get_triple_context(name) for name in TRIPLE_CONTEXT_NAMES]
+    for ctx in ctxs + [c for t in triples for c in (t.d_ctx, t.g1_ctx)]:
+        for p in ctx.points:
+            yield from (p.adjoint_ints, p.adjoint_inverse_ints, p.anchor._ints)
+    for t in triples:
+        for d in t.d_ctx.points:
+            yield from (pi._ints for pi in pi_plus_minus(t, d))
+        for x in t.points:
+            yield from (a._ints for a in x.dressing)
+
+
+def test_np_matrix_reads_every_shipped_table_bit_for_bit():
+    tables = list(_shipped_tables())
+    assert len(tables) > 200
+    assert all(_same_bits(rows, den) for rows, den in tables)

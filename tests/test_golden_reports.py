@@ -83,6 +83,14 @@ GOLDEN = {
         ["verify", "dressing", "--seed", "7"],
         "2fa0bbcf5ea2d92b2c1287b26a3a177549ef102f4f32378e5d4262331a96576d",
     ),
+    "dressing-seed-11": (
+        ["verify", "dressing", "--seed", "11"],
+        "66ba3ed1c7fed894f2be6f2e211658be0f35c39d20ec9651b519a076382c78be",
+    ),
+    "mult-seed-5": (
+        ["verify", "mult", "--seed", "5"],
+        "26936e532673953730fd6de89d1a07b092cf881a832f2b57c9379f5fa4fa3bdd",
+    ),
     # the random generator at a second seed, and rank at the benchmark's size
     "all-seed-3": (
         ["verify", "all", "--seed", "3"],

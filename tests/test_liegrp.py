@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import courantlab.exactlin as exactlin
 import courantlab.liegrp as liegrp
 from courantlab import anchored, lagrel, suites
+from courantlab.anchored import AnchoredPoint
 from courantlab.cli import main
 
 from courantlab.contexts import (
@@ -49,6 +50,7 @@ from courantlab.exactlin import (
     DimensionMismatchError,
     ExactSubspace,
     block_diag,
+    frac_matrix,
     identity,
     inverse,
     mat_mul,
@@ -74,7 +76,6 @@ from courantlab.liegrp import (
     p_phi_fiber,
     pi_plus_minus,
     pi_plus_minus_invariant,
-    q_mult_fiber,
     q_mult_kernel_expected,
     s_phi_fiber,
     t_psi_fiber,
@@ -88,7 +89,20 @@ from courantlab.quadlie import (
     validate_algebra,
     validate_manin_triple,
 )
-from algebra_reference import reference_pullback
+from algebra_reference import (
+    ad,
+    ad_inverse,
+    fraction_anchor,
+    fraction_conjugation,
+    fraction_dressing,
+    fraction_kernel_expected,
+    fraction_lifts,
+    fraction_mult_fiber,
+    fraction_p_phi_fiber,
+    fraction_phi_r_value,
+    fraction_pi_plus_minus_invariant,
+    reference_pullback,
+)
 from exact_strategies import rationals
 
 CTX = sl2_context()
@@ -156,7 +170,7 @@ def test_group_point_chart_derivative():
 def test_double_action_stabilizer():
     for p in CTX.points[:6]:
         pt = p.anchor
-        adg = p.adjoint
+        adg = ad(p)
         rows = [mat_vec(adg, v) + v for v in identity(3)]
         assert pt.stabilizer == ExactSubspace.span(rows, ambient_dim=6)
         ok, _ = pt.coisotropy
@@ -167,8 +181,8 @@ def test_pi_plus_minus_exact_identities():
     for d in PAIR.points:
         pip, pim = pi_plus_minus(TRIPLE, d)
         plus, minus = pi_plus_minus_invariant(TRIPLE, d)
-        assert pip.matrix == plus
-        assert pim.matrix == minus
+        assert pip == plus
+        assert pim == minus
     pip_e, pim_e = pi_plus_minus(TRIPLE, PAIR.points[0])
     assert all(x == 0 for row in pim_e.matrix for x in row)
     two_r = tuple(tuple(2 * x for x in row) for row in TRIPLE.splitting.bivector.matrix)
@@ -237,12 +251,12 @@ DESCEND = anchored.PointPullback.descend
 
 def _descending(monkeypatch, mutate):
     """Make PointPullback.descend descend mutate(pb, rows) in place of the
-    rows it is given; returns the (pb, rows) it descended."""
+    integer rows it is given; returns the (pb, rows, den) it descended."""
     seen = []
 
-    def descend(pb, rows):
-        seen.append((pb, mutate(pb, rows)))
-        return DESCEND(pb, seen[-1][1])
+    def descend(pb, rows, den):
+        seen.append((pb, mutate(pb, rows), den))
+        return DESCEND(pb, *seen[-1][1:])
 
     monkeypatch.setattr(anchored.PointPullback, "descend", descend)
     return seen
@@ -252,9 +266,11 @@ def _plus(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def _reference_steps(x, pb, lifts):
+def _reference_steps(x, pb, rows, den):
     """(lifts in C, their classes a basis of C / C-perp, their Gram matrix
-    the d-bar form), by the reference pull-back's kernels and quotient."""
+    the d-bar form) for the lifts rows / den, by the reference pull-back's
+    kernels and quotient."""
+    lifts = frac_matrix(rows, den)
     ref = reference_pullback(x.phi.anchor, TRIPLE.inclusion)
     in_c = all(ref.c.contains(row) for row in lifts)
     basis = len(lifts) == ref.quotient.dim and ExactSubspace.span(ref.quotient.w0.basis + lifts) == ref.c
@@ -273,14 +289,14 @@ def test_dressing_pullback_check_rejects_a_lift_outside_c(monkeypatch):
               for c, col in enumerate(transpose(right.anchor)))
     )
     fresh = liegrp.G1Point(TRIPLE, x.g1, x.phi)
-    vars(fresh)["dressing"] = (replace(right, anchor=flipped), left)
+    vars(fresh)["dressing"] = (AnchoredPoint(right.algebra, flipped, right.chart_dim), left)
     seen = _descending(monkeypatch, lambda pb, rows: rows)
     assert dressing_pullback_check(x)
     assert _reference_steps(x, *seen.pop()) == (True, True, True)
     assert dressing_pullback_check(fresh) is False
     assert _reference_steps(x, *seen.pop())[0] is False
-    seen = _descending(monkeypatch, lambda pb, rows: (
-        _plus(rows[0], identity(pb.form.dim)[pb.algebra_dim]),) + rows[1:])
+    seen = _descending(monkeypatch, lambda pb, rows: [
+        _plus(rows[0], [int(c == pb.algebra_dim) for c in range(pb.form.dim)])] + rows[1:])
     assert dressing_pullback_check(x) is False
     assert _reference_steps(x, *seen.pop())[0] is False
 
@@ -292,9 +308,9 @@ def test_dressing_pullback_check_rejects_a_wrong_rank_or_gram(monkeypatch):
     # a C-perp row added to a lift changes no class, and the check holds
     x = TRIPLE.points[2]
     mutants = {
-        "shifted": (lambda pb, rows: (_plus(rows[0], pb.perp[0]),) + rows[1:], (True, True, True)),
-        "dependent": (lambda pb, rows: rows[:-1] + (_plus(rows[0], pb.perp[0]),), (True, False, False)),
-        "doubled": (lambda pb, rows: mat_scale(2, rows[:1]) + rows[1:], (True, True, False)),
+        "shifted": (lambda pb, rows: [_plus(rows[0], pb.perp[0])] + rows[1:], (True, True, True)),
+        "dependent": (lambda pb, rows: rows[:-1] + [_plus(rows[0], pb.perp[0])], (True, False, False)),
+        "doubled": (lambda pb, rows: [[2 * x for x in rows[0]]] + rows[1:], (True, True, False)),
     }
     for name, (mutate, steps) in mutants.items():
         seen = _descending(monkeypatch, mutate)
@@ -333,17 +349,17 @@ def test_q_mult_fiber():
     rng = random.Random(4)
     gpps = [TRIPLE.points[0]] + [rng.choice(TRIPLE.points) for _ in range(5)]
     for gpp in gpps:
-        q = q_mult_fiber(gpp)
+        q = gpp.mult_fiber
         assert q.kernel() == q_mult_kernel_expected(gpp)
         assert q.range_.dim == 6
     # unit fiber kernel is the plain anti-diagonal of g1
-    q0 = q_mult_fiber(TRIPLE.points[0])
+    q0 = TRIPLE.points[0].mult_fiber
     expect = ExactSubspace.span(
         [xi + tuple(-x for x in xi) for xi in TRIPLE.g1.basis],
         ambient_dim=12,
     )
     assert q0.kernel() == expect
-    q2 = q_mult_fiber(TRIPLE.points[2])
+    q2 = TRIPLE.points[2].mult_fiber
     rel = related_splitting(
         Splitting(q2.source, product_subspace(TRIPLE.g1, TRIPLE.g1),
                   product_subspace(TRIPLE.g2, TRIPLE.g2)),
@@ -378,7 +394,7 @@ def test_t_psi_fibers():
         assert related_splitting(TRIPLE.plus, TRIPLE.splitting, t_rel).related
         assert related_splitting(TRIPLE.minus, TRIPLE.splitting, t_rel).related
     # graph of a nontrivial inner automorphism breaks the splitting condition
-    adg = GroupPoint(CTX, matrix([[1, 1], [0, 1]])).adjoint
+    adg = ad(GroupPoint(CTX, matrix([[1, 1], [0, 1]])))
     gtheta = ExactSubspace.span(
         [v + mat_vec(adg, v) for v in identity(3)], ambient_dim=6
     )
@@ -408,9 +424,7 @@ def test_g1_poisson_structure():
     for x in TRIPLE.points[1:6]:
         pig = g1_poisson_bivector(x)
         _, pim = pi_plus_minus(TRIPLE, x.phi)
-        r = relatedness_check(
-            np_matrix(TRIPLE.inclusion), np_matrix(pig.matrix), np_matrix(pim.matrix)
-        )
+        r = relatedness_check(TRIPLE.inclusion_ints, pig._ints, pim._ints)
         assert r <= 1e-9, r
 
 
@@ -423,7 +437,7 @@ def test_main_identity_sl2_cases():
     for s in (manin, quasi):
         for p in CTX.points[:6]:
             fld = double_bivector_field(p, s)
-            rhs = main_identity_rhs(d, s, p.anchor.anchor)
+            rhs = main_identity_rhs(d, s, p.anchor._ints)
             assert main_identity_residual(fld, rhs, 1e-4) <= 1e-6
 
 
@@ -437,7 +451,7 @@ def test_sl2c_context_and_nonzero_defect():
 
     _, d2, sheared = _sheared_quasi_splitting()
     p = ctx.points[7]
-    rhs = main_identity_rhs(d2, sheared, p.anchor.anchor)
+    rhs = main_identity_rhs(d2, sheared, p.anchor._ints)
     assert max_abs(rhs) > 0.1
     lhs = 0.5 * schouten_fd(double_bivector_field(p, sheared), np.zeros(6), 1e-4)
     correct = max_abs(lhs - rhs)
@@ -490,7 +504,7 @@ def test_dmult_linear_in_left_trivialization():
     # the product chart map is linear, so the FD Jacobian is essentially exact
     pa, pb = PAIR.points[1], PAIR.points[3]
     dm = dmult_fd(pa, pb, PAIR.point(mat_mul(pa.g, pb.g)))
-    adj = pb.adjoint_inverse
+    adj = ad_inverse(pb)
     expect = np.hstack([np_matrix(adj), np.eye(6)])
     assert np.max(np.abs(dm - expect)) < 1e-9
 
@@ -646,7 +660,7 @@ def test_float_chart_data_is_built_once_per_context(monkeypatch):
         assert np.allclose(chart.coords(np.linalg.solve(g, tangent)), [1, 0, 0])
         double_bivector_field(p, s)(np.zeros((1, 3)))
         got = group_chart(ctx).adjoint(g, np_matrix(p.inverse))
-        assert np.allclose(got, np_matrix(p.adjoint), atol=1e-12)
+        assert np.allclose(got, np_matrix(ad(p)), atol=1e-12)
     assert len(calls) == 1
     # ad tables: ad[a] has the coordinates of [X_a, X_b] as column b
     for a in range(ctx.dim):
@@ -667,30 +681,22 @@ def test_group_point_keeps_its_data():
         assert ctx.point(p.g) is p
         assert p.inverse == inverse(p.g)
         cols = [ctx.coordinatize(mat_mul(mat_mul(p.g, b), p.inverse)) for b in ctx.algebra_basis]
-        assert p.adjoint == transpose(matrix(cols))
-        assert p.adjoint_inverse == inverse(p.adjoint)
-        assert p.adjoint is p.adjoint and p.anchor is p.anchor
+        assert ad(p) == transpose(matrix(cols))
+        assert ad_inverse(p) == inverse(ad(p))
+        assert p.adjoint_ints is p.adjoint_ints and p.anchor is p.anchor
         a = p.anchor.anchor
         assert a == tuple(
             tuple(-x for x in row) + tuple(F(1 if c == r else 0) for c in range(3))
-            for r, row in enumerate(p.adjoint_inverse)
+            for r, row in enumerate(ad_inverse(p))
         )
         # the FD layer reads the anchor in floats, and the point keeps no float twin
         pair_multiplication_check(np.zeros((3, 6)), p, p, p)
         assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
     # up and up^-1 are both sample points: Ad_{up^-1} equals Ad at the kept point of up^-1
     up, up_inv = ctx.points[1], ctx.points[11]
-    assert up.inverse == up_inv.g and up.adjoint_inverse == up_inv.adjoint
+    assert up.inverse == up_inv.g and ad_inverse(up) == ad(up_inv)
     other = ctx.point(mat_mul(up.g, up.g))
-    assert other not in ctx.points and other.adjoint == mat_mul(up.adjoint, up.adjoint)
-
-
-def fraction_conjugation(ctx, h, h_inv):
-    """Ad_h as the group layer once computed it, on Fractions: two nested
-    products per basis element, each converting h and h^-1 again, then
-    one coordinatization.  The reference for GroupPoint._conjugation."""
-    conj = [liegrp.flatten(mat_mul(mat_mul(h, b), h_inv)) for b in ctx.algebra_basis]
-    return transpose(ctx.coordinatizer.coords_rows(conj))
+    assert other not in ctx.points and ad(other) == mat_mul(ad(up), ad(up))
 
 
 def _shipped_group_contexts():
@@ -707,9 +713,9 @@ def _shipped_group_contexts():
 def test_adjoints_match_the_fraction_reference(ctx):
     ctx = replace(ctx)  # fresh, so no kept point is read
     for p in ctx.points:
-        assert p.adjoint == fraction_conjugation(ctx, p.g, p.inverse)
-        assert p.adjoint_inverse == fraction_conjugation(ctx, p.inverse, p.g)
-        assert mat_mul(p.adjoint, p.adjoint_inverse) == identity(ctx.dim)
+        assert ad(p) == fraction_conjugation(ctx, p.g, p.inverse)
+        assert ad_inverse(p) == fraction_conjugation(ctx, p.inverse, p.g)
+        assert mat_mul(ad(p), ad_inverse(p)) == identity(ctx.dim)
 
 
 def test_the_sl2_samples_carry_denominators():
@@ -726,9 +732,9 @@ def test_adjoints_read_the_basis_denominator():
     assert scaled.basis_ints[1] == 6
     s = matrix([[c if i == j else 0 for j, c in enumerate(scales)] for i in range(3)])
     for p, q in zip(replace(CTX).points, scaled.points):
-        assert q.adjoint == fraction_conjugation(scaled, q.g, q.inverse)
-        assert q.adjoint_inverse == fraction_conjugation(scaled, q.inverse, q.g)
-        assert q.adjoint == mat_mul(inverse(s), p.adjoint, s)
+        assert ad(q) == fraction_conjugation(scaled, q.g, q.inverse)
+        assert ad_inverse(q) == fraction_conjugation(scaled, q.inverse, q.g)
+        assert ad(q) == mat_mul(inverse(s), ad(p), s)
 
 
 def test_the_anchor_of_a_point_off_the_samples_inverts_g_once(calls):
@@ -743,7 +749,7 @@ def test_the_anchor_of_a_point_off_the_samples_inverts_g_once(calls):
     p = ctx.point(g)
     assert p.anchor.anchor[0][3:] == identity(3)[0]
     assert inversions == [(g,)]
-    assert p.adjoint_inverse == inverse(p.adjoint)
+    assert ad_inverse(p) == inverse(ad(p))
 
 
 def test_triple_points_keep_phi_and_dressings():
@@ -781,16 +787,16 @@ def _run_on_a_fresh_triple(monkeypatch, suite):
 
 
 def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, calls):
-    # each Ad_g, each Ad_{g^-1} and each dressing pair is built once, and a
-    # build makes one coords_ints call (coords_rows makes one too) per
-    # matrix it coordinatizes: one for Ad_g, one for Ad_{g^-1}, one per side
-    # of a dressing pair (a call counts for the build that makes it, not
-    # for the kept builds it reads)
+    # each integer table of Ad_g and of Ad_{g^-1} and each dressing pair is
+    # built once, and a build makes one coords_ints call per matrix it
+    # coordinatizes: one for Ad_g, one for Ad_{g^-1}, one per side of a
+    # dressing pair (a call counts for the build that makes it, not for
+    # the kept builds it reads)
     coords = calls(Coordinatizer, "coords_ints")
     frames = [[0, 0]]  # per open build: calls made before it, and by the builds it opens
     builds = {}
-    for cls, name, key in ((GroupPoint, "adjoint", lambda p: (p.ctx.name, p.g)),
-                           (GroupPoint, "adjoint_inverse", lambda p: (p.ctx.name, p.g)),
+    for cls, name, key in ((GroupPoint, "adjoint_ints", lambda p: (p.ctx.name, p.g)),
+                           (GroupPoint, "adjoint_inverse_ints", lambda p: (p.ctx.name, p.g)),
                            (liegrp.G1Point, "dressing", lambda x: x.g1.g)):
         made = builds[name] = collections.defaultdict(list)
 
@@ -809,10 +815,10 @@ def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, cal
         monkeypatch.setattr(cls, name, prop)
     _run_on_a_fresh_triple(monkeypatch, "dressing")
     capsys.readouterr()
-    adjoints, dressings = builds["adjoint"], builds["dressing"]
+    adjoints, dressings = builds["adjoint_ints"], builds["dressing"]
     assert max(map(len, adjoints.values())) == 1 and 0 < len(adjoints) <= 33
     assert max(map(len, dressings.values())) == 1 and 0 < len(dressings) <= 10
-    inverses = builds["adjoint_inverse"]
+    inverses = builds["adjoint_inverse_ints"]
     assert max(map(len, inverses.values())) == 1 and 0 < len(inverses) <= 33
     assert {n for c in adjoints.values() for n in c} == {1}
     assert {n for c in inverses.values() for n in c} == {1}
@@ -877,3 +883,51 @@ def test_dressing_reads_kept_split_spaces(monkeypatch, capsys, calls):
     capsys.readouterr()
     assert sum(signatures.values()) <= 6
     assert len(solves) <= 6
+
+
+@pytest.mark.parametrize("name", TRIPLE_CONTEXT_NAMES)
+def test_integer_builders_match_the_fraction_references(name, monkeypatch):
+    # every builder of the group layer on integer tables equals the Fraction
+    # formula it replaced, at every D-point and every G1 point of the triple
+    t = get_triple_context(name)
+    n, k = t.d_algebra.dim, t.g1.dim
+    units = identity(n)
+    for d in t.d_ctx.points:
+        assert d.anchor == AnchoredPoint(t.d_ctx.double_algebra, fraction_anchor(d), n)
+        assert tuple(pi.matrix for pi in pi_plus_minus_invariant(t, d)) == fraction_pi_plus_minus_invariant(t, d)
+        assert frac_matrix(*liegrp.phi_r_values(t, d, units)) == tuple(fraction_phi_r_value(t, d, z) for z in units)
+    seen = _descending(monkeypatch, lambda pb, rows: rows)
+    for x in t.points:
+        right, left = fraction_dressing(x)
+        assert x.dressing == (AnchoredPoint(t.d_bar, right, k), AnchoredPoint(t.d_algebra, left, k))
+        assert x.mult_fiber == fraction_mult_fiber(x)
+        assert q_mult_kernel_expected(x) == fraction_kernel_expected(x)
+        assert p_phi_fiber(x) == fraction_p_phi_fiber(x)
+        assert dressing_pullback_check(x)
+        _, rows, den = seen.pop()
+        assert frac_matrix(rows, den) == fraction_lifts(x)
+
+
+def test_dressing_builds_each_mult_fiber_once(monkeypatch, capsys):
+    # the closed-form line and the relatedness line share the fiber of
+    # points[2]: six G1 points, six fibers
+    fibers = _count_builds(monkeypatch, liegrp.G1Point, "mult_fiber", lambda x: x.g1.g)
+    _run_on_a_fresh_triple(monkeypatch, "dressing")
+    capsys.readouterr()
+    assert len(fibers) == 6 and set(fibers.values()) == {1}
+
+
+def test_mult_and_dressing_build_no_fraction_anchor_or_adjoint(monkeypatch, capsys, calls):
+    # the suites read anchors and Ad tables as integer rows: no anchor view
+    # is built, and no integer Ad table is read back as Fractions
+    anchors = _count_builds(monkeypatch, AnchoredPoint, "anchor", id)
+    tables = []
+    conjugation = GroupPoint._conjugation
+    monkeypatch.setattr(GroupPoint, "_conjugation",
+                        lambda self, h, h_inv: tables.append(conjugation(self, h, h_inv)) or tables[-1])
+    reads = calls(exactlin, "frac_matrix")
+    for suite in ("mult", "dressing"):
+        _run_on_a_fresh_triple(monkeypatch, suite)
+    capsys.readouterr()
+    assert tables and reads and not anchors
+    assert not {id(rows) for rows, _ in tables} & {id(args[0]) for args in reads}
