@@ -197,9 +197,8 @@ def _random_anchored_instance(seed_key: str):
     rng = random.Random(seed_key)
     k = rng.randint(1, 4)
     alg = randgen.random_abelian_split_algebra(k)
-    anchor, j = randgen.random_coisotropic_anchor(rng, k)
-    pt = anchored.AnchoredPoint(alg, anchor if j else (), j)
-    return pt, randgen.random_lagrangian_splitting(rng, k), j
+    pt = anchored.AnchoredPoint.of_ints(alg, *randgen._coisotropic_anchor_ints(rng, k))
+    return pt, randgen.random_lagrangian_splitting(rng, k), pt.chart_dim
 
 
 def suite_rank(samples: int = DEFAULT_SAMPLES["rank"], seed: int = 0) -> Checks:

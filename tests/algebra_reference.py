@@ -18,6 +18,11 @@ embedding, phi^R, the invariant-frame pi+- and the pull-back's phi^R
 lifts.  ``ad`` and ``ad_inverse`` read a point's integer Ad tables back
 as Fractions.
 
+``randint_small_ints`` and ``random_invertible`` are the generator's
+draws the way they were first made: small rationals by ``rng.randint``,
+and every invertible draw inverted.  ``random_split_transform`` reads
+all 2k columns of the generator back as one Fraction matrix.
+
 ``sl_double(n)`` is sl_n (+) sl_n-bar with the trace form, of dimension
 2(n^2 - 1).  Run as a script it writes the double as ``validate`` input:
 
@@ -30,6 +35,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from courantlab.anchored import AnchoredPoint
@@ -38,7 +44,9 @@ from courantlab.exactlin import (
     ExactSubspace,
     Matrix,
     QuotientMap,
+    SingularMatrixError,
     Vector,
+    _inverse_rows,
     add_vec,
     frac_matrix,
     hstack,
@@ -61,6 +69,7 @@ from courantlab.quadlie import (
     ValidationReport,
     build_double,
 )
+from courantlab.randgen import _split_transform_cols
 
 
 def dense_validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
@@ -287,6 +296,36 @@ def perturbed(alg: QuadraticLieAlgebra, seed: int, degenerate: bool = False) -> 
             form[z][c] = form[c][z] = Fraction(0)
     data["form"] = [[str(x) for x in row] for row in form]
     return QuadraticLieAlgebra.from_json(data)
+
+
+def randint_small_ints(rng: random.Random, count: int) -> tuple[list[int], int]:
+    """count small rationals n/d, n in [-2, 2] and d in [1, 3], drawn by
+    rng.randint in turn, as integer numerators over one denominator."""
+    draws = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(count)]
+    den = lcm(*[d for _, d in draws])
+    return [n * (den // d) for n, d in draws], den
+
+
+def random_invertible(rng: random.Random, k: int) -> tuple[tuple[list, int], tuple[list, int]]:
+    """A random invertible k x k matrix a and a^-1, each as integer rows
+    over one denominator: draws until one elimination inverts the draw."""
+    while True:
+        nums, den = randint_small_ints(rng, k * k)
+        a = [nums[i * k:(i + 1) * k] for i in range(k)]
+        try:
+            inv, inv_den = _inverse_rows(a)
+        except SingularMatrixError:
+            continue
+        # (a / den)^-1 = den * a^-1
+        return (a, den), ([[den * x for x in row] for row in inv], inv_den)
+
+
+def random_split_transform(rng: random.Random, k: int) -> Matrix:
+    """A word of elementary transformations preserving the hyperbolic form
+    [[0, I], [I, 0]] on Q^2k: all 2k columns of the generator's column
+    path, as Fraction rows."""
+    cols, den = _split_transform_cols(rng, k, 2 * k)
+    return frac_matrix(list(zip(*cols)), den)
 
 
 if __name__ == "__main__":

@@ -100,6 +100,15 @@ GOLDEN = {
         ["verify", "rank", "--seed", "3", "--samples", "50"],
         "c48f0c708432c7c7a09bd28b3ae2ac4b066c2aeb1b31f77c7115dde3530b8bd5",
     ),
+    # the random generator's relations and anchors at a held-out seed
+    "relations-seed-5": (
+        ["verify", "relations", "--seed", "5"],
+        "79ad82c296f8b4db112b3aa180b7c54363d375002bfc1f96e3669626abb20b01",
+    ),
+    "leaves-seed-5": (
+        ["verify", "leaves", "--seed", "5"],
+        "e38a8300976760185485c8ca67b72151753b18119cc19dcab8351a5134a67690",
+    ),
     # a step at which the mult FD records break down: they fail with the
     # exception text, and every other record of every suite still runs
     "all-h-0.3": (

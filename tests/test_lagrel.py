@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from courantlab import exactlin, lagrel, quadlie
+from courantlab import exactlin, lagrel, quadlie, randgen
 from courantlab.contexts import (
     SPLITTING_NAMES,
     TRIPLE_CONTEXT_NAMES,
@@ -53,8 +53,8 @@ from courantlab.randgen import (
     random_coisotropic_anchor,
     random_lagrangian_splitting,
     random_relation,
-    random_split_transform,
 )
+from algebra_reference import randint_small_ints, random_invertible, random_split_transform
 
 SP2 = SplitSpace(2, BilinearForm(matrix([[0, 1], [1, 0]])))
 E2 = ExactSubspace.span([(1, 0)])
@@ -579,13 +579,12 @@ def test_block_updates_match_the_dense_split_transform():
 
 def _left_to_right_transform(rng, k):
     """The whole split transform the way it was first built, as the
-    reference of the column path: each word is drawn and multiplied on
-    the right of g in turn, g divided by its content after each word."""
-    from courantlab.randgen import WORDS, random_antisym, random_invertible
-
+    reference of the column path: each word is drawn by rng.randint and
+    multiplied on the right of g in turn, g divided by its content after
+    each word, and every invertible draw inverted."""
     g = [[int(i == j) for j in range(2 * k)] for i in range(2 * k)]
     den = 1
-    for _ in range(WORDS):
+    for _ in range(randgen.WORDS):
         kind = rng.randrange(3)
         left, right = [row[:k] for row in g], [row[k:] for row in g]
         if kind == 0:
@@ -594,7 +593,7 @@ def _left_to_right_transform(rng, k):
             right = [[x * da for x in row] for row in exactlin.int_products(right, b)]
             den *= da * db
         else:
-            nm, dn = random_antisym(rng, k)
+            nm, dn = int_matrix(_fraction_antisym(rng, k))
             if kind == 1:
                 update = exactlin.int_products(left, list(zip(*nm)))
                 right = [[dn * x + y for x, y in zip(r, u)] for r, u in zip(right, update)]
@@ -610,26 +609,67 @@ def _left_to_right_transform(rng, k):
     return g, den
 
 
-def test_column_path_matches_the_left_to_right_transform():
+def test_small_int_draws_are_the_randint_draws():
+    # the bit draws give the randint numbers and leave the generator where
+    # randint leaves it, from fresh seeds and mid-stream
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 4, 16, 64):
+            assert randgen._small_ints(rng, count) == randint_small_ints(ref_rng, count)
+            assert rng.getstate() == ref_rng.getstate()
+
+
+def test_column_path_matches_the_left_to_right_transform(monkeypatch):
     # the first j columns drawn and applied right to left equal the first j
     # columns of the whole transform, and leave the generator where it
     # leaves it; the whole transform (j = 2k) keeps its exact rows and den
-    from courantlab.randgen import _split_transform_cols
+    counts = collections.Counter()
 
+    def counted(name):
+        real = getattr(randgen, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(randgen, name, call)
+
+    counted("_full_rank_draw")
+    counted("_inverse_rows")
     rng = random.Random(36)
     cases = [(rng.randint(1, 5), rng.random(), rng.randrange(10**6)) for _ in range(200)]
-    widths = set()
+    widths, branches = set(), set()
     for k, where, seed in cases:
         j = min(2 * k, int(where * (2 * k + 1)))
         ref_rng, col_rng = random.Random(seed), random.Random(seed)
         g, den = _left_to_right_transform(ref_rng, k)
-        cols, cols_den = _split_transform_cols(col_rng, k, j)
-        assert exactlin.frac_matrix(cols, cols_den) == exactlin.frac_matrix([row[:j] for row in g], den)
+        counts.clear()
+        cols, cols_den = randgen._split_transform_cols(col_rng, k, j)
+        assert exactlin.frac_matrix(cols, cols_den) == exactlin.frac_matrix(list(zip(*g))[:j], den)
         if j == 2 * k:
-            assert (cols, cols_den) == (g, den)
+            assert (cols, cols_den) == (tuple(zip(*g)), den)
         assert col_rng.getstate() == ref_rng.getstate()
         widths.add(0 if j == 0 else 2 if j == 2 * k else 1)
+        # an invertible word is inverted only where it meets a nonzero bottom half
+        if counts["_inverse_rows"] < counts["_full_rank_draw"]:
+            branches.add((j > k, "skipped"))
+        if counts["_inverse_rows"]:
+            branches.add((j > k, "taken"))
     assert widths == {0, 1, 2}
+    # past j = k the columns cannot all have zero bottom halves, so there
+    # every inverse is taken
+    assert branches == {(False, "skipped"), (False, "taken"), (True, "taken")}
+
+
+def test_relations_invert_only_the_draws_that_meet_a_bottom_half(monkeypatch, capsys):
+    from courantlab.cli import main
+
+    real, calls = randgen._inverse_rows, []
+    monkeypatch.setattr(randgen, "_inverse_rows", lambda rows: calls.append(rows) or real(rows))
+    assert main(["verify", "relations", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # one inversion per invertible word applied where a bottom half is
+    # nonzero; inverting every draw, the singular ones too, would make 279
+    assert len(calls) == 86
 
 
 def _dense_coisotropic_anchor(rng, k):
@@ -648,11 +688,14 @@ def test_coisotropic_anchor_matches_the_fraction_reference():
     seen = set()
     for k in range(1, 5):
         for seed in range(15):
-            ref_rng, rng = random.Random(seed), random.Random(seed)
+            ref_rng, rng, int_rng = random.Random(seed), random.Random(seed), random.Random(seed)
             anchor, j = random_coisotropic_anchor(rng, k)
             assert (anchor, j) == _dense_coisotropic_anchor(ref_rng, k)
             assert all(type(x) is F for row in anchor for x in row)
             assert rng.random() == ref_rng.random()
+            # the integer builder's table is the anchor's, in lowest terms
+            table, den, int_j = randgen._coisotropic_anchor_ints(int_rng, k)
+            assert (exactlin.lowest_terms(table, den), int_j) == (int_matrix(anchor), j)
             seen.add(j == 0)
     # both a draw with no mixing matrix (j = 0) and one with it occur
     assert seen == {True, False}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from algebra_reference import dense_validate_algebra, perturbed, scaled, sl_double
+from algebra_reference import dense_validate_algebra, perturbed, random_split_transform, scaled, sl_double
 from exact_strategies import rationals
 from courantlab.contexts import (
     GROUP_CONTEXT_NAMES,
@@ -186,7 +186,6 @@ def test_random_lagrangians_tensor_iff_subalgebra():
 
     quasi = Splitting.of_algebra(d, diagonal_subspace(sl2, 1), diagonal_subspace(sl2, -1))
     h = transpose(matrix(list(quasi.e.basis) + list(quasi.duals)))
-    from courantlab.randgen import random_split_transform
 
     for _ in range(8):
         g = random_split_transform(rng, 3)

@@ -2,7 +2,7 @@
 imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
 outside exactlin, no Fraction(...) call in randgen and no frac_matrix
-call there outside the two functions that return Fraction matrices, no
+call there outside the one function that returns a Fraction matrix, no
 integer product sum(map(mul, ...)) outside exactlin.int_products and
 BilinearForm.pairing, no max-norm outside
 diffnum.max_abs, no float(...) comprehension outside diffnum, no
@@ -28,8 +28,8 @@ matrix product taken column by column (a unit vector is a row of
 exactlin.identity); a subspace's stored rows decide its equality only
 while they are canonical, which the exactlin constructors (of_rows,
 span, zero, full) keep; and randgen draws, inverts and multiplies on
-integer rows, so a Fraction built anywhere but in the two matrices it
-returns (random_split_transform, random_coisotropic_anchor) is a
+integer rows, so a Fraction built anywhere but in the one matrix it
+returns (random_coisotropic_anchor's anchor) is a
 normalisation the integer path exists to avoid; and every exact matrix
 product is one exactlin.int_products, so a product written in place is
 a second home that a call count cannot see (pairing, the one scalar
@@ -271,7 +271,7 @@ def test_the_subspace_construction_rule_catches_each_form():
 
 
 # the randgen functions that return Fraction matrices
-FRACTION_RETURNING = {"random_split_transform", "random_coisotropic_anchor"}
+FRACTION_RETURNING = {"random_coisotropic_anchor"}
 
 
 def _fraction_calls(tree: ast.AST) -> list[str]:
