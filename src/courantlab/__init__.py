@@ -16,21 +16,17 @@ from .quadlie import (
 from .lagrel import (
     Bivector,
     LinearRelation,
-    ReducedIso,
     SplitSpace,
     Splitting,
     backward_image,
     pair_groupoid_relation,
     related_lagrangian,
     related_splitting,
-    reduce_bivector,
     splitting_bivector,
 )
 from .anchored import (
     AnchoredPoint,
-    SectionJet,
     bivector_at,
-    courant_bracket_jets,
     diagonal_backward,
     drinfeld_lagrangian,
     leaf_condition,

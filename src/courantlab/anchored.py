@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache, wraps
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactlin import (
     BilinearForm,
@@ -24,20 +24,13 @@ from .exactlin import (
     _eliminate,
     _kernel_rows,
     _sparse_products,
-    add_vec,
     frac_matrix,
     hstack,
     int_matrix,
     int_products,
     lowest_terms,
-    mat_vec,
-    matrix,
     product_subspace,
     rank,
-    scale_vec,
-    transpose,
-    vector,
-    zeros,
 )
 from .lagrel import (
     Bivector,
@@ -78,7 +71,7 @@ class AnchoredPoint:
 
     def __post_init__(self, entries):
         if self._ints is None:
-            object.__setattr__(self, "_ints", int_matrix(matrix(entries)))
+            object.__setattr__(self, "_ints", int_matrix(entries))
         rows = self._ints[0]
         if len(rows) != self.chart_dim or any(len(r) != self.algebra.dim for r in rows):
             raise DimensionMismatchError("anchor must be chart_dim x algebra dim")
@@ -115,11 +108,12 @@ class AnchoredPoint:
         return False, next(row for row in perp.basis if not ker.contains(row))
 
     @cached_property
-    def dual(self) -> Matrix:
-        """a* = B^-1 a^T, the metric-dual map from chart covectors: the
-        form's integer inverse against the anchor rows (the columns of a^T)."""
+    def dual_ints(self) -> tuple[list[list[int]], int]:
+        """a* = B^-1 a^T, the metric-dual map from chart covectors, as an
+        integer table: the form's integer inverse against the anchor rows
+        (the columns of a^T)."""
         (inv, di), (a, da) = self.algebra.form._inverse, self._ints
-        return frac_matrix(int_products(inv, a), di * da)
+        return int_products(inv, a), di * da
 
     @cached_property
     def dual_range(self) -> ExactSubspace:
@@ -256,73 +250,6 @@ def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     if int_products(mu_block, rows) != [[den * x for x in v] for v in v_block]:
         raise CourantStructureError("diagonal backward image disagrees with formula")
     return direct
-
-
-@dataclass(frozen=True)
-class SectionJet:
-    """Value and first partials of an algebra-valued section at the point."""
-
-    value: Vector
-    jacobian: Matrix  # algebra dim x chart dim
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", vector(self.value))
-        object.__setattr__(self, "jacobian", matrix(self.jacobian))
-
-    @classmethod
-    def constant(cls, value: Iterable, chart_dim: int) -> "SectionJet":
-        v = vector(value)
-        return cls(v, zeros(len(v), chart_dim))
-
-    def jac_column(self, u: int) -> Vector:
-        return tuple(row[u] for row in self.jacobian)
-
-
-def courant_bracket_jets(pt: AnchoredPoint, x: SectionJet, y: SectionJet) -> Vector:
-    """Bracket value [[x, y]] at the point from first-derivative data.
-
-    [[x, y]] = [x, y]_pointwise + Dy(a x) - Dx(a y) + a* <dx, y>.
-    """
-    require_coisotropic(pt)
-    alg = pt.algebra
-    a = pt.anchor
-    out = alg.bracket_vec(x.value, y.value)
-    out = add_vec(out, mat_vec(y.jacobian, mat_vec(a, x.value)))
-    out = add_vec(out, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.value))))
-    pairing_dx_y = tuple(
-        alg.pairing(x.jac_column(u), y.value) for u in range(pt.chart_dim)
-    )
-    out = add_vec(out, mat_vec(pt.dual, pairing_dx_y))
-    return out
-
-
-def courant_bracket_jet_closed(
-    pt: AnchoredPoint, x: SectionJet, y: SectionJet
-) -> SectionJet:
-    """Full jet of [[x, y]] assuming the anchor is constant on the chart.
-
-    Only meaningful when constant fields act (the anchor kills brackets),
-    e.g. abelian algebras; lets the Jacobi identity close on linear jets.
-    """
-    alg = pt.algebra
-    a = pt.anchor
-    value = courant_bracket_jets(pt, x, y)
-    cols = []
-    for u in range(pt.chart_dim):
-        col = alg.bracket_vec(x.jac_column(u), y.value)
-        col = add_vec(col, alg.bracket_vec(x.value, y.jac_column(u)))
-        col = add_vec(col, mat_vec(y.jacobian, mat_vec(a, x.jac_column(u))))
-        col = add_vec(
-            col, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.jac_column(u))))
-        )
-        pairing = tuple(
-            alg.pairing(x.jac_column(w), y.jac_column(u))
-            for w in range(pt.chart_dim)
-        )
-        col = add_vec(col, mat_vec(pt.dual, pairing))
-        cols.append(col)
-    jac = transpose(matrix(cols))
-    return SectionJet(value, jac)
 
 
 @dataclass(frozen=True)

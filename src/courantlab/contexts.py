@@ -16,8 +16,6 @@ from .exactlin import (
     block_diag,
     hstack,
     identity,
-    mat_mul,
-    mat_scale,
     matrix,
     zeros,
 )
@@ -67,11 +65,11 @@ def sl2_samples() -> tuple[Matrix, ...]:
         up_half,
         lo_half,
         dg,
-        mat_mul(up, lo),
-        mat_mul(lo, up_half),
-        mat_mul(up_half, dg),
-        mat_mul(dg, lo_half),
-        mat_mul(up, lo, dg),
+        matrix([[2, 1], [1, 1]]),  # up lo
+        matrix([[1, F(1, 2)], [1, F(3, 2)]]),  # lo up_half
+        matrix([[2, F(1, 4)], [0, F(1, 2)]]),  # up_half dg
+        matrix([[2, 0], [F(1, 4), F(1, 2)]]),  # dg lo_half
+        matrix([[4, F(1, 2)], [2, F(1, 2)]]),  # up lo dg
         matrix([[1, -1], [0, 1]]),
     )
 
@@ -159,16 +157,6 @@ def sl2_triangular_triple() -> TripleContext:
 
     G1 is SL2 embedded diagonally; the inclusion of its algebra sends
     x to (x, x)."""
-    inclusion = matrix(
-        [
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-        ]
-    )
     return TripleContext(
         name="sl2-triangular-triple",
         d_ctx=sl2_pair_context(),
@@ -176,7 +164,7 @@ def sl2_triangular_triple() -> TripleContext:
         g2=triangular_complement(),
         g1_ctx=sl2_context(),
         embed=lambda g: block_diag(g, g),
-        inclusion=inclusion,
+        inclusion=identity(3) + identity(3),
     )
 
 
@@ -245,7 +233,7 @@ def abelian2_triple() -> TripleContext:
         g2=ExactSubspace.span([(0, 1)]),
         g1_ctx=g1_ctx,
         embed=lambda g: g,
-        inclusion=matrix([(1,), (0,)]),
+        inclusion=((1,), (0,)),
     )
 
 
@@ -271,8 +259,11 @@ def _realify(z_rows) -> Matrix:
 
 
 def _complex_det_is_one(g: Matrix) -> bool:
-    j_mat = _realify([[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
-    if mat_mul(g, j_mat) != mat_mul(j_mat, g):
+    """Whether the real 4 x 4 matrix g commutes with J (multiplication by
+    i), that is its 2 x 2 blocks have the form [[re, -im], [im, re]], and
+    is a complex matrix of determinant 1."""
+    if any(g[2 * i][2 * j] != g[2 * i + 1][2 * j + 1] or g[2 * i][2 * j + 1] != -g[2 * i + 1][2 * j]
+           for i in range(2) for j in range(2)):
         return False
     z = {}
     for i in range(2):
@@ -310,8 +301,7 @@ def sl2c_realified_context() -> GroupContext:
         (1, 5, 5, -2), (2, 3, 4, -1), (2, 4, 5, 2),
         (3, 4, 0, 2), (3, 5, 1, -1), (4, 5, 2, 2),
     ]
-    tform = [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
-    form = block_diag(tform, mat_scale(-1, tform))
+    form = block_diag([[0, 0, 1], [0, 2, 0], [1, 0, 0]], [[0, 0, -1], [0, -2, 0], [-1, 0, 0]])
     alg = QuadraticLieAlgebra.from_triples(
         6, triples, form, basis_names=("e", "h", "f", "ie", "ih", "if")
     )
@@ -344,7 +334,7 @@ def sl2c_triangular_complement() -> ExactSubspace:
     one = identity(6)
     cartan, lower, upper = ((one[i], one[j]) for i, j in ((1, 4), (2, 5), (0, 3)))
     # (h, -h) and (ih, -ih); f and if on the left; e and ie on the right
-    rows = hstack(cartan, mat_scale(-1, cartan))
+    rows = hstack(cartan, [[-x for x in row] for row in cartan])
     rows += hstack(lower, zeros(2, 6)) + hstack(zeros(2, 6), upper)
     return ExactSubspace.span(rows, ambient_dim=12)
 

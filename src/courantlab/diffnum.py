@@ -426,7 +426,7 @@ def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
     """pi(t) for a splitting (E, F) of the double, in the chart at p."""
     pi_np = _float_bivector(s)
     chart = group_chart(p.ctx)
-    g0 = np_matrix(p.g)
+    g0 = np_matrix(*p.g_ints)
     k = p.ctx.dim
 
     def sampler(t: np.ndarray) -> np.ndarray:
@@ -447,8 +447,8 @@ def product_coords_sampler(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint):
     pab is the point of the product ga gb."""
     chart = group_chart(pa.ctx)
     k = pa.ctx.dim
-    ga, gb = np_matrix(pa.g), np_matrix(pb.g)
-    base_inv = np.linalg.inv(np_matrix(pab.g))
+    ga, gb = np_matrix(*pa.g_ints), np_matrix(*pb.g_ints)
+    base_inv = np.linalg.inv(np_matrix(*pab.g_ints))
 
     def factor(g0: np.ndarray, st: np.ndarray) -> np.ndarray:
         # a slice whose block is zero keeps the base point itself
@@ -510,7 +510,7 @@ def dressing_field_sampler(x: G1Point):
     t = x.triple
     p1_np, _, inclusion_pinv = triple_floats(t)
     g1_chart, d_chart = group_chart(t.g1_ctx), group_chart(t.d_ctx)
-    g0 = np_matrix(x.g1.g)
+    g0 = np_matrix(*x.g1.g_ints)
     zetas = np.eye(t.d_algebra.dim)[..., None]
 
     def fields(tvec: np.ndarray) -> np.ndarray:
@@ -530,7 +530,7 @@ def phi_r_sections(t: TripleContext, d0: GroupPoint, zetas):
     phi^R(zeta) at each point of the stack t, in the chart at d0."""
     _, p2_np, _ = triple_floats(t)
     chart = group_chart(t.d_ctx)
-    g0 = np_matrix(d0.g)
+    g0 = np_matrix(*d0.g_ints)
     zs = np_matrix(zetas)
 
     def sections(tvec: np.ndarray) -> np.ndarray:
@@ -557,6 +557,6 @@ def phi_r_homomorphism_residual(
     structure, form = group_chart(t.d_ctx).double
     (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
     got = courant_bracket_jets_np(structure, form, np_matrix(*d0.anchor._ints),
-                                  np_matrix(d0.anchor.dual), xv, xj, yv, yj)
+                                  np_matrix(*d0.anchor.dual_ints), xv, xj, yv, yj)
     (want,) = np_matrix(*phi_r_values(t, d0, (t.d_algebra.bracket_vec(zeta, zeta2),)))
     return max_abs(got - want)

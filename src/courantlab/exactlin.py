@@ -1,46 +1,49 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``Fraction``; matrices are tuples of row tuples.
+Every exact matrix is an integer table (rows, den): integer rows over one
+positive denominator.  ``int_matrix`` is the one way in: it puts a
+matrix of int, Fraction or 'p/q' entries over the lcm of its
+denominators (a float raises TypeError at every entry point), and
+``frac_matrix`` is the one way back, normalising each entry once, for
+the Fraction views read at the edges (JSON out, the report); ``matrix``
+coerces exact input given as Fractions (JSON in, the literal context
+data).  Every dense exact product is one ``int_products`` (a
+chain of tables is one ``table_product``), and a sparse factor (a Gram
+matrix, a kernel basis) is read by its nonzeros; every elimination
+(rank, kernels, inverses, spans, membership, coordinates) is one
+fraction-free ``_eliminate`` of integer rows.
+
 A subspace is stored as its reduced row echelon basis with lowest-index
 pivots, written as primitive integer rows with positive pivots, so two
 equal subspaces have identical stored rows and subspace equality is
 plain structural equality.  The zero subspace keeps an explicit ambient
-dimension and no rows.
-
-Values are ``Fraction`` at the API and integers inside.  ``int_matrix``
-is the one way in: it puts a matrix of int, Fraction or 'p/q' entries
-over the lcm of its denominators (a float raises TypeError at every
-entry point), and ``frac_matrix`` is the one way back, normalising each
-entry once.  Every dense exact product is one ``int_products``, and a
-sparse factor (a Gram matrix, a kernel basis) is read by its nonzeros;
-every elimination (rank, kernels, spans, membership, coordinates) and
-every constructor check (symmetry, antisymmetry) reads the same rows.
-The subspace operations (sum, intersection, kernels, orthogonal
-complements, isotropy, meets) work on the integer rows alone; the
-unit-pivot Fraction basis is a view, built on first read.
-Nonsingularity is decided by rank, and ``inverse`` is the Fraction view
-of one integer elimination of [A | I] (``_inverse_rows``).
+dimension and no rows.  The subspace operations (sum, intersection,
+kernels, orthogonal complements, isotropy, meets) work on the integer
+rows alone; the unit-pivot Fraction basis is a view, built on first
+read.  A ``BilinearForm`` keeps its Gram matrix as an integer table and
+its inverse as one integer elimination of [A | I] (``_inverse_rows``);
+nonsingularity is decided by rank.
 
 Block matrices are laid out here alone: ``hstack`` joins blocks row by
-row, ``zeros`` and ``block_diag`` pad them, and ``mat_add`` and
-``mat_scale`` are the entrywise arithmetic.
+row, and ``zeros``, ``identity`` and ``block_diag`` (int entries) pad
+and fill them.
 
 All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add, attrgetter, mul, neg
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 
 class DimensionMismatchError(ValueError):
@@ -68,40 +71,29 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(map(frac, entries))
-
-
 def matrix(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(vector(r) for r in rows)
+    """Rows of int, Fraction or 'p/q' entries as Fractions: the coercion
+    of exact input at the edges (JSON, literal data, the report)."""
+    out = tuple(tuple(map(frac, r)) for r in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatchError("ragged matrix rows")
     return out
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+def zero_vector(n: int) -> tuple[int, ...]:
+    return (0,) * n
 
 
-def zeros(r: int, c: int) -> Matrix:
+def zeros(r: int, c: int) -> IntRows:
     """The r x c zero matrix.  zeros(r, 0) is r empty rows: the block
-    ``hstack`` takes for no columns, where transpose(()) has no rows."""
+    ``hstack`` takes for no columns."""
     return (zero_vector(c),) * r
 
 
-def identity(n: int) -> Matrix:
+def identity(n: int) -> IntRows:
     """The n x n identity; its rows are the unit vectors of Q^n."""
     zero = zero_vector(n)
-    return tuple(zero[:i] + (Fraction(1),) + zero[i + 1:] for i in range(n))
-
-
-def add_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def scale_vec(c, v: Vector) -> Vector:
-    c = frac(c)
-    return tuple(c * a for a in v)
+    return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
 
 
 def hstack(*blocks: Sequence[Sequence]) -> Matrix:
@@ -121,21 +113,6 @@ def block_diag(*blocks: Matrix) -> Matrix:
         rows += hstack(zeros(len(b), before), b, zeros(len(b), total - before - w))
         before += w
     return rows
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    """A + B entrywise; DimensionMismatchError when the shapes differ."""
-    if len(A) != len(B) or any(len(r) != len(s) for r, s in zip(A, B)):
-        raise DimensionMismatchError("matrix shapes disagree")
-    return tuple(tuple(map(add, r, s)) for r, s in zip(A, B))
-
-
-def mat_scale(c, A: Matrix) -> Matrix:
-    """c A entrywise, for an exact scalar c.  For c = -1 each entry is
-    negated, which skips the gcds of a Fraction product: antisymmetry
-    checks and relation graphs scale by -1."""
-    scale = neg if c == -1 else frac(c).__mul__
-    return tuple(tuple(map(scale, row)) for row in A)
 
 
 _ZERO = Fraction(0)
@@ -226,26 +203,6 @@ def table_product(*tables: tuple[Sequence[Sequence[int]], int]) -> tuple[list, i
     return table, den
 
 
-def mat_mul(*factors: Matrix) -> Matrix:
-    """The product of a chain of factors: each is put into integer rows
-    once, and the table product is read back once."""
-    return frac_matrix(*table_product(*map(int_matrix, factors)))
-
-
-def mat_vec(A: Matrix, v: Vector) -> Vector:
-    a, da = int_matrix(A)
-    (vn,), vd = int_matrix((v,))
-    if a and len(a[0]) != len(vn):
-        raise DimensionMismatchError("matrix/vector shape mismatch")
-    return tuple(row[0] for row in frac_matrix(int_products(a, (vn,)), da * vd))
-
-
-def transpose(A: Matrix) -> Matrix:
-    if not A:
-        return ()
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
 def _eliminate(work: list[list[int]], ncols: int, reduced: bool) -> list[int]:
     """Fraction-free row reduction of integer rows, in place.
 
@@ -320,14 +277,6 @@ def zero_prefix_rows(work: list, k: int) -> list:
     return [row[k:] for row in work[len(pivots):]]
 
 
-def rref(rows: Sequence[Sequence]) -> Matrix:
-    """Reduced row echelon form with unit pivots; zero rows dropped."""
-    work = list(int_matrix(rows)[0])
-    if not work:
-        return ()
-    return _unit_pivot(_rref(work, len(work[0]))[0])
-
-
 def rank(A: Sequence[Sequence]) -> int:
     work = list(int_matrix(A)[0])
     if not work:
@@ -354,42 +303,6 @@ def _kernel_rows(work: list, ncols: int) -> list[list[int]]:
     return basis
 
 
-def nullspace(A: Matrix, ncols: int) -> "ExactSubspace":
-    """Kernel of x -> A x as a canonical subspace of Q^ncols."""
-    return ExactSubspace.of_rows(ncols, _kernel_rows(list(int_matrix(A)[0]), ncols))
-
-
-def solve(A: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    No module calls it (nor rref, its elimination): it stays as the
-    independent reference that the tests check quotient_coords,
-    GroupContext.coordinatize and TripleContext.g1_coordinatizer against.
-    """
-    if len(A) != len(b):
-        raise DimensionMismatchError("matrix/vector shape mismatch")
-    if not A:
-        return ()
-    ncols = len(A[0])
-    aug = rref([tuple(row) + (bi,) for row, bi in zip(A, b)])
-    x = [Fraction(0)] * ncols
-    for row in aug:
-        lead = None
-        for j in range(ncols):
-            if row[j] != 0:
-                lead = j
-                break
-        if lead is None:
-            if row[ncols] != 0:
-                return None
-            continue
-        x[lead] = row[ncols]
-    # verify: free variables were set to zero, which solves iff consistent
-    if mat_vec(A, tuple(x)) != tuple(b):
-        return None
-    return tuple(x)
-
-
 def _inverse_rows(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """The inverse of a square integer matrix as integer rows over one
     positive denominator, from one fraction-free reduced elimination of
@@ -401,15 +314,6 @@ def _inverse_rows(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     # row i of the reduced [A | I] is p_i e_i | p_i (row i of A^-1)
     den = lcm(*[row[i] for i, row in enumerate(aug)])
     return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(aug)], den
-
-
-def inverse(A: Matrix) -> Matrix:
-    """A^-1 as Fractions: A is put over the lcm of its entries'
-    denominators once, and the integer inverse is read back."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise DimensionMismatchError("inverse needs a square matrix")
-    return frac_matrix(*_inverse_of(int_matrix(A)))
 
 
 def _inverse_of(ints: tuple[Sequence[Sequence[int]], int]) -> tuple[list[list[int]], int]:
@@ -521,7 +425,7 @@ class ExactSubspace:
         dim = data.get("ambient_dim", ambient_dim)
         if ambient_dim is not None and dim != ambient_dim:
             raise DimensionMismatchError(f"ambient_dim {dim!r} disagrees with {ambient_dim}")
-        return cls.span([vector(row) for row in data["basis"]], ambient_dim=dim)
+        return cls.span(matrix(data["basis"]), ambient_dim=dim)
 
 
 def product_subspace(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
@@ -542,7 +446,8 @@ class Coordinatizer:
     rebuild v exactly; otherwise v lies outside ``span``, the name the
     error gives.  Both products read integer columns over one
     denominator, kept from one ``int_matrix`` of the rows: those of the
-    inverse block and those of the rows.
+    inverse block and those of the rows.  ``coords_ints`` takes integer
+    rows over a denominator and gives an integer table.
     """
 
     ambient_dim: int
@@ -568,14 +473,6 @@ class Coordinatizer:
         row_columns = tuple(zip(*ints)) if ints else ((),) * ambient_dim
         return cls(ambient_dim, pivots, (inverse_columns, inv_den), (row_columns, den), span)
 
-    def coords(self, v: Sequence) -> Vector:
-        """Coordinates of one vector; DimensionMismatchError outside the span."""
-        return self.coords_rows((v,))[0]
-
-    def coords_rows(self, vs: Sequence[Sequence]) -> Matrix:
-        """Coordinates of each row of vs as Fraction rows; see coords_ints."""
-        return frac_matrix(*self.coords_ints(*int_matrix(vs)))
-
     def coords_ints(self, ints: Sequence[Sequence[int]], den: int) -> tuple[list[list[int]], int]:
         """Coordinates of integer rows over den as an integer table over one
         denominator: one product, then one exact rebuild check on integers;
@@ -593,90 +490,39 @@ class Coordinatizer:
 
 
 @dataclass(frozen=True)
-class QuotientMap:
-    """Coordinates on W1/W0 through a chosen complement basis inside W1.
-
-    Coordinates are read through one coordinatizer over the rows
-    W0 basis + complement, built on first use and kept.
-    """
-
-    w1: ExactSubspace
-    w0: ExactSubspace
-    complement: Matrix
-
-    @property
-    def dim(self) -> int:
-        return len(self.complement)
-
-    @cached_property
-    def _coordinatizer(self) -> Coordinatizer:
-        return Coordinatizer.of_rows(self.w0.rows + tuple(self.complement),
-                                     self.w1.ambient_dim, "W1")
-
-    def coords_rows(self, vs: Sequence[Sequence]) -> Matrix:
-        """Quotient coordinates of each row of vs, as one product;
-        DimensionMismatchError on a row outside W1."""
-        k = self.w0.dim
-        return tuple(c[k:] for c in self._coordinatizer.coords_rows(vs))
-
-    def map_subspace(self, s: ExactSubspace) -> ExactSubspace:
-        """Image of (S cap W1) in the quotient coordinates."""
-        rows = self.coords_rows(s.intersect(self.w1).rows)
-        return ExactSubspace.span(rows, ambient_dim=self.dim)
-
-    def descended_form(self, form: BilinearForm) -> BilinearForm:
-        """The form on W1/W0 read on the complement basis C: C G C^T, one
-        integer product over the form's kept rows G (symmetric, so also its
-        columns); well defined when W0 pairs to zero with W1."""
-        c, dc = int_matrix(self.complement)
-        if c and len(c[0]) != form.dim:
-            raise DimensionMismatchError("complement not in the form's space")
-        gram, dg = form._ints
-        return BilinearForm(frac_matrix(int_products(int_products(c, gram), c), dc * dc * dg))
-
-
-def quotient_coords(w1: ExactSubspace, w0: ExactSubspace) -> QuotientMap:
-    """Quotient W1/W0 with a greedily chosen complement basis: the W1
-    basis rows outside the span of W0 and the W1 rows before them.
-
-    One elimination of the columns W0 rows + W1 rows picks them: its
-    pivot columns past the W0 block.  W0 lies in W1 exactly when the
-    pivots number dim W1.
-    """
-    w1._check(w0)
-    k = w0.dim
-    cols = [list(c) for c in zip(*(w0.rows + w1.rows))]
-    pivots = _eliminate(cols, k + w1.dim, reduced=False)
-    if len(pivots) != w1.dim:
-        raise ValueError("W0 is not contained in W1")
-    return QuotientMap(w1, w0, tuple(w1.basis[p - k] for p in pivots if p >= k))
-
-
-@dataclass(frozen=True)
 class BilinearForm:
-    """A symmetric bilinear form given by its Gram matrix."""
+    """A symmetric bilinear form, kept as its Gram matrix's integer rows
+    over one common denominator in lowest terms, which decide equality
+    and hashing.  ``BilinearForm(entries)`` takes an exact matrix (a float
+    entry raises TypeError), ``of_ints`` an integer table, and the
+    Fraction ``matrix`` is built on first read."""
 
-    matrix: Matrix
-    # the Gram matrix as integer rows over one common denominator, and its columns' nonzeros
-    _ints: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
+    entries: InitVar[Sequence[Sequence] | None]
+    _ints: tuple = field(default=None, kw_only=True)
+    # the nonzeros of each Gram column
     _columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        m = matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_ints", int_matrix(m))
-        if self._ints[0] != transpose(self._ints[0]):
+    def __post_init__(self, entries):
+        if self._ints is None:
+            object.__setattr__(self, "_ints", int_matrix(entries))
+        rows = self._ints[0]
+        if rows != tuple(zip(*rows)):
             raise ValueError("bilinear form must be symmetric")
-        object.__setattr__(self, "_columns", tuple(_nonzeros(self._ints[0])))
+        object.__setattr__(self, "_columns", tuple(_nonzeros(rows)))
 
-    def __hash__(self) -> int:
-        # equal matrices have equal integer rows, which hash faster than
-        # Fractions (split spaces are cache keys)
-        return hash(self._ints)
+    @classmethod
+    def of_ints(cls, table: Iterable[Iterable[int]], den: int) -> "BilinearForm":
+        """The form of the Gram table / den (den > 0), kept in lowest terms."""
+        return cls(None, _ints=lowest_terms(table, den))
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """The Gram matrix as Fractions, read back from the kept rows."""
+        return frac_matrix(*self._ints)
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._ints[0])
 
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
         (un, vn), uv_den = int_matrix((u, v))
@@ -699,11 +545,6 @@ class BilinearForm:
     def _inverse_columns(self) -> list[tuple[tuple[int, int], ...]]:
         """The nonzeros of each column (row) of B^-1, built on first use; SingularMatrixError."""
         return _nonzeros(self._inverse[0])
-
-    @cached_property
-    def inverse_matrix(self) -> Matrix:
-        """B^-1 as Fractions, read back from ``_inverse``."""
-        return frac_matrix(*self._inverse)
 
     def signature(self) -> tuple[int, int, int]:
         """(positives, negatives, zeros) via exact congruence diagonalization,
@@ -790,7 +631,12 @@ class BilinearForm:
         return self.orth_complement(s) == s
 
     def direct_sum(self, other: "BilinearForm") -> "BilinearForm":
-        return BilinearForm(block_diag(self.matrix, other.matrix))
+        """B (+) C, its two integer blocks put over one denominator."""
+        (a, da), (b, db) = self._ints, other._ints
+        den = lcm(da, db)
+        return BilinearForm.of_ints(block_diag([[x * (den // da) for x in row] for row in a],
+                                               [[x * (den // db) for x in row] for row in b]), den)
 
     def negate(self) -> "BilinearForm":
-        return BilinearForm(mat_scale(-1, self.matrix))
+        rows, den = self._ints
+        return BilinearForm.of_ints([[-x for x in row] for row in rows], den)

@@ -2,10 +2,9 @@
 
 A relation W -> W' is stored as a Lagrangian subspace of W' (+) W-bar,
 with block order (target, source).  Composition, transpose, kernels and
-ranges, the reduced isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t),
-backward images of Lagrangian subspaces, splitting bivectors and their
-coisotropic reduction, and the splitting-relatedness predicate all live
-here.  Everything is exact.
+ranges, backward images of Lagrangian subspaces, splitting bivectors,
+and the splitting-relatedness predicate all live here, on integer rows.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from operator import neg
 
 from .exactlin import (
     BilinearForm,
-    Coordinatizer,
     DimensionMismatchError,
     ExactSubspace,
     Matrix,
     NotLagrangianError,
-    QuotientMap,
     Vector,
     _eliminate,
     _inverse_rows,
@@ -31,15 +28,7 @@ from .exactlin import (
     int_matrix,
     int_products,
     lowest_terms,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    matrix,
-    quotient_coords,
-    rank,
-    transpose,
     zero_prefix_rows,
-    zero_vector,
     zeros,
 )
 from .quadlie import QuadraticLieAlgebra
@@ -47,14 +36,6 @@ from .quadlie import QuadraticLieAlgebra
 
 class TransversalityError(ValueError):
     """Backward image through a relation whose co-kernel meets the subspace."""
-
-    def __init__(self, message: str, witness: Vector):
-        super().__init__(message)
-        self.witness = witness
-
-
-class ReductionError(ValueError):
-    """Bivector does not descend; carries a witness vector."""
 
     def __init__(self, message: str, witness: Vector):
         super().__init__(message)
@@ -133,9 +114,12 @@ class LinearRelation:
     @classmethod
     def graph_of_map(cls, source: SplitSpace, target: SplitSpace, A: Matrix) -> "LinearRelation":
         """Relation {(A w, w)}; A must intertwine the forms."""
-        # row j is (A e_j, e_j): column j of A beside row j of I
-        a_cols = transpose(matrix(A)) if A else zeros(source.dim, 0)
-        return cls.from_rows(source, target, hstack(a_cols, identity(source.dim)))
+        # row j is den (A e_j, e_j) for the integer rows a / den of A:
+        # column j of a beside den e_j
+        a, den = int_matrix(A)
+        a_cols = list(zip(*a)) if a else zeros(source.dim, 0)
+        units = [[den * x for x in row] for row in identity(source.dim)]
+        return cls.from_rows(source, target, hstack(a_cols, units))
 
     def kernel(self) -> ExactSubspace:
         """{w : w ~ 0}.
@@ -177,38 +161,17 @@ class LinearRelation:
         if self.source != other.target:
             raise DimensionMismatchError("composition spaces do not match")
         nt, nm, ns = self.target.dim, self.source.dim, other.source.dim
+        mine, theirs = self.graph.rows, other.graph.rows
         # rows (middle, target, source): (y, x', 0) for (x', y) in self and
         # (-y, 0, x) for (y, x) in other; the pairs matching in the middle
         # are the combinations with a zero middle
-        work = [r[nt:] + r[:nt] + (0,) * ns for r in self.graph.rows]
-        work += [tuple(-x for x in r[:nm]) + (0,) * nt + r[nm:] for r in other.graph.rows]
+        work = list(hstack([r[nt:] for r in mine], [r[:nt] for r in mine], zeros(len(mine), ns)))
+        work += hstack([[-x for x in r[:nm]] for r in theirs], zeros(len(theirs), nt), [r[nm:] for r in theirs])
         sub = ExactSubspace.of_rows(nt + ns, zero_prefix_rows(work, nm))
         return LinearRelation(other.source, self.target, sub)
 
     def __mul__(self, other: "LinearRelation") -> "LinearRelation":
         return self.compose(other)
-
-    @cached_property
-    def reduced_iso(self) -> "ReducedIso":
-        """The isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t) that maps [w]
-        to [w'] whenever w ~ w', built once; NotLagrangianError when the
-        induced map is not invertible.  Both source-side spaces come from
-        the kept ``flipped`` elimination: its source-pivot rows each carry
-        an image.
-        """
-        ns = self.source.dim
-        with_image = [r for r in self.flipped.rows if any(r[:ns])]
-        sources = [r[:ns] for r in with_image]
-        qs = quotient_coords(ExactSubspace.of_rows(ns, list(sources)), self.kernel())
-        qt = quotient_coords(self.range_, self.cokernel)
-        # an image of each complement vector: its coordinates over the
-        # source parts applied to the target parts
-        coef = Coordinatizer.of_rows(sources, ns, "ran(R^t)").coords_rows(qs.complement)
-        cols = qt.coords_rows(mat_mul(coef, tuple(r[ns:] for r in with_image)))
-        mat = transpose(cols) if cols else ()
-        if cols and rank(mat) != len(cols):
-            raise NotLagrangianError("reduced map failed to be invertible")
-        return ReducedIso(qs, qt, mat)
 
     def to_json(self) -> dict:
         return {
@@ -216,23 +179,6 @@ class LinearRelation:
             "target_dim": self.target.dim,
             "graph_basis": [[str(x) for x in row] for row in self.graph.basis],
         }
-
-
-@dataclass(frozen=True)
-class ReducedIso:
-    """The induced isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t)."""
-
-    source_quotient: QuotientMap
-    target_quotient: QuotientMap
-    matrix: Matrix  # columns are images of the source complement basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.source_quotient.complement)
-
-    def map_subspace(self, s_red: ExactSubspace) -> ExactSubspace:
-        rows = mat_mul(s_red.rows, transpose(self.matrix))
-        return ExactSubspace.span(rows, ambient_dim=self.dim)
 
 
 def _graph_over(eprime: ExactSubspace, r: LinearRelation) -> list[list[int]]:
@@ -288,7 +234,7 @@ class Bivector:
 
     def __post_init__(self, entries):
         if self._ints is None:
-            object.__setattr__(self, "_ints", int_matrix(matrix(entries)))
+            object.__setattr__(self, "_ints", int_matrix(entries))
         rows = self._ints[0]
         if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
             raise ValueError("bivector matrix must be antisymmetric")
@@ -410,43 +356,6 @@ def splitting_bivector(s: Splitting) -> Bivector:
     lhs = list(zip(*(e + tuple(d))))
     rhs = list(zip(*(d + [tuple(map(neg, row)) for row in e])))
     return Bivector.of_ints(int_products(lhs, rhs), 2 * den)
-
-
-@dataclass(frozen=True)
-class ReducedBivector:
-    """The splitting of W1/W0 a splitting descends to; its bivector is
-    the descended Pi."""
-
-    quotient: QuotientMap
-    splitting: Splitting
-
-
-def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
-    """Descend a splitting's bivector along a coisotropic W1.
-
-    Raises ValueError when W1 is not coisotropic, that is when the
-    quotient finds W0 = W1-perp outside W1.  Succeeds exactly when
-    W0 = (E cap W0) (+) (F cap W0); on failure raises ReductionError
-    carrying a witness w in W0 whose E-projection leaves W0.
-    """
-    form = s.space.form
-    w0 = form.orth_complement(w1)
-    q = quotient_coords(w1, w0)
-    if not s.splits(w0):
-        p_e, _ = s.projectors
-        witness = next((w for w in w0.basis if not w0.contains(mat_vec(p_e, w))), w0.basis[0])
-        raise ReductionError("W0 is not split by the decomposition", witness)
-    red_form = q.descended_form(form)
-    reduced = Splitting(SplitSpace(q.dim, red_form), q.map_subspace(s.e), q.map_subspace(s.f))
-    # iota(w) Pi = -Pi B w, for every complement row w at once the rows of
-    # C B Pi (B is symmetric and Pi antisymmetric), and
-    # iota(w_red) Pi_red = (iota(w) Pi)_red
-    red_pi_cols = q.coords_rows(mat_mul(q.complement, form.matrix, s.bivector.matrix))
-    bred = mat_mul(mat_scale(-1, transpose(red_pi_cols)), red_form.inverse_matrix)
-    if bred != reduced.bivector.matrix:
-        raise ReductionError("descended bivector disagrees with reduced splitting",
-                             w0.basis[0] if w0.basis else zero_vector(s.space.dim))
-    return ReducedBivector(q, reduced)
 
 
 @dataclass(frozen=True)

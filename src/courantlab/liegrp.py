@@ -18,21 +18,19 @@ from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .exactlin import (
     Coordinatizer,
     ExactSubspace,
+    IntRows,
     Matrix,
     Vector,
+    _inverse_of,
     _kernel_rows,
+    frac_matrix,
     hstack,
     identity,
     int_matrix,
     int_products,
-    inverse,
     lowest_terms,
-    mat_add,
-    mat_mul,
-    mat_scale,
     product_subspace,
     table_product,
-    transpose,
     zeros,
 )
 from .lagrel import (
@@ -43,13 +41,6 @@ from .lagrel import (
     from_algebra,
 )
 from .quadlie import QuadraticLieAlgebra, build_double
-
-
-# ---------------------------------------------------------------------------
-# exact ambient-matrix helpers
-
-def commutator(x: Matrix, y: Matrix) -> Matrix:
-    return mat_add(mat_mul(x, y), mat_scale(-1, mat_mul(y, x)))
 
 
 def flatten(m: Matrix) -> Vector:
@@ -85,14 +76,12 @@ class GroupContext:
     @cached_property
     def points(self) -> tuple[GroupPoint, ...]:
         """One GroupPoint per sample point, in sample order."""
-        return tuple(GroupPoint(self, g) for g in self.sample_points)
+        return tuple(GroupPoint(self, int_matrix(g)) for g in self.sample_points)
 
-    def point(self, g: Matrix) -> GroupPoint:
-        """The kept point of g when g is a sample point, else a new one."""
-        try:
-            return self.points[self.sample_points.index(g)]
-        except ValueError:
-            return GroupPoint(self, g)
+    def point(self, g_ints: tuple[IntRows, int]) -> GroupPoint:
+        """The kept point of g, given as integer rows over one denominator
+        in lowest terms, when g is a sample point, else a new one."""
+        return next((p for p in self.points if p.g_ints == g_ints), None) or GroupPoint(self, g_ints)
 
     @cached_property
     def basis_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -105,35 +94,35 @@ class GroupContext:
         return Coordinatizer.of_rows([flatten(b) for b in self.algebra_basis],
                                      self.ambient_size ** 2, "the algebra span")
 
-    def coordinatize(self, elt: Matrix) -> Vector:
-        """Exact coordinates of an ambient algebra element over the basis;
-        DimensionMismatchError when it is not in the algebra's span."""
-        return self.coordinatizer.coords(flatten(elt))
-
 
 @dataclass(frozen=True, eq=False)
 class GroupPoint:
-    """One element g of a context's group.
+    """One element g of a context's group, kept as integer rows over one
+    denominator in lowest terms (``g_ints``, the pair ``int_matrix`` gives).
 
-    g^-1, Ad_g and Ad_{g^-1} as integer tables and the anchor of the
-    two-sided action at g are built on first use and kept; g is inverted
-    once.
+    g^-1 (one integer inversion), Ad_g and Ad_{g^-1} as integer tables and
+    the anchor of the two-sided action at g are built on first use and
+    kept; the Fraction ``g`` is a view, built on first read.
     """
 
     ctx: GroupContext
-    g: Matrix
+    g_ints: tuple[IntRows, int]
 
     @cached_property
-    def inverse(self) -> Matrix:
-        return inverse(self.g)
+    def g(self) -> Matrix:
+        return frac_matrix(*self.g_ints)
 
-    def _conjugation(self, h: Matrix, h_inv: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    @cached_property
+    def inverse_ints(self) -> tuple[list[list[int]], int]:
+        return _inverse_of(self.g_ints)
+
+    def _conjugation(self, h: tuple, h_inv: tuple) -> tuple[IntRows, int]:
         """Ad_h over the algebra basis as integer rows over one denominator,
-        in lowest terms: column b holds the coordinates of h b h^-1, two
-        integer products with the kept basis rows, and all are
-        coordinatized by one product."""
+        in lowest terms, for h and h^-1 as integer tables: column b holds
+        the coordinates of h b h^-1, two integer products with the kept
+        basis rows, and all are coordinatized by one product."""
         n, (basis, db) = self.ctx.ambient_size, self.ctx.basis_ints
-        (h_rows, dh), (inv_rows, di) = int_matrix(h), int_matrix(h_inv)
+        (h_rows, dh), (inv_rows, di) = h, h_inv
         inv_cols = list(zip(*inv_rows))
         conj = [[x for row in int_products(int_products(h_rows, [b[j::n] for j in range(n)]), inv_cols)
                  for x in row] for b in basis]
@@ -143,12 +132,12 @@ class GroupPoint:
     @cached_property
     def adjoint_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Ad_g."""
-        return self._conjugation(self.g, self.inverse)
+        return self._conjugation(self.g_ints, self.inverse_ints)
 
     @cached_property
     def adjoint_inverse_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Ad_{g^-1}, conjugating by g^-1 with g as its inverse."""
-        return self._conjugation(self.inverse, self.g)
+        return self._conjugation(self.inverse_ints, self.g_ints)
 
     @cached_property
     def anchor(self) -> AnchoredPoint:
@@ -169,12 +158,22 @@ class ContextError(ValueError):
 
 def validate_context(ctx: GroupContext) -> None:
     """Commutators must reproduce the structure constants; samples must
-    satisfy the group's membership predicate.  Exact throughout."""
-    for i, xi in enumerate(ctx.algebra_basis):
+    satisfy the group's membership predicate.  Exact throughout: each
+    commutator is an integer table over the kept basis rows, read by
+    ``coords_ints``, and compared with the constants over one denominator."""
+    n, (basis, db) = ctx.ambient_size, ctx.basis_ints
+    rows = [[b[r * n:(r + 1) * n] for r in range(n)] for b in basis]
+    cols = [[b[c::n] for c in range(n)] for b in basis]
+    constants = {}
+    for i, j, k, c in ctx.algebra.bracket:
+        constants.setdefault((i, j), [0] * ctx.dim)[k] = c
+    for i in range(ctx.dim):
         for j in range(i + 1, ctx.dim):
-            got = ctx.coordinatize(commutator(xi, ctx.algebra_basis[j]))
-            want = ctx.algebra.bracket_basis(i, j)
-            if got != want:
+            xy, yx = int_products(rows[i], cols[j]), int_products(rows[j], cols[i])
+            flat = [p - q for xy_row, yx_row in zip(xy, yx) for p, q in zip(xy_row, yx_row)]
+            (got,), den = ctx.coordinatizer.coords_ints([flat], db * db)
+            (want,), dw = int_matrix((constants.get((i, j), [0] * ctx.dim),))
+            if [dw * x for x in got] != [den * y for y in want]:
                 raise ContextError(f"[{i},{j}] disagrees with structure constants")
     for s in ctx.sample_points:
         if not ctx.membership(s):
@@ -191,8 +190,9 @@ class TripleContext:
     ``d_ctx`` realizes the big group D (algebra = the triple's algebra);
     ``g1_ctx`` realizes G1 with its own smaller ambient size, embedded in
     D by ``embed`` (a group homomorphism that only places entries and
-    zeros, so it maps float matrices too); ``inclusion`` expresses the
-    differential of the embedding over the two algebra bases.
+    zeros, so it maps integer rows and float matrices too); ``inclusion``
+    expresses the differential of the embedding over the two algebra
+    bases, as integer rows.
 
     The splittings the triple induces (the projector pair is that of
     ``splitting``) and one G1Point per G1 sample point are built on first
@@ -205,7 +205,7 @@ class TripleContext:
     g2: ExactSubspace
     g1_ctx: GroupContext
     embed: Callable[[Matrix], Matrix]
-    inclusion: Matrix  # d dim x g1 dim
+    inclusion: IntRows  # d dim x g1 dim
 
     @property
     def d_algebra(self) -> QuadraticLieAlgebra:
@@ -214,9 +214,9 @@ class TripleContext:
     @cached_property
     def points(self) -> tuple[G1Point, ...]:
         """One G1Point per G1 sample point, in sample order."""
-        return tuple(
-            G1Point(self, p, self.d_ctx.point(self.embed(p.g))) for p in self.g1_ctx.points
-        )
+        # embedding places entries, so it keeps the lowest terms of g's rows
+        return tuple(G1Point(self, p, self.d_ctx.point((self.embed(p.g_ints[0]), p.g_ints[1])))
+                     for p in self.g1_ctx.points)
 
     @cached_property
     def splitting(self) -> Splitting:
@@ -258,7 +258,7 @@ class TripleContext:
         return dbar.direct_sum(dbar)
 
     @cached_property
-    def inclusion_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def inclusion_ints(self) -> tuple[IntRows, int]:
         """The inclusion as integer rows over one denominator."""
         return int_matrix(self.inclusion)
 
@@ -266,7 +266,7 @@ class TripleContext:
     def g1_coordinatizer(self) -> Coordinatizer:
         """Coordinates over the columns of the inclusion, i.e. over G1's
         own basis."""
-        return Coordinatizer.of_rows(transpose(self.inclusion), len(self.inclusion),
+        return Coordinatizer.of_rows(list(zip(*self.inclusion)), len(self.inclusion),
                                      "the embedded subalgebra")
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +369,7 @@ def p_phi_fiber(x: G1Point) -> LinearRelation:
 
 def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> LinearRelation:
     """Quotient morphism fiber (z, u) ~ z for u in a Lagrangian subalgebra."""
-    n, u = t.d_algebra.dim, lagrangian_subalgebra.basis
+    n, u = t.d_algebra.dim, lagrangian_subalgebra.rows
     rows = hstack(identity(n), identity(n), zeros(n, n)) + hstack(zeros(len(u), 2 * n), u)
     return LinearRelation.from_rows(
         from_algebra(t.d_ctx.double_algebra), from_algebra(t.d_algebra), rows

@@ -25,7 +25,6 @@ from .exactlin import (
     hstack,
     identity,
     int_matrix,
-    mat_scale,
     matrix,
 )
 
@@ -292,14 +291,13 @@ def build_double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:
     names = tuple(f"{nm}+" for nm in g.basis_names) + tuple(
         f"{nm}-" for nm in g.basis_names
     )
-    form = g.form.direct_sum(g.form.negate())
-    return QuadraticLieAlgebra.from_triples(2 * n, triples, form.matrix, names)
+    return QuadraticLieAlgebra(2 * n, tuple(triples), g.form.direct_sum(g.form.negate()), names)
 
 
 def diagonal_subspace(g: QuadraticLieAlgebra, sign: int = 1) -> ExactSubspace:
     """The (anti-)diagonal {(x, sign*x)} inside the double's coordinates."""
-    n = g.dim
-    return ExactSubspace.span(hstack(identity(n), mat_scale(sign, identity(n))), ambient_dim=2 * n)
+    one = identity(g.dim)
+    return ExactSubspace.span(hstack(one, [[sign * x for x in row] for row in one]), ambient_dim=2 * g.dim)
 
 
 @dataclass(frozen=True)

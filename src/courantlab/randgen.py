@@ -11,8 +11,7 @@ are those of the ``randint`` calls.  A split transform is applied to the
 columns a caller reads, each kept as two k-entry halves and multiplied
 by ``exactlin.int_products``; a draw's inverse is computed only where it
 meets a nonzero half, and the columns are put in lowest terms once, at
-the end.  Fractions are read back, by ``exactlin.frac_matrix``, only in
-the anchor that ``random_coisotropic_anchor`` returns.
+the end.  Every instance is built from integer rows: no Fraction is made.
 
 Everything is driven by a caller-supplied ``random.Random`` so fixed
 seeds reproduce identical instances byte for byte.
@@ -24,15 +23,7 @@ import random
 from functools import lru_cache
 from math import lcm
 
-from .exactlin import (
-    ExactSubspace,
-    Matrix,
-    _eliminate,
-    _inverse_rows,
-    frac_matrix,
-    int_products,
-    lowest_terms,
-)
+from .exactlin import ExactSubspace, _eliminate, _inverse_rows, int_products, lowest_terms
 from .lagrel import LinearRelation, Splitting, hyperbolic_space
 from .quadlie import QuadraticLieAlgebra
 
@@ -131,7 +122,9 @@ def random_lagrangian_splitting(rng: random.Random, k: int) -> Splitting:
 
 
 def _coisotropic_anchor_ints(rng: random.Random, k: int) -> tuple[IntRows, int, int]:
-    """random_coisotropic_anchor as (integer rows, den, j)."""
+    """An anchor on Q^2k (hyperbolic form) whose kernel is coisotropic, as
+    (integer rows, den, j): the kernel is the orthogonal of a random
+    isotropic subspace of dimension j <= k, and the chart dimension is j."""
     j = rng.randint(0, k)
     cols, den = _split_transform_cols(rng, k, j)
     if not j:
@@ -145,22 +138,11 @@ def _coisotropic_anchor_ints(rng: random.Random, k: int) -> tuple[IntRows, int, 
     return int_products(tmix, list(zip(*swapped))), dt * den, j
 
 
-def random_coisotropic_anchor(rng: random.Random, k: int) -> tuple[Matrix, int]:
-    """An anchor on Q^2k (hyperbolic form) whose kernel is coisotropic.
-
-    The kernel is the orthogonal of a random isotropic subspace of
-    dimension j <= k; the chart dimension equals j.
-    """
-    table, den, j = _coisotropic_anchor_ints(rng, k)
-    return frac_matrix(table, den), j
-
-
 @lru_cache(maxsize=64)
 def random_abelian_split_algebra(k: int) -> QuadraticLieAlgebra:
     """The abelian quadratic algebra on the hyperbolic Q^2k, built once
     per k."""
-    form = hyperbolic_space(k).form
-    return QuadraticLieAlgebra.from_triples(2 * k, [], form.matrix)
+    return QuadraticLieAlgebra(2 * k, (), hyperbolic_space(k).form, tuple(f"b{i}" for i in range(2 * k)))
 
 
 def random_relation(

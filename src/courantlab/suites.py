@@ -30,7 +30,7 @@ from .contexts import (
     sl2_triangular_triple,
     sl2c_realified_context,
 )
-from .exactlin import ExactSubspace, hstack, identity, mat_mul, mat_vec, product_subspace
+from .exactlin import ExactSubspace, hstack, identity, int_products, lowest_terms, product_subspace, table_product
 from .lagrel import Splitting, related_splitting
 from .liegrp import TripleContext
 
@@ -122,12 +122,15 @@ def _sheared_quasi_splitting():
     the trivector pushforward).
 
     Built by shearing the diagonal/anti-diagonal pair with fixed
-    form-preserving transvections that mix the complex halves.
+    form-preserving transvections that mix the complex halves, applied to
+    the hyperbolic frame of E's integer rows and their dual frame D (over
+    one denominator den, the rows den E and D).
     """
     ctx = sl2c_realified_context()
     d = ctx.double_algebra
     quasi = named_splitting("sl2c-real", "delta-antidelta")
-    frame = quasi.e.basis + quasi.duals
+    dual, den = quasi._dual_frame
+    frame_cols = list(zip(*([[den * x for x in row] for row in quasi.e.rows] + dual)))
     k = 6
 
     def shear(entries):
@@ -140,8 +143,8 @@ def _sheared_quasi_splitting():
     # the rows of [I | N_lower] and [N_upper | I] applied to the frame (e, f)
     n_upper = shear([(0, 4, 1), (1, 3, -1), (2, 5, 1)])
     n_lower = shear([(0, 3, 1), (1, 5, 1), (2, 4, -1)])
-    e = ExactSubspace.span(mat_mul(hstack(identity(k), n_lower), frame))
-    f_sub = ExactSubspace.span(mat_mul(hstack(n_upper, identity(k)), frame))
+    e = ExactSubspace.of_rows(d.dim, int_products(hstack(identity(k), n_lower), frame_cols))
+    f_sub = ExactSubspace.of_rows(d.dim, int_products(hstack(n_upper, identity(k)), frame_cols))
     return ctx, d, Splitting.of_algebra(d, e, f_sub)
 
 
@@ -243,9 +246,10 @@ def suite_leaves(samples: int = DEFAULT_SAMPLES["leaves"], seed: int = 0) -> Che
     def strict() -> tuple[bool]:
         """A kernel strictly larger than the right side."""
         ab6 = randgen.random_abelian_split_algebra(3)
-        r1 = mat_vec(ab6.form.matrix, (1, 0, 0, 0, 0, 0))
-        r2 = mat_vec(ab6.form.matrix, (0, 1, 0, 0, 0, 1))
-        pt6 = anchored.AnchoredPoint(ab6, (r1, r2), 2)
+        # the anchor rows B e_1 and B (e_2 + e_6) of the Gram matrix B
+        form_rows, form_den = ab6.form._ints
+        rows = int_products([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1)], list(zip(*form_rows)))
+        pt6 = anchored.AnchoredPoint.of_ints(ab6, rows, form_den, 2)
         e6 = ExactSubspace.span([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
         f6 = ExactSubspace.span([(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
         return (not anchored.leaf_condition(pt6, Splitting.of_algebra(ab6, e6, f6)),)
@@ -276,7 +280,7 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
     pairs = []
     for _ in range(samples):
         d1, d2 = rng.choice(group.points), rng.choice(group.points)
-        pairs.append((d1, d2, group.point(mat_mul(d1.g, d2.g))))
+        pairs.append((d1, d2, group.point(lowest_terms(*table_product(d1.g_ints, d2.g_ints)))))
     jacobians = functools.cache(lambda: [diffnum.dmult_fd(*pair, h=h) for pair in pairs])
     points = group.points[:samples]
 

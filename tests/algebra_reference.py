@@ -1,4 +1,21 @@
-"""Reference algebras and the dense reference of ``validate_algebra``.
+"""Reference algebras, the Fraction matrix arithmetic, and the dense
+reference of ``validate_algebra``.
+
+The Fraction helpers (``vector``, ``add_vec``, ``scale_vec``,
+``transpose``, ``mat_add``, ``mat_scale``, ``mat_mul``, ``mat_vec``,
+``rref``, ``solve``, ``nullspace``, ``inverse``) are plain loops over
+``Fraction`` entries that never call ``exactlin.int_products`` or
+``exactlin._eliminate``: an independent reference for the integer kernel
+that ``courantlab`` computes on.  ``coords_rows``, ``coordinatize``,
+``dual`` and ``inverse_matrix`` read integer results back as Fractions.
+
+The names that left the package because no module called them stay here
+as the tests' references: quotient coordinates (``QuotientMap``,
+``quotient_coords``), the reduced isomorphism of a relation
+(``reduced_iso``, ``ReducedIso``), the descended splitting bivector
+(``reduce_bivector``, ``ReducedBivector``, ``ReductionError``), the
+jet-level Courant bracket (``SectionJet``, ``courant_bracket_jets``,
+``courant_bracket_jet_closed``) and ``random_coisotropic_anchor``.
 
 ``dense_validate_algebra`` is the triple loop over basis vectors that
 ``quadlie.validate_algebra`` replaced: Jacobi through ``bracket_vec`` and
@@ -34,35 +51,37 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from courantlab.anchored import AnchoredPoint
+from courantlab.anchored import AnchoredPoint, require_coisotropic
 from courantlab.exactlin import (
     BilinearForm,
+    Coordinatizer,
+    DimensionMismatchError,
     ExactSubspace,
     Matrix,
-    QuotientMap,
+    NotLagrangianError,
     SingularMatrixError,
     Vector,
+    _eliminate,
     _inverse_rows,
-    add_vec,
+    frac,
     frac_matrix,
     hstack,
     identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_vec,
+    int_matrix,
+    int_products,
     matrix,
-    nullspace,
-    quotient_coords,
-    transpose,
+    rank,
     zeros,
 )
-from courantlab.lagrel import LinearRelation, from_algebra, hyperbolic_space
-from courantlab.liegrp import G1Point, GroupPoint, TripleContext, flatten
+from courantlab.lagrel import LinearRelation, SplitSpace, Splitting, from_algebra, hyperbolic_space
+from courantlab.liegrp import G1Point, GroupContext, GroupPoint, TripleContext, flatten
+from courantlab.randgen import _coisotropic_anchor_ints
 from courantlab.quadlie import (
     QuadraticLieAlgebra,
     ValidationRecord,
@@ -70,6 +89,383 @@ from courantlab.quadlie import (
     build_double,
 )
 from courantlab.randgen import _split_transform_cols
+
+
+# --- the Fraction matrix arithmetic, as plain loops ----------------------
+
+def vector(entries: Iterable) -> Vector:
+    return tuple(map(frac, entries))
+
+
+def add_vec(u: Sequence, v: Sequence) -> Vector:
+    return tuple(frac(a) + frac(b) for a, b in zip(u, v, strict=True))
+
+
+def scale_vec(c, v: Sequence) -> Vector:
+    c = frac(c)
+    return tuple(c * frac(a) for a in v)
+
+
+def transpose(A: Sequence[Sequence]) -> Matrix:
+    if not A:
+        return ()
+    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
+
+
+def mat_add(A: Matrix, B: Matrix) -> Matrix:
+    """A + B entrywise; DimensionMismatchError when the shapes differ."""
+    if len(A) != len(B) or any(len(r) != len(s) for r, s in zip(A, B)):
+        raise DimensionMismatchError("matrix shapes disagree")
+    return tuple(tuple(frac(a) + frac(b) for a, b in zip(r, s)) for r, s in zip(A, B))
+
+
+def mat_scale(c, A: Matrix) -> Matrix:
+    return tuple(scale_vec(c, row) for row in A)
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _product(A: Matrix, B: Sequence[Sequence]) -> Matrix:
+    """A B; an empty B stands for an n x 0 matrix, so the product has no columns."""
+    B = matrix(B)
+    if not B:
+        return tuple(() for _ in A)
+    if A and len(A[0]) != len(B):
+        raise DimensionMismatchError("matrix shapes disagree")
+    cols = transpose(B)
+    return tuple(tuple(_dot(row, col) for col in cols) for row in A)
+
+
+def mat_mul(*factors: Sequence[Sequence]) -> Matrix:
+    """The product of a chain of exact matrices, as Fractions."""
+    out = matrix(factors[0])
+    for b in factors[1:]:
+        out = _product(out, b)
+    return out
+
+
+def mat_vec(A: Sequence[Sequence], v: Sequence) -> Vector:
+    A, v = matrix(A), vector(v)
+    if A and len(A[0]) != len(v):
+        raise DimensionMismatchError("matrix/vector shape mismatch")
+    return tuple(_dot(row, v) for row in A)
+
+
+def rref(rows: Sequence[Sequence]) -> Matrix:
+    """Reduced row echelon form with unit pivots; zero rows dropped."""
+    m = [list(row) for row in matrix(rows)]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return tuple(tuple(row) for row in m[:r])
+
+
+def _pivot(row: Sequence) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def nullspace(A: Sequence[Sequence], ncols: int) -> ExactSubspace:
+    """Kernel of x -> A x as a canonical subspace of Q^ncols: the free
+    columns of rref(A), each with the pivots solved for."""
+    reduced = rref(A)
+    pivots = [_pivot(row) for row in reduced]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return ExactSubspace.span(basis, ambient_dim=ncols)
+
+
+def solve(A: Matrix, b: Vector) -> Vector | None:
+    """One exact solution of A x = b, or None if inconsistent."""
+    if len(A) != len(b):
+        raise DimensionMismatchError("matrix/vector shape mismatch")
+    if not A:
+        return ()
+    ncols = len(A[0])
+    x = [Fraction(0)] * ncols
+    for row in rref([tuple(row) + (bi,) for row, bi in zip(A, b)]):
+        lead = _pivot(row)
+        if lead == ncols:
+            return None
+        x[lead] = row[ncols]
+    # free variables were set to zero, which solves iff consistent
+    if mat_vec(A, x) != vector(b):
+        return None
+    return tuple(x)
+
+
+def inverse(A: Sequence[Sequence]) -> Matrix:
+    """A^-1 by Gauss-Jordan on [A | I]; DimensionMismatchError unless A is
+    square, SingularMatrixError when it is singular."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise DimensionMismatchError("inverse needs a square matrix")
+    units = identity(n)
+    aug = rref([row + unit for row, unit in zip(matrix(A), units)])
+    if tuple(row[:n] for row in aug) != units:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(row[n:] for row in aug)
+
+
+# --- integer results read back as Fractions -----------------------------
+
+def coords_rows(coordinatizer: Coordinatizer, vs: Sequence[Sequence]) -> Matrix:
+    """Coordinates of each row of vs as Fraction rows, by coords_ints."""
+    return frac_matrix(*coordinatizer.coords_ints(*int_matrix(vs)))
+
+
+def coords(coordinatizer: Coordinatizer, v: Sequence) -> Vector:
+    return coords_rows(coordinatizer, (v,))[0]
+
+
+def coordinatize(ctx: GroupContext, elt: Matrix) -> Vector:
+    """Exact coordinates of an ambient algebra element over the context's
+    basis; DimensionMismatchError when it is not in the algebra's span."""
+    return coords(ctx.coordinatizer, flatten(elt))
+
+
+def dual(pt: AnchoredPoint) -> Matrix:
+    """a* = B^-1 a^T of a point as Fractions."""
+    return frac_matrix(*pt.dual_ints)
+
+
+def inverse_matrix(form: BilinearForm) -> Matrix:
+    """B^-1 as Fractions, read back from the form's integer inverse."""
+    return frac_matrix(*form._inverse)
+
+
+def random_coisotropic_anchor(rng: random.Random, k: int) -> tuple[Matrix, int]:
+    """An anchor on Q^2k (hyperbolic form) whose kernel is coisotropic, as
+    Fractions, and its chart dimension."""
+    table, den, j = _coisotropic_anchor_ints(rng, k)
+    return frac_matrix(table, den), j
+
+
+# --- quotient coordinates -----------------------------------------------
+
+@dataclass(frozen=True)
+class QuotientMap:
+    """Coordinates on W1/W0 through a chosen complement basis inside W1.
+
+    Coordinates are read through one coordinatizer over the rows
+    W0 basis + complement, built on first use and kept.
+    """
+
+    w1: ExactSubspace
+    w0: ExactSubspace
+    complement: Matrix
+
+    @property
+    def dim(self) -> int:
+        return len(self.complement)
+
+    @cached_property
+    def _coordinatizer(self) -> Coordinatizer:
+        return Coordinatizer.of_rows(self.w0.rows + tuple(self.complement),
+                                     self.w1.ambient_dim, "W1")
+
+    def coords_rows(self, vs: Sequence[Sequence]) -> Matrix:
+        """Quotient coordinates of each row of vs, as one product;
+        DimensionMismatchError on a row outside W1."""
+        k = self.w0.dim
+        return tuple(c[k:] for c in coords_rows(self._coordinatizer, vs))
+
+    def map_subspace(self, s: ExactSubspace) -> ExactSubspace:
+        """Image of (S cap W1) in the quotient coordinates."""
+        rows = self.coords_rows(s.intersect(self.w1).rows)
+        return ExactSubspace.span(rows, ambient_dim=self.dim)
+
+    def descended_form(self, form: BilinearForm) -> BilinearForm:
+        """The form on W1/W0 read on the complement basis C: C G C^T, one
+        integer product over the form's kept rows G (symmetric, so also its
+        columns); well defined when W0 pairs to zero with W1."""
+        c, dc = int_matrix(self.complement)
+        if c and len(c[0]) != form.dim:
+            raise DimensionMismatchError("complement not in the form's space")
+        gram, dg = form._ints
+        return BilinearForm.of_ints(int_products(int_products(c, gram), c), dc * dc * dg)
+
+
+def quotient_coords(w1: ExactSubspace, w0: ExactSubspace) -> QuotientMap:
+    """Quotient W1/W0 with a greedily chosen complement basis: the W1
+    basis rows outside the span of W0 and the W1 rows before them.
+
+    One elimination of the columns W0 rows + W1 rows picks them: its
+    pivot columns past the W0 block.  W0 lies in W1 exactly when the
+    pivots number dim W1.
+    """
+    w1._check(w0)
+    k = w0.dim
+    cols = [list(c) for c in zip(*(w0.rows + w1.rows))]
+    pivots = _eliminate(cols, k + w1.dim, reduced=False)
+    if len(pivots) != w1.dim:
+        raise ValueError("W0 is not contained in W1")
+    return QuotientMap(w1, w0, tuple(w1.basis[p - k] for p in pivots if p >= k))
+
+
+# --- the reduced isomorphism and the descended bivector -----------------
+
+@dataclass(frozen=True)
+class ReducedIso:
+    """The induced isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t)."""
+
+    source_quotient: QuotientMap
+    target_quotient: QuotientMap
+    matrix: Matrix  # columns are images of the source complement basis
+
+    @property
+    def dim(self) -> int:
+        return len(self.source_quotient.complement)
+
+    def map_subspace(self, s_red: ExactSubspace) -> ExactSubspace:
+        rows = mat_mul(s_red.rows, transpose(self.matrix))
+        return ExactSubspace.span(rows, ambient_dim=self.dim)
+
+
+def reduced_iso(r: LinearRelation) -> ReducedIso:
+    """The isomorphism ran(R^t)/ker(R) -> ran(R)/ker(R^t) that maps [w]
+    to [w'] whenever w ~ w'; NotLagrangianError when the induced map is
+    not invertible.  Both source-side spaces come from the kept
+    ``flipped`` elimination: its source-pivot rows each carry an image.
+    """
+    ns = r.source.dim
+    with_image = [row for row in r.flipped.rows if any(row[:ns])]
+    sources = [row[:ns] for row in with_image]
+    qs = quotient_coords(ExactSubspace.of_rows(ns, list(sources)), r.kernel())
+    qt = quotient_coords(r.range_, r.cokernel)
+    # an image of each complement vector: its coordinates over the
+    # source parts applied to the target parts
+    coef = coords_rows(Coordinatizer.of_rows(sources, ns, "ran(R^t)"), qs.complement)
+    cols = qt.coords_rows(mat_mul(coef, tuple(row[ns:] for row in with_image)))
+    mat = transpose(cols) if cols else ()
+    if cols and rank(mat) != len(cols):
+        raise NotLagrangianError("reduced map failed to be invertible")
+    return ReducedIso(qs, qt, mat)
+
+
+class ReductionError(ValueError):
+    """Bivector does not descend; carries a witness vector."""
+
+    def __init__(self, message: str, witness: Vector):
+        super().__init__(message)
+        self.witness = witness
+
+
+@dataclass(frozen=True)
+class ReducedBivector:
+    """The splitting of W1/W0 a splitting descends to; its bivector is
+    the descended Pi."""
+
+    quotient: QuotientMap
+    splitting: Splitting
+
+
+def reduce_bivector(s: Splitting, w1: ExactSubspace) -> ReducedBivector:
+    """Descend a splitting's bivector along a coisotropic W1.
+
+    Raises ValueError when W1 is not coisotropic, that is when the
+    quotient finds W0 = W1-perp outside W1.  Succeeds exactly when
+    W0 = (E cap W0) (+) (F cap W0); on failure raises ReductionError
+    carrying a witness w in W0 whose E-projection leaves W0.
+    """
+    form = s.space.form
+    w0 = form.orth_complement(w1)
+    q = quotient_coords(w1, w0)
+    if not s.splits(w0):
+        p_e, _ = s.projectors
+        witness = next((w for w in w0.basis if not w0.contains(mat_vec(p_e, w))), w0.basis[0])
+        raise ReductionError("W0 is not split by the decomposition", witness)
+    red_form = q.descended_form(form)
+    reduced = Splitting(SplitSpace(q.dim, red_form), q.map_subspace(s.e), q.map_subspace(s.f))
+    # iota(w) Pi = -Pi B w, for every complement row w at once the rows of
+    # C B Pi (B is symmetric and Pi antisymmetric), and
+    # iota(w_red) Pi_red = (iota(w) Pi)_red
+    red_pi_cols = q.coords_rows(mat_mul(q.complement, form.matrix, s.bivector.matrix))
+    bred = mat_mul(mat_scale(-1, transpose(red_pi_cols)), inverse_matrix(red_form))
+    if bred != reduced.bivector.matrix:
+        raise ReductionError("descended bivector disagrees with reduced splitting",
+                             w0.basis[0] if w0.basis else vector((0,) * s.space.dim))
+    return ReducedBivector(q, reduced)
+
+
+# --- the jet-level Courant bracket --------------------------------------
+
+@dataclass(frozen=True)
+class SectionJet:
+    """Value and first partials of an algebra-valued section at the point."""
+
+    value: Vector
+    jacobian: Matrix  # algebra dim x chart dim
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", vector(self.value))
+        object.__setattr__(self, "jacobian", matrix(self.jacobian))
+
+    @classmethod
+    def constant(cls, value: Iterable, chart_dim: int) -> "SectionJet":
+        v = vector(value)
+        return cls(v, zeros(len(v), chart_dim))
+
+    def jac_column(self, u: int) -> Vector:
+        return tuple(row[u] for row in self.jacobian)
+
+
+def courant_bracket_jets(pt: AnchoredPoint, x: SectionJet, y: SectionJet) -> Vector:
+    """Bracket value [[x, y]] at the point from first-derivative data.
+
+    [[x, y]] = [x, y]_pointwise + Dy(a x) - Dx(a y) + a* <dx, y>.
+    """
+    require_coisotropic(pt)
+    alg = pt.algebra
+    a = pt.anchor
+    out = alg.bracket_vec(x.value, y.value)
+    out = add_vec(out, mat_vec(y.jacobian, mat_vec(a, x.value)))
+    out = add_vec(out, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.value))))
+    pairing_dx_y = tuple(
+        alg.pairing(x.jac_column(u), y.value) for u in range(pt.chart_dim)
+    )
+    return add_vec(out, mat_vec(dual(pt), pairing_dx_y))
+
+
+def courant_bracket_jet_closed(pt: AnchoredPoint, x: SectionJet, y: SectionJet) -> SectionJet:
+    """Full jet of [[x, y]] assuming the anchor is constant on the chart.
+
+    Only meaningful when constant fields act (the anchor kills brackets),
+    e.g. abelian algebras; lets the Jacobi identity close on linear jets.
+    """
+    alg = pt.algebra
+    a = pt.anchor
+    value = courant_bracket_jets(pt, x, y)
+    cols = []
+    for u in range(pt.chart_dim):
+        col = alg.bracket_vec(x.jac_column(u), y.value)
+        col = add_vec(col, alg.bracket_vec(x.value, y.jac_column(u)))
+        col = add_vec(col, mat_vec(y.jacobian, mat_vec(a, x.jac_column(u))))
+        col = add_vec(col, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.jac_column(u)))))
+        pairing = tuple(alg.pairing(x.jac_column(w), y.jac_column(u)) for w in range(pt.chart_dim))
+        cols.append(add_vec(col, mat_vec(dual(pt), pairing)))
+    return SectionJet(value, transpose(matrix(cols)))
 
 
 def dense_validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
@@ -139,12 +535,13 @@ def fraction_conjugation(ctx, h: Matrix, h_inv: Matrix) -> Matrix:
     chain per basis element, each converting h and h^-1 again, then one
     coordinatization.  The reference for GroupPoint._conjugation."""
     conj = [flatten(mat_mul(h, b, h_inv)) for b in ctx.algebra_basis]
-    return transpose(ctx.coordinatizer.coords_rows(conj))
+    return transpose(coords_rows(ctx.coordinatizer, conj))
 
 
 def _fraction_ads(p: GroupPoint) -> tuple[Matrix, Matrix]:
     """(Ad_g, Ad_{g^-1}) by the Fraction conjugation."""
-    return fraction_conjugation(p.ctx, p.g, p.inverse), fraction_conjugation(p.ctx, p.inverse, p.g)
+    g_inv = inverse(p.g)
+    return fraction_conjugation(p.ctx, p.g, g_inv), fraction_conjugation(p.ctx, g_inv, p.g)
 
 
 def fraction_anchor(p: GroupPoint) -> Matrix:
@@ -159,7 +556,7 @@ def fraction_dressing(x: G1Point) -> tuple[Matrix, Matrix]:
     p1, _ = t.splitting.projectors
 
     def g1_columns(m: Matrix) -> Matrix:
-        return transpose(t.g1_coordinatizer.coords_rows(transpose(m)))
+        return transpose(coords_rows(t.g1_coordinatizer, transpose(m)))
 
     ad_phi, ad_phi_inv = _fraction_ads(x.phi)
     right = mat_mul(_fraction_ads(x.g1)[1], g1_columns(mat_mul(p1, ad_phi)))

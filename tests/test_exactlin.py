@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import courantlab.exactlin as exactlin
@@ -12,31 +12,38 @@ from courantlab.exactlin import (
     Coordinatizer,
     DimensionMismatchError,
     ExactSubspace,
-    QuotientMap,
     SingularMatrixError,
+    _inverse_of,
     _inverse_rows,
     block_diag,
+    frac_matrix,
     hstack,
     identity,
     int_matrix,
-    inverse,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_vec,
     matrix,
-    nullspace,
     product_subspace,
-    quotient_coords,
-    rref,
-    solve,
-    transpose,
-    vector,
+    table_product,
     zeros,
 )
 from courantlab.contexts import sl2_algebra, sl2_pair_context
 from courantlab.lagrel import Bivector, LinearRelation, hyperbolic_space
 from exact_strategies import rationals
+from algebra_reference import (
+    coords,
+    coords_rows,
+    inverse,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    nullspace,
+    quotient_coords,
+    QuotientMap,
+    rref,
+    solve,
+    transpose,
+    vector,
+)
 
 
 def test_span_dependent_rows_collapse():
@@ -522,7 +529,7 @@ def test_float_operands_raise_type_error():
     form = BilinearForm(((F(1), F(0)), (F(0), F(-1))))
     for call in (lambda: ExactSubspace.span(bad), lambda: plane.contains((F(1), 0.5)),
                  lambda: Coordinatizer.of_rows(bad, 2),
-                 lambda: coordinatizer.coords_rows(((F(1), 0.5),)),
+                 lambda: coords_rows(coordinatizer, ((F(1), 0.5),)),
                  lambda: BilinearForm(((F(1), 0.5), (0.5, F(1)))),
                  lambda: form.pairing((F(1), 0.5), (F(1), F(0))),
                  lambda: Bivector(((F(0), 0.5), (-0.5, F(0)))),
@@ -570,8 +577,8 @@ def _as_kind(kind, rows):
 @pytest.mark.parametrize("entry_point", [
     lambda k: ExactSubspace.span(_as_kind(k, _ROWS)),
     lambda k: ExactSubspace.span(_ROWS).contains(_as_kind(k, ((4, -1, 2),))[0]),
-    lambda k: Coordinatizer.of_rows(_as_kind(k, _ROWS), 3).coords_rows(((4, -1, 2),)),
-    lambda k: Coordinatizer.of_rows(_ROWS, 3).coords_rows(_as_kind(k, ((4, -1, 2),))),
+    lambda k: coords_rows(Coordinatizer.of_rows(_as_kind(k, _ROWS), 3), ((4, -1, 2),)),
+    lambda k: coords_rows(Coordinatizer.of_rows(_ROWS, 3), _as_kind(k, ((4, -1, 2),))),
     lambda k: BilinearForm(_as_kind(k, _GRAM)).matrix,
     lambda k: BilinearForm(_GRAM).pairing(*_as_kind(k, _ROWS)),
     lambda k: Bivector(_as_kind(k, ((0, 3), (-3, 0)))).matrix,
@@ -765,10 +772,10 @@ def test_contains_and_coefficients_match_fractions(pair, data):
         assert s.contains(v) == (want is not None)
         if want is None:
             with pytest.raises(DimensionMismatchError):
-                coordinatizer.coords(v)
+                coords(coordinatizer, v)
         else:
-            assert coordinatizer.coords(v) == want
-    assert coordinatizer.coords(inside) == (tuple(combo) if s.dim else ())
+            assert coords(coordinatizer, v) == want
+    assert coords(coordinatizer, inside) == (tuple(combo) if s.dim else ())
     with pytest.raises(DimensionMismatchError):
         s.contains((F(0),) * (n + 1))
 
@@ -962,3 +969,53 @@ def test_sparse_gram_columns_match_the_dense_product():
         assert form._applied(ExactSubspace.zero(n).rows) == []
         assert form.is_isotropic(ExactSubspace.zero(n))
         assert form.orth_complement(ExactSubspace.zero(n)) == ExactSubspace.full(n)
+
+
+_KERNEL_ENTRIES = rationals(3, 3)
+
+
+def _draw_matrix(data, rows: int, cols: int) -> tuple:
+    return tuple(tuple(data.draw(st.lists(_KERNEL_ENTRIES, min_size=cols, max_size=cols)))
+                 for _ in range(rows))
+
+
+@seed(42)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_the_integer_kernel_matches_the_fraction_loops(data):
+    # the reference loops never call int_products or _eliminate, so they
+    # check the integer kernel rather than restate it
+    n, m, p = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b, c = _draw_matrix(data, n, m), _draw_matrix(data, m, p), _draw_matrix(data, p, 2)
+    assert frac_matrix(*table_product(*map(int_matrix, (a, b, c)))) == mat_mul(a, b, c)
+    wrong = _draw_matrix(data, m + 1, p)
+    for product in (lambda: table_product(int_matrix(a), int_matrix(wrong)), lambda: mat_mul(a, wrong)):
+        with pytest.raises(DimensionMismatchError):
+            product()
+    # an inverse, or SingularMatrixError from both; a repeated row makes a singular draw likely
+    square = _draw_matrix(data, n, n)
+    if n > 1 and data.draw(st.booleans()):
+        square = square[:-1] + square[:1]
+    try:
+        want = inverse(square)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            _inverse_of(int_matrix(square))
+    else:
+        assert frac_matrix(*_inverse_of(int_matrix(square))) == want
+    # coordinates over k independent rows, against solve on their columns
+    rows = _draw_matrix(data, data.draw(st.integers(1, n)), n)
+    assume(ExactSubspace.span(rows).dim == len(rows))
+    coordinatizer = Coordinatizer.of_rows(rows, n)
+    combo = _draw_matrix(data, 1, len(rows))
+    vs = mat_mul(combo, rows) + _draw_matrix(data, 1, n)
+    wants = [solve(transpose(rows), v) for v in vs]
+    assert wants[0] == combo[0]
+    if wants[1] is None:
+        with pytest.raises(DimensionMismatchError, match="not in the span"):
+            coordinatizer.coords_ints(*int_matrix(vs))
+        vs = vs[:1]
+    assert frac_matrix(*coordinatizer.coords_ints(*int_matrix(vs))) == tuple(wants[:len(vs)])
+    with pytest.raises(DimensionMismatchError):
+        coordinatizer.coords_ints(*int_matrix([vs[0] + (F(0),)]))
+

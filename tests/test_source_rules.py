@@ -1,22 +1,23 @@
 """Rules the source keeps: no threads, no environment reads, no unused
 imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
-outside exactlin, no Fraction(...) call in randgen and no frac_matrix
-call there outside the one function that returns a Fraction matrix, no
+outside exactlin, no Fraction(...) or frac_matrix call in randgen, no
 integer product sum(map(mul, ...)) outside exactlin.int_products and
 BilinearForm.pairing, no max-norm outside
 diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
-diffnum, no import of diffnum outside suites, no mat_vec call inside a
-list comprehension, no concat_vec or zero_vector call inside a
-comprehension or loop outside exactlin, no st.fractions in the tests, no
-read of a Fraction's parts outside exactlin's _FRACTION_PARTS and
-_over_lcm, no .sum(...) of an .intersect(...) (lagrel.Splitting.splits
-decides that statement by two meets), no int_matrix, rank, inverse or
-ExactSubspace.span call on a .matrix attribute, no mat_mul call
-directly inside another mat_mul call, no read of the kept bracket
-table (_sparse, _den) outside quadlie, and no except naming
-ArithmeticError or ValueError in a suite_* function or cli.cmd_verify.
+diffnum, no import of diffnum outside suites, no concat_vec or
+zero_vector call inside a comprehension or loop outside exactlin, no
+st.fractions in the tests, no read of a Fraction's parts outside
+exactlin's _FRACTION_PARTS and _over_lcm, no .sum(...) of an
+.intersect(...) (lagrel.Splitting.splits decides that statement by two
+meets), no int_matrix, rank, inverse or ExactSubspace.span call on a
+.matrix attribute, no read of the kept bracket table (_sparse, _den)
+outside quadlie, no except naming ArithmeticError or ValueError in a
+suite_* function or cli.cmd_verify, and no Fraction matrix arithmetic
+(mat_mul, mat_vec, transpose, inverse, Coordinatizer.coords_rows and
+the rest of FRACTION_ARITHMETIC) defined, imported or called in the
+package.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -28,9 +29,8 @@ matrix product taken column by column (a unit vector is a row of
 exactlin.identity); a subspace's stored rows decide its equality only
 while they are canonical, which the exactlin constructors (of_rows,
 span, zero, full) keep; and randgen draws, inverts and multiplies on
-integer rows, so a Fraction built anywhere but in the one matrix it
-returns (random_coisotropic_anchor's anchor) is a
-normalisation the integer path exists to avoid; and every exact matrix
+integer rows, so a Fraction built there at all is a normalisation the
+integer path exists to avoid; and every exact matrix
 product is one exactlin.int_products, so a product written in place is
 a second home that a call count cannot see (pairing, the one scalar
 u^T G v, stays inline: courant_form calls it once per index triple); and one conversion
@@ -39,8 +39,6 @@ residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
 value; and the float work has one home, diffnum, which only the FD
 suites load, so the exact modules and commands never load numpy; and a
-mat_vec per element of a list is a matrix product taken one vector at a
-time, each putting the whole matrix over its denominators again; and a
 block matrix has one home, exactlin (hstack, zeros, block_diag), so a
 row padded by hand in a loop is a second home whose unchecked zip drops
 rows when block heights differ; and st.fractions spends most of a test's
@@ -54,10 +52,7 @@ which counts two meets, so a sum of intersections is a second copy of that test
 L_m + (ker cap E), is a different statement and stays legal); and a
 form, a bivector and a point keep their matrix as integer rows, so an
 elimination or conversion that starts again from the .matrix of one is
-a second conversion of rows already kept; and a chain is one call:
-mat_mul(A, B, C) puts each factor into integer rows once and reads the
-product back once, where mat_mul(mat_mul(A, B), C) reads A B back to
-Fractions and puts it into integer rows again; and the structure
+a second conversion of rows already kept; and the structure
 constants have one public form, QuadraticLieAlgebra.bracket, and one
 derived table, the sparse integer rows _sparse over _den that the
 constructor builds from it, so a module that reads that table depends on
@@ -65,7 +60,12 @@ a private layout that only quadlie keeps in step with bracket (bracket,
 bracket_basis and bracket_vec are the readers the other modules have);
 and a numeric breakdown has one handler, the runner suites._run, which
 fails only the record whose check broke down, where a handler in a suite
-or around it ends the suite, or every suite, at the first breakdown.
+or around it ends the suite, or every suite, at the first breakdown; and
+every exact matrix in the package is an integer table (rows, den), so a
+Fraction product, sum, transpose, inverse or coordinate is a round trip
+int_matrix -> integer kernel -> frac_matrix that the data makes for no
+reason (this rule also keeps out what the retired rules against a
+mat_vec per list element and a mat_mul nested in a mat_mul did).
 """
 
 import ast
@@ -270,10 +270,6 @@ def test_the_subspace_construction_rule_catches_each_form():
         assert _subspace_constructions(ast.parse(src)) == [], src
 
 
-# the randgen functions that return Fraction matrices
-FRACTION_RETURNING = {"random_coisotropic_anchor"}
-
-
 def _fraction_calls(tree: ast.AST) -> list[str]:
     """The functions (or <module>) holding a Fraction(...) call, under any
     name the module gives Fraction."""
@@ -281,11 +277,10 @@ def _fraction_calls(tree: ast.AST) -> list[str]:
     return _holders(tree, lambda node: _is_call_of(node, names))
 
 
-def test_randgen_builds_fractions_only_in_its_returned_matrices():
+def test_randgen_builds_no_fraction():
     tree = ast.parse(next(p for p in SOURCES if p.name == "randgen.py").read_text())
     assert _fraction_calls(tree) == []
-    holders = _holders(tree, lambda node: _is_call_of(node, {"frac_matrix"}))
-    assert sorted(holders) == sorted(FRACTION_RETURNING)
+    assert _holders(tree, lambda node: _is_call_of(node, {"frac_matrix"})) == []
 
 
 def test_the_fraction_call_rule_catches_each_form():
@@ -475,56 +470,6 @@ def test_the_float_import_rule_catches_each_form():
         assert _float_imports(ast.parse(src), "liegrp.py") == [], src
     assert _float_imports(ast.parse("import numpy as np"), "diffnum.py") == []
     assert _float_imports(ast.parse("def f():\n    from . import diffnum"), "suites.py") == []
-
-
-def _mat_vec_in_list_comprehensions(tree: ast.AST) -> list[str]:
-    """The lines of the mat_vec calls anywhere inside a list comprehension."""
-    return sorted({f"line {node.lineno}" for comp in ast.walk(tree) if isinstance(comp, ast.ListComp)
-                   for node in ast.walk(comp) if _is_call_of(node, {"mat_vec"})})
-
-
-def test_no_mat_vec_per_list_element():
-    bad = {p.name: v for p in SOURCES if (v := _mat_vec_in_list_comprehensions(ast.parse(p.read_text())))}
-    assert bad == {}
-
-
-def test_the_mat_vec_comprehension_rule_catches_each_form():
-    # the three per-vector product loops the sources used to hold
-    for src in ("ExactSubspace.span(\n    [mat_vec(a, row) for row in s.rows], ambient_dim=m\n)",
-                "rows = [\n    concat_vec(mat_vec(A, e), e) for e in identity(source.dim)\n]",
-                "rows = [\n    concat_vec(xi, tuple(-x for x in mat_vec(c_inv, xi))) for xi in basis\n]",
-                "[exactlin.mat_vec(a, v) for v in vs]"):
-        assert _mat_vec_in_list_comprehensions(ast.parse(src)) == ["line 2" if "\n" in src else "line 1"], src
-    for src in ("mat_vec(a, v)", "[mat_mul(a, v) for v in vs]", "mat_mul(vs, transpose(a))",
-                "next(w for w in ws if mat_vec(p, w))"):
-        assert _mat_vec_in_list_comprehensions(ast.parse(src)) == [], src
-
-
-def _nested_products(tree: ast.AST) -> list[str]:
-    """The lines of the mat_mul calls, by bare name or as an attribute,
-    with an argument that is itself a mat_mul call."""
-    return [f"line {node.lineno}" for node in ast.walk(tree) if _is_call_of(node, {"mat_mul"})
-            and any(_is_call_of(arg, {"mat_mul"}) for arg in node.args)]
-
-
-def test_a_product_chain_is_one_mat_mul_call():
-    bad = {p.name: v for p in SOURCES if (v := _nested_products(ast.parse(p.read_text())))}
-    assert bad == {}
-
-
-def test_the_nested_product_rule_catches_each_form():
-    # the four nested calls the sources used to hold, and an attribute form
-    for src in ("conj = [flatten(mat_mul(mat_mul(h, b), h_inv)) for b in basis]",
-                "r_right = mat_mul(mat_mul(c, r), transpose(c))",
-                "gram = mat_mul(mat_mul(transpose(z), pb.reduced_form.matrix), z)",
-                "q.coords_rows(mat_mul(mat_mul(q.complement, form.matrix), s.bivector.matrix))",
-                "exactlin.mat_mul(a, exactlin.mat_mul(b, c))"):
-        assert _nested_products(ast.parse(src)) == ["line 1"], src
-    assert _nested_products(ast.parse("x = 1\nmat_mul(\n    mat_mul(up, lo), dg)")) == ["line 2"]
-    for src in ("mat_mul(a, b, c)", "mat_mul(a, transpose(mat_mul(b, c)))",
-                "mat_add(mat_mul(a, b), mat_scale(-1, mat_mul(b, a)))",
-                "mat_mul(g1_columns(mat_mul(p1, ad)), b)", "mat_vec(mat_mul(a, b), v)"):
-        assert _nested_products(ast.parse(src)) == [], src
 
 
 def _padded_rows(tree: ast.AST) -> list[str]:
@@ -779,3 +724,71 @@ def test_the_breakdown_handler_rule_catches_each_form():
                                   ("suites.py", "cmd_verify", "ValueError")):
         src = f"def {name}():\n" + body.format(handler)
         assert _breakdown_handlers(ast.parse(src), module) == [], (module, name, handler)
+
+
+# the Fraction matrix arithmetic that left the package, and the names that
+# moved to tests/algebra_reference.py as the tests' references
+FRACTION_ARITHMETIC = {
+    "vector", "add_vec", "scale_vec", "transpose", "mat_add", "mat_scale", "mat_mul", "mat_vec",
+    "inverse", "rref", "solve", "nullspace", "quotient_coords", "reduce_bivector",
+    "courant_bracket_jets", "courant_bracket_jet_closed", "random_coisotropic_anchor",
+    "QuotientMap", "ReducedIso", "ReducedBivector", "ReductionError", "SectionJet",
+}
+FRACTION_METHODS = {"Coordinatizer": {"coords", "coords_rows"}, "LinearRelation": {"reduced_iso"},
+                    "BilinearForm": {"inverse_matrix"}}
+MODULES = {p.stem for p in SOURCES}
+
+
+def _fraction_arithmetic(tree: ast.AST) -> list[str]:
+    """The lines that define, import or call a name of FRACTION_ARITHMETIC
+    (a module-level def or class, an import, a call by bare name or through
+    a courantlab module), define a method of FRACTION_METHODS in its class,
+    or read one of those methods (coords aside: the FD chart's float
+    coords shares its name)."""
+    found = []
+    methods = set().union(*FRACTION_METHODS.values()) - {"coords"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Module):
+            found += [d.lineno for d in node.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                      and d.name in FRACTION_ARITHMETIC]
+        elif isinstance(node, ast.ClassDef):
+            found += [d.lineno for d in node.body if isinstance(d, ast.FunctionDef)
+                      and d.name in FRACTION_METHODS.get(node.name, ())]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [node.lineno for a in node.names if a.name.split(".")[-1] in FRACTION_ARITHMETIC]
+        elif isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id in FRACTION_ARITHMETIC)
+                or (isinstance(node.func, ast.Attribute) and node.func.attr in FRACTION_ARITHMETIC
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id in MODULES)):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in methods:
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(set(found))]
+
+
+def test_no_fraction_matrix_arithmetic_in_the_package():
+    # every exact matrix in src/ is an integer table; the Fraction loops and
+    # the names no module called live in tests/algebra_reference.py
+    assert {"exactlin.py", "lagrel.py", "randgen.py"} <= {p.name for p in SOURCES}
+    bad = {p.name: v for p in SOURCES if (v := _fraction_arithmetic(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_fraction_arithmetic_rule_catches_each_form():
+    for src in ("def mat_mul(*factors):\n    pass", "class QuotientMap:\n    pass",
+                "from .exactlin import transpose", "from courantlab.exactlin import (hstack, mat_vec)",
+                "import courantlab.randgen.random_coisotropic_anchor",
+                "rows = mat_mul(a, b)", "[mat_vec(a, v) for v in vs]", "exactlin.inverse(g)",
+                "x = lagrel.reduce_bivector(s, w)",
+                "class Coordinatizer:\n    def coords_rows(self, vs):\n        pass",
+                "class Coordinatizer:\n    def coords(self, v):\n        pass",
+                "class BilinearForm:\n    @cached_property\n    def inverse_matrix(self):\n        pass",
+                "q.coords_rows(vs)", "iso = r.reduced_iso", "form.inverse_matrix"):
+        assert _fraction_arithmetic(ast.parse(src)), src
+    assert _fraction_arithmetic(ast.parse("x = 1\ny = transpose(a)")) == ["line 2"]
+    for src in ("r.transpose()", "np.transpose(x)", "chart.coords(x)", "a.T @ b",
+                "class LinearRelation:\n    def transpose(self):\n        pass",
+                "class GroupChart:\n    def coords(self, elt):\n        pass",
+                "int_products(a, b)", "table_product(a, b)", "_inverse_of(g_ints)",
+                "from .exactlin import int_matrix", "def solve_rows(a):\n    pass"):
+        assert _fraction_arithmetic(ast.parse(src)) == [], src
