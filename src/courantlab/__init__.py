@@ -4,12 +4,9 @@ anchored algebroids over matrix groups."""
 
 from .exactlin import BilinearForm, ExactSubspace, frac
 from .quadlie import (
-    CourantTensor3,
     ManinTriple,
     QuadraticLieAlgebra,
     build_double,
-    cartan_trivector,
-    courant_tensor,
     validate_algebra,
     validate_manin_triple,
 )

@@ -27,10 +27,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exactlin import DimensionMismatchError, Vector
+from .exactlin import DimensionMismatchError
 from .lagrel import Splitting
 from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_values
-from .quadlie import QuadraticLieAlgebra, courant_tensor_on_basis
+from .quadlie import QuadraticLieAlgebra, courant_values
 
 ANTISYM_TOL = 1e-12
 
@@ -171,25 +171,30 @@ def push_trivector(
 
 
 def splitting_tensor_tables(alg: QuadraticLieAlgebra, s: Splitting):
-    """Value tables and wedge frames for both halves of a splitting.
+    """Value tables and float wedge frames for both halves of a splitting.
 
     Returns ((values_E, wedge_E), (values_F, wedge_F)) where values_E is
-    the tensor of E on its stored basis attached to the dual frame in F,
-    and values_F is the tensor of F on that dual frame attached to E's
-    basis.
+    the tensor of E on its stored basis e_i = E_i / p_i (E's integer rows
+    over their pivots) attached to the dual frame f^i = p_i D_i / den in
+    F, and values_F is the tensor of F on that dual frame attached to E's
+    basis.  Each value is the exact rational read once as a float.
     """
-    duals = s.duals
+    e = s.e.rows
+    d, den = s._dual_frame
+    p = [next(filter(None, row)) for row in e]
+    (vals_e, den_e), (vals_f, den_f) = courant_values(alg, e), courant_values(alg, d)
     return (
-        (courant_tensor_on_basis(alg, s.e, s.e.basis).values, duals),
-        (courant_tensor_on_basis(alg, s.f, duals).values, s.e.basis),
+        ([((i, j, k), v / (den_e * p[i] * p[j] * p[k])) for (i, j, k), v in vals_e],
+         np_matrix([[q * x / den for x in row] for q, row in zip(p, d)])),
+        ([((i, j, k), p[i] * p[j] * p[k] * v / (den_f * den ** 3)) for (i, j, k), v in vals_f],
+         np_matrix([[x / q for x in row] for q, row in zip(p, e)])),
     )
 
 
 @lru_cache(maxsize=64)
 def _kept_tables(alg: QuadraticLieAlgebra, s: Splitting):
-    """splitting_tensor_tables(alg, s) with float wedge frames, built once
-    per (algebra, splitting)."""
-    return tuple((values, np_matrix(frame)) for values, frame in splitting_tensor_tables(alg, s))
+    """splitting_tensor_tables(alg, s), built once per (algebra, splitting)."""
+    return splitting_tensor_tables(alg, s)
 
 
 def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0: tuple) -> np.ndarray:
@@ -543,20 +548,22 @@ def phi_r_sections(t: TripleContext, d0: GroupPoint, zetas):
 
 
 def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
-    """(values, FD jacobians) of the sections phi^R(zeta), zeta in
-    ``zetas``, in the chart at d0; one stencil serves every section."""
-    values = np_matrix(*phi_r_values(t, d0, zetas))
+    """(values, FD jacobians) of the sections phi^R(zeta), zeta in the
+    integer rows ``zetas``, in the chart at d0; one stencil serves every
+    section."""
+    values = np_matrix(*phi_r_values(t, d0, (zetas, 1)))
     sections = phi_r_sections(t, d0, zetas)
     return values, central_difference(sections(stencil(np.zeros(t.d_algebra.dim), h)), h)
 
 
 def phi_r_homomorphism_residual(
-    t: TripleContext, d0: GroupPoint, zeta: Vector, zeta2: Vector, h: float = 1e-4
+    t: TripleContext, d0: GroupPoint, zeta: Sequence[int], zeta2: Sequence[int], h: float = 1e-4
 ) -> float:
-    """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0, jets by FD."""
+    """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0 for integer rows
+    z and z', jets by FD."""
     structure, form = group_chart(t.d_ctx).double
     (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
     got = courant_bracket_jets_np(structure, form, np_matrix(*d0.anchor._ints),
                                   np_matrix(*d0.anchor.dual_ints), xv, xj, yv, yj)
-    (want,) = np_matrix(*phi_r_values(t, d0, (t.d_algebra.bracket_vec(zeta, zeta2),)))
+    (want,) = np_matrix(*phi_r_values(t, d0, t.d_algebra.pair_brackets((zeta, zeta2))))
     return max_abs(got - want)

@@ -524,14 +524,6 @@ class BilinearForm:
     def dim(self) -> int:
         return len(self._ints[0])
 
-    def pairing(self, u: Sequence, v: Sequence) -> Fraction:
-        (un, vn), uv_den = int_matrix((u, v))
-        if len(un) != self.dim:
-            raise DimensionMismatchError("vectors not in the form's space")
-        rows, den = self._ints
-        total = sum(map(mul, un, [sum(map(mul, row, vn)) for row in rows]))
-        return Fraction(total, uv_den * uv_den * den) if total else _ZERO
-
     def is_nondegenerate(self) -> bool:
         # Sylvester: the zeros of the signature count n - rank
         return self._signature[2] == 0

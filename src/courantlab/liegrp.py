@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .exactlin import (
@@ -164,17 +164,14 @@ def validate_context(ctx: GroupContext) -> None:
     n, (basis, db) = ctx.ambient_size, ctx.basis_ints
     rows = [[b[r * n:(r + 1) * n] for r in range(n)] for b in basis]
     cols = [[b[c::n] for c in range(n)] for b in basis]
-    constants = {}
-    for i, j, k, c in ctx.algebra.bracket:
-        constants.setdefault((i, j), [0] * ctx.dim)[k] = c
-    for i in range(ctx.dim):
-        for j in range(i + 1, ctx.dim):
-            xy, yx = int_products(rows[i], cols[j]), int_products(rows[j], cols[i])
-            flat = [p - q for xy_row, yx_row in zip(xy, yx) for p, q in zip(xy_row, yx_row)]
-            (got,), den = ctx.coordinatizer.coords_ints([flat], db * db)
-            (want,), dw = int_matrix((constants.get((i, j), [0] * ctx.dim),))
-            if [dw * x for x in got] != [den * y for y in want]:
-                raise ContextError(f"[{i},{j}] disagrees with structure constants")
+    brackets, dw = ctx.algebra.pair_brackets(identity(ctx.dim))
+    pairs = ((i, j) for i in range(ctx.dim) for j in range(i + 1, ctx.dim))
+    for (i, j), want in zip(pairs, brackets):
+        xy, yx = int_products(rows[i], cols[j]), int_products(rows[j], cols[i])
+        flat = [p - q for xy_row, yx_row in zip(xy, yx) for p, q in zip(xy_row, yx_row)]
+        (got,), den = ctx.coordinatizer.coords_ints([flat], db * db)
+        if [dw * x for x in got] != [den * y for y in want]:
+            raise ContextError(f"[{i},{j}] disagrees with structure constants")
     for s in ctx.sample_points:
         if not ctx.membership(s):
             raise ContextError("sample point fails the group membership test")
@@ -378,11 +375,11 @@ def t_psi_fiber(t: TripleContext, lagrangian_subalgebra: ExactSubspace) -> Linea
 
 # phi^R sections ------------------------------------------------------------
 
-def phi_r_values(t: TripleContext, d: GroupPoint, zetas: Sequence[Vector]) -> tuple[list[list[int]], int]:
+def phi_r_values(t: TripleContext, d: GroupPoint, zetas: tuple[IntRows, int]) -> tuple[list[list[int]], int]:
     """phi^R(zeta) = (p2(Ad_d zeta), zeta) in the double of d for each
-    zeta, as integer rows over one denominator."""
+    zeta of an integer table, as integer rows over one denominator."""
     (_, p2), dp = t.splitting.projector_ints
-    (z, dz), (p2_ad, scale) = int_matrix(zetas), table_product((p2, dp), d.adjoint_ints)
+    (z, dz), (p2_ad, scale) = zetas, table_product((p2, dp), d.adjoint_ints)
     return [mv + [scale * x for x in row] for mv, row in zip(int_products(z, p2_ad), z)], scale * dz
 
 

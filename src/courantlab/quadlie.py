@@ -1,6 +1,7 @@
 """Quadratic Lie algebras: structure constants, an invariant inner
-product, isotropy/subalgebra predicates, integrability tensors of
-Lagrangian subspaces, Manin triples, and the double g (+) g-bar.
+product, the brackets of integer rows, the subalgebra predicate, the
+Courant values <u, [v, w]> of integer rows, Manin triples, and the
+double g (+) g-bar.
 
 Structure constants are supplied as sparse quadruples (i, j, k, value)
 with i < j, meaning [b_i, b_j] = sum_k value * b_k; the antisymmetric
@@ -11,20 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
-    Matrix,
-    NotLagrangianError,
-    Vector,
     frac,
-    frac_matrix,
     hstack,
     identity,
     int_matrix,
+    int_products,
     matrix,
 )
 
@@ -96,32 +95,26 @@ class QuadraticLieAlgebra:
         return cls(dim, tuple(key + (c,) for key, c in constants.items()),
                    BilinearForm(form), names)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[b_i, b_j] as a dense Fraction row, built from its sparse row."""
-        row = dict(self._sparse[i][j])
-        return frac_matrix(([row.get(k, 0) for k in range(self.dim)],), self._den)[0]
-
-    def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] = sum over stored pairs i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
-        (xn, yn), den = int_matrix((x, y))
-        if len(xn) != self.dim:
+    def pair_brackets(self, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+        """[r_a, r_b] for every pair a < b of integer rows, in pair order, as
+        integer rows over the bracket denominator: the sum over stored pairs
+        i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
+        if any(len(r) != self.dim for r in rows):
             raise DimensionMismatchError("vectors not in the algebra")
-        acc = [0] * self.dim
-        s, pair = self._sparse, None
+        s = self._sparse
         # bracket is sorted, so the constants of one pair are adjacent
-        for i, j, _, _ in self.bracket:
-            if (i, j) != pair:
-                pair = i, j
-                w = xn[i] * yn[j] - xn[j] * yn[i]
-                for k, c in s[i][j]:
-                    acc[k] += w * c
-        return frac_matrix((acc,), den * den * self._den)[0]
-
-    def pairing(self, x: Sequence, y: Sequence) -> Fraction:
-        return self.form.pairing(x, y)
-
-    def full_space(self) -> ExactSubspace:
-        return ExactSubspace.full(self.dim)
+        pairs = [(i, j, s[i][j]) for i, j in dict.fromkeys((i, j) for i, j, _, _ in self.bracket)]
+        table = []
+        for a, x in enumerate(rows):
+            for y in rows[a + 1:]:
+                acc = [0] * self.dim
+                for i, j, terms in pairs:
+                    w = x[i] * y[j] - x[j] * y[i]
+                    if w:
+                        for k, c in terms:
+                            acc[k] += w * c
+                table.append(acc)
+        return table, self._den
 
     def opposite(self) -> "QuadraticLieAlgebra":
         """Same bracket, negated bilinear form."""
@@ -226,62 +219,20 @@ def validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
 def is_subalgebra(alg: QuadraticLieAlgebra, s: ExactSubspace) -> bool:
     """Whether [s, s] lies in s: the brackets of all pairs of rows,
     decided by one containment."""
-    rows = s.rows
-    brackets = [alg.bracket_vec(x, y) for a, x in enumerate(rows) for y in rows[a + 1:]]
-    return s.contains_subspace(ExactSubspace.span(brackets, ambient_dim=alg.dim))
+    brackets, _ = alg.pair_brackets(s.rows)
+    return s.contains_subspace(ExactSubspace.of_rows(alg.dim, brackets))
 
 
-def courant_form(alg: QuadraticLieAlgebra, u1, u2, u3) -> Fraction:
-    """The trilinear obstruction <u1, [u2, u3]>."""
-    return alg.pairing(u1, alg.bracket_vec(u2, u3))
-
-
-@dataclass(frozen=True)
-class CourantTensor3:
-    """Alternating trilinear table on a chosen basis of a subspace.
-
-    Values are stored for index triples i < j < k only, and only the
-    nonzero ones, so the tensor vanishes exactly when ``values`` is empty.
-    """
-
-    subspace: ExactSubspace
-    basis: Matrix
-    values: tuple[tuple[tuple[int, int, int], Fraction], ...]
-
-
-def _tabulate(alg: QuadraticLieAlgebra, sub: ExactSubspace, basis: Matrix) -> CourantTensor3:
-    vals = []
-    r = len(basis)
-    for i in range(r):
-        for j in range(i + 1, r):
-            for k in range(j + 1, r):
-                v = courant_form(alg, basis[i], basis[j], basis[k])
-                if v != 0:
-                    vals.append(((i, j, k), v))
-    return CourantTensor3(sub, basis, tuple(vals))
-
-
-def courant_tensor(alg: QuadraticLieAlgebra, lag: ExactSubspace) -> CourantTensor3:
-    """Integrability tensor of a Lagrangian subspace on its stored basis.
-
-    Identically zero exactly when the subspace is a subalgebra.
-    """
-    return courant_tensor_on_basis(alg, lag, lag.basis)
-
-
-def courant_tensor_on_basis(
-    alg: QuadraticLieAlgebra, sub: ExactSubspace, basis: Matrix
-) -> CourantTensor3:
-    """Tabulate the tensor of a Lagrangian subspace on a caller-chosen basis."""
-    if not alg.form.is_lagrangian(sub):
-        raise NotLagrangianError("courant_tensor needs a Lagrangian subspace")
-    return _tabulate(alg, sub, matrix(basis))
-
-
-def cartan_trivector(alg: QuadraticLieAlgebra) -> CourantTensor3:
-    """Structure tensor (1/4) <x, [y, z]> on the full basis; zero iff abelian."""
-    t = _tabulate(alg, alg.full_space(), identity(alg.dim))
-    return CourantTensor3(t.subspace, t.basis, tuple((ijk, v / 4) for ijk, v in t.values))
+def courant_values(alg: QuadraticLieAlgebra, rows: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """The nonzero <u_i, [u_j, u_k]> for i < j < k over integer rows u,
+    in index order, as ((i, j, k), value) over one denominator: one
+    product of the rows under the form with their pair brackets.  On a
+    Lagrangian subspace they vanish exactly when it is a subalgebra."""
+    brackets, den = alg.pair_brackets(rows)
+    table = int_products(alg.form._applied(rows), brackets)
+    pairs = {jk: p for p, jk in enumerate(combinations(range(len(rows)), 2))}
+    values = [((i, j, k), table[i][pairs[j, k]]) for i, j, k in combinations(range(len(rows)), 3)]
+    return [(ijk, v) for ijk, v in values if v], den * alg.form._ints[1]
 
 
 def build_double(g: QuadraticLieAlgebra) -> QuadraticLieAlgebra:

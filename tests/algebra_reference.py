@@ -17,6 +17,13 @@ as the tests' references: quotient coordinates (``QuotientMap``,
 jet-level Courant bracket (``SectionJet``, ``courant_bracket_jets``,
 ``courant_bracket_jet_closed``) and ``random_coisotropic_anchor``.
 
+The bracket, the pairing and the Courant tensor that ``quadlie`` once
+computed on Fractions are plain loops too, read off the public
+quadruples ``alg.bracket`` and ``form.matrix``, never the kept integer
+table: ``bracket_basis``, ``bracket_vec``, ``pairing``, ``courant_form``
+and ``courant_tensor``, the references of ``pair_brackets`` and
+``courant_values``.
+
 ``dense_validate_algebra`` is the triple loop over basis vectors that
 ``quadlie.validate_algebra`` replaced: Jacobi through ``bracket_vec`` and
 invariance through ``pairing``, one dense call per index triple.  The
@@ -226,6 +233,58 @@ def inverse(A: Sequence[Sequence]) -> Matrix:
     if tuple(row[:n] for row in aug) != units:
         raise SingularMatrixError("matrix is singular")
     return tuple(row[n:] for row in aug)
+
+
+# --- the bracket, the pairing and the Courant tensor, as plain loops -----
+
+def bracket_basis(alg: QuadraticLieAlgebra, i: int, j: int) -> Vector:
+    """[b_i, b_j] read off the public quadruples, the (j, i) half negated."""
+    v = [Fraction(0)] * alg.dim
+    for a, b, k, c in alg.bracket:
+        if (a, b) == (i, j):
+            v[k] = Fraction(c)
+        elif (a, b) == (j, i):
+            v[k] = -Fraction(c)
+    return tuple(v)
+
+
+def bracket_vec(alg: QuadraticLieAlgebra, x: Sequence, y: Sequence) -> Vector:
+    """[x, y] = sum over the quadruples of (x_i y_j - x_j y_i) c [b_k]."""
+    x, y = vector(x), vector(y)
+    if len(x) != alg.dim or len(y) != alg.dim:
+        raise DimensionMismatchError("vectors not in the algebra")
+    v = [Fraction(0)] * alg.dim
+    for i, j, k, c in alg.bracket:
+        if (x[i] and y[j]) or (x[j] and y[i]):
+            v[k] += (x[i] * y[j] - x[j] * y[i]) * c
+    return tuple(v)
+
+
+def pairing(form: BilinearForm, u: Sequence, v: Sequence) -> Fraction:
+    """u^T G v over the Fraction Gram matrix, skipping zero entries."""
+    u, v = vector(u), vector(v)
+    if len(u) != form.dim or len(v) != form.dim:
+        raise DimensionMismatchError("vectors not in the form's space")
+    total = Fraction(0)
+    for a, row in zip(u, form.matrix):
+        for g, b in zip(row, v):
+            if a and g and b:
+                total += a * g * b
+    return total
+
+
+def courant_form(alg: QuadraticLieAlgebra, u1: Sequence, u2: Sequence, u3: Sequence) -> Fraction:
+    """The trilinear obstruction <u1, [u2, u3]>."""
+    return pairing(alg.form, u1, bracket_vec(alg, u2, u3))
+
+
+def courant_tensor(alg: QuadraticLieAlgebra, basis: Sequence[Sequence]) -> tuple:
+    """The nonzero <u_i, [u_j, u_k]> for i < j < k over the rows of basis,
+    in index order, as ((i, j, k), value)."""
+    r = len(basis)
+    values = (((i, j, k), courant_form(alg, basis[i], basis[j], basis[k]))
+              for i in range(r) for j in range(i + 1, r) for k in range(j + 1, r))
+    return tuple((ijk, v) for ijk, v in values if v)
 
 
 # --- integer results read back as Fractions -----------------------------
@@ -439,11 +498,11 @@ def courant_bracket_jets(pt: AnchoredPoint, x: SectionJet, y: SectionJet) -> Vec
     require_coisotropic(pt)
     alg = pt.algebra
     a = pt.anchor
-    out = alg.bracket_vec(x.value, y.value)
+    out = bracket_vec(alg, x.value, y.value)
     out = add_vec(out, mat_vec(y.jacobian, mat_vec(a, x.value)))
     out = add_vec(out, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.value))))
     pairing_dx_y = tuple(
-        alg.pairing(x.jac_column(u), y.value) for u in range(pt.chart_dim)
+        pairing(alg.form, x.jac_column(u), y.value) for u in range(pt.chart_dim)
     )
     return add_vec(out, mat_vec(dual(pt), pairing_dx_y))
 
@@ -459,12 +518,12 @@ def courant_bracket_jet_closed(pt: AnchoredPoint, x: SectionJet, y: SectionJet) 
     value = courant_bracket_jets(pt, x, y)
     cols = []
     for u in range(pt.chart_dim):
-        col = alg.bracket_vec(x.jac_column(u), y.value)
-        col = add_vec(col, alg.bracket_vec(x.value, y.jac_column(u)))
+        col = bracket_vec(alg, x.jac_column(u), y.value)
+        col = add_vec(col, bracket_vec(alg, x.value, y.jac_column(u)))
         col = add_vec(col, mat_vec(y.jacobian, mat_vec(a, x.jac_column(u))))
         col = add_vec(col, scale_vec(-1, mat_vec(x.jacobian, mat_vec(a, y.jac_column(u)))))
-        pairing = tuple(alg.pairing(x.jac_column(w), y.jac_column(u)) for w in range(pt.chart_dim))
-        cols.append(add_vec(col, mat_vec(dual(pt), pairing)))
+        dxy = tuple(pairing(alg.form, x.jac_column(w), y.jac_column(u)) for w in range(pt.chart_dim))
+        cols.append(add_vec(col, mat_vec(dual(pt), dxy)))
     return SectionJet(value, transpose(matrix(cols)))
 
 
@@ -476,9 +535,9 @@ def dense_validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                jac = alg.bracket_vec(alg.bracket_basis(i, j), basis[k])
-                jac = add_vec(jac, alg.bracket_vec(alg.bracket_basis(j, k), basis[i]))
-                jac = add_vec(jac, alg.bracket_vec(alg.bracket_basis(k, i), basis[j]))
+                jac = bracket_vec(alg, bracket_basis(alg, i, j), basis[k])
+                jac = add_vec(jac, bracket_vec(alg, bracket_basis(alg, j, k), basis[i]))
+                jac = add_vec(jac, bracket_vec(alg, bracket_basis(alg, k, i), basis[j]))
                 if any(x != 0 for x in jac):
                     records.append(ValidationRecord(
                         "jacobi", (names[i], names[j], names[k]),
@@ -487,8 +546,8 @@ def dense_validate_algebra(alg: QuadraticLieAlgebra) -> ValidationReport:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = alg.pairing(alg.bracket_basis(i, j), basis[k])
-                rhs = alg.pairing(basis[j], alg.bracket_basis(i, k))
+                lhs = pairing(alg.form, bracket_basis(alg, i, j), basis[k])
+                rhs = pairing(alg.form, basis[j], bracket_basis(alg, i, k))
                 if lhs + rhs != 0:
                     records.append(ValidationRecord(
                         "invariance", (names[i], names[j], names[k]),

@@ -30,7 +30,7 @@ from courantlab.liegrp import pi_plus_minus
 from courantlab.lagrel import Splitting
 from courantlab.quadlie import build_double, diagonal_subspace
 from courantlab.randgen import random_abelian_split_algebra
-from algebra_reference import courant_bracket_jets, mat_mul, SectionJet
+from algebra_reference import courant_bracket_jets, courant_tensor, mat_mul, SectionJet
 
 
 H = 1e-4
@@ -270,6 +270,34 @@ def test_tensor_tables_are_built_once_per_algebra_and_splitting(capsys, calls):
     capsys.readouterr()
     # the Manin and quasi splittings of sl2-double, and the sheared one
     assert list(collections.Counter(tables).values()) == [1, 1, 1]
+
+
+def _named_and_sheared_splittings():
+    from courantlab.contexts import SPLITTING_NAMES
+
+    return [(ctx_name, name) for ctx_name, names in SPLITTING_NAMES.items()
+            for name in names] + [("sl2c-real", "sheared")]
+
+
+@pytest.mark.parametrize("ctx_name,name", _named_and_sheared_splittings())
+def test_tensor_tables_are_the_fraction_tensor_read_once_as_floats(ctx_name, name):
+    # each value and each frame entry has the bits of float() of the exact
+    # rational: the Fraction tensor on E's basis and on the duals
+    from courantlab.contexts import named_splitting
+    from courantlab.suites import _sheared_quasi_splitting
+
+    ctx = get_group_context(ctx_name)
+    # abelian-2 names a splitting of its algebra, the others of the double
+    alg = ctx.algebra if ctx_name == "abelian-2" else ctx.double_algebra
+    s = _sheared_quasi_splitting()[2] if name == "sheared" else named_splitting(ctx_name, name)
+    want = ((courant_tensor(alg, s.e.basis), s.duals), (courant_tensor(alg, s.duals), s.e.basis))
+    got = diffnum.splitting_tensor_tables(alg, s)
+    for (values, frame), (ref, ref_frame) in zip(got, want):
+        assert [(ijk, v.hex()) for ijk, v in values] == [(ijk, float(v).hex()) for ijk, v in ref]
+        assert frame.dtype == float and frame.shape == (len(ref_frame), alg.dim)
+        assert frame.tobytes() == np.array([[float(x) for x in row] for row in ref_frame]).tobytes()
+    if name == "sheared":
+        assert all(values for values, _ in got)
 
 
 def test_float_pi_is_converted_once_per_splitting(calls):

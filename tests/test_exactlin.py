@@ -29,6 +29,7 @@ from courantlab.contexts import sl2_algebra, sl2_pair_context
 from courantlab.lagrel import Bivector, LinearRelation, hyperbolic_space
 from exact_strategies import rationals
 from algebra_reference import (
+    bracket_vec,
     coords,
     coords_rows,
     inverse,
@@ -37,6 +38,7 @@ from algebra_reference import (
     mat_scale,
     mat_vec,
     nullspace,
+    pairing,
     quotient_coords,
     QuotientMap,
     rref,
@@ -112,7 +114,7 @@ def test_descended_form_reads_the_complement_gram_matrix():
 
 def _pairing_gram(q, form):
     """The descended Gram matrix as k^2 pairings: the reference."""
-    return BilinearForm(tuple(tuple(form.pairing(a, b) for b in q.complement) for a in q.complement))
+    return BilinearForm(tuple(tuple(pairing(form, a, b) for b in q.complement) for a in q.complement))
 
 
 def test_descended_form_matches_the_pairing_loop():
@@ -526,14 +528,11 @@ def test_float_operands_raise_type_error():
     # every entry point whose input reaches integer rows through int_matrix
     plane = ExactSubspace.span(a)
     coordinatizer = Coordinatizer.of_rows(a, 2)
-    form = BilinearForm(((F(1), F(0)), (F(0), F(-1))))
     for call in (lambda: ExactSubspace.span(bad), lambda: plane.contains((F(1), 0.5)),
                  lambda: Coordinatizer.of_rows(bad, 2),
                  lambda: coords_rows(coordinatizer, ((F(1), 0.5),)),
                  lambda: BilinearForm(((F(1), 0.5), (0.5, F(1)))),
-                 lambda: form.pairing((F(1), 0.5), (F(1), F(0))),
-                 lambda: Bivector(((F(0), 0.5), (-0.5, F(0)))),
-                 lambda: sl2_algebra().bracket_vec((F(1), 0.5, F(0)), (F(0), F(1), F(0)))):
+                 lambda: Bivector(((F(0), 0.5), (-0.5, F(0))))):
         with pytest.raises(TypeError):
             call()
 
@@ -580,9 +579,9 @@ def _as_kind(kind, rows):
     lambda k: coords_rows(Coordinatizer.of_rows(_as_kind(k, _ROWS), 3), ((4, -1, 2),)),
     lambda k: coords_rows(Coordinatizer.of_rows(_ROWS, 3), _as_kind(k, ((4, -1, 2),))),
     lambda k: BilinearForm(_as_kind(k, _GRAM)).matrix,
-    lambda k: BilinearForm(_GRAM).pairing(*_as_kind(k, _ROWS)),
+    lambda k: pairing(BilinearForm(_GRAM), *_as_kind(k, _ROWS)),
     lambda k: Bivector(_as_kind(k, ((0, 3), (-3, 0)))).matrix,
-    lambda k: sl2_algebra().bracket_vec(*_as_kind(k, _ROWS)),
+    lambda k: bracket_vec(sl2_algebra(), *_as_kind(k, _ROWS)),
     lambda k: rref(_as_kind(k, _ROWS)),
     lambda k: nullspace(_as_kind(k, _ROWS), 3),
     lambda k: inverse(_as_kind(k, _GRAM)),
@@ -680,7 +679,7 @@ def test_orth_complement_and_isotropy_match_the_gram_matrix(pair, data):
     assume(form.is_nondegenerate())
     perp = form.orth_complement(s)
     assert perp.dim == s.ambient_dim - s.dim
-    assert all(form.pairing(u, v) == 0 for u in perp.basis for v in s.basis)
+    assert all(pairing(form, u, v) == 0 for u in perp.basis for v in s.basis)
     # S cap S-perp is isotropic; S itself may or may not be
     for sub in (s, s.intersect(perp)):
         assert form.is_isotropic(sub) == all(x == 0 for row in _ref_gram(form, sub) for x in row)

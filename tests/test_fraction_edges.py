@@ -21,19 +21,12 @@ RECORDED = ("frac_matrix", "matrix", "_unit_pivot")
 
 EDGES = {
     "exactlin.ExactSubspace.basis": "the unit-pivot Fraction basis, a view built on first read "
-                                    "(the report's drinfeld_lagrangian rows, and the frame "
-                                    "the FD layer tabulates a splitting's tensors on)",
+                                    "(the report's drinfeld_lagrangian rows, JSON out)",
     "exactlin._unit_pivot": "the rows of that view, each divided by its pivot",
     "exactlin.ExactSubspace.from_json": "JSON in: the basis of a --g1/--g2/--e-file/--f-file",
     "quadlie.QuadraticLieAlgebra.from_triples": "input coercion of the form rows, from JSON "
                                                 "and from the literal shipped algebras",
-    "quadlie.QuadraticLieAlgebra.bracket_vec": "the public bracket [x, y] as Fractions, which "
-                                               "courant_form, is_subalgebra and the FD "
-                                               "layer's phi^R check read",
-    "quadlie.courant_tensor_on_basis": "input coercion of a caller's basis (the FD layer "
-                                       "passes the Fraction views below)",
-    "lagrel.Splitting.duals": "the Fraction view of the dual frame (the README reads it; the "
-                              "FD layer tabulates the F tensor on it)",
+    "lagrel.Splitting.duals": "the Fraction view of the dual frame, which the README reads",
     "lagrel.Bivector.matrix": "the report: the pi rows of the bivector command",
     "contexts.sl2_samples": "shipped literal context data: the SL2 sample points",
     "contexts.sl2_context": "shipped literal context data: the sl2 basis",

@@ -38,15 +38,17 @@ from courantlab.lagrel import (
     related_splitting,
     splitting_bivector,
 )
-from courantlab.quadlie import build_double, courant_form, diagonal_subspace
+from courantlab.quadlie import build_double, diagonal_subspace
 from courantlab.suites import _sheared_quasi_splitting
 from courantlab.randgen import random_lagrangian_splitting, random_relation
 from algebra_reference import (
+    courant_form,
     inverse,
     mat_add,
     mat_mul,
     mat_scale,
     mat_vec,
+    pairing,
     quotient_coords,
     randint_small_ints,
     random_coisotropic_anchor,
@@ -436,7 +438,7 @@ def test_splitting_keeps_checked_bivector_and_duals():
         assert ExactSubspace.span(s.duals) == f
         for i, ei in enumerate(e.basis):
             for j, fj in enumerate(s.duals):
-                assert sp.form.pairing(ei, fj) == (1 if i == j else 0)
+                assert pairing(sp.form, ei, fj) == (1 if i == j else 0)
         # the projector pair fixes one factor and kills the other
         p_e, p_f = s.projectors
         zero = zero_vector(4)
@@ -511,12 +513,13 @@ def test_splitting_rejects_non_splittings():
 
 
 def test_one_not_lagrangian_error_class():
-    # quadlie's tensor check raises the class lagrel callers catch
+    # a splitting's Lagrangian check raises the class exactlin defines and
+    # lagrel callers catch
     d = build_double(sl2_algebra())
     not_lagrangian = ExactSubspace.span([identity(6)[0]])
     with pytest.raises(lagrel.NotLagrangianError):
-        quadlie.courant_tensor(d, not_lagrangian)
-    assert quadlie.NotLagrangianError is lagrel.NotLagrangianError
+        Splitting.of_algebra(d, not_lagrangian, diagonal_subspace(sl2_algebra(), -1))
+    assert exactlin.NotLagrangianError is lagrel.NotLagrangianError
 
 
 # --- random generation and the kept split spaces ---------------------------

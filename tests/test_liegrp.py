@@ -87,6 +87,7 @@ from courantlab.quadlie import (
 from algebra_reference import (
     ad,
     ad_inverse,
+    bracket_basis,
     coordinatize,
     coords,
     coords_rows,
@@ -237,11 +238,10 @@ def test_dressing_action_axiom_fails_with_a_flipped_row():
 
 def test_phi_r_homomorphism():
     residuals = []
+    unit = identity(6)
     for d0 in PAIR.points[:2]:
         for (i, j) in [(0, 4), (1, 5)]:
-            z1 = tuple(F(1 if a == i else 0) for a in range(6))
-            z2 = tuple(F(1 if a == j else 0) for a in range(6))
-            residuals.append(phi_r_homomorphism_residual(TRIPLE, d0, z1, z2))
+            residuals.append(phi_r_homomorphism_residual(TRIPLE, d0, unit[i], unit[j]))
     assert worst(residuals) < 1e-6
 
 
@@ -668,7 +668,7 @@ def test_float_chart_data_is_built_once_per_context(monkeypatch):
     assert len(calls) == 1
     # ad tables: ad[a] has the coordinates of [X_a, X_b] as column b
     for a in range(ctx.dim):
-        cols = [ctx.algebra.bracket_basis(a, b) for b in range(ctx.dim)]
+        cols = [bracket_basis(ctx.algebra, a, b) for b in range(ctx.dim)]
         assert np.array_equal(chart.ad[a], np_matrix(matrix(cols)).T)
     assert group_chart(ctx) is chart and chart.ad is chart.ad
 
@@ -783,11 +783,10 @@ def _count_builds(monkeypatch, cls, name, key):
     return counts
 
 
-def _run_on_a_fresh_triple(monkeypatch, suite):
-    t = TRIPLE
+def _run_on_a_fresh_triple(monkeypatch, suite, t=TRIPLE):
     fresh = replace(t, d_ctx=replace(t.d_ctx), g1_ctx=replace(t.g1_ctx))
     monkeypatch.setattr(suites, "get_triple_context", lambda name: fresh)
-    assert main(["verify", suite, "--seed", "1", "--json"]) == 0
+    assert main(["verify", suite, "--ctx", t.name, "--seed", "1", "--json"]) == 0
 
 
 def test_dressing_builds_each_adjoint_and_dressing_once(monkeypatch, capsys, calls):
@@ -892,7 +891,7 @@ def test_integer_builders_match_the_fraction_references(name, monkeypatch):
     for d in t.d_ctx.points:
         assert d.anchor == AnchoredPoint(t.d_ctx.double_algebra, fraction_anchor(d), n)
         assert tuple(pi.matrix for pi in pi_plus_minus_invariant(t, d)) == fraction_pi_plus_minus_invariant(t, d)
-        assert frac_matrix(*liegrp.phi_r_values(t, d, units)) == tuple(fraction_phi_r_value(t, d, z) for z in units)
+        assert frac_matrix(*liegrp.phi_r_values(t, d, (units, 1))) == tuple(fraction_phi_r_value(t, d, z) for z in units)
     seen = _descending(monkeypatch, lambda pb, rows: rows)
     for x in t.points:
         right, left = fraction_dressing(x)
@@ -915,16 +914,21 @@ def test_dressing_builds_each_mult_fiber_once(monkeypatch, capsys):
 
 
 def test_mult_and_dressing_build_no_fraction_anchor_or_adjoint(monkeypatch, capsys, calls):
-    # the suites read anchors and Ad tables as integer rows: no anchor view
-    # is built, and no integer Ad table is read back as Fractions
+    # the suites read anchors, Ad tables and brackets as integer rows: on
+    # either triple, no anchor view is built and no Fraction matrix is made
+    triples = [get_triple_context(name) for name in TRIPLE_CONTEXT_NAMES]
     anchors = _count_builds(monkeypatch, AnchoredPoint, "anchor", id)
     tables = []
     conjugation = GroupPoint._conjugation
     monkeypatch.setattr(GroupPoint, "_conjugation",
                         lambda self, h, h_inv: tables.append(conjugation(self, h, h_inv)) or tables[-1])
-    reads = calls(exactlin, "frac_matrix")
-    for suite in ("mult", "dressing"):
-        _run_on_a_fresh_triple(monkeypatch, suite)
+    made = {name: calls(exactlin, name) for name in ("frac_matrix", "matrix", "_unit_pivot")}
+    for t in triples:
+        for suite in ("mult", "dressing"):
+            _run_on_a_fresh_triple(monkeypatch, suite, t)
     capsys.readouterr()
-    assert tables and reads and not anchors
-    assert not {id(rows) for rows, _ in tables} & {id(args[0]) for args in reads}
+    assert tables and not anchors
+    assert made == {"frac_matrix": [], "matrix": [], "_unit_pivot": []}
+    # the spies record a deliberate call
+    exactlin.frac_matrix([[1]], 2)
+    assert made["frac_matrix"] == [([[1]], 2)]

@@ -7,8 +7,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algebra_reference import (
+    bracket_basis,
+    bracket_vec,
+    courant_form,
+    courant_tensor,
     dense_validate_algebra,
     inverse,
+    pairing,
     perturbed,
     random_split_transform,
     scale_vec,
@@ -26,19 +31,24 @@ from courantlab.contexts import (
     triangular_complement,
 )
 from courantlab.diffnum import np_matrix, structure_tensor_np
-from courantlab.exactlin import BilinearForm, ExactSubspace, identity, matrix
+from courantlab.exactlin import (
+    BilinearForm,
+    DimensionMismatchError,
+    ExactSubspace,
+    frac_matrix,
+    identity,
+    int_matrix,
+    matrix,
+)
 from courantlab.quadlie import (
     ManinTriple,
     QuadraticLieAlgebra,
     build_double,
-    cartan_trivector,
-    courant_form,
-    courant_tensor,
+    courant_values,
     diagonal_subspace,
     is_subalgebra,
     validate_algebra,
     validate_manin_triple,
-    NotLagrangianError,
 )
 
 
@@ -93,8 +103,14 @@ def test_diagonal_predicates():
     gad = diagonal_subspace(sl2, -1)
     assert d.form.is_lagrangian(gd) and is_subalgebra(d, gd)
     assert d.form.is_lagrangian(gad) and not is_subalgebra(d, gad)
-    full = d.full_space()
+    full = ExactSubspace.full(d.dim)
     assert d.form.is_coisotropic(full) and not d.form.is_lagrangian(full)
+
+
+def _courant_fractions(alg, rows) -> dict:
+    """courant_values(alg, rows) as {(i, j, k): Fraction}."""
+    values, den = courant_values(alg, rows)
+    return {ijk: F(v, den) for ijk, v in values}
 
 
 def test_courant_tensor_values():
@@ -102,23 +118,23 @@ def test_courant_tensor_values():
     d = build_double(sl2)
     gd = diagonal_subspace(sl2, 1)
     gad = diagonal_subspace(sl2, -1)
-    assert not courant_tensor(d, gd).values
-    t = courant_tensor(d, gad)
-    assert t.values
+    assert courant_values(d, gd.rows)[0] == []
+    assert _courant_fractions(d, gad.rows) == dict(courant_tensor(d, gad.rows)) != {}
     # paired frame x~ = (x, -x)/2 gives the structure trivector values
     xt = [
         tuple(F(1, 2) * v for v in row + scale_vec(-1, row))
         for row in identity(3)
     ]
     assert courant_form(d, xt[0], xt[1], xt[2]) == F(-2)
-    with pytest.raises(NotLagrangianError):
-        courant_tensor(d, ExactSubspace.span([(1, 0, 0, 0, 0, 0)]))
+    paired = [row + tuple(-x for x in row) for row in identity(3)]
+    assert _courant_fractions(d, paired) == {(0, 1, 2): 8 * F(-2)}
 
 
 def test_cartan_trivector():
+    # the structure trivector (1/4) <x, [y, z]> on the full basis, zero iff abelian
     sl2 = sl2_algebra()
-    assert dict(cartan_trivector(sl2).values) == {(0, 1, 2): F(-2)}
-    assert not cartan_trivector(abelian_algebra_split2()).values
+    assert _courant_fractions(sl2, identity(3)) == {(0, 1, 2): 4 * F(-2)}
+    assert courant_values(abelian_algebra_split2(), identity(2))[0] == []
     so3ish = QuadraticLieAlgebra.from_triples(
         3,
         [(0, 1, 2, 1), (0, 2, 1, -1), (1, 2, 0, 1)],
@@ -126,7 +142,7 @@ def test_cartan_trivector():
         ("x", "y", "z"),
     )
     assert validate_algebra(so3ish).passed
-    assert dict(cartan_trivector(so3ish).values) == {(0, 1, 2): F(-1, 2)}
+    assert _courant_fractions(so3ish, identity(3)) == {(0, 1, 2): 4 * F(-1, 2)}
 
 
 def test_manin_triples():
@@ -170,7 +186,7 @@ def test_manin_pairing_gram_invertible():
     gd = diagonal_subspace(sl2, 1)
     tri = triangular_complement()
     gram = tuple(
-        tuple(d.pairing(u, v) for v in tri.basis) for u in gd.basis
+        tuple(pairing(d.form, u, v) for v in tri.basis) for u in gd.basis
     )
     assert inverse(gram) is not None
 
@@ -193,12 +209,12 @@ def test_random_lagrangians_tensor_iff_subalgebra():
         cols = transpose(mat_mul(h, g))
         lag = ExactSubspace.span(cols[:3], ambient_dim=6)
         assert d.form.is_lagrangian(lag)
-        assert (not courant_tensor(d, lag).values) == is_subalgebra(d, lag)
+        assert (courant_values(d, lag.rows)[0] == []) == is_subalgebra(d, lag)
     # abelian algebras: every Lagrangian has zero tensor
     ab = random_abelian_split_algebra(3)
     for _ in range(4):
         lag = random_lagrangian_splitting(rng, 3).e
-        assert not courant_tensor(ab, lag).values
+        assert courant_values(ab, lag.rows)[0] == []
 
 
 def test_bracket_input_validation():
@@ -317,23 +333,6 @@ def _table_algebras() -> dict:
     return algebras
 
 
-def _reference_bracket_basis(alg, i, j):
-    v = [F(0)] * alg.dim
-    for a, b, k, c in alg.bracket:
-        if (a, b) == (i, j):
-            v[k] = F(c)
-        elif (a, b) == (j, i):
-            v[k] = -F(c)
-    return tuple(v)
-
-
-def _reference_bracket_vec(alg, x, y):
-    v = [F(0)] * alg.dim
-    for i, j, k, c in alg.bracket:
-        v[k] += (x[i] * y[j] - x[j] * y[i]) * c
-    return tuple(v)
-
-
 def test_the_scaled_table_has_a_denominator():
     assert _table_algebras()["sl3 double scaled"]._den > 1
 
@@ -343,9 +342,10 @@ def test_bracket_basis_matches_the_quadruples(name):
     alg = _table_algebras()[name]
     assert all(i < j and c != 0 for i, j, _, c in alg.bracket)
     assert list(alg.bracket) == sorted(alg.bracket)
+    unit = identity(alg.dim)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            assert alg.bracket_basis(i, j) == _reference_bracket_basis(alg, i, j)
+            assert frac_matrix(*alg.pair_brackets((unit[i], unit[j]))) == (bracket_basis(alg, i, j),)
 
 
 @pytest.mark.parametrize("name", sorted(_table_algebras()))
@@ -356,14 +356,54 @@ def test_bracket_vec_matches_the_quadruples(name, data):
     alg = _table_algebras()[name]
     vec = st.lists(rationals(3, 4), min_size=alg.dim, max_size=alg.dim).map(tuple)
     x, y = data.draw(vec), data.draw(vec)
-    assert alg.bracket_vec(x, y) == _reference_bracket_vec(alg, x, y)
+    rows, d = int_matrix((x, y))
+    table, den = alg.pair_brackets(rows)
+    assert frac_matrix(table, d * d * den) == (bracket_vec(alg, x, y),)
+
+
+# pair_brackets and courant_values against the Fraction loops over the
+# quadruples: the table algebras, and the perturbed ones, whose forms are
+# not invariant (and degenerate for the odd seeds)
+def _row_algebras() -> dict:
+    return {**_table_algebras(), **{name: _perturbed(name) for name in PERTURBED}}
+
+
+def _row_sets(alg, rng) -> list:
+    """0 rows, 1 row, the unit rows, and a few random integer row sets."""
+    unit = identity(alg.dim)
+    drawn = [[tuple(rng.randint(-3, 3) for _ in range(alg.dim)) for _ in range(k)]
+             for k in (2, 3, min(alg.dim, 5))]
+    return [(), (unit[0],), unit] + drawn
+
+
+@pytest.mark.parametrize("name", sorted(_row_algebras()))
+def test_pair_brackets_and_courant_values_match_the_loops(name):
+    alg = _row_algebras()[name]
+    for rows in _row_sets(alg, random.Random(name)):
+        table, den = alg.pair_brackets(rows)
+        pairs = [(x, y) for a, x in enumerate(rows) for y in rows[a + 1:]]
+        assert len(table) == len(pairs) and den == alg._den
+        assert frac_matrix(table, den) == tuple(bracket_vec(alg, x, y) for x, y in pairs)
+        assert _courant_fractions(alg, rows) == dict(courant_tensor(alg, rows))
+        values, _ = courant_values(alg, rows)
+        assert [ijk for ijk, _ in values] == sorted(ijk for ijk, _ in values)
+        assert all(v for _, v in values)
+
+
+def test_pair_brackets_refuses_a_row_of_another_length():
+    sl2 = sl2_algebra()
+    for rows in (((1, 0),), ((1, 0, 0), (0, 1, 0, 0))):
+        with pytest.raises(DimensionMismatchError):
+            sl2.pair_brackets(rows)
+        with pytest.raises(DimensionMismatchError):
+            courant_values(sl2, rows)
 
 
 @pytest.mark.parametrize("name", sorted(_table_algebras()))
 def test_structure_tensor_np_matches_the_dense_table(name):
     alg = _table_algebras()[name]
     n = alg.dim
-    dense = np_matrix([[alg.bracket_basis(i, j) for j in range(n)] for i in range(n)])
+    dense = np_matrix([[bracket_basis(alg, i, j) for j in range(n)] for i in range(n)])
     assert structure_tensor_np(alg).tobytes() == dense.reshape(n, n, n).tobytes()
 
 
@@ -382,7 +422,7 @@ def test_from_triples_sorts_adds_and_drops_zero_constants():
     again = QuadraticLieAlgebra.from_triples(3, cancelled, form)
     assert again == sl2 and hash(again) == hash(sl2)
     assert again.bracket == sl2.bracket == tuple((i, j, k, F(c)) for i, j, k, c in triples)
-    assert again.bracket_basis(0, 1) == (F(-2), F(0), F(0))
+    assert again.pair_brackets(identity(3)[:2]) == ([[-2, 0, 0]], 1)
 
 
 def test_the_sl3_double_round_trips_through_json():
@@ -392,7 +432,7 @@ def test_the_sl3_double_round_trips_through_json():
 
 def _pairwise_is_subalgebra(alg, s):
     """One containment per pair of rows, stopping at the first miss."""
-    return all(s.contains(alg.bracket_vec(x, y)) for a, x in enumerate(s.rows) for y in s.rows[a + 1:])
+    return all(s.contains(bracket_vec(alg, x, y)) for a, x in enumerate(s.rows) for y in s.rows[a + 1:])
 
 
 def test_is_subalgebra_reads_every_pair():

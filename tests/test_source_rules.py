@@ -2,9 +2,8 @@
 imports, no worst-residual fold through builtin max (in the tests too),
 no unit vector built by hand, no direct ExactSubspace(...) call
 outside exactlin, no Fraction(...) or frac_matrix call in randgen, no
-integer product sum(map(mul, ...)) outside exactlin.int_products and
-BilinearForm.pairing, no max-norm outside
-diffnum.max_abs, no float(...) comprehension outside diffnum, no
+integer product sum(map(mul, ...)) outside exactlin.int_products, no
+max-norm outside diffnum.max_abs, no float(...) comprehension outside diffnum, no
 object.__setattr__ but on self in __post_init__, no numpy import outside
 diffnum, no import of diffnum outside suites, no concat_vec or
 zero_vector call inside a comprehension or loop outside exactlin, no
@@ -16,8 +15,9 @@ meets), no int_matrix, rank, inverse or ExactSubspace.span call on a
 outside quadlie, no except naming ArithmeticError or ValueError in a
 suite_* function or cli.cmd_verify, and no Fraction matrix arithmetic
 (mat_mul, mat_vec, transpose, inverse, Coordinatizer.coords_rows and
-the rest of FRACTION_ARITHMETIC) defined, imported or called in the
-package.
+the rest of FRACTION_ARITHMETIC) and no Fraction bracket, pairing or
+Courant tensor (bracket_vec, BilinearForm.pairing, courant_tensor and
+the rest) defined, imported or called in the package.
 
 Pure-Python Fraction work holds the GIL, so a thread pool only slows the
 exact suites down; a report must depend on its command line alone, not
@@ -32,8 +32,7 @@ span, zero, full) keep; and randgen draws, inverts and multiplies on
 integer rows, so a Fraction built there at all is a normalisation the
 integer path exists to avoid; and every exact matrix
 product is one exactlin.int_products, so a product written in place is
-a second home that a call count cannot see (pairing, the one scalar
-u^T G v, stays inline: courant_form calls it once per index triple); and one conversion
+a second home that a call count cannot see; and one conversion
 (diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
 residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
@@ -56,8 +55,8 @@ a second conversion of rows already kept; and the structure
 constants have one public form, QuadraticLieAlgebra.bracket, and one
 derived table, the sparse integer rows _sparse over _den that the
 constructor builds from it, so a module that reads that table depends on
-a private layout that only quadlie keeps in step with bracket (bracket,
-bracket_basis and bracket_vec are the readers the other modules have);
+a private layout that only quadlie keeps in step with bracket (bracket
+and pair_brackets are the readers the other modules have);
 and a numeric breakdown has one handler, the runner suites._run, which
 fails only the record whose check broke down, where a handler in a suite
 or around it ends the suite, or every suite, at the first breakdown; and
@@ -65,7 +64,11 @@ every exact matrix in the package is an integer table (rows, den), so a
 Fraction product, sum, transpose, inverse or coordinate is a round trip
 int_matrix -> integer kernel -> frac_matrix that the data makes for no
 reason (this rule also keeps out what the retired rules against a
-mat_vec per list element and a mat_mul nested in a mat_mul did).
+mat_vec per list element and a mat_mul nested in a mat_mul did); and
+the brackets of integer rows have one home, pair_brackets, and the
+Courant values <u, [v, w]> one, courant_values, so a Fraction bracket,
+pairing or tensor table is a second home of each, whose every reader
+turned it back into integers.
 """
 
 import ast
@@ -293,8 +296,8 @@ def test_the_fraction_call_rule_catches_each_form():
         assert _fraction_calls(ast.parse(src)) == [], src
 
 
-# the one integer matrix product, and the one scalar u^T G v
-INTEGER_PRODUCTS = {("exactlin.py", "int_products"), ("exactlin.py", "pairing")}
+# the one integer matrix product
+INTEGER_PRODUCTS = {("exactlin.py", "int_products")}
 
 
 def _is_name_or_attr(node: ast.AST, name: str) -> bool:
@@ -673,7 +676,7 @@ def test_the_bracket_table_rule_catches_each_form():
                 "for k, c in self._sparse[i][j]:\n    pass"):
         assert set(_bracket_table_reads(ast.parse(src))) == {"line 1"}, src
     assert _bracket_table_reads(ast.parse("def f(a):\n    return a._den")) == ["line 2"]
-    for src in ("alg.bracket", "alg.bracket_basis(i, j)", "form._ints[1]", "row_den = den",
+    for src in ("alg.bracket", "alg.pair_brackets(rows)", "form._ints[1]", "row_den = den",
                 "sparse = 1", "x.sparse", "'_dense'"):
         assert _bracket_table_reads(ast.parse(src)) == [], src
 
@@ -726,16 +729,20 @@ def test_the_breakdown_handler_rule_catches_each_form():
         assert _breakdown_handlers(ast.parse(src), module) == [], (module, name, handler)
 
 
-# the Fraction matrix arithmetic that left the package, and the names that
-# moved to tests/algebra_reference.py as the tests' references
+# the Fraction matrix arithmetic that left the package, the Fraction
+# bracket, pairing and Courant tensor layer, and the names that moved to
+# tests/algebra_reference.py as the tests' references
 FRACTION_ARITHMETIC = {
     "vector", "add_vec", "scale_vec", "transpose", "mat_add", "mat_scale", "mat_mul", "mat_vec",
     "inverse", "rref", "solve", "nullspace", "quotient_coords", "reduce_bivector",
     "courant_bracket_jets", "courant_bracket_jet_closed", "random_coisotropic_anchor",
     "QuotientMap", "ReducedIso", "ReducedBivector", "ReductionError", "SectionJet",
+    "courant_form", "CourantTensor3", "_tabulate", "courant_tensor", "courant_tensor_on_basis",
+    "cartan_trivector",
 }
 FRACTION_METHODS = {"Coordinatizer": {"coords", "coords_rows"}, "LinearRelation": {"reduced_iso"},
-                    "BilinearForm": {"inverse_matrix"}}
+                    "BilinearForm": {"inverse_matrix", "pairing"},
+                    "QuadraticLieAlgebra": {"bracket_vec", "bracket_basis", "pairing", "full_space"}}
 MODULES = {p.stem for p in SOURCES}
 
 
@@ -783,12 +790,27 @@ def test_the_fraction_arithmetic_rule_catches_each_form():
                 "class Coordinatizer:\n    def coords_rows(self, vs):\n        pass",
                 "class Coordinatizer:\n    def coords(self, v):\n        pass",
                 "class BilinearForm:\n    @cached_property\n    def inverse_matrix(self):\n        pass",
-                "q.coords_rows(vs)", "iso = r.reduced_iso", "form.inverse_matrix"):
+                "q.coords_rows(vs)", "iso = r.reduced_iso", "form.inverse_matrix",
+                # the Fraction bracket, pairing and Courant tensor layer
+                "def courant_form(alg, u1, u2, u3):\n    pass", "class CourantTensor3:\n    pass",
+                "def _tabulate(alg, sub, basis):\n    pass",
+                "from .quadlie import courant_tensor_on_basis", "from courantlab.quadlie import courant_form",
+                "courant_tensor(alg, lag)", "quadlie.cartan_trivector(alg)", "_tabulate(alg, sub, b)",
+                "class QuadraticLieAlgebra:\n    def bracket_vec(self, x, y):\n        pass",
+                "class QuadraticLieAlgebra:\n    def bracket_basis(self, i, j):\n        pass",
+                "class QuadraticLieAlgebra:\n    def full_space(self):\n        pass",
+                "class QuadraticLieAlgebra:\n    def pairing(self, x, y):\n        pass",
+                "class BilinearForm:\n    def pairing(self, u, v):\n        pass",
+                "alg.bracket_vec(x, y)", "alg.bracket_basis(i, j)", "form.pairing(u, v)",
+                "t.d_algebra.pairing(u, v)", "alg.full_space()"):
         assert _fraction_arithmetic(ast.parse(src)), src
     assert _fraction_arithmetic(ast.parse("x = 1\ny = transpose(a)")) == ["line 2"]
     for src in ("r.transpose()", "np.transpose(x)", "chart.coords(x)", "a.T @ b",
                 "class LinearRelation:\n    def transpose(self):\n        pass",
                 "class GroupChart:\n    def coords(self, elt):\n        pass",
                 "int_products(a, b)", "table_product(a, b)", "_inverse_of(g_ints)",
-                "from .exactlin import int_matrix", "def solve_rows(a):\n    pass"):
+                "from .exactlin import int_matrix", "def solve_rows(a):\n    pass",
+                "alg.pair_brackets(rows)", "courant_values(alg, rows)", "quadlie.courant_values(alg, e)",
+                "pairing = x_jac.T @ (form @ y_value)", "bracket_vec(alg, x, y)",
+                "class GroupChart:\n    def pairing(self, u, v):\n        pass"):
         assert _fraction_arithmetic(ast.parse(src)) == [], src
