@@ -9,14 +9,14 @@ diagonal relation); the numeric layer keeps its own float anchors.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Sequence
 from functools import cached_property, lru_cache, wraps
-from typing import Sequence
 
 from .exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    Frozen,
     Matrix,
     NotLagrangianError,
     SingularMatrixError,
@@ -49,8 +49,8 @@ class CourantStructureError(ValueError):
     """The stabilizer is not coisotropic, so no bracket/relation exists."""
 
 
-@dataclass(frozen=True)
-class AnchoredPoint:
+class AnchoredPoint(Frozen, fields=("algebra", "chart_dim"),
+                    compared=("algebra", "chart_dim", "_ints")):
     """Action matrix of a quadratic Lie algebra at one chart point.
 
     The anchor is kept as integer rows over one denominator in lowest
@@ -60,21 +60,20 @@ class AnchoredPoint:
     and keeps it: stabilizer, coisotropy verdict, metric-dual anchor, and
     in ``kept`` by (kind, value) a(S) ("image", S), L_m ("lm", F), and
     pi_m, the rank formula and the leaf verdict ("pi", "rank", "leaf", by
-    the splitting).
+    the splitting).  Neither ``kept`` nor the rows are in the repr.
     """
 
-    algebra: QuadraticLieAlgebra
-    entries: InitVar[Matrix | None]
-    chart_dim: int
-    _ints: tuple = field(default=None, kw_only=True, repr=False)
-    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self, entries):
-        if self._ints is None:
-            object.__setattr__(self, "_ints", int_matrix(entries))
-        rows = self._ints[0]
-        if len(rows) != self.chart_dim or any(len(r) != self.algebra.dim for r in rows):
+    def __init__(self, algebra: QuadraticLieAlgebra, entries: Matrix | None, chart_dim: int,
+                 *, _ints: tuple | None = None):
+        if _ints is None:
+            _ints = int_matrix(entries)
+        rows = _ints[0]
+        if len(rows) != chart_dim or any(len(r) != algebra.dim for r in rows):
             raise DimensionMismatchError("anchor must be chart_dim x algebra dim")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "chart_dim", chart_dim)
+        object.__setattr__(self, "_ints", _ints)
+        object.__setattr__(self, "kept", {})
 
     @classmethod
     def of_ints(cls, algebra: QuadraticLieAlgebra, table, den: int, chart_dim: int) -> "AnchoredPoint":
@@ -252,8 +251,7 @@ def diagonal_backward(pt: AnchoredPoint, s: Splitting) -> Bivector:
     return direct
 
 
-@dataclass(frozen=True)
-class PointPullback:
+class PointPullback(Frozen, fields=("form", "constraint", "perp", "algebra_dim")):
     """Pointwise pull-back data along a chart map differential dPhi, on
     algebra (+) Q^s (+) Q^s* with the nondegenerate form G = B (+) H_s.
     The constraint C = ker K is {(x, v, mu) : a x = dPhi v}, for the integer
@@ -261,10 +259,12 @@ class PointPullback:
     C / C-perp has dimension n + 2s - 2m and carries the form G descends
     to and the anchor that reads the v-block."""
 
-    form: BilinearForm
-    constraint: tuple  # K, m integer rows
-    perp: list  # K G^-1 up to one scale: a basis of C-perp
-    algebra_dim: int
+    def __init__(self, form: BilinearForm, constraint: tuple, perp: list, algebra_dim: int):
+        # constraint: K, m integer rows; perp: K G^-1 up to one scale, a basis of C-perp
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "perp", perp)
+        object.__setattr__(self, "algebra_dim", algebra_dim)
 
     def descend(self, lifts: Sequence[Sequence[int]], den: int) -> tuple[tuple, tuple] | None:
         """The Gram matrix L G L^T of the classes of the rows L = lifts / den

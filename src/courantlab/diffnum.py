@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exactlin import DimensionMismatchError
+from .exactlin import DimensionMismatchError, Frozen
 from .lagrel import Splitting
 from .liegrp import G1Point, GroupContext, GroupPoint, TripleContext, phi_r_values
 from .quadlie import QuadraticLieAlgebra, courant_values
@@ -35,13 +34,13 @@ from .quadlie import QuadraticLieAlgebra, courant_values
 ANTISYM_TOL = 1e-12
 
 
-@dataclass
-class ChartBivectorField:
+class ChartBivectorField(Frozen, fields=("chart_dim", "sampler")):
     """Sampler of an antisymmetric matrix over one chart: a (S, d) stack
     of chart points to the (S, d, d) stack of their matrices."""
 
-    chart_dim: int
-    sampler: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, chart_dim: int, sampler: Callable[[np.ndarray], np.ndarray]):
+        object.__setattr__(self, "chart_dim", chart_dim)
+        object.__setattr__(self, "sampler", sampler)
 
     def __call__(self, points) -> np.ndarray:
         x = np.asarray(points, dtype=float)
@@ -357,12 +356,12 @@ def logm_np(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class GroupChart:
+class GroupChart(Frozen, fields=("ctx",), compared=None):
     """The exponential charts of a group context in floats; the float
     basis, its coordinatizer and the ad tables are built on first use."""
 
-    ctx: GroupContext
+    def __init__(self, ctx: GroupContext):
+        object.__setattr__(self, "ctx", ctx)
 
     @cached_property
     def basis(self) -> np.ndarray:

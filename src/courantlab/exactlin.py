@@ -33,13 +33,12 @@ All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -58,6 +57,52 @@ class SingularMatrixError(ValueError):
 class NotLagrangianError(ValueError):
     """Raised when an operation needs a Lagrangian subspace (or a
     Lagrangian splitting) and is given something else."""
+
+
+class Frozen:
+    """The base of the package's immutable value classes.
+
+    A subclass sets its fields once, in its own ``__init__``, by
+    ``object.__setattr__`` (a write to ``self.__dict__`` would build each
+    instance's dict and about double its size); assigning to or deleting
+    an attribute afterwards raises AttributeError.  The class keyword
+    ``fields`` names, in order, the fields the repr prints, and
+    ``compared`` those that equality and hashing read (by default
+    ``fields``): instances of one class are equal when the tuples of
+    those fields are, and the hash is the tuple's.  With
+    ``compared=None`` an instance equals only itself.  Instances keep a
+    ``__dict__``, so ``cached_property`` works on them.
+    """
+
+    def __init_subclass__(cls, fields: tuple[str, ...] = (), compared: tuple[str, ...] | None = (),
+                          **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields
+        if compared is None:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+            return
+        compared = compared or fields
+        get = attrgetter(*compared)
+        # attrgetter of one name gives the value, not a 1-tuple
+        cls._key = staticmethod(get if len(compared) > 1 else lambda obj: (get(obj),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
 
 
 def frac(x) -> Fraction:
@@ -324,8 +369,7 @@ def _inverse_of(ints: tuple[Sequence[Sequence[int]], int]) -> tuple[list[list[in
     return [[den * x for x in row] for row in inv], inv_den
 
 
-@dataclass(frozen=True)
-class ExactSubspace:
+class ExactSubspace(Frozen, fields=("ambient_dim", "rows")):
     """A subspace of Q^ambient_dim stored as its canonical basis: the
     reduced row echelon rows as primitive integer rows with positive
     pivots.  They determine the unit-pivot RREF and are determined by
@@ -335,8 +379,9 @@ class ExactSubspace:
     keep the rows canonical.
     """
 
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def of_rows(cls, ambient_dim: int, work: list) -> "ExactSubspace":
@@ -436,8 +481,7 @@ def product_subspace(s1: ExactSubspace, s2: ExactSubspace) -> ExactSubspace:
     return ExactSubspace(n1 + n2, rows)
 
 
-@dataclass(frozen=True)
-class Coordinatizer:
+class Coordinatizer(Frozen, fields=("ambient_dim", "pivots", "inverse_columns", "row_columns", "span")):
     """Exact coordinates over a basis of independent rows of Q^ambient_dim.
 
     The pivot columns of the rows' RREF pick k entries at which the
@@ -450,11 +494,14 @@ class Coordinatizer:
     rows over a denominator and gives an integer table.
     """
 
-    ambient_dim: int
-    pivots: tuple[int, ...]
-    inverse_columns: tuple[tuple[tuple[int, ...], ...], int]
-    row_columns: tuple[tuple[tuple[int, ...], ...], int]
-    span: str = "the span"
+    def __init__(self, ambient_dim: int, pivots: tuple[int, ...],
+                 inverse_columns: tuple[tuple[tuple[int, ...], ...], int],
+                 row_columns: tuple[tuple[tuple[int, ...], ...], int], span: str = "the span"):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "inverse_columns", inverse_columns)
+        object.__setattr__(self, "row_columns", row_columns)
+        object.__setattr__(self, "span", span)
 
     @classmethod
     def of_rows(cls, rows: Sequence[Sequence], ambient_dim: int,
@@ -489,25 +536,21 @@ class Coordinatizer:
         return coef, den * inverse_den
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Frozen, fields=("_ints",)):
     """A symmetric bilinear form, kept as its Gram matrix's integer rows
     over one common denominator in lowest terms, which decide equality
     and hashing.  ``BilinearForm(entries)`` takes an exact matrix (a float
     entry raises TypeError), ``of_ints`` an integer table, and the
     Fraction ``matrix`` is built on first read."""
 
-    entries: InitVar[Sequence[Sequence] | None]
-    _ints: tuple = field(default=None, kw_only=True)
-    # the nonzeros of each Gram column
-    _columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, entries):
-        if self._ints is None:
-            object.__setattr__(self, "_ints", int_matrix(entries))
-        rows = self._ints[0]
+    def __init__(self, entries: Sequence[Sequence] | None, *, _ints: tuple | None = None):
+        if _ints is None:
+            _ints = int_matrix(entries)
+        rows = _ints[0]
         if rows != tuple(zip(*rows)):
             raise ValueError("bilinear form must be symmetric")
+        object.__setattr__(self, "_ints", _ints)
+        # the nonzeros of each Gram column, not compared
         object.__setattr__(self, "_columns", tuple(_nonzeros(rows)))
 
     @classmethod

@@ -9,7 +9,6 @@ Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from operator import neg
 
@@ -17,6 +16,7 @@ from .exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    Frozen,
     Matrix,
     NotLagrangianError,
     Vector,
@@ -42,21 +42,19 @@ class TransversalityError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class SplitSpace:
+class SplitSpace(Frozen, fields=("dim", "form")):
     """Even-dimensional space whose form has signature (n/2, n/2)."""
 
-    dim: int
-    form: BilinearForm
-
-    def __post_init__(self):
-        if self.form.dim != self.dim:
+    def __init__(self, dim: int, form: BilinearForm):
+        if form.dim != dim:
             raise DimensionMismatchError("form does not match dimension")
-        if self.dim % 2 != 0:
+        if dim % 2 != 0:
             raise ValueError("split spaces are even-dimensional")
-        pos, neg, zer = self.form.signature()
+        pos, neg, zer = form.signature()
         if zer or pos != neg:
             raise ValueError(f"form signature {(pos, neg, zer)} is not split")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "form", form)
 
     def direct_sum(self, other: "SplitSpace") -> "SplitSpace":
         return SplitSpace(self.dim + other.dim, self.form.direct_sum(other.form))
@@ -82,25 +80,23 @@ def graph_form(target: SplitSpace, source: SplitSpace) -> BilinearForm:
     return target.form.direct_sum(source.form.negate())
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(Frozen, fields=("source", "target", "graph")):
     """A Lagrangian subspace of target (+) source-bar, acting W -> W'."""
 
-    source: SplitSpace
-    target: SplitSpace
-    graph: ExactSubspace
-
-    def __post_init__(self):
-        n = self.source.dim + self.target.dim
-        if self.graph.ambient_dim != n:
+    def __init__(self, source: SplitSpace, target: SplitSpace, graph: ExactSubspace):
+        n = source.dim + target.dim
+        if graph.ambient_dim != n:
             raise DimensionMismatchError("graph not in target (+) source")
-        if 2 * self.graph.dim != n:
+        if 2 * graph.dim != n:
             raise NotLagrangianError(
-                f"graph has dim {self.graph.dim}, expected {n // 2}"
+                f"graph has dim {graph.dim}, expected {n // 2}"
             )
-        gf = graph_form(self.target, self.source)
-        if not gf.is_isotropic(self.graph):
+        gf = graph_form(target, source)
+        if not gf.is_isotropic(graph):
             raise NotLagrangianError("graph is not isotropic")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "graph", graph)
 
     @classmethod
     def from_rows(cls, source: SplitSpace, target: SplitSpace, rows) -> "LinearRelation":
@@ -222,22 +218,19 @@ def backward_image(eprime: ExactSubspace, r: LinearRelation) -> tuple[ExactSubsp
     return e, tuple(row[ns:] for row in pairs.basis)
 
 
-@dataclass(frozen=True)
-class Bivector:
+class Bivector(Frozen, fields=("_ints",)):
     """Antisymmetric coefficient matrix P: pi = sum_{u<v} P[u][v] d_u ^ d_v,
     kept as integer rows over the lcm of its denominators, which its checks
     eliminate and which decide equality; ``Bivector(entries)`` takes the
     matrix, and the Fraction ``matrix`` is built on first read."""
 
-    entries: InitVar[Matrix | None]
-    _ints: tuple = field(default=None, kw_only=True)
-
-    def __post_init__(self, entries):
-        if self._ints is None:
-            object.__setattr__(self, "_ints", int_matrix(entries))
-        rows = self._ints[0]
+    def __init__(self, entries: Matrix | None, *, _ints: tuple | None = None):
+        if _ints is None:
+            _ints = int_matrix(entries)
+        rows = _ints[0]
         if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
             raise ValueError("bivector matrix must be antisymmetric")
+        object.__setattr__(self, "_ints", _ints)
 
     @classmethod
     def of_ints(cls, table: list[list[int]], den: int) -> "Bivector":
@@ -263,8 +256,7 @@ class Bivector:
         return ExactSubspace.of_rows(self.dim, list(self._ints[0]))
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Frozen, fields=("space", "e", "f")):
     """A Lagrangian splitting W = E (+) F with its point-independent data.
 
     Construction checks that E and F lie in W and are transverse
@@ -275,20 +267,19 @@ class Splitting:
     kept, so pointwise bivectors a(Pi) reuse one Pi.
     """
 
-    space: SplitSpace
-    e: ExactSubspace
-    f: ExactSubspace
-
-    def __post_init__(self):
-        form = self.space.form
-        if self.e.ambient_dim != self.space.dim or self.f.ambient_dim != self.space.dim:
+    def __init__(self, space: SplitSpace, e: ExactSubspace, f: ExactSubspace):
+        form = space.form
+        if e.ambient_dim != space.dim or f.ambient_dim != space.dim:
             raise DimensionMismatchError("splitting subspaces are not in the space")
-        if not (form.is_lagrangian(self.e) and form.is_lagrangian(self.f)):
+        if not (form.is_lagrangian(e) and form.is_lagrangian(f)):
             raise NotLagrangianError("splitting requires two Lagrangian subspaces")
         # Lagrangians of a split space have half its dimension, so E and F
         # meet in zero exactly when they span it
-        if self.e.sum(self.f).dim != self.space.dim:
+        if e.sum(f).dim != space.dim:
             raise NotLagrangianError("splitting subspaces are not transverse")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
     @classmethod
     def of_algebra(cls, alg: QuadraticLieAlgebra, e: ExactSubspace, f: ExactSubspace) -> "Splitting":
@@ -358,12 +349,12 @@ def splitting_bivector(s: Splitting) -> Bivector:
     return Bivector.of_ints(int_products(lhs, rhs), 2 * den)
 
 
-@dataclass(frozen=True)
-class RelatednessReport:
+class RelatednessReport(Frozen, fields=("reasons",)):
     """The names of the conditions a relatedness check failed, in the
     order E, F, kernel, range; related when there are none."""
 
-    reasons: tuple[str, ...]
+    def __init__(self, reasons: tuple[str, ...]):
+        object.__setattr__(self, "reasons", reasons)
 
     @property
     def related(self) -> bool:

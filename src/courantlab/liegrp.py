@@ -10,14 +10,14 @@ element lives on its GroupPoint.  Everything here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .anchored import AnchoredPoint, bivector_at, pullback_point
 from .exactlin import (
     Coordinatizer,
     ExactSubspace,
+    Frozen,
     IntRows,
     Matrix,
     Vector,
@@ -50,19 +50,22 @@ def flatten(m: Matrix) -> Vector:
 # ---------------------------------------------------------------------------
 # contexts
 
-@dataclass(frozen=True, eq=False)
-class GroupContext:
+class GroupContext(Frozen, fields=("name", "ambient_size", "algebra_basis", "algebra", "sample_points",
+                                  "membership"), compared=None):
     """A matrix group with a chosen algebra basis and rational samples,
     equal only to itself.  The exact coordinatizer of the basis, the
     double algebra and one GroupPoint per sample point are built on first
     use and kept."""
 
-    name: str
-    ambient_size: int
-    algebra_basis: tuple[Matrix, ...]
-    algebra: QuadraticLieAlgebra
-    sample_points: tuple[Matrix, ...]
-    membership: Callable[[Matrix], bool]
+    def __init__(self, name: str, ambient_size: int, algebra_basis: tuple[Matrix, ...],
+                 algebra: QuadraticLieAlgebra, sample_points: tuple[Matrix, ...],
+                 membership: Callable[[Matrix], bool]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ambient_size", ambient_size)
+        object.__setattr__(self, "algebra_basis", algebra_basis)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "sample_points", sample_points)
+        object.__setattr__(self, "membership", membership)
 
     @property
     def dim(self) -> int:
@@ -95,8 +98,7 @@ class GroupContext:
                                      self.ambient_size ** 2, "the algebra span")
 
 
-@dataclass(frozen=True, eq=False)
-class GroupPoint:
+class GroupPoint(Frozen, fields=("ctx", "g_ints"), compared=None):
     """One element g of a context's group, kept as integer rows over one
     denominator in lowest terms (``g_ints``, the pair ``int_matrix`` gives).
 
@@ -105,8 +107,9 @@ class GroupPoint:
     kept; the Fraction ``g`` is a view, built on first read.
     """
 
-    ctx: GroupContext
-    g_ints: tuple[IntRows, int]
+    def __init__(self, ctx: GroupContext, g_ints: tuple[IntRows, int]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "g_ints", g_ints)
 
     @cached_property
     def g(self) -> Matrix:
@@ -180,8 +183,8 @@ def validate_context(ctx: GroupContext) -> None:
 # ---------------------------------------------------------------------------
 # Manin-triple contexts
 
-@dataclass(frozen=True, eq=False)
-class TripleContext:
+class TripleContext(Frozen, fields=("name", "d_ctx", "g1", "g2", "g1_ctx", "embed", "inclusion"),
+                    compared=None):
     """A Manin triple with its integrating matrix groups.
 
     ``d_ctx`` realizes the big group D (algebra = the triple's algebra);
@@ -196,13 +199,16 @@ class TripleContext:
     use and kept.
     """
 
-    name: str
-    d_ctx: GroupContext
-    g1: ExactSubspace
-    g2: ExactSubspace
-    g1_ctx: GroupContext
-    embed: Callable[[Matrix], Matrix]
-    inclusion: IntRows  # d dim x g1 dim
+    def __init__(self, name: str, d_ctx: GroupContext, g1: ExactSubspace, g2: ExactSubspace,
+                 g1_ctx: GroupContext, embed: Callable[[Matrix], Matrix], inclusion: IntRows):
+        # inclusion: d dim x g1 dim
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "d_ctx", d_ctx)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "g1_ctx", g1_ctx)
+        object.__setattr__(self, "embed", embed)
+        object.__setattr__(self, "inclusion", inclusion)
 
     @property
     def d_algebra(self) -> QuadraticLieAlgebra:
@@ -266,17 +272,17 @@ class TripleContext:
         return Coordinatizer.of_rows(list(zip(*self.inclusion)), len(self.inclusion),
                                      "the embedded subalgebra")
 
-@dataclass(frozen=True, eq=False)
-class G1Point:
+class G1Point(Frozen, fields=("triple", "g1", "phi"), compared=None):
     """A point g of G1 in a Manin triple, with the D-point of Phi(g).
 
     The (right, left) pair of dressing actions at g and the multiplication
     fiber over g are built on first use and kept.
     """
 
-    triple: TripleContext
-    g1: GroupPoint
-    phi: GroupPoint
+    def __init__(self, triple: TripleContext, g1: GroupPoint, phi: GroupPoint):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "phi", phi)
 
     @cached_property
     def dressing(self) -> tuple[AnchoredPoint, AnchoredPoint]:

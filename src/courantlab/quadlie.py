@@ -10,15 +10,15 @@ half is completed automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .exactlin import (
     BilinearForm,
     DimensionMismatchError,
     ExactSubspace,
+    Frozen,
     frac,
     hstack,
     identity,
@@ -28,8 +28,7 @@ from .exactlin import (
 )
 
 
-@dataclass(frozen=True)
-class QuadraticLieAlgebra:
+class QuadraticLieAlgebra(Frozen, fields=("dim", "bracket", "form", "basis_names")):
     """Lie algebra with an invariant symmetric bilinear form.
 
     ``bracket`` is the sorted tuple of nonzero structure constants
@@ -37,23 +36,16 @@ class QuadraticLieAlgebra:
     missing entries are zero.  The one derived table, built at
     construction, is ``_sparse``: [b_i, b_j] for every i, j as the
     sparse row ((k, c), ...) of integer coordinates over ``_den``, the
-    (j, i) rows holding the negated values.
+    (j, i) rows holding the negated values; it is not compared.
     """
 
-    dim: int
-    bracket: tuple[tuple[int, int, int, Fraction], ...]
-    form: BilinearForm
-    basis_names: tuple[str, ...]
-    _sparse: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = field(
-        init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.dim
-        if self.form.dim != n:
+    def __init__(self, dim: int, bracket: tuple[tuple[int, int, int, Fraction], ...],
+                 form: BilinearForm, basis_names: tuple[str, ...]):
+        n = dim
+        if form.dim != n:
             raise DimensionMismatchError("the form must be dim x dim")
         seen = set()
-        for i, j, k, _ in self.bracket:
+        for i, j, k, _ in bracket:
             if not 0 <= i < j < n:
                 raise ValueError(f"bracket entry ({i},{j}) must satisfy 0 <= i < j < dim")
             if not 0 <= k < n:
@@ -61,13 +53,16 @@ class QuadraticLieAlgebra:
             if (i, j, k) in seen:
                 raise ValueError(f"bracket entry ({i},{j},{k}) is given twice")
             seen.add((i, j, k))
-        bracket = tuple(sorted(e for e in self.bracket if e[3]))
+        bracket = tuple(sorted(e for e in bracket if e[3]))
         (nums,), den = int_matrix((tuple(c for *_, c in bracket),))
         rows = [[[] for _ in range(n)] for _ in range(n)]
         for (i, j, k, _), c in zip(bracket, nums):
             rows[i][j].append((k, c))
             rows[j][i].append((k, -c))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "_sparse", tuple(tuple(map(tuple, r)) for r in rows))
         object.__setattr__(self, "_den", den)
 
@@ -144,16 +139,16 @@ class QuadraticLieAlgebra:
             data["dim"], brackets, [[frac(x) for x in row] for row in data["form"]], names)
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
-    kind: str
-    where: tuple
-    detail: str
+class ValidationRecord(Frozen, fields=("kind", "where", "detail")):
+    def __init__(self, kind: str, where: tuple, detail: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    records: tuple[ValidationRecord, ...]
+class ValidationReport(Frozen, fields=("records",)):
+    def __init__(self, records: tuple[ValidationRecord, ...]):
+        object.__setattr__(self, "records", records)
 
     @property
     def passed(self) -> bool:
@@ -251,11 +246,11 @@ def diagonal_subspace(g: QuadraticLieAlgebra, sign: int = 1) -> ExactSubspace:
     return ExactSubspace.span(hstack(one, [[sign * x for x in row] for row in one]), ambient_dim=2 * g.dim)
 
 
-@dataclass(frozen=True)
-class ManinTriple:
-    d: QuadraticLieAlgebra
-    g1: ExactSubspace
-    g2: ExactSubspace
+class ManinTriple(Frozen, fields=("d", "g1", "g2")):
+    def __init__(self, d: QuadraticLieAlgebra, g1: ExactSubspace, g2: ExactSubspace):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
 
 
 def validate_manin_triple(t: ManinTriple) -> ValidationReport:

@@ -47,6 +47,10 @@ draws the way they were first made: small rationals by ``rng.randint``,
 and every invertible draw inverted.  ``random_split_transform`` reads
 all 2k columns of the generator back as one Fraction matrix.
 
+``replace(obj, **changes)`` rebuilds a value through its constructor,
+as ``dataclasses.replace`` did when the package's values were
+dataclasses: the constructor's checks and derived tables run again.
+
 ``sl_double(n)`` is sl_n (+) sl_n-bar with the trace form, of dimension
 2(n^2 - 1).  Run as a script it writes the double as ``validate`` input:
 
@@ -55,6 +59,7 @@ all 2k columns of the generator back as one Fraction matrix.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import sys
@@ -99,6 +104,14 @@ from courantlab.randgen import _split_transform_cols
 
 
 # --- the Fraction matrix arithmetic, as plain loops ----------------------
+
+def replace(obj, **changes):
+    """A new instance of obj's class from its constructor: each parameter
+    is read off obj unless ``changes`` gives it (an unknown name is a
+    TypeError, a parameter that is not an attribute an AttributeError)."""
+    params = inspect.signature(type(obj)).parameters
+    return type(obj)(**{name: getattr(obj, name) for name in params if name not in changes}, **changes)
+
 
 def vector(entries: Iterable) -> Vector:
     return tuple(map(frac, entries))

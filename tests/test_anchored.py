@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -61,6 +60,7 @@ from algebra_reference import (
     quotient_coords,
     random_coisotropic_anchor,
     reference_pullback,
+    replace,
     SectionJet,
     transpose,
     vector,

@@ -244,8 +244,7 @@ def test_triple_suites_run_on_abelian_2(suite, capsys):
 def _broken_triple():
     """The sl2 triangular triple over an algebra whose form is not
     invariant: its product subspaces are not Lagrangian."""
-    from dataclasses import replace
-
+    from algebra_reference import replace
     from courantlab.contexts import sl2_triangular_triple
 
     t = sl2_triangular_triple()
@@ -736,10 +735,10 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     _assert_usage_error(argv + ["--out", str(tmp_path)], capsys)  # a directory
 
 
-def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    """Run code in a new interpreter that imports this courantlab."""
+def _fresh_interpreter(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter, started with flags, that imports this courantlab."""
     src = str(Path(courantlab.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})\n{code}"],
+    return subprocess.run([sys.executable, *flags, "-c", f"import sys\nsys.path.insert(0, {src!r})\n{code}"],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -756,6 +755,20 @@ def test_exact_paths_never_load_numpy(argv, double_json):
         call = f"from courantlab.cli import main\nassert main({argv!r}) == 0\n"
     proc = _fresh_interpreter(f"import courantlab\n{call}assert 'numpy' not in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    # dataclasses loads inspect, ast, dis and tokenize, and @dataclass builds
+    # each method by exec: a start-up cost the value classes on Frozen avoid.
+    # numpy loads inspect itself, so diffnum is checked for dataclasses only;
+    # -S keeps site-packages, whose .pth files may import typing, out
+    loaded = "print(sorted({!r} & set(sys.modules)))"
+    proc = _fresh_interpreter("import courantlab.cli\nimport courantlab.diffnum\n"
+                              + loaded.format({"dataclasses"}))
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = _fresh_interpreter("import courantlab.cli\n" + loaded.format({"dataclasses", "inspect", "typing"}),
+                              "-S")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # the report digests of `verify SUITE --h 1e300 --json`, as before the

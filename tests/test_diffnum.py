@@ -2,7 +2,6 @@ import collections
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from courantlab.liegrp import pi_plus_minus
 from courantlab.lagrel import Splitting
 from courantlab.quadlie import build_double, diagonal_subspace
 from courantlab.randgen import random_abelian_split_algebra
-from algebra_reference import courant_bracket_jets, courant_tensor, mat_mul, SectionJet
+from algebra_reference import courant_bracket_jets, courant_tensor, mat_mul, replace, SectionJet
 
 
 H = 1e-4

@@ -25,6 +25,7 @@ from courantlab.exactlin import (
     table_product,
     zeros,
 )
+from courantlab.anchored import AnchoredPoint
 from courantlab.contexts import sl2_algebra, sl2_pair_context
 from courantlab.lagrel import Bivector, LinearRelation, hyperbolic_space
 from exact_strategies import rationals
@@ -41,6 +42,7 @@ from algebra_reference import (
     pairing,
     quotient_coords,
     QuotientMap,
+    replace,
     rref,
     solve,
     transpose,
@@ -696,6 +698,30 @@ def test_integer_rows_decide_equality_and_json_keeps_the_basis():
     assert ExactSubspace.zero(3).rows == ()
     assert ExactSubspace.full(2).rows == ((1, 0), (0, 1))
     assert ExactSubspace.full(2).basis == identity(2)
+
+
+def test_values_are_frozen_and_compare_the_fields_they_name():
+    s = ExactSubspace(2, ((1, 0),))
+    for write in (lambda: setattr(s, "rows", ()), lambda: setattr(s, "other", 1),
+                  lambda: delattr(s, "rows"), lambda: delattr(s, "ambient_dim")):
+        with pytest.raises(AttributeError):
+            write()
+    assert s.rows == ((1, 0),) and s.ambient_dim == 2 and "other" not in vars(s)
+    assert repr(s) == "ExactSubspace(ambient_dim=2, rows=((1, 0),))"
+    assert hash(s) == hash((2, ((1, 0),))) and s.__eq__((2, ((1, 0),))) is NotImplemented
+    # the nonzeros of a Gram column and a point's kept values are not compared
+    form, twin = BilinearForm([[0, 1], [1, 0]]), BilinearForm([[0, 1], [1, 0]])
+    vars(twin)["_columns"] = ()
+    assert form == twin and hash(form) == hash(twin) and repr(form) == repr(twin)
+    alg = sl2_algebra()
+    pt, kept = AnchoredPoint(alg, [[1, 0, 0]], 1), AnchoredPoint(alg, [[1, 0, 0]], 1)
+    kept.kept["image"] = s
+    assert pt == kept and hash(pt) == hash(kept) and pt != AnchoredPoint(alg, [[2, 0, 0]], 1)
+    # a context equals only itself, though a rebuilt one has the same fields
+    ctx = sl2_pair_context()
+    rebuilt = replace(ctx)
+    assert ctx == ctx and ctx != rebuilt and repr(ctx) == repr(rebuilt)
+    assert len({ctx, rebuilt, ctx}) == 2
 
 
 @st.composite

@@ -1,6 +1,5 @@
 import collections
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
 
@@ -105,6 +104,7 @@ from algebra_reference import (
     mat_scale,
     mat_vec,
     reference_pullback,
+    replace,
     solve,
     transpose,
 )

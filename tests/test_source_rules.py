@@ -4,7 +4,9 @@ no unit vector built by hand, no direct ExactSubspace(...) call
 outside exactlin, no Fraction(...) or frac_matrix call in randgen, no
 integer product sum(map(mul, ...)) outside exactlin.int_products, no
 max-norm outside diffnum.max_abs, no float(...) comprehension outside diffnum, no
-object.__setattr__ but on self in __post_init__, no numpy import outside
+write past a frozen value's __setattr__ (object.__setattr__, vars(...), a
+.__dict__) but object.__setattr__ on self in __init__, no dataclasses
+import in the package, no numpy import outside
 diffnum, no import of diffnum outside suites, no concat_vec or
 zero_vector call inside a comprehension or loop outside exactlin, no
 st.fractions in the tests, no read of a Fraction's parts outside
@@ -36,7 +38,10 @@ a second home that a call count cannot see; and one conversion
 (diffnum.np_matrix) and one norm (diffnum.max_abs) keep every float
 residual computed the same way; and a frozen value is written only by
 its own constructor, so no module keeps its cache on another module's
-value; and the float work has one home, diffnum, which only the FD
+value; and importing dataclasses loads inspect, ast, dis and tokenize,
+and @dataclass builds each method by exec, a cost every start-up paid
+that the value classes on exactlin.Frozen do not; and the float work
+has one home, diffnum, which only the FD
 suites load, so the exact modules and commands never load numpy; and a
 block matrix has one home, exactlin (hstack, zeros, block_diag), so a
 row padded by hand in a loop is a second home whose unchecked zip drops
@@ -404,13 +409,21 @@ def _is_object_setattr(node: ast.AST) -> bool:
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "object")
 
 
+def _is_frozen_write(node: ast.AST) -> bool:
+    """object.__setattr__(...), vars(...) or a .__dict__: each gets past a
+    frozen value's __setattr__."""
+    return (_is_object_setattr(node) or _is_call_of(node, {"vars"})
+            or isinstance(node, ast.Attribute) and node.attr == "__dict__")
+
+
 def _frozen_writes(tree: ast.AST) -> list[str]:
-    """The functions (or <module>) holding an object.__setattr__ call
-    other than one on self in a __post_init__."""
-    writes = _holders(tree, _is_object_setattr)
-    foreign = _holders(tree, lambda node: _is_object_setattr(node) and not (
-        node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"))
-    return [w for w in writes if w != "__post_init__"] + [w for w in foreign if w == "__post_init__"]
+    """The functions (or <module>) holding a write past __setattr__ other
+    than an object.__setattr__ on self in an __init__."""
+    writes = _holders(tree, _is_frozen_write)
+    foreign = _holders(tree, lambda node: _is_frozen_write(node) and not (
+        _is_object_setattr(node) and node.args and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "self"))
+    return [w for w in writes if w != "__init__"] + [w for w in foreign if w == "__init__"]
 
 
 def test_frozen_values_are_written_by_their_constructor():
@@ -424,13 +437,51 @@ def test_the_frozen_write_rule_catches_each_form():
                          "    object.__setattr__(s, 'tensor_tables', (alg, 1))")
     assert _frozen_writes(ast.parse(kept_on_splitting)) == ["_kept_tables"]
     for src in ("object.__setattr__(other, 'x', 1)",
-                "def __post_init__(self):\n    object.__setattr__(other, 'x', 1)",
+                "def __init__(self):\n    object.__setattr__(other, 'x', 1)",
                 "def keep(self):\n    object.__setattr__(self, 'x', 1)",
-                "def __post_init__(self):\n    object.__setattr__(*args)"):
+                "def __init__(self):\n    object.__setattr__(*args)",
+                "def __init__(self):\n    self.__dict__.update(x=1)",
+                "def keep(self):\n    self.__dict__['x'] = 1",
+                "def keep(s):\n    vars(s)['x'] = 1", "def __init__(self):\n    vars(self).update(x=1)",
+                "s.__dict__.update(x=1)"):
         assert _frozen_writes(ast.parse(src)), src
-    for src in ("class A:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)",
+    for src in ("class A:\n    def __init__(self):\n        object.__setattr__(self, 'x', 1)",
                 "setattr(other, 'x', 1)", "other.__setattr__('x', 1)"):
         assert _frozen_writes(ast.parse(src)) == [], src
+
+
+def _dataclass_imports(tree: ast.AST) -> list[str]:
+    """The lines that import dataclasses, by a statement at module or
+    function level or by __import__ / importlib.import_module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif _is_call_of(node, {"__import__", "import_module"}):
+            names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+        else:
+            continue
+        if any(str(n).split(".")[0] == "dataclasses" for n in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_the_package_imports_no_dataclasses():
+    assert any(p.name == "exactlin.py" for p in SOURCES)
+    bad = {p.name: v for p in SOURCES if (v := _dataclass_imports(ast.parse(p.read_text())))}
+    assert bad == {}
+
+
+def test_the_dataclass_import_rule_catches_each_form():
+    for src in ("import dataclasses", "import dataclasses as dc", "from dataclasses import dataclass, field",
+                "def f():\n    from dataclasses import replace", "import os, dataclasses",
+                "__import__('dataclasses')", "importlib.import_module('dataclasses')"):
+        assert _dataclass_imports(ast.parse(src)) == ["line " + str(src.count("\n") + 1)], src
+    for src in ("from .exactlin import Frozen", "import functools", "from collections.abc import Sequence",
+                "from . import lagrel", "import_module('json')", "name = 'dataclasses'"):
+        assert _dataclass_imports(ast.parse(src)) == [], src
 
 
 # each float module, and the one source file that may import it
