@@ -12,9 +12,11 @@ fully antisymmetric 3-index array T with T[i,j,k] the coefficient
 against d_i ^ d_j ^ d_k for i < j < k.
 
 A sampler maps a (S, d) stack of chart points to the stack of its
-values, one call per stencil.  A stacked product makes the product at
-one point once per slice, so each slice keeps its bits; products are
-never folded across slices into one GEMM, which rounds differently.
+values, one call for the stencils of all points of a record family,
+each slice at its own base point; if that pass breaks down, each point
+is sampled alone.  A stacked product makes the product at one point once
+per slice, so each slice keeps its bits; products are never folded
+across slices into one GEMM, which rounds differently.
 """
 
 from __future__ import annotations
@@ -92,25 +94,48 @@ def worst(residuals: Iterable[float]) -> float:
 
 
 def stencil(x: np.ndarray, h: float) -> np.ndarray:
-    """The central difference's points at x: x + h e_l for each l, then
-    x - h e_l, as one (2d, d) stack."""
-    steps = h * np.eye(len(x))
-    return np.concatenate([x + steps, x - steps])
+    """x + h e_l for each l, then x - h e_l: a (2d, d) stack, or (P, 2d, d) for a (P, d) x."""
+    steps = h * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
 
 
-def central_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Jacobian of f at x by central differences, O(h^2), from the stack
-    values = f(stencil(x, h)).
+def jets(sampler: Callable, x: np.ndarray, h: float, centre: bool = True):
+    """(values, Jacobians) of sampler at each point of the (P, d) stack x,
+    O(h^2), from one call on the points, if ``centre``, and their stencils:
+    jacobians[p, ..., l] = (f(x_p + h e_l) - f(x_p - h e_l)) / 2h."""
+    points = np.concatenate([x[:, None], stencil(x, h)], axis=1) if centre else stencil(x, h)
+    values = sampler(points.reshape(-1, x.shape[1]))
+    values = values.reshape(*points.shape[:2], *values.shape[1:])
+    plus, minus = np.split(values[:, int(centre):], 2, axis=1)
+    return values[:, 0] if centre else None, np.ascontiguousarray(np.moveaxis((plus - minus) / (2 * h), 1, -1))
 
-    out[..., l] = (f(x + h e_l) - f(x - h e_l)) / 2h, a new C-contiguous
-    array with the derivative index last.
-    """
-    plus, minus = np.split(values, 2)
-    return np.ascontiguousarray(np.moveaxis((plus - minus) / (2 * h), 0, -1))
+
+def each_point(sample: Callable, *columns: Sequence) -> list:
+    """list(sample(*columns)), one stacked pass over the points whose
+    arguments the columns hold; if it breaks down, each point alone, its
+    own breakdown kept in its place for ``held`` to raise."""
+    try:
+        return list(sample(*columns))
+    except (ArithmeticError, ValueError):
+        results = []
+        for row in zip(*columns):
+            try:
+                results.append(sample(*([x] for x in row))[0])
+            except (ArithmeticError, ValueError) as exc:
+                results.append(exc)
+        return results
+
+
+def held(result):
+    """A result of each_point, or its point's breakdown raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def schouten_fd(field: ChartBivectorField, point, h: float) -> np.ndarray:
-    """Schouten bracket [pi, pi] by central differences of step h, O(h^2).
+    """Schouten bracket [pi, pi] by central differences of step h, O(h^2),
+    at a point or at each point of a (P, d) stack.
 
     Components are twice the coordinate Jacobiator:
     T^ijk = 2 sum_l (P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij),
@@ -118,18 +143,17 @@ def schouten_fd(field: ChartBivectorField, point, h: float) -> np.ndarray:
     """
     d = field.chart_dim
     x = np.asarray(point, dtype=float)
-    values = field(np.concatenate([x[None], stencil(x, h)]))
-    P, dP = values[0], central_difference(values[1:], h)  # dP[j, k, l] = d_l P^jk
+    P, dP = jets(field, x.reshape(-1, x.shape[-1]), h)  # dP[p, j, k, l] = d_l P^jk at point p
     i, j, k = np.array(list(itertools.combinations(range(d), 3)), dtype=int).reshape(-1, 3).T
-    Pi, Pj, Pk, Djk, Dki, Dij = P[i], P[j], P[k], dP[j, k], dP[k, i], dP[i, j]
-    val = np.zeros(len(i))
+    Pi, Pj, Pk, Djk, Dki, Dij = P[:, i], P[:, j], P[:, k], dP[:, j, k], dP[:, k, i], dP[:, i, j]
+    val = np.zeros((len(P), len(i)))
     for l in range(d):
-        val = val + (Pi[:, l] * Djk[:, l] + Pj[:, l] * Dki[:, l] + Pk[:, l] * Dij[:, l])
+        val = val + (Pi[..., l] * Djk[..., l] + Pj[..., l] * Dki[..., l] + Pk[..., l] * Dij[..., l])
     val = 2.0 * val
-    T = np.zeros((d, d, d))
-    T[i, j, k] = T[j, k, i] = T[k, i, j] = val
-    T[j, i, k] = T[i, k, j] = T[k, j, i] = -val
-    return T
+    T = np.zeros((len(P), d, d, d))
+    T[:, i, j, k] = T[:, j, k, i] = T[:, k, i, j] = val
+    T[:, j, i, k] = T[:, i, k, j] = T[:, k, j, i] = -val
+    return T.reshape(x.shape[:-1] + (d, d, d))
 
 
 def wedge3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -203,11 +227,12 @@ def main_identity_rhs(alg: QuadraticLieAlgebra, s: Splitting, anchor0: tuple) ->
     return push_trivector(a, vals_e, wedge_e) + push_trivector(a, vals_f, wedge_f)
 
 
-def main_identity_residual(field: ChartBivectorField, rhs: np.ndarray, h: float) -> float:
+def main_identity_residual(field: ChartBivectorField, rhs, h: float):
     """max |(1/2)[pi, pi] - a(Y^E) - a(Y^F)| at the center of the chart of
-    ``field``, where rhs = main_identity_rhs at that point; FD step h."""
-    lhs = 0.5 * schouten_fd(field, np.zeros(field.chart_dim), h)
-    return max_abs(lhs - rhs)
+    ``field``, where rhs = main_identity_rhs there (a list: at each base point); FD step h."""
+    rhs = np.asarray(rhs)
+    lhs = 0.5 * schouten_fd(field, np.zeros(rhs.shape[:-3] + (field.chart_dim,)), h)
+    return max_abs(lhs - rhs, axis=(-3, -2, -1)).tolist()
 
 
 def action_axiom_check(
@@ -215,30 +240,31 @@ def action_axiom_check(
     alg: QuadraticLieAlgebra,
     point,
     h: float,
-) -> float:
+):
     """Worst max-abs residual of [rho(b_i), rho(b_j)] = rho([b_i, b_j])
-    over the basis pairs, at one point, where [v, w] = Dw(v) - Dv(w).
+    over the basis pairs, at a point or (a list) at each point of a (P, k)
+    stack, where [v, w] = Dw(v) - Dv(w).
 
     ``fields`` maps a stack of points q to the stack of (n, k) tables
-    whose row i is rho(b_i) at q; one call on the point and its stencil
-    gives the values and every Jacobian."""
+    whose row i is rho(b_i) at q; one call on the points and their
+    stencils gives the values and every Jacobian."""
     x = np.asarray(point, dtype=float)
-    values = np.asarray(fields(np.concatenate([x[None], stencil(x, h)])), dtype=float)
-    vals, jacs = values[0], central_difference(values[1:], h)  # jacs[i] = D rho(b_i)
-    n = alg.dim
+    values, jacobians = jets(fields, x.reshape(-1, x.shape[-1]), h)  # jacobians[p, i] = D rho(b_i)
     # [b_i, b_j] as (k, c) pairs in k order, read off the sorted constants
     pairs: dict[tuple[int, int], list] = {}
     for i, j, k, c in alg.bracket:
         pairs.setdefault((i, j), []).append((k, float(c)))
-    residuals = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    out = []
+    for vals, jacs in zip(values, jacobians):
+        residuals = []
+        for i, j in itertools.combinations(range(alg.dim), 2):
             lhs = jacs[j] @ vals[i] - jacs[i] @ vals[j]
             rhs = np.zeros_like(lhs)
             for k, c in pairs.get((i, j), ()):
                 rhs += c * vals[k]
             residuals.append(max_abs(lhs - rhs))
-    return worst(residuals)
+        out.append(worst(residuals))
+    return out if x.ndim == 2 else out[0]
 
 
 def relatedness_check(dphi, pi_source, pi_target) -> float:
@@ -378,12 +404,6 @@ class GroupChart(Frozen, fields=("ctx",), compared=None):
         """(k, k, k) float ad matrices: ad[a] = ad_{X_a} over the basis."""
         return np.ascontiguousarray(structure_tensor_np(self.ctx.algebra).transpose(0, 2, 1))
 
-    @cached_property
-    def double(self) -> tuple[np.ndarray, np.ndarray]:
-        """(structure tensor, Gram matrix) of the double algebra in floats."""
-        d = self.ctx.double_algebra
-        return structure_tensor_np(d), np_matrix(*d.form._ints)
-
     def coords(self, elt: np.ndarray) -> np.ndarray:
         """Float coordinates over the basis of each ambient algebra element
         of the stack elt, one matrix-vector product per element."""
@@ -411,6 +431,21 @@ def group_chart(ctx: GroupContext) -> GroupChart:
     return GroupChart(ctx)
 
 
+def _many(p) -> list:
+    """A point's list of one, or the list of a sequence of points."""
+    return [p] if isinstance(p, (GroupPoint, G1Point)) else list(p)
+
+
+def _g_floats(p) -> np.ndarray:
+    """The (P, n, n) stack of the float g of a point or of each of a list."""
+    return np.stack([np_matrix(*q.g_ints) for q in _many(p)])
+
+
+def _share(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Slice p of the stack a for each slice of share p of t, in P equal shares."""
+    return np.repeat(a, len(t) // len(a), axis=0)
+
+
 @lru_cache(maxsize=64)
 def triple_floats(t: TripleContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p1, p2 and the pseudo-inverse of the inclusion of t, in floats."""
@@ -426,15 +461,13 @@ def _float_bivector(s: Splitting) -> np.ndarray:
     return np_matrix(*s.bivector._ints)
 
 
-def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
-    """pi(t) for a splitting (E, F) of the double, in the chart at p."""
-    pi_np = _float_bivector(s)
-    chart = group_chart(p.ctx)
-    g0 = np_matrix(*p.g_ints)
-    k = p.ctx.dim
+def double_bivector_field(p, s: Splitting) -> ChartBivectorField:
+    """pi(t) for a splitting (E, F) of the double, in the chart at p (or at each of a list of points p)."""
+    ctx, pi_np = _many(p)[0].ctx, _float_bivector(s)
+    chart, g0, k = group_chart(ctx), _g_floats(p), ctx.dim
 
     def sampler(t: np.ndarray) -> np.ndarray:
-        g = chart.point(g0, t)
+        g = chart.point(_share(g0, t), t)
         adg_inv = chart.adjoint(np.linalg.inv(g), g)
         rhs = np.concatenate([-adg_inv, np.broadcast_to(np.eye(k), adg_inv.shape)], axis=-1)
         anchor = np.linalg.solve(chart.dexp(t), rhs)
@@ -445,33 +478,32 @@ def double_bivector_field(p: GroupPoint, s: Splitting) -> ChartBivectorField:
 
 # multiplication -----------------------------------------------------------
 
-def product_coords_sampler(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint):
+def product_coords_sampler(pa, pb, pab):
     """coords(st), the chart coordinates at pab of the products a b for
     a stack of points st = (s_a, s_b) of the product chart at (pa, pb);
-    pab is the point of the product ga gb."""
-    chart = group_chart(pa.ctx)
-    k = pa.ctx.dim
-    ga, gb = np_matrix(*pa.g_ints), np_matrix(*pb.g_ints)
-    base_inv = np.linalg.inv(np_matrix(*pab.g_ints))
+    pab is the point of the product ga gb (or of each of lists pa, pb, pab)."""
+    ctx, ga, gb, base_inv = _many(pa)[0].ctx, _g_floats(pa), _g_floats(pb), np.linalg.inv(_g_floats(pab))
+    chart, k = group_chart(ctx), ctx.dim
 
-    def factor(g0: np.ndarray, st: np.ndarray) -> np.ndarray:
-        # a slice whose block is zero keeps the base point itself
+    def factor(g: np.ndarray, st: np.ndarray) -> np.ndarray:
+        # a slice whose block is zero keeps its base point itself
         moved = st.any(axis=1)
-        out = np.repeat(g0[None], len(st), axis=0)
-        out[moved] = chart.point(g0, st[moved])
-        return out
+        g[moved] = chart.point(g[moved], st[moved])
+        return g
 
     def coords(st: np.ndarray) -> np.ndarray:
-        return chart.coords(logm_np(base_inv @ (factor(ga, st[:, :k]) @ factor(gb, st[:, k:]))))
+        pair = factor(_share(ga, st), st[:, :k]) @ factor(_share(gb, st), st[:, k:])
+        return chart.coords(logm_np(_share(base_inv, st) @ pair))
 
     return coords
 
 
-def dmult_fd(pa: GroupPoint, pb: GroupPoint, pab: GroupPoint, h: float = 1e-4) -> np.ndarray:
+def dmult_fd(pa, pb, pab, h: float = 1e-4) -> np.ndarray:
     """FD Jacobian of multiplication in product exponential charts; pab is
-    the point of the product ga gb."""
-    sampler = product_coords_sampler(pa, pb, pab)
-    return central_difference(sampler(stencil(np.zeros(2 * pa.ctx.dim), h)), h)
+    the point of the product ga gb (lists of points: the stack of theirs)."""
+    points = _many(pa)
+    _, dm = jets(product_coords_sampler(pa, pb, pab), np.zeros((len(points), 2 * points[0].ctx.dim)), h, False)
+    return dm[0] if isinstance(pa, GroupPoint) else dm
 
 
 def pair_multiplication_check(
@@ -506,19 +538,19 @@ def multiplicativity_residual(dmult: np.ndarray, pi_a: np.ndarray, pi_b: np.ndar
 
 # dressing and phi^R sections ----------------------------------------------
 
-def dressing_field_sampler(x: G1Point):
+def dressing_field_sampler(x):
     """fields(t), the (n, k) tables whose row i is rho(b_i) at each point
-    of the stack t, for the right dressing action in the chart at x; the
-    group data at t is built once, and each row keeps its own
-    matrix-vector products."""
-    t = x.triple
+    of the stack t, for the right dressing action in the chart at x (or
+    at each of a list of points x); the group data at t is built once,
+    and each row keeps its own matrix-vector products."""
+    xs = _many(x)
+    t, g0 = xs[0].triple, _g_floats([y.g1 for y in xs])
     p1_np, _, inclusion_pinv = triple_floats(t)
     g1_chart, d_chart = group_chart(t.g1_ctx), group_chart(t.d_ctx)
-    g0 = np_matrix(*x.g1.g_ints)
     zetas = np.eye(t.d_algebra.dim)[..., None]
 
     def fields(tvec: np.ndarray) -> np.ndarray:
-        g = g1_chart.point(g0, tvec)
+        g = g1_chart.point(_share(g0, tvec), tvec)
         phi_g = np_matrix([t.embed(gs) for gs in g])
         ad = d_chart.adjoint(phi_g, np.linalg.inv(phi_g))[:, None]
         xv = (inclusion_pinv @ (p1_np @ (ad @ zetas)))[..., 0]
@@ -529,40 +561,34 @@ def dressing_field_sampler(x: G1Point):
     return fields
 
 
-def phi_r_sections(t: TripleContext, d0: GroupPoint, zetas):
+def phi_r_sections(t: TripleContext, d0, zetas):
     """sections(t), the (len(zetas), 2n) tables of the sections
-    phi^R(zeta) at each point of the stack t, in the chart at d0."""
+    phi^R(zeta) at each point of the stack t, in the chart at d0 (or at
+    each of a list of points d0, with a list of zetas, one per point)."""
     _, p2_np, _ = triple_floats(t)
     chart = group_chart(t.d_ctx)
-    g0 = np_matrix(*d0.g_ints)
-    zs = np_matrix(zetas)
+    g0, zs = _g_floats(d0), np_matrix([zetas] if isinstance(d0, GroupPoint) else zetas)
 
     def sections(tvec: np.ndarray) -> np.ndarray:
-        g = chart.point(g0, tvec)
+        g, z = chart.point(_share(g0, tvec), tvec), _share(zs, tvec)
         ad = chart.adjoint(g, np.linalg.inv(g))[:, None]
-        moved = (p2_np @ (ad @ zs[..., None]))[..., 0]
-        return np.concatenate([moved, np.broadcast_to(zs, (len(tvec), *zs.shape))], axis=-1)
+        return np.concatenate([(p2_np @ (ad @ z[..., None]))[..., 0], z], axis=-1)
 
     return sections
 
 
-def phi_r_jets(t: TripleContext, d0: GroupPoint, zetas, h: float = 1e-4):
-    """(values, FD jacobians) of the sections phi^R(zeta), zeta in the
-    integer rows ``zetas``, in the chart at d0; one stencil serves every
-    section."""
-    values = np_matrix(*phi_r_values(t, d0, (zetas, 1)))
-    sections = phi_r_sections(t, d0, zetas)
-    return values, central_difference(sections(stencil(np.zeros(t.d_algebra.dim), h)), h)
-
-
-def phi_r_homomorphism_residual(
-    t: TripleContext, d0: GroupPoint, zeta: Sequence[int], zeta2: Sequence[int], h: float = 1e-4
-) -> float:
+def phi_r_homomorphism_residual(t: TripleContext, d0, zeta, zeta2, h: float = 1e-4):
     """|[[phi^R(z), phi^R(z')]] - phi^R([z, z'])| at d0 for integer rows
-    z and z', jets by FD."""
-    structure, form = group_chart(t.d_ctx).double
-    (xv, yv), (xj, yj) = phi_r_jets(t, d0, (zeta, zeta2), h=h)
-    got = courant_bracket_jets_np(structure, form, np_matrix(*d0.anchor._ints),
-                                  np_matrix(*d0.anchor.dual_ints), xv, xj, yv, yj)
-    (want,) = np_matrix(*phi_r_values(t, d0, t.d_algebra.pair_brackets((zeta, zeta2))))
-    return max_abs(got - want)
+    z and z', jets by FD (lists of d0, z and z': the list of residuals)."""
+    d0s, pairs = _many(d0), [(zeta, zeta2)] if isinstance(d0, GroupPoint) else list(zip(zeta, zeta2))
+    double = t.d_ctx.double_algebra
+    structure, form = structure_tensor_np(double), np_matrix(*double.form._ints)
+    _, jacobians = jets(phi_r_sections(t, d0s, pairs), np.zeros((len(d0s), t.d_algebra.dim)), h, False)
+    out = []
+    for d, z, (xj, yj) in zip(d0s, pairs, jacobians):
+        xv, yv = np_matrix(*phi_r_values(t, d, (z, 1)))
+        got = courant_bracket_jets_np(structure, form, np_matrix(*d.anchor._ints),
+                                      np_matrix(*d.anchor.dual_ints), xv, xj, yv, yj)
+        (want,) = np_matrix(*phi_r_values(t, d, t.d_algebra.pair_brackets(z)))
+        out.append(max_abs(got - want))
+    return out[0] if isinstance(d0, GroupPoint) else out

@@ -92,6 +92,12 @@ class GroupContext(Frozen, fields=("name", "ambient_size", "algebra_basis", "alg
         return int_matrix([flatten(b) for b in self.algebra_basis])
 
     @cached_property
+    def basis_nonzeros(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The nonzeros (i, j, x) of each basis matrix's integer rows."""
+        n, (basis, _) = self.ambient_size, self.basis_ints
+        return tuple(tuple((*divmod(ij, n), x) for ij, x in enumerate(b) if x) for b in basis)
+
+    @cached_property
     def coordinatizer(self) -> Coordinatizer:
         """Exact coordinates of flattened ambient matrices over the basis."""
         return Coordinatizer.of_rows([flatten(b) for b in self.algebra_basis],
@@ -122,13 +128,21 @@ class GroupPoint(Frozen, fields=("ctx", "g_ints"), compared=None):
     def _conjugation(self, h: tuple, h_inv: tuple) -> tuple[IntRows, int]:
         """Ad_h over the algebra basis as integer rows over one denominator,
         in lowest terms, for h and h^-1 as integer tables: column b holds
-        the coordinates of h b h^-1, two integer products with the kept
-        basis rows, and all are coordinatized by one product."""
-        n, (basis, db) = self.ctx.ambient_size, self.ctx.basis_ints
+        the coordinates of h b h^-1, the sum of b_ij (column i of h)(row j
+        of h^-1) over the context's kept nonzeros of b, and all are
+        coordinatized by one product."""
+        n, (_, db) = self.ctx.ambient_size, self.ctx.basis_ints
         (h_rows, dh), (inv_rows, di) = h, h_inv
-        inv_cols = list(zip(*inv_rows))
-        conj = [[x for row in int_products(int_products(h_rows, [b[j::n] for j in range(n)]), inv_cols)
-                 for x in row] for b in basis]
+        h_cols = list(zip(*h_rows))
+        conj = []
+        for nonzeros in self.ctx.basis_nonzeros:
+            flat = [0] * (n * n)
+            for i, j, x in nonzeros:
+                terms = [(c, x * y) for c, y in enumerate(inv_rows[j]) if y]
+                for r, hr in enumerate(h_cols[i]):
+                    for c, xy in terms:
+                        flat[r * n + c] += hr * xy
+            conj.append(flat)
         coef, den = self.ctx.coordinatizer.coords_ints(conj, dh * db * di)
         return lowest_terms(zip(*coef), den)
 

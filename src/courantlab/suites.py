@@ -173,10 +173,14 @@ def suite_schouten(ctx_name: str = "sl2-double", h: float = DEFAULT_H, tol: floa
         """a(Y^E) + a(Y^F) at each point, pushed once for every step."""
         return [diffnum.main_identity_rhs(alg, splittings[label], p.anchor._ints) for p in points]
 
+    @functools.cache
+    def residuals(label: str, step: float) -> list:
+        """The main identity residual at each point, in its own chart: one stacked pass."""
+        return diffnum.each_point(lambda ps, pushed: diffnum.main_identity_residual(
+            diffnum.double_bivector_field(ps, splittings[label]), pushed, step), points, rhs(label))
+
     def residual(label: str, i: int, step: float) -> float:
-        """The main identity residual at point i, in its own chart."""
-        field = diffnum.double_bivector_field(points[i], splittings[label])
-        return diffnum.main_identity_residual(field, rhs(label)[i], step)
+        return diffnum.held(residuals(label, step)[i])
 
     # a sheared point's bound grows with its defect, the norm of its push
     defects = functools.cache(lambda: [diffnum.max_abs(r) for r in rhs("sheared")])
@@ -276,13 +280,15 @@ def suite_mult(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAULT_H,
     # a triple that is not one stops here, before any FD work
     plus, minus = t.plus, t.minus
     big_r = lagrel.pair_groupoid_relation(group.double_algebra)
-    # each pair's product point is built once, and its FD Jacobian on first use
+    # one pair per sample point, at most the shipped count; each pair's product
+    # point is built once, and all pairs' FD Jacobians in one pass on first use
+    points = group.points[:samples]
     pairs = []
-    for _ in range(samples):
+    for _ in points:
         d1, d2 = rng.choice(group.points), rng.choice(group.points)
         pairs.append((d1, d2, group.point(lowest_terms(*table_product(d1.g_ints, d2.g_ints)))))
-    jacobians = functools.cache(lambda: [diffnum.dmult_fd(*pair, h=h) for pair in pairs])
-    points = group.points[:samples]
+    jacobians = functools.cache(lambda: list(map(diffnum.held, diffnum.each_point(
+        functools.partial(diffnum.dmult_fd, h=h), *zip(*pairs)))))
 
     def multiplicativity() -> tuple[bool, float]:
         # pi+ and pi- at each distinct point, built once and kept by its anchor
@@ -326,13 +332,12 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
 
     def phi_r() -> tuple[bool, float]:
         rng = random.Random(seed)
-        residuals = []
-        units = identity(n)
-        for d0 in t.d_ctx.points[:3]:
+        d0s, units, pairs = t.d_ctx.points[:3], identity(n), []
+        for _ in d0s:
             i = rng.randrange(n)
-            j = (i + 1 + rng.randrange(n - 1)) % n
-            residuals.append(diffnum.phi_r_homomorphism_residual(t, d0, units[i], units[j], h=h))
-        return _within(diffnum.worst(residuals), tol)
+            pairs.append((units[i], units[(i + 1 + rng.randrange(n - 1)) % n]))
+        return _within(diffnum.worst(map(diffnum.held, diffnum.each_point(
+            lambda *args: diffnum.phi_r_homomorphism_residual(t, *args, h=h), d0s, *zip(*pairs)))), tol)
 
     def lift_closed_forms() -> tuple[bool]:
         return (all(gpp.mult_fiber.kernel() == liegrp.q_mult_kernel_expected(gpp)
@@ -346,10 +351,9 @@ def suite_dressing(t: TripleContext, tol: float = DEFAULT_TOL, h: float = DEFAUL
     with diffnum.float_warnings_off():
         yield "dressing stabilizers exactly coisotropic", lambda: (all(
             right.coisotropy[0] and left.coisotropy[0] for right, left in (x.dressing for x in points)),)
-        yield "dressing action axiom (FD)", lambda: _within(diffnum.worst(
-            diffnum.action_axiom_check(diffnum.dressing_field_sampler(x), t.d_algebra,
-                                       (0.0,) * t.g1.dim, h)
-            for x in points[:3]), tol)
+        yield "dressing action axiom (FD)", lambda: _within(diffnum.worst(map(diffnum.held, diffnum.each_point(
+            lambda xs: diffnum.action_axiom_check(diffnum.dressing_field_sampler(xs), t.d_algebra,
+                                                  [(0.0,) * t.g1.dim] * len(xs), h), points[:3]))), tol)
         yield "phi^R bracket homomorphism (FD jets)", phi_r
         yield ("pull-back reduction == dressing anchor through phi^R",
                lambda: (all(liegrp.dressing_pullback_check(x) for x in points),))

@@ -517,13 +517,15 @@ def test_verify_rank_builds_one_chart_bivector_per_instance(capsys, point_builds
     assert len([key for _, key in point_builds if key[0] == "pi"]) == 100
 
 
-def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys, calls):
-    # 3 action-axiom points and 3 phi^R points, one central difference
-    # each; an action-axiom point reads the dressing fields once, on the
-    # stack of the point and its 2k = 6 stencil points
+def test_dressing_makes_one_fd_pass_per_record(monkeypatch, capsys, calls):
+    # one FD pass for the 3 action-axiom points and one for the 3 phi^R
+    # points, each one exponential of the stack (was one pass per point,
+    # 6 in all); the action axiom reads the dressing fields of all 3 points
+    # once, on each point and its 2k = 6 stencil points
     from courantlab import diffnum
 
-    stencils = calls(diffnum, "central_difference")
+    passes = calls(diffnum, "jets")
+    exps = calls(diffnum, "expm_np")
     stacks = []
     sampler = diffnum.dressing_field_sampler
 
@@ -540,22 +542,24 @@ def test_dressing_makes_one_fd_stencil_per_point(monkeypatch, capsys, calls):
     monkeypatch.setattr(diffnum, "dressing_field_sampler", counting_sampler)
     assert main(["verify", "dressing", "--seed", "1", "--json"]) == 0
     capsys.readouterr()
-    assert len(stencils) == 6
-    assert stacks == [[(2 * 3 + 1, 3)]] * 3
+    assert [x.shape for _, x, *_ in passes] == [(3, 3), (3, 6)]
+    assert stacks == [[(3 * (2 * 3 + 1), 3)]]
+    assert [len(stack) for stack, in exps] == [3 * (2 * 3 + 1), 3 * 2 * 6]
 
 
-def test_schouten_makes_one_field_call_per_stencil(capsys, calls):
-    # 43 stencils: the flat field at 3 steps, and the manin and quasi
-    # splittings at 10 points with the manin h-ladder at 2 more steps;
-    # each point's a(Y^E) + a(Y^F) is pushed once per splitting
+def test_schouten_makes_one_field_call_per_record_family(capsys, calls):
+    # 7 field calls, down from 43 (one per stencil): the flat field at 3
+    # steps, one point each, then one call per (splitting, step) family
+    # on the stencils of all 10 points, for the manin and quasi splittings
+    # and the manin h-ladder at 2 more steps; each point's a(Y^E) + a(Y^F)
+    # is pushed once per splitting
     from courantlab import diffnum
 
     fields = calls(diffnum.ChartBivectorField, "__call__")
     rhs = calls(diffnum, "main_identity_rhs")
     assert main(["verify", "schouten", "--json"]) == 0
     capsys.readouterr()
-    assert len(fields) == 3 + 4 * 10
-    assert {points.shape for _, points in fields} == {(2 * 3 + 1, 3)}
+    assert [points.shape for _, points in fields] == [(2 * 3 + 1, 3)] * 3 + [(10 * (2 * 3 + 1), 3)] * 4
     assert len(rhs) == 2 * 10
 
 
@@ -569,16 +573,29 @@ def test_sheared_schouten_pushes_each_point_once(capsys, calls):
     assert len(rhs) == 4
 
 
-def test_mult_makes_one_product_call_per_jacobian(capsys, calls):
-    # 10 pairs, each one dMult stencil of 2 * 2k points in the product
-    # chart of D x D, with k = 6: the product sampler takes one log of
-    # the whole stack
+def test_mult_takes_one_log_of_every_pair(capsys, calls):
+    # 10 pairs, each a dMult stencil of 2 * 2k points in the product chart
+    # of D x D, with k = 6: one product pass takes one log of all 10 stacks
+    # (was 10 logs, one per pair)
     from courantlab import diffnum
 
     logs = calls(diffnum, "logm_np")
     assert main(["verify", "mult", "--seed", "1", "--json"]) == 0
     capsys.readouterr()
-    assert [len(stack) for stack, in logs] == [4 * 6] * 10
+    assert [len(stack) for stack, in logs] == [10 * 4 * 6]
+
+
+def test_mult_draws_no_more_pairs_than_it_has_points(capsys, calls):
+    # --samples above the 12 shipped points runs 12 pairs, as the cap
+    # record says, and one pass takes all their Jacobians
+    from courantlab import diffnum
+
+    jacobians = calls(diffnum, "dmult_fd")
+    assert main(["verify", "mult", "--samples", "1000", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [len(pa) for pa, _, _ in jacobians] == [12]
+    assert records[-1] == {"name": "sample count capped at the shipped points", "status": "pass",
+                           "detail": "asked for 1000, ran 12"}
 
 
 def test_bivector_reads_the_kept_named_splittings(monkeypatch, capsys):

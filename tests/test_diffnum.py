@@ -532,6 +532,91 @@ def test_stacked_triple_samplers_match_a_loop_over_slices(name):
     _assert_sampler_slices(coords, st)
 
 
+# --- one pass over several base points ----------------------------------
+# A sampler built on a list of base points gives each point's share of
+# its stack the bits the sampler built on that point alone gives it, and
+# each entry point gives point i of a stacked pass the bits of its own
+# one-point pass.
+
+def _assert_point_shares(make, bases, dim, scales=SCALES):
+    """make(bases) on the stack of every base's own chart points, in base
+    order, against make(base) on that base's points alone and on each
+    of them alone."""
+    shares = [_mixed_points(dim, scales, seed=i) for i in range(len(bases))]
+    stacked = make(bases)(np.concatenate(shares))
+    m = len(shares[0])
+    for i, (base, points) in enumerate(zip(bases, shares)):
+        alone, share = make(base), stacked[i * m:(i + 1) * m]
+        assert np.array_equal(share, alone(points)), i
+        _assert_slices_equal(share, [alone(points[j:j + 1])[0] for j in range(m)])
+
+
+@pytest.mark.parametrize("chart,ctx_name,name", [("sl2", "sl2-double", "delta-triangular"),
+                                                ("sl2-dense", "sl2-double", "delta-antidelta"),
+                                                ("sl2-pair", "sl2-pair", "plus"),
+                                                ("sl2c-real", "sl2c-real", "delta-antidelta")])
+def test_a_stacked_field_gives_each_point_its_own_bits(chart, ctx_name, name):
+    from courantlab.contexts import named_splitting
+
+    ctx, s = CHARTS[chart], named_splitting(ctx_name, name)
+    points, k = ctx.points[:3], ctx.dim
+    _assert_point_shares(lambda ps: diffnum.double_bivector_field(ps, s), points, k)
+    many = diffnum.double_bivector_field(points, s)
+    x = _mixed_points(k, scales=(0.1,))
+    for h in (1e-4, 1e-3):
+        tri = schouten_fd(many, x, h)
+        assert tri.shape == (len(points), k, k, k)
+        for i, p in enumerate(points):
+            assert np.array_equal(tri[i], schouten_fd(diffnum.double_bivector_field(p, s), x[i], h))
+    rhs = [main_identity_rhs(ctx.double_algebra, s, p.anchor._ints) for p in points]
+    assert diffnum.main_identity_residual(many, rhs, 1e-4) == [
+        diffnum.main_identity_residual(diffnum.double_bivector_field(p, s), r, 1e-4) for p, r in zip(points, rhs)]
+
+
+@pytest.mark.parametrize("name", ["sl2-triangular-triple", "abelian-2"])
+def test_stacked_triple_passes_give_each_point_its_own_bits(name):
+    from courantlab.contexts import get_triple_context
+    from courantlab.exactlin import identity
+
+    t = get_triple_context(name)
+    k, n = t.g1_ctx.dim, t.d_algebra.dim
+    xs, ds = t.points[:3], t.d_ctx.points[:3]
+    _assert_point_shares(diffnum.dressing_field_sampler, xs, k)
+    units = identity(n)
+    zetas = [(units[i % n], units[(i + 1) % n]) for i in range(len(ds))]
+    _assert_point_shares(lambda d0: diffnum.phi_r_sections(
+        t, d0, zetas if d0 is ds else zetas[ds.index(d0)]), ds, n)
+    pairs = [(ds[i], ds[j], t.d_ctx.point(int_matrix(mat_mul(ds[i].g, ds[j].g)))) for i, j in ((1, 2), (2, 0), (0, 0))]
+    # the product chart near each pair: some points move one factor only
+    _assert_point_shares(lambda p: diffnum.product_coords_sampler(*(zip(*p) if isinstance(p, list) else p)),
+                         pairs, 2 * n, scales=(0.0, 1e-4, 1e-2))
+    # the entry points: point i of one pass against its own pass
+    centres = _mixed_points(k, scales=(0.1,))
+    assert action_axiom_check(diffnum.dressing_field_sampler(xs), t.d_algebra, centres, H) == [
+        action_axiom_check(diffnum.dressing_field_sampler(x), t.d_algebra, c, H) for x, c in zip(xs, centres)]
+    dm = diffnum.dmult_fd(*zip(*pairs), h=H)
+    assert all(np.array_equal(dm[i], diffnum.dmult_fd(*pair, h=H)) for i, pair in enumerate(pairs))
+    zs, z2s = zip(*zetas)
+    assert diffnum.phi_r_homomorphism_residual(t, ds, zs, z2s, H) == [
+        diffnum.phi_r_homomorphism_residual(t, d, z, z2, H) for d, z, z2 in zip(ds, zs, z2s)]
+
+
+def test_a_breakdown_in_a_stacked_pass_stays_with_its_point():
+    # the stacked pass raises; each point is then sampled alone, and only
+    # the broken point carries its breakdown, for held to raise
+    def sample(xs):
+        if any(x < 0 for x in xs):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return [2 * x for x in xs]
+
+    results = diffnum.each_point(sample, [1, -1, 3])
+    assert results[0] == 2 and results[2] == 6 and isinstance(results[1], np.linalg.LinAlgError)
+    assert diffnum.held(results[0]) == 2
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        diffnum.held(results[1])
+    assert diffnum.each_point(sample, [1, 2]) == [2, 4]
+
+
 # --- the float conversion of integer tables ----------------------------
 
 

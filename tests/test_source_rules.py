@@ -77,6 +77,7 @@ turned it back into integers.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import courantlab
@@ -86,6 +87,12 @@ SOURCES = sorted(Path(courantlab.__file__).parent.glob("*.py"))
 IMPORTERS = [p for p in SOURCES + sorted(Path(__file__).parent.glob("*.py"))
              if p.name != "__init__.py"]
 NO_IMPORT = ("concurrent", "threading", "multiprocessing")
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """The module at path, parsed once per session; no rule changes a tree."""
+    return ast.parse(path.read_text())
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -111,7 +118,7 @@ def test_sources_are_found():
 
 
 def test_no_threads_and_no_environment_reads():
-    bad = {p.name: v for p in SOURCES if (v := _violations(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES if (v := _violations(_tree(p)))}
     assert bad == {}
 
 
@@ -138,7 +145,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 def test_no_unused_imports():
     assert any(p.name == "test_source_rules.py" for p in IMPORTERS)
-    bad = {p.name: v for p in IMPORTERS if (v := _unused_imports(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in IMPORTERS if (v := _unused_imports(_tree(p)))}
     assert bad == {}
 
 
@@ -164,7 +171,7 @@ def _max_folds(tree: ast.AST) -> list[str]:
 def test_no_worst_residual_folds_through_max():
     # the tests decide pass or fail on residuals too, so they keep the rule
     assert any(p.name == "test_acceptance.py" for p in IMPORTERS)
-    bad = {p.name: v for p in SOURCES + IMPORTERS if (v := _max_folds(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES + IMPORTERS if (v := _max_folds(_tree(p)))}
     assert bad == {}
 
 
@@ -233,7 +240,7 @@ def _unit_vectors(tree: ast.AST) -> list[str]:
 
 
 def test_unit_vectors_are_rows_of_identity():
-    bad = {p.name: v for p in SOURCES if (v := _unit_vectors(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES if (v := _unit_vectors(_tree(p)))}
     assert bad == {}
 
 
@@ -265,7 +272,7 @@ def _subspace_constructions(tree: ast.AST) -> list[str]:
 def test_subspaces_are_built_through_exactlin():
     assert any(p.name == "exactlin.py" for p in SOURCES)
     bad = {p.name: v for p in SOURCES if p.name != "exactlin.py"
-           and (v := _subspace_constructions(ast.parse(p.read_text())))}
+           and (v := _subspace_constructions(_tree(p)))}
     assert bad == {}
 
 
@@ -286,7 +293,7 @@ def _fraction_calls(tree: ast.AST) -> list[str]:
 
 
 def test_randgen_builds_no_fraction():
-    tree = ast.parse(next(p for p in SOURCES if p.name == "randgen.py").read_text())
+    tree = _tree(next(p for p in SOURCES if p.name == "randgen.py"))
     assert _fraction_calls(tree) == []
     assert _holders(tree, lambda node: _is_call_of(node, {"frac_matrix"})) == []
 
@@ -329,7 +336,7 @@ def _integer_products(tree: ast.AST) -> list[tuple[str, int]]:
 
 def test_integer_products_live_in_int_products():
     found = [(p.name, where, line) for p in SOURCES
-             for where, line in _integer_products(ast.parse(p.read_text()))]
+             for where, line in _integer_products(_tree(p))]
     outside = [f"{name} line {line}" for name, where, line in found
                if (name, where) not in INTEGER_PRODUCTS]
     assert {(name, where) for name, where, _ in found} == INTEGER_PRODUCTS, outside
@@ -365,9 +372,9 @@ def _is_max_norm(node: ast.AST) -> bool:
 
 def test_the_max_norm_lives_in_max_abs():
     diffnum = next(p for p in SOURCES if p.name == "diffnum.py")
-    assert _holders(ast.parse(diffnum.read_text()), _is_max_norm) == ["max_abs"]
+    assert _holders(_tree(diffnum), _is_max_norm) == ["max_abs"]
     bad = {p.name: v for p in SOURCES if p.name != "diffnum.py"
-           and (v := _holders(ast.parse(p.read_text()), _is_max_norm))}
+           and (v := _holders(_tree(p), _is_max_norm))}
     assert bad == {}
 
 
@@ -390,7 +397,7 @@ def _float_comprehensions(tree: ast.AST) -> list[str]:
 def test_entries_are_converted_in_diffnum_only():
     assert any(p.name == "liegrp.py" for p in SOURCES)
     bad = {p.name: v for p in SOURCES if p.name != "diffnum.py"
-           and (v := _float_comprehensions(ast.parse(p.read_text())))}
+           and (v := _float_comprehensions(_tree(p)))}
     assert bad == {}
 
 
@@ -428,7 +435,7 @@ def _frozen_writes(tree: ast.AST) -> list[str]:
 
 def test_frozen_values_are_written_by_their_constructor():
     assert any(p.name == "lagrel.py" for p in SOURCES)
-    bad = {p.name: v for p in SOURCES if (v := _frozen_writes(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES if (v := _frozen_writes(_tree(p)))}
     assert bad == {}
 
 
@@ -470,7 +477,7 @@ def _dataclass_imports(tree: ast.AST) -> list[str]:
 
 def test_the_package_imports_no_dataclasses():
     assert any(p.name == "exactlin.py" for p in SOURCES)
-    bad = {p.name: v for p in SOURCES if (v := _dataclass_imports(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES if (v := _dataclass_imports(_tree(p)))}
     assert bad == {}
 
 
@@ -507,7 +514,7 @@ def _float_imports(tree: ast.AST, name: str) -> list[str]:
 
 def test_numpy_lives_in_diffnum_alone():
     assert {"diffnum.py", "suites.py"} <= {p.name for p in SOURCES}
-    bad = {p.name: v for p in SOURCES if (v := _float_imports(ast.parse(p.read_text()), p.name))}
+    bad = {p.name: v for p in SOURCES if (v := _float_imports(_tree(p), p.name))}
     assert bad == {}
 
 
@@ -537,7 +544,7 @@ def _padded_rows(tree: ast.AST) -> list[str]:
 def test_block_rows_are_laid_out_by_exactlin():
     assert any(p.name == "exactlin.py" for p in SOURCES)
     bad = {p.name: v for p in SOURCES if p.name != "exactlin.py"
-           and (v := _padded_rows(ast.parse(p.read_text())))}
+           and (v := _padded_rows(_tree(p)))}
     assert bad == {}
 
 
@@ -567,7 +574,7 @@ def _fraction_strategies(tree: ast.AST) -> list[str]:
 
 def test_no_fraction_strategies_in_the_tests():
     assert any(p.name == "test_exactlin.py" for p in TESTS)
-    bad = {p.name: v for p in TESTS if (v := _fraction_strategies(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in TESTS if (v := _fraction_strategies(_tree(p)))}
     assert bad == {}
 
 
@@ -612,7 +619,7 @@ def _fraction_part_reads(tree: ast.AST) -> list[tuple[str, int]]:
 
 def test_fraction_parts_are_read_under_int_matrix_alone():
     found = [(p.name, where, line) for p in SOURCES
-             for where, line in _fraction_part_reads(ast.parse(p.read_text()))]
+             for where, line in _fraction_part_reads(_tree(p))]
     outside = [f"{name} line {line}" for name, where, line in found
                if (name, where) not in FRACTION_PART_READERS]
     assert ("exactlin.py", "_FRACTION_PARTS") in {(name, where) for name, where, _ in found}
@@ -645,7 +652,7 @@ def test_splitting_verdicts_live_in_splits():
     # Splitting.splits, the one home of "W = (W cap E) + (W cap F)", counts
     # two meets, so a sum of intersections anywhere is a second copy
     found = {(p.name, where) for p in SOURCES
-             for where in _sums_of_intersections(ast.parse(p.read_text()))}
+             for where in _sums_of_intersections(_tree(p))}
     assert found == set()
 
 
@@ -685,7 +692,7 @@ def _matrix_reconversions(tree: ast.AST) -> list[str]:
 
 
 def test_kept_integer_rows_are_not_converted_again():
-    bad = {p.name: v for p in SOURCES if (v := _matrix_reconversions(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES if (v := _matrix_reconversions(_tree(p)))}
     assert bad == {}
 
 
@@ -715,9 +722,9 @@ def _bracket_table_reads(tree: ast.AST) -> list[str]:
 
 
 def test_the_bracket_table_is_read_in_quadlie_alone():
-    assert _bracket_table_reads(ast.parse((SOURCES[0].parent / "quadlie.py").read_text()))
+    assert _bracket_table_reads(_tree(SOURCES[0].parent / "quadlie.py"))
     bad = {p.name: v for p in SOURCES if p.name != "quadlie.py"
-           and (v := _bracket_table_reads(ast.parse(p.read_text())))}
+           and (v := _bracket_table_reads(_tree(p)))}
     assert bad == {}
 
 
@@ -754,10 +761,10 @@ def _breakdown_handlers(tree: ast.AST, module: str) -> list[str]:
 
 
 def test_a_breakdown_is_handled_by_the_runner_alone():
-    tree = ast.parse((SOURCES[0].parent / "suites.py").read_text())
+    tree = _tree(SOURCES[0].parent / "suites.py")
     (runner,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_run"]
     assert _breakdown_lines(runner)
-    bad = {p.name: v for p in SOURCES if (v := _breakdown_handlers(ast.parse(p.read_text()), p.name))}
+    bad = {p.name: v for p in SOURCES if (v := _breakdown_handlers(_tree(p), p.name))}
     assert bad == {}
 
 
@@ -828,7 +835,7 @@ def test_no_fraction_matrix_arithmetic_in_the_package():
     # every exact matrix in src/ is an integer table; the Fraction loops and
     # the names no module called live in tests/algebra_reference.py
     assert {"exactlin.py", "lagrel.py", "randgen.py"} <= {p.name for p in SOURCES}
-    bad = {p.name: v for p in SOURCES if (v := _fraction_arithmetic(ast.parse(p.read_text())))}
+    bad = {p.name: v for p in SOURCES if (v := _fraction_arithmetic(_tree(p)))}
     assert bad == {}
 
 
