@@ -502,7 +502,8 @@ def dmult_fd(pa, pb, pab, h: float = 1e-4) -> np.ndarray:
     """FD Jacobian of multiplication in product exponential charts; pab is
     the point of the product ga gb (lists of points: the stack of theirs)."""
     points = _many(pa)
-    _, dm = jets(product_coords_sampler(pa, pb, pab), np.zeros((len(points), 2 * points[0].ctx.dim)), h, False)
+    x = np.zeros((len(points), 2 * points[0].ctx.dim))
+    _, dm = jets(product_coords_sampler(pa, pb, pab), x, h, centre=False)
     return dm[0] if isinstance(pa, GroupPoint) else dm
 
 
@@ -583,7 +584,8 @@ def phi_r_homomorphism_residual(t: TripleContext, d0, zeta, zeta2, h: float = 1e
     d0s, pairs = _many(d0), [(zeta, zeta2)] if isinstance(d0, GroupPoint) else list(zip(zeta, zeta2))
     double = t.d_ctx.double_algebra
     structure, form = structure_tensor_np(double), np_matrix(*double.form._ints)
-    _, jacobians = jets(phi_r_sections(t, d0s, pairs), np.zeros((len(d0s), t.d_algebra.dim)), h, False)
+    x = np.zeros((len(d0s), t.d_algebra.dim))
+    _, jacobians = jets(phi_r_sections(t, d0s, pairs), x, h, centre=False)
     out = []
     for d, z, (xj, yj) in zip(d0s, pairs, jacobians):
         xv, yv = np_matrix(*phi_r_values(t, d, (z, 1)))

@@ -131,18 +131,10 @@ class GroupPoint(Frozen, fields=("ctx", "g_ints"), compared=None):
         the coordinates of h b h^-1, the sum of b_ij (column i of h)(row j
         of h^-1) over the context's kept nonzeros of b, and all are
         coordinatized by one product."""
-        n, (_, db) = self.ctx.ambient_size, self.ctx.basis_ints
-        (h_rows, dh), (inv_rows, di) = h, h_inv
+        (h_rows, dh), (inv_rows, di), (_, db) = h, h_inv, self.ctx.basis_ints
         h_cols = list(zip(*h_rows))
-        conj = []
-        for nonzeros in self.ctx.basis_nonzeros:
-            flat = [0] * (n * n)
-            for i, j, x in nonzeros:
-                terms = [(c, x * y) for c, y in enumerate(inv_rows[j]) if y]
-                for r, hr in enumerate(h_cols[i]):
-                    for c, xy in terms:
-                        flat[r * n + c] += hr * xy
-            conj.append(flat)
+        conj = [[sum(t) for t in zip(*([x * a * b for a in h_cols[i] for b in inv_rows[j]] for i, j, x in nz))]
+                for nz in self.ctx.basis_nonzeros]
         coef, den = self.ctx.coordinatizer.coords_ints(conj, dh * db * di)
         return lowest_terms(zip(*coef), den)
 
