@@ -421,7 +421,7 @@ class GroupChart(Frozen, fields=("ctx",), compared=None):
         return _exp_series(-_combine(t, self.ad), 1)
 
     def point(self, g0: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The exponential chart t -> g0 exp(sum t_a X_a) at the float matrix g0."""
+        """The exponential chart t -> g0 exp(sum t_a X_a) at the float g0, or slice by slice."""
         return g0 @ expm_np(_combine(t, self.basis))
 
 

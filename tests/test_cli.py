@@ -519,9 +519,9 @@ def test_verify_rank_builds_one_chart_bivector_per_instance(capsys, point_builds
 
 def test_dressing_makes_one_fd_pass_per_record(monkeypatch, capsys, calls):
     # one FD pass for the 3 action-axiom points and one for the 3 phi^R
-    # points, each one exponential of the stack (was one pass per point,
-    # 6 in all); the action axiom reads the dressing fields of all 3 points
-    # once, on each point and its 2k = 6 stencil points
+    # points, each one exponential of the stack; the action axiom reads the
+    # dressing fields of all 3 points once, on each point and its 2k = 6
+    # stencil points
     from courantlab import diffnum
 
     passes = calls(diffnum, "jets")
@@ -548,11 +548,10 @@ def test_dressing_makes_one_fd_pass_per_record(monkeypatch, capsys, calls):
 
 
 def test_schouten_makes_one_field_call_per_record_family(capsys, calls):
-    # 7 field calls, down from 43 (one per stencil): the flat field at 3
-    # steps, one point each, then one call per (splitting, step) family
-    # on the stencils of all 10 points, for the manin and quasi splittings
-    # and the manin h-ladder at 2 more steps; each point's a(Y^E) + a(Y^F)
-    # is pushed once per splitting
+    # 7 field calls: the flat field at 3 steps, one point each, then one
+    # call per (splitting, step) family on the stencils of all 10 points,
+    # for the manin and quasi splittings and the manin h-ladder at 2 more
+    # steps; each point's a(Y^E) + a(Y^F) is pushed once per splitting
     from courantlab import diffnum
 
     fields = calls(diffnum.ChartBivectorField, "__call__")
@@ -576,7 +575,6 @@ def test_sheared_schouten_pushes_each_point_once(capsys, calls):
 def test_mult_takes_one_log_of_every_pair(capsys, calls):
     # 10 pairs, each a dMult stencil of 2 * 2k points in the product chart
     # of D x D, with k = 6: one product pass takes one log of all 10 stacks
-    # (was 10 logs, one per pair)
     from courantlab import diffnum
 
     logs = calls(diffnum, "logm_np")
